@@ -1,6 +1,6 @@
 from .bleu import bleu4
 from .decoding import generate_caption
-from .model import DecodeState, ModelDims, MultiLingualModel, mean_pool_variant
+from .model import ModelDims, MultiLingualModel
 from .training import (
     EpochStat,
     TrainingConfig,
@@ -11,7 +11,6 @@ from .training import (
 )
 
 __all__ = [
-    "DecodeState",
     "EpochStat",
     "ModelDims",
     "MultiLingualModel",
@@ -20,7 +19,6 @@ __all__ = [
     "bleu4",
     "generate_caption",
     "interleave",
-    "mean_pool_variant",
     "split_by_scene",
     "train",
 ]

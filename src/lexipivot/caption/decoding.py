@@ -1,37 +1,19 @@
-"""Greedy and beam-search caption generation."""
+"""Greedy caption generation."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ..corpus.vocab import BOS, EOS, PAD, UNK
-from ..errors import InputError
 from ..numerics import no_grad
 from .model import MultiLingualModel
 
 _BANNED = (PAD, BOS, UNK)  # structural tokens that must never be emitted
 
 
-def generate_caption(model: MultiLingualModel, language: str, features,
-                     mode: str = "greedy", beam_width: int = 1) -> list[int]:
-    """Decode one image into token ids (ends with the end sentinel when
-    reached; always at most max_len - 1 emissions after the begin token)."""
-    if mode == "greedy":
-        return _greedy(model, language, features)
-    if mode == "beam":
-        if beam_width < 1:
-            raise InputError(f"beam width must be >= 1, got {beam_width}")
-        return _beam(model, language, features, beam_width)
-    raise InputError(f"unknown decoding mode {mode!r}")
-
-
-def _masked_logits(logits: np.ndarray) -> np.ndarray:
-    out = logits.copy()
-    out[list(_BANNED)] = -np.inf
-    return out
-
-
-def _greedy(model, language, features):
+def generate_caption(model: MultiLingualModel, language: str, features) -> list[int]:
+    """Greedily decode one image into token ids (ends with the end sentinel
+    when reached; always at most max_len - 1 emissions after the begin token)."""
     steps = model.dims.max_len - 1
     with no_grad():
         regions = model.encode(np.asarray(features)[None])
@@ -42,45 +24,11 @@ def _greedy(model, language, features):
         for _ in range(steps):
             logits, state, _, _ = model.step(language, state, np.array([prev]),
                                              regions, region_part)
-            token = int(np.argmax(_masked_logits(logits.data[0])))
+            row = logits.data[0].copy()
+            row[list(_BANNED)] = -np.inf
+            token = int(np.argmax(row))
             emitted.append(token)
             if token == EOS:
                 break
             prev = token
     return emitted
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    return shifted - np.log(np.exp(shifted).sum())
-
-
-def _beam(model, language, features, width):
-    steps = model.dims.max_len - 1
-    with no_grad():
-        regions = model.encode(np.asarray(features)[None])
-        region_part = model.attention_precompute(regions)
-        h0, c0 = model.initial_state(1)
-        # beam entries: (score, tokens, h, c, finished)
-        beams = [(0.0, (), h0, c0, False)]
-        for _ in range(steps):
-            if all(b[4] for b in beams):
-                break
-            candidates = []
-            for score, tokens, h, c, finished in beams:
-                if finished:
-                    candidates.append((score, tokens, h, c, True))
-                    continue
-                prev = tokens[-1] if tokens else BOS
-                logits, (h2, c2), _, _ = model.step(language, (h, c),
-                                                    np.array([prev]), regions, region_part)
-                logp = _log_softmax(_masked_logits(logits.data[0]))
-                top = np.argsort(-logp, kind="stable")[:width]
-                for token in top:
-                    token = int(token)
-                    candidates.append((score + float(logp[token]), tokens + (token,),
-                                       h2, c2, token == EOS))
-            candidates.sort(key=lambda b: (-b[0], b[1]))
-            beams = candidates[:width]
-    best = max(beams, key=lambda b: (b[0], b[4]))
-    return list(best[1])

@@ -3,14 +3,14 @@
 One affine+tanh region encoder and one LSTM decoder are shared by every
 registered language; each language owns only its embedding matrix, which
 is also the output projection (tied weights), so the hidden size equals
-the embedding size. The mean-pool variant drops the attention net and
-fixes the context vector to the unweighted region mean.
+the embedding size. Built with attention=False, the model drops the
+attention net and fixes the context vector to the unweighted region mean.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,14 +48,6 @@ class ModelDims:
     attn_dim: int = 32      # hidden layer of the attention scorer
     num_regions: int = 9    # K
     max_len: int = 16       # caption length cap including sentinels
-
-
-@dataclass
-class DecodeState:
-    h: Tensor
-    c: Tensor
-    t: int = 0
-    emitted: list[int] = field(default_factory=list)
 
 
 class MultiLingualModel:
@@ -190,20 +182,6 @@ class MultiLingualModel:
         logits = matmul(h_new, embed)
         return logits, (h_new, c_new), alpha, context
 
-    def decode_step(self, language: str, state: DecodeState, prev_token: int,
-                    regions: Tensor, region_part: Tensor | None = None):
-        """Single-example step; advances and returns the decode state."""
-        n = self.vocab_sizes.get(language)
-        if n is None:
-            raise KeyError(f"language {language!r} is not registered with this model")
-        if not 0 <= prev_token < n:
-            raise IndexError(f"token {prev_token} out of range for vocabulary of {n}")
-        logits, (h, c), alpha, context = self.step(
-            language, (state.h, state.c), np.array([prev_token]), regions, region_part)
-        new_state = DecodeState(h=h, c=c, t=state.t + 1,
-                                emitted=state.emitted + [prev_token])
-        return logits, new_state, alpha, context
-
     # -- losses -------------------------------------------------------------
 
     def sequence_loss(self, examples, features_by_id) -> tuple[Tensor, int]:
@@ -286,13 +264,6 @@ class MultiLingualModel:
                     attention=manifest["attention"], dtype=dtype,
                     freeze_encoder=manifest.get("freeze_encoder", False))
         return model, manifest
-
-
-def mean_pool_variant(dims: ModelDims, vocab_sizes: dict[str, int], seed: int,
-                      dtype=np.float64, freeze_encoder: bool = False) -> MultiLingualModel:
-    """Show-tell-style model: context is always the unweighted region mean."""
-    return MultiLingualModel.build(dims, vocab_sizes, seed, attention=False,
-                                   dtype=dtype, freeze_encoder=freeze_encoder)
 
 
 def _pad_tokens(examples) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Command-line front end.
 
     lexipivot <gen-corpus|train|extract|induce|eval|pipeline>
-              --config FILE [--seed N] [--out DIR] [--threads N] ...
+              --config FILE [--seed N] [--out DIR] ...
 
 Exit codes: 0 success, 2 config error, 3 IO/format error, 4 numeric or
 empty-result error. Errors print one line to stderr prefixed with
@@ -37,8 +37,6 @@ def _common_args(sub: argparse.ArgumentParser) -> None:
                      help="JSON config file (defaults apply when omitted)")
     sub.add_argument("--seed", type=int, default=None, help="override config seed")
     sub.add_argument("--out", type=Path, default=None, help="override output directory")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker threads for read-only stages (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,9 +91,6 @@ def _resolve_config(args) -> RunConfig:
         config.seed = args.seed
     if args.out is not None:
         config.out_dir = str(args.out)
-    if args.threads is not None:
-        config.threads = args.threads
-        config.validate()
     if getattr(args, "method", None):
         config.extraction.method = args.method
     if getattr(args, "methods", None):

@@ -75,6 +75,7 @@ class InductionSection:
 class RunConfig:
     seed: int = 17
     out_dir: str = "runs/out"
+    # accepted and validated for existing config files; no stage reads it
     threads: int = 1
     corpus: CorpusConfig = field(default_factory=CorpusConfig)
     model: ModelSection = field(default_factory=ModelSection)

@@ -97,21 +97,6 @@ def read_captions(path, language: str | None = None) -> list[RawCaption]:
     return rows
 
 
-def load_external_dataset(features_path, captions_path, language: str):
-    """Load precomputed spatial features plus the captions of one language.
-
-    Every caption must reference an image present in the features file.
-    """
-    features = read_features(features_path)
-    captions = read_captions(captions_path, language=language)
-    for i, cap in enumerate(captions, start=1):
-        if cap.image_id not in features:
-            raise FormatError(
-                f"{captions_path}: caption record {i} references unknown image id "
-                f"{cap.image_id}")
-    return features, captions
-
-
 def write_vocabulary(path, vocab: Vocabulary) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for index, word in enumerate(vocab.index_to_word):

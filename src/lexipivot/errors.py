@@ -44,12 +44,6 @@ class OptimizerStateError(LexipivotError):
     exit_code = 4
 
 
-class DeterminismError(LexipivotError):
-    """A closure expected to be deterministic produced differing values."""
-
-    exit_code = 4
-
-
 class NoVisualError(LexipivotError):
     """A word has no usable visual representation (empty or degenerate set)."""
 

@@ -18,7 +18,7 @@ import numpy as np
 from .caption.model import MultiLingualModel
 from .corpus.lexicon import GroundTruthLexicon
 from .corpus.vocab import RESERVED, Vocabulary
-from .errors import EmptyResultError, InputError, NoVisualError
+from .errors import EmptyResultError, FormatError, InputError, NoVisualError
 from .numerics import no_grad
 from .seeding import substream
 
@@ -361,12 +361,18 @@ def read_rankings(path) -> dict[str, dict[str, TranslationRanking]]:
                 continue
             parts = line.split("\t")
             if len(parts) != 3:
-                raise InputError(f"{path}:{lineno}: expected 3 fields")
+                raise FormatError(
+                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
             source_word, method, cells = parts
             items = []
             for cell in cells.split(","):
                 word, _, score = cell.rpartition(":")
-                items.append((word, float(score)))
+                try:
+                    items.append((word, float(score)))
+                except ValueError as exc:
+                    raise FormatError(
+                        f"{path}:{lineno}: score {score!r} of candidate {word!r} "
+                        f"is not a number") from exc
             out.setdefault(method, {})[source_word] = TranslationRanking(
                 source_word, method, items)
     return out

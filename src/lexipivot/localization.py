@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caption.model import MultiLingualModel
-from .corpus.vocab import BOS, EOS, PAD, UNK, CaptionedExample
+from .corpus.vocab import BOS, EOS, PAD, UNK
 from .errors import FormatError, InputError
 from .numerics import Tensor, no_grad
 from .seeding import substream
@@ -110,8 +110,8 @@ _METHODS = {"probe": localize, "attention": localize_by_attention}
 
 def collect_word_features(model: MultiLingualModel, examples, features_by_id,
                           language: str, method: str = "probe",
-                          cap: int | None = None, seed: int = 0,
-                          threads: int = 1) -> dict[int, list[np.ndarray]]:
+                          cap: int | None = None,
+                          seed: int = 0) -> dict[int, list[np.ndarray]]:
     """Localized feature set per word index over a corpus.
 
     Sentinel and unknown tokens are dropped. With `cap` set, each word
@@ -122,25 +122,12 @@ def collect_word_features(model: MultiLingualModel, examples, features_by_id,
         raise InputError(f"unknown localization method {method!r}")
     localizer = _METHODS[method]
 
-    def run_one(ex: CaptionedExample):
-        occs = localizer(model, language, features_by_id[ex.scene_id], ex.tokens,
-                         image_id=ex.scene_id)
-        return [(o.word_index, o.feature) for o in occs
-                if o.word_index not in (PAD, BOS, EOS, UNK)]
-
-    examples = list(examples)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_example = list(pool.map(run_one, examples))
-    else:
-        per_example = [run_one(ex) for ex in examples]
-
     sets: dict[int, list[np.ndarray]] = {}
-    for rows in per_example:
-        for word_index, feature in rows:
-            sets.setdefault(word_index, []).append(feature)
+    for ex in examples:
+        for occ in localizer(model, language, features_by_id[ex.scene_id], ex.tokens,
+                             image_id=ex.scene_id):
+            if occ.word_index not in (PAD, BOS, EOS, UNK):
+                sets.setdefault(occ.word_index, []).append(occ.feature)
 
     if cap is not None:
         for word_index, feats in sets.items():

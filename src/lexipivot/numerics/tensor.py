@@ -380,15 +380,3 @@ def cross_entropy_rows(logits: Tensor, targets: np.ndarray,
             logits.accumulate_grad(probs * (m * float(g))[:, None])
 
     return _make(data, (logits,), backward)
-
-
-def cross_entropy(logits: Tensor, target_index: int) -> Tensor:
-    """-log softmax(logits)[target] for a single 1-D logit vector."""
-    logits = as_tensor(logits)
-    if logits.data.ndim != 1:
-        raise ShapeError(f"cross_entropy expects 1-D logits, got {logits.shape}")
-    if not 0 <= target_index < logits.shape[0]:
-        raise IndexError(
-            f"target index {target_index} out of range for {logits.shape[0]} classes")
-    rows = reshape(logits, (1, logits.shape[0]))
-    return cross_entropy_rows(rows, np.array([target_index]))

@@ -37,7 +37,7 @@ from .corpus import (
     write_lexicon,
     write_vocabulary,
 )
-from .errors import ConfigError, EmptyResultError
+from .errors import ConfigError, EmptyResultError, FormatError
 from .induction import (
     build_table,
     cnn_avgmax_rank,
@@ -121,10 +121,17 @@ def load_corpus(config: RunConfig, corpus_dir) -> LoadedCorpus:
     features: dict[int, np.ndarray] = {}
     examples, vocabs = {}, {}
     for lang in languages:
-        lang_feats = read_features(corpus_file(corpus_dir, lang, "features"))
+        features_path = corpus_file(corpus_dir, lang, "features")
+        lang_feats = read_features(features_path)
         features.update(lang_feats)
         vocab = read_vocabulary(corpus_file(corpus_dir, lang, "vocab"), lang)
-        captions = read_captions(corpus_file(corpus_dir, lang, "captions"), lang)
+        captions_path = corpus_file(corpus_dir, lang, "captions")
+        captions = read_captions(captions_path, lang)
+        for i, cap in enumerate(captions, start=1):
+            if cap.image_id not in lang_feats:
+                raise FormatError(
+                    f"{captions_path}: caption record {i} references image id "
+                    f"{cap.image_id}, which is not in {features_path}")
         examples[lang] = index_captions(captions, vocab, config.corpus.max_caption_len)
         vocabs[lang] = vocab
     lexicon = read_lexicon(corpus_dir / "lexicon.tsv", *languages)
@@ -241,7 +248,7 @@ def stage_extract(config: RunConfig, out_dir, checkpoint, corpus_dir,
         with manifest.timed(f"localize:{lang}"):
             sets = collect_word_features(
                 model, loaded.examples[lang], loaded.features, lang, method,
-                cap=config.extraction.cap, seed=config.seed, threads=config.threads)
+                cap=config.extraction.cap, seed=config.seed)
         with manifest.timed(f"write:{lang}"):
             visual_entries = {}
             for index in sorted(sets):

@@ -2,6 +2,11 @@
 
 import numpy as np
 
+# Each evaluation of f may be off by a few ulps of |f|; a central difference
+# divides that by eps, so this many ulps of |f| over eps are round-off, not
+# gradient error.
+ROUNDOFF_ULPS = 4
+
 
 def numeric_gradient(f, tensor, eps=1e-6):
     """Central-difference gradient of scalar f() w.r.t. tensor.data.
@@ -21,22 +26,40 @@ def numeric_gradient(f, tensor, eps=1e-6):
     return grad.reshape(tensor.data.shape)
 
 
-def max_rel_err(analytic, numeric, floor=1e-5):
+def roundoff_atol(value, eps, dtype=np.float64):
+    """Absolute round-off of a central difference of f at step eps, where
+    f evaluates to `value` (taken as at least 1 in magnitude)."""
+    return ROUNDOFF_ULPS * np.finfo(dtype).eps * max(abs(value), 1.0) / eps
+
+
+def max_rel_err(analytic, numeric, atol=0.0):
+    """Largest relative gradient error after forgiving `atol` of absolute
+    error, so `max_rel_err(a, n, atol) < tol` is the bound
+    |a - n| < atol + tol * max(|a|, |n|) on every element."""
     a = np.asarray(analytic, dtype=np.float64).reshape(-1)
     n = np.asarray(numeric, dtype=np.float64).reshape(-1)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
-    return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
+    excess = np.maximum(np.abs(a - n) - atol, 0.0)
+    scale = np.maximum(np.abs(a), np.abs(n))
+    rel = np.divide(excess, scale, out=np.zeros_like(excess), where=scale > 0)
+    return float(np.max(rel)) if a.size else 0.0
 
 
 def assert_grads_close(f, tensors, tol=1e-6, eps=1e-6):
-    """Backward of f() against central differences for each tensor."""
+    """Backward of f() against central differences for each tensor.
+
+    f must be deterministic: it is evaluated twice at the same point and
+    the two values must agree exactly.
+    """
     for t in tensors:
         t.zero_grad()
     loss = f()
     loss.backward()
+    value, again = float(loss.item()), float(f().item())
+    assert value == again, f"closure is not deterministic: {value!r} != {again!r}"
+    atol = roundoff_atol(value, eps, loss.data.dtype)
     for t in tensors:
         analytic = np.zeros_like(t.data) if t.grad is None else t.grad.copy()
         t.zero_grad()
         numeric = numeric_gradient(f, t, eps=eps)
-        err = max_rel_err(analytic, numeric)
-        assert err < tol, f"gradient mismatch (rel err {err:.3e} >= {tol})"
+        err = max_rel_err(analytic, numeric, atol)
+        assert err < tol, f"gradient mismatch (rel err {err:.3e} >= tol {tol:.1e})"

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from lexipivot.caption import ModelDims, MultiLingualModel, mean_pool_variant
+from lexipivot.caption import ModelDims, MultiLingualModel
 from lexipivot.corpus.vocab import BOS, EOS, PAD, CaptionedExample
 from lexipivot.errors import InputError, ShapeError
-from lexipivot.numerics import AdamState, Tensor, adam_update, grad_check, no_grad
+from lexipivot.numerics import AdamState, Tensor, adam_update, no_grad
 
 from conftest import build_corpus, build_model
+from helpers import assert_grads_close
 
 
 def small_dims(**kw):
@@ -90,9 +91,8 @@ class TestDecodeStep:
         regions = model.encode(feats)
 
         def first_logits():
-            from lexipivot.caption.model import DecodeState
-            state = DecodeState(*model.initial_state(1))
-            logits, _, _, _ = model.decode_step("x", state, BOS, regions)
+            logits, _, _, _ = model.step("x", model.initial_state(1), np.array([BOS]),
+                                         regions)
             return logits.data.copy()
 
         assert np.array_equal(first_logits(), first_logits())
@@ -208,7 +208,7 @@ class TestWeightSharing:
 
 class TestMeanPoolVariant:
     def test_uniform_weights_by_construction(self):
-        model = mean_pool_variant(small_dims(), {"x": 9}, seed=4)
+        model = MultiLingualModel.build(small_dims(), {"x": 9}, seed=4, attention=False)
         regions = model.encode(np.random.default_rng(10).normal(size=(4, 6)))
         h, _ = model.initial_state(1)
         h.data[...] = 1.0
@@ -217,7 +217,7 @@ class TestMeanPoolVariant:
 
     def test_strictly_fewer_parameters(self):
         attn = MultiLingualModel.build(small_dims(), {"x": 9}, seed=4)
-        mp = mean_pool_variant(small_dims(), {"x": 9}, seed=4)
+        mp = MultiLingualModel.build(small_dims(), {"x": 9}, seed=4, attention=False)
         assert mp.num_parameters() < attn.num_parameters()
         assert "attn.w1" not in mp.params
 
@@ -229,11 +229,11 @@ class TestGradients:
         la, lb = bundle.config.languages
         batch = bundle.examples[la][:1] + bundle.examples[lb][:1]
 
-        def closure(params):
+        def f():
             return model.sequence_loss(batch, bundle.features)[0]
 
-        report = grad_check(closure, model.trainable_params(), eps=1e-5, tol=1e-4)
-        assert report.passed, report.summary()
+        params = [p for _, p in model.trainable_params().items()]
+        assert_grads_close(f, params, tol=1e-4, eps=1e-5)
 
 
 class TestCheckpoint:

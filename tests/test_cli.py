@@ -33,6 +33,13 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def assert_one_error_line(err, *fragments):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lexipivot-error:"), err
+    for fragment in fragments:
+        assert fragment in lines[0]
+
+
 @pytest.fixture()
 def corpus_dir(tmp_path):
     cfg = write_config(tmp_path)
@@ -125,6 +132,16 @@ class TestTrain:
         assert code == 2
         assert "zz" in capsys.readouterr().err
 
+    def test_caption_with_unknown_image_id_exits_3(self, corpus_dir, tmp_path, capsys):
+        cfg, corpus = corpus_dir
+        with open(corpus / "la.captions.tsv", "a", encoding="utf-8") as fh:
+            fh.write("999999\tla\tsome words\n")
+        code = run(["train", "--config", cfg, "--corpus", corpus,
+                    "--out", tmp_path / "x"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert_one_error_line(err, "la.captions.tsv", "999999")
+
 
 @pytest.fixture()
 def trained(corpus_dir, tmp_path):
@@ -215,6 +232,23 @@ class TestInduceEval:
                     "--lexicon", corpus / "lexicon.tsv", "--out", eval_out]) == 0
         rows = (eval_out / "report.csv").read_text().splitlines()
         assert {line.split(",")[0] for line in rows[1:]} == {"fused", "linguistic"}
+
+
+class TestEvalMalformedRankings:
+    @pytest.mark.parametrize("line, fragment", [
+        ("a\tfused\tb:notanumber,c:0.5\n", "notanumber"),
+        ("a\tb:0.5\n", "got 2"),
+    ])
+    def test_exits_3(self, tmp_path, capsys, line, fragment):
+        cfg = write_config(tmp_path)
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text("a\tb\n", encoding="utf-8")
+        rankings = tmp_path / "rankings.tsv"
+        rankings.write_text(line, encoding="utf-8")
+        code = run(["eval", "--config", cfg, "--rankings", rankings,
+                    "--lexicon", lexicon, "--out", tmp_path / "eval"])
+        assert code == 3
+        assert_one_error_line(capsys.readouterr().err, "rankings.tsv:1", fragment)
 
 
 class TestPipeline:

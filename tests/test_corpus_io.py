@@ -8,7 +8,6 @@ from lexipivot.corpus import (
     GroundTruthLexicon,
     RawCaption,
     generate_corpus,
-    load_external_dataset,
     read_captions,
     read_features,
     read_lexicon,
@@ -18,13 +17,18 @@ from lexipivot.corpus import (
     write_lexicon,
     write_vocabulary,
 )
+from lexipivot.config import RunConfig
 from lexipivot.errors import FormatError, InputError
+from lexipivot.pipeline import corpus_file, load_corpus, stage_gen_corpus
+
+
+def small_config():
+    return CorpusConfig(concepts=3, attributes=2, grid_side=2, images_per_language=10,
+                        captions_per_image=2, feature_dim=8, min_count=1)
 
 
 def small_bundle():
-    config = CorpusConfig(concepts=3, attributes=2, grid_side=2, images_per_language=10,
-                          captions_per_image=2, feature_dim=8, min_count=1)
-    return generate_corpus(config, seed=21)
+    return generate_corpus(small_config(), seed=21)
 
 
 class TestFeaturesFile:
@@ -112,18 +116,18 @@ class TestCaptionsFile:
             "11\ten\tthe dog sits very still\n"
             "12\ten\tblue cat\n",
             encoding="utf-8")
-        features, captions = load_external_dataset(fpath, cpath, "en")
+        features, captions = read_features(fpath), read_captions(cpath, "en")
         assert [len(c.words) for c in captions] == [3, 5, 2]
         assert sorted(features) == [10, 11, 12]
 
     def test_unknown_image_id_rejected(self, tmp_path):
-        feats = {1: np.zeros((2, 8), dtype=np.float32)}
-        fpath = tmp_path / "f.lxpf"
-        write_features(fpath, feats)
-        cpath = tmp_path / "caps.tsv"
-        cpath.write_text("1\ten\tfine\n9\ten\tmissing image\n", encoding="utf-8")
-        with pytest.raises(FormatError, match="9"):
-            load_external_dataset(fpath, cpath, "en")
+        config = RunConfig(corpus=small_config())
+        stage_gen_corpus(config, tmp_path)
+        cpath = corpus_file(tmp_path, "la", "captions")
+        with open(cpath, "a", encoding="utf-8") as fh:
+            fh.write("999999\tla\tmissing image\n")
+        with pytest.raises(FormatError, match=r"la\.captions\.tsv.*999999"):
+            load_corpus(config, tmp_path)
 
     def test_generated_corpus_full_round_trip(self, tmp_path):
         bundle = small_bundle()
@@ -132,7 +136,7 @@ class TestCaptionsFile:
         lang_feats = {s.scene_id: bundle.features[s.scene_id] for s in bundle.scenes[lang]}
         write_features(fpath, lang_feats)
         write_captions(cpath, bundle.captions[lang])
-        features, captions = load_external_dataset(fpath, cpath, lang)
+        features, captions = read_features(fpath), read_captions(cpath, lang)
         assert captions == bundle.captions[lang]
         for sid in lang_feats:
             assert np.array_equal(features[sid], lang_feats[sid])

@@ -1,41 +1,40 @@
+"""The finite-difference oracle in helpers.py checks itself: it must pass
+correct gradients and catch wrong ones and non-deterministic closures."""
+
 import numpy as np
 import pytest
 
-from lexipivot.errors import DeterminismError
-from lexipivot.numerics import ParamStore, Tensor, grad_check, matmul, reshape, tanh
+from lexipivot.numerics import Tensor, matmul, reshape, tanh
 from lexipivot.numerics.tensor import _make
+
+from helpers import assert_grads_close, max_rel_err, numeric_gradient
 
 
 def test_linear_model_exact():
-    store = ParamStore()
-    store.add("w", Tensor(np.array([[0.7]])))
+    w = Tensor(np.array([[0.7]]), requires_grad=True)
 
-    def closure(params):
-        x = Tensor(np.array([[2.0]]))
-        return matmul(params["w"], x)
+    def f():
+        return matmul(w, Tensor(np.array([[2.0]])))
 
-    report = grad_check(closure, store, eps=1e-5, tol=1e-6)
-    assert report.passed
-    assert report.max_rel_err < 1e-8
+    f().backward()
+    assert max_rel_err(w.grad, numeric_gradient(f, w, eps=1e-5)) < 1e-8
+    assert_grads_close(f, [w], tol=1e-6, eps=1e-5)
 
 
 def test_nonlinear_closure_passes():
     rng = np.random.default_rng(5)
-    store = ParamStore()
-    store.add("w1", Tensor(rng.normal(size=(3, 3))))
-    store.add("w2", Tensor(rng.normal(size=(3, 1))))
+    w1 = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    w2 = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
     x = rng.normal(size=(1, 3))
 
-    def closure(params):
-        return matmul(tanh(matmul(Tensor(x), params["w1"])), params["w2"])
+    def f():
+        return matmul(tanh(matmul(Tensor(x), w1)), w2)
 
-    report = grad_check(closure, store)
-    assert report.passed, report.summary()
+    assert_grads_close(f, [w1, w2], tol=1e-4, eps=1e-5)
 
 
 def test_corrupted_backward_detected():
-    store = ParamStore()
-    store.add("w", Tensor(np.array([[0.5]])))
+    w = Tensor(np.array([[0.5]]), requires_grad=True)
 
     def sign_flipped_square(w):
         data = w.data * w.data
@@ -45,33 +44,31 @@ def test_corrupted_backward_detected():
 
         return _make(data, (w,), backward)
 
-    def closure(params):
-        return reshape(sign_flipped_square(params["w"]), (1, 1))
+    def f():
+        return reshape(sign_flipped_square(w), (1, 1))
 
-    report = grad_check(closure, store)
-    assert not report.passed
-    assert "w" in report.failures
+    with pytest.raises(AssertionError, match="gradient mismatch"):
+        assert_grads_close(f, [w], tol=1e-4, eps=1e-5)
 
 
 def test_nondeterministic_closure_rejected():
-    store = ParamStore()
-    store.add("w", Tensor(np.array([[1.0]])))
+    w = Tensor(np.array([[1.0]]), requires_grad=True)
     state = {"calls": 0}
 
-    def closure(params):
+    def f():
         state["calls"] += 1
-        return matmul(params["w"], Tensor(np.array([[float(state["calls"])]])))
+        return matmul(w, Tensor(np.array([[float(state["calls"])]])))
 
-    with pytest.raises(DeterminismError):
-        grad_check(closure, store)
+    with pytest.raises(AssertionError, match="not deterministic"):
+        assert_grads_close(f, [w])
 
 
 def test_report_summary_mentions_tolerance():
-    store = ParamStore()
-    store.add("w", Tensor(np.array([[0.3]])))
+    w = Tensor(np.array([[0.3]]), requires_grad=True)
 
-    def closure(params):
-        return matmul(params["w"], Tensor(np.array([[1.0]])))
+    def f():
+        return reshape(_make(w.data * 3.0, (w,),
+                             lambda g: w.accumulate_grad(2.0 * g)), (1, 1))
 
-    report = grad_check(closure, store, tol=1e-4)
-    assert "1.0e-04" in report.summary() or "1e-04" in report.summary()
+    with pytest.raises(AssertionError, match=r"tol 1\.0e-04"):
+        assert_grads_close(f, [w], tol=1e-4)

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from lexipivot.caption import mean_pool_variant
+from lexipivot.caption import ModelDims, MultiLingualModel
 from lexipivot.corpus.vocab import BOS, EOS
 from lexipivot.errors import FormatError, InputError
 from lexipivot.localization import (
@@ -13,7 +13,7 @@ from lexipivot.localization import (
     read_word_features,
     write_word_features,
 )
-from lexipivot.numerics import no_grad
+from lexipivot.numerics import Tensor, grad_enabled, no_grad, tanh
 
 from conftest import build_corpus, build_model
 
@@ -110,10 +110,9 @@ class TestAttentionLocalization:
     def test_mean_pool_model_degenerates_to_region_mean(self, setup):
         bundle, _, lang = setup
         vocab_sizes = {l: v.size for l, v in bundle.vocabs.items()}
-        from lexipivot.caption import ModelDims
         dims = ModelDims(feature_dim=8, embed_dim=8, attn_dim=4,
                          num_regions=4, max_len=16)
-        mp = mean_pool_variant(dims, vocab_sizes, seed=2)
+        mp = MultiLingualModel.build(dims, vocab_sizes, seed=2, attention=False)
         ex = bundle.examples[lang][0]
         feats = bundle.features[ex.scene_id]
         occs = localize_by_attention(mp, lang, feats, ex.tokens)
@@ -149,15 +148,13 @@ class TestCollection:
                                      cap=1, seed=3)
         assert all(len(v) == 1 for v in sets.values())
 
-    def test_threaded_collection_matches_serial(self, setup):
+    @pytest.mark.parametrize("method", ["probe", "attention"])
+    def test_collection_leaves_grad_mode_on(self, setup, method):
         bundle, model, lang = setup
-        examples = bundle.examples[lang][:10]
-        serial = collect_word_features(model, examples, bundle.features, lang)
-        threaded = collect_word_features(model, examples, bundle.features, lang,
-                                         threads=4)
-        assert serial.keys() == threaded.keys()
-        for w in serial:
-            assert all(np.array_equal(a, b) for a, b in zip(serial[w], threaded[w]))
+        collect_word_features(model, bundle.examples[lang][:3], bundle.features,
+                              lang, method)
+        assert grad_enabled()
+        assert tanh(Tensor([1.0], requires_grad=True)).requires_grad
 
     def test_methods_share_inventory(self, setup):
         bundle, model, lang = setup

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexipivot.errors import NumericError, ShapeError
@@ -11,8 +11,8 @@ from lexipivot.numerics import (
     add,
     col_slice,
     concat_cols,
-    cross_entropy,
     cross_entropy_rows,
+    grad_enabled,
     gather_cols,
     matmul,
     mul,
@@ -26,7 +26,7 @@ from lexipivot.numerics import (
     tanh,
 )
 
-from helpers import assert_grads_close
+from helpers import assert_grads_close, max_rel_err, numeric_gradient, roundoff_atol
 
 
 class TestMatmul:
@@ -105,33 +105,33 @@ class TestSoftmax:
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
-        loss = cross_entropy(Tensor([0.0, 0.0, 0.0, 0.0]), 2)
+        loss = cross_entropy_rows(Tensor([[0.0, 0.0, 0.0, 0.0]]), np.array([2]))
         assert abs(loss.item() - math.log(4.0)) < 1e-12
 
     def test_confident_logit_limit(self):
-        logits = np.zeros(6)
-        logits[3] = 30.0
-        assert cross_entropy(Tensor(logits), 3).item() < 1e-4
+        logits = np.zeros((1, 6))
+        logits[0, 3] = 30.0
+        assert cross_entropy_rows(Tensor(logits), np.array([3])).item() < 1e-4
 
     def test_target_out_of_range(self):
         with pytest.raises(IndexError):
-            cross_entropy(Tensor([0.0, 1.0]), 2)
+            cross_entropy_rows(Tensor([[0.0, 1.0]]), np.array([2]))
 
     def test_gradient_is_probs_minus_onehot(self):
         rng = np.random.default_rng(2)
-        logits = Tensor(rng.normal(size=5), requires_grad=True)
-        loss = cross_entropy(logits, 1)
+        logits = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+        loss = cross_entropy_rows(logits, np.array([1, 4]))
         loss.backward()
         probs = softmax(Tensor(logits.data)).data
-        probs[1] -= 1.0
+        probs[[0, 1], [1, 4]] -= 1.0
         np.testing.assert_allclose(logits.grad, probs, atol=1e-12)
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        logits = Tensor(rng.normal(size=7), requires_grad=True)
+        logits = Tensor(rng.normal(size=(3, 7)), requires_grad=True)
 
         def f():
-            return cross_entropy(logits, 4)
+            return cross_entropy_rows(logits, np.array([4, 0, 6]))
 
         assert_grads_close(f, [logits], tol=1e-6)
 
@@ -147,22 +147,43 @@ class TestCrossEntropy:
         assert abs(loss.item() - only.item()) < 1e-12
 
 
+def _composite(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    a = Tensor(rng.normal(size=(rows, cols)), requires_grad=True)
+    b = Tensor(rng.normal(size=(rows, cols)), requires_grad=True)
+    bias = Tensor(rng.normal(size=cols), requires_grad=True)
+    w = rng.normal(size=(rows, 2 * cols))
+
+    def f():
+        left = tanh(add(mul(a, b), bias))
+        right = sigmoid(add(a, b))
+        return _weighted_sum(concat_cols([left, right]), w)
+
+    return f, [a, b, bias]
+
+
 class TestElementwiseBackward:
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10_000))
+    @example(2, 1, 867)  # a 9.5e-7 gradient whose central difference carries 1.5e-10 round-off
     @settings(max_examples=25, deadline=None)
     def test_composite_ops_match_finite_differences(self, rows, cols, seed):
-        rng = np.random.default_rng(seed)
-        a = Tensor(rng.normal(size=(rows, cols)), requires_grad=True)
-        b = Tensor(rng.normal(size=(rows, cols)), requires_grad=True)
-        bias = Tensor(rng.normal(size=cols), requires_grad=True)
-        w = rng.normal(size=(rows, 2 * cols))
+        f, tensors = _composite(rows, cols, seed)
+        assert_grads_close(f, tensors, tol=1e-5)
 
-        def f():
-            left = tanh(add(mul(a, b), bias))
-            right = sigmoid(add(a, b))
-            return _weighted_sum(concat_cols([left, right]), w)
-
-        assert_grads_close(f, [a, b, bias], tol=1e-5)
+    def test_wrong_gradient_as_small_as_roundoff_case_fails(self):
+        f, tensors = _composite(2, 1, 867)
+        loss = f()
+        loss.backward()
+        atol = roundoff_atol(loss.item(), 1e-6)
+        grads = [t.grad.copy() for t in tensors]
+        i, j = min(((i, j) for i, g in enumerate(grads) for j in range(g.size)),
+                   key=lambda ij: abs(grads[ij[0]].flat[ij[1]]))
+        tiny = grads[i].flat[j]
+        assert abs(tiny) < 1e-6
+        numeric = numeric_gradient(f, tensors[i])
+        assert max_rel_err(grads[i], numeric, atol) < 1e-5
+        grads[i].flat[j] = -tiny  # wrong by twice its own size
+        assert max_rel_err(grads[i], numeric, atol) > 1.0
 
     def test_slices_and_repeat(self):
         rng = np.random.default_rng(7)
@@ -214,6 +235,13 @@ class TestTapeMechanics:
         with no_grad():
             y = tanh(x)
         assert y._backward is None and not y.requires_grad
+
+    def test_no_grad_restores_grad_mode_after_exception(self):
+        with pytest.raises(ValueError):
+            with no_grad():
+                raise ValueError("inside no_grad")
+        assert grad_enabled()
+        assert tanh(Tensor([1.0], requires_grad=True)).requires_grad
 
     def test_reused_node_accumulates(self):
         x = Tensor([[2.0]], requires_grad=True)
