@@ -16,24 +16,23 @@ from pathlib import Path
 import numpy as np
 
 from ..corpus.vocab import PAD
-from ..errors import ConfigError, InputError, ShapeError
+from ..errors import ConfigError, FormatError, InputError, ShapeError
 from ..numerics import (
     LstmWeights,
     ParamStore,
     Tensor,
     add,
-    col_slice,
+    additive_attention,
     concat_cols,
+    concat_rows,
     cross_entropy_rows,
     gather_cols,
     lstm_step,
     matmul,
     region_weighted_sum,
-    repeat_rows,
     reshape,
     row_slice,
     scale,
-    softmax,
     tanh,
 )
 from ..seeding import substream
@@ -148,8 +147,11 @@ class MultiLingualModel:
 
     def attend(self, h_prev: Tensor, regions: Tensor,
                region_part: Tensor | None = None) -> tuple[Tensor, Tensor]:
-        """Context vector and weights for one step: ([B,D], [B,K])."""
-        b, k, d = regions.shape
+        """Context vector and weights for one step: ([B,D], [B,K]).
+
+        Gradients flow through the context vector; the weights are data.
+        """
+        b, k, _ = regions.shape
         if k == 0:
             raise ShapeError("cannot attend over zero regions")
         if not self.attention:
@@ -157,12 +159,8 @@ class MultiLingualModel:
             return region_weighted_sum(alpha, regions), alpha
         if region_part is None:
             region_part = self.attention_precompute(regions)
-        w1_hidden = row_slice(self.params["attn.w1"], 0, self.dims.embed_dim)
-        h_part = repeat_rows(matmul(h_prev, w1_hidden), k)
-        scores = add(matmul(tanh(add(region_part, h_part)), self.params["attn.w2"]),
-                     self.params["attn.b2"])
-        alpha = softmax(reshape(scores, (b, k)), axis=-1)
-        return region_weighted_sum(alpha, regions), alpha
+        return additive_attention(h_prev, regions, region_part, self.params["attn.w1"],
+                                  self.params["attn.w2"], self.params["attn.b2"])
 
     def initial_state(self, batch: int) -> tuple[Tensor, Tensor]:
         h = Tensor(np.zeros((batch, self.dims.embed_dim), dtype=self.dtype))
@@ -175,20 +173,27 @@ class MultiLingualModel:
         Returns (logits [B,N], new (h, c), alpha [B,K], context [B,D]).
         """
         embed = self.embedding(language)
-        prev = np.asarray(prev_tokens, dtype=np.intp)
-        w_prev = gather_cols(embed, prev)
+        state, alpha, context = self._recur(embed, state, prev_tokens, regions, region_part)
+        return matmul(state[0], embed), state, alpha, context
+
+    def _recur(self, embed: Tensor, state: tuple[Tensor, Tensor], prev_tokens,
+               regions: Tensor, region_part: Tensor | None):
+        """Decoder recurrence without the output projection:
+        (new (h, c), alpha [B,K], context [B,D])."""
+        w_prev = gather_cols(embed, np.asarray(prev_tokens, dtype=np.intp))
         context, alpha = self.attend(state[0], regions, region_part)
         h_new, c_new = lstm_step(concat_cols([w_prev, context]), state, self.lstm_weights())
-        logits = matmul(h_new, embed)
-        return logits, (h_new, c_new), alpha, context
+        return (h_new, c_new), alpha, context
 
     # -- losses -------------------------------------------------------------
 
     def sequence_loss(self, examples, features_by_id) -> tuple[Tensor, int]:
         """Teacher-forced NLL averaged over non-pad target tokens.
 
-        The batch may mix languages; each language is unrolled separately
-        and the sums are combined before averaging.
+        The batch may mix languages; each language is unrolled separately,
+        its hidden states are projected onto the tied embedding in one
+        [B*T,V] product, and the per-language sums are combined before
+        averaging.
         """
         if not examples:
             raise InputError("sequence_loss needs a non-empty batch")
@@ -206,20 +211,20 @@ class MultiLingualModel:
             group = by_language[language]
             tokens = _pad_tokens(group)
             feats = np.stack([np.asarray(features_by_id[ex.scene_id]) for ex in group])
+            embed = self.embedding(language)
             regions = self.encode(feats)
             region_part = self.attention_precompute(regions)
             state = self.initial_state(len(group))
-            ce_sum: Tensor | None = None
+            hidden = []
+            # the widest caption ends in the last column, so no step is all padding
             for t in range(tokens.shape[1] - 1):
-                prev, target = tokens[:, t], tokens[:, t + 1]
-                mask = (target != PAD).astype(self.dtype)
-                if not mask.any():
-                    break
-                logits, state, _, _ = self.step(language, state, prev, regions, region_part)
-                ce = cross_entropy_rows(logits, target, mask)
-                ce_sum = ce if ce_sum is None else add(ce_sum, ce)
-                count += int(mask.sum())
-            total = ce_sum if total is None else add(total, ce_sum)
+                state, _, _ = self._recur(embed, state, tokens[:, t], regions, region_part)
+                hidden.append(state[0])
+            targets = tokens[:, 1:].T.reshape(-1)      # step-major, like `hidden`
+            mask = (targets != PAD).astype(self.dtype)
+            ce = cross_entropy_rows(matmul(concat_rows(hidden), embed), targets, mask)
+            count += int(mask.sum())
+            total = ce if total is None else add(total, ce)
         return scale(reshape(total, (1, 1)), 1.0 / count), count
 
     # -- persistence --------------------------------------------------------
@@ -253,15 +258,28 @@ class MultiLingualModel:
     @classmethod
     def load_checkpoint(cls, prefix) -> tuple["MultiLingualModel", dict]:
         prefix = Path(prefix)
-        manifest = json.loads(prefix.with_suffix(".json").read_text(encoding="utf-8"))
-        dims = ModelDims(**manifest["dims"])
-        params = ParamStore.load(prefix.with_suffix(".lxpv"), rng_seed=manifest["seed"])
-        dtype = np.dtype(manifest["dtype"]).type
+        path = prefix.with_suffix(".json")
+        try:
+            manifest = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSON syntax or UTF-8 decoding
+            raise FormatError(f"{path}: not a JSON checkpoint manifest ({exc})") from exc
+        version = manifest.get("checkpoint_version") if isinstance(manifest, dict) else None
+        if version != CHECKPOINT_VERSION:
+            raise FormatError(f"{path}: checkpoint_version {version!r} is not supported "
+                              f"(expected {CHECKPOINT_VERSION})")
+        try:
+            dims = ModelDims(**manifest["dims"])
+            seed, languages = manifest["seed"], manifest["languages"]
+            attention, dtype = manifest["attention"], np.dtype(manifest["dtype"]).type
+        except KeyError as exc:
+            raise FormatError(f"{path}: checkpoint manifest has no key {exc}") from exc
+        except TypeError as exc:
+            raise FormatError(f"{path}: malformed checkpoint manifest ({exc})") from exc
+        params = ParamStore.load(prefix.with_suffix(".lxpv"), rng_seed=seed)
         if dtype != np.float64:
             for _, p in params.items():
                 p.data = p.data.astype(dtype)
-        model = cls(dims, manifest["languages"], params,
-                    attention=manifest["attention"], dtype=dtype,
+        model = cls(dims, languages, params, attention=attention, dtype=dtype,
                     freeze_encoder=manifest.get("freeze_encoder", False))
         return model, manifest
 

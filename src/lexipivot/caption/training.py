@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,6 +12,8 @@ from ..errors import ConfigError, NumericError
 from ..numerics import AdamState, adam_update, clip_global_norm, no_grad
 from ..seeding import substream
 from .model import MultiLingualModel
+
+log = logging.getLogger("lexipivot")
 
 
 @dataclass
@@ -33,6 +37,10 @@ class EpochStat:
     language: str  # per-language rows plus one "all" row per epoch
     train_loss: float
     val_loss: float
+    # pre-clip global gradient norm over the epoch's batches of that language
+    grad_norm_mean: float
+    grad_norm_max: float
+    clipped_fraction: float  # share of those batches whose norm was clipped
 
 
 @dataclass
@@ -99,6 +107,13 @@ def _touched(params):
     return sub
 
 
+def _norm_stats(norms, clip_norm: float) -> tuple[float, float, float]:
+    """(mean, max, clipped fraction) of pre-clip gradient norms."""
+    norms = np.asarray(norms)
+    clipped = float(np.mean(norms > clip_norm)) if clip_norm > 0 else 0.0
+    return float(norms.mean()), float(norms.max()), clipped
+
+
 def _validation_loss(model: MultiLingualModel, examples, features, batch_size: int):
     total, count = 0.0, 0
     with no_grad():
@@ -127,7 +142,7 @@ def train(model: MultiLingualModel, data: dict[str, tuple[list, list]], features
     trainable = model.trainable_params()
     adam = AdamState(learning_rate=config.learning_rate, beta1=config.beta1,
                      beta2=config.beta2, epsilon=config.epsilon)
-    log = TrainingLog()
+    result = TrainingLog()
     best_snapshot = model.params.state_arrays()
     since_best = 0
 
@@ -139,8 +154,10 @@ def train(model: MultiLingualModel, data: dict[str, tuple[list, list]], features
             queues[lang] = list(_batches(order, config.batch_size))
         schedule = interleave({lang: len(q) for lang, q in queues.items()})
 
+        started = time.perf_counter()
         train_ce = {lang: 0.0 for lang in data}
         train_tokens = {lang: 0 for lang in data}
+        grad_norms = {lang: [] for lang in data}
         cursor = {lang: 0 for lang in data}
         for lang in schedule:
             batch_idx = queues[lang][cursor[lang]]
@@ -155,10 +172,11 @@ def train(model: MultiLingualModel, data: dict[str, tuple[list, list]], features
             if not np.isfinite(value):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
             loss.backward()
-            clip_global_norm(trainable, config.clip_norm)
+            grad_norms[lang].append(clip_global_norm(trainable, config.clip_norm))
             adam_update(_touched(trainable), adam)
             train_ce[lang] += value * n
             train_tokens[lang] += n
+        train_s = time.perf_counter() - started
 
         val_ce, val_tokens = {}, {}
         for lang in sorted(data):
@@ -170,14 +188,20 @@ def train(model: MultiLingualModel, data: dict[str, tuple[list, list]], features
             raise NumericError(f"non-finite validation loss at epoch {epoch}")
 
         for lang in sorted(data):
-            log.rows.append(EpochStat(epoch, lang, train_ce[lang] / train_tokens[lang],
-                                      val_ce[lang] / val_tokens[lang]))
-        log.rows.append(EpochStat(epoch, "all", overall_train, overall_val))
-        log.epochs_run = epoch
+            result.rows.append(EpochStat(epoch, lang, train_ce[lang] / train_tokens[lang],
+                                         val_ce[lang] / val_tokens[lang],
+                                         *_norm_stats(grad_norms[lang], config.clip_norm)))
+        result.rows.append(EpochStat(epoch, "all", overall_train, overall_val,
+                                     *_norm_stats(sum(grad_norms.values(), []),
+                                                  config.clip_norm)))
+        result.epochs_run = epoch
+        log.info("epoch %d: %.2f s wall, %.0f training tokens/s; train loss %.4f, "
+                 "val loss %.4f", epoch, time.perf_counter() - started,
+                 sum(train_tokens.values()) / train_s, overall_train, overall_val)
 
-        if overall_val < log.best_val_loss:
-            log.best_val_loss = overall_val
-            log.best_epoch = epoch
+        if overall_val < result.best_val_loss:
+            result.best_val_loss = overall_val
+            result.best_epoch = epoch
             best_snapshot = model.params.state_arrays()
             since_best = 0
         else:
@@ -186,4 +210,4 @@ def train(model: MultiLingualModel, data: dict[str, tuple[list, list]], features
                 break
 
     model.params.load_state_arrays(best_snapshot)
-    return log
+    return result

@@ -1,3 +1,4 @@
+from .attention import additive_attention
 from .lstm import LstmWeights, lstm_step
 from .optim import AdamState, adam_update, clip_global_norm
 from .params import ParamStore
@@ -5,21 +6,17 @@ from .tensor import (
     Tensor,
     add,
     as_tensor,
-    col_slice,
     concat_cols,
+    concat_rows,
     cross_entropy_rows,
     gather_cols,
     grad_enabled,
     matmul,
-    mul,
     no_grad,
     region_weighted_sum,
-    repeat_rows,
     reshape,
     row_slice,
     scale,
-    sigmoid,
-    softmax,
     tanh,
 )
 
@@ -30,23 +27,20 @@ __all__ = [
     "Tensor",
     "adam_update",
     "add",
+    "additive_attention",
     "as_tensor",
     "clip_global_norm",
-    "col_slice",
     "concat_cols",
+    "concat_rows",
     "cross_entropy_rows",
     "gather_cols",
     "grad_enabled",
     "lstm_step",
     "matmul",
-    "mul",
     "no_grad",
     "region_weighted_sum",
-    "repeat_rows",
     "reshape",
     "row_slice",
     "scale",
-    "sigmoid",
-    "softmax",
     "tanh",
 ]

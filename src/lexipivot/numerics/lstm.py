@@ -1,12 +1,13 @@
-"""LSTM cell built from the primitive ops (gradients flow via the tape)."""
+"""Fused LSTM cell: one gate matmul and a hand-written backward."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import ShapeError
-from . import tensor as T
-from .tensor import Tensor
+from .tensor import Tensor, _make
 
 
 @dataclass
@@ -23,28 +24,62 @@ class LstmWeights:
 
 
 def lstm_step(x: Tensor, state: tuple[Tensor, Tensor], weights: LstmWeights):
-    """One LSTM step. x [B,d_in] (or [d_in]), state (h,c) [B,H] -> (h', c')."""
+    """One LSTM step. x [B,d_in] (or [d_in]), state (h,c) [B,H] -> (h', c').
+
+    The tape holds two nodes: c' owns the backward of all four gates, and
+    h' is a child of c' that hands its o-gate gradient to c' and adds its
+    share of dL/dc' before c' runs (reverse topological order).
+    """
     h, c = state
     squeeze = x.data.ndim == 1
+    xd, hd, cd = x.data, h.data, c.data
     if squeeze:
-        x = T.reshape(x, (1, x.shape[0]))
-        h = T.reshape(h, (1, h.shape[0]))
-        c = T.reshape(c, (1, c.shape[0]))
+        xd, hd, cd = xd[None], hd[None], cd[None]
     hs = weights.hidden_size
-    if x.shape[1] != weights.w_ih.shape[0] or h.shape[1] != hs or c.shape[1] != hs \
-            or weights.w_ih.shape[1] != 4 * hs or weights.bias.shape != (4 * hs,):
+    w_ih, w_hh, bias = weights.w_ih, weights.w_hh, weights.bias
+    if xd.ndim != 2 or hd.ndim != 2 or cd.ndim != 2 \
+            or xd.shape[1] != w_ih.shape[0] or hd.shape[1] != hs or cd.shape[1] != hs \
+            or w_ih.shape[1] != 4 * hs or bias.shape != (4 * hs,):
         raise ShapeError(
-            f"lstm_step shape mismatch: x{x.shape} h{h.shape} c{c.shape} "
-            f"w_ih{weights.w_ih.shape} w_hh{weights.w_hh.shape} bias{weights.bias.shape}")
+            f"lstm_step shape mismatch: x{xd.shape} h{hd.shape} c{cd.shape} "
+            f"w_ih{w_ih.shape} w_hh{w_hh.shape} bias{bias.shape}")
 
-    gates = T.add(T.add(T.matmul(x, weights.w_ih), T.matmul(h, weights.w_hh)), weights.bias)
-    i = T.sigmoid(T.col_slice(gates, 0, hs))
-    f = T.sigmoid(T.col_slice(gates, hs, 2 * hs))
-    g = T.tanh(T.col_slice(gates, 2 * hs, 3 * hs))
-    o = T.sigmoid(T.col_slice(gates, 3 * hs, 4 * hs))
-    c_new = T.add(T.mul(f, c), T.mul(i, g))
-    h_new = T.mul(o, T.tanh(c_new))
-    if squeeze:
-        h_new = T.reshape(h_new, (hs,))
-        c_new = T.reshape(c_new, (hs,))
+    gates = xd @ w_ih.data + hd @ w_hh.data + bias.data
+    act = 0.5 * (1.0 + np.tanh(0.5 * gates))   # sigmoid, one transcendental
+    act[:, 2 * hs:3 * hs] = np.tanh(gates[:, 2 * hs:3 * hs])
+    i, f, g, o = act[:, :hs], act[:, hs:2 * hs], act[:, 2 * hs:3 * hs], act[:, 3 * hs:]
+    c_data = f * cd + i * g
+    tanh_c = np.tanh(c_data)
+    h_data = o * tanh_c
+    grad_h = []                          # dL/dh', filled by h' before c' runs
+
+    def backward_c(dc):
+        dc = dc.reshape(c_data.shape)
+        do = grad_h.pop() * tanh_c if grad_h else np.zeros_like(dc)
+        deriv = act * (1.0 - act)               # sigmoid' on i|f|o
+        deriv[:, 2 * hs:3 * hs] = 1.0 - g * g   # tanh' on g
+        dgates = np.concatenate([dc * g, dc * cd, dc * i, do], axis=1)
+        dgates *= deriv
+        if x.requires_grad:
+            x.accumulate_grad((dgates @ w_ih.data.T).reshape(x.shape), fresh=True)
+        if h.requires_grad:
+            h.accumulate_grad((dgates @ w_hh.data.T).reshape(h.shape), fresh=True)
+        if c.requires_grad:
+            c.accumulate_grad((dc * f).reshape(c.shape), fresh=True)
+        if w_ih.requires_grad:
+            w_ih.accumulate_grad(xd.T @ dgates, fresh=True)
+        if w_hh.requires_grad:
+            w_hh.accumulate_grad(hd.T @ dgates, fresh=True)
+        if bias.requires_grad:
+            bias.accumulate_grad(dgates.sum(axis=0), fresh=True)
+
+    def backward_h(dh):
+        dh = dh.reshape(h_data.shape)
+        grad_h.append(dh)
+        c_new.accumulate_grad((dh * o * (1.0 - tanh_c * tanh_c)).reshape(c_new.shape),
+                              fresh=True)
+
+    out_shape = (hs,) if squeeze else c_data.shape
+    c_new = _make(c_data.reshape(out_shape), (x, h, c, w_ih, w_hh, bias), backward_c)
+    h_new = _make(h_data.reshape(out_shape), (c_new,), backward_h)
     return h_new, c_new

@@ -48,6 +48,9 @@ def adam_update(params: ParamStore, state: AdamState) -> None:
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
+    # lr * m_hat / (sqrt(v_hat) + eps), with the bias corrections folded into scalars
+    step_size = state.learning_rate / (1.0 - b1 ** t)
+    v_scale = 1.0 / (1.0 - b2 ** t)
     for name, p in params.items():
         g = p.grad
         m = state.first_moment.get(name)
@@ -55,9 +58,14 @@ def adam_update(params: ParamStore, state: AdamState) -> None:
         if m is None:
             m = state.first_moment[name] = np.zeros_like(p.data)
             v = state.second_moment[name] = np.zeros_like(p.data)
-        m[...] = b1 * m + (1.0 - b1) * g
-        v[...] = b2 * v + (1.0 - b2) * (g * g)
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p.data[...] = p.data - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * np.square(g)
+        denom = v * v_scale
+        np.sqrt(denom, out=denom)
+        denom += state.epsilon
+        update = step_size * m
+        update /= denom
+        p.data -= update
         p.grad = None

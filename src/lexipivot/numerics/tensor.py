@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..errors import InputError, NumericError, ShapeError
+from ..errors import ShapeError
 
 _GRAD_ENABLED = True
 
@@ -60,10 +60,18 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
+    def accumulate_grad(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add `g` [same shape as data] into the gradient slot.
+
+        The first gradient is stored, not added to zeros: as a copy, or as
+        `g` itself when the caller passes `fresh=True` to say that nothing
+        else holds a reference to `g` (the slot is later updated in place).
+        """
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g if fresh and g.dtype == self.data.dtype \
+                else g.astype(self.data.dtype)
+        else:
+            self.grad += g
 
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
@@ -87,15 +95,13 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __mul__(self, other):
-        return mul(self, other)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
-    """Reverse topological order over the tape, iteratively (deep unrolls)."""
+    """Reverse topological order over the tape's op nodes, iteratively (deep
+    unrolls). Leaves have nothing to run and are left out."""
     order: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -109,7 +115,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in visited:
+            if parent._backward is not None and id(parent) not in visited:
                 stack.append((parent, False))
     order.reverse()
     return order
@@ -157,25 +163,12 @@ def add(a: Tensor, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
-
-    return _make(data, (a, b), backward)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(g * c)
+            a.accumulate_grad(g * c, fresh=True)
 
     return _make(a.data * c, (a,), backward)
 
@@ -189,9 +182,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(g @ b.data.T)
+            a.accumulate_grad(g @ b.data.T, fresh=True)
         if b.requires_grad:
-            b.accumulate_grad(a.data.T @ g)
+            b.accumulate_grad(a.data.T @ g, fresh=True)
 
     return _make(data, (a, b), backward)
 
@@ -202,40 +195,7 @@ def tanh(x: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate_grad(g * (1.0 - out_data * out_data))
-
-    return _make(out_data, (x,), backward)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    # piecewise form avoids overflow in exp for large |x|
-    d = x.data
-    out_data = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                        np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * out_data * (1.0 - out_data))
-
-    return _make(out_data, (x,), backward)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Shift-invariant softmax along `axis`; rejects non-finite input."""
-    x = as_tensor(x)
-    if x.data.size == 0:
-        raise ShapeError(f"softmax requires at least one element, got shape {x.shape}")
-    if not np.all(np.isfinite(x.data)):
-        raise NumericError("softmax input contains NaN or Inf")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        if x.requires_grad:
-            inner = (g * out_data).sum(axis=axis, keepdims=True)
-            x.accumulate_grad(out_data * (g - inner))
+            x.accumulate_grad(g * (1.0 - out_data * out_data), fresh=True)
 
     return _make(out_data, (x,), backward)
 
@@ -256,33 +216,29 @@ def reshape(x: Tensor, shape: tuple) -> Tensor:
     return _make(data, (x,), backward)
 
 
-def concat_cols(tensors: Iterable[Tensor]) -> Tensor:
-    """Concatenate 2-D tensors along the last axis."""
+def _concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
     ts = [as_tensor(t) for t in tensors]
-    widths = [t.shape[1] for t in ts]
-    data = np.concatenate([t.data for t in ts], axis=1)
+    data = np.concatenate([t.data for t in ts], axis=axis)
 
     def backward(g):
         start = 0
-        for t, w in zip(ts, widths):
+        for t in ts:
+            stop = start + t.shape[axis]
             if t.requires_grad:
-                t.accumulate_grad(g[:, start:start + w])
-            start += w
+                t.accumulate_grad(g[start:stop] if axis == 0 else g[:, start:stop])
+            start = stop
 
     return _make(data, tuple(ts), backward)
 
 
-def col_slice(x: Tensor, start: int, stop: int) -> Tensor:
-    x = as_tensor(x)
-    data = x.data[:, start:stop]
+def concat_cols(tensors: Iterable[Tensor]) -> Tensor:
+    """Concatenate 2-D tensors along the last axis."""
+    return _concat(tensors, 1)
 
-    def backward(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[:, start:stop] = g
-            x.accumulate_grad(gx)
 
-    return _make(data, (x,), backward)
+def concat_rows(tensors: Iterable[Tensor]) -> Tensor:
+    """Concatenate 2-D tensors along the first axis."""
+    return _concat(tensors, 0)
 
 
 def row_slice(x: Tensor, start: int, stop: int) -> Tensor:
@@ -293,20 +249,7 @@ def row_slice(x: Tensor, start: int, stop: int) -> Tensor:
         if x.requires_grad:
             gx = np.zeros_like(x.data)
             gx[start:stop] = g
-            x.accumulate_grad(gx)
-
-    return _make(data, (x,), backward)
-
-
-def repeat_rows(x: Tensor, k: int) -> Tensor:
-    """[B,H] -> [B*k,H], each row repeated k times consecutively."""
-    x = as_tensor(x)
-    b, h = x.shape
-    data = np.repeat(x.data, k, axis=0)
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g.reshape(b, k, h).sum(axis=1))
+            x.accumulate_grad(gx, fresh=True)
 
     return _make(data, (x,), backward)
 
@@ -321,9 +264,11 @@ def gather_cols(w: Tensor, indices: np.ndarray) -> Tensor:
 
     def backward(g):
         if w.requires_grad:
-            gw = np.zeros_like(w.data)
-            np.add.at(gw.T, idx, g)
-            w.accumulate_grad(gw)
+            # scatter-add as a product with the one-hot rows: repeated
+            # indices sum, and one BLAS call beats np.add.at
+            onehot = np.zeros((idx.size, w.shape[1]), dtype=g.dtype)
+            onehot[np.arange(idx.size), idx] = 1.0
+            w.accumulate_grad(g.T @ onehot, fresh=True)
 
     return _make(data, (w,), backward)
 
@@ -337,9 +282,9 @@ def region_weighted_sum(alpha: Tensor, regions: Tensor) -> Tensor:
 
     def backward(g):
         if alpha.requires_grad:
-            alpha.accumulate_grad(np.einsum("bd,bkd->bk", g, regions.data))
+            alpha.accumulate_grad(np.einsum("bd,bkd->bk", g, regions.data), fresh=True)
         if regions.requires_grad:
-            regions.accumulate_grad(np.einsum("bk,bd->bkd", alpha.data, g))
+            regions.accumulate_grad(np.einsum("bk,bd->bkd", alpha.data, g), fresh=True)
 
     return _make(data, (alpha, regions), backward)
 
@@ -377,6 +322,6 @@ def cross_entropy_rows(logits: Tensor, targets: np.ndarray,
             e = np.exp(shifted)
             probs = e / e.sum(axis=1, keepdims=True)
             probs[np.arange(b), t] -= 1.0
-            logits.accumulate_grad(probs * (m * float(g))[:, None])
+            logits.accumulate_grad(probs * (m * float(g))[:, None], fresh=True)
 
     return _make(data, (logits,), backward)

@@ -171,10 +171,12 @@ def build_model_from_config(config: RunConfig, vocab_sizes: dict[str, int]) -> M
 def write_training_log(path, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "language", "train_loss", "val_loss"])
+        writer.writerow(["epoch", "language", "train_loss", "val_loss", "grad_norm_mean",
+                         "grad_norm_max", "clipped_fraction"])
         for r in rows:
-            writer.writerow([r.epoch, r.language, f"{r.train_loss:.8f}",
-                             f"{r.val_loss:.8f}"])
+            writer.writerow([r.epoch, r.language, f"{r.train_loss:.8f}", f"{r.val_loss:.8f}",
+                             f"{r.grad_norm_mean:.8f}", f"{r.grad_norm_max:.8f}",
+                             f"{r.clipped_fraction:.8f}"])
 
 
 def stage_train(config: RunConfig, out_dir, corpus_dir, mono: str | None = None,

@@ -69,3 +69,19 @@ def test_clip_global_norm():
     norm2 = clip_global_norm(store, 100.0)
     assert abs(norm2 - 2.5) < 1e-12
     assert abs(store["b"].grad[0] - 2.0) < 1e-12
+
+
+def test_matches_textbook_formula():
+    rng = np.random.default_rng(0)
+    store = store_with(value=rng.normal(size=6))
+    state = AdamState(learning_rate=0.01)
+    w = store["w"].data.copy()
+    m, v = np.zeros(6), np.zeros(6)
+    for t in range(1, 6):
+        g = rng.normal(size=6)
+        store["w"].grad = g.copy()
+        adam_update(store, state)
+        m = 0.9 * m + 0.1 * g
+        v = 0.999 * v + 0.001 * g * g
+        w = w - 0.01 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
+        np.testing.assert_allclose(store["w"].data, w, rtol=0, atol=1e-12)

@@ -95,7 +95,8 @@ class TestTrain:
         store = ParamStore.load(out / "checkpoint.lxpv")
         assert "embed.la" in store and "embed.lb" in store
         log_text = (out / "log.csv").read_text().splitlines()
-        assert log_text[0] == "epoch,language,train_loss,val_loss"
+        assert log_text[0] == ("epoch,language,train_loss,val_loss,grad_norm_mean,"
+                               "grad_norm_max,clipped_fraction")
         languages = {line.split(",")[1] for line in log_text[1:]}
         assert languages == {"la", "lb", "all"}
 
@@ -188,6 +189,24 @@ class TestExtract:
                         "--corpus", corpus, "--out", out]) == 0
         for name in ("la.visual-probe.lxwf", "la.linguistic.lxwf", "la.global.lxwf"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestExtractBadCheckpoint:
+    @pytest.mark.parametrize("edit,fragment", [
+        (lambda text: "{bad", "not a JSON"),
+        (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                  if k != "dims"}), "'dims'"),
+        (lambda text: json.dumps({**json.loads(text), "checkpoint_version": 2}),
+         "checkpoint_version 2"),
+    ], ids=["undecodable", "missing key", "version"])
+    def test_exits_3(self, trained, tmp_path, capsys, edit, fragment):
+        cfg, corpus, checkpoint = trained
+        sidecar = checkpoint.with_suffix(".json")
+        sidecar.write_text(edit(sidecar.read_text()))
+        code = run(["extract", "--config", cfg, "--checkpoint", checkpoint,
+                    "--corpus", corpus, "--out", tmp_path / "x"])
+        assert code == 3
+        assert_one_error_line(capsys.readouterr().err, "checkpoint.json", fragment)
 
 
 class TestInduceEval:

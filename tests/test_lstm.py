@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lexipivot.errors import ShapeError
-from lexipivot.numerics import LstmWeights, Tensor, lstm_step, reshape, matmul
+from lexipivot.numerics import LstmWeights, Tensor, concat_cols, lstm_step, matmul, reshape
 
 from helpers import assert_grads_close
 
@@ -60,7 +60,6 @@ def test_gradients_match_finite_differences():
         h1, c1 = lstm_step(x, (h0, c0), weights)
         both = reshape(h1, (1, hidden)), reshape(c1, (1, hidden))
         stacked = matmul(both[0], Tensor(np.eye(hidden)))
-        from lexipivot.numerics import concat_cols
         return matmul(concat_cols([stacked, both[1]]), w_out)
 
     assert_grads_close(
@@ -78,3 +77,72 @@ def test_batched_matches_single():
         h_i, c_i = lstm_step(Tensor(xs[i]), (Tensor(h0[i]), Tensor(c0[i])), weights)
         np.testing.assert_allclose(h_b.data[i], h_i.data, atol=1e-12)
         np.testing.assert_allclose(c_b.data[i], c_i.data, atol=1e-12)
+
+
+def reference(x, h, c, w_ih, w_hh, bias):
+    """The composite cell the fused op replaced, in plain NumPy: piecewise
+    sigmoid over column slices, then c' = f*c + i*g and h' = o*tanh(c')."""
+    def sigmoid(z):
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+    hs = w_hh.shape[0]
+    gates = x @ w_ih + h @ w_hh + bias
+    i, f = sigmoid(gates[..., :hs]), sigmoid(gates[..., hs:2 * hs])
+    g, o = np.tanh(gates[..., 2 * hs:3 * hs]), sigmoid(gates[..., 3 * hs:])
+    c_new = f * c + i * g
+    return o * np.tanh(c_new), c_new
+
+
+def test_matches_composite_reference():
+    rng = np.random.default_rng(13)
+    weights = make_weights(3, 4, rng)
+    w = (weights.w_ih.data, weights.w_hh.data, weights.bias.data)
+    for shape in ((), (1,), (6,)):
+        x = rng.normal(scale=3.0, size=shape + (3,))
+        h, c = rng.normal(size=shape + (4,)), rng.normal(size=shape + (4,))
+        h1, c1 = lstm_step(Tensor(x), (Tensor(h), Tensor(c)), weights)
+        ref_h, ref_c = reference(x, h, c, *w)
+        assert h1.data.shape == ref_h.shape and c1.data.shape == ref_c.shape
+        np.testing.assert_allclose(h1.data, ref_h, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(c1.data, ref_c, rtol=0, atol=1e-12)
+
+
+def test_two_tape_nodes():
+    rng = np.random.default_rng(14)
+    weights = make_weights(3, 4, rng)
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    h1, c1 = lstm_step(x, (Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4)))), weights)
+    assert h1._parents == (c1,)
+    assert all(p._backward is None for p in c1._parents)
+
+
+@pytest.mark.parametrize("output", ["h", "c"])
+def test_gradients_through_one_output(output):
+    rng = np.random.default_rng(15)
+    weights = make_weights(3, 4, rng)
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    h0 = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    c0 = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    w_out = Tensor(rng.normal(size=(8, 1)))
+
+    def f():
+        h1, c1 = lstm_step(x, (h0, c0), weights)
+        return matmul(reshape(h1 if output == "h" else c1, (1, 8)), w_out)
+
+    assert_grads_close(
+        f, [x, h0, c0, weights.w_ih, weights.w_hh, weights.bias], tol=1e-4, eps=1e-5)
+
+
+def test_float32_stays_float32():
+    rng = np.random.default_rng(16)
+    weights = make_weights(3, 4, rng)
+    for name in ("w_ih", "w_hh", "bias"):
+        t = getattr(weights, name)
+        t.data = t.data.astype(np.float32)
+    x = Tensor(rng.normal(size=(2, 3)).astype(np.float32), requires_grad=True)
+    state = (Tensor(np.zeros((2, 4), np.float32)), Tensor(np.zeros((2, 4), np.float32)))
+    h1, c1 = lstm_step(x, state, weights)
+    assert h1.data.dtype == np.float32 and c1.data.dtype == np.float32
+    matmul(reshape(h1, (1, 8)), Tensor(np.ones((8, 1), np.float32))).backward()
+    assert x.grad.dtype == np.float32 and weights.w_ih.grad.dtype == np.float32

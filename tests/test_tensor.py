@@ -9,20 +9,17 @@ from lexipivot.errors import NumericError, ShapeError
 from lexipivot.numerics import (
     Tensor,
     add,
-    col_slice,
+    additive_attention,
     concat_cols,
+    concat_rows,
     cross_entropy_rows,
     grad_enabled,
     gather_cols,
     matmul,
-    mul,
     no_grad,
     region_weighted_sum,
-    repeat_rows,
     reshape,
     row_slice,
-    sigmoid,
-    softmax,
     tanh,
 )
 
@@ -60,47 +57,68 @@ def _weighted_sum(t, w):
     return matmul(flat, wcol)
 
 
+def _score_attention(region_part, b2, regions, s):
+    """Fused attention whose scores are s * tanh(region_part) + b2
+    (a one-unit scorer with zero hidden weights)."""
+    b, k, d = regions.shape
+    return additive_attention(Tensor(np.zeros((b, 1))), Tensor(regions), region_part,
+                              Tensor(np.zeros((1 + d, 1))), Tensor([[s]]), b2)
+
+
+def softmax(scores, shift=0.0):
+    """Attention weights for scores [B,K] (or [K]) plus `shift`: region_part =
+    artanh(scores / s) reproduces the scores to a few ulps of s."""
+    x = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    b, k = x.shape
+    s = 2.0 * np.max(np.abs(x), initial=0.0) + 1.0
+    region_part = Tensor(np.arctanh(x / s).reshape(b * k, 1))
+    return _score_attention(region_part, Tensor([float(shift)]),
+                            np.zeros((b, k, 1)), s)[1].data
+
+
 class TestSoftmax:
+    """The softmax inside the fused attention op (see also test_attention)."""
+
     def test_uniform(self):
-        out = softmax(Tensor([7.3, 7.3, 7.3, 7.3]))
-        np.testing.assert_allclose(out.data, [0.25] * 4, atol=1e-12)
+        np.testing.assert_allclose(softmax([7.3, 7.3, 7.3, 7.3]), [[0.25] * 4], atol=1e-12)
 
     def test_analytic(self):
-        out = softmax(Tensor(np.log([1.0, 3.0])))
-        np.testing.assert_allclose(out.data, [0.25, 0.75], atol=1e-12)
+        np.testing.assert_allclose(softmax(np.log([1.0, 3.0])), [[0.25, 0.75]], atol=1e-12)
 
     def test_shift_invariance(self):
         x = np.array([0.3, -1.2, 5.0, 2.2])
-        a = softmax(Tensor(x)).data
-        b = softmax(Tensor(x + 100.0)).data
-        np.testing.assert_allclose(a, b, atol=1e-9)
+        np.testing.assert_allclose(softmax(x), softmax(x, shift=100.0), atol=1e-9)
 
     def test_rejects_nan(self):
         with pytest.raises(NumericError):
-            softmax(Tensor([1.0, float("nan")]))
+            softmax([1.0, float("nan")])
 
     def test_rejects_empty(self):
         with pytest.raises(ShapeError):
-            softmax(Tensor(np.zeros(0)))
+            softmax(np.zeros((1, 0)))
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=512))
     @settings(max_examples=80, deadline=None)
     def test_sums_to_one_and_shift_invariant(self, values):
         x = np.array(values)
-        out = softmax(Tensor(x)).data
+        out = softmax(x)
         assert abs(out.sum() - 1.0) < 1e-9
-        shifted = softmax(Tensor(x + 100.0)).data
+        shifted = softmax(x, shift=100.0)
         assert np.max(np.abs(out - shifted)) < 1e-9
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(1)
-        x = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
-        w = rng.normal(size=(2, 5))
+        region_part = Tensor(rng.normal(size=(10, 1)), requires_grad=True)
+        b2 = Tensor([0.3], requires_grad=True)
+        regions = rng.normal(size=(2, 5, 3))
+        w = rng.normal(size=(2, 3))
 
         def f():
-            return _weighted_sum(softmax(x), w)
+            return _weighted_sum(_score_attention(region_part, b2, regions, 3.0)[0], w)
 
-        assert_grads_close(f, [x], tol=1e-6)
+        f().backward()
+        assert abs(b2.grad[0]) < 1e-12   # a shift shared by every score is invisible
+        assert_grads_close(f, [region_part, b2], tol=1e-6)
 
 
 class TestCrossEntropy:
@@ -122,7 +140,8 @@ class TestCrossEntropy:
         logits = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
         loss = cross_entropy_rows(logits, np.array([1, 4]))
         loss.backward()
-        probs = softmax(Tensor(logits.data)).data
+        e = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
         probs[[0, 1], [1, 4]] -= 1.0
         np.testing.assert_allclose(logits.grad, probs, atol=1e-12)
 
@@ -152,26 +171,28 @@ def _composite(rows, cols, seed):
     a = Tensor(rng.normal(size=(rows, cols)), requires_grad=True)
     b = Tensor(rng.normal(size=(rows, cols)), requires_grad=True)
     bias = Tensor(rng.normal(size=cols), requires_grad=True)
-    w = rng.normal(size=(rows, 2 * cols))
+    m = Tensor(rng.normal(size=(cols, cols)), requires_grad=True)
+    w = rng.normal(size=(2 * rows, 2 * cols))
 
     def f():
-        left = tanh(add(mul(a, b), bias))
-        right = sigmoid(add(a, b))
-        return _weighted_sum(concat_cols([left, right]), w)
+        left = tanh(add(a, bias))
+        right = tanh(add(matmul(a, m), b))
+        return _weighted_sum(concat_rows([concat_cols([left, right]),
+                                          concat_cols([right, left])]), w)
 
-    return f, [a, b, bias]
+    return f, [a, b, bias, m]
 
 
 class TestElementwiseBackward:
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10_000))
-    @example(2, 1, 867)  # a 9.5e-7 gradient whose central difference carries 1.5e-10 round-off
+    @example(2, 2, 231)  # a 1.3e-7 gradient whose central difference carries 4.3e-10 round-off
     @settings(max_examples=25, deadline=None)
     def test_composite_ops_match_finite_differences(self, rows, cols, seed):
         f, tensors = _composite(rows, cols, seed)
         assert_grads_close(f, tensors, tol=1e-5)
 
     def test_wrong_gradient_as_small_as_roundoff_case_fails(self):
-        f, tensors = _composite(2, 1, 867)
+        f, tensors = _composite(2, 2, 231)
         loss = f()
         loss.backward()
         atol = roundoff_atol(loss.item(), 1e-6)
@@ -188,13 +209,12 @@ class TestElementwiseBackward:
     def test_slices_and_repeat(self):
         rng = np.random.default_rng(7)
         x = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
-        w = rng.normal(size=(6, 2))
+        w = rng.normal(size=(6, 12))
 
         def f():
-            top = row_slice(x, 0, 2)          # [2,6]
-            mid = col_slice(top, 1, 3)        # [2,2]
-            rep = repeat_rows(mid, 3)         # [6,2]
-            return _weighted_sum(rep, w)
+            top = row_slice(x, 0, 2)            # [2,6]
+            rep = concat_rows([top, top, top])  # [6,6]
+            return _weighted_sum(concat_cols([rep, rep]), w)
 
         assert_grads_close(f, [x], tol=1e-6)
 
@@ -208,6 +228,17 @@ class TestElementwiseBackward:
         np.testing.assert_allclose(w.grad[:, 1], 2.0)
         np.testing.assert_allclose(w.grad[:, 3], 1.0)
         np.testing.assert_allclose(w.grad[:, 0], 0.0)
+
+    def test_gather_cols_backward_matches_scatter_add(self):
+        rng = np.random.default_rng(9)
+        w = Tensor(rng.normal(size=(4, 7)), requires_grad=True)
+        idx = rng.integers(0, 7, size=12)
+        g = rng.normal(size=(12, 4))
+        loss = _weighted_sum(gather_cols(w, idx), g)
+        loss.backward()
+        expected = np.zeros((7, 4))
+        np.add.at(expected, idx, g)
+        np.testing.assert_allclose(w.grad, expected.T, rtol=0, atol=1e-12)
 
     def test_gather_cols_bounds(self):
         with pytest.raises(IndexError):
@@ -252,6 +283,27 @@ class TestTapeMechanics:
         total.backward()
         expected = 2.0 * (1.0 - np.tanh(2.0) ** 2)
         np.testing.assert_allclose(x.grad, [[expected]], atol=1e-12)
+
+    def test_first_gradients_do_not_share_buffers(self):
+        a = Tensor([[1.0, 2.0]], requires_grad=True)
+        b = Tensor([[3.0, 4.0]], requires_grad=True)
+        _weighted_sum(add(a, b), np.ones((2, 1))).backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        a.accumulate_grad(np.full((1, 2), 5.0))
+        np.testing.assert_array_equal(a.grad, [[6.0, 6.0]])
+        np.testing.assert_array_equal(b.grad, [[1.0, 1.0]])
+
+    def test_leaf_used_twice_owns_its_gradient(self):
+        a = Tensor([[1.0, 2.0]], requires_grad=True)
+        c = Tensor([[0.5, 0.5]], requires_grad=True)
+        both = add(a, a)
+        _weighted_sum(add(both, c), np.ones((2, 1))).backward()
+        np.testing.assert_array_equal(a.grad, [[2.0, 2.0]])
+        assert not np.shares_memory(a.grad, both.grad)
+        assert not np.shares_memory(a.grad, c.grad)
+        a.accumulate_grad(np.ones((1, 2)))
+        np.testing.assert_array_equal(both.grad, [[1.0, 1.0]])
+        np.testing.assert_array_equal(c.grad, [[1.0, 1.0]])
 
     def test_determinism_bit_identical(self):
         def run():

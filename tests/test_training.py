@@ -120,3 +120,41 @@ class TestTrain:
         data = split_bundle(tiny_bundle)
         with pytest.raises(NumericError, match="epoch 1"):
             train(model, data, tiny_bundle.features, quick_config(), seed=4)
+
+
+class TestTelemetry:
+    def test_grad_norm_columns(self, tiny_bundle):
+        data = split_bundle(tiny_bundle)
+        log = train(build_model(tiny_bundle), data, tiny_bundle.features,
+                    quick_config(max_epochs=2), seed=4)
+        for epoch in (1, 2):
+            rows = {r.language: r for r in log.rows if r.epoch == epoch}
+            for r in rows.values():
+                assert 0.0 < r.grad_norm_mean <= r.grad_norm_max
+                assert 0.0 <= r.clipped_fraction <= 1.0
+            per_language = [r for lang, r in rows.items() if lang != "all"]
+            assert rows["all"].grad_norm_max == max(r.grad_norm_max for r in per_language)
+
+    @pytest.mark.parametrize("clip_norm,fraction", [(1e-9, 1.0), (0.0, 0.0), (1e9, 0.0)])
+    def test_clipped_fraction(self, tiny_bundle, clip_norm, fraction):
+        data = split_bundle(tiny_bundle)
+        log = train(build_model(tiny_bundle), data, tiny_bundle.features,
+                    quick_config(max_epochs=1, clip_norm=clip_norm), seed=4)
+        assert all(r.clipped_fraction == fraction for r in log.rows)
+
+    def test_info_line_per_epoch(self, tiny_bundle, caplog):
+        data = split_bundle(tiny_bundle)
+        with caplog.at_level("INFO", logger="lexipivot"):
+            train(build_model(tiny_bundle), data, tiny_bundle.features,
+                  quick_config(max_epochs=2), seed=4)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("epoch")]
+        assert len(lines) == 2
+        assert all("s wall" in line and "tokens/s" in line for line in lines)
+
+    def test_attention_numeric_failure_names_epoch(self, tiny_bundle):
+        model = build_model(tiny_bundle)
+        model.params["attn.w2"].data[0, 0] = np.nan
+        with pytest.raises(NumericError,
+                           match="numeric failure at epoch 1: attention scores"):
+            train(model, split_bundle(tiny_bundle), tiny_bundle.features,
+                  quick_config(), seed=4)
