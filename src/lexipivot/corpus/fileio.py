@@ -5,6 +5,7 @@ Spatial features (binary, little-endian):
   per image: image_id u64 | K*D float32
 Captions (UTF-8 text): one record per line, image_id TAB language TAB caption.
 Vocabulary (UTF-8 text): index TAB word TAB count, reserved rows included.
+Text files that are not UTF-8 are FormatErrors, like any other bad layout.
 """
 
 from __future__ import annotations
@@ -66,6 +67,23 @@ def read_features(path) -> dict[int, np.ndarray]:
     return features
 
 
+def text_records(path):
+    """(line number, line) for every non-empty line of a UTF-8 text file.
+
+    Newlines are universal, as in text mode. A byte sequence that is not
+    UTF-8 raises FormatError naming its line.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = blob.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})") from exc
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return [(lineno, line) for lineno, line in enumerate(lines, start=1) if line]
+
+
 def write_captions(path, captions: list[RawCaption]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for cap in captions:
@@ -75,25 +93,21 @@ def write_captions(path, captions: list[RawCaption]) -> None:
 def read_captions(path, language: str | None = None) -> list[RawCaption]:
     """Parse caption records; tokenization is whitespace + lowercase."""
     rows: list[RawCaption] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
-            raw_id, lang, text = parts
-            try:
-                image_id = int(raw_id)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: image id {raw_id!r} is not an integer") from exc
-            words = tuple(text.lower().split())
-            if not words:
-                raise FormatError(f"{path}:{lineno}: empty caption text")
-            if language is None or lang == language:
-                rows.append(RawCaption(image_id=image_id, language_id=lang, words=words))
+    for lineno, line in text_records(path):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise FormatError(
+                f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
+        raw_id, lang, text = parts
+        try:
+            image_id = int(raw_id)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: image id {raw_id!r} is not an integer") from exc
+        words = tuple(text.lower().split())
+        if not words:
+            raise FormatError(f"{path}:{lineno}: empty caption text")
+        if language is None or lang == language:
+            rows.append(RawCaption(image_id=image_id, language_id=lang, words=words))
     return rows
 
 
@@ -107,22 +121,18 @@ def write_vocabulary(path, vocab: Vocabulary) -> None:
 def read_vocabulary(path, language: str) -> Vocabulary:
     words: list[str] = []
     counts: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            try:
-                index, count = int(parts[0]), int(parts[2])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: non-integer index or count") from exc
-            if index != len(words):
-                raise FormatError(f"{path}:{lineno}: index {index} out of order")
-            words.append(parts[1])
-            counts[parts[1]] = count
+    for lineno, line in text_records(path):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise FormatError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
+        try:
+            index, count = int(parts[0]), int(parts[2])
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: non-integer index or count") from exc
+        if index != len(words):
+            raise FormatError(f"{path}:{lineno}: index {index} out of order")
+        words.append(parts[1])
+        counts[parts[1]] = count
     if words[: len(RESERVED)] != list(RESERVED):
         raise FormatError(f"{path}: reserved token rows are missing or reordered")
     return Vocabulary(language_id=language, index_to_word=words,

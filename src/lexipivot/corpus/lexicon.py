@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import FormatError, InputError
+from .fileio import text_records
 
 
 @dataclass
@@ -45,14 +46,10 @@ def write_lexicon(path, lexicon: GroundTruthLexicon) -> None:
 
 def read_lexicon(path, source_language: str = "", target_language: str = "") -> GroundTruthLexicon:
     lexicon = GroundTruthLexicon(source_language, target_language)
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (2, 3):
-                raise FormatError(f"{path}:{lineno}: expected 2 or 3 tab-separated "
-                                  f"fields, got {len(parts)}")
-            lexicon.add(parts[0], parts[1], parts[2] if len(parts) == 3 else None)
+    for lineno, line in text_records(path):
+        parts = line.split("\t")
+        if len(parts) not in (2, 3):
+            raise FormatError(f"{path}:{lineno}: expected 2 or 3 tab-separated "
+                              f"fields, got {len(parts)}")
+        lexicon.add(parts[0], parts[1], parts[2] if len(parts) == 3 else None)
     return lexicon

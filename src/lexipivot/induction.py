@@ -5,6 +5,11 @@ vectors aggregate a word's localized features (mean first, normalize
 second). Rankings fuse the two cosines; the CNN-mean and CNN-avgmax
 baselines score un-localized global image features instead. Rankings
 are evaluated with mean reciprocal rank and precision at K.
+
+Each language's inputs are held as matrices (`WordFeatureTable`), so a
+ranker scores one source word against every target in one product.
+Identical candidates get bit-identical scores, and ranking is a stable
+sort on the score over targets in word order: `(-score, word)`.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .caption.model import MultiLingualModel
+from .corpus.fileio import text_records
 from .corpus.lexicon import GroundTruthLexicon
 from .corpus.vocab import RESERVED, Vocabulary
 from .errors import EmptyResultError, FormatError, InputError, NoVisualError
@@ -34,28 +40,83 @@ def unit(vector: np.ndarray) -> np.ndarray | None:
     return vector / norm
 
 
-@dataclass
-class WordFeatures:
-    linguistic: np.ndarray
-    visual: np.ndarray | None
-    count: int
+def mean_unit(rows: np.ndarray) -> np.ndarray | None:
+    """Mean of a set of rows, then one normalization; None when the set is
+    empty or its mean is (near) zero."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if not len(rows):
+        return None
+    return unit(np.mean(rows, axis=0))
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Row-wise normalization; (near) zero rows stay zero."""
+    rows = np.asarray(rows, dtype=np.float64)
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    norms[norms < ZERO_NORM] = 1.0
+    return rows / norms
+
+
+def _distinct_rows(sets: list[np.ndarray], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct unit rows of all sets, compared by their bytes, and each
+    set member's index into them, members of the sets in order."""
+    index: dict[bytes, int] = {}
+    inverse = [index.setdefault(row.tobytes(), len(index))
+               for rows in sets for row in _unit_rows(rows)]
+    distinct = np.frombuffer(b"".join(index), dtype=np.float64).reshape(len(index), dim)
+    return distinct, np.array(inverse, dtype=np.intp)
+
+
+def _stacked(vectors: list, dim: int) -> np.ndarray:
+    return np.asarray(vectors, dtype=np.float64).reshape(len(vectors), dim)
+
+
+def _first_dim(sets) -> int:
+    return next((np.shape(v)[-1] for v in sets), 0)
 
 
 @dataclass
 class WordFeatureTable:
+    """One language's induction inputs as matrices, rows in sorted word order.
+
+    `words` index the linguistic and visual rows. The global image sets of
+    the CNN baselines have their own sorted `global_words`: set means, and
+    every set member as an index into the distinct unit image rows
+    (`global_rows`), word i owning `global_inverse[global_offsets[i]:
+    global_offsets[i + 1]]`. Rows with no usable vector are zero and
+    flagged False in `has_visual` / `global_mean_valid`.
+    """
+
     language_id: str
-    feats: dict[str, WordFeatures] = field(default_factory=dict)
+    words: list[str]
+    linguistic: np.ndarray         # [n, d] unit rows
+    visual: np.ndarray             # [n, d_v] unit rows
+    has_visual: np.ndarray         # [n] bool
+    global_words: list[str]
+    global_mean: np.ndarray        # [g, d_g] unit set means
+    global_mean_valid: np.ndarray  # [g] bool: set non-empty, mean non-zero
+    global_rows: np.ndarray        # [u, d_g] distinct unit image rows
+    global_inverse: np.ndarray     # [set members] row of global_rows
+    global_offsets: np.ndarray     # [g + 1]
+    _row: dict[str, int] = field(init=False, repr=False)
+    _global_row: dict[str, int] = field(init=False, repr=False)
 
-    def words(self) -> list[str]:
-        return sorted(self.feats)
+    def __post_init__(self):
+        self._row = {w: i for i, w in enumerate(self.words)}
+        self._global_row = {w: i for i, w in enumerate(self.global_words)}
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.feats
-
-    def __getitem__(self, word: str) -> WordFeatures:
-        if word not in self.feats:
+    def row(self, word: str) -> int:
+        if word not in self._row:
             raise KeyError(f"{self.language_id}: no features for word {word!r}")
-        return self.feats[word]
+        return self._row[word]
+
+    def global_row(self, word: str) -> int:
+        if word not in self._global_row:
+            raise KeyError(f"{self.language_id}: no image set for word {word!r}")
+        return self._global_row[word]
+
+    def visual_words(self) -> list[str]:
+        return [w for w, ok in zip(self.words, self.has_visual) if ok]
 
 
 def linguistic_vectors(model: MultiLingualModel, language: str,
@@ -71,25 +132,38 @@ def linguistic_vectors(model: MultiLingualModel, language: str,
     return out
 
 
-def aggregate_visual(features: list[np.ndarray]) -> np.ndarray | None:
-    """Mean of the occurrence features, then one normalization."""
-    if not features:
-        return None
-    return unit(np.mean(np.asarray(features, dtype=np.float64), axis=0))
-
-
 def build_table(language_id: str, linguistic: dict[str, np.ndarray],
-                visual_sets: dict[str, list[np.ndarray]],
-                counts: dict[str, int] | None = None) -> WordFeatureTable:
-    table = WordFeatureTable(language_id)
-    for word, ling in linguistic.items():
-        feats = visual_sets.get(word, [])
-        table.feats[word] = WordFeatures(
-            linguistic=ling,
-            visual=aggregate_visual(feats),
-            count=(counts or {}).get(word, len(feats)),
-        )
-    return table
+                visual_sets: dict[str, np.ndarray] | None = None,
+                global_sets: dict[str, np.ndarray] | None = None) -> WordFeatureTable:
+    """Stack one language's features into matrices.
+
+    `linguistic` holds unit vectors (as `linguistic_vectors` makes them)
+    and names the table's words; a word's visual vector is the unit mean
+    of its `visual_sets` rows, and words outside `linguistic` are dropped.
+    `global_sets` holds each word's global image rows for the baselines.
+    """
+    visual_sets, global_sets = visual_sets or {}, global_sets or {}
+    words = sorted(linguistic)
+    visual = [mean_unit(visual_sets[w]) if w in visual_sets else None for w in words]
+    d_v = _first_dim(v for v in visual if v is not None)
+    global_words = sorted(global_sets)
+    sets = [np.asarray(global_sets[w], dtype=np.float64) for w in global_words]
+    d_g = _first_dim(sets)
+    means = [mean_unit(s) for s in sets]
+    distinct, inverse = _distinct_rows(sets, d_g)
+    return WordFeatureTable(
+        language_id=language_id,
+        words=words,
+        linguistic=_stacked([linguistic[w] for w in words], _first_dim(linguistic.values())),
+        visual=_stacked([np.zeros(d_v) if v is None else v for v in visual], d_v),
+        has_visual=np.array([v is not None for v in visual], dtype=bool),
+        global_words=global_words,
+        global_mean=_stacked([np.zeros(d_g) if m is None else m for m in means], d_g),
+        global_mean_valid=np.array([m is not None for m in means], dtype=bool),
+        global_rows=distinct,
+        global_inverse=inverse,
+        global_offsets=np.cumsum([0] + [len(s) for s in sets]),
+    )
 
 
 def collect_global_feature_sets(model: MultiLingualModel, examples, features_by_id,
@@ -125,23 +199,8 @@ def collect_global_feature_sets(model: MultiLingualModel, examples, features_by_
 
 
 # ---------------------------------------------------------------------------
-# similarities
+# rankers: one source word against every target
 # ---------------------------------------------------------------------------
-
-
-def linguistic_similarity(source: WordFeatureTable, target: WordFeatureTable,
-                          x: str, y: str) -> float:
-    return float(source[x].linguistic @ target[y].linguistic)
-
-
-def visual_similarity(source: WordFeatureTable, target: WordFeatureTable,
-                      x: str, y: str) -> float:
-    sx, sy = source[x].visual, target[y].visual
-    if sx is None:
-        raise NoVisualError(f"{x!r} has no usable visual representation")
-    if sy is None:
-        raise NoVisualError(f"{y!r} has no usable visual representation")
-    return float(sx @ sy)
 
 
 @dataclass
@@ -158,14 +217,48 @@ class TranslationRanking:
         return None
 
 
-def _ranked(source_word: str, method: str, scores: dict[str, float],
+def _ranked(source_word: str, method: str, words: list[str], scores: np.ndarray,
             fallback_pairs: int = 0) -> TranslationRanking:
-    items = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    """Order `words` (sorted) by descending score; the stable sort keeps
+    tied words in word order."""
+    order = np.argsort(-scores, kind="stable").tolist()
+    items = list(zip([words[k] for k in order], scores[order].tolist()))
     return TranslationRanking(source_word, method, items, fallback_pairs)
 
 
+def _row_dots(rows: np.ndarray, vector: np.ndarray,
+              valid: np.ndarray | None = None) -> np.ndarray:
+    """`rows @ vector`, with BOTTOM_SCORE where `valid` is False.
+
+    Row-wise einsum, not BLAS gemv: a row's product must not depend on
+    where the row sits, or identical candidates could score apart.
+    """
+    if valid is None:
+        valid = np.ones(len(rows), dtype=bool)
+    if not valid.any():
+        return np.full(len(valid), BOTTOM_SCORE)
+    return np.where(valid, np.einsum("ij,j->i", rows, vector), BOTTOM_SCORE)
+
+
+def linguistic_rank(x: str, source: WordFeatureTable,
+                    target: WordFeatureTable) -> TranslationRanking:
+    scores = _row_dots(target.linguistic, source.linguistic[source.row(x)])
+    return _ranked(x, "linguistic", target.words, scores)
+
+
+def visual_rank(x: str, source: WordFeatureTable,
+                target: WordFeatureTable) -> TranslationRanking:
+    """Cosine of the visual vectors; targets without one rank last."""
+    i = source.row(x)
+    if not source.has_visual[i]:
+        raise NoVisualError(f"{x!r} has no usable visual representation")
+    scores = _row_dots(target.visual, source.visual[i], target.has_visual)
+    return _ranked(x, "visual", target.words, scores,
+                   int(np.count_nonzero(~target.has_visual)))
+
+
 def fused_rank(x: str, source: WordFeatureTable, target: WordFeatureTable,
-               target_vocab=None, fusion_lambda: float = 0.5) -> TranslationRanking:
+               fusion_lambda: float = 0.5) -> TranslationRanking:
     """Rank by w_l*s_l + w_i*s_i with (w_l, w_i) = (2L, 2-2L).
 
     At the default L=0.5 this is the plain unweighted sum. Pairs missing
@@ -175,93 +268,47 @@ def fused_rank(x: str, source: WordFeatureTable, target: WordFeatureTable,
     if not 0.0 <= fusion_lambda <= 1.0:
         raise InputError(f"fusion lambda must be in [0,1], got {fusion_lambda}")
     w_l, w_i = 2.0 * fusion_lambda, 2.0 * (1.0 - fusion_lambda)
-    sx = source[x]
-    scores, fallback = {}, 0
-    for y in target_vocab if target_vocab is not None else target.words():
-        ty = target[y]
-        s_l = float(sx.linguistic @ ty.linguistic)
-        if sx.visual is None or ty.visual is None:
-            scores[y] = w_l * s_l
-            fallback += 1
-        else:
-            scores[y] = w_l * s_l + w_i * float(sx.visual @ ty.visual)
-    return _ranked(x, "fused", scores, fallback)
+    i = source.row(x)
+    s_l = w_l * _row_dots(target.linguistic, source.linguistic[i])
+    both = target.has_visual & source.has_visual[i]
+    scores = np.where(both, s_l + w_i * _row_dots(target.visual, source.visual[i], both),
+                      s_l)
+    return _ranked(x, "fused", target.words, scores, int(np.count_nonzero(~both)))
 
 
-def linguistic_rank(x: str, source: WordFeatureTable, target: WordFeatureTable,
-                    target_vocab=None) -> TranslationRanking:
-    sx = source[x]
-    scores = {y: float(sx.linguistic @ target[y].linguistic)
-              for y in (target_vocab if target_vocab is not None else target.words())}
-    return _ranked(x, "linguistic", scores)
-
-
-def visual_rank(x: str, source: WordFeatureTable, target: WordFeatureTable,
-                target_vocab=None) -> TranslationRanking:
-    sx = source[x]
-    if sx.visual is None:
-        raise NoVisualError(f"{x!r} has no usable visual representation")
-    scores, fallback = {}, 0
-    for y in target_vocab if target_vocab is not None else target.words():
-        ty = target[y]
-        if ty.visual is None:
-            scores[y] = BOTTOM_SCORE
-            fallback += 1
-        else:
-            scores[y] = float(sx.visual @ ty.visual)
-    return _ranked(x, "visual", scores, fallback)
-
-
-# ---------------------------------------------------------------------------
-# global-feature baselines
-# ---------------------------------------------------------------------------
-
-
-def cnn_mean_rank(x: str, source_sets: dict[str, np.ndarray],
-                  target_sets: dict[str, np.ndarray],
-                  target_vocab=None) -> TranslationRanking:
+def cnn_mean_rank(x: str, source: WordFeatureTable,
+                  target: WordFeatureTable) -> TranslationRanking:
     """Cosine of the two set means over global image features."""
-    if x not in source_sets:
-        raise KeyError(f"no image set for source word {x!r}")
-    sx = unit(np.mean(source_sets[x], axis=0))
-    if sx is None:
-        raise NoVisualError(f"{x!r} has a degenerate global feature set")
-    scores, fallback = {}, 0
-    for y in target_vocab if target_vocab is not None else sorted(target_sets):
-        ty = unit(np.mean(target_sets[y], axis=0)) if y in target_sets else None
-        if ty is None:
-            scores[y] = BOTTOM_SCORE
-            fallback += 1
-        else:
-            scores[y] = float(sx @ ty)
-    return _ranked(x, "cnn_mean", scores, fallback)
+    i = source.global_row(x)
+    if not source.global_mean_valid[i]:
+        raise NoVisualError(f"{x!r} has an empty or degenerate global feature set")
+    valid = target.global_mean_valid
+    scores = _row_dots(target.global_mean, source.global_mean[i], valid)
+    return _ranked(x, "cnn_mean", target.global_words, scores,
+                   int(np.count_nonzero(~valid)))
 
 
-def cnn_avgmax_rank(x: str, source_sets: dict[str, np.ndarray],
-                    target_sets: dict[str, np.ndarray],
-                    target_vocab=None) -> TranslationRanking:
-    """Mean over source images of the best cosine among target images."""
-    if x not in source_sets:
-        raise KeyError(f"no image set for source word {x!r}")
-    if source_sets[x].size == 0:
+def cnn_avgmax_rank(x: str, source: WordFeatureTable,
+                    target: WordFeatureTable) -> TranslationRanking:
+    """Mean over source images of the best cosine among target images.
+
+    One product against the target's distinct image rows; every set
+    member gathers its row, `maximum.reduceat` takes each set's best per
+    source image, and the mean runs along the contiguous axis.
+    """
+    i = source.global_row(x)
+    start, stop = source.global_offsets[i:i + 2]
+    if start == stop:
         raise NoVisualError(f"{x!r} has an empty image set")
-    src = _unit_rows(source_sets[x])
-    scores, fallback = {}, 0
-    for y in target_vocab if target_vocab is not None else sorted(target_sets):
-        tgt = _unit_rows(target_sets[y]) if y in target_sets and target_sets[y].size else None
-        if tgt is None or not len(tgt):
-            scores[y] = BOTTOM_SCORE
-            fallback += 1
-        else:
-            scores[y] = float(np.mean(np.max(src @ tgt.T, axis=1)))
-    return _ranked(x, "cnn_avgmax", scores, fallback)
-
-
-def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    rows = np.asarray(rows, dtype=np.float64)
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    norms[norms < ZERO_NORM] = 1.0
-    return rows / norms
+    src = source.global_rows[source.global_inverse[start:stop]]
+    filled = np.diff(target.global_offsets) > 0
+    scores = np.full(len(target.global_words), BOTTOM_SCORE)
+    if filled.any():
+        sims = (target.global_rows @ src.T)[target.global_inverse]  # [members, m]
+        best = np.maximum.reduceat(sims, target.global_offsets[:-1][filled], axis=0)
+        scores[filled] = best.mean(axis=1)
+    return _ranked(x, "cnn_avgmax", target.global_words, scores,
+                   int(np.count_nonzero(~filled)))
 
 
 # ---------------------------------------------------------------------------
@@ -354,27 +401,23 @@ def write_rankings(path, rankings_by_method: dict[str, dict[str, TranslationRank
 
 def read_rankings(path) -> dict[str, dict[str, TranslationRanking]]:
     out: dict[str, dict[str, TranslationRanking]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
+    for lineno, line in text_records(path):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise FormatError(
+                f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
+        source_word, method, cells = parts
+        items = []
+        for cell in cells.split(","):
+            word, _, score = cell.rpartition(":")
+            try:
+                items.append((word, float(score)))
+            except ValueError as exc:
                 raise FormatError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
-            source_word, method, cells = parts
-            items = []
-            for cell in cells.split(","):
-                word, _, score = cell.rpartition(":")
-                try:
-                    items.append((word, float(score)))
-                except ValueError as exc:
-                    raise FormatError(
-                        f"{path}:{lineno}: score {score!r} of candidate {word!r} "
-                        f"is not a number") from exc
-            out.setdefault(method, {})[source_word] = TranslationRanking(
-                source_word, method, items)
+                    f"{path}:{lineno}: score {score!r} of candidate {word!r} "
+                    f"is not a number") from exc
+        out.setdefault(method, {})[source_word] = TranslationRanking(
+            source_word, method, items)
     return out
 
 

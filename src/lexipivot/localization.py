@@ -192,6 +192,9 @@ def read_word_features(path):
             (occ,) = struct.unpack_from("<I", blob, offset)
             offset += 4
             n_rows = 1 if aggregated else occ
+            if offset + 8 * n_rows * d > len(blob):
+                raise FormatError(f"{path}: word {word!r} claims {n_rows}x{d} feature rows, "
+                                  f"past the end of the file")
             rows = np.frombuffer(blob, dtype="<f8", count=n_rows * d, offset=offset)
             offset += 8 * n_rows * d
             entries[word] = (occ, rows.reshape(n_rows, d).copy())

@@ -1,4 +1,4 @@
-"""Per-stage run manifests: config hash, input digests, timings, outputs."""
+"""Per-stage run manifests: config hash, input digests, timings, outputs, counts."""
 
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ class RunManifest:
     inputs: dict[str, str] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
+    counts: dict[str, dict] = field(default_factory=dict)  # what was kept, dropped, fell back
 
     def add_input(self, path) -> None:
         self.inputs[str(path)] = file_digest(path)
@@ -60,6 +61,7 @@ class RunManifest:
             "inputs": dict(sorted(self.inputs.items())),
             "timings": self.timings,
             "outputs": sorted(self.outputs),
+            "counts": self.counts,
         }
         target = out_dir / MANIFEST_NAME
         tmp = out_dir / (MANIFEST_NAME + ".tmp")

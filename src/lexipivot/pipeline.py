@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -283,25 +284,19 @@ def stage_extract(config: RunConfig, out_dir, checkpoint, corpus_dir,
 # ---------------------------------------------------------------------------
 
 
-def _aggregated_as_vectors(entries) -> dict[str, np.ndarray]:
-    return {word: rows[0] for word, (_, rows) in entries.items()}
-
-
 def _load_tables(features_dir, languages, method: str):
-    tables, globals_ = {}, {}
+    tables = {}
     for lang in languages:
-        _, _, ling_entries = read_word_features(table_file(features_dir, lang, "linguistic"))
-        _, aggregated, vis_entries = read_word_features(
-            table_file(features_dir, lang, f"visual-{method}"))
-        if not aggregated:
-            raise ConfigError(f"visual table for {lang} is not aggregated")
-        counts = {w: c for w, (c, _) in vis_entries.items()}
-        linguistic = _aggregated_as_vectors(ling_entries)
-        visual_sets = {w: [rows[0]] for w, (_, rows) in vis_entries.items()}
-        tables[lang] = build_table(lang, linguistic, visual_sets, counts)
-        _, _, glob_entries = read_word_features(table_file(features_dir, lang, "global"))
-        globals_[lang] = {w: rows for w, (_, rows) in glob_entries.items()}
-    return tables, globals_
+        rows = {}
+        for kind in ("linguistic", f"visual-{method}", "global"):
+            _, aggregated, entries = read_word_features(table_file(features_dir, lang, kind))
+            if kind != "global" and not aggregated:
+                raise ConfigError(f"{kind} table for {lang} is not aggregated")
+            rows[kind] = {w: word_rows for w, (_, word_rows) in entries.items()}
+        tables[lang] = build_table(
+            lang, {w: word_rows[0] for w, word_rows in rows["linguistic"].items()},
+            rows[f"visual-{method}"], rows["global"])
+    return tables
 
 
 def induction_pair(config: RunConfig) -> tuple[str, str]:
@@ -312,31 +307,35 @@ def induction_pair(config: RunConfig) -> tuple[str, str]:
     return src, tgt
 
 
-def compute_rankings(config: RunConfig, tables, global_sets, source: str,
-                     target: str) -> dict[str, dict]:
-    src_table, tgt_table = tables[source], tables[target]
+def compute_rankings(config: RunConfig, tables, source: str, target: str) -> dict[str, dict]:
+    """{method: {source word: ranking}}, one `<method>_rank` call per source word.
+
+    The visual method skips source words without a visual vector; the CNN
+    baselines rank the words that have a global image set.
+    """
+    src, tgt = tables[source], tables[target]
+    # looked up at call time, so that wrappers set on this module apply
+    rankers = {
+        "linguistic": (linguistic_rank, src.words),
+        "visual": (visual_rank, src.visual_words()),
+        "fused": (partial(fused_rank, fusion_lambda=config.induction.fusion_lambda),
+                  src.words),
+        "cnn_mean": (cnn_mean_rank, src.global_words),
+        "cnn_avgmax": (cnn_avgmax_rank, src.global_words),
+    }
     methods = {}
-    lam = config.induction.fusion_lambda
     for method in config.induction.methods:
-        rankings = {}
-        if method in ("linguistic", "visual", "fused"):
-            for word in src_table.words():
-                if method == "linguistic":
-                    rankings[word] = linguistic_rank(word, src_table, tgt_table)
-                elif method == "visual":
-                    if src_table[word].visual is None:
-                        continue
-                    rankings[word] = visual_rank(word, src_table, tgt_table)
-                else:
-                    rankings[word] = fused_rank(word, src_table, tgt_table,
-                                                fusion_lambda=lam)
-        else:
-            src_sets, tgt_sets = global_sets[source], global_sets[target]
-            rank_fn = cnn_mean_rank if method == "cnn_mean" else cnn_avgmax_rank
-            for word in sorted(src_sets):
-                rankings[word] = rank_fn(word, src_sets, tgt_sets)
-        methods[method] = rankings
+        rank, words = rankers[method]
+        methods[method] = {word: rank(word, src, tgt) for word in words}
     return methods
+
+
+def ranking_counts(methods: dict[str, dict], source_words: list[str]) -> dict[str, dict]:
+    """Per method: rankings produced, source words left unranked, fallback pairs."""
+    return {method: {"rankings": len(rankings),
+                     "skipped_sources": sum(w not in rankings for w in source_words),
+                     "fallback_pairs": sum(r.fallback_pairs for r in rankings.values())}
+            for method, rankings in sorted(methods.items())}
 
 
 def reports_for(methods: dict[str, dict], lexicon, ks) -> list:
@@ -361,10 +360,10 @@ def stage_induce(config: RunConfig, out_dir, features_dir, lexicon_path) -> dict
     with manifest.timed("load"):
         lexicon = read_lexicon(lexicon_path, source, target)
         manifest.add_input(lexicon_path)
-        tables, global_sets = _load_tables(features_dir, (source, target),
-                                           config.extraction.method)
+        tables = _load_tables(features_dir, (source, target), config.extraction.method)
     with manifest.timed("rank"):
-        methods = compute_rankings(config, tables, global_sets, source, target)
+        methods = compute_rankings(config, tables, source, target)
+    manifest.counts = ranking_counts(methods, tables[source].words)
     with manifest.timed("evaluate"):
         reports = reports_for(methods, lexicon, config.induction.ks)
     with manifest.timed("write"):

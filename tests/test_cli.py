@@ -240,6 +240,45 @@ class TestInduceEval:
         for name in ("report.csv", "report.json", "rankings.tsv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_manifest_counts(self, extracted, tmp_path):
+        cfg, corpus, tables = extracted
+        out = tmp_path / "induce"
+        assert run(["induce", "--config", cfg, "--tables", tables,
+                    "--lexicon", corpus / "lexicon.tsv", "--out", out]) == 0
+        counts = json.loads((out / "manifest.json").read_text())["counts"]
+        from lexipivot.localization import read_word_features
+        words, visual, image_sets = {}, {}, {}
+        for lang in ("la", "lb"):
+            words[lang] = len(read_word_features(tables / f"{lang}.linguistic.lxwf")[2])
+            visual[lang] = len(read_word_features(tables / f"{lang}.visual-probe.lxwf")[2])
+            image_sets[lang] = len(read_word_features(tables / f"{lang}.global.lxwf")[2])
+        n = words["la"]
+        assert counts["linguistic"] == {"rankings": n, "skipped_sources": 0,
+                                        "fallback_pairs": 0}
+        assert counts["visual"] == {
+            "rankings": visual["la"], "skipped_sources": n - visual["la"],
+            "fallback_pairs": visual["la"] * (words["lb"] - visual["lb"])}
+        assert counts["fused"] == {
+            "rankings": n, "skipped_sources": 0,
+            "fallback_pairs": n * words["lb"] - visual["la"] * visual["lb"]}
+        for method in ("cnn_mean", "cnn_avgmax"):
+            assert counts[method] == {"rankings": image_sets["la"],
+                                      "skipped_sources": n - image_sets["la"],
+                                      "fallback_pairs": 0}
+
+    def test_raw_linguistic_table_exits_2(self, extracted, tmp_path, capsys):
+        cfg, corpus, tables = extracted
+        from lexipivot.localization import read_word_features, write_word_features
+        path = tables / "la.linguistic.lxwf"
+        entries = {w: (1, rows) for w, (_, rows) in read_word_features(path)[2].items()}
+        last = max(entries)    # the writer takes the row width from the first word
+        entries[last] = (0, entries[last][1][:0])
+        write_word_features(path, "la", entries, aggregated=False)
+        code = run(["induce", "--config", cfg, "--tables", tables,
+                    "--lexicon", corpus / "lexicon.tsv", "--out", tmp_path / "induce"])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err, "linguistic table for la")
+
     def test_eval_rescores_rankings(self, extracted, tmp_path):
         cfg, corpus, tables = extracted
         induce_out = tmp_path / "induce"
@@ -268,6 +307,18 @@ class TestEvalMalformedRankings:
                     "--lexicon", lexicon, "--out", tmp_path / "eval"])
         assert code == 3
         assert_one_error_line(capsys.readouterr().err, "rankings.tsv:1", fragment)
+
+
+    def test_non_utf8_byte_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text("a\tb\n", encoding="utf-8")
+        rankings = tmp_path / "rankings.tsv"
+        rankings.write_bytes(b"a\tfused\tb:0.5\nc\tfused\tb\xff:0.5\n")
+        code = run(["eval", "--config", cfg, "--rankings", rankings,
+                    "--lexicon", lexicon, "--out", tmp_path / "eval"])
+        assert code == 3
+        assert_one_error_line(capsys.readouterr().err, "rankings.tsv:2", "not valid UTF-8")
 
 
 class TestPipeline:

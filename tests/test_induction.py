@@ -6,32 +6,42 @@ from hypothesis import strategies as st
 from lexipivot.corpus import GroundTruthLexicon
 from lexipivot.errors import EmptyResultError, InputError, NoVisualError
 from lexipivot.induction import (
+    BOTTOM_SCORE,
     EvalReport,
     TranslationRanking,
-    WordFeatureTable,
-    WordFeatures,
-    aggregate_visual,
     build_table,
     cnn_avgmax_rank,
     cnn_mean_rank,
     evaluate,
     fused_rank,
     linguistic_rank,
-    linguistic_similarity,
+    mean_unit,
     pos_breakdown,
     read_rankings,
     unit,
     visual_rank,
-    visual_similarity,
     write_rankings,
     write_report_csv,
     write_report_json,
 )
 
+RANKERS = {"linguistic": linguistic_rank, "visual": visual_rank, "fused": fused_rank,
+           "cnn_mean": cnn_mean_rank, "cnn_avgmax": cnn_avgmax_rank}
 
-def table_from_raw(language, raw_linguistic, raw_visual_sets=None):
+
+def table_from_raw(language, raw_linguistic, raw_visual_sets=None, global_sets=None):
     ling = {w: unit(np.asarray(v, dtype=np.float64)) for w, v in raw_linguistic.items()}
-    return build_table(language, ling, raw_visual_sets or {})
+    return build_table(language, ling, raw_visual_sets, global_sets)
+
+
+def sets_table(language, global_sets):
+    """A table holding only global image sets, for the CNN baselines."""
+    return build_table(language, {}, None, {w: np.asarray(rows, dtype=np.float64)
+                                            for w, rows in global_sets.items()})
+
+
+def score(rank, x, source, target, y):
+    return dict(rank(x, source, target).items)[y]
 
 
 def brute_cosine(a, b):
@@ -43,12 +53,12 @@ class TestSimilarities:
     def test_identical_vectors(self):
         src = table_from_raw("s", {"x": [1.0, 2.0, 3.0]})
         tgt = table_from_raw("t", {"y": [1.0, 2.0, 3.0]})
-        assert abs(linguistic_similarity(src, tgt, "x", "y") - 1.0) < 1e-12
+        assert abs(score(linguistic_rank, "x", src, tgt, "y") - 1.0) < 1e-12
 
     def test_orthogonal_vectors(self):
         src = table_from_raw("s", {"x": [1.0, 0.0]})
         tgt = table_from_raw("t", {"y": [0.0, 1.0]})
-        assert abs(linguistic_similarity(src, tgt, "x", "y")) < 1e-12
+        assert abs(score(linguistic_rank, "x", src, tgt, "y")) < 1e-12
 
     def test_linguistic_matches_brute_force(self):
         rng = np.random.default_rng(0)
@@ -56,25 +66,29 @@ class TestSimilarities:
             a, b = rng.normal(size=6), rng.normal(size=6)
             src = table_from_raw("s", {"x": a})
             tgt = table_from_raw("t", {"y": b})
-            assert abs(linguistic_similarity(src, tgt, "x", "y") - brute_cosine(a, b)) < 1e-9
+            assert abs(score(linguistic_rank, "x", src, tgt, "y") - brute_cosine(a, b)) < 1e-9
 
     def test_missing_word(self):
         src = table_from_raw("s", {"x": [1.0, 0.0]})
-        with pytest.raises(KeyError):
-            linguistic_similarity(src, src, "zz", "x")
+        for rank in RANKERS.values():
+            with pytest.raises(KeyError):
+                rank("zz", src, src)
 
     def test_visual_singleton_identical(self):
         v = np.array([0.2, -0.4, 0.9])
         src = table_from_raw("s", {"x": [1, 0, 0]}, {"x": [v]})
         tgt = table_from_raw("t", {"y": [1, 0, 0]}, {"y": [v.copy()]})
-        assert abs(visual_similarity(src, tgt, "x", "y") - 1.0) < 1e-12
+        assert abs(score(visual_rank, "x", src, tgt, "y") - 1.0) < 1e-12
 
     def test_opposed_features_degenerate(self):
         v = np.array([0.5, 0.5])
         src = table_from_raw("s", {"x": [1, 0]}, {"x": [v, -v]})
         tgt = table_from_raw("t", {"y": [1, 0]}, {"y": [v]})
         with pytest.raises(NoVisualError):
-            visual_similarity(src, tgt, "x", "y")
+            visual_rank("x", src, tgt)
+        # as a target the degenerate word ranks last and counts as a fallback
+        ranking = visual_rank("y", tgt, src)
+        assert ranking.items == [("x", BOTTOM_SCORE)] and ranking.fallback_pairs == 1
 
     def test_visual_matches_brute_force_mean_then_cosine(self):
         rng = np.random.default_rng(1)
@@ -84,10 +98,12 @@ class TestSimilarities:
             src = table_from_raw("s", {"x": [1, 0, 0, 0, 0]}, {"x": sa})
             tgt = table_from_raw("t", {"y": [1, 0, 0, 0, 0]}, {"y": sb})
             expected = brute_cosine(np.mean(sa, axis=0), np.mean(sb, axis=0))
-            assert abs(visual_similarity(src, tgt, "x", "y") - expected) < 1e-9
+            assert abs(score(visual_rank, "x", src, tgt, "y") - expected) < 1e-9
 
     def test_aggregate_empty_is_none(self):
-        assert aggregate_visual([]) is None
+        assert mean_unit(np.zeros((0, 3))) is None
+        table = table_from_raw("s", {"x": [1, 0, 0]}, {"x": np.zeros((0, 3))})
+        assert table.visual_words() == []
 
 
 class TestFusedRank:
@@ -129,14 +145,14 @@ class TestFusedRank:
         assert [c for c, _ in ranking.items] == [c for c, _ in ling.items]
         for (w1, sc1), (w2, sc2) in zip(ranking.items, ling.items):
             assert abs(sc1 - sc2) < 1e-12  # nothing subtracted
-        assert ranking.fallback_pairs == len(tgt.words())
+        assert ranking.fallback_pairs == len(tgt.words)
 
     def test_scores_non_increasing_and_full_coverage(self):
         src, tgt = self.two_tables()
         ranking = fused_rank("s1", src, tgt)
         scores = [s for _, s in ranking.items]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
-        assert sorted(w for w, _ in ranking.items) == tgt.words()
+        assert sorted(w for w, _ in ranking.items) == tgt.words
 
     def test_tie_break_lexicographic(self):
         src = table_from_raw("s", {"x": [1.0, 0.0]})
@@ -172,44 +188,102 @@ class TestBaselines:
         rng = np.random.default_rng(5)
         sa = [rng.normal(size=4) for _ in range(3)]
         sb = [rng.normal(size=4) for _ in range(2)]
-        src_sets = {"x": np.asarray(sa)}
-        tgt_sets = {"y": np.asarray(sb)}
-        ranking = cnn_mean_rank("x", src_sets, tgt_sets)
+        ranking = cnn_mean_rank("x", sets_table("s", {"x": sa}), sets_table("t", {"y": sb}))
         src = table_from_raw("s", {"x": [1, 0, 0, 0]}, {"x": sa})
         tgt = table_from_raw("t", {"y": [1, 0, 0, 0]}, {"y": sb})
-        assert abs(ranking.items[0][1] - visual_similarity(src, tgt, "x", "y")) < 1e-12
+        assert abs(ranking.items[0][1] - score(visual_rank, "x", src, tgt, "y")) < 1e-12
 
     def test_cnn_mean_identical_sets(self):
         rng = np.random.default_rng(6)
-        sets = {"x": rng.normal(size=(4, 5))}
-        ranking = cnn_mean_rank("x", sets, {"y": sets["x"].copy()})
+        rows = rng.normal(size=(4, 5))
+        ranking = cnn_mean_rank("x", sets_table("s", {"x": rows}),
+                                sets_table("t", {"y": rows.copy()}))
         assert abs(ranking.items[0][1] - 1.0) < 1e-12
 
     def test_avgmax_singletons_reduce_to_cosine(self):
         rng = np.random.default_rng(7)
         a, b = rng.normal(size=5), rng.normal(size=5)
-        ranking = cnn_avgmax_rank("x", {"x": a[None]}, {"y": b[None]})
+        ranking = cnn_avgmax_rank("x", sets_table("s", {"x": a[None]}),
+                                  sets_table("t", {"y": b[None]}))
         assert abs(ranking.items[0][1] - brute_cosine(a, b)) < 1e-12
 
     def test_avgmax_subset_scores_one(self):
         rng = np.random.default_rng(8)
         tgt = rng.normal(size=(5, 4))
-        src = tgt[:3].copy()
-        ranking = cnn_avgmax_rank("x", {"x": src}, {"y": tgt})
+        ranking = cnn_avgmax_rank("x", sets_table("s", {"x": tgt[:3].copy()}),
+                                  sets_table("t", {"y": tgt}))
         assert abs(ranking.items[0][1] - 1.0) < 1e-12
 
     def test_avgmax_matches_brute_force_double_loop(self):
         rng = np.random.default_rng(9)
         src = {"x": rng.normal(size=(3, 6))}
         tgt = {"y": rng.normal(size=(4, 6)), "z": rng.normal(size=(2, 6))}
-        ranking = cnn_avgmax_rank("x", src, tgt)
-        for word, score in ranking.items:
+        ranking = cnn_avgmax_rank("x", sets_table("s", src), sets_table("t", tgt))
+        for word, value in ranking.items:
             best = [max(brute_cosine(s, t) for t in tgt[word]) for s in src["x"]]
-            assert abs(score - float(np.mean(best))) < 1e-9
+            assert abs(value - float(np.mean(best))) < 1e-9
 
     def test_empty_source_set(self):
-        with pytest.raises(NoVisualError):
-            cnn_avgmax_rank("x", {"x": np.zeros((0, 4))}, {"y": np.ones((1, 4))})
+        src = sets_table("s", {"x": np.zeros((0, 4))})
+        tgt = sets_table("t", {"y": np.ones((1, 4))})
+        for rank in (cnn_mean_rank, cnn_avgmax_rank):
+            with pytest.raises(NoVisualError):
+                rank("x", src, tgt)
+
+
+class TestTies:
+    """Identical candidates score bit-identically and come out in word order,
+    wherever their rows sit."""
+
+    @pytest.mark.parametrize("method", sorted(RANKERS))
+    @pytest.mark.parametrize("positions", [(0, 1), (0, 29), (13, 40), (38, 41)])
+    def test_duplicates_tie_in_word_order(self, method, positions):
+        rng = np.random.default_rng(sum(positions))
+        d, n = 24, 42
+        # word order differs from row-position order only through the names
+        words = [f"w{(5 * i) % n:02d}" for i in range(n)]
+        raw = {w: rng.normal(size=d) for w in words}
+        vis = {w: [rng.normal(size=d)] for w in words}
+        sets = {w: rng.normal(size=(int(rng.integers(1, 9)), d)) for w in words}
+        first, second = (sorted(words)[p] for p in positions)
+        raw[second], vis[second] = raw[first].copy(), [vis[first][0].copy()]
+        # an identical image set, with members reordered and repeated
+        sets[second] = np.concatenate([sets[first][::-1], sets[first][:2]])
+        if method == "cnn_mean":
+            sets[second] = sets[first].copy()   # a mean depends on member order
+        tgt = table_from_raw("t", raw, vis, sets)
+        src = table_from_raw("s", {"x": rng.normal(size=d)}, {"x": [rng.normal(size=d)]},
+                             {"x": rng.normal(size=(5, d))})
+        items = RANKERS[method]("x", src, tgt).items
+        scores = dict(items)
+        assert scores[first] == scores[second]
+        order = [w for w, _ in items]
+        assert order.index(first) + 1 == order.index(second)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_avgmax_ties_across_set_sizes(self, seed):
+        # sets of 3 to 100 members drawn from the same three image rows, among
+        # unrelated sets; a product per target set would round differently
+        # with the set's size and score some of them apart
+        rng = np.random.default_rng(seed)
+        d = 64
+        pool = rng.normal(size=(3, d))
+        tied = {f"t{k:02d}": rng.permutation(pool[np.r_[0:3, rng.integers(0, 3, size=k)]])
+                for k in range(98)}
+        others = {f"{c}{k}": rng.normal(size=(k + 1, d)) for k in range(5) for c in "au"}
+        src = sets_table("s", {"x": rng.normal(size=(40, d))})
+        items = cnn_avgmax_rank("x", src, sets_table("t", {**tied, **others})).items
+        assert len({value for word, value in items if word in tied}) == 1
+        order = [w for w, _ in items if w in tied]
+        start = [w for w, _ in items].index(order[0])
+        assert order == sorted(tied) == [w for w, _ in items][start:start + len(tied)]
+
+    def test_order_is_stable_sort_on_score(self):
+        rng = np.random.default_rng(13)
+        values = rng.integers(0, 4, size=30).astype(float)
+        tgt = table_from_raw("t", {f"t{i:02d}": [v, 1.0] for i, v in enumerate(values)})
+        items = linguistic_rank("x", table_from_raw("s", {"x": [1.0, 0.0]}), tgt).items
+        assert items == sorted(items, key=lambda kv: (-kv[1], kv[0]))
 
 
 def brute_force_eval(ordered_candidates, lexicon_entries, ks):

@@ -1,0 +1,125 @@
+"""Readers on truncated and mutated bytes: a valid result or a FormatError
+(exit 3), never another exception."""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from lexipivot.corpus import (
+    GroundTruthLexicon,
+    RawCaption,
+    Vocabulary,
+    read_captions,
+    read_lexicon,
+    read_vocabulary,
+    write_captions,
+    write_lexicon,
+    write_vocabulary,
+)
+from lexipivot.corpus.vocab import RESERVED
+from lexipivot.errors import FormatError
+from lexipivot.induction import TranslationRanking, read_rankings, write_rankings
+from lexipivot.localization import read_word_features, write_word_features
+
+
+def write_rankings_file(path):
+    items = [("hund", 0.75), ("kätzchen", 0.5), ("maus", -0.25)]
+    write_rankings(path, {"fused": {"dog": TranslationRanking("dog", "fused", items)},
+                          "visual": {"cat": TranslationRanking("cat", "visual", items)}})
+
+
+def write_lexicon_file(path):
+    lexicon = GroundTruthLexicon("en", "de")
+    lexicon.add("dog", "hund", "noun")
+    lexicon.add("cat", "kätzchen")
+    write_lexicon(path, lexicon)
+
+
+def write_captions_file(path):
+    write_captions(path, [RawCaption(3, "de", ("ein", "grüner", "hund")),
+                          RawCaption(17, "de", ("eine", "katze"))])
+
+
+def write_vocabulary_file(path):
+    write_vocabulary(path, Vocabulary("de", list(RESERVED) + ["hund", "grün"],
+                                      {"hund": 4, "grün": 2}))
+
+
+def write_table_file(path, aggregated):
+    rng = np.random.default_rng(0)
+    entries = {"hund": (2, rng.normal(size=(1 if aggregated else 2, 3))),
+               "katze": (1, rng.normal(size=(1, 3)))}
+    write_word_features(path, "de", entries, aggregated=aggregated)
+
+
+READERS = {
+    "rankings": (write_rankings_file, read_rankings),
+    "lexicon": (write_lexicon_file, lambda p: read_lexicon(p, "en", "de")),
+    "captions": (write_captions_file, lambda p: read_captions(p, "de")),
+    "vocab": (write_vocabulary_file, lambda p: read_vocabulary(p, "de")),
+    "lxwf-raw": (lambda p: write_table_file(p, False), read_word_features),
+    "lxwf-aggregated": (lambda p: write_table_file(p, True), read_word_features),
+}
+
+EDITS = st.lists(st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 10_000), st.integers(0, 255)),
+    st.tuples(st.just("insert"), st.integers(0, 10_000), st.binary(min_size=1, max_size=4)),
+    st.tuples(st.just("truncate"), st.integers(0, 10_000)),
+), min_size=1, max_size=4)
+
+
+def mutate(blob: bytes, edits) -> bytes:
+    data = bytearray(blob)
+    for edit in edits:
+        at = edit[1] % (len(data) + 1)
+        if edit[0] == "set" and at < len(data):
+            data[at] = edit[2]
+        elif edit[0] == "insert":
+            data[at:at] = edit[2]
+        elif edit[0] == "truncate":
+            del data[at:]
+    return bytes(data)
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@given(edits=EDITS)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_damaged_file_reads_or_raises_format_error(kind, edits, tmp_path):
+    write, read = READERS[kind]
+    path = tmp_path / f"file.{kind}"
+    write(path)
+    read(path)   # the undamaged file reads
+    path.write_bytes(mutate(path.read_bytes(), edits))
+    try:
+        read(path)
+    except FormatError:
+        pass
+
+
+@pytest.mark.parametrize("kind", ["rankings", "lexicon", "captions", "vocab"])
+def test_non_utf8_byte_is_a_format_error_naming_its_line(kind, tmp_path):
+    write, read = READERS[kind]
+    path = tmp_path / f"file.{kind}"
+    write(path)
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = lines[1][:2] + b"\xff" + lines[1][2:]
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(FormatError, match=r":2: not valid UTF-8"):
+        read(path)
+
+
+def test_table_row_count_past_the_end_is_a_format_error(tmp_path):
+    # rows x dimension is past the end of the file and past any buffer size
+    path = tmp_path / "table.lxwf"
+    write_table_file(path, aggregated=False)
+    blob = bytearray(path.read_bytes())
+    blob[12:16] = struct.pack("<I", 0xFFFFFFFF)            # feature dimension
+    occ_at = 20 + 4 + len(b"de") + 4 + len(b"hund")
+    blob[occ_at:occ_at + 4] = struct.pack("<I", 0xFFFFFFFF)  # rows of "hund"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="past the end"):
+        read_word_features(path)
