@@ -25,6 +25,7 @@ from .corpus.fileio import text_records
 from .corpus.lexicon import GroundTruthLexicon
 from .corpus.vocab import RESERVED, Vocabulary
 from .errors import EmptyResultError, FormatError, InputError, NoVisualError
+from .localization import ROW_CAP
 from .numerics import no_grad
 from .seeding import substream
 
@@ -174,11 +175,13 @@ def collect_global_feature_sets(model: MultiLingualModel, examples, features_by_
     Mirrors the retrieval-style baselines, where a word is represented by
     whole-image features of the images it occurs with.
     """
+    image_ids = sorted({ex.scene_id for ex in examples})
     global_by_image: dict[int, np.ndarray] = {}
     with no_grad():
-        for image_id in sorted({ex.scene_id for ex in examples}):
-            encoded = model.encode(np.asarray(features_by_id[image_id])[None])
-            global_by_image[image_id] = encoded.data[0].mean(axis=0)
+        for start in range(0, len(image_ids), ROW_CAP):
+            chunk = image_ids[start:start + ROW_CAP]
+            encoded = model.encode(np.stack([features_by_id[i] for i in chunk]))
+            global_by_image.update(zip(chunk, encoded.data.mean(axis=1)))
     sets: dict[str, list[np.ndarray]] = {}
     n_reserved = len(RESERVED)
     for ex in examples:
@@ -209,12 +212,17 @@ class TranslationRanking:
     method: str
     items: list[tuple[str, float]]  # descending score, ties lexicographic
     fallback_pairs: int = 0
+    _positions: dict[str, int | None] = field(default_factory=dict, init=False,
+                                              repr=False, compare=False)
 
     def rank_of(self, word: str) -> int | None:
-        for position, (candidate, _) in enumerate(self.items, start=1):
-            if candidate == word:
-                return position
-        return None
+        """1-based position of `word` in `items`, or None. Answers are
+        remembered per word, so `items` must not change after a call."""
+        if word not in self._positions:
+            self._positions[word] = next(
+                (position for position, (candidate, _) in enumerate(self.items, start=1)
+                 if candidate == word), None)
+        return self._positions[word]
 
 
 def _ranked(source_word: str, method: str, words: list[str], scores: np.ndarray,

@@ -6,6 +6,13 @@ gold word into weights over the original regions. The attention method
 reads the decoder's own attention weights at the step emitting each word.
 Both produce one localized feature per word occurrence.
 
+Both methods decode in batches: captions of one token length share a
+teacher-forced unroll of at most `ROW_CAP` decode rows (probe: K rows per
+caption, one per region; attention: one row per caption over all K
+regions), and images are encoded `ROW_CAP` at a time. The cap bounds the
+per-step temporaries, so their memory is the same for any corpus size.
+Per-caption localization is the batch of one.
+
 Word-feature table file (binary, little-endian):
   magic "LXWF" | version u32 | flags u32 (bit 0: aggregated) | D u32
   | word count u32 | language: len u32 + UTF-8
@@ -29,6 +36,8 @@ from .seeding import substream
 TABLE_MAGIC = b"LXWF"
 TABLE_VERSION = 1
 FLAG_AGGREGATED = 1
+_METHODS = ("probe", "attention")
+ROW_CAP = 128  # decode rows per batch, and images per encoder call
 
 
 @dataclass(frozen=True)
@@ -46,95 +55,134 @@ def _check_caption(tokens) -> None:
         raise InputError("caption tokens must be sentinel-wrapped with at least one word")
 
 
+def localize_batch(model: MultiLingualModel, language: str, regions: np.ndarray,
+                   tokens, method: str) -> tuple[np.ndarray, np.ndarray]:
+    """Teacher-forced decode of B captions of one length on their images.
+
+    `regions` holds the encoded regions [B,K,D] of each caption's image
+    (`model.encode(...).data`), `tokens` the sentinel-wrapped ids [B,L].
+    Returns the localized feature [B,L-2,D] and region weights [B,L-2,K]
+    of each word position, in the dtype of `regions`.
+
+    Probe: each caption is decoded K times, each decode conditioned on one
+    region throughout, so the probability of the gold word at step t
+    reflects how well that region alone explains the word given the same
+    textual prefix; the K probabilities are normalized into the weights.
+    Attention: one decode over all K regions; its context vector and
+    attention weights are the feature and weights.
+    """
+    if language not in model.vocab_sizes:
+        raise KeyError(f"language {language!r} is not registered with this model")
+    tokens = np.asarray(tokens, dtype=np.intp)
+    b, k, d = regions.shape
+    if method == "probe":
+        decoded = Tensor(regions.reshape(b * k, 1, d))  # B*K decodes x 1 region each
+        tokens_by_row = np.repeat(tokens, k, axis=0)
+    else:
+        decoded, tokens_by_row = Tensor(regions), tokens
+    steps = tokens.shape[1] - 2
+    feats = np.empty((b, steps, d), dtype=regions.dtype)
+    weights = np.empty((b, steps, k), dtype=regions.dtype)
+    row_ids = np.arange(len(tokens_by_row))
+    with no_grad():
+        region_part = model.attention_precompute(decoded)
+        state = model.initial_state(len(tokens_by_row))
+        for t in range(1, steps + 1):
+            logits, state, alpha, context = model.step(
+                language, state, tokens_by_row[:, t - 1], decoded, region_part)
+            if method == "probe":
+                shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+                probs = np.exp(shifted)
+                p_t = probs[row_ids, tokens_by_row[:, t]] / probs.sum(axis=1)  # strictly positive
+                w = p_t.reshape(b, k)
+                w = w / w.sum(axis=1, keepdims=True)
+                weights[:, t - 1] = w
+                feats[:, t - 1] = np.matmul(w[:, None, :], regions)[:, 0]
+            else:
+                weights[:, t - 1] = alpha.data
+                feats[:, t - 1] = context.data
+    return feats, weights
+
+
+def _localize_caption(model, language, features, tokens, image_id,
+                      method) -> list[LocalizedOccurrence]:
+    tokens = [int(t) for t in tokens]
+    _check_caption(tokens)
+    with no_grad():
+        regions = model.encode(np.asarray(features)[None]).data
+    feats, weights = localize_batch(model, language, regions, [tokens], method)
+    return [LocalizedOccurrence(word_index=tokens[t], language_id=language,
+                                image_id=image_id, position=t,
+                                feature=feats[0, t - 1], weights=weights[0, t - 1])
+            for t in range(1, len(tokens) - 1)]
+
+
 def localize(model: MultiLingualModel, language: str, features,
              tokens, image_id: int = -1) -> list[LocalizedOccurrence]:
-    """Probe localization: per-region decodes score the gold word.
-
-    Each of the K decodes is conditioned on its single region throughout,
-    so the probability of the gold word at step t reflects how well that
-    region alone explains the word given the same textual prefix.
-    """
-    tokens = list(tokens)
-    _check_caption(tokens)
-    n = model.vocab_sizes.get(language)
-    if n is None:
-        raise KeyError(f"language {language!r} is not registered with this model")
-    with no_grad():
-        encoded = model.encode(np.asarray(features)[None])
-        a = encoded.data[0]                       # [K, D] original encoded regions
-        k = a.shape[0]
-        probe_regions = Tensor(a[:, None, :])     # K decodes x 1 region each
-        region_part = model.attention_precompute(probe_regions)
-        state = model.initial_state(k)
-        out = []
-        for t in range(1, len(tokens) - 1):
-            prev = np.full(k, tokens[t - 1], dtype=np.intp)
-            logits, state, _, _ = model.step(language, state, prev,
-                                             probe_regions, region_part)
-            shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-            probs = np.exp(shifted)
-            probs /= probs.sum(axis=1, keepdims=True)
-            p_t = probs[:, tokens[t]]             # strictly positive
-            weights = p_t / p_t.sum()
-            out.append(LocalizedOccurrence(
-                word_index=tokens[t], language_id=language, image_id=image_id,
-                position=t, feature=weights @ a, weights=weights))
-    return out
+    """Probe localization of one caption: a batch of one."""
+    return _localize_caption(model, language, features, tokens, image_id, "probe")
 
 
 def localize_by_attention(model: MultiLingualModel, language: str, features,
                           tokens, image_id: int = -1) -> list[LocalizedOccurrence]:
-    """Attention localization: reuse the decoder's own context vectors."""
-    tokens = list(tokens)
-    _check_caption(tokens)
-    if language not in model.vocab_sizes:
-        raise KeyError(f"language {language!r} is not registered with this model")
-    with no_grad():
-        regions = model.encode(np.asarray(features)[None])
-        region_part = model.attention_precompute(regions)
-        state = model.initial_state(1)
-        out = []
-        for t in range(1, len(tokens) - 1):
-            prev = np.array([tokens[t - 1]], dtype=np.intp)
-            _, state, alpha, context = model.step(language, state, prev,
-                                                  regions, region_part)
-            out.append(LocalizedOccurrence(
-                word_index=tokens[t], language_id=language, image_id=image_id,
-                position=t, feature=context.data[0].copy(),
-                weights=alpha.data[0].copy()))
-    return out
-
-
-_METHODS = {"probe": localize, "attention": localize_by_attention}
+    """Attention localization of one caption: a batch of one."""
+    return _localize_caption(model, language, features, tokens, image_id, "attention")
 
 
 def collect_word_features(model: MultiLingualModel, examples, features_by_id,
                           language: str, method: str = "probe",
-                          cap: int | None = None,
-                          seed: int = 0) -> dict[int, list[np.ndarray]]:
-    """Localized feature set per word index over a corpus.
+                          cap: int | None = None, seed: int = 0,
+                          counts: dict | None = None) -> dict[int, np.ndarray]:
+    """Localized feature rows [n, D] per word index over a corpus.
 
-    Sentinel and unknown tokens are dropped. With `cap` set, each word
-    keeps a seeded uniform subsample of at most `cap` occurrences.
-    Iteration order (caption order, then position) fixes the output.
+    Captions are grouped by token length; each group is encoded `ROW_CAP`
+    images at a time and decoded in batches of at most `ROW_CAP` decode
+    rows. Sentinel and unknown tokens are dropped. A word's rows are in
+    corpus order (caption order, then position); with `cap` set, each word
+    keeps a seeded uniform subsample of at most `cap` of them, picked by
+    index in that order. `counts`, when given, receives the occurrences
+    decoded and dropped, the words kept and subsampled, and the decode
+    batches.
     """
     if method not in _METHODS:
         raise InputError(f"unknown localization method {method!r}")
-    localizer = _METHODS[method]
+    tokens = [np.asarray(ex.tokens, dtype=np.intp) for ex in examples]
+    for caption in tokens:
+        _check_caption(caption)
+    lengths = np.array([len(caption) for caption in tokens], dtype=np.intp)
+    first_row = np.concatenate(([0], np.cumsum(lengths - 2)))  # of each caption
+    words = np.concatenate([caption[1:-1] for caption in tokens] or [np.zeros(0, np.intp)])
+    rows = np.empty((len(words), model.dims.embed_dim), dtype=model.dtype)
+    per_batch = max(1, ROW_CAP // (model.dims.num_regions if method == "probe" else 1))
+    batches = 0
+    for length in np.unique(lengths):
+        group = np.flatnonzero(lengths == length)
+        for chunk in np.split(group, range(ROW_CAP, len(group), ROW_CAP)):
+            with no_grad():
+                regions = model.encode(np.stack(
+                    [features_by_id[examples[i].scene_id] for i in chunk])).data
+            for lo in range(0, len(chunk), per_batch):
+                batch = chunk[lo:lo + per_batch]
+                feats, _ = localize_batch(model, language, regions[lo:lo + per_batch],
+                                          np.stack([tokens[i] for i in batch]), method)
+                rows[first_row[batch, None] + np.arange(length - 2)] = feats
+                batches += 1
 
-    sets: dict[int, list[np.ndarray]] = {}
-    for ex in examples:
-        for occ in localizer(model, language, features_by_id[ex.scene_id], ex.tokens,
-                             image_id=ex.scene_id):
-            if occ.word_index not in (PAD, BOS, EOS, UNK):
-                sets.setdefault(occ.word_index, []).append(occ.feature)
-
-    if cap is not None:
-        for word_index, feats in sets.items():
-            if len(feats) > cap:
-                rng = substream(seed, f"subsample:{language}:{word_index}")
-                keep = sorted(rng.choice(len(feats), size=cap, replace=False))
-                sets[word_index] = [feats[i] for i in keep]
+    kept = np.flatnonzero(np.isin(words, (PAD, BOS, EOS, UNK), invert=True))
+    by_word = kept[np.argsort(words[kept], kind="stable")]  # corpus order within a word
+    word_ids, starts = np.unique(words[by_word], return_index=True)
+    sets: dict[int, np.ndarray] = {}
+    subsampled = 0
+    for word_index, occurrences in zip(word_ids.tolist(), np.split(by_word, starts[1:])):
+        if cap is not None and len(occurrences) > cap:
+            rng = substream(seed, f"subsample:{language}:{word_index}")
+            occurrences = occurrences[np.sort(rng.choice(len(occurrences), size=cap,
+                                                         replace=False))]
+            subsampled += 1
+        sets[word_index] = rows[occurrences]
+    if counts is not None:
+        counts.update(occurrences=len(words), dropped_unk=len(words) - len(kept),
+                      words=len(sets), subsampled_words=subsampled, batches=batches)
     return sets
 
 
@@ -145,8 +193,8 @@ def write_word_features(path, language: str,
     matrix of rows); aggregated tables hold exactly one row per word."""
     with open(path, "wb") as fh:
         fh.write(TABLE_MAGIC)
-        first = next(iter(entries.values()))[1] if entries else np.zeros((0, 0))
-        d = first.shape[-1] if first.size else 0
+        # the width of the first word with rows; a word with none fits any width
+        d = next((np.shape(rows)[-1] for _, rows in entries.values() if np.size(rows)), 0)
         flags = FLAG_AGGREGATED if aggregated else 0
         fh.write(struct.pack("<IIII", TABLE_VERSION, flags, d, len(entries)))
         encoded_lang = language.encode("utf-8")

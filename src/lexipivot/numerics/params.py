@@ -8,6 +8,7 @@ File layout (all integers little-endian):
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Iterator
 
@@ -95,12 +96,17 @@ class ParamStore:
                 (name_len,) = struct.unpack_from("<I", blob, offset)
                 offset += 4
                 name = blob[offset:offset + name_len].decode("utf-8")
+                if name in store:
+                    raise FormatError(f"{path}: parameter {name!r} appears twice")
                 offset += name_len
                 (rank,) = struct.unpack_from("<I", blob, offset)
                 offset += 4
                 dims = struct.unpack_from(f"<{rank}Q", blob, offset)
                 offset += 8 * rank
-                size = int(np.prod(dims, dtype=np.int64)) if rank else 1
+                size = math.prod(dims)
+                if offset + 8 * size > len(blob):
+                    raise FormatError(f"{path}: parameter {name!r} claims shape {dims}, "
+                                      f"past the end of the file")
                 data = np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
                 offset += 8 * size
                 store.add(name, Tensor(data.reshape(dims).copy()))

@@ -248,10 +248,11 @@ def stage_extract(config: RunConfig, out_dir, checkpoint, corpus_dir,
         if lang not in model.vocab_sizes:
             raise ConfigError(f"checkpoint has no language {lang!r}")
         vocab = loaded.vocabs[lang]
+        manifest.counts[lang] = {}
         with manifest.timed(f"localize:{lang}"):
             sets = collect_word_features(
                 model, loaded.examples[lang], loaded.features, lang, method,
-                cap=config.extraction.cap, seed=config.seed)
+                cap=config.extraction.cap, seed=config.seed, counts=manifest.counts[lang])
         with manifest.timed(f"write:{lang}"):
             visual_entries = {}
             for index in sorted(sets):

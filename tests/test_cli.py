@@ -7,6 +7,7 @@ import pytest
 
 from lexipivot.cli import main
 from lexipivot.corpus import read_lexicon
+from lexipivot.localization import read_word_features
 from lexipivot.numerics import ParamStore
 
 
@@ -180,6 +181,35 @@ class TestExtract:
                          for w in cap.words)
         for word, (count, _) in entries.items():
             assert count == counts[word]
+
+    def test_manifest_counts(self, trained, tmp_path):
+        _, corpus, checkpoint = trained
+        (tmp_path / "capped").mkdir()
+        cfg = write_config(tmp_path / "capped", extraction={"cap": 3})
+        out = tmp_path / "feats"
+        assert run(["extract", "--config", cfg, "--checkpoint", checkpoint,
+                    "--corpus", corpus, "--out", out]) == 0
+        counts = json.loads((out / "manifest.json").read_text())["counts"]
+        from collections import Counter
+        from lexipivot import localization
+        from lexipivot.corpus import read_captions, read_vocabulary
+        assert sorted(counts) == ["la", "lb"]
+        for lang in ("la", "lb"):
+            vocab = read_vocabulary(corpus / f"{lang}.vocab.tsv", lang)
+            captions = read_captions(corpus / f"{lang}.captions.tsv", lang)
+            words = Counter(w for cap in captions for w in cap.words)
+            known = {w: n for w, n in words.items() if w in vocab.word_to_index}
+            per_batch = localization.ROW_CAP // 4        # probe: 4 decode rows per caption
+            lengths = Counter(len(cap.words) for cap in captions)
+            assert counts[lang] == {
+                "occurrences": sum(words.values()),
+                "dropped_unk": sum(words.values()) - sum(known.values()),
+                "words": len(known),
+                "subsampled_words": sum(n > 3 for n in known.values()),
+                "batches": sum(-(-n // per_batch) for n in lengths.values()),
+            }
+            _, _, table = read_word_features(out / f"{lang}.visual-probe.lxwf")
+            assert len(table) == counts[lang]["words"]
 
     def test_re_extraction_byte_identical(self, trained, tmp_path):
         cfg, corpus, checkpoint = trained

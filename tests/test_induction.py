@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexipivot import induction
 from lexipivot.corpus import GroundTruthLexicon
+from lexipivot.corpus.vocab import RESERVED
 from lexipivot.errors import EmptyResultError, InputError, NoVisualError
 from lexipivot.induction import (
     BOTTOM_SCORE,
@@ -12,6 +14,7 @@ from lexipivot.induction import (
     build_table,
     cnn_avgmax_rank,
     cnn_mean_rank,
+    collect_global_feature_sets,
     evaluate,
     fused_rank,
     linguistic_rank,
@@ -24,6 +27,10 @@ from lexipivot.induction import (
     write_report_csv,
     write_report_json,
 )
+from lexipivot.numerics import no_grad
+from lexipivot.seeding import substream
+
+from conftest import build_model
 
 RANKERS = {"linguistic": linguistic_rank, "visual": visual_rank, "fused": fused_rank,
            "cnn_mean": cnn_mean_rank, "cnn_avgmax": cnn_avgmax_rank}
@@ -231,6 +238,32 @@ class TestBaselines:
                 rank("x", src, tgt)
 
 
+class TestGlobalFeatureSets:
+    @pytest.mark.parametrize("cap", [None, 3])
+    def test_batched_encode_matches_per_image_encode(self, tiny_bundle, monkeypatch, cap):
+        lang = tiny_bundle.config.languages[0]
+        model = build_model(tiny_bundle, dtype=np.float64)
+        examples, vocab = tiny_bundle.examples[lang], tiny_bundle.vocabs[lang]
+        monkeypatch.setattr(induction, "ROW_CAP", 5)   # 24 images: chunks of 5, last of 4
+        got = collect_global_feature_sets(model, examples, tiny_bundle.features, vocab,
+                                          cap=cap, seed=9)
+        want = {}
+        with no_grad():
+            for ex in examples:
+                image = model.encode(tiny_bundle.features[ex.scene_id][None]).data[0]
+                for t in ex.word_positions():
+                    if ex.tokens[t] >= len(RESERVED):
+                        want.setdefault(vocab.word(ex.tokens[t]), []).append(image.mean(axis=0))
+        for word, rows in want.items():
+            if cap is not None and len(rows) > cap:
+                rng = substream(9, f"subsample-global:{lang}:{word}")
+                want[word] = [rows[i] for i in sorted(rng.choice(len(rows), size=cap,
+                                                                 replace=False))]
+        assert got.keys() == want.keys()
+        for word, rows in got.items():
+            np.testing.assert_allclose(rows, np.array(want[word]), rtol=0, atol=1e-12)
+
+
 class TestTies:
     """Identical candidates score bit-identically and come out in word order,
     wherever their rows sit."""
@@ -316,6 +349,11 @@ def as_rankings(ordered_candidates, method="fused"):
 
 
 class TestEvaluate:
+    def test_rank_of_first_position_or_none(self):
+        ranking = TranslationRanking("w", "fused", [("a", 0.9), ("b", 0.5), ("a", 0.1)])
+        lookups = ("a", "b", "c", "a", "c", "b")
+        assert [ranking.rank_of(w) for w in lookups] == [1, 2, None, 1, None, 2]
+
     def test_all_rank_one(self):
         lex = GroundTruthLexicon("s", "t")
         cands = {}

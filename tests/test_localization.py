@@ -3,17 +3,20 @@ import hashlib
 import numpy as np
 import pytest
 
+from lexipivot import localization
 from lexipivot.caption import ModelDims, MultiLingualModel
-from lexipivot.corpus.vocab import BOS, EOS
+from lexipivot.corpus.vocab import BOS, EOS, UNK, CaptionedExample
 from lexipivot.errors import FormatError, InputError
 from lexipivot.localization import (
     collect_word_features,
     localize,
+    localize_batch,
     localize_by_attention,
     read_word_features,
     write_word_features,
 )
 from lexipivot.numerics import Tensor, grad_enabled, no_grad, tanh
+from lexipivot.seeding import substream
 
 from conftest import build_corpus, build_model
 
@@ -169,6 +172,89 @@ class TestCollection:
             collect_word_features(model, [], bundle.features, lang, method="pixel")
 
 
+def mixed_length_examples(bundle, lang):
+    """The corpus captions cut to 1-4 words, some words replaced by UNK."""
+    out = []
+    for i, ex in enumerate(bundle.examples[lang]):
+        words = list(ex.tokens[1:-1])[: 1 + i % 4]
+        if i % 5 == 0:
+            words[-1] = UNK
+        out.append(CaptionedExample(ex.scene_id, lang, (BOS, *words, EOS), ex.raw_text))
+    return out
+
+
+def reference_word_features(model, examples, features_by_id, lang, method, cap, seed):
+    """Per-caption decodes (batches of one), grouped as the collection
+    documents: corpus order, UNK dropped, seeded subsample by index."""
+    localizer = localize if method == "probe" else localize_by_attention
+    sets = {}
+    for ex in examples:
+        for occ in localizer(model, lang, features_by_id[ex.scene_id], ex.tokens):
+            if occ.word_index != UNK:
+                sets.setdefault(occ.word_index, []).append(occ.feature)
+    if cap is not None:
+        for word_index, feats in sets.items():
+            if len(feats) > cap:
+                rng = substream(seed, f"subsample:{lang}:{word_index}")
+                keep = sorted(rng.choice(len(feats), size=cap, replace=False))
+                sets[word_index] = [feats[i] for i in keep]
+    return sets
+
+
+class TestBatchedEquivalence:
+    """Batched collection against per-caption decodes, in float64."""
+
+    @pytest.fixture(scope="class")
+    def mixed(self, tiny_bundle):
+        lang = tiny_bundle.config.languages[0]
+        model = build_model(tiny_bundle, dtype=np.float64)
+        return tiny_bundle, model, lang, mixed_length_examples(tiny_bundle, lang)
+
+    @pytest.mark.parametrize("cap", [None, 2])
+    @pytest.mark.parametrize("method", ["probe", "attention"])
+    def test_collection_matches_per_caption_decodes(self, mixed, monkeypatch, method, cap):
+        bundle, model, lang, examples = mixed
+        # K = 4 regions: probe batches of 2 captions inside encoder chunks
+        # of 9 images; both split each 12-caption length group
+        monkeypatch.setattr(localization, "ROW_CAP", 9)
+        counts = {}
+        got = collect_word_features(model, examples, bundle.features, lang, method,
+                                    cap=cap, seed=4, counts=counts)
+        uncapped = reference_word_features(model, examples, bundle.features, lang, method,
+                                           None, seed=4)
+        want = reference_word_features(model, examples, bundle.features, lang, method,
+                                       cap, seed=4)
+        assert got.keys() == want.keys()
+        for word_index, feats in got.items():
+            assert feats.shape == (len(want[word_index]), model.dims.embed_dim)
+            np.testing.assert_allclose(feats, np.array(want[word_index]), rtol=0, atol=1e-10)
+        groups = {len(ex.tokens) for ex in examples}
+        assert counts["batches"] > len(groups)
+        assert counts["occurrences"] == sum(len(ex.tokens) - 2 for ex in examples)
+        assert counts["dropped_unk"] == sum(t == UNK for ex in examples for t in ex.tokens)
+        assert counts["words"] == len(got)
+        assert counts["subsampled_words"] == sum(
+            cap is not None and len(feats) > cap for feats in uncapped.values())
+        assert cap is None or counts["subsampled_words"] > 0
+
+    @pytest.mark.parametrize("method", ["probe", "attention"])
+    def test_batch_weights_match_batches_of_one(self, mixed, method):
+        bundle, model, lang, examples = mixed
+        batch = [ex for ex in examples if len(ex.tokens) == 5][:6]
+        with no_grad():
+            regions = model.encode(np.stack([bundle.features[ex.scene_id]
+                                             for ex in batch])).data
+        feats, weights = localize_batch(model, lang, regions,
+                                        [ex.tokens for ex in batch], method)
+        localizer = localize if method == "probe" else localize_by_attention
+        for i, ex in enumerate(batch):
+            for occ in localizer(model, lang, bundle.features[ex.scene_id], ex.tokens):
+                np.testing.assert_allclose(weights[i, occ.position - 1], occ.weights,
+                                           rtol=0, atol=1e-10)
+                np.testing.assert_allclose(feats[i, occ.position - 1], occ.feature,
+                                           rtol=0, atol=1e-10)
+
+
 class TestTableFile:
     def test_round_trip_raw_and_aggregated(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -186,6 +272,20 @@ class TestTableFile:
         lang, aggregated, entries = read_word_features(p_agg)
         assert aggregated and entries["hund"][0] == 3
         assert entries["hund"][1].shape == (1, 5)
+
+    def test_round_trip_first_word_without_rows(self, tmp_path):
+        entries = {"a": (0, np.zeros((0, 3))), "b": (1, np.ones((1, 3)))}
+        path = tmp_path / "raw.lxwf"
+        write_word_features(path, "de", entries, aggregated=False)
+        _, _, back = read_word_features(path)
+        assert back.keys() == entries.keys()
+        for word, (count, rows) in entries.items():
+            assert back[word][0] == count
+            assert back[word][1].shape == rows.shape
+            assert np.array_equal(back[word][1], rows)
+        with pytest.raises(InputError):
+            write_word_features(path, "de", {**entries, "c": (1, np.ones((1, 4)))},
+                                aggregated=False)
 
     def test_write_shape_mismatch(self, tmp_path):
         with pytest.raises(InputError):

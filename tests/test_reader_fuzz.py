@@ -13,9 +13,11 @@ from lexipivot.corpus import (
     RawCaption,
     Vocabulary,
     read_captions,
+    read_features,
     read_lexicon,
     read_vocabulary,
     write_captions,
+    write_features,
     write_lexicon,
     write_vocabulary,
 )
@@ -23,6 +25,7 @@ from lexipivot.corpus.vocab import RESERVED
 from lexipivot.errors import FormatError
 from lexipivot.induction import TranslationRanking, read_rankings, write_rankings
 from lexipivot.localization import read_word_features, write_word_features
+from lexipivot.numerics import ParamStore, Tensor
 
 
 def write_rankings_file(path):
@@ -55,6 +58,19 @@ def write_table_file(path, aggregated):
     write_word_features(path, "de", entries, aggregated=aggregated)
 
 
+def write_params_file(path):
+    store = ParamStore()
+    store.add("attn.b2", Tensor(np.array(0.5)))
+    store.add("embed.de", Tensor(np.arange(6.0).reshape(2, 3)))
+    store.add("embed.en", Tensor(np.array([1.0, -2.0, 0.25])))
+    store.save(path)
+
+
+def write_region_features_file(path):
+    rng = np.random.default_rng(1)
+    write_features(path, {3: rng.normal(size=(2, 3)), 17: rng.normal(size=(2, 3))})
+
+
 READERS = {
     "rankings": (write_rankings_file, read_rankings),
     "lexicon": (write_lexicon_file, lambda p: read_lexicon(p, "en", "de")),
@@ -62,6 +78,8 @@ READERS = {
     "vocab": (write_vocabulary_file, lambda p: read_vocabulary(p, "de")),
     "lxwf-raw": (lambda p: write_table_file(p, False), read_word_features),
     "lxwf-aggregated": (lambda p: write_table_file(p, True), read_word_features),
+    "lxpv": (write_params_file, ParamStore.load),
+    "lxpf": (write_region_features_file, read_features),
 }
 
 EDITS = st.lists(st.one_of(
@@ -123,3 +141,24 @@ def test_table_row_count_past_the_end_is_a_format_error(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError, match="past the end"):
         read_word_features(path)
+
+
+def test_repeated_parameter_name_is_a_format_error(tmp_path):
+    path = tmp_path / "params.lxpv"
+    write_params_file(path)
+    path.write_bytes(path.read_bytes().replace(b"embed.en", b"embed.de"))
+    with pytest.raises(FormatError, match="embed.de"):
+        ParamStore.load(path)
+
+
+def test_parameter_shape_past_the_end_is_a_format_error(tmp_path):
+    # 2**33 x 2**33 values: past the end of the file, and a count that wraps
+    # to 0 in 64-bit integer arithmetic
+    path = tmp_path / "params.lxpv"
+    write_params_file(path)
+    blob = bytearray(path.read_bytes())
+    dims_at = 12 + 4 + len(b"attn.b2") + 4 + 8 + 4 + len(b"embed.de") + 4
+    blob[dims_at:dims_at + 16] = struct.pack("<2Q", 2**33, 2**33)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="past the end"):
+        ParamStore.load(path)
