@@ -1,5 +1,3 @@
-from .bleu import bleu4
-from .decoding import generate_caption
 from .model import ModelDims, MultiLingualModel
 from .training import (
     EpochStat,
@@ -16,8 +14,6 @@ __all__ = [
     "MultiLingualModel",
     "TrainingConfig",
     "TrainingLog",
-    "bleu4",
-    "generate_caption",
     "interleave",
     "split_by_scene",
     "train",

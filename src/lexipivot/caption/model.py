@@ -49,6 +49,25 @@ class ModelDims:
     max_len: int = 16       # caption length cap including sentinels
 
 
+def param_shapes(dims: ModelDims, vocab_sizes: dict[str, int],
+                 attention: bool) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter of a model built with these settings."""
+    d, a = dims.embed_dim, dims.attn_dim  # hidden size = embedding size
+    shapes = {
+        "encoder.weight": (dims.feature_dim, d),
+        "encoder.bias": (d,),
+        "lstm.w_ih": (2 * d, 4 * d),
+        "lstm.w_hh": (d, 4 * d),
+        "lstm.bias": (4 * d,),
+    }
+    if attention:
+        shapes.update({"attn.w1": (2 * d, a), "attn.b1": (a,), "attn.w2": (a, 1),
+                       "attn.b2": (1,)})
+    for lang, n in sorted(vocab_sizes.items()):
+        shapes[f"embed.{lang}"] = (d, n)
+    return shapes
+
+
 class MultiLingualModel:
     def __init__(self, dims: ModelDims, vocab_sizes: dict[str, int], params: ParamStore,
                  attention: bool = True, dtype=np.float64, freeze_encoder: bool = False):
@@ -70,30 +89,16 @@ class MultiLingualModel:
               freeze_encoder: bool = False) -> "MultiLingualModel":
         if not vocab_sizes:
             raise ConfigError("a caption model needs at least one language")
-        d, h, a = dims.embed_dim, dims.embed_dim, dims.attn_dim
         params = ParamStore(rng_seed=seed)
-
-        def init(name, shape, fan_in=None, zero=False):
-            if zero:
+        for name, shape in param_shapes(dims, vocab_sizes, attention).items():
+            if len(shape) == 1:  # biases start at zero
                 data = np.zeros(shape)
             else:
-                s = 1.0 / np.sqrt(fan_in if fan_in else shape[0])
+                s = 1.0 / np.sqrt(shape[0])
                 data = substream(seed, f"init:{name}").uniform(-s, s, size=shape)
             params.add(name, Tensor(data.astype(dtype)))
-
-        init("encoder.weight", (dims.feature_dim, d))
-        init("encoder.bias", (d,), zero=True)
-        init("lstm.w_ih", (2 * d, 4 * h))
-        init("lstm.w_hh", (h, 4 * h))
-        init("lstm.bias", (4 * h,), zero=True)
+        h = dims.embed_dim
         params["lstm.bias"].data[h:2 * h] = 1.0  # forget-gate bias
-        if attention:
-            init("attn.w1", (h + d, a))
-            init("attn.b1", (a,), zero=True)
-            init("attn.w2", (a, 1))
-            init("attn.b2", (1,), zero=True)
-        for lang, n in sorted(vocab_sizes.items()):
-            init(f"embed.{lang}", (d, n), fan_in=d)
         return cls(dims, vocab_sizes, params, attention=attention, dtype=dtype,
                    freeze_encoder=freeze_encoder)
 
@@ -113,9 +118,6 @@ class MultiLingualModel:
             if p.requires_grad:
                 sub.add(name, p)
         return sub
-
-    def num_parameters(self) -> int:
-        return sum(p.data.size for _, p in self.params.items())
 
     # -- forward pieces -----------------------------------------------------
 
@@ -257,6 +259,9 @@ class MultiLingualModel:
 
     @classmethod
     def load_checkpoint(cls, prefix) -> tuple["MultiLingualModel", dict]:
+        """Model and sidecar manifest of a checkpoint. A sidecar of the wrong
+        types, or one that does not describe every weight's name and shape
+        as `build` would create them, is a FormatError."""
         prefix = Path(prefix)
         path = prefix.with_suffix(".json")
         try:
@@ -270,18 +275,49 @@ class MultiLingualModel:
         try:
             dims = ModelDims(**manifest["dims"])
             seed, languages = manifest["seed"], manifest["languages"]
-            attention, dtype = manifest["attention"], np.dtype(manifest["dtype"]).type
+            attention, dtype = manifest["attention"], manifest["dtype"]
         except KeyError as exc:
             raise FormatError(f"{path}: checkpoint manifest has no key {exc}") from exc
         except TypeError as exc:
             raise FormatError(f"{path}: malformed checkpoint manifest ({exc})") from exc
-        params = ParamStore.load(prefix.with_suffix(".lxpv"), rng_seed=seed)
+        freeze_encoder = manifest.get("freeze_encoder", False)
+        problems = [f"dims.{name} {value!r:.60} is not a positive integer"
+                    for name, value in vars(dims).items() if not _is_count(value)]
+        if not (isinstance(languages, dict) and languages
+                and all(_is_count(n) for n in languages.values())):
+            problems.append(f"languages {languages!r:.60} is not a map of vocabulary sizes")
+        if not _is_int(seed):
+            problems.append(f"seed {seed!r:.60} is not an integer")
+        if not (isinstance(attention, bool) and isinstance(freeze_encoder, bool)):
+            problems.append("attention and freeze_encoder must be true or false")
+        if dtype not in ("float32", "float64"):
+            problems.append(f"dtype {dtype!r:.60} is not float32 or float64")
+        if problems:
+            raise FormatError(f"{path}: {'; '.join(problems)}")
+        weights = prefix.with_suffix(".lxpv")
+        params = ParamStore.load(weights, rng_seed=seed)
+        expected = param_shapes(dims, languages, attention)
+        found = {name: p.data.shape for name, p in params.items()}
+        if found != expected:
+            name = min(set(found.items()) ^ set(expected.items()))[0]
+            raise FormatError(
+                f"{weights}: parameter {name!r} has shape {found.get(name, 'none')} in "
+                f"the weights but {expected.get(name, 'none')} in the manifest {path}")
+        dtype = np.dtype(dtype).type
         if dtype != np.float64:
             for _, p in params.items():
                 p.data = p.data.astype(dtype)
         model = cls(dims, languages, params, attention=attention, dtype=dtype,
-                    freeze_encoder=manifest.get("freeze_encoder", False))
+                    freeze_encoder=freeze_encoder)
         return model, manifest
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return _is_int(value) and value >= 1
 
 
 def _pad_tokens(examples) -> np.ndarray:

@@ -3,9 +3,9 @@
     lexipivot <gen-corpus|train|extract|induce|eval|pipeline>
               --config FILE [--seed N] [--out DIR] ...
 
-Exit codes: 0 success, 2 config error, 3 IO/format error, 4 numeric or
-empty-result error. Errors print one line to stderr prefixed with
-"lexipivot-error:". LEXIPIVOT_LOG=error|warn|info|debug sets verbosity.
+Exit codes: 0 success, 2 config or usage error, 3 IO/format error, 4
+numeric or empty-result error. Errors print one line to stderr prefixed
+with "lexipivot-error:". LEXIPIVOT_LOG=error|warn|info|debug sets verbosity.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .config import RunConfig, load_config
-from .errors import LexipivotError
+from .errors import ConfigError, LexipivotError
 from . import pipeline
 
 log = logging.getLogger("lexipivot")
@@ -32,6 +32,13 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError instead of exiting."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _common_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=Path, default=None,
                      help="JSON config file (defaults apply when omitted)")
@@ -40,7 +47,7 @@ def _common_args(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lexipivot",
         description="Bilingual lexicon induction from mono-lingual caption corpora.")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -51,11 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr = commands.add_parser("train", help="train the caption model")
     _common_args(tr)
     tr.add_argument("--corpus", type=Path, required=True, help="corpus directory")
-    group = tr.add_mutually_exclusive_group()
-    group.add_argument("--mono", metavar="LANG", default=None,
-                       help="train on a single language")
-    group.add_argument("--multi", action="store_true",
-                       help="train on all corpus languages (default)")
 
     ex = commands.add_parser("extract", help="extract word feature tables")
     _common_args(ex)
@@ -101,15 +103,14 @@ def _resolve_config(args) -> RunConfig:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = _resolve_config(args)
         out = Path(config.out_dir)
         if args.command == "gen-corpus":
             pipeline.stage_gen_corpus(config, out)
         elif args.command == "train":
-            pipeline.stage_train(config, out, args.corpus, mono=args.mono)
+            pipeline.stage_train(config, out, args.corpus)
         elif args.command == "extract":
             pipeline.stage_extract(config, out, args.checkpoint, args.corpus)
         elif args.command == "induce":

@@ -1,8 +1,9 @@
 """Run configuration: one JSON file with per-stage sections.
 
-Unknown keys anywhere are rejected by name; every field has a default, so
-an empty file is a valid (full-scale) configuration. The fully resolved
-config is echoed into the output directory of every command.
+Unknown keys anywhere are rejected by name, and so is a value whose JSON
+type does not fit its field; every field has a default, so an empty file
+is a valid (full-scale) configuration. The fully resolved config is
+echoed into the output directory of every command.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -107,15 +110,6 @@ class RunConfig:
         return path
 
 
-_SECTIONS = {
-    "corpus": CorpusConfig,
-    "model": ModelSection,
-    "training": TrainingConfig,
-    "extraction": ExtractionSection,
-    "induction": InductionSection,
-}
-
-
 def _as_jsonable(value):
     if isinstance(value, dict):
         return {k: _as_jsonable(v) for k, v in value.items()}
@@ -124,35 +118,46 @@ def _as_jsonable(value):
     return value
 
 
-def _build_section(cls, data: dict, prefix: str):
-    allowed = {f.name: f for f in dataclasses.fields(cls)}
+def _fits(value, hint) -> bool:
+    """Whether a JSON value can stand for a field annotated `hint`. Lists
+    (or tuples) stand for tuples; their length is left to `validate`."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        return any(_fits(value, arg) for arg in args)
+    if origin is tuple:
+        return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(_fits(v, args[1]) for v in value.values())
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def _build(cls, data, prefix: str):
+    """The dataclass `cls` from a JSON object, section by section."""
+    if not isinstance(data, dict):
+        where = f"config section {prefix[:-1]!r}" if prefix else "config root"
+        raise ConfigError(f"{where} must be a JSON object")
+    hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
-        if key not in allowed:
+        if key not in hints:
             raise ConfigError(f"unknown config key: {prefix}{key}")
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
+        hint = hints[key]
+        if dataclasses.is_dataclass(hint):
+            kwargs[key] = _build(hint, value, f"{prefix}{key}.")
+        elif _fits(value, hint):
+            kwargs[key] = tuple(value) if isinstance(value, list) else value
+        else:
+            name = hint.__name__ if isinstance(hint, type) else hint
+            raise ConfigError(f"config key {prefix}{key} must be {name}, got {value!r:.60}")
     return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    top_fields = {f.name for f in dataclasses.fields(RunConfig)}
-    kwargs = {}
-    for key, value in data.items():
-        if key not in top_fields:
-            raise ConfigError(f"unknown config key: {key}")
-        if key in _SECTIONS:
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {key!r} must be an object")
-            kwargs[key] = _build_section(_SECTIONS[key], value, f"{key}.")
-        else:
-            kwargs[key] = value
-    config = RunConfig(**kwargs)
-    if isinstance(config.corpus.languages, list):
-        config.corpus.languages = tuple(config.corpus.languages)
+    config = _build(RunConfig, data, "")
     config.validate()
     return config
 
@@ -161,6 +166,6 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSON syntax or UTF-8 decoding
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return config_from_dict(data)

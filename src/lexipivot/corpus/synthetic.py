@@ -224,9 +224,6 @@ class CorpusBundle:
     lexicon: GroundTruthLexicon
     language_specs: dict[str, SyntheticLanguageSpec] = field(default_factory=dict)
 
-    def scene_by_id(self, language: str) -> dict[int, Scene]:
-        return {s.scene_id: s for s in self.scenes[language]}
-
 
 def _make_words(rng: np.random.Generator, syllables, count: int,
                 length: tuple[int, int], taken: set[str]) -> list[str]:

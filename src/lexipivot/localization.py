@@ -11,7 +11,6 @@ teacher-forced unroll of at most `ROW_CAP` decode rows (probe: K rows per
 caption, one per region; attention: one row per caption over all K
 regions), and images are encoded `ROW_CAP` at a time. The cap bounds the
 per-step temporaries, so their memory is the same for any corpus size.
-Per-caption localization is the batch of one.
 
 Word-feature table file (binary, little-endian):
   magic "LXWF" | version u32 | flags u32 (bit 0: aggregated) | D u32
@@ -23,7 +22,6 @@ Word-feature table file (binary, little-endian):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,21 +36,6 @@ TABLE_VERSION = 1
 FLAG_AGGREGATED = 1
 _METHODS = ("probe", "attention")
 ROW_CAP = 128  # decode rows per batch, and images per encoder call
-
-
-@dataclass(frozen=True)
-class LocalizedOccurrence:
-    word_index: int
-    language_id: str
-    image_id: int
-    position: int        # 1-based step within the caption
-    feature: np.ndarray  # [D] convex combination of encoded regions
-    weights: np.ndarray  # [K] non-negative, sums to 1
-
-
-def _check_caption(tokens) -> None:
-    if len(tokens) < 3 or tokens[0] != BOS or tokens[-1] != EOS:
-        raise InputError("caption tokens must be sentinel-wrapped with at least one word")
 
 
 def localize_batch(model: MultiLingualModel, language: str, regions: np.ndarray,
@@ -104,31 +87,6 @@ def localize_batch(model: MultiLingualModel, language: str, regions: np.ndarray,
     return feats, weights
 
 
-def _localize_caption(model, language, features, tokens, image_id,
-                      method) -> list[LocalizedOccurrence]:
-    tokens = [int(t) for t in tokens]
-    _check_caption(tokens)
-    with no_grad():
-        regions = model.encode(np.asarray(features)[None]).data
-    feats, weights = localize_batch(model, language, regions, [tokens], method)
-    return [LocalizedOccurrence(word_index=tokens[t], language_id=language,
-                                image_id=image_id, position=t,
-                                feature=feats[0, t - 1], weights=weights[0, t - 1])
-            for t in range(1, len(tokens) - 1)]
-
-
-def localize(model: MultiLingualModel, language: str, features,
-             tokens, image_id: int = -1) -> list[LocalizedOccurrence]:
-    """Probe localization of one caption: a batch of one."""
-    return _localize_caption(model, language, features, tokens, image_id, "probe")
-
-
-def localize_by_attention(model: MultiLingualModel, language: str, features,
-                          tokens, image_id: int = -1) -> list[LocalizedOccurrence]:
-    """Attention localization of one caption: a batch of one."""
-    return _localize_caption(model, language, features, tokens, image_id, "attention")
-
-
 def collect_word_features(model: MultiLingualModel, examples, features_by_id,
                           language: str, method: str = "probe",
                           cap: int | None = None, seed: int = 0,
@@ -148,7 +106,8 @@ def collect_word_features(model: MultiLingualModel, examples, features_by_id,
         raise InputError(f"unknown localization method {method!r}")
     tokens = [np.asarray(ex.tokens, dtype=np.intp) for ex in examples]
     for caption in tokens:
-        _check_caption(caption)
+        if len(caption) < 3 or caption[0] != BOS or caption[-1] != EOS:
+            raise InputError("caption tokens must be sentinel-wrapped with at least one word")
     lengths = np.array([len(caption) for caption in tokens], dtype=np.intp)
     first_row = np.concatenate(([0], np.cumsum(lengths - 2)))  # of each caption
     words = np.concatenate([caption[1:-1] for caption in tokens] or [np.zeros(0, np.intp)])

@@ -73,9 +73,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 

@@ -180,22 +180,18 @@ def write_training_log(path, rows) -> None:
                              f"{r.clipped_fraction:.8f}"])
 
 
-def stage_train(config: RunConfig, out_dir, corpus_dir, mono: str | None = None,
+def stage_train(config: RunConfig, out_dir, corpus_dir,
                 corpus: LoadedCorpus | None = None) -> dict:
     out_dir, manifest = _prepare(config, out_dir, "train")
     with manifest.timed("load"):
         loaded = corpus if corpus is not None else load_corpus(config, corpus_dir)
-    languages = (mono,) if mono else loaded.languages
-    for lang in languages:
-        if lang not in loaded.examples:
-            raise ConfigError(f"language {lang!r} not present in corpus {corpus_dir}")
 
     model = build_model_from_config(
-        config, {lang: loaded.vocabs[lang].size for lang in languages})
+        config, {lang: loaded.vocabs[lang].size for lang in loaded.languages})
     data = {
         lang: split_by_scene(loaded.examples[lang], config.training.val_fraction,
                              derive_seed(config.seed, "split"), lang)
-        for lang in languages
+        for lang in loaded.languages
     }
     with manifest.timed("train"):
         result = train(model, data, loaded.features, config.training, config.seed)
@@ -203,7 +199,7 @@ def stage_train(config: RunConfig, out_dir, corpus_dir, mono: str | None = None,
     with manifest.timed("write"):
         prefix = out_dir / "checkpoint"
         vocab_paths = {lang: str(corpus_file(corpus_dir, lang, "vocab"))
-                       for lang in languages} if corpus_dir else {}
+                       for lang in loaded.languages} if corpus_dir else {}
         model.save_checkpoint(prefix, extra={
             "vocab_paths": vocab_paths,
             "best_epoch": result.best_epoch,

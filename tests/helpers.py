@@ -1,6 +1,9 @@
-"""Shared test oracles: finite differences and brute-force rescoring."""
+"""Shared test oracles: finite differences and batch-of-one localization."""
 
 import numpy as np
+
+from lexipivot.localization import localize_batch
+from lexipivot.numerics import no_grad
 
 # Each evaluation of f may be off by a few ulps of |f|; a central difference
 # divides that by eps, so this many ulps of |f| over eps are round-off, not
@@ -63,3 +66,12 @@ def assert_grads_close(f, tensors, tol=1e-6, eps=1e-6):
         numeric = numeric_gradient(f, t, eps=eps)
         err = max_rel_err(analytic, numeric, atol)
         assert err < tol, f"gradient mismatch (rel err {err:.3e} >= tol {tol:.1e})"
+
+
+def localize_one(model, language, features, tokens, method="probe"):
+    """One caption decoded as a batch of one on its raw region features:
+    (feature [L-2,D], region weights [L-2,K]) of each word position."""
+    with no_grad():
+        regions = model.encode(np.asarray(features)[None]).data
+    feats, weights = localize_batch(model, language, regions, [tokens], method)
+    return feats[0], weights[0]

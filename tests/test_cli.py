@@ -78,6 +78,13 @@ class TestGenCorpus:
         assert err.startswith("lexipivot-error:")
         assert "learnig_rate" in err
 
+    def test_wrongly_typed_value_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"extraction": {"cap": "3"}}))
+        code = run(["gen-corpus", "--config", path, "--out", tmp_path / "x"])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err, "extraction.cap")
+
     def test_io_failure_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         blocker = tmp_path / "blocked"
@@ -91,8 +98,7 @@ class TestTrain:
     def test_multi_writes_both_embeddings(self, corpus_dir, tmp_path):
         cfg, corpus = corpus_dir
         out = tmp_path / "train"
-        assert run(["train", "--config", cfg, "--corpus", corpus, "--out", out,
-                    "--multi"]) == 0
+        assert run(["train", "--config", cfg, "--corpus", corpus, "--out", out]) == 0
         store = ParamStore.load(out / "checkpoint.lxpv")
         assert "embed.la" in store and "embed.lb" in store
         log_text = (out / "log.csv").read_text().splitlines()
@@ -100,22 +106,6 @@ class TestTrain:
                                "grad_norm_max,clipped_fraction")
         languages = {line.split(",")[1] for line in log_text[1:]}
         assert languages == {"la", "lb", "all"}
-
-    def test_mono_restriction_matches_multi_single_language(self, corpus_dir, tmp_path):
-        cfg, corpus = corpus_dir
-        out_mono = tmp_path / "mono"
-        assert run(["train", "--config", cfg, "--corpus", corpus, "--out", out_mono,
-                    "--mono", "lb"]) == 0
-        store = ParamStore.load(out_mono / "checkpoint.lxpv")
-        assert "embed.lb" in store and "embed.la" not in store
-        # training restricted to one language is the mono-lingual model:
-        # identical log when run twice (and deterministic)
-        out_mono2 = tmp_path / "mono2"
-        assert run(["train", "--config", cfg, "--corpus", corpus, "--out", out_mono2,
-                    "--mono", "lb"]) == 0
-        assert (out_mono / "log.csv").read_bytes() == (out_mono2 / "log.csv").read_bytes()
-        assert (out_mono / "checkpoint.lxpv").read_bytes() == \
-            (out_mono2 / "checkpoint.lxpv").read_bytes()
 
     def test_best_val_sequence_non_increasing(self, corpus_dir, tmp_path):
         cfg, corpus = corpus_dir
@@ -127,12 +117,11 @@ class TestTrain:
         best = np.minimum.accumulate(vals)
         assert all(b <= a + 1e-12 for a, b in zip(best, best[1:]))
 
-    def test_unknown_mono_language_exits_2(self, corpus_dir, tmp_path, capsys):
-        cfg, corpus = corpus_dir
-        code = run(["train", "--config", cfg, "--corpus", corpus,
-                    "--out", tmp_path / "x", "--mono", "zz"])
+    def test_removed_mono_flag_is_a_usage_error(self, tmp_path, capsys):
+        code = run(["train", "--corpus", tmp_path, "--out", tmp_path / "x", "--mono", "lb"])
         assert code == 2
-        assert "zz" in capsys.readouterr().err
+        assert_one_error_line(capsys.readouterr().err, "unrecognized arguments: --mono lb")
+        assert not (tmp_path / "x").exists()
 
     def test_caption_with_unknown_image_id_exits_3(self, corpus_dir, tmp_path, capsys):
         cfg, corpus = corpus_dir
@@ -228,7 +217,9 @@ class TestExtractBadCheckpoint:
                                   if k != "dims"}), "'dims'"),
         (lambda text: json.dumps({**json.loads(text), "checkpoint_version": 2}),
          "checkpoint_version 2"),
-    ], ids=["undecodable", "missing key", "version"])
+        (lambda text: json.dumps({**json.loads(text), "attention": False}), "'attn.b1'"),
+        (lambda text: json.dumps({**json.loads(text), "dtype": "int8"}), "int8"),
+    ], ids=["undecodable", "missing key", "version", "attention off", "int8"])
     def test_exits_3(self, trained, tmp_path, capsys, edit, fragment):
         cfg, corpus, checkpoint = trained
         sidecar = checkpoint.with_suffix(".json")

@@ -9,9 +9,7 @@ from lexipivot.corpus.vocab import BOS, EOS, UNK, CaptionedExample
 from lexipivot.errors import FormatError, InputError
 from lexipivot.localization import (
     collect_word_features,
-    localize,
     localize_batch,
-    localize_by_attention,
     read_word_features,
     write_word_features,
 )
@@ -19,6 +17,7 @@ from lexipivot.numerics import Tensor, grad_enabled, no_grad, tanh
 from lexipivot.seeding import substream
 
 from conftest import build_corpus, build_model
+from helpers import localize_one
 
 
 def params_digest(model):
@@ -45,13 +44,13 @@ class TestProbe:
         model.params["encoder.bias"].data[...] = 0.7  # regions all encode identically
         ex = bundle.examples[lang][0]
         feats = bundle.features[ex.scene_id]
-        occs = localize(model, lang, feats, ex.tokens)
+        feature, weights = localize_one(model, lang, feats, ex.tokens)
         k = bundle.config.grid_side ** 2
         with no_grad():
             a = model.encode(np.asarray(feats)[None]).data[0]
-        for occ in occs:
-            np.testing.assert_allclose(occ.weights, 1.0 / k, atol=1e-12)
-            np.testing.assert_allclose(occ.feature, a.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(weights, 1.0 / k, atol=1e-12)
+        np.testing.assert_allclose(feature, np.broadcast_to(a.mean(axis=0), feature.shape),
+                                   atol=1e-12)
 
     def test_single_region_grid(self):
         bundle = build_corpus(grid_side=1, min_concepts_per_scene=1,
@@ -59,56 +58,55 @@ class TestProbe:
         model = build_model(bundle)
         lang = bundle.config.languages[0]
         ex = bundle.examples[lang][0]
-        occs = localize(model, lang, bundle.features[ex.scene_id], ex.tokens)
+        feature, weights = localize_one(model, lang, bundle.features[ex.scene_id], ex.tokens)
         with no_grad():
             a = model.encode(np.asarray(bundle.features[ex.scene_id])[None]).data[0]
-        for occ in occs:
-            np.testing.assert_allclose(occ.weights, [1.0], atol=1e-15)
-            np.testing.assert_allclose(occ.feature, a[0], atol=1e-15)
+        np.testing.assert_allclose(weights, 1.0, atol=1e-15)
+        np.testing.assert_allclose(feature, np.broadcast_to(a[0], feature.shape), atol=1e-15)
 
     def test_weights_positive_sum_to_one_and_recompose(self, setup):
         bundle, model, lang = setup
         for ex in bundle.examples[lang][:10]:
             feats = bundle.features[ex.scene_id]
-            occs = localize(model, lang, feats, ex.tokens)
-            assert len(occs) == len(ex.tokens) - 2
+            feature, weights = localize_one(model, lang, feats, ex.tokens)
+            assert len(weights) == len(ex.tokens) - 2
             with no_grad():
                 a = model.encode(np.asarray(feats)[None]).data[0]
-            for occ in occs:
-                assert abs(occ.weights.sum() - 1.0) < 1e-9
-                assert np.all(occ.weights > 0)
-                assert np.array_equal(occ.feature, occ.weights @ a)
+            for f, w in zip(feature, weights):
+                assert abs(w.sum() - 1.0) < 1e-9
+                assert np.all(w > 0)
+                assert np.array_equal(f, w @ a)
 
     def test_read_only(self, setup):
         bundle, model, lang = setup
         before = params_digest(model)
         ex = bundle.examples[lang][0]
-        localize(model, lang, bundle.features[ex.scene_id], ex.tokens)
-        localize_by_attention(model, lang, bundle.features[ex.scene_id], ex.tokens)
+        collect_word_features(model, [ex], bundle.features, lang, "probe")
+        collect_word_features(model, [ex], bundle.features, lang, "attention")
         assert params_digest(model) == before
 
     def test_rejects_unwrapped_caption(self, setup):
         bundle, model, lang = setup
-        feats = bundle.features[bundle.scenes[lang][0].scene_id]
-        with pytest.raises(InputError):
-            localize(model, lang, feats, [5, 6, 7])
-        with pytest.raises(InputError):
-            localize(model, lang, feats, [BOS, EOS])
+        scene_id = bundle.scenes[lang][0].scene_id
+        for tokens in ([5, 6, 7], [BOS, EOS]):
+            caption = CaptionedExample(scene_id, lang, tokens, "")
+            with pytest.raises(InputError):
+                collect_word_features(model, [caption], bundle.features, lang)
 
     def test_unknown_language(self, setup):
         bundle, model, lang = setup
         ex = bundle.examples[lang][0]
         with pytest.raises(KeyError):
-            localize(model, "nope", bundle.features[ex.scene_id], ex.tokens)
+            localize_one(model, "nope", bundle.features[ex.scene_id], ex.tokens)
 
 
 class TestAttentionLocalization:
     def test_weights_sum_to_one(self, setup):
         bundle, model, lang = setup
         ex = bundle.examples[lang][0]
-        occs = localize_by_attention(model, lang, bundle.features[ex.scene_id], ex.tokens)
-        for occ in occs:
-            assert abs(occ.weights.sum() - 1.0) < 1e-9
+        _, weights = localize_one(model, lang, bundle.features[ex.scene_id], ex.tokens,
+                                  "attention")
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
     def test_mean_pool_model_degenerates_to_region_mean(self, setup):
         bundle, _, lang = setup
@@ -118,12 +116,12 @@ class TestAttentionLocalization:
         mp = MultiLingualModel.build(dims, vocab_sizes, seed=2, attention=False)
         ex = bundle.examples[lang][0]
         feats = bundle.features[ex.scene_id]
-        occs = localize_by_attention(mp, lang, feats, ex.tokens)
+        feature, weights = localize_one(mp, lang, feats, ex.tokens, "attention")
         with no_grad():
             a = mp.encode(np.asarray(feats)[None]).data[0]
-        for occ in occs:
-            np.testing.assert_allclose(occ.feature, a.mean(axis=0), atol=1e-12)
-            np.testing.assert_allclose(occ.weights, 0.25, atol=1e-12)
+        np.testing.assert_allclose(feature, np.broadcast_to(a.mean(axis=0), feature.shape),
+                                   atol=1e-12)
+        np.testing.assert_allclose(weights, 0.25, atol=1e-12)
 
 
 class TestCollection:
@@ -186,12 +184,12 @@ def mixed_length_examples(bundle, lang):
 def reference_word_features(model, examples, features_by_id, lang, method, cap, seed):
     """Per-caption decodes (batches of one), grouped as the collection
     documents: corpus order, UNK dropped, seeded subsample by index."""
-    localizer = localize if method == "probe" else localize_by_attention
     sets = {}
     for ex in examples:
-        for occ in localizer(model, lang, features_by_id[ex.scene_id], ex.tokens):
-            if occ.word_index != UNK:
-                sets.setdefault(occ.word_index, []).append(occ.feature)
+        feature, _ = localize_one(model, lang, features_by_id[ex.scene_id], ex.tokens, method)
+        for word_index, row in zip(ex.tokens[1:-1], feature):
+            if word_index != UNK:
+                sets.setdefault(word_index, []).append(row)
     if cap is not None:
         for word_index, feats in sets.items():
             if len(feats) > cap:
@@ -246,13 +244,11 @@ class TestBatchedEquivalence:
                                              for ex in batch])).data
         feats, weights = localize_batch(model, lang, regions,
                                         [ex.tokens for ex in batch], method)
-        localizer = localize if method == "probe" else localize_by_attention
         for i, ex in enumerate(batch):
-            for occ in localizer(model, lang, bundle.features[ex.scene_id], ex.tokens):
-                np.testing.assert_allclose(weights[i, occ.position - 1], occ.weights,
-                                           rtol=0, atol=1e-10)
-                np.testing.assert_allclose(feats[i, occ.position - 1], occ.feature,
-                                           rtol=0, atol=1e-10)
+            feature, weight = localize_one(model, lang, bundle.features[ex.scene_id],
+                                           ex.tokens, method)
+            np.testing.assert_allclose(weights[i], weight, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(feats[i], feature, rtol=0, atol=1e-10)
 
 
 class TestTableFile:
