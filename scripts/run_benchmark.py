@@ -1,26 +1,91 @@
 """Run the full synthetic benchmark and print the method comparison table.
 
 Equivalent to `lexipivot pipeline` on the default configuration, plus a
-compact stdout summary of every method's MRR / P@K row.
+compact stdout summary of every method's MRR / P@K row. With `--json PATH`
+it also writes the run's measurements (a BENCH file): wall time per stage,
+training s/epoch and tokens/s, extraction occurrences/s, peak RSS, MRR and
+P@1 per method, and the numpy, CPU and BLAS thread setup they were taken on.
+
+    OPENBLAS_NUM_THREADS=1 python scripts/run_benchmark.py --json BENCH_x.json
 """
 
 import argparse
 import json
+import os
+import platform
+import resource
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import numpy as np  # noqa: E402
+
+from lexipivot.caption import split_by_scene  # noqa: E402
 from lexipivot.config import RunConfig, load_config  # noqa: E402
 from lexipivot.pipeline import run_pipeline  # noqa: E402
+from lexipivot.seeding import derive_seed  # noqa: E402
+
+
+def _timings(out_dir) -> dict:
+    return json.loads((Path(out_dir) / "manifest.json").read_text("utf-8"))["timings"]
+
+
+def measurements(config: RunConfig, result: dict, rows: list, elapsed: float) -> dict:
+    """The BENCH record of one finished pipeline run."""
+    log = result["train"]["log"]
+    train_s = _timings(result["train"]["out_dir"])["train"]
+    # the tokens of one epoch: every non-PAD target of the training splits,
+    # as the train stage splits them
+    examples = result["corpus"]["bundle"].examples
+    epoch_tokens = sum(
+        len(ex.tokens) - 1 for lang in config.corpus.languages
+        for ex in split_by_scene(examples[lang], config.training.val_fraction,
+                                 derive_seed(config.seed, "split"), lang)[0])
+    extract_dir = result["extract"]["out_dir"]
+    extract_timings = _timings(extract_dir)
+    counts = json.loads((Path(extract_dir) / "manifest.json").read_text("utf-8"))["counts"]
+    occurrences = sum(c["occurrences"] for c in counts.values())
+    localize_s = sum(v for k, v in extract_timings.items() if k.startswith("localize:"))
+    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    return {
+        "seed": config.seed,
+        "config_hash": config.config_hash(),
+        "total_s": round(elapsed, 3),
+        "stage_s": _timings(result["out_dir"]),
+        "train": {
+            "epochs_run": log.epochs_run,
+            "best_epoch": log.best_epoch,
+            "s_per_epoch": train_s / log.epochs_run,
+            "tokens_per_s": epoch_tokens * log.epochs_run / train_s,
+        },
+        "extract": {
+            "method": result["extract"]["method"],
+            "occurrences": occurrences,
+            "occurrences_per_s": occurrences / localize_s,
+        },
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "methods": {r["method"]: {"mrr": r["mrr"], "p1": r["p1"]} for r in rows},
+        "environment": {
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "cpu_count": os.cpu_count(),
+            # null: unset, so the BLAS library picks its own thread count
+            "blas_threads": int(blas_threads) if blas_threads else None,
+        },
+    }
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", type=Path, default=None)
     parser.add_argument("--out", type=Path, default=Path("runs/benchmark"))
     parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--json", type=Path, default=None,
+                        help="write the run's measurements to this file")
     args = parser.parse_args()
 
     config = load_config(args.config) if args.config else RunConfig()
@@ -41,6 +106,11 @@ def main() -> int:
         print(f"{r['method']:12s} {r['n']:4d} {r['mrr']:7.3f} {r['p1']:7.1f} "
               f"{r['p5']:7.1f} {r['p10']:7.1f} {r['p20']:7.1f}")
     print(f"\nfull reports: {result['induce']['out_dir']}")
+    if args.json:
+        args.json.parent.mkdir(parents=True, exist_ok=True)
+        args.json.write_text(json.dumps(measurements(config, result, rows, elapsed),
+                                        indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"measurements: {args.json}")
     return 0
 
 

@@ -24,8 +24,8 @@ from ..numerics import (
     add,
     additive_attention,
     concat_cols,
-    concat_rows,
     cross_entropy_rows,
+    decoder_unroll,
     gather_cols,
     lstm_step,
     matmul,
@@ -147,6 +147,12 @@ class MultiLingualModel:
                               self.dims.embed_dim + d)
         return add(matmul(flat, w1_region), self.params["attn.b1"])
 
+    def attention_weights(self) -> tuple[Tensor, Tensor, Tensor] | None:
+        """(w1, w2, b2) of the attention scorer; None for the mean-pool model."""
+        if not self.attention:
+            return None
+        return self.params["attn.w1"], self.params["attn.w2"], self.params["attn.b2"]
+
     def attend(self, h_prev: Tensor, regions: Tensor,
                region_part: Tensor | None = None) -> tuple[Tensor, Tensor]:
         """Context vector and weights for one step: ([B,D], [B,K]).
@@ -161,8 +167,7 @@ class MultiLingualModel:
             return region_weighted_sum(alpha, regions), alpha
         if region_part is None:
             region_part = self.attention_precompute(regions)
-        return additive_attention(h_prev, regions, region_part, self.params["attn.w1"],
-                                  self.params["attn.w2"], self.params["attn.b2"])
+        return additive_attention(h_prev, regions, region_part, *self.attention_weights())
 
     def initial_state(self, batch: int) -> tuple[Tensor, Tensor]:
         h = Tensor(np.zeros((batch, self.dims.embed_dim), dtype=self.dtype))
@@ -170,32 +175,25 @@ class MultiLingualModel:
 
     def step(self, language: str, state: tuple[Tensor, Tensor], prev_tokens,
              regions: Tensor, region_part: Tensor | None = None):
-        """One teacher-forced step for a batch.
+        """One teacher-forced step for a batch, as extraction decodes.
 
         Returns (logits [B,N], new (h, c), alpha [B,K], context [B,D]).
         """
         embed = self.embedding(language)
-        state, alpha, context = self._recur(embed, state, prev_tokens, regions, region_part)
-        return matmul(state[0], embed), state, alpha, context
-
-    def _recur(self, embed: Tensor, state: tuple[Tensor, Tensor], prev_tokens,
-               regions: Tensor, region_part: Tensor | None):
-        """Decoder recurrence without the output projection:
-        (new (h, c), alpha [B,K], context [B,D])."""
         w_prev = gather_cols(embed, np.asarray(prev_tokens, dtype=np.intp))
         context, alpha = self.attend(state[0], regions, region_part)
-        h_new, c_new = lstm_step(concat_cols([w_prev, context]), state, self.lstm_weights())
-        return (h_new, c_new), alpha, context
+        state = lstm_step(concat_cols([w_prev, context]), state, self.lstm_weights())
+        return matmul(state[0], embed), state, alpha, context
 
     # -- losses -------------------------------------------------------------
 
     def sequence_loss(self, examples, features_by_id) -> tuple[Tensor, int]:
         """Teacher-forced NLL averaged over non-pad target tokens.
 
-        The batch may mix languages; each language is unrolled separately,
-        its hidden states are projected onto the tied embedding in one
-        [B*T,V] product, and the per-language sums are combined before
-        averaging.
+        The batch may mix languages; each language is unrolled separately
+        by one `decoder_unroll`, its hidden states are projected onto the
+        tied embedding in one [T*B,V] product, and the per-language sums
+        are combined before averaging.
         """
         if not examples:
             raise InputError("sequence_loss needs a non-empty batch")
@@ -215,16 +213,14 @@ class MultiLingualModel:
             feats = np.stack([np.asarray(features_by_id[ex.scene_id]) for ex in group])
             embed = self.embedding(language)
             regions = self.encode(feats)
-            region_part = self.attention_precompute(regions)
-            state = self.initial_state(len(group))
-            hidden = []
-            # the widest caption ends in the last column, so no step is all padding
-            for t in range(tokens.shape[1] - 1):
-                state, _, _ = self._recur(embed, state, tokens[:, t], regions, region_part)
-                hidden.append(state[0])
-            targets = tokens[:, 1:].T.reshape(-1)      # step-major, like `hidden`
+            # step-major: row t*B + b is caption b at step t; the widest
+            # caption ends in the last column, so no step is all padding
+            words = gather_cols(embed, tokens[:, :-1].T.reshape(-1))
+            hidden = decoder_unroll(words, regions, self.attention_precompute(regions),
+                                    self.lstm_weights(), self.attention_weights())
+            targets = tokens[:, 1:].T.reshape(-1)
             mask = (targets != PAD).astype(self.dtype)
-            ce = cross_entropy_rows(matmul(concat_rows(hidden), embed), targets, mask)
+            ce = cross_entropy_rows(matmul(hidden, embed), targets, mask)
             count += int(mask.sum())
             total = ce if total is None else add(total, ce)
         return scale(reshape(total, (1, 1)), 1.0 / count), count

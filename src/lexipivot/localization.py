@@ -27,7 +27,7 @@ import numpy as np
 
 from .caption.model import MultiLingualModel
 from .corpus.vocab import BOS, EOS, PAD, UNK
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, NumericError
 from .numerics import Tensor, no_grad
 from .seeding import substream
 
@@ -100,7 +100,7 @@ def collect_word_features(model: MultiLingualModel, examples, features_by_id,
     keeps a seeded uniform subsample of at most `cap` of them, picked by
     index in that order. `counts`, when given, receives the occurrences
     decoded and dropped, the words kept and subsampled, and the decode
-    batches.
+    batches. A model that decodes non-finite features raises NumericError.
     """
     if method not in _METHODS:
         raise InputError(f"unknown localization method {method!r}")
@@ -108,24 +108,17 @@ def collect_word_features(model: MultiLingualModel, examples, features_by_id,
     for caption in tokens:
         if len(caption) < 3 or caption[0] != BOS or caption[-1] != EOS:
             raise InputError("caption tokens must be sentinel-wrapped with at least one word")
-    lengths = np.array([len(caption) for caption in tokens], dtype=np.intp)
-    first_row = np.concatenate(([0], np.cumsum(lengths - 2)))  # of each caption
     words = np.concatenate([caption[1:-1] for caption in tokens] or [np.zeros(0, np.intp)])
-    rows = np.empty((len(words), model.dims.embed_dim), dtype=model.dtype)
-    per_batch = max(1, ROW_CAP // (model.dims.num_regions if method == "probe" else 1))
-    batches = 0
-    for length in np.unique(lengths):
-        group = np.flatnonzero(lengths == length)
-        for chunk in np.split(group, range(ROW_CAP, len(group), ROW_CAP)):
-            with no_grad():
-                regions = model.encode(np.stack(
-                    [features_by_id[examples[i].scene_id] for i in chunk])).data
-            for lo in range(0, len(chunk), per_batch):
-                batch = chunk[lo:lo + per_batch]
-                feats, _ = localize_batch(model, language, regions[lo:lo + per_batch],
-                                          np.stack([tokens[i] for i in batch]), method)
-                rows[first_row[batch, None] + np.arange(length - 2)] = feats
-                batches += 1
+    # a diverged model fails once, here, instead of warning from every batch
+    try:
+        with np.errstate(all="ignore"):
+            rows, batches = _decode_rows(model, examples, features_by_id, tokens, language,
+                                         method)
+    except NumericError as exc:
+        raise NumericError(f"{language}: {method} localization failed: {exc}") from exc
+    if not np.isfinite(rows).all():
+        raise NumericError(f"{language}: {method} localization decoded non-finite "
+                           f"features; the model has diverged")
 
     kept = np.flatnonzero(np.isin(words, (PAD, BOS, EOS, UNK), invert=True))
     by_word = kept[np.argsort(words[kept], kind="stable")]  # corpus order within a word
@@ -143,6 +136,30 @@ def collect_word_features(model: MultiLingualModel, examples, features_by_id,
         counts.update(occurrences=len(words), dropped_unk=len(words) - len(kept),
                       words=len(sets), subsampled_words=subsampled, batches=batches)
     return sets
+
+
+def _decode_rows(model: MultiLingualModel, examples, features_by_id, tokens,
+                 language: str, method: str) -> tuple[np.ndarray, int]:
+    """The localized feature of every word position, in corpus order, and the
+    number of decode batches."""
+    lengths = np.array([len(caption) for caption in tokens], dtype=np.intp)
+    first_row = np.concatenate(([0], np.cumsum(lengths - 2)))  # of each caption
+    rows = np.empty((int(first_row[-1]), model.dims.embed_dim), dtype=model.dtype)
+    per_batch = max(1, ROW_CAP // (model.dims.num_regions if method == "probe" else 1))
+    batches = 0
+    for length in np.unique(lengths):
+        group = np.flatnonzero(lengths == length)
+        for chunk in np.split(group, range(ROW_CAP, len(group), ROW_CAP)):
+            with no_grad():
+                regions = model.encode(np.stack(
+                    [features_by_id[examples[i].scene_id] for i in chunk])).data
+            for lo in range(0, len(chunk), per_batch):
+                batch = chunk[lo:lo + per_batch]
+                feats, _ = localize_batch(model, language, regions[lo:lo + per_batch],
+                                          np.stack([tokens[i] for i in batch]), method)
+                rows[first_row[batch, None] + np.arange(length - 2)] = feats
+                batches += 1
+    return rows, batches
 
 
 def write_word_features(path, language: str,

@@ -1,4 +1,5 @@
 from .attention import additive_attention
+from .decoder import decoder_unroll
 from .lstm import LstmWeights, lstm_step
 from .optim import AdamState, adam_update, clip_global_norm
 from .params import ParamStore
@@ -33,6 +34,7 @@ __all__ = [
     "concat_cols",
     "concat_rows",
     "cross_entropy_rows",
+    "decoder_unroll",
     "gather_cols",
     "grad_enabled",
     "lstm_step",

@@ -1,4 +1,8 @@
-"""Fused additive attention (Show, Attend and Tell): one tape node per step."""
+"""Fused additive attention (Show, Attend and Tell): one tape node per step.
+
+The step arithmetic lives in plain NumPy kernels (`attention_forward`,
+`attention_backward`), shared by `additive_attention` and `decoder_unroll`.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +10,34 @@ import numpy as np
 
 from ..errors import NumericError, ShapeError
 from .tensor import Tensor, _make
+
+
+def attention_forward(h_part: np.ndarray, region_part: np.ndarray, regions: np.ndarray,
+                      w2: np.ndarray, b2: np.ndarray):
+    """One attention step on arrays: h_part [B,A] = h_prev @ w1[:H],
+    region_part [B,K,A], regions [B,K,D] -> (u [B,K,A], alpha [B,K],
+    context [B,D]), u being the scorer's hidden layer. Non-finite scores
+    raise NumericError."""
+    u = np.tanh(region_part + h_part[:, None, :])
+    scores = (u @ w2)[:, :, 0] + b2
+    if not np.all(np.isfinite(scores)):
+        raise NumericError("attention scores contain NaN or Inf")
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    alpha = e / e.sum(axis=1, keepdims=True)
+    return u, alpha, (alpha[:, None, :] @ regions)[:, 0, :]
+
+
+def attention_backward(dcontext: np.ndarray, u: np.ndarray, alpha: np.ndarray,
+                       regions: np.ndarray, w2: np.ndarray):
+    """Score and pre-activation gradients of one step from dL/dcontext [B,D]:
+    (dscores [B,K], dpre [B,K,A]). dL/dh_part is dpre summed over K, and
+    dL/dregions through the weighted sum is alpha times dcontext."""
+    dalpha = (regions @ dcontext[:, :, None])[:, :, 0]
+    dscores = dalpha - (dalpha * alpha).sum(axis=1, keepdims=True)
+    dscores *= alpha
+    dpre = dscores[:, :, None] * w2[:, 0]
+    dpre *= 1.0 - u * u
+    return dscores, dpre
 
 
 def additive_attention(h_prev: Tensor, regions: Tensor, region_part: Tensor,
@@ -34,26 +66,17 @@ def additive_attention(h_prev: Tensor, regions: Tensor, region_part: Tensor,
             f"region_part{rp.shape} w1{w1.shape} w2{w2.shape} b2{b2.shape}")
 
     w1_hidden = w1.data[:hs]
-    u = np.tanh(rp.reshape(b, k, a) + (hd @ w1_hidden)[:, None, :])   # [B,K,A]
-    scores = (u @ w2.data)[:, :, 0] + b2.data
-    if not np.all(np.isfinite(scores)):
-        raise NumericError("attention scores contain NaN or Inf")
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    alpha = e / e.sum(axis=1, keepdims=True)
-    context = (alpha[:, None, :] @ rd)[:, 0, :]
+    u, alpha, context = attention_forward(hd @ w1_hidden, rp.reshape(b, k, a), rd,
+                                          w2.data, b2.data)
 
     def backward(g):
-        dalpha = (rd @ g[:, :, None])[:, :, 0]
+        dscores, dpre = attention_backward(g, u, alpha, rd, w2.data)
         if regions.requires_grad:
             regions.accumulate_grad(alpha[:, :, None] * g[:, None, :], fresh=True)
-        dscores = dalpha - (dalpha * alpha).sum(axis=1, keepdims=True)
-        dscores *= alpha
         if b2.requires_grad:
             b2.accumulate_grad(dscores.sum().reshape(1), fresh=True)
         if w2.requires_grad:
             w2.accumulate_grad(u.reshape(b * k, a).T @ dscores.reshape(b * k, 1), fresh=True)
-        dpre = dscores[:, :, None] * w2.data[:, 0]
-        dpre *= 1.0 - u * u
         if region_part.requires_grad:
             region_part.accumulate_grad(dpre.reshape(b * k, a), fresh=True)
         dh_part = dpre.sum(axis=1)

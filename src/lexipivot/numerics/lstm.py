@@ -1,4 +1,9 @@
-"""Fused LSTM cell: one gate matmul and a hand-written backward."""
+"""Fused LSTM cell: one gate matmul and a hand-written backward.
+
+The cell arithmetic lives in plain NumPy kernels (`cell_forward`,
+`dc_through_h`, `cell_backward`), shared by `lstm_step` and
+`decoder_unroll`.
+"""
 
 from __future__ import annotations
 
@@ -23,6 +28,39 @@ class LstmWeights:
         return self.w_hh.shape[0]
 
 
+def cell_forward(gates: np.ndarray, c_prev: np.ndarray):
+    """Cell arithmetic on the pre-activations gates [B,4H] (i | f | g | o) and
+    the previous cell c_prev [B,H]: (act [B,4H], c' [B,H], tanh(c'), h' [B,H]),
+    where act holds the gate activations."""
+    hs = c_prev.shape[1]
+    act = 0.5 * (1.0 + np.tanh(0.5 * gates))   # sigmoid, one transcendental
+    act[:, 2 * hs:3 * hs] = np.tanh(gates[:, 2 * hs:3 * hs])
+    c = act[:, hs:2 * hs] * c_prev + act[:, :hs] * act[:, 2 * hs:3 * hs]
+    tanh_c = np.tanh(c)
+    return act, c, tanh_c, act[:, 3 * hs:] * tanh_c
+
+
+def dc_through_h(dh: np.ndarray, act: np.ndarray, tanh_c: np.ndarray) -> np.ndarray:
+    """The share of dL/dh' that reaches c' through h' = o * tanh(c')."""
+    hs = tanh_c.shape[1]
+    return dh * act[:, 3 * hs:] * (1.0 - tanh_c * tanh_c)
+
+
+def cell_backward(dh: np.ndarray | None, dc: np.ndarray, act: np.ndarray,
+                  c_prev: np.ndarray, tanh_c: np.ndarray) -> np.ndarray:
+    """Gate gradients dL/dgates [B,4H] of one cell from dL/dh' (None: zero)
+    and the whole of dL/dc', the `dc_through_h` share included. dL/dc_prev
+    is dc * f."""
+    hs = c_prev.shape[1]
+    i, g = act[:, :hs], act[:, 2 * hs:3 * hs]
+    do = dh * tanh_c if dh is not None else np.zeros_like(dc)
+    deriv = act * (1.0 - act)               # sigmoid' on i|f|o
+    deriv[:, 2 * hs:3 * hs] = 1.0 - g * g   # tanh' on g
+    dgates = np.concatenate([dc * g, dc * c_prev, dc * i, do], axis=1)
+    dgates *= deriv
+    return dgates
+
+
 def lstm_step(x: Tensor, state: tuple[Tensor, Tensor], weights: LstmWeights):
     """One LSTM step. x [B,d_in] (or [d_in]), state (h,c) [B,H] -> (h', c').
 
@@ -45,27 +83,18 @@ def lstm_step(x: Tensor, state: tuple[Tensor, Tensor], weights: LstmWeights):
             f"w_ih{w_ih.shape} w_hh{w_hh.shape} bias{bias.shape}")
 
     gates = xd @ w_ih.data + hd @ w_hh.data + bias.data
-    act = 0.5 * (1.0 + np.tanh(0.5 * gates))   # sigmoid, one transcendental
-    act[:, 2 * hs:3 * hs] = np.tanh(gates[:, 2 * hs:3 * hs])
-    i, f, g, o = act[:, :hs], act[:, hs:2 * hs], act[:, 2 * hs:3 * hs], act[:, 3 * hs:]
-    c_data = f * cd + i * g
-    tanh_c = np.tanh(c_data)
-    h_data = o * tanh_c
+    act, c_data, tanh_c, h_data = cell_forward(gates, cd)
     grad_h = []                          # dL/dh', filled by h' before c' runs
 
     def backward_c(dc):
         dc = dc.reshape(c_data.shape)
-        do = grad_h.pop() * tanh_c if grad_h else np.zeros_like(dc)
-        deriv = act * (1.0 - act)               # sigmoid' on i|f|o
-        deriv[:, 2 * hs:3 * hs] = 1.0 - g * g   # tanh' on g
-        dgates = np.concatenate([dc * g, dc * cd, dc * i, do], axis=1)
-        dgates *= deriv
+        dgates = cell_backward(grad_h.pop() if grad_h else None, dc, act, cd, tanh_c)
         if x.requires_grad:
             x.accumulate_grad((dgates @ w_ih.data.T).reshape(x.shape), fresh=True)
         if h.requires_grad:
             h.accumulate_grad((dgates @ w_hh.data.T).reshape(h.shape), fresh=True)
         if c.requires_grad:
-            c.accumulate_grad((dc * f).reshape(c.shape), fresh=True)
+            c.accumulate_grad((dc * act[:, hs:2 * hs]).reshape(c.shape), fresh=True)
         if w_ih.requires_grad:
             w_ih.accumulate_grad(xd.T @ dgates, fresh=True)
         if w_hh.requires_grad:
@@ -76,7 +105,7 @@ def lstm_step(x: Tensor, state: tuple[Tensor, Tensor], weights: LstmWeights):
     def backward_h(dh):
         dh = dh.reshape(h_data.shape)
         grad_h.append(dh)
-        c_new.accumulate_grad((dh * o * (1.0 - tanh_c * tanh_c)).reshape(c_new.shape),
+        c_new.accumulate_grad(dc_through_h(dh, act, tanh_c).reshape(c_new.shape),
                               fresh=True)
 
     out_shape = (hs,) if squeeze else c_data.shape

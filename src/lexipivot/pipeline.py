@@ -239,10 +239,16 @@ def stage_extract(config: RunConfig, out_dir, checkpoint, corpus_dir,
             f"checkpoint feature dim {model.dims.feature_dim} does not match "
             f"corpus feature dim {config.corpus.feature_dim}")
 
-    method = config.extraction.method
     for lang in loaded.languages:
         if lang not in model.vocab_sizes:
             raise ConfigError(f"checkpoint has no language {lang!r}")
+        if model.vocab_sizes[lang] != loaded.vocabs[lang].size:
+            raise ConfigError(
+                f"checkpoint vocabulary of {lang!r} has {model.vocab_sizes[lang]} entries "
+                f"but the corpus vocabulary has {loaded.vocabs[lang].size}")
+
+    method = config.extraction.method
+    for lang in loaded.languages:
         vocab = loaded.vocabs[lang]
         manifest.counts[lang] = {}
         with manifest.timed(f"localize:{lang}"):

@@ -1,9 +1,19 @@
-"""Shared test oracles: finite differences and batch-of-one localization."""
+"""Shared test oracles: finite differences, the per-step decoder unroll and
+batch-of-one localization."""
 
 import numpy as np
 
 from lexipivot.localization import localize_batch
-from lexipivot.numerics import no_grad
+from lexipivot.numerics import (
+    Tensor,
+    additive_attention,
+    concat_cols,
+    concat_rows,
+    gather_cols,
+    lstm_step,
+    no_grad,
+    region_weighted_sum,
+)
 
 # Each evaluation of f may be off by a few ulps of |f|; a central difference
 # divides that by eps, so this many ulps of |f| over eps are round-off, not
@@ -75,3 +85,24 @@ def localize_one(model, language, features, tokens, method="probe"):
         regions = model.encode(np.asarray(features)[None]).data
     feats, weights = localize_batch(model, language, regions, [tokens], method)
     return feats[0], weights[0]
+
+
+def unroll_by_steps(embed, tokens, regions, region_part, lstm, attention=None):
+    """The teacher-forced unroll as one tape op per piece and step: the
+    composition `decoder_unroll` replaced. Caption b's token t feeds step t;
+    returns the step-major hidden states [T*B,H], T = tokens.shape[1] - 1."""
+    tokens = np.asarray(tokens, dtype=np.intp)
+    b, k = regions.shape[:2]
+    zeros = np.zeros((b, lstm.hidden_size), dtype=regions.dtype)
+    state = Tensor(zeros), Tensor(zeros.copy())
+    hidden = []
+    for t in range(tokens.shape[1] - 1):
+        if attention is None:
+            uniform = Tensor(np.full((b, k), 1.0 / k, dtype=regions.dtype))
+            context = region_weighted_sum(uniform, regions)
+        else:
+            context, _ = additive_attention(state[0], regions, region_part, *attention)
+        state = lstm_step(concat_cols([gather_cols(embed, tokens[:, t]), context]), state,
+                          lstm)
+        hidden.append(state[0])
+    return concat_rows(hidden)

@@ -230,6 +230,54 @@ class TestExtractBadCheckpoint:
         assert_one_error_line(capsys.readouterr().err, "checkpoint.json", fragment)
 
 
+# Two ways to make a checkpoint whose decode diverges. (lstm.w_hh scaled by
+# 1e30 is not one: it only saturates the gates, and the features stay finite.)
+def scale_embeddings(params):
+    for lang in ("la", "lb"):
+        params[f"embed.{lang}"].data *= 1e30  # the gold word's probability underflows
+
+
+def overflow_one_recurrent_weight(params):
+    params["lstm.w_hh"].data[0, 0] = np.inf  # 0 * inf from the zero start state
+
+
+class TestExtractMismatchedOrDivergedModel:
+    def test_vocabulary_size_mismatch_exits_2(self, trained, tmp_path, capsys):
+        _, _, checkpoint = trained
+        (tmp_path / "seven").mkdir()
+        cfg = write_config(tmp_path / "seven", corpus={"concepts": 7})
+        corpus = tmp_path / "corpus7"
+        assert run(["gen-corpus", "--config", cfg, "--out", corpus]) == 0
+        from lexipivot.corpus import read_vocabulary
+        trained_size = json.loads(checkpoint.with_suffix(".json").read_text())["languages"]["la"]
+        corpus_size = read_vocabulary(corpus / "la.vocab.tsv", "la").size
+        assert trained_size != corpus_size
+        out = tmp_path / "x"
+        code = run(["extract", "--config", cfg, "--checkpoint", checkpoint,
+                    "--corpus", corpus, "--out", out])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err, "'la'", f"{trained_size} entries",
+                              f"has {corpus_size}")
+        assert not list(out.glob("*.lxwf"))
+
+    @pytest.mark.parametrize("edit,fragment", [
+        (scale_embeddings, "decoded non-finite features"),
+        (overflow_one_recurrent_weight, "attention scores contain NaN or Inf"),
+    ], ids=["embeddings scaled by 1e30", "one infinite recurrent weight"])
+    def test_diverged_model_exits_4(self, trained, tmp_path, capsys, edit, fragment):
+        cfg, corpus, checkpoint = trained
+        weights = checkpoint.with_suffix(".lxpv")
+        params = ParamStore.load(weights)
+        edit(params)
+        params.save(weights)
+        out = tmp_path / "x"
+        code = run(["extract", "--config", cfg, "--checkpoint", checkpoint,
+                    "--corpus", corpus, "--out", out, "--method", "probe"])
+        assert code == 4
+        assert_one_error_line(capsys.readouterr().err, "la: probe localization", fragment)
+        assert not list(out.glob("*.lxwf"))
+
+
 class TestInduceEval:
     @pytest.fixture()
     def extracted(self, trained):
