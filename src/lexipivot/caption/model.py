@@ -3,8 +3,8 @@
 One affine+tanh region encoder and one LSTM decoder are shared by every
 registered language; each language owns only its embedding matrix, which
 is also the output projection (tied weights), so the hidden size equals
-the embedding size. Built with attention=False, the model drops the
-attention net and fixes the context vector to the unweighted region mean.
+the embedding size. The context vector of each decode step is additive
+attention over the encoded regions (Show, Attend and Tell).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from ..numerics import (
     gather_cols,
     lstm_step,
     matmul,
-    region_weighted_sum,
     reshape,
     row_slice,
     scale,
@@ -49,8 +48,7 @@ class ModelDims:
     max_len: int = 16       # caption length cap including sentinels
 
 
-def param_shapes(dims: ModelDims, vocab_sizes: dict[str, int],
-                 attention: bool) -> dict[str, tuple[int, ...]]:
+def param_shapes(dims: ModelDims, vocab_sizes: dict[str, int]) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter of a model built with these settings."""
     d, a = dims.embed_dim, dims.attn_dim  # hidden size = embedding size
     shapes = {
@@ -59,10 +57,11 @@ def param_shapes(dims: ModelDims, vocab_sizes: dict[str, int],
         "lstm.w_ih": (2 * d, 4 * d),
         "lstm.w_hh": (d, 4 * d),
         "lstm.bias": (4 * d,),
+        "attn.w1": (2 * d, a),
+        "attn.b1": (a,),
+        "attn.w2": (a, 1),
+        "attn.b2": (1,),
     }
-    if attention:
-        shapes.update({"attn.w1": (2 * d, a), "attn.b1": (a,), "attn.w2": (a, 1),
-                       "attn.b2": (1,)})
     for lang, n in sorted(vocab_sizes.items()):
         shapes[f"embed.{lang}"] = (d, n)
     return shapes
@@ -70,27 +69,21 @@ def param_shapes(dims: ModelDims, vocab_sizes: dict[str, int],
 
 class MultiLingualModel:
     def __init__(self, dims: ModelDims, vocab_sizes: dict[str, int], params: ParamStore,
-                 attention: bool = True, dtype=np.float64, freeze_encoder: bool = False):
+                 dtype=np.float64):
         self.dims = dims
         self.vocab_sizes = dict(vocab_sizes)
         self.params = params
-        self.attention = attention
         self.dtype = np.dtype(dtype).type
-        self.freeze_encoder = freeze_encoder
-        if freeze_encoder:
-            for name in ("encoder.weight", "encoder.bias"):
-                params[name].requires_grad = False
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def build(cls, dims: ModelDims, vocab_sizes: dict[str, int], seed: int,
-              attention: bool = True, dtype=np.float64,
-              freeze_encoder: bool = False) -> "MultiLingualModel":
+              dtype=np.float64) -> "MultiLingualModel":
         if not vocab_sizes:
             raise ConfigError("a caption model needs at least one language")
         params = ParamStore(rng_seed=seed)
-        for name, shape in param_shapes(dims, vocab_sizes, attention).items():
+        for name, shape in param_shapes(dims, vocab_sizes).items():
             if len(shape) == 1:  # biases start at zero
                 data = np.zeros(shape)
             else:
@@ -99,8 +92,7 @@ class MultiLingualModel:
             params.add(name, Tensor(data.astype(dtype)))
         h = dims.embed_dim
         params["lstm.bias"].data[h:2 * h] = 1.0  # forget-gate bias
-        return cls(dims, vocab_sizes, params, attention=attention, dtype=dtype,
-                   freeze_encoder=freeze_encoder)
+        return cls(dims, vocab_sizes, params, dtype=dtype)
 
     def embedding(self, language: str) -> Tensor:
         name = f"embed.{language}"
@@ -111,13 +103,6 @@ class MultiLingualModel:
     def lstm_weights(self) -> LstmWeights:
         return LstmWeights(self.params["lstm.w_ih"], self.params["lstm.w_hh"],
                            self.params["lstm.bias"])
-
-    def trainable_params(self) -> ParamStore:
-        sub = ParamStore(rng_seed=self.params.rng_seed)
-        for name, p in self.params.items():
-            if p.requires_grad:
-                sub.add(name, p)
-        return sub
 
     # -- forward pieces -----------------------------------------------------
 
@@ -137,20 +122,16 @@ class MultiLingualModel:
                        self.params["encoder.bias"]))
         return reshape(out, (b, k, self.dims.embed_dim))
 
-    def attention_precompute(self, regions: Tensor) -> Tensor | None:
+    def attention_precompute(self, regions: Tensor) -> Tensor:
         """Region half of the attention scores, shared across decode steps."""
-        if not self.attention:
-            return None
         b, k, d = regions.shape
         flat = reshape(regions, (b * k, d))
         w1_region = row_slice(self.params["attn.w1"], self.dims.embed_dim,
                               self.dims.embed_dim + d)
         return add(matmul(flat, w1_region), self.params["attn.b1"])
 
-    def attention_weights(self) -> tuple[Tensor, Tensor, Tensor] | None:
-        """(w1, w2, b2) of the attention scorer; None for the mean-pool model."""
-        if not self.attention:
-            return None
+    def attention_weights(self) -> tuple[Tensor, Tensor, Tensor]:
+        """(w1, w2, b2) of the attention scorer."""
         return self.params["attn.w1"], self.params["attn.w2"], self.params["attn.b2"]
 
     def attend(self, h_prev: Tensor, regions: Tensor,
@@ -159,12 +140,6 @@ class MultiLingualModel:
 
         Gradients flow through the context vector; the weights are data.
         """
-        b, k, _ = regions.shape
-        if k == 0:
-            raise ShapeError("cannot attend over zero regions")
-        if not self.attention:
-            alpha = Tensor(np.full((b, k), 1.0 / k, dtype=self.dtype))
-            return region_weighted_sum(alpha, regions), alpha
         if region_part is None:
             region_part = self.attention_precompute(regions)
         return additive_attention(h_prev, regions, region_part, *self.attention_weights())
@@ -243,9 +218,7 @@ class MultiLingualModel:
                 "max_len": self.dims.max_len,
             },
             "languages": {lang: n for lang, n in sorted(self.vocab_sizes.items())},
-            "attention": self.attention,
             "dtype": np.dtype(self.dtype).name,
-            "freeze_encoder": self.freeze_encoder,
             "seed": self.params.rng_seed,
         }
         manifest.update(extra or {})
@@ -270,13 +243,11 @@ class MultiLingualModel:
                               f"(expected {CHECKPOINT_VERSION})")
         try:
             dims = ModelDims(**manifest["dims"])
-            seed, languages = manifest["seed"], manifest["languages"]
-            attention, dtype = manifest["attention"], manifest["dtype"]
+            seed, languages, dtype = manifest["seed"], manifest["languages"], manifest["dtype"]
         except KeyError as exc:
             raise FormatError(f"{path}: checkpoint manifest has no key {exc}") from exc
         except TypeError as exc:
             raise FormatError(f"{path}: malformed checkpoint manifest ({exc})") from exc
-        freeze_encoder = manifest.get("freeze_encoder", False)
         problems = [f"dims.{name} {value!r:.60} is not a positive integer"
                     for name, value in vars(dims).items() if not _is_count(value)]
         if not (isinstance(languages, dict) and languages
@@ -284,15 +255,13 @@ class MultiLingualModel:
             problems.append(f"languages {languages!r:.60} is not a map of vocabulary sizes")
         if not _is_int(seed):
             problems.append(f"seed {seed!r:.60} is not an integer")
-        if not (isinstance(attention, bool) and isinstance(freeze_encoder, bool)):
-            problems.append("attention and freeze_encoder must be true or false")
         if dtype not in ("float32", "float64"):
             problems.append(f"dtype {dtype!r:.60} is not float32 or float64")
         if problems:
             raise FormatError(f"{path}: {'; '.join(problems)}")
         weights = prefix.with_suffix(".lxpv")
         params = ParamStore.load(weights, rng_seed=seed)
-        expected = param_shapes(dims, languages, attention)
+        expected = param_shapes(dims, languages)
         found = {name: p.data.shape for name, p in params.items()}
         if found != expected:
             name = min(set(found.items()) ^ set(expected.items()))[0]
@@ -301,11 +270,15 @@ class MultiLingualModel:
                 f"the weights but {expected.get(name, 'none')} in the manifest {path}")
         dtype = np.dtype(dtype).type
         if dtype != np.float64:
-            for _, p in params.items():
-                p.data = p.data.astype(dtype)
-        model = cls(dims, languages, params, attention=attention, dtype=dtype,
-                    freeze_encoder=freeze_encoder)
-        return model, manifest
+            for name, p in params.items():
+                try:
+                    with np.errstate(over="raise"):
+                        p.data = p.data.astype(dtype)
+                except FloatingPointError as exc:
+                    raise FormatError(
+                        f"{weights}: parameter {name!r} does not fit the dtype "
+                        f"{np.dtype(dtype).name} of the manifest {path} ({exc})") from exc
+        return cls(dims, languages, params, dtype=dtype), manifest
 
 
 def _is_int(value) -> bool:

@@ -139,7 +139,6 @@ def train(model: MultiLingualModel, data: dict[str, tuple[list, list]], features
         if not val_ex:
             raise ConfigError(f"language {lang!r} has an empty validation split")
 
-    trainable = model.trainable_params()
     adam = AdamState(learning_rate=config.learning_rate, beta1=config.beta1,
                      beta2=config.beta2, epsilon=config.epsilon)
     result = TrainingLog()
@@ -172,8 +171,8 @@ def train(model: MultiLingualModel, data: dict[str, tuple[list, list]], features
             if not np.isfinite(value):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
             loss.backward()
-            grad_norms[lang].append(clip_global_norm(trainable, config.clip_norm))
-            adam_update(_touched(trainable), adam)
+            grad_norms[lang].append(clip_global_norm(model.params, config.clip_norm))
+            adam_update(_touched(model.params), adam)
             train_ce[lang] += value * n
             train_tokens[lang] += n
         train_s = time.perf_counter() - started

@@ -27,10 +27,8 @@ INDUCTION_METHODS = ("linguistic", "visual", "fused", "cnn_mean", "cnn_avgmax")
 class ModelSection:
     embed_dim: int = 64
     attn_dim: int = 32
-    attention: bool = True
     # float32 training is ~3x faster; gradient checks always run float64
     dtype: str = "float32"
-    freeze_encoder: bool = False
 
     def validate(self):
         if self.dtype not in ("float32", "float64"):
@@ -126,8 +124,6 @@ def _fits(value, hint) -> bool:
         return any(_fits(value, arg) for arg in args)
     if origin is tuple:
         return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
-    if origin is dict:
-        return isinstance(value, dict) and all(_fits(v, args[1]) for v in value.values())
     if isinstance(value, bool):
         return hint is bool
     if hint is float:

@@ -105,9 +105,8 @@ class CorpusConfig:
     concepts: int = 50
     attributes: int = 5
     grid_side: int = 3
-    images_per_language: int | dict[str, int] = 2000
+    images_per_language: int = 2000
     captions_per_image: int = 2
-    disjoint_images: bool = True
     feature_dim: int = 32
     noise_sigma: float = 0.1
     min_count: int = 6
@@ -123,13 +122,6 @@ class CorpusConfig:
     attr_first_probabilities: tuple[float, float] = (0.8, 0.2)
     languages: tuple[str, str] = ("la", "lb")
 
-    def images_for(self, language: str) -> int:
-        if isinstance(self.images_per_language, dict):
-            if language not in self.images_per_language:
-                raise ConfigError(f"images_per_language missing language {language!r}")
-            return int(self.images_per_language[language])
-        return int(self.images_per_language)
-
     def validate(self) -> None:
         if self.concepts < 1:
             raise ConfigError(f"need at least one concept, got {self.concepts}")
@@ -137,9 +129,8 @@ class CorpusConfig:
             raise ConfigError(f"need at least one attribute, got {self.attributes}")
         if len(self.languages) != 2:
             raise ConfigError(f"exactly two languages required, got {list(self.languages)}")
-        for lang in self.languages:
-            if self.images_for(lang) < 1:
-                raise ConfigError(f"images_per_language for {lang!r} must be >= 1")
+        if self.images_per_language < 1:
+            raise ConfigError("images_per_language must be >= 1")
         if self.captions_per_image < 1:
             raise ConfigError("captions_per_image must be >= 1")
         if self.grid_side < 1:
@@ -335,30 +326,17 @@ def generate_corpus(config: CorpusConfig, seed: int) -> CorpusBundle:
         config.concepts, config.attributes, config.feature_dim, seed,
         attribute_offset=config.attribute_offset)
 
-    counts = {lang: config.images_for(lang) for lang in config.languages}
+    # disjoint image sets: language i owns scene ids i*n .. (i+1)*n - 1
+    n = config.images_per_language
     scene_rng = substream(seed, "scenes")
     scenes: dict[str, list[Scene]] = {}
-    if config.disjoint_images:
-        next_id = 0
-        for lang in config.languages:
-            groups = cooccurrence_groups(config, seed, lang)
-            scenes[lang] = [_draw_scene(next_id + i, scene_rng, config, groups)
-                            for i in range(counts[lang])]
-            next_id += counts[lang]
-    else:
-        # a shared image pool cannot carry language-specific co-occurrence
-        groups = cooccurrence_groups(config, seed, "shared")
-        pool = [_draw_scene(i, scene_rng, config, groups)
-                for i in range(max(counts.values()))]
-        for lang in config.languages:
-            scenes[lang] = pool[: counts[lang]]
+    for i, lang in enumerate(config.languages):
+        groups = cooccurrence_groups(config, seed, lang)
+        scenes[lang] = [_draw_scene(i * n + j, scene_rng, config, groups) for j in range(n)]
 
-    features: dict[int, np.ndarray] = {}
-    for lang in config.languages:
-        for scene in scenes[lang]:
-            if scene.scene_id not in features:
-                features[scene.scene_id] = render_spatial_features(
-                    scene, prototypes, config.noise_sigma, seed)
+    features = {scene.scene_id: render_spatial_features(scene, prototypes,
+                                                        config.noise_sigma, seed)
+                for lang in config.languages for scene in scenes[lang]}
 
     captions: dict[str, list[RawCaption]] = {}
     for lang in config.languages:

@@ -14,7 +14,6 @@ from .tensor import (
     grad_enabled,
     matmul,
     no_grad,
-    region_weighted_sum,
     reshape,
     row_slice,
     scale,
@@ -40,7 +39,6 @@ __all__ = [
     "lstm_step",
     "matmul",
     "no_grad",
-    "region_weighted_sum",
     "reshape",
     "row_slice",
     "scale",

@@ -270,22 +270,6 @@ def gather_cols(w: Tensor, indices: np.ndarray) -> Tensor:
     return _make(data, (w,), backward)
 
 
-def region_weighted_sum(alpha: Tensor, regions: Tensor) -> Tensor:
-    """Convex combination of region vectors: alpha [B,K], regions [B,K,D] -> [B,D]."""
-    alpha, regions = as_tensor(alpha), as_tensor(regions)
-    if alpha.data.ndim != 2 or regions.data.ndim != 3 or alpha.shape != regions.shape[:2]:
-        raise ShapeError(f"weighted sum shape mismatch: {alpha.shape} vs {regions.shape}")
-    data = np.einsum("bk,bkd->bd", alpha.data, regions.data)
-
-    def backward(g):
-        if alpha.requires_grad:
-            alpha.accumulate_grad(np.einsum("bd,bkd->bk", g, regions.data), fresh=True)
-        if regions.requires_grad:
-            regions.accumulate_grad(np.einsum("bk,bd->bkd", alpha.data, g), fresh=True)
-
-    return _make(data, (alpha, regions), backward)
-
-
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------

@@ -165,8 +165,7 @@ def build_model_from_config(config: RunConfig, vocab_sizes: dict[str, int]) -> M
     )
     return MultiLingualModel.build(
         dims, vocab_sizes, seed=derive_seed(config.seed, "init"),
-        attention=config.model.attention, dtype=np.dtype(config.model.dtype).type,
-        freeze_encoder=config.model.freeze_encoder)
+        dtype=np.dtype(config.model.dtype).type)
 
 
 def write_training_log(path, rows) -> None:

@@ -12,7 +12,7 @@ def build_corpus(**overrides):
     return generate_corpus(CorpusConfig(**base), seed=overrides.pop("seed", 7))
 
 
-def build_model(bundle, embed_dim=8, attn_dim=4, seed=5, attention=True, dtype=np.float64):
+def build_model(bundle, embed_dim=8, attn_dim=4, seed=5, dtype=np.float64):
     dims = ModelDims(
         feature_dim=bundle.config.feature_dim,
         embed_dim=embed_dim,
@@ -21,8 +21,7 @@ def build_model(bundle, embed_dim=8, attn_dim=4, seed=5, attention=True, dtype=n
         max_len=bundle.config.max_caption_len,
     )
     vocab_sizes = {lang: v.size for lang, v in bundle.vocabs.items()}
-    return MultiLingualModel.build(dims, vocab_sizes, seed=seed,
-                                   attention=attention, dtype=dtype)
+    return MultiLingualModel.build(dims, vocab_sizes, seed=seed, dtype=dtype)
 
 
 @pytest.fixture(scope="session")

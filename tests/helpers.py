@@ -12,7 +12,6 @@ from lexipivot.numerics import (
     gather_cols,
     lstm_step,
     no_grad,
-    region_weighted_sum,
 )
 
 # Each evaluation of f may be off by a few ulps of |f|; a central difference
@@ -87,21 +86,16 @@ def localize_one(model, language, features, tokens, method="probe"):
     return feats[0], weights[0]
 
 
-def unroll_by_steps(embed, tokens, regions, region_part, lstm, attention=None):
+def unroll_by_steps(embed, tokens, regions, region_part, lstm, attention):
     """The teacher-forced unroll as one tape op per piece and step: the
     composition `decoder_unroll` replaced. Caption b's token t feeds step t;
     returns the step-major hidden states [T*B,H], T = tokens.shape[1] - 1."""
     tokens = np.asarray(tokens, dtype=np.intp)
-    b, k = regions.shape[:2]
-    zeros = np.zeros((b, lstm.hidden_size), dtype=regions.dtype)
+    zeros = np.zeros((regions.shape[0], lstm.hidden_size), dtype=regions.dtype)
     state = Tensor(zeros), Tensor(zeros.copy())
     hidden = []
     for t in range(tokens.shape[1] - 1):
-        if attention is None:
-            uniform = Tensor(np.full((b, k), 1.0 / k, dtype=regions.dtype))
-            context = region_weighted_sum(uniform, regions)
-        else:
-            context, _ = additive_attention(state[0], regions, region_part, *attention)
+        context, _ = additive_attention(state[0], regions, region_part, *attention)
         state = lstm_step(concat_cols([gather_cols(embed, tokens[:, t]), context]), state,
                           lstm)
         hidden.append(state[0])

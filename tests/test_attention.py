@@ -18,7 +18,7 @@ def make_inputs(rng, b=3, k=4, h=5, d=6, a=3):
 
 def reference(h_prev, regions, region_part, w1, w2, b2):
     """The composite formulas the fused op replaced: row_slice, repeat_rows,
-    tanh, matmul, softmax and region_weighted_sum, in plain NumPy."""
+    tanh, matmul, softmax and the region-weighted sum, in plain NumPy."""
     b, k, _ = regions.shape
     hs = h_prev.shape[1]
     h_part = np.repeat(h_prev @ w1[:hs], k, axis=0)

@@ -165,14 +165,13 @@ class TestSequenceLoss:
         batch = bundle.examples[lang][:6]
         from lexipivot.caption.training import _touched
 
-        trainable = model.trainable_params()
         adam = AdamState(learning_rate=0.02)
         first = model.sequence_loss(batch, bundle.features)[0].item()
         for _ in range(50):
             model.params.zero_grads()
             loss, _ = model.sequence_loss(batch, bundle.features)
             loss.backward()
-            adam_update(_touched(trainable), adam)
+            adam_update(_touched(model.params), adam)
         final = model.sequence_loss(batch, bundle.features)[0].item()
         assert final <= 0.5 * first
 
@@ -193,7 +192,7 @@ class TestWeightSharing:
         model.params.zero_grads()
         loss, _ = model.sequence_loss(batch, bundle.features)
         loss.backward()
-        adam_update(_touched(model.trainable_params()), AdamState(learning_rate=0.1))
+        adam_update(_touched(model.params), AdamState(learning_rate=0.1))
 
         with no_grad():
             regions2 = model.encode(feats)
@@ -206,23 +205,6 @@ class TestWeightSharing:
         assert model.embedding("x").data.shape == model.embedding("y").data.shape
 
 
-class TestMeanPoolVariant:
-    def test_uniform_weights_by_construction(self):
-        model = MultiLingualModel.build(small_dims(), {"x": 9}, seed=4, attention=False)
-        regions = model.encode(np.random.default_rng(10).normal(size=(4, 6)))
-        h, _ = model.initial_state(1)
-        h.data[...] = 1.0
-        _, alpha = model.attend(h, regions)
-        np.testing.assert_allclose(alpha.data, 0.25, atol=1e-15)
-
-    def test_strictly_fewer_parameters(self):
-        attn = MultiLingualModel.build(small_dims(), {"x": 9}, seed=4)
-        mp = MultiLingualModel.build(small_dims(), {"x": 9}, seed=4, attention=False)
-        sizes = [sum(p.data.size for _, p in m.params.items()) for m in (mp, attn)]
-        assert sizes[0] < sizes[1]
-        assert "attn.w1" not in mp.params
-
-
 class TestGradients:
     def test_full_model_grad_check_small(self):
         bundle = build_corpus(images_per_language=4, captions_per_image=1)
@@ -233,7 +215,7 @@ class TestGradients:
         def f():
             return model.sequence_loss(batch, bundle.features)[0]
 
-        params = [p for _, p in model.trainable_params().items()]
+        params = [p for _, p in model.params.items()]
         assert_grads_close(f, params, tol=1e-4, eps=1e-5)
 
 

@@ -85,6 +85,21 @@ class TestGenCorpus:
         assert code == 2
         assert_one_error_line(capsys.readouterr().err, "extraction.cap")
 
+    @pytest.mark.parametrize("section,key,value,fragment", [
+        ("model", "attention", False, "unknown config key: model.attention"),
+        ("model", "freeze_encoder", True, "unknown config key: model.freeze_encoder"),
+        ("corpus", "disjoint_images", False, "unknown config key: corpus.disjoint_images"),
+        ("corpus", "images_per_language", {"la": 30, "lb": 20},
+         "config key corpus.images_per_language must be int"),
+    ], ids=["mean-pool decoder", "frozen encoder", "shared image pool",
+            "per-language image counts"])
+    def test_removed_setting_exits_2(self, tmp_path, capsys, section, key, value, fragment):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        code = run(["gen-corpus", "--config", path, "--out", tmp_path / "x"])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err, fragment)
+
     def test_io_failure_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         blocker = tmp_path / "blocked"
@@ -122,6 +137,20 @@ class TestTrain:
         assert code == 2
         assert_one_error_line(capsys.readouterr().err, "unrecognized arguments: --mono lb")
         assert not (tmp_path / "x").exists()
+
+    def test_diverged_training_exits_4_without_checkpoint(self, tmp_path):
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps({"corpus": {"concepts": 5, "images_per_language": 40},
+                                    "training": {"max_epochs": 2, "learning_rate": 1e30}}))
+        out = tmp_path / "pipe"
+        proc = subprocess.run(
+            [sys.executable, "-m", "lexipivot", "pipeline", "--config", str(path),
+             "--out", str(out)],
+            capture_output=True, text=True)
+        assert proc.returncode == 4, proc.stderr
+        assert_one_error_line(proc.stderr, "numeric failure at epoch 1",
+                              "decoder input product is not finite")
+        assert not (out / "train" / "checkpoint.lxpv").exists()
 
     def test_caption_with_unknown_image_id_exits_3(self, corpus_dir, tmp_path, capsys):
         cfg, corpus = corpus_dir
@@ -210,24 +239,77 @@ class TestExtract:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-class TestExtractBadCheckpoint:
-    @pytest.mark.parametrize("edit,fragment", [
-        (lambda text: "{bad", "not a JSON"),
-        (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
-                                  if k != "dims"}), "'dims'"),
-        (lambda text: json.dumps({**json.loads(text), "checkpoint_version": 2}),
-         "checkpoint_version 2"),
-        (lambda text: json.dumps({**json.loads(text), "attention": False}), "'attn.b1'"),
-        (lambda text: json.dumps({**json.loads(text), "dtype": "int8"}), "int8"),
-    ], ids=["undecodable", "missing key", "version", "attention off", "int8"])
-    def test_exits_3(self, trained, tmp_path, capsys, edit, fragment):
-        cfg, corpus, checkpoint = trained
+def edit_sidecar(edit):
+    """A checkpoint edit that rewrites the sidecar's text with `edit`."""
+    def apply(checkpoint):
         sidecar = checkpoint.with_suffix(".json")
         sidecar.write_text(edit(sidecar.read_text()))
+    return apply
+
+
+def edit_weights(edit):
+    """A checkpoint edit that changes the weights in place with `edit`."""
+    def apply(checkpoint):
+        weights = checkpoint.with_suffix(".lxpv")
+        params = ParamStore.load(weights)
+        edit(params)
+        params.save(weights)
+    return apply
+
+
+def mean_pool_checkpoint(checkpoint):
+    """The checkpoint of the mean-pool decoder, whose context was the region
+    mean: `"attention": false` in the sidecar and no `attn.*` weights."""
+    edit_sidecar(lambda text: json.dumps({**json.loads(text), "attention": False}))(checkpoint)
+    weights = checkpoint.with_suffix(".lxpv")
+    kept = ParamStore()
+    for name, p in ParamStore.load(weights).items():
+        if not name.startswith("attn."):
+            kept.add(name, p)
+    kept.save(weights)
+
+
+def one_weight_beyond_float32(params):
+    params["lstm.w_hh"].data[0, 0] = 1e300  # float64 on disk, float32 in the sidecar
+
+
+def add_removed_keys(text):
+    """The sidecar as the caption model with attention and encoder settings wrote it."""
+    return json.dumps({**json.loads(text), "attention": True, "freeze_encoder": False})
+
+
+class TestExtractBadCheckpoint:
+    @pytest.mark.parametrize("edit,fragment", [
+        (edit_sidecar(lambda text: "{bad"), "not a JSON"),
+        (edit_sidecar(lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                               if k != "dims"})), "'dims'"),
+        (edit_sidecar(lambda text: json.dumps({**json.loads(text), "checkpoint_version": 2})),
+         "checkpoint_version 2"),
+        (mean_pool_checkpoint, "'attn.b1'"),
+        (edit_sidecar(lambda text: json.dumps({**json.loads(text), "dtype": "int8"})), "int8"),
+        (edit_weights(one_weight_beyond_float32), "'lstm.w_hh'"),
+    ], ids=["undecodable", "missing key", "version", "attention off", "int8",
+            "weight beyond float32"])
+    def test_exits_3(self, trained, tmp_path, capsys, edit, fragment):
+        cfg, corpus, checkpoint = trained
+        edit(checkpoint)
         code = run(["extract", "--config", cfg, "--checkpoint", checkpoint,
                     "--corpus", corpus, "--out", tmp_path / "x"])
         assert code == 3
         assert_one_error_line(capsys.readouterr().err, "checkpoint.json", fragment)
+
+    def test_sidecar_with_removed_model_keys_extracts_identically(self, trained, tmp_path):
+        cfg, corpus, checkpoint = trained
+        before, after = tmp_path / "as written", tmp_path / "with removed keys"
+        assert run(["extract", "--config", cfg, "--checkpoint", checkpoint,
+                    "--corpus", corpus, "--out", before]) == 0
+        edit_sidecar(add_removed_keys)(checkpoint)
+        assert run(["extract", "--config", cfg, "--checkpoint", checkpoint,
+                    "--corpus", corpus, "--out", after]) == 0
+        names = sorted(path.name for path in before.glob("*.lxwf"))
+        assert names and names == sorted(path.name for path in after.glob("*.lxwf"))
+        for name in names:
+            assert (before / name).read_bytes() == (after / name).read_bytes(), name
 
 
 # Two ways to make a checkpoint whose decode diverges. (lstm.w_hh scaled by

@@ -62,18 +62,11 @@ class TestGeneration:
         assert a.captions != b.captions
 
     def test_disjoint_scene_ids(self):
-        bundle = generate_corpus(tiny_config(disjoint_images=True), seed=5)
+        bundle = generate_corpus(tiny_config(), seed=5)
         la, lb = bundle.config.languages
         ids_a = {s.scene_id for s in bundle.scenes[la]}
         ids_b = {s.scene_id for s in bundle.scenes[lb]}
         assert not (ids_a & ids_b)
-
-    def test_shared_pool_when_not_disjoint(self):
-        bundle = generate_corpus(tiny_config(disjoint_images=False), seed=5)
-        la, lb = bundle.config.languages
-        ids_a = {s.scene_id for s in bundle.scenes[la]}
-        ids_b = {s.scene_id for s in bundle.scenes[lb]}
-        assert ids_a & ids_b
 
     def test_lexicon_consistency_by_construction(self):
         bundle = generate_corpus(tiny_config(), seed=11)

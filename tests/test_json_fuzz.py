@@ -61,7 +61,7 @@ def test_config_values_read_or_raise_config_error(assignments):
 @pytest.mark.parametrize("key,value", [
     ("threads", "a"), ("seed", "x"), ("seed", True), ("corpus.languages", 5),
     ("training.max_epochs", None), ("extraction.cap", "3"), ("induction.ks", 5),
-    ("model.attention", 1),
+    ("model.embed_dim", "8"),
 ])
 def test_wrongly_typed_value_names_its_key(key, value):
     with pytest.raises(ConfigError, match=f"config key {key} must be"):
@@ -124,13 +124,12 @@ def test_edited_sidecar_loads_consistently_or_raises_format_error(checkpoint, da
     except FormatError:
         return
     shapes = {name: p.data.shape for name, p in model.params.items()}
-    assert shapes == param_shapes(model.dims, model.vocab_sizes, model.attention)
-    assert isinstance(model.attention, bool)
+    assert shapes == param_shapes(model.dims, model.vocab_sizes)
     assert all(p.data.dtype == model.dtype and model.dtype in (np.float32, np.float64)
                for _, p in model.params.items())
 
 
-# `"attention": false` and `"dtype": "int8"` go through the CLI in test_cli
+# a mean-pool checkpoint and `"dtype": "int8"` go through the CLI in test_cli
 @pytest.mark.parametrize("key,value,fragment", [
     ("dims.embed_dim", 9, "'attn.w1'"),
     ("dims.embed_dim", "8", "dims.embed_dim"),

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lexipivot import localization
-from lexipivot.caption import ModelDims, MultiLingualModel
 from lexipivot.corpus.vocab import BOS, EOS, UNK, CaptionedExample
 from lexipivot.errors import FormatError, InputError
 from lexipivot.localization import (
@@ -107,21 +106,6 @@ class TestAttentionLocalization:
         _, weights = localize_one(model, lang, bundle.features[ex.scene_id], ex.tokens,
                                   "attention")
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-9)
-
-    def test_mean_pool_model_degenerates_to_region_mean(self, setup):
-        bundle, _, lang = setup
-        vocab_sizes = {l: v.size for l, v in bundle.vocabs.items()}
-        dims = ModelDims(feature_dim=8, embed_dim=8, attn_dim=4,
-                         num_regions=4, max_len=16)
-        mp = MultiLingualModel.build(dims, vocab_sizes, seed=2, attention=False)
-        ex = bundle.examples[lang][0]
-        feats = bundle.features[ex.scene_id]
-        feature, weights = localize_one(mp, lang, feats, ex.tokens, "attention")
-        with no_grad():
-            a = mp.encode(np.asarray(feats)[None]).data[0]
-        np.testing.assert_allclose(feature, np.broadcast_to(a.mean(axis=0), feature.shape),
-                                   atol=1e-12)
-        np.testing.assert_allclose(weights, 0.25, atol=1e-12)
 
 
 class TestCollection:

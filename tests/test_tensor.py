@@ -17,7 +17,6 @@ from lexipivot.numerics import (
     gather_cols,
     matmul,
     no_grad,
-    region_weighted_sum,
     reshape,
     row_slice,
     tanh,
@@ -243,21 +242,6 @@ class TestElementwiseBackward:
     def test_gather_cols_bounds(self):
         with pytest.raises(IndexError):
             gather_cols(Tensor(np.zeros((2, 3))), np.array([3]))
-
-    def test_region_weighted_sum_backward(self):
-        rng = np.random.default_rng(8)
-        alpha = Tensor(rng.uniform(size=(2, 3)), requires_grad=True)
-        regions = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        w = rng.normal(size=(2, 4))
-
-        def f():
-            return _weighted_sum(region_weighted_sum(alpha, regions), w)
-
-        assert_grads_close(f, [alpha, regions], tol=1e-6)
-
-    def test_region_weighted_sum_shape_error(self):
-        with pytest.raises(ShapeError):
-            region_weighted_sum(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4, 5))))
 
 
 class TestTapeMechanics:
