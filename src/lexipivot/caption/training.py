@@ -26,9 +26,6 @@ class TrainingConfig:
     patience: int = 10
     clip_norm: float = 5.0
     val_fraction: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -139,8 +136,7 @@ def train(model: MultiLingualModel, data: dict[str, tuple[list, list]], features
         if not val_ex:
             raise ConfigError(f"language {lang!r} has an empty validation split")
 
-    adam = AdamState(learning_rate=config.learning_rate, beta1=config.beta1,
-                     beta2=config.beta2, epsilon=config.epsilon)
+    adam = AdamState(learning_rate=config.learning_rate)
     result = TrainingLog()
     best_snapshot = model.params.state_arrays()
     since_best = 0

@@ -54,12 +54,7 @@ class ExtractionSection:
 class InductionSection:
     methods: tuple[str, ...] = INDUCTION_METHODS
     fusion_lambda: float = 0.5
-    top_k: int = 20
-    full_rankings: bool = False
-    baseline_set_cap: int = 100
     ks: tuple[int, ...] = (1, 5, 10, 20)
-    source_language: str | None = None
-    target_language: str | None = None
 
     def validate(self):
         for m in self.methods:

@@ -90,8 +90,9 @@ def write_captions(path, captions: list[RawCaption]) -> None:
             fh.write(f"{cap.image_id}\t{cap.language_id}\t{cap.text}\n")
 
 
-def read_captions(path, language: str | None = None) -> list[RawCaption]:
-    """Parse caption records; tokenization is whitespace + lowercase."""
+def read_captions(path, language: str) -> list[RawCaption]:
+    """Parse caption records, all of `language`; tokenization is whitespace
+    + lowercase."""
     rows: list[RawCaption] = []
     for lineno, line in text_records(path):
         parts = line.split("\t")
@@ -99,6 +100,9 @@ def read_captions(path, language: str | None = None) -> list[RawCaption]:
             raise FormatError(
                 f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
         raw_id, lang, text = parts
+        if lang != language:
+            raise FormatError(
+                f"{path}:{lineno}: caption language {lang!r} in a {language!r} captions file")
         try:
             image_id = int(raw_id)
         except ValueError as exc:
@@ -106,8 +110,7 @@ def read_captions(path, language: str | None = None) -> list[RawCaption]:
         words = tuple(text.lower().split())
         if not words:
             raise FormatError(f"{path}:{lineno}: empty caption text")
-        if language is None or lang == language:
-            rows.append(RawCaption(image_id=image_id, language_id=lang, words=words))
+        rows.append(RawCaption(image_id=image_id, language_id=lang, words=words))
     return rows
 
 

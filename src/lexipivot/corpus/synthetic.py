@@ -22,6 +22,14 @@ from .lexicon import GroundTruthLexicon
 from .vocab import CaptionedExample, RawCaption, Vocabulary, build_vocabulary, index_captions
 
 FUNCTION_ROLES = ("det", "fill")
+# weight of an attribute's prototype added to its concept's region vector
+ATTRIBUTE_OFFSET = 0.5
+# each concept co-occurs with a small, language-specific group of other
+# concepts: marginal concept coverage overlaps across languages, but a
+# word's whole-image context differs systematically between them
+COOCCUR_GROUP_SIZE = 4
+# P(attribute before noun) for language slots 0 and 1
+ATTR_FIRST_PROBABILITIES = (0.8, 0.2)
 
 # syllable inventories; one per language slot so word forms never look alike
 _SYLLABLES = (
@@ -69,8 +77,7 @@ class SyntheticLanguageSpec:
     language_id: str
     concept_to_word: dict[int, str]
     attribute_to_word: dict[int, str]
-    function_words: dict[str, str]  # role -> word
-    order_template: tuple[str, ...]  # clause skeleton, e.g. (det, content, fill)
+    function_words: dict[str, str]  # role -> word, one per FUNCTION_ROLES
     attr_first_probability: float
     pos_of_word: dict[str, str]
 
@@ -78,26 +85,13 @@ class SyntheticLanguageSpec:
         words = list(self.concept_to_word.values())
         if len(set(words)) != len(words):
             raise InputError(f"{self.language_id}: concept words are not unique")
-        missing = [r for r in self.order_template
-                   if r not in ("attr", "noun", "content") and r not in self.function_words]
-        if missing:
-            raise InputError(f"{self.language_id}: template roles without words: {missing}")
 
     def clause(self, concept: int, attributes: tuple[int, ...],
                attr_first: bool) -> list[str]:
-        out = []
-        for role in self.order_template:
-            if role == "content":
-                noun = [self.concept_to_word[concept]]
-                attrs = [self.attribute_to_word[a] for a in attributes]
-                out.extend(attrs + noun if attr_first else noun + attrs)
-            elif role == "noun":
-                out.append(self.concept_to_word[concept])
-            elif role == "attr":
-                out.extend(self.attribute_to_word[a] for a in attributes)
-            else:
-                out.append(self.function_words[role])
-        return out
+        noun = [self.concept_to_word[concept]]
+        attrs = [self.attribute_to_word[a] for a in attributes]
+        content = attrs + noun if attr_first else noun + attrs
+        return [self.function_words["det"], *content, self.function_words["fill"]]
 
 
 @dataclass
@@ -111,15 +105,8 @@ class CorpusConfig:
     noise_sigma: float = 0.1
     min_count: int = 6
     max_caption_len: int = 16
-    attribute_offset: float = 0.5
     min_concepts_per_scene: int = 2
     max_concepts_per_scene: int = 4
-    # each concept co-occurs with a small, language-specific group of other
-    # concepts: marginal concept coverage overlaps across languages, but a
-    # word's whole-image context differs systematically between them
-    # (0 disables the structure: mates drawn uniformly)
-    cooccur_group_size: int = 4
-    attr_first_probabilities: tuple[float, float] = (0.8, 0.2)
     languages: tuple[str, str] = ("la", "lb")
 
     def validate(self) -> None:
@@ -129,6 +116,8 @@ class CorpusConfig:
             raise ConfigError(f"need at least one attribute, got {self.attributes}")
         if len(self.languages) != 2:
             raise ConfigError(f"exactly two languages required, got {list(self.languages)}")
+        if self.languages[0] == self.languages[1]:
+            raise ConfigError(f"the two languages must differ, got {list(self.languages)}")
         if self.images_per_language < 1:
             raise ConfigError("images_per_language must be >= 1")
         if self.captions_per_image < 1:
@@ -139,11 +128,6 @@ class CorpusConfig:
             raise ConfigError(f"feature_dim must be >= 8, got {self.feature_dim}")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be >= 0")
-        if self.cooccur_group_size < 0:
-            raise ConfigError("cooccur_group_size must be >= 0")
-        if len(self.attr_first_probabilities) != 2 or \
-                any(not 0.0 <= p <= 1.0 for p in self.attr_first_probabilities):
-            raise ConfigError("attr_first_probabilities must be two values in [0,1]")
         if self.min_concepts_per_scene < 1 \
                 or self.min_concepts_per_scene > self.max_concepts_per_scene:
             raise ConfigError("need 1 <= min_concepts_per_scene <= max_concepts_per_scene")
@@ -169,11 +153,10 @@ class ConceptPrototypes:
     concept: np.ndarray
     attribute: np.ndarray
     background: np.ndarray
-    attribute_offset: float
 
     @classmethod
     def build(cls, n_concepts: int, n_attributes: int, feature_dim: int,
-              seed: int, attribute_offset: float = 0.5) -> "ConceptPrototypes":
+              seed: int) -> "ConceptPrototypes":
         if feature_dim < 8:
             raise ConfigError(f"feature_dim must be >= 8, got {feature_dim}")
         rng = substream(seed, "prototypes")
@@ -184,7 +167,6 @@ class ConceptPrototypes:
             concept=unit(n_concepts),
             attribute=unit(n_attributes),
             background=unit(1)[0],
-            attribute_offset=attribute_offset,
         )
 
 
@@ -197,7 +179,7 @@ def render_spatial_features(scene: Scene, prototypes: ConceptPrototypes,
     for region, concept, attributes in scene.slots:
         vec = prototypes.concept[concept].copy()
         for a in attributes:
-            vec += prototypes.attribute_offset * prototypes.attribute[a]
+            vec += ATTRIBUTE_OFFSET * prototypes.attribute[a]
         base[region] = vec
     noise = substream(seed, f"noise:{scene.scene_id}").normal(size=(k, d))
     return (base + noise_sigma * noise).astype(np.float32)
@@ -250,8 +232,7 @@ def build_language_spec(language_id: str, slot: int, config: CorpusConfig,
         concept_to_word=dict(enumerate(concept_words)),
         attribute_to_word=dict(enumerate(attribute_words)),
         function_words=function_words,
-        order_template=("det", "content", "fill"),
-        attr_first_probability=float(config.attr_first_probabilities[slot]),
+        attr_first_probability=ATTR_FIRST_PROBABILITIES[slot],
         pos_of_word=pos,
     )
 
@@ -262,10 +243,10 @@ def cooccurrence_groups(config: CorpusConfig, seed: int, label: str) -> dict[int
     groups: dict[int, list[int]] = {}
     for c in range(config.concepts):
         others = [x for x in range(config.concepts) if x != c]
-        if config.cooccur_group_size == 0 or not others:
+        if not others:  # a single-concept corpus
             groups[c] = others
         else:
-            size = min(config.cooccur_group_size, len(others))
+            size = min(COOCCUR_GROUP_SIZE, len(others))
             groups[c] = sorted(int(x) for x in rng.choice(others, size=size, replace=False))
     return groups
 
@@ -323,8 +304,7 @@ def generate_corpus(config: CorpusConfig, seed: int) -> CorpusBundle:
         lang_b: build_language_spec(lang_b, 1, config, seed),
     }
     prototypes = ConceptPrototypes.build(
-        config.concepts, config.attributes, config.feature_dim, seed,
-        attribute_offset=config.attribute_offset)
+        config.concepts, config.attributes, config.feature_dim, seed)
 
     # disjoint image sets: language i owns scene ids i*n .. (i+1)*n - 1
     n = config.images_per_language

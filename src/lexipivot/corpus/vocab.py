@@ -61,12 +61,6 @@ class Vocabulary:
     def encode(self, words) -> list[int]:
         return [self.index(w) for w in words]
 
-    def decode(self, indices, keep_sentinels: bool = False) -> list[str]:
-        words = [self.index_to_word[i] for i in indices]
-        if keep_sentinels:
-            return words
-        return [w for i, w in zip(indices, words) if i >= len(RESERVED)]
-
 
 def build_vocabulary(captions, min_count: int = 6) -> Vocabulary:
     """Index words occurring at least `min_count` times (strict 'more than

@@ -32,6 +32,8 @@ from .seeding import substream
 ZERO_NORM = 1e-12
 BOTTOM_SCORE = -2.0  # below any cosine; ranks unscorable targets last
 DEFAULT_KS = (1, 5, 10, 20)
+RANKING_WIDTH = 20  # candidates per source word in rankings.tsv
+BASELINE_SET_CAP = 100  # global image rows kept per word for the CNN baselines
 
 
 def unit(vector: np.ndarray) -> np.ndarray | None:
@@ -395,14 +397,13 @@ def pos_breakdown(rankings: dict[str, TranslationRanking],
 # ---------------------------------------------------------------------------
 
 
-def write_rankings(path, rankings_by_method: dict[str, dict[str, TranslationRanking]],
-                   top_k: int = 20, full: bool = False) -> None:
-    """source TAB method TAB comma-joined target:score (6 decimals)."""
+def write_rankings(path, rankings_by_method: dict[str, dict[str, TranslationRanking]]) -> None:
+    """source TAB method TAB comma-joined target:score (6 decimals), the top
+    RANKING_WIDTH candidates per source word."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for method in sorted(rankings_by_method):
             for source_word in sorted(rankings_by_method[method]):
-                ranking = rankings_by_method[method][source_word]
-                items = ranking.items if full else ranking.items[:top_k]
+                items = rankings_by_method[method][source_word].items[:RANKING_WIDTH]
                 cells = ",".join(f"{w}:{s:.6f}" for w, s in items)
                 fh.write(f"{source_word}\t{method}\t{cells}\n")
 

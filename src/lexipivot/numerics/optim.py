@@ -9,13 +9,13 @@ import numpy as np
 from ..errors import OptimizerStateError
 from .params import ParamStore
 
+# Kingma and Ba's defaults (arXiv:1412.6980)
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
@@ -47,10 +47,9 @@ def adam_update(params: ParamStore, state: AdamState) -> None:
             raise OptimizerStateError(f"parameter {name!r} has no gradient")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
     # lr * m_hat / (sqrt(v_hat) + eps), with the bias corrections folded into scalars
-    step_size = state.learning_rate / (1.0 - b1 ** t)
-    v_scale = 1.0 / (1.0 - b2 ** t)
+    step_size = state.learning_rate / (1.0 - BETA1 ** t)
+    v_scale = 1.0 / (1.0 - BETA2 ** t)
     for name, p in params.items():
         g = p.grad
         m = state.first_moment.get(name)
@@ -58,13 +57,13 @@ def adam_update(params: ParamStore, state: AdamState) -> None:
         if m is None:
             m = state.first_moment[name] = np.zeros_like(p.data)
             v = state.second_moment[name] = np.zeros_like(p.data)
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * np.square(g)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * np.square(g)
         denom = v * v_scale
         np.sqrt(denom, out=denom)
-        denom += state.epsilon
+        denom += EPSILON
         update = step_size * m
         update /= denom
         p.data -= update

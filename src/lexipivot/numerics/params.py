@@ -51,9 +51,6 @@ class ParamStore:
         for name in self.names():
             yield name, self._params[name]
 
-    def tensors(self) -> list[Tensor]:
-        return [self._params[n] for n in self.names()]
-
     def zero_grads(self) -> None:
         for _, p in self.items():
             p.zero_grad()

@@ -40,6 +40,7 @@ from .corpus import (
 )
 from .errors import ConfigError, EmptyResultError, FormatError
 from .induction import (
+    BASELINE_SET_CAP,
     build_table,
     cnn_avgmax_rank,
     cnn_mean_rank,
@@ -271,7 +272,7 @@ def stage_extract(config: RunConfig, out_dir, checkpoint, corpus_dir,
 
             global_sets = collect_global_feature_sets(
                 model, loaded.examples[lang], loaded.features, vocab,
-                cap=config.induction.baseline_set_cap, seed=config.seed)
+                cap=BASELINE_SET_CAP, seed=config.seed)
             global_entries = {w: (len(rows), rows) for w, rows in global_sets.items()}
             global_path = table_file(out_dir, lang, "global")
             write_word_features(global_path, lang, global_entries, aggregated=False)
@@ -299,14 +300,6 @@ def _load_tables(features_dir, languages, method: str):
             lang, {w: word_rows[0] for w, word_rows in rows["linguistic"].items()},
             rows[f"visual-{method}"], rows["global"])
     return tables
-
-
-def induction_pair(config: RunConfig) -> tuple[str, str]:
-    src = config.induction.source_language or config.corpus.languages[0]
-    tgt = config.induction.target_language or config.corpus.languages[1]
-    if src == tgt:
-        raise ConfigError("source and target language must differ")
-    return src, tgt
 
 
 def compute_rankings(config: RunConfig, tables, source: str, target: str) -> dict[str, dict]:
@@ -357,8 +350,9 @@ def reports_for(methods: dict[str, dict], lexicon, ks) -> list:
 
 
 def stage_induce(config: RunConfig, out_dir, features_dir, lexicon_path) -> dict:
+    """Rank the words of the first corpus language against the second's."""
     out_dir, manifest = _prepare(config, out_dir, "induce")
-    source, target = induction_pair(config)
+    source, target = config.corpus.languages
     with manifest.timed("load"):
         lexicon = read_lexicon(lexicon_path, source, target)
         manifest.add_input(lexicon_path)
@@ -370,8 +364,7 @@ def stage_induce(config: RunConfig, out_dir, features_dir, lexicon_path) -> dict
         reports = reports_for(methods, lexicon, config.induction.ks)
     with manifest.timed("write"):
         rankings_path = out_dir / "rankings.tsv"
-        write_rankings(rankings_path, methods, top_k=config.induction.top_k,
-                       full=config.induction.full_rankings)
+        write_rankings(rankings_path, methods)
         csv_path, json_path = out_dir / "report.csv", out_dir / "report.json"
         write_report_csv(csv_path, reports)
         write_report_json(json_path, reports)
@@ -384,7 +377,7 @@ def stage_induce(config: RunConfig, out_dir, features_dir, lexicon_path) -> dict
 def stage_eval(config: RunConfig, out_dir, rankings_path, lexicon_path) -> dict:
     """Re-score existing rankings (possibly truncated) against a lexicon."""
     out_dir, manifest = _prepare(config, out_dir, "eval")
-    source, target = induction_pair(config)
+    source, target = config.corpus.languages
     with manifest.timed("load"):
         lexicon = read_lexicon(lexicon_path, source, target)
         methods = read_rankings(rankings_path)

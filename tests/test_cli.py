@@ -91,14 +91,46 @@ class TestGenCorpus:
         ("corpus", "disjoint_images", False, "unknown config key: corpus.disjoint_images"),
         ("corpus", "images_per_language", {"la": 30, "lb": 20},
          "config key corpus.images_per_language must be int"),
+        ("corpus", "attribute_offset", 0.5, "unknown config key: corpus.attribute_offset"),
+        ("corpus", "cooccur_group_size", 4, "unknown config key: corpus.cooccur_group_size"),
+        ("corpus", "attr_first_probabilities", [0.8, 0.2],
+         "unknown config key: corpus.attr_first_probabilities"),
+        ("training", "beta1", 0.9, "unknown config key: training.beta1"),
+        ("training", "beta2", 0.999, "unknown config key: training.beta2"),
+        ("training", "epsilon", 1e-8, "unknown config key: training.epsilon"),
+        ("induction", "full_rankings", True, "unknown config key: induction.full_rankings"),
+        ("induction", "top_k", 20, "unknown config key: induction.top_k"),
+        ("induction", "baseline_set_cap", 100,
+         "unknown config key: induction.baseline_set_cap"),
+        ("induction", "source_language", "lb", "unknown config key: induction.source_language"),
+        ("induction", "target_language", "la", "unknown config key: induction.target_language"),
     ], ids=["mean-pool decoder", "frozen encoder", "shared image pool",
-            "per-language image counts"])
+            "per-language image counts", "attribute offset", "co-occurrence group size",
+            "attribute-first probabilities", "adam beta1", "adam beta2", "adam epsilon",
+            "full rankings", "ranking width", "baseline set cap", "source language",
+            "target language"])
     def test_removed_setting_exits_2(self, tmp_path, capsys, section, key, value, fragment):
         path = tmp_path / "old.json"
         path.write_text(json.dumps({section: {key: value}}))
         code = run(["gen-corpus", "--config", path, "--out", tmp_path / "x"])
         assert code == 2
         assert_one_error_line(capsys.readouterr().err, fragment)
+
+    @pytest.mark.parametrize("command,args", [
+        ("gen-corpus", []),
+        ("train", ["--corpus", "c"]),
+        ("extract", ["--corpus", "c", "--checkpoint", "k"]),
+        ("induce", ["--tables", "t", "--lexicon", "l"]),
+        ("eval", ["--rankings", "r", "--lexicon", "l"]),
+        ("pipeline", []),
+    ])
+    def test_equal_languages_exit_2_before_any_stage(self, tmp_path, capsys, command, args):
+        cfg = write_config(tmp_path, corpus={"languages": ["la", "la"]})
+        out = tmp_path / "x"
+        code = run([command, "--config", cfg, "--out", out, *args])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err, "languages must differ")
+        assert not out.exists()
 
     def test_io_failure_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -151,6 +183,18 @@ class TestTrain:
         assert_one_error_line(proc.stderr, "numeric failure at epoch 1",
                               "decoder input product is not finite")
         assert not (out / "train" / "checkpoint.lxpv").exists()
+
+    def test_caption_of_other_language_exits_3(self, corpus_dir, tmp_path, capsys):
+        cfg, corpus = corpus_dir
+        path = corpus / "la.captions.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = lines[2].replace("\tla\t", "\tlb\t")
+        path.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "x"
+        code = run(["train", "--config", cfg, "--corpus", corpus, "--out", out])
+        assert code == 3
+        assert_one_error_line(capsys.readouterr().err, "la.captions.tsv:3", "'lb'", "'la'")
+        assert not (out / "checkpoint.lxpv").exists()
 
     def test_caption_with_unknown_image_id_exits_3(self, corpus_dir, tmp_path, capsys):
         cfg, corpus = corpus_dir

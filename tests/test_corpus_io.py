@@ -90,20 +90,26 @@ class TestCaptionsFile:
     def test_lowercase_whitespace_tokenization(self, tmp_path):
         path = tmp_path / "caps.tsv"
         path.write_text("3\tde\tEin  GROSSER Hund\n", encoding="utf-8")
-        (cap,) = read_captions(path)
+        (cap,) = read_captions(path, "de")
         assert cap.words == ("ein", "grosser", "hund")
 
     def test_bad_column_count_names_line(self, tmp_path):
         path = tmp_path / "caps.tsv"
         path.write_text("1\tde\tok caption\nbroken line\n", encoding="utf-8")
         with pytest.raises(FormatError, match=":2:"):
-            read_captions(path)
+            read_captions(path, "de")
 
     def test_non_integer_id(self, tmp_path):
         path = tmp_path / "caps.tsv"
         path.write_text("abc\tde\twords here\n", encoding="utf-8")
         with pytest.raises(FormatError, match="abc"):
-            read_captions(path)
+            read_captions(path, "de")
+
+    def test_record_of_other_language_names_line(self, tmp_path):
+        path = tmp_path / "caps.tsv"
+        path.write_text("1\tde\tein hund\n2\ten\ta dog\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"caps\.tsv:2: .*'en'.*'de'"):
+            read_captions(path, "de")
 
     def test_known_token_counts_fixture(self, tmp_path):
         # three images, hand-written captions with 3, 5, and 2 tokens

@@ -501,7 +501,7 @@ class TestFiles:
                            key=lambda kv: (-kv[1], kv[0]))
             rankings[w] = TranslationRanking(w, "fused", items)
         path = tmp_path / "rankings.tsv"
-        write_rankings(path, {"fused": rankings}, top_k=20)
+        write_rankings(path, {"fused": rankings})
         loaded = read_rankings(path)
         for w in rankings:
             got = loaded["fused"][w].items
@@ -512,11 +512,10 @@ class TestFiles:
     def test_rankings_truncation(self, tmp_path):
         items = [(f"t{i:02d}", 1.0 - i * 0.01) for i in range(30)]
         rankings = {"w": TranslationRanking("w", "fused", items)}
-        short, full = tmp_path / "short.tsv", tmp_path / "full.tsv"
-        write_rankings(short, {"fused": rankings}, top_k=20)
-        write_rankings(full, {"fused": rankings}, full=True)
-        assert len(read_rankings(short)["fused"]["w"].items) == 20
-        assert len(read_rankings(full)["fused"]["w"].items) == 30
+        path = tmp_path / "rankings.tsv"
+        write_rankings(path, {"fused": rankings})
+        assert [w for w, _ in read_rankings(path)["fused"]["w"].items] == \
+            [w for w, _ in items[:20]]
 
     def test_report_files(self, tmp_path):
         report = EvalReport(method="fused", pos="all", n=10, mrr=0.625,
