@@ -24,7 +24,7 @@ import numpy as np  # noqa: E402
 
 from lexipivot.caption import split_by_scene  # noqa: E402
 from lexipivot.config import RunConfig, load_config  # noqa: E402
-from lexipivot.pipeline import run_pipeline  # noqa: E402
+from lexipivot.pipeline import load_corpus, run_pipeline  # noqa: E402
 from lexipivot.seeding import derive_seed  # noqa: E402
 
 
@@ -37,8 +37,8 @@ def measurements(config: RunConfig, result: dict, rows: list, elapsed: float) ->
     log = result["train"]["log"]
     train_s = _timings(result["train"]["out_dir"])["train"]
     # the tokens of one epoch: every non-PAD target of the training splits,
-    # as the train stage splits them
-    examples = result["corpus"]["bundle"].examples
+    # as the train stage reads and splits them
+    examples = load_corpus(config, result["corpus"]["out_dir"]).examples
     epoch_tokens = sum(
         len(ex.tokens) - 1 for lang in config.corpus.languages
         for ex in split_by_scene(examples[lang], config.training.val_fraction,

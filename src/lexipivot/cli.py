@@ -64,16 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--checkpoint", type=Path, required=True,
                     help="checkpoint prefix (without extension)")
     ex.add_argument("--corpus", type=Path, required=True)
-    ex.add_argument("--method", choices=("probe", "attention"), default=None,
-                    help="override extraction method")
 
     ind = commands.add_parser("induce", help="rank translations and evaluate")
     _common_args(ind)
     ind.add_argument("--tables", type=Path, required=True,
                      help="directory with .lxwf feature tables")
     ind.add_argument("--lexicon", type=Path, required=True)
-    ind.add_argument("--methods", nargs="+", default=None,
-                     help="subset of scoring methods")
 
     ev = commands.add_parser("eval", help="re-score existing rankings")
     _common_args(ev)
@@ -93,11 +89,6 @@ def _resolve_config(args) -> RunConfig:
         config.seed = args.seed
     if args.out is not None:
         config.out_dir = str(args.out)
-    if getattr(args, "method", None):
-        config.extraction.method = args.method
-    if getattr(args, "methods", None):
-        config.induction.methods = tuple(args.methods)
-        config.induction.validate()
     return config
 
 

@@ -57,10 +57,14 @@ class InductionSection:
     ks: tuple[int, ...] = (1, 5, 10, 20)
 
     def validate(self):
+        if not self.methods:
+            raise ConfigError("induction.methods must name at least one method")
         for m in self.methods:
             if m not in INDUCTION_METHODS:
                 raise ConfigError(f"unknown induction method {m!r}; "
                                   f"choose from {list(INDUCTION_METHODS)}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ConfigError(f"induction.methods repeats a method: {list(self.methods)}")
         if not 0.0 <= self.fusion_lambda <= 1.0:
             raise ConfigError("induction.fusion_lambda must be in [0, 1]")
         if not self.ks or any(k < 1 for k in self.ks):

@@ -12,6 +12,7 @@ their words is the ground-truth translation lexicon.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,6 +117,11 @@ class CorpusConfig:
             raise ConfigError(f"need at least one attribute, got {self.attributes}")
         if len(self.languages) != 2:
             raise ConfigError(f"exactly two languages required, got {list(self.languages)}")
+        for name in self.languages:
+            # a language name is the stem of its corpus and table file names
+            if not re.fullmatch(r"[A-Za-z0-9_-]+", name):
+                raise ConfigError(f"language name {name!r} must be letters, digits, "
+                                  f"'_' or '-'")
         if self.languages[0] == self.languages[1]:
             raise ConfigError(f"the two languages must differ, got {list(self.languages)}")
         if self.images_per_language < 1:

@@ -20,13 +20,11 @@ import numpy as np
 from .caption import (
     ModelDims,
     MultiLingualModel,
-    TrainingConfig,
     split_by_scene,
     train,
 )
 from .config import RunConfig
 from .corpus import (
-    CorpusBundle,
     generate_corpus,
     index_captions,
     read_captions,
@@ -105,7 +103,7 @@ def stage_gen_corpus(config: RunConfig, out_dir) -> dict:
     log.info("corpus written to %s (%d + %d captions)", out_dir,
              len(bundle.captions[config.corpus.languages[0]]),
              len(bundle.captions[config.corpus.languages[1]]))
-    return {"out_dir": out_dir, "bundle": bundle}
+    return {"out_dir": out_dir}
 
 
 @dataclass
@@ -114,10 +112,12 @@ class LoadedCorpus:
     features: dict[int, np.ndarray]
     examples: dict[str, list]
     vocabs: dict
-    lexicon: object
 
 
-def load_corpus(config: RunConfig, corpus_dir) -> LoadedCorpus:
+def load_corpus(config: RunConfig, corpus_dir, manifest: RunManifest | None = None
+                ) -> LoadedCorpus:
+    """The corpus files of both languages (not the lexicon), each recorded
+    as an input of `manifest` when one is given."""
     corpus_dir = Path(corpus_dir)
     languages = tuple(config.corpus.languages)
     features: dict[int, np.ndarray] = {}
@@ -136,19 +136,11 @@ def load_corpus(config: RunConfig, corpus_dir) -> LoadedCorpus:
                     f"{cap.image_id}, which is not in {features_path}")
         examples[lang] = index_captions(captions, vocab, config.corpus.max_caption_len)
         vocabs[lang] = vocab
-    lexicon = read_lexicon(corpus_dir / "lexicon.tsv", *languages)
+        if manifest is not None:
+            for kind in ("features", "captions", "vocab"):
+                manifest.add_input(corpus_file(corpus_dir, lang, kind))
     return LoadedCorpus(languages=languages, features=features, examples=examples,
-                        vocabs=vocabs, lexicon=lexicon)
-
-
-def bundle_as_loaded(bundle: CorpusBundle) -> LoadedCorpus:
-    return LoadedCorpus(
-        languages=tuple(bundle.config.languages),
-        features=bundle.features,
-        examples=bundle.examples,
-        vocabs=bundle.vocabs,
-        lexicon=bundle.lexicon,
-    )
+                        vocabs=vocabs)
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +172,10 @@ def write_training_log(path, rows) -> None:
                              f"{r.clipped_fraction:.8f}"])
 
 
-def stage_train(config: RunConfig, out_dir, corpus_dir,
-                corpus: LoadedCorpus | None = None) -> dict:
+def stage_train(config: RunConfig, out_dir, corpus_dir) -> dict:
     out_dir, manifest = _prepare(config, out_dir, "train")
     with manifest.timed("load"):
-        loaded = corpus if corpus is not None else load_corpus(config, corpus_dir)
+        loaded = load_corpus(config, corpus_dir, manifest)
 
     model = build_model_from_config(
         config, {lang: loaded.vocabs[lang].size for lang in loaded.languages})
@@ -199,7 +190,7 @@ def stage_train(config: RunConfig, out_dir, corpus_dir,
     with manifest.timed("write"):
         prefix = out_dir / "checkpoint"
         vocab_paths = {lang: str(corpus_file(corpus_dir, lang, "vocab"))
-                       for lang in loaded.languages} if corpus_dir else {}
+                       for lang in loaded.languages}
         model.save_checkpoint(prefix, extra={
             "vocab_paths": vocab_paths,
             "best_epoch": result.best_epoch,
@@ -225,15 +216,14 @@ def table_file(features_dir, language: str, kind: str) -> Path:
     return Path(features_dir) / f"{language}.{kind}.lxwf"
 
 
-def stage_extract(config: RunConfig, out_dir, checkpoint, corpus_dir,
-                  corpus: LoadedCorpus | None = None,
-                  model: MultiLingualModel | None = None) -> dict:
+def stage_extract(config: RunConfig, out_dir, checkpoint, corpus_dir) -> dict:
     out_dir, manifest = _prepare(config, out_dir, "extract")
     with manifest.timed("load"):
-        loaded = corpus if corpus is not None else load_corpus(config, corpus_dir)
-        if model is None:
-            model, _ = MultiLingualModel.load_checkpoint(checkpoint)
-            manifest.add_input(Path(checkpoint).with_suffix(".lxpv"))
+        loaded = load_corpus(config, corpus_dir, manifest)
+        model, _ = MultiLingualModel.load_checkpoint(checkpoint)
+        # the sidecar sets the dtype and dims the weights are decoded with
+        for suffix in (".lxpv", ".json"):
+            manifest.add_input(Path(checkpoint).with_suffix(suffix))
     if model.dims.feature_dim != config.corpus.feature_dim:
         raise ConfigError(
             f"checkpoint feature dim {model.dims.feature_dim} does not match "
@@ -401,20 +391,20 @@ def stage_eval(config: RunConfig, out_dir, rankings_path, lexicon_path) -> dict:
 
 
 def run_pipeline(config: RunConfig, out_dir) -> dict:
+    """The four stages, each reading what the one before it wrote, as the
+    CLI subcommands run them."""
     out_dir, manifest = _prepare(config, out_dir, "pipeline")
+    corpus_dir = out_dir / "corpus"
     with manifest.timed("gen-corpus"):
-        gen = stage_gen_corpus(config, out_dir / "corpus")
-    loaded = bundle_as_loaded(gen["bundle"])
+        gen = stage_gen_corpus(config, corpus_dir)
     with manifest.timed("train"):
-        trained = stage_train(config, out_dir / "train", out_dir / "corpus",
-                              corpus=loaded)
+        trained = stage_train(config, out_dir / "train", corpus_dir)
     with manifest.timed("extract"):
-        extracted = stage_extract(config, out_dir / "features",
-                                  trained["checkpoint"], out_dir / "corpus",
-                                  corpus=loaded, model=trained["model"])
+        extracted = stage_extract(config, out_dir / "features", trained["checkpoint"],
+                                  corpus_dir)
     with manifest.timed("induce"):
-        induced = stage_induce(config, out_dir / "induction",
-                               extracted["out_dir"], out_dir / "corpus" / "lexicon.tsv")
+        induced = stage_induce(config, out_dir / "induction", extracted["out_dir"],
+                               corpus_dir / "lexicon.tsv")
     manifest.write(out_dir)
     return {
         "out_dir": out_dir,

@@ -125,12 +125,19 @@ class TestGenCorpus:
         ("pipeline", []),
     ])
     def test_equal_languages_exit_2_before_any_stage(self, tmp_path, capsys, command, args):
-        cfg = write_config(tmp_path, corpus={"languages": ["la", "la"]})
-        out = tmp_path / "x"
-        code = run([command, "--config", cfg, "--out", out, *args])
-        assert code == 2
-        assert_one_error_line(capsys.readouterr().err, "languages must differ")
-        assert not out.exists()
+        """Two equal languages, or a language name that is no file-name stem."""
+        for languages, fragment in [
+                (["la", "la"], "languages must differ"),
+                (["", "lb"], "language name ''"),
+                ([".", "lb"], "language name '.'"),
+                (["l\ta", "lb"], "language name 'l\\ta'"),
+                (["x/y", "lb"], "language name 'x/y'")]:
+            cfg = write_config(tmp_path, corpus={"languages": languages})
+            out = tmp_path / "x"
+            code = run([command, "--config", cfg, "--out", out, *args])
+            assert code == 2, languages
+            assert_one_error_line(capsys.readouterr().err, fragment)
+            assert not out.exists()
 
     def test_io_failure_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -169,6 +176,14 @@ class TestTrain:
         assert code == 2
         assert_one_error_line(capsys.readouterr().err, "unrecognized arguments: --mono lb")
         assert not (tmp_path / "x").exists()
+
+    def test_train_and_extract_run_without_the_lexicon(self, corpus_dir, tmp_path):
+        cfg, corpus = corpus_dir
+        (corpus / "lexicon.tsv").unlink()
+        train_out = tmp_path / "train"
+        assert run(["train", "--config", cfg, "--corpus", corpus, "--out", train_out]) == 0
+        assert run(["extract", "--config", cfg, "--checkpoint", train_out / "checkpoint",
+                    "--corpus", corpus, "--out", tmp_path / "feats"]) == 0
 
     def test_diverged_training_exits_4_without_checkpoint(self, tmp_path):
         path = tmp_path / "diverge.json"
@@ -217,13 +232,14 @@ def trained(corpus_dir, tmp_path):
 
 class TestExtract:
     def test_methods_write_distinct_tables_same_inventory(self, trained, tmp_path):
-        cfg, corpus, checkpoint = trained
+        _, corpus, checkpoint = trained
         out_p = tmp_path / "probe"
         out_a = tmp_path / "attn"
-        assert run(["extract", "--config", cfg, "--checkpoint", checkpoint,
-                    "--corpus", corpus, "--out", out_p, "--method", "probe"]) == 0
-        assert run(["extract", "--config", cfg, "--checkpoint", checkpoint,
-                    "--corpus", corpus, "--out", out_a, "--method", "attention"]) == 0
+        for method, out in (("probe", out_p), ("attention", out_a)):
+            (tmp_path / f"{method}-config").mkdir()
+            cfg = write_config(tmp_path / f"{method}-config", extraction={"method": method})
+            assert run(["extract", "--config", cfg, "--checkpoint", checkpoint,
+                        "--corpus", corpus, "--out", out]) == 0
         from lexipivot.localization import read_word_features
         _, _, probe = read_word_features(out_p / "la.visual-probe.lxwf")
         _, _, attn = read_word_features(out_a / "la.visual-attention.lxwf")
@@ -391,14 +407,16 @@ class TestExtractMismatchedOrDivergedModel:
         (overflow_one_recurrent_weight, "attention scores contain NaN or Inf"),
     ], ids=["embeddings scaled by 1e30", "one infinite recurrent weight"])
     def test_diverged_model_exits_4(self, trained, tmp_path, capsys, edit, fragment):
-        cfg, corpus, checkpoint = trained
+        _, corpus, checkpoint = trained
+        (tmp_path / "probe").mkdir()
+        cfg = write_config(tmp_path / "probe", extraction={"method": "probe"})
         weights = checkpoint.with_suffix(".lxpv")
         params = ParamStore.load(weights)
         edit(params)
         params.save(weights)
         out = tmp_path / "x"
         code = run(["extract", "--config", cfg, "--checkpoint", checkpoint,
-                    "--corpus", corpus, "--out", out, "--method", "probe"])
+                    "--corpus", corpus, "--out", out])
         assert code == 4
         assert_one_error_line(capsys.readouterr().err, "la: probe localization", fragment)
         assert not list(out.glob("*.lxwf"))
@@ -414,11 +432,12 @@ class TestInduceEval:
         return cfg, corpus, out
 
     def test_single_method_report_rows(self, extracted, tmp_path):
-        cfg, corpus, tables = extracted
+        _, corpus, tables = extracted
+        (tmp_path / "fused").mkdir()
+        cfg = write_config(tmp_path / "fused", induction={"methods": ["fused"]})
         out = tmp_path / "induce"
         assert run(["induce", "--config", cfg, "--tables", tables,
-                    "--lexicon", corpus / "lexicon.tsv", "--out", out,
-                    "--methods", "fused"]) == 0
+                    "--lexicon", corpus / "lexicon.tsv", "--out", out]) == 0
         rows = (out / "report.csv").read_text().splitlines()
         methods = {line.split(",")[0] for line in rows[1:]}
         assert methods == {"fused"}
@@ -475,11 +494,12 @@ class TestInduceEval:
         assert_one_error_line(capsys.readouterr().err, "linguistic table for la")
 
     def test_eval_rescores_rankings(self, extracted, tmp_path):
-        cfg, corpus, tables = extracted
+        _, corpus, tables = extracted
+        (tmp_path / "two").mkdir()
+        cfg = write_config(tmp_path / "two", induction={"methods": ["fused", "linguistic"]})
         induce_out = tmp_path / "induce"
         assert run(["induce", "--config", cfg, "--tables", tables,
-                    "--lexicon", corpus / "lexicon.tsv", "--out", induce_out,
-                    "--methods", "fused", "linguistic"]) == 0
+                    "--lexicon", corpus / "lexicon.tsv", "--out", induce_out]) == 0
         eval_out = tmp_path / "eval"
         assert run(["eval", "--config", cfg, "--rankings", induce_out / "rankings.tsv",
                     "--lexicon", corpus / "lexicon.tsv", "--out", eval_out]) == 0
@@ -529,6 +549,52 @@ class TestPipeline:
             assert (out / sub / "manifest.json").exists()
         report = json.loads((out / "induction" / "report.json").read_text())
         assert report["reports"]
+
+    def test_matches_the_stages_run_one_by_one(self, tmp_path):
+        cfg = write_config(tmp_path)
+        pipe, stages = tmp_path / "pipe", tmp_path / "stages"
+        assert run(["pipeline", "--config", cfg, "--out", pipe]) == 0
+        assert run(["gen-corpus", "--config", cfg, "--out", stages / "corpus"]) == 0
+        assert run(["train", "--config", cfg, "--corpus", stages / "corpus",
+                    "--out", stages / "train"]) == 0
+        assert run(["extract", "--config", cfg, "--checkpoint", stages / "train" / "checkpoint",
+                    "--corpus", stages / "corpus", "--out", stages / "features"]) == 0
+        assert run(["induce", "--config", cfg, "--tables", stages / "features",
+                    "--lexicon", stages / "corpus" / "lexicon.tsv",
+                    "--out", stages / "induction"]) == 0
+        corpus_files = [f"corpus/{lang}.{suffix}" for lang in ("la", "lb")
+                        for suffix in ("features.lxpf", "captions.tsv", "vocab.tsv")]
+        tables = [f"features/{lang}.{kind}.lxwf" for lang in ("la", "lb")
+                  for kind in ("visual-probe", "linguistic", "global")]
+        for name in [*corpus_files, "corpus/lexicon.tsv", "train/checkpoint.lxpv",
+                     "train/log.csv", *tables, "induction/rankings.tsv",
+                     "induction/report.csv", "induction/report.json"]:
+            assert (pipe / name).read_bytes() == (stages / name).read_bytes(), name
+        # the checkpoint sidecars differ only in the corpus paths they name
+        sidecars = [json.loads((out / "train" / "checkpoint.json").read_text())
+                    for out in (pipe, stages)]
+        for sidecar in sidecars:
+            sidecar.pop("vocab_paths")
+        assert sidecars[0] == sidecars[1]
+
+        from lexipivot.manifest import file_digest
+        inputs = json.loads((pipe / "features" / "manifest.json").read_text())["inputs"]
+        expected = [pipe / "train" / "checkpoint.lxpv", pipe / "train" / "checkpoint.json",
+                    *(pipe / f for f in corpus_files)]
+        assert inputs == {str(path): file_digest(path) for path in expected}
+        train_inputs = json.loads((pipe / "train" / "manifest.json").read_text())["inputs"]
+        assert train_inputs == {str(pipe / f): file_digest(pipe / f) for f in corpus_files}
+
+    @pytest.mark.parametrize("command,args", [
+        ("extract", ["--checkpoint", "k", "--corpus", "c", "--method", "probe"]),
+        ("induce", ["--tables", "t", "--lexicon", "l", "--methods", "fused"]),
+    ])
+    def test_removed_method_flags_are_usage_errors(self, tmp_path, capsys, command, args):
+        out = tmp_path / "x"
+        assert run([command, "--out", out, *args]) == 2
+        assert_one_error_line(capsys.readouterr().err,
+                              f"unrecognized arguments: {' '.join(args[-2:])}")
+        assert not out.exists()
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:

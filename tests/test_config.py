@@ -50,6 +50,10 @@ def test_invalid_values_rejected():
         config_from_dict({"extraction": {"method": "pixels"}})
     with pytest.raises(ConfigError):
         config_from_dict({"induction": {"methods": ["fused", "bogus"]}})
+    with pytest.raises(ConfigError, match="at least one method"):
+        config_from_dict({"induction": {"methods": []}})
+    with pytest.raises(ConfigError, match="repeats a method"):
+        config_from_dict({"induction": {"methods": ["fused", "visual", "fused"]}})
     with pytest.raises(ConfigError):
         config_from_dict({"induction": {"fusion_lambda": 2.0}})
     with pytest.raises(ConfigError):
