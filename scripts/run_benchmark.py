@@ -24,6 +24,7 @@ import numpy as np  # noqa: E402
 
 from lexipivot.caption import split_by_scene  # noqa: E402
 from lexipivot.config import RunConfig, load_config  # noqa: E402
+from lexipivot.errors import LexipivotError  # noqa: E402
 from lexipivot.pipeline import load_corpus, run_pipeline  # noqa: E402
 from lexipivot.seeding import derive_seed  # noqa: E402
 
@@ -88,14 +89,17 @@ def main() -> int:
                         help="write the run's measurements to this file")
     args = parser.parse_args()
 
-    config = load_config(args.config) if args.config else RunConfig()
-    config.validate()
-    if args.seed is not None:
-        config.seed = args.seed
-
-    start = time.time()
-    result = run_pipeline(config, args.out)
-    elapsed = time.time() - start
+    try:
+        config = load_config(args.config) if args.config else RunConfig()
+        config.validate()
+        if args.seed is not None:
+            config.seed = args.seed
+        start = time.time()
+        result = run_pipeline(config, args.out)
+        elapsed = time.time() - start
+    except LexipivotError as exc:  # the exit codes and error line of the CLI
+        print(f"lexipivot-error: {exc}", file=sys.stderr)
+        return exc.exit_code
 
     report = json.loads((result["induce"]["out_dir"] / "report.json").read_text())
     rows = [r for r in report["reports"] if r["pos"] == "all"]

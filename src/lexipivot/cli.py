@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    lexipivot <gen-corpus|train|extract|induce|eval|pipeline>
+    lexipivot <gen-corpus|train|extract|induce|pipeline>
               --config FILE [--seed N] [--out DIR] ...
 
 Exit codes: 0 success, 2 config or usage error, 3 IO/format error, 4
@@ -71,11 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="directory with .lxwf feature tables")
     ind.add_argument("--lexicon", type=Path, required=True)
 
-    ev = commands.add_parser("eval", help="re-score existing rankings")
-    _common_args(ev)
-    ev.add_argument("--rankings", type=Path, required=True)
-    ev.add_argument("--lexicon", type=Path, required=True)
-
     pipe = commands.add_parser("pipeline", help="run all stages into one directory")
     _common_args(pipe)
     return parser
@@ -106,8 +101,6 @@ def main(argv=None) -> int:
             pipeline.stage_extract(config, out, args.checkpoint, args.corpus)
         elif args.command == "induce":
             pipeline.stage_induce(config, out, args.tables, args.lexicon)
-        elif args.command == "eval":
-            pipeline.stage_eval(config, out, args.rankings, args.lexicon)
         elif args.command == "pipeline":
             pipeline.run_pipeline(config, out)
         return 0

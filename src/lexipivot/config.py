@@ -54,7 +54,6 @@ class ExtractionSection:
 class InductionSection:
     methods: tuple[str, ...] = INDUCTION_METHODS
     fusion_lambda: float = 0.5
-    ks: tuple[int, ...] = (1, 5, 10, 20)
 
     def validate(self):
         if not self.methods:
@@ -67,8 +66,6 @@ class InductionSection:
             raise ConfigError(f"induction.methods repeats a method: {list(self.methods)}")
         if not 0.0 <= self.fusion_lambda <= 1.0:
             raise ConfigError("induction.fusion_lambda must be in [0, 1]")
-        if not self.ks or any(k < 1 for k in self.ks):
-            raise ConfigError("induction.ks must be positive ranks")
 
 
 @dataclass

@@ -80,7 +80,6 @@ class SyntheticLanguageSpec:
     attribute_to_word: dict[int, str]
     function_words: dict[str, str]  # role -> word, one per FUNCTION_ROLES
     attr_first_probability: float
-    pos_of_word: dict[str, str]
 
     def __post_init__(self):
         words = list(self.concept_to_word.values())
@@ -230,16 +229,12 @@ def build_language_spec(language_id: str, slot: int, config: CorpusConfig,
     attribute_words = _make_words(rng, syllables, config.attributes, (2, 3), taken)
     function_words = dict(zip(FUNCTION_ROLES,
                               _make_words(rng, syllables, len(FUNCTION_ROLES), (1, 1), taken)))
-    pos = {w: "noun" for w in concept_words}
-    pos.update({w: "adj" for w in attribute_words})
-    pos.update({w: "func" for w in function_words.values()})
     return SyntheticLanguageSpec(
         language_id=language_id,
         concept_to_word=dict(enumerate(concept_words)),
         attribute_to_word=dict(enumerate(attribute_words)),
         function_words=function_words,
         attr_first_probability=ATTR_FIRST_PROBABILITIES[slot],
-        pos_of_word=pos,
     )
 
 

@@ -21,17 +21,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .caption.model import MultiLingualModel
-from .corpus.fileio import text_records
 from .corpus.lexicon import GroundTruthLexicon
 from .corpus.vocab import RESERVED, Vocabulary
-from .errors import EmptyResultError, FormatError, InputError, NoVisualError
+from .errors import EmptyResultError, InputError, NoVisualError
 from .localization import ROW_CAP
 from .numerics import no_grad
 from .seeding import substream
 
 ZERO_NORM = 1e-12
 BOTTOM_SCORE = -2.0  # below any cosine; ranks unscorable targets last
-DEFAULT_KS = (1, 5, 10, 20)
+KS = (1, 5, 10, 20)  # the report's precision cut-offs
 RANKING_WIDTH = 20  # candidates per source word in rankings.tsv
 BASELINE_SET_CAP = 100  # global image rows kept per word for the CNN baselines
 
@@ -82,12 +81,12 @@ def _first_dim(sets) -> int:
 class WordFeatureTable:
     """One language's induction inputs as matrices, rows in sorted word order.
 
-    `words` index the linguistic and visual rows. The global image sets of
-    the CNN baselines have their own sorted `global_words`: set means, and
-    every set member as an index into the distinct unit image rows
-    (`global_rows`), word i owning `global_inverse[global_offsets[i]:
-    global_offsets[i + 1]]`. Rows with no usable vector are zero and
-    flagged False in `has_visual` / `global_mean_valid`.
+    `words` index every row. The global image sets of the CNN baselines are
+    held as set means, and every set member as an index into the distinct
+    unit image rows (`global_rows`), word i owning `global_inverse[
+    global_offsets[i]:global_offsets[i + 1]]`, an empty range when it has
+    no set. Rows with no usable vector are zero and flagged False in
+    `has_visual` / `global_mean_valid`.
     """
 
     language_id: str
@@ -95,31 +94,20 @@ class WordFeatureTable:
     linguistic: np.ndarray         # [n, d] unit rows
     visual: np.ndarray             # [n, d_v] unit rows
     has_visual: np.ndarray         # [n] bool
-    global_words: list[str]
-    global_mean: np.ndarray        # [g, d_g] unit set means
-    global_mean_valid: np.ndarray  # [g] bool: set non-empty, mean non-zero
+    global_mean: np.ndarray        # [n, d_g] unit set means
+    global_mean_valid: np.ndarray  # [n] bool: set non-empty, mean non-zero
     global_rows: np.ndarray        # [u, d_g] distinct unit image rows
     global_inverse: np.ndarray     # [set members] row of global_rows
-    global_offsets: np.ndarray     # [g + 1]
+    global_offsets: np.ndarray     # [n + 1]
     _row: dict[str, int] = field(init=False, repr=False)
-    _global_row: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         self._row = {w: i for i, w in enumerate(self.words)}
-        self._global_row = {w: i for i, w in enumerate(self.global_words)}
 
     def row(self, word: str) -> int:
         if word not in self._row:
             raise KeyError(f"{self.language_id}: no features for word {word!r}")
         return self._row[word]
-
-    def global_row(self, word: str) -> int:
-        if word not in self._global_row:
-            raise KeyError(f"{self.language_id}: no image set for word {word!r}")
-        return self._global_row[word]
-
-    def visual_words(self) -> list[str]:
-        return [w for w, ok in zip(self.words, self.has_visual) if ok]
 
 
 def linguistic_vectors(model: MultiLingualModel, language: str,
@@ -142,16 +130,16 @@ def build_table(language_id: str, linguistic: dict[str, np.ndarray],
 
     `linguistic` holds unit vectors (as `linguistic_vectors` makes them)
     and names the table's words; a word's visual vector is the unit mean
-    of its `visual_sets` rows, and words outside `linguistic` are dropped.
-    `global_sets` holds each word's global image rows for the baselines.
+    of its `visual_sets` rows. `global_sets` holds each word's global image
+    rows for the baselines. Sets of words outside `linguistic` are dropped.
     """
     visual_sets, global_sets = visual_sets or {}, global_sets or {}
     words = sorted(linguistic)
     visual = [mean_unit(visual_sets[w]) if w in visual_sets else None for w in words]
     d_v = _first_dim(v for v in visual if v is not None)
-    global_words = sorted(global_sets)
-    sets = [np.asarray(global_sets[w], dtype=np.float64) for w in global_words]
-    d_g = _first_dim(sets)
+    d_g = _first_dim(global_sets[w] for w in words if w in global_sets)
+    sets = [np.asarray(global_sets.get(w, np.zeros((0, d_g))), dtype=np.float64)
+            for w in words]
     means = [mean_unit(s) for s in sets]
     distinct, inverse = _distinct_rows(sets, d_g)
     return WordFeatureTable(
@@ -160,7 +148,6 @@ def build_table(language_id: str, linguistic: dict[str, np.ndarray],
         linguistic=_stacked([linguistic[w] for w in words], _first_dim(linguistic.values())),
         visual=_stacked([np.zeros(d_v) if v is None else v for v in visual], d_v),
         has_visual=np.array([v is not None for v in visual], dtype=bool),
-        global_words=global_words,
         global_mean=_stacked([np.zeros(d_g) if m is None else m for m in means], d_g),
         global_mean_valid=np.array([m is not None for m in means], dtype=bool),
         global_rows=distinct,
@@ -288,13 +275,14 @@ def fused_rank(x: str, source: WordFeatureTable, target: WordFeatureTable,
 
 def cnn_mean_rank(x: str, source: WordFeatureTable,
                   target: WordFeatureTable) -> TranslationRanking:
-    """Cosine of the two set means over global image features."""
-    i = source.global_row(x)
+    """Cosine of the two set means over global image features; targets
+    without one rank last."""
+    i = source.row(x)
     if not source.global_mean_valid[i]:
         raise NoVisualError(f"{x!r} has an empty or degenerate global feature set")
     valid = target.global_mean_valid
     scores = _row_dots(target.global_mean, source.global_mean[i], valid)
-    return _ranked(x, "cnn_mean", target.global_words, scores,
+    return _ranked(x, "cnn_mean", target.words, scores,
                    int(np.count_nonzero(~valid)))
 
 
@@ -304,20 +292,21 @@ def cnn_avgmax_rank(x: str, source: WordFeatureTable,
 
     One product against the target's distinct image rows; every set
     member gathers its row, `maximum.reduceat` takes each set's best per
-    source image, and the mean runs along the contiguous axis.
+    source image, and the mean runs along the contiguous axis. Targets
+    without an image set rank last.
     """
-    i = source.global_row(x)
+    i = source.row(x)
     start, stop = source.global_offsets[i:i + 2]
     if start == stop:
         raise NoVisualError(f"{x!r} has an empty image set")
     src = source.global_rows[source.global_inverse[start:stop]]
     filled = np.diff(target.global_offsets) > 0
-    scores = np.full(len(target.global_words), BOTTOM_SCORE)
+    scores = np.full(len(target.words), BOTTOM_SCORE)
     if filled.any():
         sims = (target.global_rows @ src.T)[target.global_inverse]  # [members, m]
         best = np.maximum.reduceat(sims, target.global_offsets[:-1][filled], axis=0)
         scores[filled] = best.mean(axis=1)
-    return _ranked(x, "cnn_avgmax", target.global_words, scores,
+    return _ranked(x, "cnn_avgmax", target.words, scores,
                    int(np.count_nonzero(~filled)))
 
 
@@ -338,16 +327,14 @@ class EvalReport:
 
 
 def evaluate(rankings: dict[str, TranslationRanking], lexicon: GroundTruthLexicon,
-             ks=DEFAULT_KS, method: str | None = None, pos: str = "all",
-             words=None) -> EvalReport:
+             method: str | None = None, pos: str = "all", words=None) -> EvalReport:
     """MRR/P@K over the lexicon's source words (1-based ranks, best target).
 
     Source words without a ranking, or whose acceptable targets are all
     missing from the candidate list, are skipped and counted.
     """
-    ks = tuple(sorted(ks))
     total_rr = 0.0
-    hits = {k: 0 for k in ks}
+    hits = {k: 0 for k in KS}
     n = skipped = fallback = 0
     pool = sorted(words) if words is not None else sorted(lexicon.entries)
     for source_word in pool:
@@ -362,7 +349,7 @@ def evaluate(rankings: dict[str, TranslationRanking], lexicon: GroundTruthLexico
             continue
         best = min(ranks)
         total_rr += 1.0 / best
-        for k in ks:
+        for k in KS:
             if best <= k:
                 hits[k] += 1
         fallback += ranking.fallback_pairs
@@ -371,13 +358,13 @@ def evaluate(rankings: dict[str, TranslationRanking], lexicon: GroundTruthLexico
         raise EmptyResultError(f"no evaluable source words (skipped {skipped})")
     name = method or next(iter(rankings.values())).method
     return EvalReport(method=name, pos=pos, n=n, mrr=total_rr / n,
-                      p_at={k: hits[k] / n for k in ks}, skipped=skipped,
+                      p_at={k: hits[k] / n for k in KS}, skipped=skipped,
                       fallback_pairs=fallback)
 
 
 def pos_breakdown(rankings: dict[str, TranslationRanking],
-                  lexicon: GroundTruthLexicon, ks=DEFAULT_KS,
-                  method: str | None = None) -> list[EvalReport]:
+                  lexicon: GroundTruthLexicon, method: str | None = None
+                  ) -> list[EvalReport]:
     """Per-POS rows; words without a tag fall in the "unk" group."""
     groups: dict[str, list[str]] = {}
     for word in lexicon.entries:
@@ -385,8 +372,8 @@ def pos_breakdown(rankings: dict[str, TranslationRanking],
     reports = []
     for tag in sorted(groups):
         try:
-            reports.append(evaluate(rankings, lexicon, ks=ks, method=method,
-                                    pos=tag, words=groups[tag]))
+            reports.append(evaluate(rankings, lexicon, method=method, pos=tag,
+                                    words=groups[tag]))
         except EmptyResultError:
             continue
     return reports
@@ -406,28 +393,6 @@ def write_rankings(path, rankings_by_method: dict[str, dict[str, TranslationRank
                 items = rankings_by_method[method][source_word].items[:RANKING_WIDTH]
                 cells = ",".join(f"{w}:{s:.6f}" for w, s in items)
                 fh.write(f"{source_word}\t{method}\t{cells}\n")
-
-
-def read_rankings(path) -> dict[str, dict[str, TranslationRanking]]:
-    out: dict[str, dict[str, TranslationRanking]] = {}
-    for lineno, line in text_records(path):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise FormatError(
-                f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
-        source_word, method, cells = parts
-        items = []
-        for cell in cells.split(","):
-            word, _, score = cell.rpartition(":")
-            try:
-                items.append((word, float(score)))
-            except ValueError as exc:
-                raise FormatError(
-                    f"{path}:{lineno}: score {score!r} of candidate {word!r} "
-                    f"is not a number") from exc
-        out.setdefault(method, {})[source_word] = TranslationRanking(
-            source_word, method, items)
-    return out
 
 
 def report_rows(reports: list[EvalReport]) -> list[dict]:

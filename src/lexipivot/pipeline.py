@@ -48,7 +48,6 @@ from .induction import (
     linguistic_rank,
     linguistic_vectors,
     pos_breakdown,
-    read_rankings,
     visual_rank,
     write_rankings,
     write_report_csv,
@@ -295,23 +294,25 @@ def _load_tables(features_dir, languages, method: str):
 def compute_rankings(config: RunConfig, tables, source: str, target: str) -> dict[str, dict]:
     """{method: {source word: ranking}}, one `<method>_rank` call per source word.
 
-    The visual method skips source words without a visual vector; the CNN
-    baselines rank the words that have a global image set.
+    Every method ranks the source words it can score against all target
+    words, and skips the rest: visual needs a visual vector, cnn_mean a
+    non-zero global set mean and cnn_avgmax a non-empty global set.
     """
     src, tgt = tables[source], tables[target]
+    every = np.ones(len(src.words), dtype=bool)
     # looked up at call time, so that wrappers set on this module apply
     rankers = {
-        "linguistic": (linguistic_rank, src.words),
-        "visual": (visual_rank, src.visual_words()),
-        "fused": (partial(fused_rank, fusion_lambda=config.induction.fusion_lambda),
-                  src.words),
-        "cnn_mean": (cnn_mean_rank, src.global_words),
-        "cnn_avgmax": (cnn_avgmax_rank, src.global_words),
+        "linguistic": (linguistic_rank, every),
+        "visual": (visual_rank, src.has_visual),
+        "fused": (partial(fused_rank, fusion_lambda=config.induction.fusion_lambda), every),
+        "cnn_mean": (cnn_mean_rank, src.global_mean_valid),
+        "cnn_avgmax": (cnn_avgmax_rank, np.diff(src.global_offsets) > 0),
     }
     methods = {}
     for method in config.induction.methods:
-        rank, words = rankers[method]
-        methods[method] = {word: rank(word, src, tgt) for word in words}
+        rank, scorable = rankers[method]
+        methods[method] = {word: rank(word, src, tgt)
+                           for word, ok in zip(src.words, scorable) if ok}
     return methods
 
 
@@ -323,17 +324,17 @@ def ranking_counts(methods: dict[str, dict], source_words: list[str]) -> dict[st
             for method, rankings in sorted(methods.items())}
 
 
-def reports_for(methods: dict[str, dict], lexicon, ks) -> list:
+def reports_for(methods: dict[str, dict], lexicon) -> list:
     reports = []
     for method in sorted(methods):
         rankings = methods[method]
         if not rankings:
             continue
         try:
-            reports.append(evaluate(rankings, lexicon, ks=ks, method=method))
+            reports.append(evaluate(rankings, lexicon, method=method))
         except EmptyResultError:
             continue
-        reports.extend(pos_breakdown(rankings, lexicon, ks=ks, method=method))
+        reports.extend(pos_breakdown(rankings, lexicon, method=method))
     if not reports:
         raise EmptyResultError("no evaluable source words for any method")
     return reports
@@ -351,7 +352,7 @@ def stage_induce(config: RunConfig, out_dir, features_dir, lexicon_path) -> dict
         methods = compute_rankings(config, tables, source, target)
     manifest.counts = ranking_counts(methods, tables[source].words)
     with manifest.timed("evaluate"):
-        reports = reports_for(methods, lexicon, config.induction.ks)
+        reports = reports_for(methods, lexicon)
     with manifest.timed("write"):
         rankings_path = out_dir / "rankings.tsv"
         write_rankings(rankings_path, methods)
@@ -362,27 +363,6 @@ def stage_induce(config: RunConfig, out_dir, features_dir, lexicon_path) -> dict
             manifest.add_output(p)
     manifest.write(out_dir)
     return {"out_dir": out_dir, "methods": methods, "reports": reports}
-
-
-def stage_eval(config: RunConfig, out_dir, rankings_path, lexicon_path) -> dict:
-    """Re-score existing rankings (possibly truncated) against a lexicon."""
-    out_dir, manifest = _prepare(config, out_dir, "eval")
-    source, target = config.corpus.languages
-    with manifest.timed("load"):
-        lexicon = read_lexicon(lexicon_path, source, target)
-        methods = read_rankings(rankings_path)
-        manifest.add_input(rankings_path)
-        manifest.add_input(lexicon_path)
-    with manifest.timed("evaluate"):
-        reports = reports_for(methods, lexicon, config.induction.ks)
-    with manifest.timed("write"):
-        csv_path, json_path = out_dir / "report.csv", out_dir / "report.json"
-        write_report_csv(csv_path, reports)
-        write_report_json(json_path, reports)
-        manifest.add_output(csv_path)
-        manifest.add_output(json_path)
-    manifest.write(out_dir)
-    return {"out_dir": out_dir, "reports": reports}
 
 
 # ---------------------------------------------------------------------------

@@ -104,11 +104,12 @@ class TestGenCorpus:
          "unknown config key: induction.baseline_set_cap"),
         ("induction", "source_language", "lb", "unknown config key: induction.source_language"),
         ("induction", "target_language", "la", "unknown config key: induction.target_language"),
+        ("induction", "ks", [1, 5, 10, 20], "unknown config key: induction.ks"),
     ], ids=["mean-pool decoder", "frozen encoder", "shared image pool",
             "per-language image counts", "attribute offset", "co-occurrence group size",
             "attribute-first probabilities", "adam beta1", "adam beta2", "adam epsilon",
             "full rankings", "ranking width", "baseline set cap", "source language",
-            "target language"])
+            "target language", "precision cut-offs"])
     def test_removed_setting_exits_2(self, tmp_path, capsys, section, key, value, fragment):
         path = tmp_path / "old.json"
         path.write_text(json.dumps({section: {key: value}}))
@@ -121,7 +122,6 @@ class TestGenCorpus:
         ("train", ["--corpus", "c"]),
         ("extract", ["--corpus", "c", "--checkpoint", "k"]),
         ("induce", ["--tables", "t", "--lexicon", "l"]),
-        ("eval", ["--rankings", "r", "--lexicon", "l"]),
         ("pipeline", []),
     ])
     def test_equal_languages_exit_2_before_any_stage(self, tmp_path, capsys, command, args):
@@ -476,9 +476,9 @@ class TestInduceEval:
             "rankings": n, "skipped_sources": 0,
             "fallback_pairs": n * words["lb"] - visual["la"] * visual["lb"]}
         for method in ("cnn_mean", "cnn_avgmax"):
-            assert counts[method] == {"rankings": image_sets["la"],
-                                      "skipped_sources": n - image_sets["la"],
-                                      "fallback_pairs": 0}
+            assert counts[method] == {
+                "rankings": image_sets["la"], "skipped_sources": n - image_sets["la"],
+                "fallback_pairs": image_sets["la"] * (words["lb"] - image_sets["lb"])}
 
     def test_raw_linguistic_table_exits_2(self, extracted, tmp_path, capsys):
         cfg, corpus, tables = extracted
@@ -493,47 +493,40 @@ class TestInduceEval:
         assert code == 2
         assert_one_error_line(capsys.readouterr().err, "linguistic table for la")
 
-    def test_eval_rescores_rankings(self, extracted, tmp_path):
-        _, corpus, tables = extracted
-        (tmp_path / "two").mkdir()
-        cfg = write_config(tmp_path / "two", induction={"methods": ["fused", "linguistic"]})
-        induce_out = tmp_path / "induce"
-        assert run(["induce", "--config", cfg, "--tables", tables,
-                    "--lexicon", corpus / "lexicon.tsv", "--out", induce_out]) == 0
-        eval_out = tmp_path / "eval"
-        assert run(["eval", "--config", cfg, "--rankings", induce_out / "rankings.tsv",
-                    "--lexicon", corpus / "lexicon.tsv", "--out", eval_out]) == 0
-        rows = (eval_out / "report.csv").read_text().splitlines()
-        assert {line.split(",")[0] for line in rows[1:]} == {"fused", "linguistic"}
+    def test_degenerate_global_set_skips_the_word_for_cnn_mean_alone(self, extracted,
+                                                                       tmp_path):
+        cfg, corpus, tables = extracted
+        from lexipivot.localization import read_word_features, write_word_features
 
+        def induce(out):
+            assert run(["induce", "--config", cfg, "--tables", tables,
+                        "--lexicon", corpus / "lexicon.tsv", "--out", out]) == 0
+            cells = {}
+            for line in (out / "rankings.tsv").read_text(encoding="utf-8").splitlines():
+                source, method, ranked = line.split("\t")
+                cells.setdefault(method, {})[source] = ranked
+            return cells, json.loads((out / "manifest.json").read_text())["counts"]
 
-class TestEvalMalformedRankings:
-    @pytest.mark.parametrize("line, fragment", [
-        ("a\tfused\tb:notanumber,c:0.5\n", "notanumber"),
-        ("a\tb:0.5\n", "got 2"),
-    ])
-    def test_exits_3(self, tmp_path, capsys, line, fragment):
-        cfg = write_config(tmp_path)
-        lexicon = tmp_path / "lexicon.tsv"
-        lexicon.write_text("a\tb\n", encoding="utf-8")
-        rankings = tmp_path / "rankings.tsv"
-        rankings.write_text(line, encoding="utf-8")
-        code = run(["eval", "--config", cfg, "--rankings", rankings,
-                    "--lexicon", lexicon, "--out", tmp_path / "eval"])
-        assert code == 3
-        assert_one_error_line(capsys.readouterr().err, "rankings.tsv:1", fragment)
+        before, counts_before = induce(tmp_path / "before")
+        path = tables / "la.global.lxwf"
+        entries = read_word_features(path)[2]
+        word = min(entries)
+        r = entries[word][1][0]
+        entries[word] = (2, np.stack([r, -r]))   # a set whose mean is zero
+        write_word_features(path, "la", entries, aggregated=False)
+        after, counts = induce(tmp_path / "after")
 
-
-    def test_non_utf8_byte_exits_3(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        lexicon = tmp_path / "lexicon.tsv"
-        lexicon.write_text("a\tb\n", encoding="utf-8")
-        rankings = tmp_path / "rankings.tsv"
-        rankings.write_bytes(b"a\tfused\tb:0.5\nc\tfused\tb\xff:0.5\n")
-        code = run(["eval", "--config", cfg, "--rankings", rankings,
-                    "--lexicon", lexicon, "--out", tmp_path / "eval"])
-        assert code == 3
-        assert_one_error_line(capsys.readouterr().err, "rankings.tsv:2", "not valid UTF-8")
+        assert counts["cnn_mean"] == {**counts_before["cnn_mean"],
+                                      "rankings": counts_before["cnn_mean"]["rankings"] - 1,
+                                      "skipped_sources": 1}
+        assert after["cnn_mean"] == {w: c for w, c in before["cnn_mean"].items() if w != word}
+        for method in ("linguistic", "visual", "fused", "cnn_avgmax"):
+            assert counts[method] == counts_before[method], method
+            assert after[method].keys() == before[method].keys(), method
+            # only cnn_avgmax reads the edited rows, in the edited word's own ranking
+            unchanged = {w: c for w, c in before[method].items()
+                         if method != "cnn_avgmax" or w != word}
+            assert {w: after[method][w] for w in unchanged} == unchanged, method
 
 
 class TestPipeline:
@@ -594,6 +587,12 @@ class TestPipeline:
         assert run([command, "--out", out, *args]) == 2
         assert_one_error_line(capsys.readouterr().err,
                               f"unrecognized arguments: {' '.join(args[-2:])}")
+        assert not out.exists()
+
+    def test_removed_eval_command_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run(["eval", "--rankings", "r", "--lexicon", "l", "--out", out]) == 2
+        assert_one_error_line(capsys.readouterr().err, "invalid choice: 'eval'")
         assert not out.exists()
 
     def test_help_exits_zero(self):

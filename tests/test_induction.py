@@ -20,7 +20,6 @@ from lexipivot.induction import (
     linguistic_rank,
     mean_unit,
     pos_breakdown,
-    read_rankings,
     unit,
     visual_rank,
     write_rankings,
@@ -42,9 +41,11 @@ def table_from_raw(language, raw_linguistic, raw_visual_sets=None, global_sets=N
 
 
 def sets_table(language, global_sets):
-    """A table holding only global image sets, for the CNN baselines."""
-    return build_table(language, {}, None, {w: np.asarray(rows, dtype=np.float64)
-                                            for w, rows in global_sets.items()})
+    """A table of words with global image sets and no visual vectors, for the
+    CNN baselines."""
+    return table_from_raw(language, {w: [1.0] for w in global_sets}, None,
+                          {w: np.asarray(rows, dtype=np.float64)
+                           for w, rows in global_sets.items()})
 
 
 def score(rank, x, source, target, y):
@@ -110,7 +111,7 @@ class TestSimilarities:
     def test_aggregate_empty_is_none(self):
         assert mean_unit(np.zeros((0, 3))) is None
         table = table_from_raw("s", {"x": [1, 0, 0]}, {"x": np.zeros((0, 3))})
-        assert table.visual_words() == []
+        assert not table.has_visual.any()
 
 
 class TestFusedRank:
@@ -229,6 +230,32 @@ class TestBaselines:
         for word, value in ranking.items:
             best = [max(brute_cosine(s, t) for t in tgt[word]) for s in src["x"]]
             assert abs(value - float(np.mean(best))) < 1e-9
+
+    def test_targets_without_a_usable_set_rank_last(self):
+        # "b" has no image set; the mean of "c"'s set is zero, but its rows
+        # still score under avgmax
+        v = np.array([0.5, -0.25, 1.0])
+        src = sets_table("s", {"x": [v]})
+        tgt = table_from_raw("t", {w: [1.0] for w in "abc"}, None,
+                             {"a": [v], "c": [v, -v]})
+        mean = cnn_mean_rank("x", src, tgt)
+        assert [w for w, _ in mean.items] == ["a", "b", "c"]
+        assert abs(mean.items[0][1] - 1.0) < 1e-12
+        assert mean.items[1][1] == mean.items[2][1] == BOTTOM_SCORE
+        assert mean.fallback_pairs == 2
+        avgmax = cnn_avgmax_rank("x", src, tgt)
+        assert [w for w, _ in avgmax.items] == ["a", "c", "b"]
+        assert avgmax.items[0][1] == avgmax.items[1][1]
+        assert avgmax.items[2][1] == BOTTOM_SCORE and avgmax.fallback_pairs == 1
+
+    def test_sets_of_words_outside_the_table_are_dropped(self):
+        rng = np.random.default_rng(12)
+        table = table_from_raw("s", {"x": [1.0, 0.0]},
+                               {w: rng.normal(size=(2, 3)) for w in ("x", "extra")},
+                               {"x": rng.normal(size=(3, 4)), "extra": rng.normal(size=(2, 4))})
+        assert table.words == ["x"]
+        assert table.visual.shape == (1, 3) and table.global_mean.shape == (1, 4)
+        assert table.global_offsets.tolist() == [0, 3] and len(table.global_rows) == 3
 
     def test_empty_source_set(self):
         src = sets_table("s", {"x": np.zeros((0, 4))})
@@ -416,9 +443,8 @@ class TestEvaluate:
             n_targets = int(rng.integers(1, min(4, len(vocab) + 1)))
             for t in rng.choice(vocab, size=n_targets, replace=False):
                 lex.add(word, str(t))
-        ks = (1, 5, 10, 20)
-        report = evaluate(as_rankings(cands), lex, ks=ks)
-        mrr, p_at, n = brute_force_eval(cands, lex.entries, ks)
+        report = evaluate(as_rankings(cands), lex)
+        mrr, p_at, n = brute_force_eval(cands, lex.entries, (1, 5, 10, 20))
         assert report.n == n
         assert report.mrr == mrr
         assert report.p_at == p_at
@@ -496,26 +522,30 @@ class TestFiles:
     def test_rankings_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
         rankings = {}
-        for w in ("alpha", "beta"):
+        for w in ("beta", "alpha"):
             items = sorted(((f"t{i}", float(rng.normal())) for i in range(5)),
                            key=lambda kv: (-kv[1], kv[0]))
             rankings[w] = TranslationRanking(w, "fused", items)
         path = tmp_path / "rankings.tsv"
         write_rankings(path, {"fused": rankings})
-        loaded = read_rankings(path)
-        for w in rankings:
-            got = loaded["fused"][w].items
-            want = [(c, round(s, 6)) for c, s in rankings[w].items]
-            assert [c for c, _ in got] == [c for c, _ in want]
-            assert all(abs(a - b) < 1e-9 for (_, a), (_, b) in zip(got, want))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [line.split("\t")[:2] for line in lines] == [["alpha", "fused"],
+                                                            ["beta", "fused"]]
+        for line in lines:
+            source, _, cells = line.split("\t")
+            got = [cell.rpartition(":") for cell in cells.split(",")]
+            assert [c for c, _, _ in got] == [c for c, _ in rankings[source].items]
+            for (_, _, text), (_, value) in zip(got, rankings[source].items):
+                assert len(text.partition(".")[2]) == 6
+                assert abs(float(text) - value) <= 5e-7
 
     def test_rankings_truncation(self, tmp_path):
         items = [(f"t{i:02d}", 1.0 - i * 0.01) for i in range(30)]
         rankings = {"w": TranslationRanking("w", "fused", items)}
         path = tmp_path / "rankings.tsv"
         write_rankings(path, {"fused": rankings})
-        assert [w for w, _ in read_rankings(path)["fused"]["w"].items] == \
-            [w for w, _ in items[:20]]
+        cells = path.read_text(encoding="utf-8").rstrip("\n").split("\t")[2].split(",")
+        assert [cell.rpartition(":")[0] for cell in cells] == [w for w, _ in items[:20]]
 
     def test_report_files(self, tmp_path):
         report = EvalReport(method="fused", pos="all", n=10, mrr=0.625,

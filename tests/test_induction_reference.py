@@ -75,11 +75,11 @@ def oracle_pair(method, lam, src, tgt, x, y):
             return 2.0 * lam * s_l, True
         return 2.0 * lam * s_l + (2.0 - 2.0 * lam) * cosine(sv, tv), False
     if method in ("visual", "cnn_mean"):
-        tm = set_mean(tgt["vis"].get(y, []) if method == "visual" else tgt["glob"][y])
+        tm = set_mean((tgt["vis"] if method == "visual" else tgt["glob"]).get(y, []))
         if tm is None:
             return BOTTOM_SCORE, True
         return cosine(source_set_mean(method, src, x), tm), False
-    srows, trows = src["glob"][x], tgt["glob"][y]
+    srows, trows = src["glob"][x], tgt["glob"].get(y, [])
     if not trows:
         return BOTTOM_SCORE, True
     best = [max(cosine(s, t) for t in trows) for s in srows]
@@ -87,30 +87,25 @@ def oracle_pair(method, lam, src, tgt, x, y):
 
 
 def source_set_mean(method, src, x):
-    return set_mean(src["vis"].get(x, []) if method == "visual" else src["glob"][x])
+    return set_mean((src["vis"] if method == "visual" else src["glob"]).get(x, []))
 
 
 def scorable(method, src, x):
     if method in ("visual", "cnn_mean"):
         return source_set_mean(method, src, x) is not None
-    return method != "cnn_avgmax" or bool(src["glob"][x])
+    return method != "cnn_avgmax" or bool(src["glob"].get(x))
 
 
 def oracle_rank(method, lam, src, tgt, x):
-    """({target: score}, fallback pairs); Unscorable for a source the method
-    cannot score."""
+    """({target: score}, fallback pairs) over every target word; Unscorable
+    for a source the method cannot score."""
     if not scorable(method, src, x):
         raise Unscorable
-    targets = sorted(tgt["glob"] if method.startswith("cnn") else tgt["ling"])
     scores, fallback = {}, 0
-    for y in targets:
+    for y in sorted(tgt["ling"]):
         scores[y], fell_back = oracle_pair(method, lam, src, tgt, x, y)
         fallback += fell_back
     return scores, fallback
-
-
-def oracle_sources(method, src):
-    return sorted(src["glob"] if method.startswith("cnn") else src["ling"])
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +168,7 @@ def assert_matches_oracle(ranking, scores, fallback):
 def test_rankers_match_per_pair_oracle(src, tgt, lam):
     src_table, tgt_table = table("s", src), table("t", tgt)
     for method in METHODS:
-        for x in oracle_sources(method, src):
+        for x in sorted(src["ling"]):
             try:
                 scores, fallback = oracle_rank(method, lam, src, tgt, x)
             except Unscorable:
@@ -192,18 +187,17 @@ def test_compute_rankings_skips_and_raises_like_the_oracle(src, tgt, lam):
         config = config_from_dict({"induction": {"methods": [method],
                                                  "fusion_lambda": lam}})
         expected = {}
-        for x in oracle_sources(method, src):
+        for x in sorted(src["ling"]):
             try:
                 expected[x] = oracle_rank(method, lam, src, tgt, x)
             except Unscorable:
                 expected[x] = None
-        if method != "visual" and None in expected.values():
-            # only the visual method skips unscorable sources; for the
-            # others one unscorable source fails the stage
-            with pytest.raises(NoVisualError):
-                compute_rankings(config, tables, "s", "t")
-            continue
+        # every method skips exactly the sources its ranker raises on
         rankings = compute_rankings(config, tables, "s", "t")[method]
         assert sorted(rankings) == sorted(x for x, e in expected.items() if e is not None)
-        for x, ranking in rankings.items():
-            assert_matches_oracle(ranking, *expected[x])
+        for x, e in expected.items():
+            if e is None:
+                with pytest.raises(NoVisualError):
+                    rank(method, lam, tables["s"], tables["t"], x)
+            else:
+                assert_matches_oracle(rankings[x], *e)

@@ -23,15 +23,8 @@ from lexipivot.corpus import (
 )
 from lexipivot.corpus.vocab import RESERVED
 from lexipivot.errors import FormatError
-from lexipivot.induction import TranslationRanking, read_rankings, write_rankings
 from lexipivot.localization import read_word_features, write_word_features
 from lexipivot.numerics import ParamStore, Tensor
-
-
-def write_rankings_file(path):
-    items = [("hund", 0.75), ("kätzchen", 0.5), ("maus", -0.25)]
-    write_rankings(path, {"fused": {"dog": TranslationRanking("dog", "fused", items)},
-                          "visual": {"cat": TranslationRanking("cat", "visual", items)}})
 
 
 def write_lexicon_file(path):
@@ -72,7 +65,6 @@ def write_region_features_file(path):
 
 
 READERS = {
-    "rankings": (write_rankings_file, read_rankings),
     "lexicon": (write_lexicon_file, lambda p: read_lexicon(p, "en", "de")),
     "captions": (write_captions_file, lambda p: read_captions(p, "de")),
     "vocab": (write_vocabulary_file, lambda p: read_vocabulary(p, "de")),
@@ -118,7 +110,7 @@ def test_damaged_file_reads_or_raises_format_error(kind, edits, tmp_path):
         pass
 
 
-@pytest.mark.parametrize("kind", ["rankings", "lexicon", "captions", "vocab"])
+@pytest.mark.parametrize("kind", ["lexicon", "captions", "vocab"])
 def test_non_utf8_byte_is_a_format_error_naming_its_line(kind, tmp_path):
     write, read = READERS[kind]
     path = tmp_path / f"file.{kind}"

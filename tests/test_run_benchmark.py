@@ -40,3 +40,15 @@ def test_json_record(tmp_path):
     env = record["environment"]
     assert env["numpy"] and env["cpu_count"] >= 1
     assert env["blas_threads"] is None or env["blas_threads"] >= 1
+
+
+def test_removed_setting_exits_2(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**CONFIG, "induction": {"ks": [1, 5]}}))
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--config", str(config), "--out", str(out)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert proc.stderr == "lexipivot-error: unknown config key: induction.ks\n"
+    assert not out.exists()
