@@ -69,11 +69,12 @@ def param_shapes(dims: ModelDims, vocab_sizes: dict[str, int]) -> dict[str, tupl
 
 class MultiLingualModel:
     def __init__(self, dims: ModelDims, vocab_sizes: dict[str, int], params: ParamStore,
-                 dtype=np.float64):
+                 dtype=np.float64, seed: int = 0):
         self.dims = dims
         self.vocab_sizes = dict(vocab_sizes)
         self.params = params
         self.dtype = np.dtype(dtype).type
+        self.seed = seed  # of the initial weights; the checkpoint sidecar records it
 
     # -- construction -------------------------------------------------------
 
@@ -82,7 +83,7 @@ class MultiLingualModel:
               dtype=np.float64) -> "MultiLingualModel":
         if not vocab_sizes:
             raise ConfigError("a caption model needs at least one language")
-        params = ParamStore(rng_seed=seed)
+        params = ParamStore()
         for name, shape in param_shapes(dims, vocab_sizes).items():
             if len(shape) == 1:  # biases start at zero
                 data = np.zeros(shape)
@@ -92,7 +93,7 @@ class MultiLingualModel:
             params.add(name, Tensor(data.astype(dtype)))
         h = dims.embed_dim
         params["lstm.bias"].data[h:2 * h] = 1.0  # forget-gate bias
-        return cls(dims, vocab_sizes, params, dtype=dtype)
+        return cls(dims, vocab_sizes, params, dtype=dtype, seed=seed)
 
     def embedding(self, language: str) -> Tensor:
         name = f"embed.{language}"
@@ -219,7 +220,7 @@ class MultiLingualModel:
             },
             "languages": {lang: n for lang, n in sorted(self.vocab_sizes.items())},
             "dtype": np.dtype(self.dtype).name,
-            "seed": self.params.rng_seed,
+            "seed": self.seed,
         }
         manifest.update(extra or {})
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
@@ -260,7 +261,7 @@ class MultiLingualModel:
         if problems:
             raise FormatError(f"{path}: {'; '.join(problems)}")
         weights = prefix.with_suffix(".lxpv")
-        params = ParamStore.load(weights, rng_seed=seed)
+        params = ParamStore.load(weights)
         expected = param_shapes(dims, languages)
         found = {name: p.data.shape for name, p in params.items()}
         if found != expected:
@@ -278,7 +279,7 @@ class MultiLingualModel:
                     raise FormatError(
                         f"{weights}: parameter {name!r} does not fit the dtype "
                         f"{np.dtype(dtype).name} of the manifest {path} ({exc})") from exc
-        return cls(dims, languages, params, dtype=dtype), manifest
+        return cls(dims, languages, params, dtype=dtype, seed=seed), manifest
 
 
 def _is_int(value) -> bool:

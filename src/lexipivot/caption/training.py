@@ -97,7 +97,7 @@ def _touched(params):
     (a mono-lingual batch never touches the other language's embedding)."""
     from ..numerics import ParamStore
 
-    sub = ParamStore(rng_seed=params.rng_seed)
+    sub = ParamStore()
     for name, p in params.items():
         if p.grad is not None:
             sub.add(name, p)

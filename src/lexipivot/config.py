@@ -1,9 +1,10 @@
 """Run configuration: one JSON file with per-stage sections.
 
 Unknown keys anywhere are rejected by name, and so is a value whose JSON
-type does not fit its field; every field has a default, so an empty file
-is a valid (full-scale) configuration. The fully resolved config is
-echoed into the output directory of every command.
+type does not fit its field, or a float field's value that is NaN or
+beyond the float range; every field has a default, so an empty file is a
+valid (full-scale) configuration. The fully resolved config is echoed
+into the output directory of every command.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
 import types
 import typing
 from dataclasses import dataclass, field
@@ -122,8 +124,8 @@ def _fits(value, hint) -> bool:
         return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
     if isinstance(value, bool):
         return hint is bool
-    if hint is float:
-        return isinstance(value, (int, float))
+    if hint is float:  # Python's JSON parser reads NaN, Infinity and 1e400 as floats
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, hint)
 
 
@@ -143,7 +145,8 @@ def _build(cls, data, prefix: str):
         elif _fits(value, hint):
             kwargs[key] = tuple(value) if isinstance(value, list) else value
         else:
-            name = hint.__name__ if isinstance(hint, type) else hint
+            name = ("a finite float" if hint is float
+                    else hint.__name__ if isinstance(hint, type) else hint)
             raise ConfigError(f"config key {prefix}{key} must be {name}, got {value!r:.60}")
     return cls(**kwargs)
 

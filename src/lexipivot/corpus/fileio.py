@@ -1,8 +1,7 @@
 """On-disk corpus formats.
 
-Spatial features (binary, little-endian):
-  magic "LXPF" | version u32 | image count u32 | K u32 | D u32
-  per image: image_id u64 | K*D float32
+Spatial features: an `arrayfile` container of magic "LXPF"; meta "image_ids"
+lists N image ids, and the float32 array "regions" [N, K, D] their grids.
 Captions (UTF-8 text): one record per line, image_id TAB language TAB caption.
 Vocabulary (UTF-8 text): index TAB word TAB count, reserved rows included.
 Text files that are not UTF-8 are FormatErrors, like any other bad layout.
@@ -10,60 +9,35 @@ Text files that are not UTF-8 are FormatErrors, like any other bad layout.
 
 from __future__ import annotations
 
-import struct
+from collections import Counter
 
 import numpy as np
 
+from ..arrayfile import read_arrays, write_arrays
 from ..errors import FormatError, InputError
 from .vocab import RESERVED, RawCaption, Vocabulary
 
 FEATURES_MAGIC = b"LXPF"
-FEATURES_VERSION = 1
 
 
 def write_features(path, features: dict[int, np.ndarray]) -> None:
-    if not features:
-        raise InputError("refusing to write an empty features file")
+    shapes = {np.shape(grid) for grid in features.values()}
+    if len(shapes) != 1 or len(min(shapes)) != 2:
+        raise InputError(f"need one K x D region grid shape for all images, got {shapes}")
     ids = sorted(features)
-    k, d = features[ids[0]].shape
-    for image_id in ids:
-        if features[image_id].shape != (k, d):
-            raise InputError(
-                f"image {image_id} has shape {features[image_id].shape}, expected {(k, d)}")
-    with open(path, "wb") as fh:
-        fh.write(FEATURES_MAGIC)
-        fh.write(struct.pack("<IIII", FEATURES_VERSION, len(ids), k, d))
-        for image_id in ids:
-            fh.write(struct.pack("<Q", image_id))
-            fh.write(np.ascontiguousarray(features[image_id], dtype="<f4").tobytes())
+    write_arrays(path, FEATURES_MAGIC, "<f4", {"image_ids": [int(i) for i in ids]},
+                 {"regions": np.stack([features[i] for i in ids], dtype=np.float32)})
 
 
 def read_features(path) -> dict[int, np.ndarray]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != FEATURES_MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}, expected {FEATURES_MAGIC!r}")
-    if len(blob) < 20:
-        raise FormatError(f"{path}: truncated header ({len(blob)} bytes)")
-    version, count, k, d = struct.unpack_from("<IIII", blob, 4)
-    if version != FEATURES_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    record = 8 + 4 * k * d
-    expected = 20 + count * record
-    if len(blob) != expected:
-        raise FormatError(
-            f"{path}: expected {expected} bytes for {count} images of {k}x{d} "
-            f"features, found {len(blob)} (region count varies or file is truncated)")
-    features: dict[int, np.ndarray] = {}
-    offset = 20
-    for _ in range(count):
-        (image_id,) = struct.unpack_from("<Q", blob, offset)
-        if image_id in features:
-            raise FormatError(f"{path}: duplicate image id {image_id} at offset {offset}")
-        offset += 8
-        arr = np.frombuffer(blob, dtype="<f4", count=k * d, offset=offset)
-        features[image_id] = arr.reshape(k, d).copy()
-        offset += 4 * k * d
+    meta, arrays = read_arrays(path, FEATURES_MAGIC, "<f4")
+    ids, regions = meta.get("image_ids"), arrays.get("regions")
+    if not (list(arrays) == ["regions"] and regions.ndim == 3 and isinstance(ids, list)
+            and len(ids) == len(regions) and all(type(i) is int for i in ids)):
+        raise FormatError(f"{path}: expected N image ids and one N x K x D array \"regions\"")
+    features = dict(zip(ids, regions))
+    if len(features) != len(ids):
+        raise FormatError(f"{path}: duplicate image id {Counter(ids).most_common(1)[0][0]}")
     return features
 
 

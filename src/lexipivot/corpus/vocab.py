@@ -29,7 +29,6 @@ class CaptionedExample:
     scene_id: int
     language_id: str
     tokens: tuple[int, ...]
-    raw_text: str
 
     def word_positions(self) -> range:
         """Positions of the actual words (between the begin/end sentinels)."""
@@ -93,7 +92,6 @@ def index_caption(caption: RawCaption, vocab: Vocabulary, max_len: int) -> Capti
         scene_id=caption.image_id,
         language_id=caption.language_id,
         tokens=tokens,
-        raw_text=caption.text,
     )
 
 

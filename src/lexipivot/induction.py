@@ -322,30 +322,32 @@ class EvalReport:
     n: int
     mrr: float
     p_at: dict[int, float]  # fractions in [0,1]
-    skipped: int = 0
+    unranked_lexicon_words: int = 0  # lexicon source words with no ranking
+    gold_outside_targets: int = 0    # ranked words with no gold target among the targets
     fallback_pairs: int = 0
 
 
 def evaluate(rankings: dict[str, TranslationRanking], lexicon: GroundTruthLexicon,
              method: str | None = None, pos: str = "all", words=None) -> EvalReport:
-    """MRR/P@K over the lexicon's source words (1-based ranks, best target).
+    """MRR/P@K over the lexicon's source words, or over `words` among them
+    (1-based ranks, best target).
 
-    Source words without a ranking, or whose acceptable targets are all
-    missing from the candidate list, are skipped and counted.
+    Source words without a ranking, and those whose acceptable targets are
+    all missing from the candidate list, are skipped and counted apart.
     """
     total_rr = 0.0
     hits = {k: 0 for k in KS}
-    n = skipped = fallback = 0
+    n = unranked = outside = fallback = 0
     pool = sorted(words) if words is not None else sorted(lexicon.entries)
     for source_word in pool:
-        targets = lexicon.entries.get(source_word, set())
         ranking = rankings.get(source_word)
-        if ranking is None or not targets:
-            skipped += 1
+        if ranking is None:
+            unranked += 1
             continue
-        ranks = [r for r in (ranking.rank_of(t) for t in targets) if r is not None]
+        ranks = [r for r in (ranking.rank_of(t) for t in lexicon.entries[source_word])
+                 if r is not None]
         if not ranks:
-            skipped += 1
+            outside += 1
             continue
         best = min(ranks)
         total_rr += 1.0 / best
@@ -355,11 +357,11 @@ def evaluate(rankings: dict[str, TranslationRanking], lexicon: GroundTruthLexico
         fallback += ranking.fallback_pairs
         n += 1
     if n == 0:
-        raise EmptyResultError(f"no evaluable source words (skipped {skipped})")
+        raise EmptyResultError(f"no evaluable source words (skipped {unranked + outside})")
     name = method or next(iter(rankings.values())).method
     return EvalReport(method=name, pos=pos, n=n, mrr=total_rr / n,
-                      p_at={k: hits[k] / n for k in KS}, skipped=skipped,
-                      fallback_pairs=fallback)
+                      p_at={k: hits[k] / n for k in KS}, unranked_lexicon_words=unranked,
+                      gold_outside_targets=outside, fallback_pairs=fallback)
 
 
 def pos_breakdown(rankings: dict[str, TranslationRanking],
@@ -402,7 +404,7 @@ def report_rows(reports: list[EvalReport]) -> list[dict]:
                "mrr": round(r.mrr, 6)}
         for k in sorted(r.p_at):
             row[f"p{k}"] = round(100.0 * r.p_at[k], 4)  # percentages
-        row["skipped"] = r.skipped
+        row["skipped"] = r.unranked_lexicon_words + r.gold_outside_targets
         row["fallback_pairs"] = r.fallback_pairs
         rows.append(row)
     return rows

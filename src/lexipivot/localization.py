@@ -12,19 +12,17 @@ caption, one per region; attention: one row per caption over all K
 regions), and images are encoded `ROW_CAP` at a time. The cap bounds the
 per-step temporaries, so their memory is the same for any corpus size.
 
-Word-feature table file (binary, little-endian):
-  magic "LXWF" | version u32 | flags u32 (bit 0: aggregated) | D u32
-  | word count u32 | language: len u32 + UTF-8
-  per word: len u32 + UTF-8 | occurrence count u32
-            | (1 row if aggregated else count rows) x D float64
+Word-feature tables are `arrayfile` containers of magic "LXWF". The meta
+holds "language", "aggregated" and "counts", each word's occurrence count;
+each word, in sorted order, has a float64 array of rows of one width D:
+one row if the table is aggregated, else one per occurrence.
 """
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
+from .arrayfile import read_arrays, write_arrays
 from .caption.model import MultiLingualModel
 from .corpus.vocab import BOS, EOS, PAD, UNK
 from .errors import FormatError, InputError, NumericError
@@ -32,8 +30,6 @@ from .numerics import Tensor, no_grad
 from .seeding import substream
 
 TABLE_MAGIC = b"LXWF"
-TABLE_VERSION = 1
-FLAG_AGGREGATED = 1
 _METHODS = ("probe", "attention")
 ROW_CAP = 128  # decode rows per batch, and images per encoder call
 
@@ -167,63 +163,35 @@ def write_word_features(path, language: str,
                         aggregated: bool) -> None:
     """Write per-word features. `entries` maps word -> (occurrence count,
     matrix of rows); aggregated tables hold exactly one row per word."""
-    with open(path, "wb") as fh:
-        fh.write(TABLE_MAGIC)
-        # the width of the first word with rows; a word with none fits any width
-        d = next((np.shape(rows)[-1] for _, rows in entries.values() if np.size(rows)), 0)
-        flags = FLAG_AGGREGATED if aggregated else 0
-        fh.write(struct.pack("<IIII", TABLE_VERSION, flags, d, len(entries)))
-        encoded_lang = language.encode("utf-8")
-        fh.write(struct.pack("<I", len(encoded_lang)))
-        fh.write(encoded_lang)
-        for word in sorted(entries):
-            count, rows = entries[word]
-            rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-            expected = 1 if aggregated else count
-            if rows.shape != (expected, d):
-                raise InputError(
-                    f"word {word!r}: expected {(expected, d)} feature rows, "
-                    f"got {rows.shape}")
-            encoded = word.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", count))
-            fh.write(np.ascontiguousarray(rows, dtype="<f8").tobytes())
+    words = sorted(entries)
+    rows = {w: np.atleast_2d(np.asarray(entries[w][1], dtype=np.float64)) for w in words}
+    # the width of the first word with rows; a word with none fits any width
+    d = next((r.shape[-1] for r in rows.values() if r.size), 0)
+    for word in words:
+        count = entries[word][0]
+        expected = (1 if aggregated else count, d)
+        if count < 0 or rows[word].shape != expected:
+            raise InputError(f"word {word!r}: expected {expected} feature rows and a "
+                             f"non-negative count, got {rows[word].shape} and {count}")
+    meta = {"language": language, "aggregated": bool(aggregated),
+            "counts": [int(entries[w][0]) for w in words]}
+    write_arrays(path, TABLE_MAGIC, "<f8", meta, rows)
 
 
 def read_word_features(path):
     """Returns (language, aggregated flag, {word: (count, rows)})."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != TABLE_MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}, expected {TABLE_MAGIC!r}")
-    try:
-        version, flags, d, count = struct.unpack_from("<IIII", blob, 4)
-        if version != TABLE_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        aggregated = bool(flags & FLAG_AGGREGATED)
-        offset = 20
-        (lang_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        language = blob[offset:offset + lang_len].decode("utf-8")
-        offset += lang_len
-        entries: dict[str, tuple[int, np.ndarray]] = {}
-        for _ in range(count):
-            (word_len,) = struct.unpack_from("<I", blob, offset)
-            offset += 4
-            word = blob[offset:offset + word_len].decode("utf-8")
-            offset += word_len
-            (occ,) = struct.unpack_from("<I", blob, offset)
-            offset += 4
-            n_rows = 1 if aggregated else occ
-            if offset + 8 * n_rows * d > len(blob):
-                raise FormatError(f"{path}: word {word!r} claims {n_rows}x{d} feature rows, "
-                                  f"past the end of the file")
-            rows = np.frombuffer(blob, dtype="<f8", count=n_rows * d, offset=offset)
-            offset += 8 * n_rows * d
-            entries[word] = (occ, rows.reshape(n_rows, d).copy())
-    except (struct.error, ValueError) as exc:
-        raise FormatError(f"{path}: truncated or corrupt table: {exc}") from exc
-    if offset != len(blob):
-        raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
+    meta, arrays = read_arrays(path, TABLE_MAGIC, "<f8")
+    language, aggregated, counts = (meta.get(k) for k in ("language", "aggregated", "counts"))
+    if not (isinstance(language, str) and isinstance(aggregated, bool)
+            and isinstance(counts, list) and len(counts) == len(arrays)
+            and all(type(c) is int and c >= 0 for c in counts)):
+        raise FormatError(f"{path}: meta does not give the language, the aggregated "
+                          f"flag and one occurrence count per word")
+    entries = dict(zip(arrays, zip(counts, arrays.values())))
+    for word, (count, rows) in entries.items():
+        if rows.ndim != 2 or len(rows) != (1 if aggregated else count):
+            raise FormatError(f"{path}: word {word!r} with {count} occurrences has feature "
+                              f"rows of shape {rows.shape}")
+    if len({rows.shape[1] for rows in arrays.values()}) > 1:
+        raise FormatError(f"{path}: feature rows of more than one width")
     return language, aggregated, entries

@@ -353,6 +353,10 @@ def stage_induce(config: RunConfig, out_dir, features_dir, lexicon_path) -> dict
     manifest.counts = ranking_counts(methods, tables[source].words)
     with manifest.timed("evaluate"):
         reports = reports_for(methods, lexicon)
+    for r in reports:
+        if r.pos == "all":   # the two kinds of lexicon word that `skipped` adds up
+            manifest.counts[r.method].update(unranked_lexicon_words=r.unranked_lexicon_words,
+                                             gold_outside_targets=r.gold_outside_targets)
     with manifest.timed("write"):
         rankings_path = out_dir / "rankings.tsv"
         write_rankings(rankings_path, methods)

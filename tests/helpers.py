@@ -1,5 +1,8 @@
 """Shared test oracles: finite differences, the per-step decoder unroll and
-batch-of-one localization."""
+batch-of-one localization; and hand-packed array containers."""
+
+import json
+import struct
 
 import numpy as np
 
@@ -100,3 +103,19 @@ def unroll_by_steps(embed, tokens, regions, region_part, lstm, attention):
                           lstm)
         hidden.append(state[0])
     return concat_rows(hidden)
+
+
+def pack_container(magic: bytes, header, payload: bytes = b"", version: int = 2) -> bytes:
+    """The bytes of an array container with a hand-made JSON header."""
+    text = json.dumps(header).encode("utf-8")
+    return struct.pack("<4sII", magic, version, len(text)) + text + payload
+
+
+def edit_header(path, edit) -> None:
+    """Rewrite a container file's JSON header in place with `edit(header)`,
+    keeping its magic, version and array bytes."""
+    blob = path.read_bytes()
+    magic, version, length = struct.unpack_from("<4sII", blob)
+    header = json.loads(blob[12:12 + length])
+    edit(header)
+    path.write_bytes(pack_container(magic, header, blob[12 + length:], version))

@@ -17,8 +17,7 @@ def small_dims(**kw):
 
 
 def example(lang, tokens, scene=0):
-    return CaptionedExample(scene_id=scene, language_id=lang, tokens=tuple(tokens),
-                            raw_text="")
+    return CaptionedExample(scene_id=scene, language_id=lang, tokens=tuple(tokens))
 
 
 class TestEncode:
@@ -228,6 +227,7 @@ class TestCheckpoint:
         assert loaded.vocab_sizes == model.vocab_sizes
         assert loaded.dims == model.dims
         assert manifest["vocab_paths"] == {"x": "x.tsv", "y": "y.tsv"}
+        assert manifest["seed"] == loaded.seed == 6
         for (n1, p1), (n2, p2) in zip(model.params.items(), loaded.params.items()):
             assert n1 == n2
             assert np.array_equal(p1.data, p2.data)

@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from lexipivot.cli import main
-from lexipivot.corpus import read_lexicon
+from lexipivot.corpus import read_features, read_lexicon
 from lexipivot.localization import read_word_features
 from lexipivot.numerics import ParamStore
 
@@ -138,6 +139,28 @@ class TestGenCorpus:
             assert code == 2, languages
             assert_one_error_line(capsys.readouterr().err, fragment)
             assert not out.exists()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("training", "val_fraction", float("nan")),
+        ("training", "clip_norm", float("nan")),
+        ("training", "learning_rate", float("nan")),
+        ("corpus", "noise_sigma", float("inf")),
+        ("training", "learning_rate", 10**400),
+    ])
+    def test_non_finite_float_exits_2_before_any_output(self, tmp_path, capsys, section,
+                                                        key, value):
+        config = {"corpus": {"concepts": 5, "images_per_language": 40},
+                  "training": {"max_epochs": 2}}
+        config[section][key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))   # NaN and Infinity, as Python writes them
+        out = tmp_path / "pipe"
+        code = run(["pipeline", "--config", path, "--out", out])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err, f"config key {section}.{key} must be a finite float")
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_io_failure_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -466,6 +489,11 @@ class TestInduceEval:
             words[lang] = len(read_word_features(tables / f"{lang}.linguistic.lxwf")[2])
             visual[lang] = len(read_word_features(tables / f"{lang}.visual-probe.lxwf")[2])
             image_sets[lang] = len(read_word_features(tables / f"{lang}.global.lxwf")[2])
+        reports = json.loads((out / "report.json").read_text())["reports"]
+        skipped = {r["method"]: r["skipped"] for r in reports if r["pos"] == "all"}
+        for method, c in counts.items():
+            assert c.pop("unranked_lexicon_words") + c.pop("gold_outside_targets") \
+                == skipped[method], method
         n = words["la"]
         assert counts["linguistic"] == {"rankings": n, "skipped_sources": 0,
                                         "fallback_pairs": 0}
@@ -479,6 +507,37 @@ class TestInduceEval:
             assert counts[method] == {
                 "rankings": image_sets["la"], "skipped_sources": n - image_sets["la"],
                 "fallback_pairs": image_sets["la"] * (words["lb"] - image_sets["lb"])}
+
+    def test_skipped_lexicon_words_are_counted_by_kind(self, extracted, tmp_path):
+        """A lexicon of one word of each kind: evaluated, not ranked (not a
+        source word), and ranked with its gold target outside the targets."""
+        cfg, corpus, tables = extracted
+        first = tmp_path / "first"
+        assert run(["induce", "--config", cfg, "--tables", tables,
+                    "--lexicon", corpus / "lexicon.tsv", "--out", first]) == 0
+        ranked = {}
+        for line in (first / "rankings.tsv").read_text(encoding="utf-8").splitlines():
+            source, method, _ = line.split("\t")
+            ranked.setdefault(method, set()).add(source)
+        lexicon = read_lexicon(corpus / "lexicon.tsv", "la", "lb")
+        targets = set(read_word_features(tables / "lb.linguistic.lxwf")[2])
+        covered, outside = sorted(w for w in set.intersection(*ranked.values())
+                                  if lexicon.entries.get(w, set()) & targets)[:2]
+        path = tmp_path / "lexicon.tsv"
+        path.write_text(f"{covered}\t{min(lexicon.entries[covered] & targets)}\n"
+                        f"{outside}\tnot-a-target-word\n"
+                        f"not-a-source-word\t{min(targets)}\n", encoding="utf-8")
+        out = tmp_path / "hand-built"
+        assert run(["induce", "--config", cfg, "--tables", tables,
+                    "--lexicon", path, "--out", out]) == 0
+        counts = json.loads((out / "manifest.json").read_text())["counts"]
+        rows = [line.split(",") for line in (out / "report.csv").read_text().splitlines()]
+        all_rows = {row[0]: dict(zip(rows[0], row)) for row in rows[1:] if row[1] == "all"}
+        assert sorted(counts) == sorted(all_rows) == sorted(ranked)
+        for method, row in all_rows.items():
+            assert (counts[method]["unranked_lexicon_words"],
+                    counts[method]["gold_outside_targets"]) == (1, 1), method
+            assert (row["n"], row["skipped"]) == ("1", "2"), method
 
     def test_raw_linguistic_table_exits_2(self, extracted, tmp_path, capsys):
         cfg, corpus, tables = extracted
@@ -516,9 +575,13 @@ class TestInduceEval:
         write_word_features(path, "la", entries, aggregated=False)
         after, counts = induce(tmp_path / "after")
 
+        # a lexicon word with a gold target among the targets, unranked after the edit
+        lexicon = read_lexicon(corpus / "lexicon.tsv", "la", "lb")
+        assert lexicon.entries[word] & set(read_word_features(tables / "lb.linguistic.lxwf")[2])
+        unranked = counts_before["cnn_mean"]["unranked_lexicon_words"] + 1
         assert counts["cnn_mean"] == {**counts_before["cnn_mean"],
                                       "rankings": counts_before["cnn_mean"]["rankings"] - 1,
-                                      "skipped_sources": 1}
+                                      "skipped_sources": 1, "unranked_lexicon_words": unranked}
         assert after["cnn_mean"] == {w: c for w, c in before["cnn_mean"].items() if w != word}
         for method in ("linguistic", "visual", "fused", "cnn_avgmax"):
             assert counts[method] == counts_before[method], method
@@ -527,6 +590,80 @@ class TestInduceEval:
             unchanged = {w: c for w, c in before[method].items()
                          if method != "cnn_avgmax" or w != word}
             assert {w: after[method][w] for w in unchanged} == unchanged, method
+
+
+def pack_v1_weights(path):
+    """Rewrite checkpoint weights in their version-1 layout: a parameter
+    count, then per parameter its name, rank, dims and float64 data."""
+    params = ParamStore.load(path)
+    parts = [b"LXPV", struct.pack("<II", 1, len(params))]
+    for name, p in params.items():
+        parts += [struct.pack("<I", len(name.encode())), name.encode(),
+                  struct.pack("<I", p.data.ndim),
+                  struct.pack(f"<{p.data.ndim}Q", *p.data.shape), p.data.astype("<f8").tobytes()]
+    path.write_bytes(b"".join(parts))
+
+
+def pack_v1_features(path):
+    """Rewrite region features in their version-1 layout: count, K and D,
+    then per image its id and float32 grid."""
+    features = read_features(path)
+    k, d = next(iter(features.values())).shape
+    parts = [b"LXPF", struct.pack("<IIII", 1, len(features), k, d)]
+    for image_id in sorted(features):
+        parts += [struct.pack("<Q", image_id), features[image_id].astype("<f4").tobytes()]
+    path.write_bytes(b"".join(parts))
+
+
+def pack_v1_table(path):
+    """Rewrite a word table in its version-1 layout: flags, D, word count and
+    language, then per word its name, occurrence count and float64 rows."""
+    language, aggregated, entries = read_word_features(path)
+    d = next(iter(entries.values()))[1].shape[1]
+    parts = [b"LXWF", struct.pack("<IIII", 1, int(aggregated), d, len(entries)),
+             struct.pack("<I", len(language.encode())), language.encode()]
+    for word in sorted(entries):
+        count, rows = entries[word]
+        parts += [struct.pack("<I", len(word.encode())), word.encode(),
+                  struct.pack("<I", count), rows.astype("<f8").tobytes()]
+    path.write_bytes(b"".join(parts))
+
+
+class TestVersion1Files:
+    """Files in the layouts that the one array container replaced exit 3,
+    naming the file and its version."""
+
+    def test_checkpoint_weights(self, trained, tmp_path, capsys):
+        cfg, corpus, checkpoint = trained
+        weights = checkpoint.with_suffix(".lxpv")
+        pack_v1_weights(weights)
+        code = run(["extract", "--config", cfg, "--checkpoint", checkpoint,
+                    "--corpus", corpus, "--out", tmp_path / "x"])
+        assert code == 3
+        assert_one_error_line(capsys.readouterr().err,
+                              f"{weights}: LXPV version 1 is not supported")
+
+    def test_region_features(self, corpus_dir, tmp_path, capsys):
+        cfg, corpus = corpus_dir
+        features = corpus / "lb.features.lxpf"
+        pack_v1_features(features)
+        code = run(["train", "--config", cfg, "--corpus", corpus, "--out", tmp_path / "x"])
+        assert code == 3
+        assert_one_error_line(capsys.readouterr().err,
+                              f"{features}: LXPF version 1 is not supported")
+
+    def test_word_table(self, trained, tmp_path, capsys):
+        cfg, corpus, checkpoint = trained
+        tables = tmp_path / "tables"
+        assert run(["extract", "--config", cfg, "--checkpoint", checkpoint,
+                    "--corpus", corpus, "--out", tables]) == 0
+        table = tables / "la.global.lxwf"
+        pack_v1_table(table)
+        code = run(["induce", "--config", cfg, "--tables", tables,
+                    "--lexicon", corpus / "lexicon.tsv", "--out", tmp_path / "x"])
+        assert code == 3
+        assert_one_error_line(capsys.readouterr().err,
+                              f"{table}: LXWF version 1 is not supported")
 
 
 class TestPipeline:

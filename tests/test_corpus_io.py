@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -20,6 +21,8 @@ from lexipivot.corpus import (
 from lexipivot.config import RunConfig
 from lexipivot.errors import FormatError, InputError
 from lexipivot.pipeline import corpus_file, load_corpus, stage_gen_corpus
+
+from helpers import edit_header, pack_container
 
 
 def small_config():
@@ -47,9 +50,11 @@ class TestFeaturesFile:
         path = tmp_path / "f.lxpf"
         write_features(path, bundle.features)
         blob = path.read_bytes()
-        assert blob[:4] == b"LXPF"
-        version, count, k, d = struct.unpack_from("<IIII", blob, 4)
-        assert (version, count, k, d) == (1, len(bundle.features), 4, 8)
+        magic, version, length = struct.unpack_from("<4sII", blob)
+        assert (magic, version) == (b"LXPF", 2)
+        header = json.loads(blob[12:12 + length])
+        assert header == {"meta": {"image_ids": sorted(bundle.features)},
+                          "arrays": [["regions", "<f4", [len(bundle.features), 4, 8]]]}
 
     def test_varying_region_count_rejected_at_write(self, tmp_path):
         feats = {0: np.zeros((4, 8), dtype=np.float32), 1: np.zeros((2, 8), dtype=np.float32)}
@@ -59,9 +64,24 @@ class TestFeaturesFile:
     def test_inconsistent_payload_size_rejected_at_read(self, tmp_path):
         # a 4-region header followed by a 2-region payload
         path = tmp_path / "bad.lxpf"
-        body = struct.pack("<Q", 0) + np.zeros(2 * 8, dtype="<f4").tobytes()
-        path.write_bytes(b"LXPF" + struct.pack("<IIII", 1, 1, 4, 8) + body)
-        with pytest.raises(FormatError, match="varies|truncated"):
+        path.write_bytes(pack_container(
+            b"LXPF", {"meta": {"image_ids": [0]}, "arrays": [["regions", "<f4", [1, 4, 8]]]},
+            np.zeros(2 * 8, dtype="<f4").tobytes()))
+        with pytest.raises(FormatError, match="past the end"):
+            read_features(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["meta"].update(image_ids=[0]),
+        lambda h: h["meta"].update(image_ids=[0, "1"]),
+        lambda h: h["meta"].pop("image_ids"),
+        lambda h: h["arrays"][0].__setitem__(2, [2, 32]),
+        lambda h: h["arrays"][0].__setitem__(0, "grids"),
+    ], ids=["fewer ids than grids", "string id", "no ids", "2-d regions", "renamed array"])
+    def test_header_that_does_not_describe_the_grids(self, tmp_path, edit):
+        path = tmp_path / "f.lxpf"
+        write_features(path, {3: np.zeros((4, 8)), 17: np.ones((4, 8))})
+        edit_header(path, edit)
+        with pytest.raises(FormatError, match="image ids"):
             read_features(path)
 
     def test_bad_magic(self, tmp_path):
@@ -72,9 +92,10 @@ class TestFeaturesFile:
 
     def test_duplicate_image_id(self, tmp_path):
         path = tmp_path / "dup.lxpf"
-        record = struct.pack("<Q", 7) + np.zeros(4, dtype="<f4").tobytes()
-        path.write_bytes(b"LXPF" + struct.pack("<IIII", 1, 2, 2, 2) + record + record)
-        with pytest.raises(FormatError, match="duplicate"):
+        path.write_bytes(pack_container(
+            b"LXPF", {"meta": {"image_ids": [7, 7]}, "arrays": [["regions", "<f4", [2, 2, 2]]]},
+            np.zeros(8, dtype="<f4").tobytes()))
+        with pytest.raises(FormatError, match="duplicate image id 7"):
             read_features(path)
 
 

@@ -420,7 +420,7 @@ class TestEvaluate:
         cands = {"covered": ["t0", "t1"], "oov_target": ["t0", "t1"]}
         report = evaluate(as_rankings(cands), lex)
         assert report.n == 1
-        assert report.skipped == 2
+        assert (report.unranked_lexicon_words, report.gold_outside_targets) == (1, 1)
 
     def test_empty_evaluable_raises(self):
         lex = GroundTruthLexicon("s", "t")
@@ -549,12 +549,14 @@ class TestFiles:
 
     def test_report_files(self, tmp_path):
         report = EvalReport(method="fused", pos="all", n=10, mrr=0.625,
-                            p_at={1: 0.5, 5: 1.0, 10: 1.0, 20: 1.0}, skipped=2)
+                            p_at={1: 0.5, 5: 1.0, 10: 1.0, 20: 1.0},
+                            unranked_lexicon_words=2, gold_outside_targets=1)
         csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
         write_report_csv(csv_path, [report])
         write_report_json(json_path, [report])
         text = csv_path.read_text()
         assert "method,pos,n,mrr,p1,p5,p10,p20,skipped,fallback_pairs" in text
+        assert "fused,all,10,0.625,50.0,100.0,100.0,100.0,3,0" in text
         assert "50.0" in text  # P@1 as a percentage
         import json as json_lib
         data = json_lib.loads(json_path.read_text())

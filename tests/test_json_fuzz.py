@@ -4,6 +4,7 @@ model whose sidecar describes its weights or a FormatError (exit 3)."""
 
 import dataclasses
 import json
+import math
 import typing
 
 import numpy as np
@@ -26,16 +27,17 @@ JSON_VALUES = st.recursive(
     max_leaves=6)
 
 
-def field_paths(cls, prefix=()):
-    """(section, ..., key) of every leaf field of a config dataclass."""
+def field_hints(cls, prefix=()):
+    """((section, ..., key), type hint) of every leaf field of a config dataclass."""
     for name, hint in typing.get_type_hints(cls).items():
         if dataclasses.is_dataclass(hint):
-            yield from field_paths(hint, prefix + (name,))
+            yield from field_hints(hint, prefix + (name,))
         else:
-            yield prefix + (name,)
+            yield prefix + (name,), hint
 
 
-CONFIG_PATHS = sorted(field_paths(RunConfig))
+CONFIG_PATHS = sorted(path for path, _ in field_hints(RunConfig))
+FLOAT_PATHS = [path for path, hint in field_hints(RunConfig) if hint is float]
 
 
 def nested(assignments):
@@ -53,9 +55,14 @@ def nested(assignments):
 @settings(max_examples=300, deadline=None)
 def test_config_values_read_or_raise_config_error(assignments):
     try:
-        config_from_dict(nested(assignments))
+        config = config_from_dict(nested(assignments))
     except ConfigError:
-        pass
+        return
+    for path in FLOAT_PATHS:
+        value = config
+        for key in path:
+            value = getattr(value, key)
+        assert math.isfinite(value), path
 
 
 @pytest.mark.parametrize("key,value", [

@@ -16,7 +16,7 @@ from lexipivot.numerics import Tensor, grad_enabled, no_grad, tanh
 from lexipivot.seeding import substream
 
 from conftest import build_corpus, build_model
-from helpers import localize_one
+from helpers import edit_header, localize_one
 
 
 def params_digest(model):
@@ -88,7 +88,7 @@ class TestProbe:
         bundle, model, lang = setup
         scene_id = bundle.scenes[lang][0].scene_id
         for tokens in ([5, 6, 7], [BOS, EOS]):
-            caption = CaptionedExample(scene_id, lang, tokens, "")
+            caption = CaptionedExample(scene_id, lang, tokens)
             with pytest.raises(InputError):
                 collect_word_features(model, [caption], bundle.features, lang)
 
@@ -161,7 +161,7 @@ def mixed_length_examples(bundle, lang):
         words = list(ex.tokens[1:-1])[: 1 + i % 4]
         if i % 5 == 0:
             words[-1] = UNK
-        out.append(CaptionedExample(ex.scene_id, lang, (BOS, *words, EOS), ex.raw_text))
+        out.append(CaptionedExample(ex.scene_id, lang, (BOS, *words, EOS)))
     return out
 
 
@@ -276,6 +276,31 @@ class TestTableFile:
         path = tmp_path / "bad.lxwf"
         path.write_bytes(b"XXXX" + b"\x00" * 24)
         with pytest.raises(FormatError):
+            read_word_features(path)
+
+    @pytest.mark.parametrize("edit,fragment", [
+        (lambda h: h["meta"]["counts"].pop(), "one occurrence count per word"),
+        (lambda h: h["meta"].update(counts=[2, -1]), "one occurrence count per word"),
+        (lambda h: h["meta"].update(aggregated=1), "aggregated flag"),
+        (lambda h: h["meta"].pop("language"), "language"),
+        (lambda h: h["meta"].update(counts=[1, 1]),
+         "'hund' with 1 occurrences has feature rows of shape \\(2, 3\\)"),
+        (lambda h: h["meta"].update(aggregated=True),
+         "'hund' with 2 occurrences has feature rows of shape \\(2, 3\\)"),
+        (lambda h: h["arrays"][1].__setitem__(2, [1, 1, 3]),
+         "'katze' with 1 occurrences has feature rows of shape \\(1, 1, 3\\)"),
+        (lambda h: (h["arrays"][0].__setitem__(2, [2, 2]),
+                    h["arrays"][1].__setitem__(2, [1, 5])), "more than one width"),
+        (lambda h: h["arrays"][1].__setitem__(0, "hund"), "'hund' appears twice"),
+    ], ids=["fewer counts", "negative count", "integer flag", "no language",
+            "count below rows", "aggregated raw rows", "3-d rows", "two widths",
+            "duplicate word"])
+    def test_header_that_does_not_describe_the_rows(self, tmp_path, edit, fragment):
+        path = tmp_path / "raw.lxwf"
+        write_word_features(path, "de", {"hund": (2, np.ones((2, 3))),
+                                         "katze": (1, np.zeros((1, 3)))}, aggregated=False)
+        edit_header(path, edit)
+        with pytest.raises(FormatError, match=fragment):
             read_word_features(path)
 
     def test_deterministic_bytes(self, tmp_path):

@@ -1,15 +1,17 @@
+import json
 import struct
 
 import numpy as np
 import pytest
 
+from lexipivot.corpus import write_features
 from lexipivot.errors import FormatError, InputError
 from lexipivot.numerics import ParamStore, Tensor
 
 
 def build_store():
     rng = np.random.default_rng(42)
-    store = ParamStore(rng_seed=42)
+    store = ParamStore()
     store.add("zeta", Tensor(rng.normal(size=(3, 2))))
     store.add("alpha.weight", Tensor(rng.normal(size=5)))
     store.add("mid", Tensor(np.array(3.14159)))
@@ -45,17 +47,36 @@ def test_header_layout(tmp_path):
     path = tmp_path / "s.lxpv"
     store.save(path)
     blob = path.read_bytes()
-    assert blob[:4] == b"LXPV"
-    version, count = struct.unpack_from("<II", blob, 4)
-    assert version == 1 and count == 3
-    (name_len,) = struct.unpack_from("<I", blob, 12)
-    assert blob[16:16 + name_len].decode() == "alpha.weight"
+    magic, version, header_len = struct.unpack_from("<4sII", blob)
+    assert (magic, version) == (b"LXPV", 2)
+    header = json.loads(blob[12:12 + header_len].decode("utf-8"))
+    assert header == {"meta": {}, "arrays": [["alpha.weight", "<f8", [5]], ["mid", "<f8", []],
+                                             ["zeta", "<f8", [3, 2]]]}
+    data = np.frombuffer(blob, dtype="<f8", offset=12 + header_len)
+    assert np.array_equal(data, np.concatenate([t.data.ravel() for _, t in store.items()]))
+
+
+def test_float32_weights_are_stored_as_float64(tmp_path):
+    store = ParamStore()
+    store.add("w", Tensor(np.array([0.1, -2.5], dtype=np.float32)))
+    path = tmp_path / "f.lxpv"
+    store.save(path)
+    loaded = ParamStore.load(path)["w"].data
+    assert loaded.dtype == np.float64
+    assert np.array_equal(loaded, store["w"].data.astype(np.float64))
 
 
 def test_bad_magic(tmp_path):
     path = tmp_path / "bad.lxpv"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(FormatError, match="magic"):
+        ParamStore.load(path)
+
+
+def test_other_kind_of_container_is_a_bad_magic(tmp_path):
+    path = tmp_path / "features.lxpf"
+    write_features(path, {3: np.zeros((2, 2))})
+    with pytest.raises(FormatError, match="bad magic b'LXPF', expected b'LXPV'"):
         ParamStore.load(path)
 
 

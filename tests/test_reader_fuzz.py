@@ -1,13 +1,12 @@
 """Readers on truncated and mutated bytes: a valid result or a FormatError
 (exit 3), never another exception."""
 
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lexipivot.arrayfile import read_arrays, write_arrays
 from lexipivot.corpus import (
     GroundTruthLexicon,
     RawCaption,
@@ -25,6 +24,8 @@ from lexipivot.corpus.vocab import RESERVED
 from lexipivot.errors import FormatError
 from lexipivot.localization import read_word_features, write_word_features
 from lexipivot.numerics import ParamStore, Tensor
+
+from helpers import edit_header
 
 
 def write_lexicon_file(path):
@@ -64,7 +65,14 @@ def write_region_features_file(path):
     write_features(path, {3: rng.normal(size=(2, 3)), 17: rng.normal(size=(2, 3))})
 
 
+def write_container_file(path):
+    write_arrays(path, b"TEST", "<f8", {"ids": [3, 17], "language": "de"},
+                 {"a": np.arange(6.0).reshape(2, 3), "b": np.array(0.5),
+                  "c": np.zeros((0, 2))})
+
+
 READERS = {
+    "container": (write_container_file, lambda p: read_arrays(p, b"TEST", "<f8")),
     "lexicon": (write_lexicon_file, lambda p: read_lexicon(p, "en", "de")),
     "captions": (write_captions_file, lambda p: read_captions(p, "de")),
     "vocab": (write_vocabulary_file, lambda p: read_vocabulary(p, "de")),
@@ -126,12 +134,12 @@ def test_table_row_count_past_the_end_is_a_format_error(tmp_path):
     # rows x dimension is past the end of the file and past any buffer size
     path = tmp_path / "table.lxwf"
     write_table_file(path, aggregated=False)
-    blob = bytearray(path.read_bytes())
-    blob[12:16] = struct.pack("<I", 0xFFFFFFFF)            # feature dimension
-    occ_at = 20 + 4 + len(b"de") + 4 + len(b"hund")
-    blob[occ_at:occ_at + 4] = struct.pack("<I", 0xFFFFFFFF)  # rows of "hund"
-    path.write_bytes(bytes(blob))
-    with pytest.raises(FormatError, match="past the end"):
+
+    def claim_huge_rows(header):
+        header["meta"]["counts"][0] = 0xFFFFFFFF
+        header["arrays"][0][2] = [0xFFFFFFFF, 0xFFFFFFFF]
+    edit_header(path, claim_huge_rows)
+    with pytest.raises(FormatError, match="'hund' claims shape .*past the end"):
         read_word_features(path)
 
 
@@ -148,9 +156,7 @@ def test_parameter_shape_past_the_end_is_a_format_error(tmp_path):
     # to 0 in 64-bit integer arithmetic
     path = tmp_path / "params.lxpv"
     write_params_file(path)
-    blob = bytearray(path.read_bytes())
-    dims_at = 12 + 4 + len(b"attn.b2") + 4 + 8 + 4 + len(b"embed.de") + 4
-    blob[dims_at:dims_at + 16] = struct.pack("<2Q", 2**33, 2**33)
-    path.write_bytes(bytes(blob))
-    with pytest.raises(FormatError, match="past the end"):
+    edit_header(path, lambda header: header["arrays"][1].__setitem__(2, [2**33, 2**33]))
+    with pytest.raises(FormatError, match="'embed.de' claims shape .*past the end"):
         ParamStore.load(path)
+
