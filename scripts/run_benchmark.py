@@ -23,8 +23,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from lexipivot.caption import split_by_scene  # noqa: E402
-from lexipivot.config import RunConfig, load_config  # noqa: E402
-from lexipivot.errors import LexipivotError  # noqa: E402
+from lexipivot.cli import HANDLED_ERRORS, report_error, resolve_config  # noqa: E402
+from lexipivot.config import RunConfig  # noqa: E402
 from lexipivot.pipeline import load_corpus, run_pipeline  # noqa: E402
 from lexipivot.seeding import derive_seed  # noqa: E402
 
@@ -79,6 +79,25 @@ def measurements(config: RunConfig, result: dict, rows: list, elapsed: float) ->
     }
 
 
+def summarize(config: RunConfig, result: dict, elapsed: float, json_path) -> None:
+    """Print every method's MRR / P@K row; write the BENCH file to `json_path`
+    when one is given."""
+    report = json.loads((result["induce"]["out_dir"] / "report.json").read_text())
+    rows = [r for r in report["reports"] if r["pos"] == "all"]
+    print(f"\nbenchmark finished in {elapsed / 60:.1f} min (seed {config.seed})")
+    print(f"{'method':12s} {'n':>4s} {'MRR':>7s} {'P@1':>7s} {'P@5':>7s} "
+          f"{'P@10':>7s} {'P@20':>7s}")
+    for r in rows:
+        print(f"{r['method']:12s} {r['n']:4d} {r['mrr']:7.3f} {r['p1']:7.1f} "
+              f"{r['p5']:7.1f} {r['p10']:7.1f} {r['p20']:7.1f}")
+    print(f"\nfull reports: {result['induce']['out_dir']}")
+    if json_path:
+        json_path.parent.mkdir(parents=True, exist_ok=True)
+        json_path.write_text(json.dumps(measurements(config, result, rows, elapsed),
+                                        indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"measurements: {json_path}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -89,32 +108,13 @@ def main() -> int:
                         help="write the run's measurements to this file")
     args = parser.parse_args()
 
-    try:
-        config = load_config(args.config) if args.config else RunConfig()
-        config.validate()
-        if args.seed is not None:
-            config.seed = args.seed
+    try:  # the config, exit codes and error line of `lexipivot pipeline`
+        config = resolve_config(args)
         start = time.time()
-        result = run_pipeline(config, args.out)
-        elapsed = time.time() - start
-    except LexipivotError as exc:  # the exit codes and error line of the CLI
-        print(f"lexipivot-error: {exc}", file=sys.stderr)
-        return exc.exit_code
-
-    report = json.loads((result["induce"]["out_dir"] / "report.json").read_text())
-    rows = [r for r in report["reports"] if r["pos"] == "all"]
-    print(f"\nbenchmark finished in {elapsed / 60:.1f} min (seed {config.seed})")
-    print(f"{'method':12s} {'n':>4s} {'MRR':>7s} {'P@1':>7s} {'P@5':>7s} "
-          f"{'P@10':>7s} {'P@20':>7s}")
-    for r in rows:
-        print(f"{r['method']:12s} {r['n']:4d} {r['mrr']:7.3f} {r['p1']:7.1f} "
-              f"{r['p5']:7.1f} {r['p10']:7.1f} {r['p20']:7.1f}")
-    print(f"\nfull reports: {result['induce']['out_dir']}")
-    if args.json:
-        args.json.parent.mkdir(parents=True, exist_ok=True)
-        args.json.write_text(json.dumps(measurements(config, result, rows, elapsed),
-                                        indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        print(f"measurements: {args.json}")
+        result = run_pipeline(config, config.out_dir)
+        summarize(config, result, time.time() - start, args.json)
+    except HANDLED_ERRORS as exc:
+        return report_error(exc)
     return 0
 
 

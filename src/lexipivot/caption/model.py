@@ -108,10 +108,8 @@ class MultiLingualModel:
     # -- forward pieces -----------------------------------------------------
 
     def encode(self, features) -> Tensor:
-        """Raw region features [B,K,D_in] (or [K,D_in]) -> regions [B,K,D]."""
+        """Raw region features [B,K,D_in] -> regions [B,K,D]."""
         arr = np.asarray(features, dtype=self.dtype)
-        if arr.ndim == 2:
-            arr = arr[None]
         if arr.ndim != 3 or arr.shape[1] != self.dims.num_regions \
                 or arr.shape[2] != self.dims.feature_dim:
             raise ShapeError(
@@ -136,13 +134,12 @@ class MultiLingualModel:
         return self.params["attn.w1"], self.params["attn.w2"], self.params["attn.b2"]
 
     def attend(self, h_prev: Tensor, regions: Tensor,
-               region_part: Tensor | None = None) -> tuple[Tensor, Tensor]:
-        """Context vector and weights for one step: ([B,D], [B,K]).
+               region_part: Tensor) -> tuple[Tensor, Tensor]:
+        """Context vector and weights for one step: ([B,D], [B,K]), given the
+        `attention_precompute` of the regions.
 
         Gradients flow through the context vector; the weights are data.
         """
-        if region_part is None:
-            region_part = self.attention_precompute(regions)
         return additive_attention(h_prev, regions, region_part, *self.attention_weights())
 
     def initial_state(self, batch: int) -> tuple[Tensor, Tensor]:
@@ -150,7 +147,7 @@ class MultiLingualModel:
         return h, Tensor(h.data.copy())
 
     def step(self, language: str, state: tuple[Tensor, Tensor], prev_tokens,
-             regions: Tensor, region_part: Tensor | None = None):
+             regions: Tensor, region_part: Tensor):
         """One teacher-forced step for a batch, as extraction decodes.
 
         Returns (logits [B,N], new (h, c), alpha [B,K], context [B,D]).
@@ -166,40 +163,35 @@ class MultiLingualModel:
     def sequence_loss(self, examples, features_by_id) -> tuple[Tensor, int]:
         """Teacher-forced NLL averaged over non-pad target tokens.
 
-        The batch may mix languages; each language is unrolled separately
-        by one `decoder_unroll`, its hidden states are projected onto the
-        tied embedding in one [T*B,V] product, and the per-language sums
-        are combined before averaging.
+        The batch holds one language. It is unrolled by one
+        `decoder_unroll`, and its hidden states are projected onto the tied
+        embedding in one [T*B,V] product.
         """
         if not examples:
             raise InputError("sequence_loss needs a non-empty batch")
-        by_language: dict[str, list] = {}
+        language = examples[0].language_id
         for ex in examples:
+            if ex.language_id != language:
+                raise InputError(f"sequence_loss needs a batch of one language, got "
+                                 f"{language!r} and {ex.language_id!r}")
             if len(ex.tokens) > self.dims.max_len:
                 raise InputError(
                     f"example of {len(ex.tokens)} tokens exceeds the unroll cap "
                     f"{self.dims.max_len}")
-            by_language.setdefault(ex.language_id, []).append(ex)
-
-        total: Tensor | None = None
-        count = 0
-        for language in sorted(by_language):
-            group = by_language[language]
-            tokens = _pad_tokens(group)
-            feats = np.stack([np.asarray(features_by_id[ex.scene_id]) for ex in group])
-            embed = self.embedding(language)
-            regions = self.encode(feats)
-            # step-major: row t*B + b is caption b at step t; the widest
-            # caption ends in the last column, so no step is all padding
-            words = gather_cols(embed, tokens[:, :-1].T.reshape(-1))
-            hidden = decoder_unroll(words, regions, self.attention_precompute(regions),
-                                    self.lstm_weights(), self.attention_weights())
-            targets = tokens[:, 1:].T.reshape(-1)
-            mask = (targets != PAD).astype(self.dtype)
-            ce = cross_entropy_rows(matmul(hidden, embed), targets, mask)
-            count += int(mask.sum())
-            total = ce if total is None else add(total, ce)
-        return scale(reshape(total, (1, 1)), 1.0 / count), count
+        tokens = _pad_tokens(examples)
+        feats = np.stack([np.asarray(features_by_id[ex.scene_id]) for ex in examples])
+        embed = self.embedding(language)
+        regions = self.encode(feats)
+        # step-major: row t*B + b is caption b at step t; the widest caption
+        # ends in the last column, so no step is all padding
+        words = gather_cols(embed, tokens[:, :-1].T.reshape(-1))
+        hidden = decoder_unroll(words, regions, self.attention_precompute(regions),
+                                self.lstm_weights(), self.attention_weights())
+        targets = tokens[:, 1:].T.reshape(-1)
+        mask = (targets != PAD).astype(self.dtype)
+        ce = cross_entropy_rows(matmul(hidden, embed), targets, mask)
+        count = int(mask.sum())
+        return scale(reshape(ce, (1, 1)), 1.0 / count), count
 
     # -- persistence --------------------------------------------------------
 

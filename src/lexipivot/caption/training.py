@@ -15,6 +15,8 @@ from .model import MultiLingualModel
 
 log = logging.getLogger("lexipivot")
 
+CLIP_NORM = 5.0  # global gradient-norm clip of every training batch
+
 
 @dataclass
 class TrainingConfig:
@@ -24,8 +26,17 @@ class TrainingConfig:
     learning_rate: float = 3e-4
     max_epochs: int = 100
     patience: int = 10
-    clip_norm: float = 5.0
     val_fraction: float = 0.1
+
+    def validate(self):
+        if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
+            raise ConfigError("training.batch_size, training.max_epochs and "
+                              "training.patience must be >= 1")
+        if not self.learning_rate > 0:
+            raise ConfigError(f"training.learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.val_fraction < 1:
+            raise ConfigError(f"training.val_fraction must be in (0, 1), "
+                              f"got {self.val_fraction}")
 
 
 @dataclass(frozen=True)
@@ -46,9 +57,6 @@ class TrainingLog:
     best_epoch: int = 0
     best_val_loss: float = float("inf")
     epochs_run: int = 0
-
-    def overall(self) -> list[EpochStat]:
-        return [r for r in self.rows if r.language == "all"]
 
 
 def split_by_scene(examples, val_fraction: float, seed: int, label: str = ""):
@@ -104,11 +112,10 @@ def _touched(params):
     return sub
 
 
-def _norm_stats(norms, clip_norm: float) -> tuple[float, float, float]:
+def _norm_stats(norms) -> tuple[float, float, float]:
     """(mean, max, clipped fraction) of pre-clip gradient norms."""
     norms = np.asarray(norms)
-    clipped = float(np.mean(norms > clip_norm)) if clip_norm > 0 else 0.0
-    return float(norms.mean()), float(norms.max()), clipped
+    return float(norms.mean()), float(norms.max()), float(np.mean(norms > CLIP_NORM))
 
 
 def _validation_loss(model: MultiLingualModel, examples, features, batch_size: int):
@@ -167,7 +174,7 @@ def train(model: MultiLingualModel, data: dict[str, tuple[list, list]], features
             if not np.isfinite(value):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
             loss.backward()
-            grad_norms[lang].append(clip_global_norm(model.params, config.clip_norm))
+            grad_norms[lang].append(clip_global_norm(model.params, CLIP_NORM))
             adam_update(_touched(model.params), adam)
             train_ce[lang] += value * n
             train_tokens[lang] += n
@@ -185,10 +192,9 @@ def train(model: MultiLingualModel, data: dict[str, tuple[list, list]], features
         for lang in sorted(data):
             result.rows.append(EpochStat(epoch, lang, train_ce[lang] / train_tokens[lang],
                                          val_ce[lang] / val_tokens[lang],
-                                         *_norm_stats(grad_norms[lang], config.clip_norm)))
+                                         *_norm_stats(grad_norms[lang])))
         result.rows.append(EpochStat(epoch, "all", overall_train, overall_val,
-                                     *_norm_stats(sum(grad_norms.values(), []),
-                                                  config.clip_norm)))
+                                     *_norm_stats(sum(grad_norms.values(), []))))
         result.epochs_run = epoch
         log.info("epoch %d: %.2f s wall, %.0f training tokens/s; train loss %.4f, "
                  "val loss %.4f", epoch, time.perf_counter() - started,

@@ -76,7 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args) -> RunConfig:
+def resolve_config(args) -> RunConfig:
+    """The config of `--config` (defaults when omitted), with `--seed` and
+    `--out` applied."""
     config = load_config(args.config) if args.config else RunConfig()
     if args.config is None:
         config.validate()
@@ -87,11 +89,22 @@ def _resolve_config(args) -> RunConfig:
     return config
 
 
+# the failures that end a command with one error line and an exit code
+HANDLED_ERRORS = (LexipivotError, OSError)
+
+
+def report_error(exc: Exception) -> int:
+    """Print the one error line of a `HANDLED_ERRORS` failure and return its
+    exit code: the error's own, or 3 for an OSError."""
+    print(f"lexipivot-error: {exc}", file=sys.stderr)
+    return exc.exit_code if isinstance(exc, LexipivotError) else 3
+
+
 def main(argv=None) -> int:
     _setup_logging()
     try:
         args = build_parser().parse_args(argv)
-        config = _resolve_config(args)
+        config = resolve_config(args)
         out = Path(config.out_dir)
         if args.command == "gen-corpus":
             pipeline.stage_gen_corpus(config, out)
@@ -104,12 +117,8 @@ def main(argv=None) -> int:
         elif args.command == "pipeline":
             pipeline.run_pipeline(config, out)
         return 0
-    except LexipivotError as exc:
-        print(f"lexipivot-error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"lexipivot-error: {exc}", file=sys.stderr)
-        return 3
+    except HANDLED_ERRORS as exc:
+        return report_error(exc)
 
 
 def entry() -> None:

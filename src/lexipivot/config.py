@@ -22,6 +22,7 @@ from .corpus.synthetic import CorpusConfig
 from .caption.training import TrainingConfig
 from .errors import ConfigError
 
+# every induce run ranks all five
 INDUCTION_METHODS = ("linguistic", "visual", "fused", "cnn_mean", "cnn_avgmax")
 
 
@@ -29,12 +30,8 @@ INDUCTION_METHODS = ("linguistic", "visual", "fused", "cnn_mean", "cnn_avgmax")
 class ModelSection:
     embed_dim: int = 64
     attn_dim: int = 32
-    # float32 training is ~3x faster; gradient checks always run float64
-    dtype: str = "float32"
 
     def validate(self):
-        if self.dtype not in ("float32", "float64"):
-            raise ConfigError(f"model.dtype must be float32 or float64, got {self.dtype!r}")
         if self.embed_dim < 1 or self.attn_dim < 1:
             raise ConfigError("model dimensions must be positive")
 
@@ -42,32 +39,11 @@ class ModelSection:
 @dataclass
 class ExtractionSection:
     method: str = "probe"
-    cap: int | None = None
 
     def validate(self):
         if self.method not in ("probe", "attention"):
             raise ConfigError(f"extraction.method must be probe or attention, "
                               f"got {self.method!r}")
-        if self.cap is not None and self.cap < 1:
-            raise ConfigError("extraction.cap must be >= 1 when set")
-
-
-@dataclass
-class InductionSection:
-    methods: tuple[str, ...] = INDUCTION_METHODS
-    fusion_lambda: float = 0.5
-
-    def validate(self):
-        if not self.methods:
-            raise ConfigError("induction.methods must name at least one method")
-        for m in self.methods:
-            if m not in INDUCTION_METHODS:
-                raise ConfigError(f"unknown induction method {m!r}; "
-                                  f"choose from {list(INDUCTION_METHODS)}")
-        if len(set(self.methods)) != len(self.methods):
-            raise ConfigError(f"induction.methods repeats a method: {list(self.methods)}")
-        if not 0.0 <= self.fusion_lambda <= 1.0:
-            raise ConfigError("induction.fusion_lambda must be in [0, 1]")
 
 
 @dataclass
@@ -80,17 +56,14 @@ class RunConfig:
     model: ModelSection = field(default_factory=ModelSection)
     training: TrainingConfig = field(default_factory=TrainingConfig)
     extraction: ExtractionSection = field(default_factory=ExtractionSection)
-    induction: InductionSection = field(default_factory=InductionSection)
 
     def validate(self):
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         self.corpus.validate()
         self.model.validate()
+        self.training.validate()
         self.extraction.validate()
-        self.induction.validate()
-        if self.training.batch_size < 1 or self.training.max_epochs < 1:
-            raise ConfigError("training.batch_size and training.max_epochs must be >= 1")
 
     def to_dict(self) -> dict:
         return _as_jsonable(dataclasses.asdict(self))

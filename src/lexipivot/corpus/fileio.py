@@ -96,6 +96,8 @@ def write_vocabulary(path, vocab: Vocabulary) -> None:
 
 
 def read_vocabulary(path, language: str) -> Vocabulary:
+    """A vocabulary file. A word listed twice is a FormatError naming the
+    second line: its index would shadow the first one's."""
     words: list[str] = []
     counts: dict[str, int] = {}
     for lineno, line in text_records(path):
@@ -108,6 +110,9 @@ def read_vocabulary(path, language: str) -> Vocabulary:
             raise FormatError(f"{path}:{lineno}: non-integer index or count") from exc
         if index != len(words):
             raise FormatError(f"{path}:{lineno}: index {index} out of order")
+        if parts[1] in counts:
+            raise FormatError(f"{path}:{lineno}: word {parts[1]!r} is already listed at "
+                              f"index {words.index(parts[1])}")
         words.append(parts[1])
         counts[parts[1]] = count
     if words[: len(RESERVED)] != list(RESERVED):

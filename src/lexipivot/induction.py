@@ -23,7 +23,7 @@ import numpy as np
 from .caption.model import MultiLingualModel
 from .corpus.lexicon import GroundTruthLexicon
 from .corpus.vocab import RESERVED, Vocabulary
-from .errors import EmptyResultError, InputError, NoVisualError
+from .errors import EmptyResultError, NoVisualError
 from .localization import ROW_CAP
 from .numerics import no_grad
 from .seeding import substream
@@ -124,8 +124,8 @@ def linguistic_vectors(model: MultiLingualModel, language: str,
 
 
 def build_table(language_id: str, linguistic: dict[str, np.ndarray],
-                visual_sets: dict[str, np.ndarray] | None = None,
-                global_sets: dict[str, np.ndarray] | None = None) -> WordFeatureTable:
+                visual_sets: dict[str, np.ndarray],
+                global_sets: dict[str, np.ndarray]) -> WordFeatureTable:
     """Stack one language's features into matrices.
 
     `linguistic` holds unit vectors (as `linguistic_vectors` makes them)
@@ -133,7 +133,6 @@ def build_table(language_id: str, linguistic: dict[str, np.ndarray],
     of its `visual_sets` rows. `global_sets` holds each word's global image
     rows for the baselines. Sets of words outside `linguistic` are dropped.
     """
-    visual_sets, global_sets = visual_sets or {}, global_sets or {}
     words = sorted(linguistic)
     visual = [mean_unit(visual_sets[w]) if w in visual_sets else None for w in words]
     d_v = _first_dim(v for v in visual if v is not None)
@@ -157,9 +156,9 @@ def build_table(language_id: str, linguistic: dict[str, np.ndarray],
 
 
 def collect_global_feature_sets(model: MultiLingualModel, examples, features_by_id,
-                                vocab: Vocabulary, cap: int | None = None,
-                                seed: int = 0) -> dict[str, np.ndarray]:
-    """Baseline feature sets: one global (region-mean) vector per occurrence.
+                                vocab: Vocabulary, seed: int) -> dict[str, np.ndarray]:
+    """Baseline feature sets: one global (region-mean) vector per occurrence,
+    a seeded subsample of `BASELINE_SET_CAP` of them for a word with more.
 
     Mirrors the retrieval-style baselines, where a word is represented by
     whole-image features of the images it occurs with.
@@ -182,9 +181,9 @@ def collect_global_feature_sets(model: MultiLingualModel, examples, features_by_
     out = {}
     for word in sorted(sets):
         feats = sets[word]
-        if cap is not None and len(feats) > cap:
+        if len(feats) > BASELINE_SET_CAP:
             rng = substream(seed, f"subsample-global:{vocab.language_id}:{word}")
-            keep = sorted(rng.choice(len(feats), size=cap, replace=False))
+            keep = sorted(rng.choice(len(feats), size=BASELINE_SET_CAP, replace=False))
             feats = [feats[i] for i in keep]
         out[word] = np.asarray(feats, dtype=np.float64)
     return out
@@ -254,22 +253,17 @@ def visual_rank(x: str, source: WordFeatureTable,
                    int(np.count_nonzero(~target.has_visual)))
 
 
-def fused_rank(x: str, source: WordFeatureTable, target: WordFeatureTable,
-               fusion_lambda: float = 0.5) -> TranslationRanking:
-    """Rank by w_l*s_l + w_i*s_i with (w_l, w_i) = (2L, 2-2L).
+def fused_rank(x: str, source: WordFeatureTable,
+               target: WordFeatureTable) -> TranslationRanking:
+    """Rank by the unweighted sum s_l + s_v of the two cosines.
 
-    At the default L=0.5 this is the plain unweighted sum. Pairs missing
-    a visual side fall back to the linguistic term alone (nothing is
-    subtracted) and are counted in `fallback_pairs`.
+    Pairs missing a visual side fall back to the linguistic term alone
+    (nothing is subtracted) and are counted in `fallback_pairs`.
     """
-    if not 0.0 <= fusion_lambda <= 1.0:
-        raise InputError(f"fusion lambda must be in [0,1], got {fusion_lambda}")
-    w_l, w_i = 2.0 * fusion_lambda, 2.0 * (1.0 - fusion_lambda)
     i = source.row(x)
-    s_l = w_l * _row_dots(target.linguistic, source.linguistic[i])
+    s_l = _row_dots(target.linguistic, source.linguistic[i])
     both = target.has_visual & source.has_visual[i]
-    scores = np.where(both, s_l + w_i * _row_dots(target.visual, source.visual[i], both),
-                      s_l)
+    scores = np.where(both, s_l + _row_dots(target.visual, source.visual[i], both), s_l)
     return _ranked(x, "fused", target.words, scores, int(np.count_nonzero(~both)))
 
 
@@ -328,7 +322,7 @@ class EvalReport:
 
 
 def evaluate(rankings: dict[str, TranslationRanking], lexicon: GroundTruthLexicon,
-             method: str | None = None, pos: str = "all", words=None) -> EvalReport:
+             method: str, pos: str = "all", words=None) -> EvalReport:
     """MRR/P@K over the lexicon's source words, or over `words` among them
     (1-based ranks, best target).
 
@@ -358,15 +352,13 @@ def evaluate(rankings: dict[str, TranslationRanking], lexicon: GroundTruthLexico
         n += 1
     if n == 0:
         raise EmptyResultError(f"no evaluable source words (skipped {unranked + outside})")
-    name = method or next(iter(rankings.values())).method
-    return EvalReport(method=name, pos=pos, n=n, mrr=total_rr / n,
+    return EvalReport(method=method, pos=pos, n=n, mrr=total_rr / n,
                       p_at={k: hits[k] / n for k in KS}, unranked_lexicon_words=unranked,
                       gold_outside_targets=outside, fallback_pairs=fallback)
 
 
 def pos_breakdown(rankings: dict[str, TranslationRanking],
-                  lexicon: GroundTruthLexicon, method: str | None = None
-                  ) -> list[EvalReport]:
+                  lexicon: GroundTruthLexicon, method: str) -> list[EvalReport]:
     """Per-POS rows; words without a tag fall in the "unk" group."""
     groups: dict[str, list[str]] = {}
     for word in lexicon.entries:

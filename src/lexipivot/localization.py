@@ -27,7 +27,6 @@ from .caption.model import MultiLingualModel
 from .corpus.vocab import BOS, EOS, PAD, UNK
 from .errors import FormatError, InputError, NumericError
 from .numerics import Tensor, no_grad
-from .seeding import substream
 
 TABLE_MAGIC = b"LXWF"
 _METHODS = ("probe", "attention")
@@ -50,8 +49,6 @@ def localize_batch(model: MultiLingualModel, language: str, regions: np.ndarray,
     Attention: one decode over all K regions; its context vector and
     attention weights are the feature and weights.
     """
-    if language not in model.vocab_sizes:
-        raise KeyError(f"language {language!r} is not registered with this model")
     tokens = np.asarray(tokens, dtype=np.intp)
     b, k, d = regions.shape
     if method == "probe":
@@ -85,18 +82,16 @@ def localize_batch(model: MultiLingualModel, language: str, regions: np.ndarray,
 
 def collect_word_features(model: MultiLingualModel, examples, features_by_id,
                           language: str, method: str = "probe",
-                          cap: int | None = None, seed: int = 0,
                           counts: dict | None = None) -> dict[int, np.ndarray]:
     """Localized feature rows [n, D] per word index over a corpus.
 
     Captions are grouped by token length; each group is encoded `ROW_CAP`
     images at a time and decoded in batches of at most `ROW_CAP` decode
     rows. Sentinel and unknown tokens are dropped. A word's rows are in
-    corpus order (caption order, then position); with `cap` set, each word
-    keeps a seeded uniform subsample of at most `cap` of them, picked by
-    index in that order. `counts`, when given, receives the occurrences
-    decoded and dropped, the words kept and subsampled, and the decode
-    batches. A model that decodes non-finite features raises NumericError.
+    corpus order (caption order, then position). `counts`, when given,
+    receives the occurrences decoded and dropped, the words kept, and the
+    decode batches. A model that decodes non-finite features raises
+    NumericError.
     """
     if method not in _METHODS:
         raise InputError(f"unknown localization method {method!r}")
@@ -119,18 +114,11 @@ def collect_word_features(model: MultiLingualModel, examples, features_by_id,
     kept = np.flatnonzero(np.isin(words, (PAD, BOS, EOS, UNK), invert=True))
     by_word = kept[np.argsort(words[kept], kind="stable")]  # corpus order within a word
     word_ids, starts = np.unique(words[by_word], return_index=True)
-    sets: dict[int, np.ndarray] = {}
-    subsampled = 0
-    for word_index, occurrences in zip(word_ids.tolist(), np.split(by_word, starts[1:])):
-        if cap is not None and len(occurrences) > cap:
-            rng = substream(seed, f"subsample:{language}:{word_index}")
-            occurrences = occurrences[np.sort(rng.choice(len(occurrences), size=cap,
-                                                         replace=False))]
-            subsampled += 1
-        sets[word_index] = rows[occurrences]
+    sets = {word_index: rows[occurrences] for word_index, occurrences
+            in zip(word_ids.tolist(), np.split(by_word, starts[1:]))}
     if counts is not None:
         counts.update(occurrences=len(words), dropped_unk=len(words) - len(kept),
-                      words=len(sets), subsampled_words=subsampled, batches=batches)
+                      words=len(sets), batches=batches)
     return sets
 
 

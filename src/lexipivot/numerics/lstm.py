@@ -62,17 +62,14 @@ def cell_backward(dh: np.ndarray | None, dc: np.ndarray, act: np.ndarray,
 
 
 def lstm_step(x: Tensor, state: tuple[Tensor, Tensor], weights: LstmWeights):
-    """One LSTM step. x [B,d_in] (or [d_in]), state (h,c) [B,H] -> (h', c').
+    """One LSTM step. x [B,d_in], state (h,c) [B,H] -> (h', c').
 
     The tape holds two nodes: c' owns the backward of all four gates, and
     h' is a child of c' that hands its o-gate gradient to c' and adds its
     share of dL/dc' before c' runs (reverse topological order).
     """
     h, c = state
-    squeeze = x.data.ndim == 1
     xd, hd, cd = x.data, h.data, c.data
-    if squeeze:
-        xd, hd, cd = xd[None], hd[None], cd[None]
     hs = weights.hidden_size
     w_ih, w_hh, bias = weights.w_ih, weights.w_hh, weights.bias
     if xd.ndim != 2 or hd.ndim != 2 or cd.ndim != 2 \
@@ -87,14 +84,13 @@ def lstm_step(x: Tensor, state: tuple[Tensor, Tensor], weights: LstmWeights):
     grad_h = []                          # dL/dh', filled by h' before c' runs
 
     def backward_c(dc):
-        dc = dc.reshape(c_data.shape)
         dgates = cell_backward(grad_h.pop() if grad_h else None, dc, act, cd, tanh_c)
         if x.requires_grad:
-            x.accumulate_grad((dgates @ w_ih.data.T).reshape(x.shape), fresh=True)
+            x.accumulate_grad(dgates @ w_ih.data.T, fresh=True)
         if h.requires_grad:
-            h.accumulate_grad((dgates @ w_hh.data.T).reshape(h.shape), fresh=True)
+            h.accumulate_grad(dgates @ w_hh.data.T, fresh=True)
         if c.requires_grad:
-            c.accumulate_grad((dc * act[:, hs:2 * hs]).reshape(c.shape), fresh=True)
+            c.accumulate_grad(dc * act[:, hs:2 * hs], fresh=True)
         if w_ih.requires_grad:
             w_ih.accumulate_grad(xd.T @ dgates, fresh=True)
         if w_hh.requires_grad:
@@ -103,12 +99,9 @@ def lstm_step(x: Tensor, state: tuple[Tensor, Tensor], weights: LstmWeights):
             bias.accumulate_grad(dgates.sum(axis=0), fresh=True)
 
     def backward_h(dh):
-        dh = dh.reshape(h_data.shape)
         grad_h.append(dh)
-        c_new.accumulate_grad(dc_through_h(dh, act, tanh_c).reshape(c_new.shape),
-                              fresh=True)
+        c_new.accumulate_grad(dc_through_h(dh, act, tanh_c), fresh=True)
 
-    out_shape = (hs,) if squeeze else c_data.shape
-    c_new = _make(c_data.reshape(out_shape), (x, h, c, w_ih, w_hh, bias), backward_c)
-    h_new = _make(h_data.reshape(out_shape), (c_new,), backward_h)
+    c_new = _make(c_data, (x, h, c, w_ih, w_hh, bias), backward_c)
+    h_new = _make(h_data, (c_new,), backward_h)
     return h_new, c_new

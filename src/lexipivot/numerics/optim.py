@@ -32,7 +32,7 @@ def clip_global_norm(params: ParamStore, max_norm: float) -> float:
         if p.grad is not None:
             total += float((p.grad.astype(np.float64) ** 2).sum())
     norm = float(np.sqrt(total))
-    if max_norm > 0 and norm > max_norm:
+    if norm > max_norm:
         factor = max_norm / norm
         for _, p in params.items():
             if p.grad is not None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from .caption import (
     split_by_scene,
     train,
 )
-from .config import RunConfig
+from .config import INDUCTION_METHODS, RunConfig
 from .corpus import (
     generate_corpus,
     index_captions,
@@ -38,7 +37,6 @@ from .corpus import (
 )
 from .errors import ConfigError, EmptyResultError, FormatError
 from .induction import (
-    BASELINE_SET_CAP,
     build_table,
     cnn_avgmax_rank,
     cnn_mean_rank,
@@ -155,9 +153,8 @@ def build_model_from_config(config: RunConfig, vocab_sizes: dict[str, int]) -> M
         num_regions=config.corpus.grid_side ** 2,
         max_len=config.corpus.max_caption_len,
     )
-    return MultiLingualModel.build(
-        dims, vocab_sizes, seed=derive_seed(config.seed, "init"),
-        dtype=np.dtype(config.model.dtype).type)
+    return MultiLingualModel.build(dims, vocab_sizes, seed=derive_seed(config.seed, "init"),
+                                   dtype=np.float32)
 
 
 def write_training_log(path, rows) -> None:
@@ -241,9 +238,8 @@ def stage_extract(config: RunConfig, out_dir, checkpoint, corpus_dir) -> dict:
         vocab = loaded.vocabs[lang]
         manifest.counts[lang] = {}
         with manifest.timed(f"localize:{lang}"):
-            sets = collect_word_features(
-                model, loaded.examples[lang], loaded.features, lang, method,
-                cap=config.extraction.cap, seed=config.seed, counts=manifest.counts[lang])
+            sets = collect_word_features(model, loaded.examples[lang], loaded.features,
+                                         lang, method, counts=manifest.counts[lang])
         with manifest.timed(f"write:{lang}"):
             visual_entries = {}
             for index in sorted(sets):
@@ -260,8 +256,7 @@ def stage_extract(config: RunConfig, out_dir, checkpoint, corpus_dir) -> dict:
             write_word_features(ling_path, lang, ling_entries, aggregated=True)
 
             global_sets = collect_global_feature_sets(
-                model, loaded.examples[lang], loaded.features, vocab,
-                cap=BASELINE_SET_CAP, seed=config.seed)
+                model, loaded.examples[lang], loaded.features, vocab, config.seed)
             global_entries = {w: (len(rows), rows) for w, rows in global_sets.items()}
             global_path = table_file(out_dir, lang, "global")
             write_word_features(global_path, lang, global_entries, aggregated=False)
@@ -291,8 +286,9 @@ def _load_tables(features_dir, languages, method: str):
     return tables
 
 
-def compute_rankings(config: RunConfig, tables, source: str, target: str) -> dict[str, dict]:
-    """{method: {source word: ranking}}, one `<method>_rank` call per source word.
+def compute_rankings(tables, source: str, target: str) -> dict[str, dict]:
+    """{method: {source word: ranking}} for every method of `INDUCTION_METHODS`,
+    one `<method>_rank` call per source word.
 
     Every method ranks the source words it can score against all target
     words, and skips the rest: visual needs a visual vector, cnn_mean a
@@ -304,12 +300,12 @@ def compute_rankings(config: RunConfig, tables, source: str, target: str) -> dic
     rankers = {
         "linguistic": (linguistic_rank, every),
         "visual": (visual_rank, src.has_visual),
-        "fused": (partial(fused_rank, fusion_lambda=config.induction.fusion_lambda), every),
+        "fused": (fused_rank, every),
         "cnn_mean": (cnn_mean_rank, src.global_mean_valid),
         "cnn_avgmax": (cnn_avgmax_rank, np.diff(src.global_offsets) > 0),
     }
     methods = {}
-    for method in config.induction.methods:
+    for method in INDUCTION_METHODS:
         rank, scorable = rankers[method]
         methods[method] = {word: rank(word, src, tgt)
                            for word, ok in zip(src.words, scorable) if ok}
@@ -349,7 +345,7 @@ def stage_induce(config: RunConfig, out_dir, features_dir, lexicon_path) -> dict
         manifest.add_input(lexicon_path)
         tables = _load_tables(features_dir, (source, target), config.extraction.method)
     with manifest.timed("rank"):
-        methods = compute_rankings(config, tables, source, target)
+        methods = compute_rankings(tables, source, target)
     manifest.counts = ranking_counts(methods, tables[source].words)
     with manifest.timed("evaluate"):
         reports = reports_for(methods, lexicon)

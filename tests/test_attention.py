@@ -97,7 +97,7 @@ def test_model_attend_matches_reference():
     regions = model.encode(rng.normal(size=(2, 4, 6)))
     h, _ = model.initial_state(2)
     h.data[...] = rng.normal(size=h.data.shape)
-    context, alpha = model.attend(h, regions)
+    context, alpha = model.attend(h, regions, model.attention_precompute(regions))
     p = {n: model.params[n].data for n in ("attn.w1", "attn.b1", "attn.w2", "attn.b2")}
     region_part = regions.data.reshape(8, 5) @ p["attn.w1"][5:] + p["attn.b1"]
     ref_context, ref_alpha = reference(h.data, regions.data, region_part,

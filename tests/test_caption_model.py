@@ -4,7 +4,7 @@ import pytest
 from lexipivot.caption import ModelDims, MultiLingualModel
 from lexipivot.corpus.vocab import BOS, EOS, PAD, CaptionedExample
 from lexipivot.errors import InputError, ShapeError
-from lexipivot.numerics import AdamState, Tensor, adam_update, no_grad
+from lexipivot.numerics import AdamState, Tensor, add, adam_update, no_grad
 
 from conftest import build_corpus, build_model
 from helpers import assert_grads_close
@@ -20,19 +20,28 @@ def example(lang, tokens, scene=0):
     return CaptionedExample(scene_id=scene, language_id=lang, tokens=tuple(tokens))
 
 
+def attend(model, h, regions):
+    return model.attend(h, regions, model.attention_precompute(regions))
+
+
+def step(model, language, state, prev_tokens, regions):
+    return model.step(language, state, prev_tokens, regions,
+                      model.attention_precompute(regions))
+
+
 class TestEncode:
     def test_identity_weights_give_tanh(self):
         dims = small_dims(feature_dim=5, embed_dim=5)
         model = MultiLingualModel.build(dims, {"x": 8}, seed=0)
         model.params["encoder.weight"].data[...] = np.eye(5)
         model.params["encoder.bias"].data[...] = 0.0
-        feats = np.random.default_rng(0).normal(size=(4, 5))
+        feats = np.random.default_rng(0).normal(size=(1, 4, 5))
         out = model.encode(feats)
-        np.testing.assert_allclose(out.data[0], np.tanh(feats), atol=1e-12)
+        np.testing.assert_allclose(out.data, np.tanh(feats), atol=1e-12)
 
     def test_encoder_shared_across_languages(self):
         model = MultiLingualModel.build(small_dims(), {"x": 8, "y": 11}, seed=1)
-        feats = np.random.default_rng(1).normal(size=(4, 6))
+        feats = np.random.default_rng(1).normal(size=(1, 4, 6))
         a = model.encode(feats)
         b = model.encode(feats)  # language plays no role in encoding
         assert np.array_equal(a.data, b.data)
@@ -40,9 +49,11 @@ class TestEncode:
     def test_shape_check(self):
         model = MultiLingualModel.build(small_dims(), {"x": 8}, seed=1)
         with pytest.raises(ShapeError):
-            model.encode(np.zeros((3, 6)))  # wrong region count
+            model.encode(np.zeros((1, 3, 6)))  # wrong region count
         with pytest.raises(ShapeError):
-            model.encode(np.zeros((4, 7)))  # wrong feature dim
+            model.encode(np.zeros((1, 4, 7)))  # wrong feature dim
+        with pytest.raises(ShapeError):
+            model.encode(np.zeros((4, 6)))  # one image without its batch axis
 
 
 class TestAttend:
@@ -50,20 +61,19 @@ class TestAttend:
         model = MultiLingualModel.build(small_dims(), {"x": 8}, seed=2)
         for name in ("attn.w1", "attn.b1", "attn.w2", "attn.b2"):
             model.params[name].data[...] = 0.0
-        regions = model.encode(np.random.default_rng(2).normal(size=(4, 6)))
+        regions = model.encode(np.random.default_rng(2).normal(size=(1, 4, 6)))
         h, _ = model.initial_state(1)
         h.data[...] = np.random.default_rng(3).normal(size=h.data.shape)
-        context, alpha = model.attend(h, regions)
+        context, alpha = attend(model, h, regions)
         np.testing.assert_allclose(alpha.data, 0.25, atol=1e-12)
         np.testing.assert_allclose(context.data[0], regions.data[0].mean(axis=0), atol=1e-12)
 
     def test_single_region(self):
         model = MultiLingualModel.build(small_dims(), {"x": 8}, seed=2)
-        regions = model.encode(np.random.default_rng(4).normal(size=(4, 6)))
-        from lexipivot.numerics import Tensor as T
-        single = T(regions.data[:, 1:2, :])
+        regions = model.encode(np.random.default_rng(4).normal(size=(1, 4, 6)))
+        single = Tensor(regions.data[:, 1:2, :])
         h, _ = model.initial_state(1)
-        context, alpha = model.attend(h, single)
+        context, alpha = attend(model, h, single)
         np.testing.assert_allclose(alpha.data, [[1.0]], atol=1e-15)
         np.testing.assert_allclose(context.data[0], regions.data[0, 1], atol=1e-15)
 
@@ -74,52 +84,52 @@ class TestAttend:
             regions = model.encode(rng.normal(size=(2, 4, 6)))
             h, _ = model.initial_state(2)
             h.data[...] = rng.normal(size=h.data.shape)
-            _, alpha = model.attend(h, regions)
+            _, alpha = attend(model, h, regions)
             np.testing.assert_allclose(alpha.data.sum(axis=1), 1.0, atol=1e-9)
 
     def test_zero_regions_rejected(self):
         model = MultiLingualModel.build(small_dims(), {"x": 8}, seed=5)
         with pytest.raises(ShapeError):
-            model.attend(model.initial_state(1)[0], Tensor(np.zeros((1, 0, 5))))
+            attend(model, model.initial_state(1)[0], Tensor(np.zeros((1, 0, 5))))
 
 
 class TestDecodeStep:
     def test_deterministic_first_step(self):
         model = MultiLingualModel.build(small_dims(), {"x": 9}, seed=7)
-        feats = np.random.default_rng(7).normal(size=(4, 6))
+        feats = np.random.default_rng(7).normal(size=(1, 4, 6))
         regions = model.encode(feats)
 
         def first_logits():
-            logits, _, _, _ = model.step("x", model.initial_state(1), np.array([BOS]),
-                                         regions)
+            logits, _, _, _ = step(model, "x", model.initial_state(1), np.array([BOS]),
+                                   regions)
             return logits.data.copy()
 
         assert np.array_equal(first_logits(), first_logits())
 
     def test_logit_width_is_language_vocab(self):
         model = MultiLingualModel.build(small_dims(), {"x": 9, "y": 13}, seed=7)
-        feats = np.random.default_rng(8).normal(size=(4, 6))
+        feats = np.random.default_rng(8).normal(size=(1, 4, 6))
         regions = model.encode(feats)
         state = model.initial_state(1)
-        lx, _, _, _ = model.step("x", state, np.array([BOS]), regions)
-        ly, _, _, _ = model.step("y", state, np.array([BOS]), regions)
+        lx, _, _, _ = step(model, "x", state, np.array([BOS]), regions)
+        ly, _, _, _ = step(model, "y", state, np.array([BOS]), regions)
         assert lx.data.shape == (1, 9)
         assert ly.data.shape == (1, 13)
 
     def test_unregistered_language(self):
         model = MultiLingualModel.build(small_dims(), {"x": 9}, seed=7)
-        feats = np.zeros((4, 6))
+        feats = np.zeros((1, 4, 6))
         with pytest.raises(KeyError, match="zz"):
-            model.step("zz", model.initial_state(1), np.array([0]), model.encode(feats))
+            step(model, "zz", model.initial_state(1), np.array([0]), model.encode(feats))
 
     def test_tied_projection_same_storage(self):
         model = MultiLingualModel.build(small_dims(), {"x": 9}, seed=7)
         embed = model.embedding("x")
-        feats = np.random.default_rng(9).normal(size=(4, 6))
+        feats = np.random.default_rng(9).normal(size=(1, 4, 6))
         regions = model.encode(feats)
-        logits1, _, _, _ = model.step("x", model.initial_state(1), np.array([BOS]), regions)
+        logits1, _, _, _ = step(model, "x", model.initial_state(1), np.array([BOS]), regions)
         embed.data[...] *= 2.0  # scaling the embedding must scale the logits path too
-        logits2, _, _, _ = model.step("x", model.initial_state(1), np.array([BOS]), regions)
+        logits2, _, _, _ = step(model, "x", model.initial_state(1), np.array([BOS]), regions)
         assert not np.allclose(logits1.data, logits2.data)
         assert model.embedding("x") is embed
 
@@ -144,12 +154,13 @@ class TestSequenceLoss:
         assert abs(l1.item() - l2.item()) < 1e-12
 
     def test_mixed_language_batch(self):
+        """Training and validation batches hold one language each."""
         bundle = build_corpus()
         model = build_model(bundle)
         la, lb = bundle.config.languages
         batch = bundle.examples[la][:2] + bundle.examples[lb][:2]
-        loss, count = model.sequence_loss(batch, bundle.features)
-        assert np.isfinite(loss.item()) and count > 0
+        with pytest.raises(InputError, match="one language"):
+            model.sequence_loss(batch, bundle.features)
 
     def test_too_long_example_rejected(self):
         model = MultiLingualModel.build(small_dims(max_len=5), {"x": 10}, seed=8)
@@ -180,10 +191,10 @@ class TestWeightSharing:
         bundle = build_corpus()
         model = build_model(bundle)
         la, lb = bundle.config.languages
-        feats = bundle.features[bundle.scenes[lb][0].scene_id]
+        feats = bundle.features[bundle.scenes[lb][0].scene_id][None]
         regions = model.encode(feats)
         with no_grad():
-            before, _, _, _ = model.step(lb, model.initial_state(1), np.array([BOS]), regions)
+            before, _, _, _ = step(model, lb, model.initial_state(1), np.array([BOS]), regions)
 
         from lexipivot.caption.training import _touched
 
@@ -195,7 +206,7 @@ class TestWeightSharing:
 
         with no_grad():
             regions2 = model.encode(feats)
-            after, _, _, _ = model.step(lb, model.initial_state(1), np.array([BOS]), regions2)
+            after, _, _, _ = step(model, lb, model.initial_state(1), np.array([BOS]), regions2)
         assert not np.allclose(before.data, after.data)
 
     def test_embeddings_are_per_language(self):
@@ -208,11 +219,11 @@ class TestGradients:
     def test_full_model_grad_check_small(self):
         bundle = build_corpus(images_per_language=4, captions_per_image=1)
         model = build_model(bundle, embed_dim=4, attn_dim=3)
-        la, lb = bundle.config.languages
-        batch = bundle.examples[la][:1] + bundle.examples[lb][:1]
+        batches = [bundle.examples[lang][:1] for lang in bundle.config.languages]
 
-        def f():
-            return model.sequence_loss(batch, bundle.features)[0]
+        def f():  # one batch per language, so every weight gets a gradient
+            la, lb = (model.sequence_loss(batch, bundle.features)[0] for batch in batches)
+            return add(la, lb)
 
         params = [p for _, p in model.params.items()]
         assert_grads_close(f, params, tol=1e-4, eps=1e-5)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lexipivot.cli import main
+from lexipivot.config import INDUCTION_METHODS
 from lexipivot.corpus import read_features, read_lexicon
 from lexipivot.localization import read_word_features
 from lexipivot.numerics import ParamStore
@@ -81,17 +82,17 @@ class TestGenCorpus:
 
     def test_wrongly_typed_value_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"extraction": {"cap": "3"}}))
+        path.write_text(json.dumps({"extraction": {"method": 3}}))
         code = run(["gen-corpus", "--config", path, "--out", tmp_path / "x"])
         assert code == 2
-        assert_one_error_line(capsys.readouterr().err, "extraction.cap")
+        assert_one_error_line(capsys.readouterr().err, "extraction.method")
 
-    @pytest.mark.parametrize("section,key,value,fragment", [
+    @pytest.mark.parametrize("section,key,value,message", [
         ("model", "attention", False, "unknown config key: model.attention"),
         ("model", "freeze_encoder", True, "unknown config key: model.freeze_encoder"),
         ("corpus", "disjoint_images", False, "unknown config key: corpus.disjoint_images"),
         ("corpus", "images_per_language", {"la": 30, "lb": 20},
-         "config key corpus.images_per_language must be int"),
+         "config key corpus.images_per_language must be int, got {'la': 30, 'lb': 20}"),
         ("corpus", "attribute_offset", 0.5, "unknown config key: corpus.attribute_offset"),
         ("corpus", "cooccur_group_size", 4, "unknown config key: corpus.cooccur_group_size"),
         ("corpus", "attr_first_probabilities", [0.8, 0.2],
@@ -99,24 +100,33 @@ class TestGenCorpus:
         ("training", "beta1", 0.9, "unknown config key: training.beta1"),
         ("training", "beta2", 0.999, "unknown config key: training.beta2"),
         ("training", "epsilon", 1e-8, "unknown config key: training.epsilon"),
-        ("induction", "full_rankings", True, "unknown config key: induction.full_rankings"),
-        ("induction", "top_k", 20, "unknown config key: induction.top_k"),
-        ("induction", "baseline_set_cap", 100,
-         "unknown config key: induction.baseline_set_cap"),
-        ("induction", "source_language", "lb", "unknown config key: induction.source_language"),
-        ("induction", "target_language", "la", "unknown config key: induction.target_language"),
-        ("induction", "ks", [1, 5, 10, 20], "unknown config key: induction.ks"),
+        ("training", "clip_norm", 5.0, "unknown config key: training.clip_norm"),
+        ("model", "dtype", "float32", "unknown config key: model.dtype"),
+        ("extraction", "cap", 3, "unknown config key: extraction.cap"),
+        # the induction section is gone, so its keys fail on the section's name
+        ("induction", "methods", ["fused"], "unknown config key: induction"),
+        ("induction", "fusion_lambda", 0.5, "unknown config key: induction"),
+        ("induction", "full_rankings", True, "unknown config key: induction"),
+        ("induction", "top_k", 20, "unknown config key: induction"),
+        ("induction", "baseline_set_cap", 100, "unknown config key: induction"),
+        ("induction", "source_language", "lb", "unknown config key: induction"),
+        ("induction", "target_language", "la", "unknown config key: induction"),
+        ("induction", "ks", [1, 5, 10, 20], "unknown config key: induction"),
     ], ids=["mean-pool decoder", "frozen encoder", "shared image pool",
             "per-language image counts", "attribute offset", "co-occurrence group size",
             "attribute-first probabilities", "adam beta1", "adam beta2", "adam epsilon",
-            "full rankings", "ranking width", "baseline set cap", "source language",
-            "target language", "precision cut-offs"])
-    def test_removed_setting_exits_2(self, tmp_path, capsys, section, key, value, fragment):
+            "clip norm", "model dtype", "extraction cap", "induction methods",
+            "fusion lambda", "full rankings", "ranking width", "baseline set cap",
+            "source language", "target language", "precision cut-offs"])
+    def test_removed_setting_exits_2(self, tmp_path, capsys, section, key, value, message):
         path = tmp_path / "old.json"
         path.write_text(json.dumps({section: {key: value}}))
-        code = run(["gen-corpus", "--config", path, "--out", tmp_path / "x"])
+        out = tmp_path / "x"
+        code = run(["pipeline", "--config", path, "--out", out])
         assert code == 2
-        assert_one_error_line(capsys.readouterr().err, fragment)
+        captured = capsys.readouterr()
+        assert captured.err == f"lexipivot-error: {message}\n"
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("command,args", [
         ("gen-corpus", []),
@@ -142,7 +152,6 @@ class TestGenCorpus:
 
     @pytest.mark.parametrize("section,key,value", [
         ("training", "val_fraction", float("nan")),
-        ("training", "clip_norm", float("nan")),
         ("training", "learning_rate", float("nan")),
         ("corpus", "noise_sigma", float("inf")),
         ("training", "learning_rate", 10**400),
@@ -284,9 +293,7 @@ class TestExtract:
             assert count == counts[word]
 
     def test_manifest_counts(self, trained, tmp_path):
-        _, corpus, checkpoint = trained
-        (tmp_path / "capped").mkdir()
-        cfg = write_config(tmp_path / "capped", extraction={"cap": 3})
+        cfg, corpus, checkpoint = trained
         out = tmp_path / "feats"
         assert run(["extract", "--config", cfg, "--checkpoint", checkpoint,
                     "--corpus", corpus, "--out", out]) == 0
@@ -306,7 +313,6 @@ class TestExtract:
                 "occurrences": sum(words.values()),
                 "dropped_unk": sum(words.values()) - sum(known.values()),
                 "words": len(known),
-                "subsampled_words": sum(n > 3 for n in known.values()),
                 "batches": sum(-(-n // per_batch) for n in lengths.values()),
             }
             _, _, table = read_word_features(out / f"{lang}.visual-probe.lxwf")
@@ -454,19 +460,18 @@ class TestInduceEval:
                     "--corpus", corpus, "--out", out]) == 0
         return cfg, corpus, out
 
-    def test_single_method_report_rows(self, extracted, tmp_path):
-        _, corpus, tables = extracted
-        (tmp_path / "fused").mkdir()
-        cfg = write_config(tmp_path / "fused", induction={"methods": ["fused"]})
+    def test_report_rows_cover_every_method(self, extracted, tmp_path):
+        cfg, corpus, tables = extracted
         out = tmp_path / "induce"
         assert run(["induce", "--config", cfg, "--tables", tables,
                     "--lexicon", corpus / "lexicon.tsv", "--out", out]) == 0
-        rows = (out / "report.csv").read_text().splitlines()
-        methods = {line.split(",")[0] for line in rows[1:]}
-        assert methods == {"fused"}
-        pos_values = [line.split(",")[1] for line in rows[1:]]
-        assert pos_values[0] == "all"
-        assert set(pos_values[1:]) == {"adj", "func", "noun"}
+        rows = [line.split(",")[:2]
+                for line in (out / "report.csv").read_text().splitlines()[1:]]
+        assert [method for method, pos in rows if pos == "all"] == sorted(INDUCTION_METHODS)
+        for method in INDUCTION_METHODS:
+            pos_values = [pos for m, pos in rows if m == method]
+            assert pos_values[0] == "all"
+            assert set(pos_values[1:]) == {"adj", "func", "noun"}
 
     def test_rerun_identical_reports(self, extracted, tmp_path):
         cfg, corpus, tables = extracted

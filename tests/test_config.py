@@ -35,29 +35,37 @@ def test_section_overrides_apply():
         "seed": 5,
         "corpus": {"concepts": 8, "images_per_language": 40},
         "model": {"embed_dim": 16},
-        "induction": {"methods": ["fused"]},
+        "extraction": {"method": "attention"},
     })
     assert config.seed == 5
     assert config.corpus.concepts == 8
     assert config.model.embed_dim == 16
-    assert config.induction.methods == ("fused",)
+    assert config.extraction.method == "attention"
 
 
 def test_invalid_values_rejected():
     with pytest.raises(ConfigError):
-        config_from_dict({"model": {"dtype": "float16"}})
-    with pytest.raises(ConfigError):
         config_from_dict({"extraction": {"method": "pixels"}})
     with pytest.raises(ConfigError):
-        config_from_dict({"induction": {"methods": ["fused", "bogus"]}})
-    with pytest.raises(ConfigError, match="at least one method"):
-        config_from_dict({"induction": {"methods": []}})
-    with pytest.raises(ConfigError, match="repeats a method"):
-        config_from_dict({"induction": {"methods": ["fused", "visual", "fused"]}})
-    with pytest.raises(ConfigError):
-        config_from_dict({"induction": {"fusion_lambda": 2.0}})
+        config_from_dict({"model": {"embed_dim": 0}})
     with pytest.raises(ConfigError):
         config_from_dict({"threads": 0})
+
+
+@pytest.mark.parametrize("key,value,fragment", [
+    ("learning_rate", 0.0, "training.learning_rate must be > 0"),
+    ("learning_rate", -1.0, "training.learning_rate must be > 0"),
+    ("patience", 0, "training.patience must be >= 1"),
+    ("batch_size", 0, "training.batch_size"),
+    ("max_epochs", 0, "training.max_epochs"),
+    ("val_fraction", 0.0, "training.val_fraction must be in (0, 1)"),
+    ("val_fraction", 1.0, "training.val_fraction must be in (0, 1)"),
+    ("val_fraction", 1.5, "training.val_fraction must be in (0, 1)"),
+])
+def test_training_values_out_of_range_rejected(key, value, fragment):
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"training": {key: value}})
+    assert fragment in str(exc.value)
 
 
 def test_config_hash_stable_and_sensitive():

@@ -203,3 +203,18 @@ class TestVocabularyFile:
         path.write_text("0\t<pad>\t0\n2\t<s>\t0\n", encoding="utf-8")
         with pytest.raises(FormatError, match="out of order"):
             read_vocabulary(path, "xx")
+
+    def test_word_listed_twice_names_its_second_line(self, tmp_path):
+        """A repeated word would shadow the first one's index, and the word
+        it replaced would vanish from every stage."""
+        config = RunConfig(corpus=small_config())
+        stage_gen_corpus(config, tmp_path)
+        path = corpus_file(tmp_path, "la", "vocab")
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        fifth = lines[4].split("\t")[1]
+        index, _, count = lines[5].split("\t")
+        lines[5] = "\t".join([index, fifth, count])
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(FormatError, match=rf"la\.vocab\.tsv:6: word '{fifth}' is "
+                                              rf"already listed at index 4"):
+            load_corpus(config, tmp_path)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from lexipivot import induction
 from lexipivot.corpus import GroundTruthLexicon
 from lexipivot.corpus.vocab import RESERVED
-from lexipivot.errors import EmptyResultError, InputError, NoVisualError
+from lexipivot.errors import EmptyResultError, NoVisualError
 from lexipivot.induction import (
     BOTTOM_SCORE,
     EvalReport,
@@ -37,7 +37,7 @@ RANKERS = {"linguistic": linguistic_rank, "visual": visual_rank, "fused": fused_
 
 def table_from_raw(language, raw_linguistic, raw_visual_sets=None, global_sets=None):
     ling = {w: unit(np.asarray(v, dtype=np.float64)) for w, v in raw_linguistic.items()}
-    return build_table(language, ling, raw_visual_sets, global_sets)
+    return build_table(language, ling, raw_visual_sets or {}, global_sets or {})
 
 
 def sets_table(language, global_sets):
@@ -168,11 +168,6 @@ class TestFusedRank:
         ranking = fused_rank("x", src, tgt)
         assert [w for w, _ in ranking.items] == ["aa", "zz"]
 
-    def test_bad_lambda(self):
-        src, tgt = self.two_tables()
-        with pytest.raises(InputError):
-            fused_rank("s0", src, tgt, fusion_lambda=1.5)
-
     def test_scale_invariance_of_order(self):
         rng = np.random.default_rng(4)
         d = 8
@@ -268,12 +263,15 @@ class TestBaselines:
 class TestGlobalFeatureSets:
     @pytest.mark.parametrize("cap", [None, 3])
     def test_batched_encode_matches_per_image_encode(self, tiny_bundle, monkeypatch, cap):
+        """None keeps `BASELINE_SET_CAP`; 3 cuts the sets of the frequent words."""
         lang = tiny_bundle.config.languages[0]
         model = build_model(tiny_bundle, dtype=np.float64)
         examples, vocab = tiny_bundle.examples[lang], tiny_bundle.vocabs[lang]
         monkeypatch.setattr(induction, "ROW_CAP", 5)   # 24 images: chunks of 5, last of 4
+        if cap is not None:
+            monkeypatch.setattr(induction, "BASELINE_SET_CAP", cap)
         got = collect_global_feature_sets(model, examples, tiny_bundle.features, vocab,
-                                          cap=cap, seed=9)
+                                          seed=9)
         want = {}
         with no_grad():
             for ex in examples:
@@ -281,10 +279,12 @@ class TestGlobalFeatureSets:
                 for t in ex.word_positions():
                     if ex.tokens[t] >= len(RESERVED):
                         want.setdefault(vocab.word(ex.tokens[t]), []).append(image.mean(axis=0))
+        limit = induction.BASELINE_SET_CAP
+        assert any(len(rows) > limit for rows in want.values()) == (cap is not None)
         for word, rows in want.items():
-            if cap is not None and len(rows) > cap:
+            if len(rows) > limit:
                 rng = substream(9, f"subsample-global:{lang}:{word}")
-                want[word] = [rows[i] for i in sorted(rng.choice(len(rows), size=cap,
+                want[word] = [rows[i] for i in sorted(rng.choice(len(rows), size=limit,
                                                                  replace=False))]
         assert got.keys() == want.keys()
         for word, rows in got.items():
@@ -387,7 +387,7 @@ class TestEvaluate:
         for i in range(5):
             lex.add(f"w{i}", f"t{i}")
             cands[f"w{i}"] = [f"t{i}"] + [f"t{j}" for j in range(5) if j != i]
-        report = evaluate(as_rankings(cands), lex)
+        report = evaluate(as_rankings(cands), lex, "fused")
         assert report.mrr == 1.0
         assert all(v == 1.0 for v in report.p_at.values())
 
@@ -399,7 +399,7 @@ class TestEvaluate:
             "a": ["t0", "t1", "t2", "t3", "t4"],   # rank 1
             "b": ["t0", "t1", "t2", "t3", "t4"],   # rank 4
         }
-        report = evaluate(as_rankings(cands), lex)
+        report = evaluate(as_rankings(cands), lex, "fused")
         assert abs(report.mrr - 0.625) < 1e-12
         assert report.p_at[1] == 0.5
         assert report.p_at[5] == 1.0
@@ -409,7 +409,7 @@ class TestEvaluate:
         lex.add("a", "t4")
         lex.add("a", "t1")
         cands = {"a": ["t0", "t1", "t2", "t3", "t4"]}
-        report = evaluate(as_rankings(cands), lex)
+        report = evaluate(as_rankings(cands), lex, "fused")
         assert abs(report.mrr - 0.5) < 1e-12
 
     def test_skipped_words_counted(self):
@@ -418,7 +418,7 @@ class TestEvaluate:
         lex.add("missing_ranking", "t1")
         lex.add("oov_target", "zzz")
         cands = {"covered": ["t0", "t1"], "oov_target": ["t0", "t1"]}
-        report = evaluate(as_rankings(cands), lex)
+        report = evaluate(as_rankings(cands), lex, "fused")
         assert report.n == 1
         assert (report.unranked_lexicon_words, report.gold_outside_targets) == (1, 1)
 
@@ -426,7 +426,7 @@ class TestEvaluate:
         lex = GroundTruthLexicon("s", "t")
         lex.add("w", "t")
         with pytest.raises(EmptyResultError):
-            evaluate({}, lex)
+            evaluate({}, lex, "fused")
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -443,7 +443,7 @@ class TestEvaluate:
             n_targets = int(rng.integers(1, min(4, len(vocab) + 1)))
             for t in rng.choice(vocab, size=n_targets, replace=False):
                 lex.add(word, str(t))
-        report = evaluate(as_rankings(cands), lex)
+        report = evaluate(as_rankings(cands), lex, "fused")
         mrr, p_at, n = brute_force_eval(cands, lex.entries, (1, 5, 10, 20))
         assert report.n == n
         assert report.mrr == mrr
@@ -457,9 +457,9 @@ class TestEvaluate:
         for i in range(8):
             lex.add(f"w{i}", vocab[int(rng.integers(12))])
             cands[f"w{i}"] = list(rng.permutation(vocab))
-        a = evaluate(as_rankings(cands), lex)
+        a = evaluate(as_rankings(cands), lex, "fused")
         shuffled = dict(reversed(list(cands.items())))
-        b = evaluate(as_rankings(shuffled), lex)
+        b = evaluate(as_rankings(shuffled), lex, "fused")
         assert (a.mrr, a.p_at, a.n) == (b.mrr, b.p_at, b.n)
 
     @given(st.integers(0, 10_000))
@@ -472,7 +472,7 @@ class TestEvaluate:
         for i in range(10):
             lex.add(f"w{i}", vocab[int(rng.integers(30))])
             cands[f"w{i}"] = list(rng.permutation(vocab))
-        report = evaluate(as_rankings(cands), lex)
+        report = evaluate(as_rankings(cands), lex, "fused")
         ks = sorted(report.p_at)
         assert all(report.p_at[a] <= report.p_at[b] for a, b in zip(ks, ks[1:]))
 
@@ -497,15 +497,15 @@ class TestPosBreakdown:
         for i in range(4):
             lex.add(f"w{i}", f"t{i}", "noun")
             cands[f"w{i}"] = [f"t{j}" for j in range(4)]
-        overall = evaluate(as_rankings(cands), lex)
-        (only,) = pos_breakdown(as_rankings(cands), lex)
+        overall = evaluate(as_rankings(cands), lex, "fused")
+        (only,) = pos_breakdown(as_rankings(cands), lex, "fused")
         assert only.pos == "noun"
         assert (only.mrr, only.p_at, only.n) == (overall.mrr, overall.p_at, overall.n)
 
     def test_overall_is_weighted_mean_of_groups(self):
         lex, cands = self.build()
-        overall = evaluate(as_rankings(cands), lex)
-        groups = pos_breakdown(as_rankings(cands), lex)
+        overall = evaluate(as_rankings(cands), lex, "fused")
+        groups = pos_breakdown(as_rankings(cands), lex, "fused")
         weighted = sum(g.mrr * g.n for g in groups) / sum(g.n for g in groups)
         assert abs(overall.mrr - weighted) < 1e-12
 
@@ -514,7 +514,7 @@ class TestPosBreakdown:
         lex.add("tagged", "t0", "noun")
         lex.add("plain", "t1")
         cands = {"tagged": ["t0", "t1"], "plain": ["t0", "t1"]}
-        tags = {r.pos for r in pos_breakdown(as_rankings(cands), lex)}
+        tags = {r.pos for r in pos_breakdown(as_rankings(cands), lex, "fused")}
         assert tags == {"noun", "unk"}
 
 

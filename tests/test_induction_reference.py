@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexipivot.config import config_from_dict
 from lexipivot.errors import NoVisualError
 from lexipivot.induction import (
     BOTTOM_SCORE,
@@ -64,7 +63,7 @@ class Unscorable(Exception):
     pass
 
 
-def oracle_pair(method, lam, src, tgt, x, y):
+def oracle_pair(method, src, tgt, x, y):
     """(score, fell back) of one pair whose source is scorable."""
     if method in ("linguistic", "fused"):
         s_l = cosine(src["ling"][x], tgt["ling"][y])
@@ -72,8 +71,8 @@ def oracle_pair(method, lam, src, tgt, x, y):
             return s_l, False
         sv, tv = set_mean(src["vis"].get(x, [])), set_mean(tgt["vis"].get(y, []))
         if sv is None or tv is None:
-            return 2.0 * lam * s_l, True
-        return 2.0 * lam * s_l + (2.0 - 2.0 * lam) * cosine(sv, tv), False
+            return s_l, True
+        return s_l + cosine(sv, tv), False
     if method in ("visual", "cnn_mean"):
         tm = set_mean((tgt["vis"] if method == "visual" else tgt["glob"]).get(y, []))
         if tm is None:
@@ -96,14 +95,14 @@ def scorable(method, src, x):
     return method != "cnn_avgmax" or bool(src["glob"].get(x))
 
 
-def oracle_rank(method, lam, src, tgt, x):
+def oracle_rank(method, src, tgt, x):
     """({target: score}, fallback pairs) over every target word; Unscorable
     for a source the method cannot score."""
     if not scorable(method, src, x):
         raise Unscorable
     scores, fallback = {}, 0
     for y in sorted(tgt["ling"]):
-        scores[y], fell_back = oracle_pair(method, lam, src, tgt, x, y)
+        scores[y], fell_back = oracle_pair(method, src, tgt, x, y)
         fallback += fell_back
     return scores, fallback
 
@@ -144,13 +143,6 @@ def table(language, raw):
 
 RANKERS = {"linguistic": linguistic_rank, "visual": visual_rank, "fused": fused_rank,
            "cnn_mean": cnn_mean_rank, "cnn_avgmax": cnn_avgmax_rank}
-LAMBDAS = st.sampled_from([0.0, 0.3, 0.5, 1.0])
-
-
-def rank(method, lam, src_table, tgt_table, x):
-    if method == "fused":
-        return fused_rank(x, src_table, tgt_table, fusion_lambda=lam)
-    return RANKERS[method](x, src_table, tgt_table)
 
 
 def assert_matches_oracle(ranking, scores, fallback):
@@ -163,41 +155,40 @@ def assert_matches_oracle(ranking, scores, fallback):
     assert ranking.items == sorted(ranking.items, key=lambda kv: (-kv[1], kv[0]))
 
 
-@given(raw_language("s"), raw_language("t"), LAMBDAS)
+@given(raw_language("s"), raw_language("t"))
 @settings(max_examples=200, deadline=None)
-def test_rankers_match_per_pair_oracle(src, tgt, lam):
+def test_rankers_match_per_pair_oracle(src, tgt):
     src_table, tgt_table = table("s", src), table("t", tgt)
     for method in METHODS:
         for x in sorted(src["ling"]):
             try:
-                scores, fallback = oracle_rank(method, lam, src, tgt, x)
+                scores, fallback = oracle_rank(method, src, tgt, x)
             except Unscorable:
                 with pytest.raises(NoVisualError):
-                    rank(method, lam, src_table, tgt_table, x)
+                    RANKERS[method](x, src_table, tgt_table)
                 continue
-            assert_matches_oracle(rank(method, lam, src_table, tgt_table, x),
-                                  scores, fallback)
+            assert_matches_oracle(RANKERS[method](x, src_table, tgt_table), scores, fallback)
 
 
-@given(raw_language("s"), raw_language("t"), LAMBDAS)
+@given(raw_language("s"), raw_language("t"))
 @settings(max_examples=100, deadline=None)
-def test_compute_rankings_skips_and_raises_like_the_oracle(src, tgt, lam):
+def test_compute_rankings_skips_and_raises_like_the_oracle(src, tgt):
     tables = {"s": table("s", src), "t": table("t", tgt)}
+    computed = compute_rankings(tables, "s", "t")
+    assert sorted(computed) == sorted(METHODS)
     for method in METHODS:
-        config = config_from_dict({"induction": {"methods": [method],
-                                                 "fusion_lambda": lam}})
         expected = {}
         for x in sorted(src["ling"]):
             try:
-                expected[x] = oracle_rank(method, lam, src, tgt, x)
+                expected[x] = oracle_rank(method, src, tgt, x)
             except Unscorable:
                 expected[x] = None
         # every method skips exactly the sources its ranker raises on
-        rankings = compute_rankings(config, tables, "s", "t")[method]
+        rankings = computed[method]
         assert sorted(rankings) == sorted(x for x, e in expected.items() if e is not None)
         for x, e in expected.items():
             if e is None:
                 with pytest.raises(NoVisualError):
-                    rank(method, lam, tables["s"], tables["t"], x)
+                    RANKERS[method](x, tables["s"], tables["t"])
             else:
                 assert_matches_oracle(rankings[x], *e)

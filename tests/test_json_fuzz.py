@@ -67,8 +67,8 @@ def test_config_values_read_or_raise_config_error(assignments):
 
 @pytest.mark.parametrize("key,value", [
     ("threads", "a"), ("seed", "x"), ("seed", True), ("corpus.languages", 5),
-    ("training.max_epochs", None), ("extraction.cap", "3"),
-    ("induction.fusion_lambda", "0.5"),
+    ("training.max_epochs", None), ("extraction.method", 3),
+    ("training.learning_rate", "0.5"),
     ("model.embed_dim", "8"),
 ])
 def test_wrongly_typed_value_names_its_key(key, value):
@@ -82,7 +82,7 @@ def test_wrongly_typed_value_names_its_key(key, value):
 def test_damaged_config_file_reads_or_raises_config_error(edits, tmp_path):
     path = tmp_path / "config.json"
     text = json.dumps({"seed": 3, "corpus": {"languages": ["la", "lb"], "concepts": 6},
-                       "induction": {"fusion_lambda": 0.25}})
+                       "training": {"learning_rate": 0.25}})
     path.write_bytes(mutate(text.encode("utf-8"), edits))
     try:
         load_config(path)

@@ -13,7 +13,6 @@ from lexipivot.localization import (
     write_word_features,
 )
 from lexipivot.numerics import Tensor, grad_enabled, no_grad, tanh
-from lexipivot.seeding import substream
 
 from conftest import build_corpus, build_model
 from helpers import edit_header, localize_one
@@ -126,13 +125,6 @@ class TestCollection:
         for word_index, feats in sets.items():
             assert len(feats) == counts[word_index]
 
-    def test_cap_subsamples(self, setup):
-        bundle, model, lang = setup
-        examples = bundle.examples[lang][:20]
-        sets = collect_word_features(model, examples, bundle.features, lang,
-                                     cap=1, seed=3)
-        assert all(len(v) == 1 for v in sets.values())
-
     @pytest.mark.parametrize("method", ["probe", "attention"])
     def test_collection_leaves_grad_mode_on(self, setup, method):
         bundle, model, lang = setup
@@ -165,21 +157,15 @@ def mixed_length_examples(bundle, lang):
     return out
 
 
-def reference_word_features(model, examples, features_by_id, lang, method, cap, seed):
+def reference_word_features(model, examples, features_by_id, lang, method):
     """Per-caption decodes (batches of one), grouped as the collection
-    documents: corpus order, UNK dropped, seeded subsample by index."""
+    documents: corpus order, UNK dropped."""
     sets = {}
     for ex in examples:
         feature, _ = localize_one(model, lang, features_by_id[ex.scene_id], ex.tokens, method)
         for word_index, row in zip(ex.tokens[1:-1], feature):
             if word_index != UNK:
                 sets.setdefault(word_index, []).append(row)
-    if cap is not None:
-        for word_index, feats in sets.items():
-            if len(feats) > cap:
-                rng = substream(seed, f"subsample:{lang}:{word_index}")
-                keep = sorted(rng.choice(len(feats), size=cap, replace=False))
-                sets[word_index] = [feats[i] for i in keep]
     return sets
 
 
@@ -192,32 +178,34 @@ class TestBatchedEquivalence:
         model = build_model(tiny_bundle, dtype=np.float64)
         return tiny_bundle, model, lang, mixed_length_examples(tiny_bundle, lang)
 
-    @pytest.mark.parametrize("cap", [None, 2])
+    @pytest.mark.parametrize("row_cap", [None, 2, 9])
     @pytest.mark.parametrize("method", ["probe", "attention"])
-    def test_collection_matches_per_caption_decodes(self, mixed, monkeypatch, method, cap):
+    def test_collection_matches_per_caption_decodes(self, mixed, monkeypatch, method,
+                                                    row_cap):
         bundle, model, lang, examples = mixed
-        # K = 4 regions: probe batches of 2 captions inside encoder chunks
-        # of 9 images; both split each 12-caption length group
-        monkeypatch.setattr(localization, "ROW_CAP", 9)
+        # K = 4 regions. The default cap holds each 12-caption length group
+        # in one batch. A cap of 2 is below K: probe decodes one caption per
+        # batch. A cap of 9 nests probe batches of 2 captions inside encoder
+        # chunks of 9 images; both split each group.
+        if row_cap is not None:
+            monkeypatch.setattr(localization, "ROW_CAP", row_cap)
         counts = {}
         got = collect_word_features(model, examples, bundle.features, lang, method,
-                                    cap=cap, seed=4, counts=counts)
-        uncapped = reference_word_features(model, examples, bundle.features, lang, method,
-                                           None, seed=4)
-        want = reference_word_features(model, examples, bundle.features, lang, method,
-                                       cap, seed=4)
+                                    counts=counts)
+        want = reference_word_features(model, examples, bundle.features, lang, method)
         assert got.keys() == want.keys()
         for word_index, feats in got.items():
             assert feats.shape == (len(want[word_index]), model.dims.embed_dim)
             np.testing.assert_allclose(feats, np.array(want[word_index]), rtol=0, atol=1e-10)
         groups = {len(ex.tokens) for ex in examples}
-        assert counts["batches"] > len(groups)
+        if row_cap is None:
+            assert counts["batches"] == len(groups)
+        else:
+            assert counts["batches"] > len(groups)
         assert counts["occurrences"] == sum(len(ex.tokens) - 2 for ex in examples)
         assert counts["dropped_unk"] == sum(t == UNK for ex in examples for t in ex.tokens)
         assert counts["words"] == len(got)
-        assert counts["subsampled_words"] == sum(
-            cap is not None and len(feats) > cap for feats in uncapped.values())
-        assert cap is None or counts["subsampled_words"] > 0
+        assert sorted(counts) == ["batches", "dropped_unk", "occurrences", "words"]
 
     @pytest.mark.parametrize("method", ["probe", "attention"])
     def test_batch_weights_match_batches_of_one(self, mixed, method):

@@ -25,7 +25,8 @@ def make_weights(d_in, hidden, rng=None, zero=False):
 
 def test_all_zero_fixed_point():
     weights = make_weights(3, 4, zero=True)
-    h, c = lstm_step(Tensor(np.zeros(3)), (Tensor(np.zeros(4)), Tensor(np.zeros(4))), weights)
+    h, c = lstm_step(Tensor(np.zeros((1, 3))),
+                     (Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4)))), weights)
     np.testing.assert_allclose(h.data, 0.0)
     np.testing.assert_allclose(c.data, 0.0)
 
@@ -36,31 +37,32 @@ def test_forget_gate_saturation_preserves_cell():
     bias = weights.bias.data
     bias[0:hidden] = -25.0       # input gate ~ 0
     bias[hidden:2 * hidden] = 25.0  # forget gate ~ 1
-    c0 = np.array([0.3, -0.7, 1.1, 0.05])
-    _, c1 = lstm_step(Tensor(np.zeros(2)), (Tensor(np.zeros(hidden)), Tensor(c0)), weights)
+    c0 = np.array([[0.3, -0.7, 1.1, 0.05]])
+    _, c1 = lstm_step(Tensor(np.zeros((1, 2))), (Tensor(np.zeros((1, hidden))), Tensor(c0)),
+                      weights)
     np.testing.assert_allclose(c1.data, c0, atol=1e-6)
 
 
 def test_shape_mismatch():
     weights = make_weights(3, 4, zero=True)
     with pytest.raises(ShapeError):
-        lstm_step(Tensor(np.zeros(5)), (Tensor(np.zeros(4)), Tensor(np.zeros(4))), weights)
+        lstm_step(Tensor(np.zeros((1, 5))),
+                  (Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4)))), weights)
 
 
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
     d_in, hidden = 3, 4
     weights = make_weights(d_in, hidden, rng)
-    x = Tensor(rng.normal(size=d_in), requires_grad=True)
-    h0 = Tensor(rng.normal(size=hidden), requires_grad=True)
-    c0 = Tensor(rng.normal(size=hidden), requires_grad=True)
+    x = Tensor(rng.normal(size=(1, d_in)), requires_grad=True)
+    h0 = Tensor(rng.normal(size=(1, hidden)), requires_grad=True)
+    c0 = Tensor(rng.normal(size=(1, hidden)), requires_grad=True)
     w_out = Tensor(rng.normal(size=(2 * hidden, 1)))
 
     def f():
         h1, c1 = lstm_step(x, (h0, c0), weights)
-        both = reshape(h1, (1, hidden)), reshape(c1, (1, hidden))
-        stacked = matmul(both[0], Tensor(np.eye(hidden)))
-        return matmul(concat_cols([stacked, both[1]]), w_out)
+        stacked = matmul(h1, Tensor(np.eye(hidden)))
+        return matmul(concat_cols([stacked, c1]), w_out)
 
     assert_grads_close(
         f, [x, h0, c0, weights.w_ih, weights.w_hh, weights.bias], tol=1e-4, eps=1e-5)
@@ -74,9 +76,10 @@ def test_batched_matches_single():
     c0 = rng.normal(size=(5, 4))
     h_b, c_b = lstm_step(Tensor(xs), (Tensor(h0), Tensor(c0)), weights)
     for i in range(5):
-        h_i, c_i = lstm_step(Tensor(xs[i]), (Tensor(h0[i]), Tensor(c0[i])), weights)
-        np.testing.assert_allclose(h_b.data[i], h_i.data, atol=1e-12)
-        np.testing.assert_allclose(c_b.data[i], c_i.data, atol=1e-12)
+        one = slice(i, i + 1)
+        h_i, c_i = lstm_step(Tensor(xs[one]), (Tensor(h0[one]), Tensor(c0[one])), weights)
+        np.testing.assert_allclose(h_b.data[one], h_i.data, atol=1e-12)
+        np.testing.assert_allclose(c_b.data[one], c_i.data, atol=1e-12)
 
 
 def reference(x, h, c, w_ih, w_hh, bias):
@@ -98,7 +101,7 @@ def test_matches_composite_reference():
     rng = np.random.default_rng(13)
     weights = make_weights(3, 4, rng)
     w = (weights.w_ih.data, weights.w_hh.data, weights.bias.data)
-    for shape in ((), (1,), (6,)):
+    for shape in ((1,), (6,)):
         x = rng.normal(scale=3.0, size=shape + (3,))
         h, c = rng.normal(size=shape + (4,)), rng.normal(size=shape + (4,))
         h1, c1 = lstm_step(Tensor(x), (Tensor(h), Tensor(c)), weights)

@@ -15,13 +15,16 @@ CONFIG = {
 }
 
 
+def run_script(*args):
+    return subprocess.run([sys.executable, str(SCRIPT), *map(str, args)],
+                          capture_output=True, text=True, timeout=300)
+
+
 def test_json_record(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(CONFIG))
     bench = tmp_path / "nested" / "BENCH_test.json"
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--config", str(config), "--out", str(tmp_path / "run"),
-         "--json", str(bench)], capture_output=True, text=True, timeout=300)
+    proc = run_script("--config", config, "--out", tmp_path / "run", "--json", bench)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(bench.read_text())
     assert record["seed"] == 11
@@ -43,12 +46,39 @@ def test_json_record(tmp_path):
 
 
 def test_removed_setting_exits_2(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({**CONFIG, "induction": {"ks": [1, 5]}}))
-    out = tmp_path / "run"
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--config", str(config), "--out", str(out)],
-        capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 2
-    assert proc.stderr == "lexipivot-error: unknown config key: induction.ks\n"
-    assert not out.exists()
+    config, out = tmp_path / "config.json", tmp_path / "run"
+    for section, key, value, message in [
+            ("induction", "ks", [1, 5], "unknown config key: induction"),
+            ("induction", "methods", ["fused"], "unknown config key: induction"),
+            ("induction", "fusion_lambda", 0.5, "unknown config key: induction"),
+            ("extraction", "cap", 3, "unknown config key: extraction.cap"),
+            ("model", "dtype", "float32", "unknown config key: model.dtype"),
+            ("training", "clip_norm", 5.0, "unknown config key: training.clip_norm")]:
+        config.write_text(json.dumps({**CONFIG, section: {**CONFIG.get(section, {}),
+                                                          key: value}}))
+        proc = run_script("--config", config, "--out", out)
+        assert proc.returncode == 2, key
+        assert proc.stderr == f"lexipivot-error: {message}\n"
+        assert proc.stdout == "" and not out.exists()
+
+
+def test_missing_config_file_exits_3(tmp_path):
+    missing, out = tmp_path / "no-such-config.json", tmp_path / "run"
+    proc = run_script("--config", missing, "--out", out)
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lexipivot-error:"), proc.stderr
+    assert str(missing) in lines[0]
+    assert proc.stdout == "" and not out.exists()
+
+
+def test_unwritable_bench_path_exits_3(tmp_path):
+    config, blocker = tmp_path / "config.json", tmp_path / "a-file"
+    config.write_text(json.dumps(CONFIG))
+    blocker.write_text("not a directory")
+    proc = run_script("--config", config, "--out", tmp_path / "run",
+                      "--json", blocker / "BENCH_test.json")
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lexipivot-error:"), proc.stderr
+    assert str(blocker) in lines[0]
