@@ -22,39 +22,31 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from lexipivot.caption import split_by_scene  # noqa: E402
 from lexipivot.cli import HANDLED_ERRORS, report_error, resolve_config  # noqa: E402
 from lexipivot.config import RunConfig  # noqa: E402
-from lexipivot.pipeline import load_corpus, run_pipeline  # noqa: E402
-from lexipivot.seeding import derive_seed  # noqa: E402
+from lexipivot.pipeline import run_pipeline  # noqa: E402
 
 
-def _timings(out_dir) -> dict:
-    return json.loads((Path(out_dir) / "manifest.json").read_text("utf-8"))["timings"]
+def _manifest(out_dir) -> dict:
+    return json.loads((Path(out_dir) / "manifest.json").read_text("utf-8"))
 
 
 def measurements(config: RunConfig, result: dict, rows: list, elapsed: float) -> dict:
     """The BENCH record of one finished pipeline run."""
     log = result["train"]["log"]
-    train_s = _timings(result["train"]["out_dir"])["train"]
-    # the tokens of one epoch: every non-PAD target of the training splits,
-    # as the train stage reads and splits them
-    examples = load_corpus(config, result["corpus"]["out_dir"]).examples
-    epoch_tokens = sum(
-        len(ex.tokens) - 1 for lang in config.corpus.languages
-        for ex in split_by_scene(examples[lang], config.training.val_fraction,
-                                 derive_seed(config.seed, "split"), lang)[0])
-    extract_dir = result["extract"]["out_dir"]
-    extract_timings = _timings(extract_dir)
-    counts = json.loads((Path(extract_dir) / "manifest.json").read_text("utf-8"))["counts"]
-    occurrences = sum(c["occurrences"] for c in counts.values())
-    localize_s = sum(v for k, v in extract_timings.items() if k.startswith("localize:"))
+    trained = _manifest(result["train"]["out_dir"])
+    train_s = trained["timings"]["train"]
+    # the tokens of one epoch: every non-PAD target of the training splits
+    epoch_tokens = sum(c["train_targets"] for c in trained["counts"].values())
+    extracted = _manifest(result["extract"]["out_dir"])
+    occurrences = sum(c["occurrences"] for c in extracted["counts"].values())
+    localize_s = sum(v for k, v in extracted["timings"].items() if k.startswith("localize:"))
     blas_threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
     return {
         "seed": config.seed,
         "config_hash": config.config_hash(),
         "total_s": round(elapsed, 3),
-        "stage_s": _timings(result["out_dir"]),
+        "stage_s": _manifest(result["out_dir"])["timings"],
         "train": {
             "epochs_run": log.epochs_run,
             "best_epoch": log.best_epoch,

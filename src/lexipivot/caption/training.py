@@ -100,18 +100,6 @@ def _batches(indices: np.ndarray, batch_size: int):
         yield indices[start:start + batch_size]
 
 
-def _touched(params):
-    """Sub-store of the parameters that received gradients this batch
-    (a mono-lingual batch never touches the other language's embedding)."""
-    from ..numerics import ParamStore
-
-    sub = ParamStore()
-    for name, p in params.items():
-        if p.grad is not None:
-            sub.add(name, p)
-    return sub
-
-
 def _norm_stats(norms) -> tuple[float, float, float]:
     """(mean, max, clipped fraction) of pre-clip gradient norms."""
     norms = np.asarray(norms)
@@ -175,7 +163,7 @@ def train(model: MultiLingualModel, data: dict[str, tuple[list, list]], features
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
             loss.backward()
             grad_norms[lang].append(clip_global_norm(model.params, CLIP_NORM))
-            adam_update(_touched(model.params), adam)
+            adam_update(model.params, adam)
             train_ce[lang] += value * n
             train_tokens[lang] += n
         train_s = time.perf_counter() - started

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import FormatError, InputError
+from ..errors import FormatError
 from .fileio import text_records
 
 
@@ -22,16 +22,8 @@ class GroundTruthLexicon:
         if pos is not None:
             self.pos[source] = pos
 
-    def validate(self) -> None:
-        for src, targets in self.entries.items():
-            if not targets:
-                raise InputError(f"lexicon entry {src!r} has no targets")
-
     def pos_of(self, source: str) -> str:
         return self.pos.get(source, "unk")
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def write_lexicon(path, lexicon: GroundTruthLexicon) -> None:

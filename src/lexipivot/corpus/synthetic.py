@@ -13,14 +13,14 @@ their words is the ground-truth translation lexicon.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, InputError
-from ..seeding import derive_seed, substream
+from ..errors import ConfigError
+from ..seeding import substream
 from .lexicon import GroundTruthLexicon
-from .vocab import CaptionedExample, RawCaption, Vocabulary, build_vocabulary, index_captions
+from .vocab import RawCaption, Vocabulary, build_vocabulary
 
 FUNCTION_ROLES = ("det", "fill")
 # weight of an attribute's prototype added to its concept's region vector
@@ -47,16 +47,6 @@ class Scene:
     grid_side: int
     slots: tuple[tuple[int, int, tuple[int, ...]], ...]  # (region, concept, attribute ids)
 
-    def __post_init__(self):
-        k = self.grid_side * self.grid_side
-        if not self.slots:
-            raise InputError(f"scene {self.scene_id} has no populated regions")
-        regions = [region for region, _, _ in self.slots]
-        if len(set(regions)) != len(regions):
-            raise InputError(f"scene {self.scene_id} assigns two concepts to one region")
-        if any(not 0 <= r < k for r in regions):
-            raise InputError(f"scene {self.scene_id} has a region outside the {k}-cell grid")
-
     @property
     def num_regions(self) -> int:
         return self.grid_side * self.grid_side
@@ -80,11 +70,6 @@ class SyntheticLanguageSpec:
     attribute_to_word: dict[int, str]
     function_words: dict[str, str]  # role -> word, one per FUNCTION_ROLES
     attr_first_probability: float
-
-    def __post_init__(self):
-        words = list(self.concept_to_word.values())
-        if len(set(words)) != len(words):
-            raise InputError(f"{self.language_id}: concept words are not unique")
 
     def clause(self, concept: int, attributes: tuple[int, ...],
                attr_first: bool) -> list[str]:
@@ -162,8 +147,6 @@ class ConceptPrototypes:
     @classmethod
     def build(cls, n_concepts: int, n_attributes: int, feature_dim: int,
               seed: int) -> "ConceptPrototypes":
-        if feature_dim < 8:
-            raise ConfigError(f"feature_dim must be >= 8, got {feature_dim}")
         rng = substream(seed, "prototypes")
         def unit(n):
             v = rng.normal(size=(n, feature_dim))
@@ -197,10 +180,8 @@ class CorpusBundle:
     scenes: dict[str, list[Scene]]
     features: dict[int, np.ndarray]
     captions: dict[str, list[RawCaption]]
-    examples: dict[str, list[CaptionedExample]]
     vocabs: dict[str, Vocabulary]
     lexicon: GroundTruthLexicon
-    language_specs: dict[str, SyntheticLanguageSpec] = field(default_factory=dict)
 
 
 def _make_words(rng: np.random.Generator, syllables, count: int,
@@ -288,7 +269,6 @@ def build_lexicon(source: SyntheticLanguageSpec,
         lexicon.add(word, target.attribute_to_word[attribute], "adj")
     for role, word in source.function_words.items():
         lexicon.add(word, target.function_words[role], "func")
-    lexicon.validate()
     return lexicon
 
 
@@ -334,8 +314,6 @@ def generate_corpus(config: CorpusConfig, seed: int) -> CorpusBundle:
 
     vocabs = {lang: build_vocabulary(captions[lang], config.min_count)
               for lang in config.languages}
-    examples = {lang: index_captions(captions[lang], vocabs[lang], config.max_caption_len)
-                for lang in config.languages}
     lexicon = build_lexicon(specs[lang_a], specs[lang_b])
 
     return CorpusBundle(
@@ -344,8 +322,6 @@ def generate_corpus(config: CorpusConfig, seed: int) -> CorpusBundle:
         scenes=scenes,
         features=features,
         captions=captions,
-        examples=examples,
         vocabs=vocabs,
         lexicon=lexicon,
-        language_specs=specs,
     )

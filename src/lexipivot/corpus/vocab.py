@@ -5,8 +5,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from ..errors import InputError
-
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 RESERVED = ("<pad>", "<s>", "</s>", "<unk>")
 
@@ -63,13 +61,8 @@ class Vocabulary:
 
 def build_vocabulary(captions, min_count: int = 6) -> Vocabulary:
     """Index words occurring at least `min_count` times (strict 'more than
-    five' at the default); ties in count are broken lexicographically."""
-    captions = list(captions)
-    if not captions:
-        raise InputError("cannot build a vocabulary from an empty caption list")
-    languages = {c.language_id for c in captions}
-    if len(languages) > 1:
-        raise InputError(f"captions mix languages: {sorted(languages)}")
+    five' at the default); ties in count are broken lexicographically. The
+    captions are one language's, and there is at least one."""
     counts = Counter()
     for cap in captions:
         counts.update(cap.words)

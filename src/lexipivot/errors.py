@@ -37,14 +37,3 @@ class NumericError(LexipivotError):
 class EmptyResultError(LexipivotError):
     exit_code = 4
 
-
-class OptimizerStateError(LexipivotError):
-    """Optimizer invoked on a parameter with no populated gradient."""
-
-    exit_code = 4
-
-
-class NoVisualError(LexipivotError):
-    """A word has no usable visual representation (empty or degenerate set)."""
-
-    exit_code = 4

@@ -23,7 +23,7 @@ import numpy as np
 from .caption.model import MultiLingualModel
 from .corpus.lexicon import GroundTruthLexicon
 from .corpus.vocab import RESERVED, Vocabulary
-from .errors import EmptyResultError, NoVisualError
+from .errors import EmptyResultError, NumericError
 from .localization import ROW_CAP
 from .numerics import no_grad
 from .seeding import substream
@@ -118,7 +118,7 @@ def linguistic_vectors(model: MultiLingualModel, language: str,
     for word in vocab.content_words():
         vec = unit(embed[:, vocab.word_to_index[word]].astype(np.float64))
         if vec is None:
-            raise NoVisualError(f"embedding for {word!r} is a zero vector")
+            raise NumericError(f"embedding for {word!r} is a zero vector")
         out[word] = vec
     return out
 
@@ -244,10 +244,9 @@ def linguistic_rank(x: str, source: WordFeatureTable,
 
 def visual_rank(x: str, source: WordFeatureTable,
                 target: WordFeatureTable) -> TranslationRanking:
-    """Cosine of the visual vectors; targets without one rank last."""
+    """Cosine of the visual vectors; targets without one rank last. `x`
+    must have one (`has_visual`)."""
     i = source.row(x)
-    if not source.has_visual[i]:
-        raise NoVisualError(f"{x!r} has no usable visual representation")
     scores = _row_dots(target.visual, source.visual[i], target.has_visual)
     return _ranked(x, "visual", target.words, scores,
                    int(np.count_nonzero(~target.has_visual)))
@@ -270,10 +269,8 @@ def fused_rank(x: str, source: WordFeatureTable,
 def cnn_mean_rank(x: str, source: WordFeatureTable,
                   target: WordFeatureTable) -> TranslationRanking:
     """Cosine of the two set means over global image features; targets
-    without one rank last."""
+    without one rank last. `x` must have one (`global_mean_valid`)."""
     i = source.row(x)
-    if not source.global_mean_valid[i]:
-        raise NoVisualError(f"{x!r} has an empty or degenerate global feature set")
     valid = target.global_mean_valid
     scores = _row_dots(target.global_mean, source.global_mean[i], valid)
     return _ranked(x, "cnn_mean", target.words, scores,
@@ -287,12 +284,10 @@ def cnn_avgmax_rank(x: str, source: WordFeatureTable,
     One product against the target's distinct image rows; every set
     member gathers its row, `maximum.reduceat` takes each set's best per
     source image, and the mean runs along the contiguous axis. Targets
-    without an image set rank last.
+    without an image set rank last; `x` must have one.
     """
     i = source.row(x)
     start, stop = source.global_offsets[i:i + 2]
-    if start == stop:
-        raise NoVisualError(f"{x!r} has an empty image set")
     src = source.global_rows[source.global_inverse[start:stop]]
     filled = np.diff(target.global_offsets) > 0
     scores = np.full(len(target.words), BOTTOM_SCORE)

@@ -87,18 +87,16 @@ def collect_word_features(model: MultiLingualModel, examples, features_by_id,
 
     Captions are grouped by token length; each group is encoded `ROW_CAP`
     images at a time and decoded in batches of at most `ROW_CAP` decode
-    rows. Sentinel and unknown tokens are dropped. A word's rows are in
-    corpus order (caption order, then position). `counts`, when given,
-    receives the occurrences decoded and dropped, the words kept, and the
-    decode batches. A model that decodes non-finite features raises
-    NumericError.
+    rows. Each caption wraps at least one word in sentinels, as
+    `index_captions` builds it; sentinel and unknown tokens are dropped. A
+    word's rows are in corpus order (caption order, then position).
+    `counts`, when given, receives the occurrences decoded and dropped, the
+    words kept, and the decode batches. A model that decodes non-finite
+    features raises NumericError.
     """
     if method not in _METHODS:
         raise InputError(f"unknown localization method {method!r}")
     tokens = [np.asarray(ex.tokens, dtype=np.intp) for ex in examples]
-    for caption in tokens:
-        if len(caption) < 3 or caption[0] != BOS or caption[-1] != EOS:
-            raise InputError("caption tokens must be sentinel-wrapped with at least one word")
     words = np.concatenate([caption[1:-1] for caption in tokens] or [np.zeros(0, np.intp)])
     # a diverged model fails once, here, instead of warning from every batch
     try:

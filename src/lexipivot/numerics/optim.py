@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import OptimizerStateError
 from .params import ParamStore
 
 # Kingma and Ba's defaults (arXiv:1412.6980)
@@ -24,8 +23,8 @@ class AdamState:
 def clip_global_norm(params: ParamStore, max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most max_norm.
 
-    Returns the pre-clip norm. Parameters without gradients are skipped
-    (adam_update is the place that insists on populated gradients).
+    Returns the pre-clip norm. Parameters without a gradient are skipped
+    (a mono-lingual batch never touches the other language's embedding).
     """
     total = 0.0
     for _, p in params.items():
@@ -41,10 +40,8 @@ def clip_global_norm(params: ParamStore, max_norm: float) -> float:
 
 
 def adam_update(params: ParamStore, state: AdamState) -> None:
-    """One Adam step over every parameter; gradients are cleared after."""
-    for name, p in params.items():
-        if p.grad is None:
-            raise OptimizerStateError(f"parameter {name!r} has no gradient")
+    """One Adam step over every parameter with a gradient; gradients are
+    cleared after. Parameters without one keep their values and moments."""
     state.step += 1
     t = state.step
     # lr * m_hat / (sqrt(v_hat) + eps), with the bias corrections folded into scalars
@@ -52,6 +49,8 @@ def adam_update(params: ParamStore, state: AdamState) -> None:
     v_scale = 1.0 / (1.0 - BETA2 ** t)
     for name, p in params.items():
         g = p.grad
+        if g is None:
+            continue
         m = state.first_moment.get(name)
         v = state.second_moment.get(name)
         if m is None:

@@ -8,7 +8,6 @@ from typing import Iterator
 import numpy as np
 
 from ..arrayfile import read_arrays, write_arrays
-from ..errors import InputError
 from .tensor import Tensor
 
 MAGIC = b"LXPV"
@@ -21,8 +20,6 @@ class ParamStore:
         self._params: dict[str, Tensor] = {}
 
     def add(self, name: str, tensor: Tensor) -> Tensor:
-        if name in self._params:
-            raise InputError(f"duplicate parameter name: {name!r}")
         tensor.requires_grad = True
         self._params[name] = tensor
         return tensor
@@ -32,9 +29,6 @@ class ParamStore:
 
     def __contains__(self, name: str) -> bool:
         return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> list[str]:
         return sorted(self._params)

@@ -86,15 +86,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _topo_order(root: Tensor) -> list[Tensor]:
     """Reverse topological order over the tape's op nodes, iteratively (deep

@@ -114,7 +114,9 @@ class LoadedCorpus:
 def load_corpus(config: RunConfig, corpus_dir, manifest: RunManifest | None = None
                 ) -> LoadedCorpus:
     """The corpus files of both languages (not the lexicon), each recorded
-    as an input of `manifest` when one is given."""
+    as an input of `manifest` when one is given. The two languages' region
+    grids share one dict by image id, so an id in both features files is a
+    FormatError."""
     corpus_dir = Path(corpus_dir)
     languages = tuple(config.corpus.languages)
     features: dict[int, np.ndarray] = {}
@@ -122,6 +124,11 @@ def load_corpus(config: RunConfig, corpus_dir, manifest: RunManifest | None = No
     for lang in languages:
         features_path = corpus_file(corpus_dir, lang, "features")
         lang_feats = read_features(features_path)
+        shared = min(features.keys() & lang_feats.keys(), default=None)
+        if shared is not None:
+            first_path = corpus_file(corpus_dir, languages[0], "features")
+            raise FormatError(f"image id {shared} is in both {first_path} and "
+                              f"{features_path}; the languages' image ids must differ")
         features.update(lang_feats)
         vocab = read_vocabulary(corpus_file(corpus_dir, lang, "vocab"), lang)
         captions_path = corpus_file(corpus_dir, lang, "captions")
@@ -180,6 +187,11 @@ def stage_train(config: RunConfig, out_dir, corpus_dir) -> dict:
                              derive_seed(config.seed, "split"), lang)
         for lang in loaded.languages
     }
+    for lang, (train_split, val_split) in data.items():
+        manifest.counts[lang] = {
+            "train_captions": len(train_split), "val_captions": len(val_split),
+            # every non-PAD target of the split, the tokens of one epoch
+            "train_targets": sum(len(ex.tokens) - 1 for ex in train_split)}
     with manifest.timed("train"):
         result = train(model, data, loaded.features, config.training, config.seed)
 
@@ -276,7 +288,11 @@ def _load_tables(features_dir, languages, method: str):
     for lang in languages:
         rows = {}
         for kind in ("linguistic", f"visual-{method}", "global"):
-            _, aggregated, entries = read_word_features(table_file(features_dir, lang, kind))
+            path = table_file(features_dir, lang, kind)
+            language, aggregated, entries = read_word_features(path)
+            if language != lang:
+                raise FormatError(f"{path}: the table's language {language!r:.40} "
+                                  f"differs from {lang!r} of its file name")
             if kind != "global" and not aggregated:
                 raise ConfigError(f"{kind} table for {lang} is not aggregated")
             rows[kind] = {w: word_rows for w, (_, word_rows) in entries.items()}

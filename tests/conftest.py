@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lexipivot.corpus import CorpusConfig, generate_corpus
+from lexipivot.corpus import CorpusConfig, generate_corpus, index_captions
 from lexipivot.caption import ModelDims, MultiLingualModel
 
 
@@ -10,6 +10,14 @@ def build_corpus(**overrides):
                 captions_per_image=2, feature_dim=8, noise_sigma=0.05, min_count=1)
     base.update(overrides)
     return generate_corpus(CorpusConfig(**base), seed=overrides.pop("seed", 7))
+
+
+def indexed(bundle):
+    """Each language's captions as training examples, indexed as
+    `pipeline.load_corpus` indexes the written corpus."""
+    return {lang: index_captions(bundle.captions[lang], bundle.vocabs[lang],
+                                 bundle.config.max_caption_len)
+            for lang in bundle.config.languages}
 
 
 def build_model(bundle, embed_dim=8, attn_dim=4, seed=5, dtype=np.float64):

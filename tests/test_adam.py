@@ -1,7 +1,5 @@
 import numpy as np
-import pytest
 
-from lexipivot.errors import OptimizerStateError
 from lexipivot.numerics import AdamState, ParamStore, Tensor, adam_update, clip_global_norm
 
 
@@ -46,13 +44,19 @@ def test_quadratic_descent():
     assert trace[-1] < 0.5
 
 
-def test_missing_gradient_names_parameter():
+def test_parameter_without_gradient_is_skipped():
+    """A mono-lingual batch leaves the other language's embedding without a
+    gradient: it keeps its values and gets no moments."""
     store = ParamStore()
-    store.add("encoder.weight", Tensor(np.zeros(2)))
-    store.add("embed.la", Tensor(np.zeros(2)))
-    store["embed.la"].grad = np.zeros(2)
-    with pytest.raises(OptimizerStateError, match="encoder.weight"):
-        adam_update(store, AdamState())
+    store.add("embed.la", Tensor(np.ones(2)))
+    store.add("embed.lb", Tensor(np.ones(2)))
+    store["embed.la"].grad = np.ones(2)
+    state = AdamState(learning_rate=0.1)
+    adam_update(store, state)
+    assert state.step == 1 and sorted(state.first_moment) == ["embed.la"]
+    np.testing.assert_allclose(store["embed.la"].data, 0.9, rtol=0, atol=1e-8)
+    np.testing.assert_array_equal(store["embed.lb"].data, np.ones(2))
+    assert store["embed.la"].grad is None and store["embed.lb"].grad is None
 
 
 def test_clip_global_norm():

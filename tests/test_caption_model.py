@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from lexipivot.caption import ModelDims, MultiLingualModel
-from lexipivot.corpus.vocab import BOS, EOS, PAD, CaptionedExample
+from lexipivot.corpus.vocab import BOS, EOS, CaptionedExample
 from lexipivot.errors import InputError, ShapeError
 from lexipivot.numerics import AdamState, Tensor, add, adam_update, no_grad
 
-from conftest import build_corpus, build_model
+from conftest import build_corpus, build_model, indexed
 from helpers import assert_grads_close
 
 
@@ -148,7 +148,7 @@ class TestSequenceLoss:
         bundle = build_corpus()
         model = build_model(bundle)
         lang = bundle.config.languages[0]
-        batch = bundle.examples[lang][:4]
+        batch = indexed(bundle)[lang][:4]
         l1, _ = model.sequence_loss(batch, bundle.features)
         l2, _ = model.sequence_loss(batch + batch, bundle.features)
         assert abs(l1.item() - l2.item()) < 1e-12
@@ -158,7 +158,8 @@ class TestSequenceLoss:
         bundle = build_corpus()
         model = build_model(bundle)
         la, lb = bundle.config.languages
-        batch = bundle.examples[la][:2] + bundle.examples[lb][:2]
+        examples = indexed(bundle)
+        batch = examples[la][:2] + examples[lb][:2]
         with pytest.raises(InputError, match="one language"):
             model.sequence_loss(batch, bundle.features)
 
@@ -172,16 +173,14 @@ class TestSequenceLoss:
         bundle = build_corpus()
         model = build_model(bundle)
         lang = bundle.config.languages[0]
-        batch = bundle.examples[lang][:6]
-        from lexipivot.caption.training import _touched
-
+        batch = indexed(bundle)[lang][:6]
         adam = AdamState(learning_rate=0.02)
         first = model.sequence_loss(batch, bundle.features)[0].item()
         for _ in range(50):
             model.params.zero_grads()
             loss, _ = model.sequence_loss(batch, bundle.features)
             loss.backward()
-            adam_update(_touched(model.params), adam)
+            adam_update(model.params, adam)
         final = model.sequence_loss(batch, bundle.features)[0].item()
         assert final <= 0.5 * first
 
@@ -196,13 +195,11 @@ class TestWeightSharing:
         with no_grad():
             before, _, _, _ = step(model, lb, model.initial_state(1), np.array([BOS]), regions)
 
-        from lexipivot.caption.training import _touched
-
-        batch = bundle.examples[la][:4]
+        batch = indexed(bundle)[la][:4]
         model.params.zero_grads()
         loss, _ = model.sequence_loss(batch, bundle.features)
         loss.backward()
-        adam_update(_touched(model.params), AdamState(learning_rate=0.1))
+        adam_update(model.params, AdamState(learning_rate=0.1))
 
         with no_grad():
             regions2 = model.encode(feats)
@@ -219,7 +216,7 @@ class TestGradients:
     def test_full_model_grad_check_small(self):
         bundle = build_corpus(images_per_language=4, captions_per_image=1)
         model = build_model(bundle, embed_dim=4, attn_dim=3)
-        batches = [bundle.examples[lang][:1] for lang in bundle.config.languages]
+        batches = [indexed(bundle)[lang][:1] for lang in bundle.config.languages]
 
         def f():  # one batch per language, so every weight gets a gradient
             la, lb = (model.sequence_loss(batch, bundle.features)[0] for batch in batches)

@@ -6,11 +6,14 @@ import sys
 import numpy as np
 import pytest
 
+from lexipivot.caption import split_by_scene
 from lexipivot.cli import main
-from lexipivot.config import INDUCTION_METHODS
-from lexipivot.corpus import read_features, read_lexicon
+from lexipivot.config import INDUCTION_METHODS, load_config
+from lexipivot.corpus import read_features, read_lexicon, write_features
 from lexipivot.localization import read_word_features
 from lexipivot.numerics import ParamStore
+from lexipivot.pipeline import load_corpus
+from lexipivot.seeding import derive_seed
 
 
 def write_config(tmp_path, **overrides):
@@ -58,7 +61,7 @@ class TestGenCorpus:
             for suffix in ("features.lxpf", "captions.tsv", "vocab.tsv"):
                 assert (out / f"{lang}.{suffix}").exists()
         lexicon = read_lexicon(out / "lexicon.tsv", "la", "lb")
-        assert len(lexicon) == 5 + 2 + 2
+        assert len(lexicon.entries) == 5 + 2 + 2
         assert (out / "manifest.json").exists()
         assert (out / "resolved_config.json").exists()
 
@@ -252,6 +255,44 @@ class TestTrain:
         err = capsys.readouterr().err
         assert code == 3
         assert_one_error_line(err, "la.captions.tsv", "999999")
+
+    def test_image_id_in_both_languages_exits_3(self, corpus_dir, tmp_path, capsys):
+        """lb renumbered onto la's image ids: la's captions must not load lb's grids."""
+        cfg, corpus = corpus_dir
+        la_ids = sorted(read_features(corpus / "la.features.lxpf"))
+        lb_features = read_features(corpus / "lb.features.lxpf")
+        renumber = dict(zip(sorted(lb_features), la_ids))
+        write_features(corpus / "lb.features.lxpf",
+                       {renumber[i]: grid for i, grid in lb_features.items()})
+        path = corpus / "lb.captions.tsv"
+        lines = [line.split("\t", 1) for line in path.read_text(encoding="utf-8").splitlines()]
+        path.write_text("".join(f"{renumber[int(i)]}\t{rest}\n" for i, rest in lines),
+                        encoding="utf-8")
+        out = tmp_path / "x"
+        code = run(["train", "--config", cfg, "--corpus", corpus, "--out", out])
+        assert code == 3
+        assert_one_error_line(capsys.readouterr().err, f"image id {la_ids[0]} ",
+                              "la.features.lxpf", "lb.features.lxpf")
+        assert not (out / "checkpoint.lxpv").exists()
+
+    def test_manifest_counts(self, corpus_dir, tmp_path):
+        """Per language: the captions of each split and the training targets
+        of one epoch, as the corpus files split by image give them."""
+        cfg, corpus = corpus_dir
+        out = tmp_path / "train"
+        assert run(["train", "--config", cfg, "--corpus", corpus, "--out", out]) == 0
+        counts = json.loads((out / "manifest.json").read_text())["counts"]
+        config = load_config(cfg)
+        loaded = load_corpus(config, corpus)
+        assert sorted(counts) == ["la", "lb"]
+        for lang, c in counts.items():
+            train_split, val_split = split_by_scene(
+                loaded.examples[lang], config.training.val_fraction,
+                derive_seed(config.seed, "split"), lang)
+            lines = (corpus / f"{lang}.captions.tsv").read_text(encoding="utf-8").splitlines()
+            assert c["train_captions"] + c["val_captions"] == len(lines)
+            assert c == {"train_captions": len(train_split), "val_captions": len(val_split),
+                         "train_targets": sum(len(ex.tokens) - 1 for ex in train_split)}
 
 
 @pytest.fixture()
@@ -557,6 +598,16 @@ class TestInduceEval:
         assert code == 2
         assert_one_error_line(capsys.readouterr().err, "linguistic table for la")
 
+    def test_table_of_other_language_exits_3(self, extracted, tmp_path, capsys):
+        cfg, corpus, tables = extracted
+        (tables / "la.global.lxwf").write_bytes((tables / "lb.global.lxwf").read_bytes())
+        out = tmp_path / "induce"
+        code = run(["induce", "--config", cfg, "--tables", tables,
+                    "--lexicon", corpus / "lexicon.tsv", "--out", out])
+        assert code == 3
+        assert_one_error_line(capsys.readouterr().err, "la.global.lxwf", "'lb'", "'la'")
+        assert not (out / "report.csv").exists()
+
     def test_degenerate_global_set_skips_the_word_for_cnn_mean_alone(self, extracted,
                                                                        tmp_path):
         cfg, corpus, tables = extracted
@@ -601,7 +652,7 @@ def pack_v1_weights(path):
     """Rewrite checkpoint weights in their version-1 layout: a parameter
     count, then per parameter its name, rank, dims and float64 data."""
     params = ParamStore.load(path)
-    parts = [b"LXPV", struct.pack("<II", 1, len(params))]
+    parts = [b"LXPV", struct.pack("<II", 1, len(params.names()))]
     for name, p in params.items():
         parts += [struct.pack("<I", len(name.encode())), name.encode(),
                   struct.pack("<I", p.data.ndim),

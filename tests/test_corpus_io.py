@@ -7,7 +7,6 @@ import pytest
 from lexipivot.corpus import (
     CorpusConfig,
     GroundTruthLexicon,
-    RawCaption,
     generate_corpus,
     read_captions,
     read_features,

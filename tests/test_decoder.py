@@ -19,7 +19,7 @@ from lexipivot.numerics import (
     reshape,
 )
 
-from conftest import build_corpus, build_model
+from conftest import build_corpus, build_model, indexed
 from helpers import assert_grads_close, unroll_by_steps
 
 
@@ -44,7 +44,7 @@ def group_loss(model, language, examples, features, oracle):
 def ragged_group(bundle, language, size=6):
     """`size` captions of the language, every other one cut to its first
     word, so the group is PAD-padded."""
-    group = bundle.examples[language][:size]
+    group = indexed(bundle)[language][:size]
     return [replace(ex, tokens=ex.tokens[:2] + (EOS,)) if i % 2 else ex
             for i, ex in enumerate(group)]
 

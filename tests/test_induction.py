@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from lexipivot import induction
 from lexipivot.corpus import GroundTruthLexicon
 from lexipivot.corpus.vocab import RESERVED
-from lexipivot.errors import EmptyResultError, NoVisualError
+from lexipivot.errors import EmptyResultError
 from lexipivot.induction import (
     BOTTOM_SCORE,
     EvalReport,
@@ -27,9 +27,10 @@ from lexipivot.induction import (
     write_report_json,
 )
 from lexipivot.numerics import no_grad
+from lexipivot.pipeline import compute_rankings
 from lexipivot.seeding import substream
 
-from conftest import build_model
+from conftest import build_model, indexed
 
 RANKERS = {"linguistic": linguistic_rank, "visual": visual_rank, "fused": fused_rank,
            "cnn_mean": cnn_mean_rank, "cnn_avgmax": cnn_avgmax_rank}
@@ -92,8 +93,8 @@ class TestSimilarities:
         v = np.array([0.5, 0.5])
         src = table_from_raw("s", {"x": [1, 0]}, {"x": [v, -v]})
         tgt = table_from_raw("t", {"y": [1, 0]}, {"y": [v]})
-        with pytest.raises(NoVisualError):
-            visual_rank("x", src, tgt)
+        assert not src.has_visual[src.row("x")]
+        assert "x" not in compute_rankings({"s": src, "t": tgt}, "s", "t")["visual"]
         # as a target the degenerate word ranks last and counts as a fallback
         ranking = visual_rank("y", tgt, src)
         assert ranking.items == [("x", BOTTOM_SCORE)] and ranking.fallback_pairs == 1
@@ -255,9 +256,9 @@ class TestBaselines:
     def test_empty_source_set(self):
         src = sets_table("s", {"x": np.zeros((0, 4))})
         tgt = sets_table("t", {"y": np.ones((1, 4))})
-        for rank in (cnn_mean_rank, cnn_avgmax_rank):
-            with pytest.raises(NoVisualError):
-                rank("x", src, tgt)
+        assert not src.global_mean_valid[0] and src.global_offsets.tolist() == [0, 0]
+        rankings = compute_rankings({"s": src, "t": tgt}, "s", "t")
+        assert "x" not in rankings["cnn_mean"] and "x" not in rankings["cnn_avgmax"]
 
 
 class TestGlobalFeatureSets:
@@ -266,7 +267,7 @@ class TestGlobalFeatureSets:
         """None keeps `BASELINE_SET_CAP`; 3 cuts the sets of the frequent words."""
         lang = tiny_bundle.config.languages[0]
         model = build_model(tiny_bundle, dtype=np.float64)
-        examples, vocab = tiny_bundle.examples[lang], tiny_bundle.vocabs[lang]
+        examples, vocab = indexed(tiny_bundle)[lang], tiny_bundle.vocabs[lang]
         monkeypatch.setattr(induction, "ROW_CAP", 5)   # 24 images: chunks of 5, last of 4
         if cap is not None:
             monkeypatch.setattr(induction, "BASELINE_SET_CAP", cap)

@@ -11,11 +11,9 @@ package's without rounding doubt.
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexipivot.errors import NoVisualError
 from lexipivot.induction import (
     BOTTOM_SCORE,
     build_table,
@@ -163,16 +161,14 @@ def test_rankers_match_per_pair_oracle(src, tgt):
         for x in sorted(src["ling"]):
             try:
                 scores, fallback = oracle_rank(method, src, tgt, x)
-            except Unscorable:
-                with pytest.raises(NoVisualError):
-                    RANKERS[method](x, src_table, tgt_table)
+            except Unscorable:  # compute_rankings never asks (the test below)
                 continue
             assert_matches_oracle(RANKERS[method](x, src_table, tgt_table), scores, fallback)
 
 
 @given(raw_language("s"), raw_language("t"))
 @settings(max_examples=100, deadline=None)
-def test_compute_rankings_skips_and_raises_like_the_oracle(src, tgt):
+def test_compute_rankings_skips_like_the_oracle(src, tgt):
     tables = {"s": table("s", src), "t": table("t", tgt)}
     computed = compute_rankings(tables, "s", "t")
     assert sorted(computed) == sorted(METHODS)
@@ -183,12 +179,9 @@ def test_compute_rankings_skips_and_raises_like_the_oracle(src, tgt):
                 expected[x] = oracle_rank(method, src, tgt, x)
             except Unscorable:
                 expected[x] = None
-        # every method skips exactly the sources its ranker raises on
+        # every method skips exactly the sources the oracle cannot score
         rankings = computed[method]
         assert sorted(rankings) == sorted(x for x, e in expected.items() if e is not None)
         for x, e in expected.items():
-            if e is None:
-                with pytest.raises(NoVisualError):
-                    RANKERS[method](x, tables["s"], tables["t"])
-            else:
+            if e is not None:
                 assert_matches_oracle(rankings[x], *e)

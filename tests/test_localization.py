@@ -14,7 +14,7 @@ from lexipivot.localization import (
 )
 from lexipivot.numerics import Tensor, grad_enabled, no_grad, tanh
 
-from conftest import build_corpus, build_model
+from conftest import build_corpus, build_model, indexed
 from helpers import edit_header, localize_one
 
 
@@ -40,7 +40,7 @@ class TestProbe:
         model = build_model(bundle)
         model.params["encoder.weight"].data[...] = 0.0
         model.params["encoder.bias"].data[...] = 0.7  # regions all encode identically
-        ex = bundle.examples[lang][0]
+        ex = indexed(bundle)[lang][0]
         feats = bundle.features[ex.scene_id]
         feature, weights = localize_one(model, lang, feats, ex.tokens)
         k = bundle.config.grid_side ** 2
@@ -55,7 +55,7 @@ class TestProbe:
                               max_concepts_per_scene=1)
         model = build_model(bundle)
         lang = bundle.config.languages[0]
-        ex = bundle.examples[lang][0]
+        ex = indexed(bundle)[lang][0]
         feature, weights = localize_one(model, lang, bundle.features[ex.scene_id], ex.tokens)
         with no_grad():
             a = model.encode(np.asarray(bundle.features[ex.scene_id])[None]).data[0]
@@ -64,7 +64,7 @@ class TestProbe:
 
     def test_weights_positive_sum_to_one_and_recompose(self, setup):
         bundle, model, lang = setup
-        for ex in bundle.examples[lang][:10]:
+        for ex in indexed(bundle)[lang][:10]:
             feats = bundle.features[ex.scene_id]
             feature, weights = localize_one(model, lang, feats, ex.tokens)
             assert len(weights) == len(ex.tokens) - 2
@@ -78,22 +78,14 @@ class TestProbe:
     def test_read_only(self, setup):
         bundle, model, lang = setup
         before = params_digest(model)
-        ex = bundle.examples[lang][0]
+        ex = indexed(bundle)[lang][0]
         collect_word_features(model, [ex], bundle.features, lang, "probe")
         collect_word_features(model, [ex], bundle.features, lang, "attention")
         assert params_digest(model) == before
 
-    def test_rejects_unwrapped_caption(self, setup):
-        bundle, model, lang = setup
-        scene_id = bundle.scenes[lang][0].scene_id
-        for tokens in ([5, 6, 7], [BOS, EOS]):
-            caption = CaptionedExample(scene_id, lang, tokens)
-            with pytest.raises(InputError):
-                collect_word_features(model, [caption], bundle.features, lang)
-
     def test_unknown_language(self, setup):
         bundle, model, lang = setup
-        ex = bundle.examples[lang][0]
+        ex = indexed(bundle)[lang][0]
         with pytest.raises(KeyError):
             localize_one(model, "nope", bundle.features[ex.scene_id], ex.tokens)
 
@@ -101,7 +93,7 @@ class TestProbe:
 class TestAttentionLocalization:
     def test_weights_sum_to_one(self, setup):
         bundle, model, lang = setup
-        ex = bundle.examples[lang][0]
+        ex = indexed(bundle)[lang][0]
         _, weights = localize_one(model, lang, bundle.features[ex.scene_id], ex.tokens,
                                   "attention")
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-9)
@@ -110,7 +102,7 @@ class TestAttentionLocalization:
 class TestCollection:
     def test_occurrence_accounting(self, setup):
         bundle, model, lang = setup
-        examples = bundle.examples[lang][:20]
+        examples = indexed(bundle)[lang][:20]
         sets = collect_word_features(model, examples, bundle.features, lang)
         total = sum(len(v) for v in sets.values())
         expected = sum(len(ex.tokens) - 2 for ex in examples)
@@ -118,7 +110,7 @@ class TestCollection:
 
     def test_word_occurrence_count_matches(self, setup):
         bundle, model, lang = setup
-        examples = bundle.examples[lang][:20]
+        examples = indexed(bundle)[lang][:20]
         sets = collect_word_features(model, examples, bundle.features, lang)
         from collections import Counter
         counts = Counter(t for ex in examples for t in ex.tokens[1:-1])
@@ -128,14 +120,14 @@ class TestCollection:
     @pytest.mark.parametrize("method", ["probe", "attention"])
     def test_collection_leaves_grad_mode_on(self, setup, method):
         bundle, model, lang = setup
-        collect_word_features(model, bundle.examples[lang][:3], bundle.features,
+        collect_word_features(model, indexed(bundle)[lang][:3], bundle.features,
                               lang, method)
         assert grad_enabled()
         assert tanh(Tensor([1.0], requires_grad=True)).requires_grad
 
     def test_methods_share_inventory(self, setup):
         bundle, model, lang = setup
-        examples = bundle.examples[lang][:10]
+        examples = indexed(bundle)[lang][:10]
         probe = collect_word_features(model, examples, bundle.features, lang, "probe")
         attn = collect_word_features(model, examples, bundle.features, lang, "attention")
         assert probe.keys() == attn.keys()
@@ -149,7 +141,7 @@ class TestCollection:
 def mixed_length_examples(bundle, lang):
     """The corpus captions cut to 1-4 words, some words replaced by UNK."""
     out = []
-    for i, ex in enumerate(bundle.examples[lang]):
+    for i, ex in enumerate(indexed(bundle)[lang]):
         words = list(ex.tokens[1:-1])[: 1 + i % 4]
         if i % 5 == 0:
             words[-1] = UNK

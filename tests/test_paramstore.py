@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from lexipivot.corpus import write_features
-from lexipivot.errors import FormatError, InputError
+from lexipivot.errors import FormatError
 from lexipivot.numerics import ParamStore, Tensor
+
+from helpers import edit_header
 
 
 def build_store():
@@ -18,10 +20,17 @@ def build_store():
     return store
 
 
-def test_names_are_unique():
-    store = build_store()
-    with pytest.raises(InputError, match="zeta"):
-        store.add("zeta", Tensor(np.zeros(1)))
+def test_names_are_unique(tmp_path):
+    """The store keeps one tensor per name, so weights that name one twice
+    are refused when read."""
+    def rename_zeta(header):
+        header["arrays"][2][0] = "mid"
+
+    path = tmp_path / "twice.lxpv"
+    build_store().save(path)
+    edit_header(path, rename_zeta)
+    with pytest.raises(FormatError, match="array 'mid' appears twice"):
+        ParamStore.load(path)
 
 
 def test_iteration_sorted_by_name():

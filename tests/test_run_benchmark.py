@@ -31,6 +31,11 @@ def test_json_record(tmp_path):
     assert sorted(record["stage_s"]) == ["extract", "gen-corpus", "induce", "train"]
     assert record["train"]["epochs_run"] == 2 and 1 <= record["train"]["best_epoch"] <= 2
     assert record["train"]["s_per_epoch"] > 0 and record["train"]["tokens_per_s"] > 0
+    # the tokens come from the train manifest's counts, over its train timing
+    trained = json.loads((tmp_path / "run" / "train" / "manifest.json").read_text())
+    epoch_tokens = sum(c["train_targets"] for c in trained["counts"].values())
+    assert epoch_tokens > 0
+    assert record["train"]["tokens_per_s"] == epoch_tokens * 2 / trained["timings"]["train"]
     assert record["extract"]["method"] == "probe"
     assert record["extract"]["occurrences"] > 0 and record["extract"]["occurrences_per_s"] > 0
     assert record["peak_rss_mb"] > 0

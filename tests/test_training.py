@@ -6,12 +6,12 @@ import pytest
 from lexipivot.caption import TrainingConfig, interleave, split_by_scene, train, training
 from lexipivot.errors import ConfigError, NumericError
 
-from conftest import build_corpus, build_model
+from conftest import build_model, indexed
 
 
 def split_bundle(bundle, seed=3, val_fraction=0.25):
     return {
-        lang: split_by_scene(bundle.examples[lang], val_fraction, seed, lang)
+        lang: split_by_scene(indexed(bundle)[lang], val_fraction, seed, lang)
         for lang in bundle.config.languages
     }
 
@@ -37,16 +37,18 @@ class TestInterleave:
 class TestSplit:
     def test_captions_of_one_image_stay_together(self, tiny_bundle):
         lang = tiny_bundle.config.languages[0]
-        train_ex, val_ex = split_by_scene(tiny_bundle.examples[lang], 0.25, 1, lang)
+        examples = indexed(tiny_bundle)[lang]
+        train_ex, val_ex = split_by_scene(examples, 0.25, 1, lang)
         train_scenes = {e.scene_id for e in train_ex}
         val_scenes = {e.scene_id for e in val_ex}
         assert not (train_scenes & val_scenes)
-        assert len(train_ex) + len(val_ex) == len(tiny_bundle.examples[lang])
+        assert len(train_ex) + len(val_ex) == len(examples)
 
     def test_deterministic(self, tiny_bundle):
         lang = tiny_bundle.config.languages[0]
-        a = split_by_scene(tiny_bundle.examples[lang], 0.25, 5, lang)
-        b = split_by_scene(tiny_bundle.examples[lang], 0.25, 5, lang)
+        examples = indexed(tiny_bundle)[lang]
+        a = split_by_scene(examples, 0.25, 5, lang)
+        b = split_by_scene(examples, 0.25, 5, lang)
         assert a == b
 
 
@@ -61,7 +63,7 @@ class TestTrain:
     def test_single_language_degenerate(self, tiny_bundle):
         lang = tiny_bundle.config.languages[0]
         model = build_model(tiny_bundle)
-        data = {lang: split_by_scene(tiny_bundle.examples[lang], 0.25, 3, lang)}
+        data = {lang: split_by_scene(indexed(tiny_bundle)[lang], 0.25, 3, lang)}
         log = train(model, data, tiny_bundle.features, quick_config(), seed=4)
         languages = {r.language for r in log.rows}
         assert languages == {lang, "all"}
@@ -111,7 +113,7 @@ class TestTrain:
         model = build_model(tiny_bundle)
         lang = tiny_bundle.config.languages[0]
         with pytest.raises(ConfigError):
-            train(model, {lang: ([], tiny_bundle.examples[lang])},
+            train(model, {lang: ([], indexed(tiny_bundle)[lang])},
                   tiny_bundle.features, quick_config(), seed=1)
 
     def test_non_finite_loss_raises_and_names_epoch(self, tiny_bundle):
