@@ -3,8 +3,9 @@
 Equivalent to `lexipivot pipeline` on the default configuration, plus a
 compact stdout summary of every method's MRR / P@K row. With `--json PATH`
 it also writes the run's measurements (a BENCH file): wall time per stage,
-training s/epoch and tokens/s, extraction occurrences/s, peak RSS, MRR and
-P@1 per method, and the numpy, CPU and BLAS thread setup they were taken on.
+training s/epoch and tokens/s, extraction occurrences/s, induction
+(source, target) pairs scored per second, peak RSS, MRR and P@1 per method,
+and the numpy, CPU and BLAS thread setup they were taken on.
 
     OPENBLAS_NUM_THREADS=1 python scripts/run_benchmark.py --json BENCH_x.json
 """
@@ -41,6 +42,8 @@ def measurements(config: RunConfig, result: dict, rows: list, elapsed: float) ->
     extracted = _manifest(result["extract"]["out_dir"])
     occurrences = sum(c["occurrences"] for c in extracted["counts"].values())
     localize_s = sum(v for k, v in extracted["timings"].items() if k.startswith("localize:"))
+    induced = _manifest(result["induce"]["out_dir"])
+    pairs = sum(c["pairs"] for c in induced["counts"].values())
     blas_threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
     return {
         "seed": config.seed,
@@ -57,6 +60,10 @@ def measurements(config: RunConfig, result: dict, rows: list, elapsed: float) ->
             "method": result["extract"]["method"],
             "occurrences": occurrences,
             "occurrences_per_s": occurrences / localize_s,
+        },
+        "induce": {
+            "pairs": pairs,
+            "pairs_per_s": pairs / induced["timings"]["rank"],
         },
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,

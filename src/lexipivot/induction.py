@@ -9,7 +9,8 @@ are evaluated with mean reciprocal rank and precision at K.
 Each language's inputs are held as matrices (`WordFeatureTable`), so a
 ranker scores one source word against every target in one product.
 Identical candidates get bit-identical scores, and ranking is a stable
-sort on the score over targets in word order: `(-score, word)`.
+sort on the score over targets in word order: `(-score, word)`. A ranking
+holds that order as an array of target rows beside their scores.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -99,15 +101,15 @@ class WordFeatureTable:
     global_rows: np.ndarray        # [u, d_g] distinct unit image rows
     global_inverse: np.ndarray     # [set members] row of global_rows
     global_offsets: np.ndarray     # [n + 1]
-    _row: dict[str, int] = field(init=False, repr=False)
+    rows: dict[str, int] = field(init=False, repr=False)  # word -> row
 
     def __post_init__(self):
-        self._row = {w: i for i, w in enumerate(self.words)}
+        self.rows = {w: i for i, w in enumerate(self.words)}
 
     def row(self, word: str) -> int:
-        if word not in self._row:
+        if word not in self.rows:
             raise KeyError(f"{self.language_id}: no features for word {word!r}")
-        return self._row[word]
+        return self.rows[word]
 
 
 def linguistic_vectors(model: MultiLingualModel, language: str,
@@ -194,32 +196,55 @@ def collect_global_feature_sets(model: MultiLingualModel, examples, features_by_
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class TranslationRanking:
+    """One source word's targets, best first: descending score, ties in
+    word order.
+
+    `order` holds target rows and `scores` their scores in that order;
+    `words` and `rows` are the target table's word list and row map, shared
+    by every ranking over that table.
+    """
+
     source_word: str
     method: str
-    items: list[tuple[str, float]]  # descending score, ties lexicographic
+    order: np.ndarray   # [n] target rows, best first
+    scores: np.ndarray  # [n] float64, non-increasing
+    words: list[str] = field(repr=False)
+    rows: dict[str, int] = field(repr=False)
     fallback_pairs: int = 0
-    _positions: dict[str, int | None] = field(default_factory=dict, init=False,
-                                              repr=False, compare=False)
+
+    @property
+    def items(self) -> np.ndarray:
+        """The ranked targets (the `order` rows), one per target word: its
+        length is the ranking's pair count, which perfbench reads."""
+        return self.order
+
+    @cached_property
+    def _positions(self) -> np.ndarray:
+        """1-based position of each target row: the inverse of `order`."""
+        positions = np.empty(len(self.order), dtype=np.intp)
+        positions[self.order] = np.arange(1, len(self.order) + 1)
+        return positions
 
     def rank_of(self, word: str) -> int | None:
-        """1-based position of `word` in `items`, or None. Answers are
-        remembered per word, so `items` must not change after a call."""
-        if word not in self._positions:
-            self._positions[word] = next(
-                (position for position, (candidate, _) in enumerate(self.items, start=1)
-                 if candidate == word), None)
-        return self._positions[word]
+        """1-based position of `word` among the targets, or None."""
+        row = self.rows.get(word)
+        return None if row is None else int(self._positions[row])
+
+    def top(self, n: int) -> list[tuple[str, float]]:
+        """The first `n` (word, score) pairs."""
+        return [(self.words[k], s)
+                for k, s in zip(self.order[:n].tolist(), self.scores[:n].tolist())]
 
 
-def _ranked(source_word: str, method: str, words: list[str], scores: np.ndarray,
+def _ranked(source_word: str, method: str, target: WordFeatureTable, scores: np.ndarray,
             fallback_pairs: int = 0) -> TranslationRanking:
-    """Order `words` (sorted) by descending score; the stable sort keeps
-    tied words in word order."""
-    order = np.argsort(-scores, kind="stable").tolist()
-    items = list(zip([words[k] for k in order], scores[order].tolist()))
-    return TranslationRanking(source_word, method, items, fallback_pairs)
+    """Order the target rows (sorted words) by descending score; the stable
+    sort keeps tied words in word order."""
+    order = np.argsort(-scores, kind="stable")
+    return TranslationRanking(source_word, method, order, scores[order], target.words,
+                              target.rows, fallback_pairs)
 
 
 def _row_dots(rows: np.ndarray, vector: np.ndarray,
@@ -239,7 +264,7 @@ def _row_dots(rows: np.ndarray, vector: np.ndarray,
 def linguistic_rank(x: str, source: WordFeatureTable,
                     target: WordFeatureTable) -> TranslationRanking:
     scores = _row_dots(target.linguistic, source.linguistic[source.row(x)])
-    return _ranked(x, "linguistic", target.words, scores)
+    return _ranked(x, "linguistic", target, scores)
 
 
 def visual_rank(x: str, source: WordFeatureTable,
@@ -248,7 +273,7 @@ def visual_rank(x: str, source: WordFeatureTable,
     must have one (`has_visual`)."""
     i = source.row(x)
     scores = _row_dots(target.visual, source.visual[i], target.has_visual)
-    return _ranked(x, "visual", target.words, scores,
+    return _ranked(x, "visual", target, scores,
                    int(np.count_nonzero(~target.has_visual)))
 
 
@@ -263,7 +288,7 @@ def fused_rank(x: str, source: WordFeatureTable,
     s_l = _row_dots(target.linguistic, source.linguistic[i])
     both = target.has_visual & source.has_visual[i]
     scores = np.where(both, s_l + _row_dots(target.visual, source.visual[i], both), s_l)
-    return _ranked(x, "fused", target.words, scores, int(np.count_nonzero(~both)))
+    return _ranked(x, "fused", target, scores, int(np.count_nonzero(~both)))
 
 
 def cnn_mean_rank(x: str, source: WordFeatureTable,
@@ -273,7 +298,7 @@ def cnn_mean_rank(x: str, source: WordFeatureTable,
     i = source.row(x)
     valid = target.global_mean_valid
     scores = _row_dots(target.global_mean, source.global_mean[i], valid)
-    return _ranked(x, "cnn_mean", target.words, scores,
+    return _ranked(x, "cnn_mean", target, scores,
                    int(np.count_nonzero(~valid)))
 
 
@@ -295,7 +320,7 @@ def cnn_avgmax_rank(x: str, source: WordFeatureTable,
         sims = (target.global_rows @ src.T)[target.global_inverse]  # [members, m]
         best = np.maximum.reduceat(sims, target.global_offsets[:-1][filled], axis=0)
         scores[filled] = best.mean(axis=1)
-    return _ranked(x, "cnn_avgmax", target.words, scores,
+    return _ranked(x, "cnn_avgmax", target, scores,
                    int(np.count_nonzero(~filled)))
 
 
@@ -379,8 +404,8 @@ def write_rankings(path, rankings_by_method: dict[str, dict[str, TranslationRank
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for method in sorted(rankings_by_method):
             for source_word in sorted(rankings_by_method[method]):
-                items = rankings_by_method[method][source_word].items[:RANKING_WIDTH]
-                cells = ",".join(f"{w}:{s:.6f}" for w, s in items)
+                top = rankings_by_method[method][source_word].top(RANKING_WIDTH)
+                cells = ",".join(f"{w}:{s:.6f}" for w, s in top)
                 fh.write(f"{source_word}\t{method}\t{cells}\n")
 
 
@@ -399,8 +424,6 @@ def report_rows(reports: list[EvalReport]) -> list[dict]:
 
 def write_report_csv(path, reports: list[EvalReport]) -> None:
     rows = report_rows(reports)
-    if not rows:
-        raise EmptyResultError("no report rows to write")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()

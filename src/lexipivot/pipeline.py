@@ -329,8 +329,10 @@ def compute_rankings(tables, source: str, target: str) -> dict[str, dict]:
 
 
 def ranking_counts(methods: dict[str, dict], source_words: list[str]) -> dict[str, dict]:
-    """Per method: rankings produced, source words left unranked, fallback pairs."""
+    """Per method: rankings produced, (source, target) pairs scored, source
+    words left unranked, fallback pairs."""
     return {method: {"rankings": len(rankings),
+                     "pairs": sum(len(r.order) for r in rankings.values()),
                      "skipped_sources": sum(w not in rankings for w in source_words),
                      "fallback_pairs": sum(r.fallback_pairs for r in rankings.values())}
             for method, rankings in sorted(methods.items())}

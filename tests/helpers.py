@@ -1,11 +1,13 @@
 """Shared test oracles: finite differences, the per-step decoder unroll and
-batch-of-one localization; and hand-packed array containers."""
+batch-of-one localization; hand-packed array containers; and rankings as
+(word, score) pairs."""
 
 import json
 import struct
 
 import numpy as np
 
+from lexipivot.induction import TranslationRanking
 from lexipivot.localization import localize_batch
 from lexipivot.numerics import (
     Tensor,
@@ -119,3 +121,18 @@ def edit_header(path, edit) -> None:
     header = json.loads(blob[12:12 + length])
     edit(header)
     path.write_bytes(pack_container(magic, header, blob[12 + length:], version))
+
+
+def ranked_pairs(ranking: TranslationRanking) -> list[tuple[str, float]]:
+    """Every (word, score) pair of a ranking, best first."""
+    return ranking.top(len(ranking.items))
+
+
+def ranking_from_pairs(source: str, method: str, pairs) -> TranslationRanking:
+    """A ranking whose targets are the pairs' (distinct) words, in the pairs'
+    order with their scores."""
+    words = sorted(w for w, _ in pairs)
+    rows = {w: i for i, w in enumerate(words)}
+    order = np.array([rows[w] for w, _ in pairs], dtype=np.intp)
+    return TranslationRanking(source, method, order, np.array([s for _, s in pairs]),
+                              words, rows)

@@ -541,6 +541,8 @@ class TestInduceEval:
             assert c.pop("unranked_lexicon_words") + c.pop("gold_outside_targets") \
                 == skipped[method], method
         n = words["la"]
+        for method, c in counts.items():   # every ranking scores every target
+            assert c.pop("pairs") == c["rankings"] * words["lb"], method
         assert counts["linguistic"] == {"rankings": n, "skipped_sources": 0,
                                         "fallback_pairs": 0}
         assert counts["visual"] == {
@@ -633,10 +635,12 @@ class TestInduceEval:
 
         # a lexicon word with a gold target among the targets, unranked after the edit
         lexicon = read_lexicon(corpus / "lexicon.tsv", "la", "lb")
-        assert lexicon.entries[word] & set(read_word_features(tables / "lb.linguistic.lxwf")[2])
+        targets = set(read_word_features(tables / "lb.linguistic.lxwf")[2])
+        assert lexicon.entries[word] & targets
         unranked = counts_before["cnn_mean"]["unranked_lexicon_words"] + 1
         assert counts["cnn_mean"] == {**counts_before["cnn_mean"],
                                       "rankings": counts_before["cnn_mean"]["rankings"] - 1,
+                                      "pairs": counts_before["cnn_mean"]["pairs"] - len(targets),
                                       "skipped_sources": 1, "unranked_lexicon_words": unranked}
         assert after["cnn_mean"] == {w: c for w, c in before["cnn_mean"].items() if w != word}
         for method in ("linguistic", "visual", "fused", "cnn_avgmax"):

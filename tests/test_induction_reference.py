@@ -9,6 +9,8 @@ package's without rounding doubt.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from lexipivot.induction import (
     BOTTOM_SCORE,
+    RANKING_WIDTH,
     build_table,
     cnn_avgmax_rank,
     cnn_mean_rank,
@@ -23,8 +26,11 @@ from lexipivot.induction import (
     linguistic_rank,
     unit,
     visual_rank,
+    write_rankings,
 )
 from lexipivot.pipeline import compute_rankings
+
+from helpers import ranked_pairs
 
 METHODS = ("linguistic", "visual", "fused", "cnn_mean", "cnn_avgmax")
 DIM = 3
@@ -128,6 +134,28 @@ def raw_language(draw, prefix):
     return {"ling": ling, "vis": vis, "glob": glob}
 
 
+@st.composite
+def tied_language(draw, prefix, max_words):
+    """Up to `max_words` words, each a copy of one of a few profiles. Words
+    of one profile share every vector and set, so they tie under every
+    method; a profile without a visual or global set (or with a zero-mean
+    one) scores BOTTOM_SCORE where the method needs that set."""
+    profiles = draw(st.lists(st.fixed_dictionaries({
+        "ling": VECTOR.filter(any),
+        "vis": st.none() | st.lists(VECTOR, min_size=1, max_size=2),
+        "glob": st.none() | st.lists(VECTOR, min_size=1, max_size=3)}),
+        min_size=1, max_size=3))
+    n = draw(st.integers(1, max_words))
+    raw = {"ling": {}, "vis": {}, "glob": {}}
+    for i in range(n):
+        word, profile = f"{prefix}{i}", draw(st.sampled_from(profiles))
+        raw["ling"][word] = profile["ling"]
+        for kind in ("vis", "glob"):
+            if profile[kind] is not None:
+                raw[kind][word] = profile[kind]
+    return raw
+
+
 def as_rows(rows):
     return np.asarray(rows, dtype=np.float64).reshape(len(rows), DIM)
 
@@ -144,13 +172,14 @@ RANKERS = {"linguistic": linguistic_rank, "visual": visual_rank, "fused": fused_
 
 
 def assert_matches_oracle(ranking, scores, fallback):
-    got = dict(ranking.items)
-    assert sorted(got) == sorted(scores)
+    pairs = ranked_pairs(ranking)
+    got = dict(pairs)
+    assert len(got) == len(pairs) and sorted(got) == sorted(scores)
     for word, value in scores.items():
         assert abs(got[word] - value) <= 1e-12, (ranking.method, word, got[word], value)
     assert ranking.fallback_pairs == fallback
     # the documented order: descending score, ties in word order
-    assert ranking.items == sorted(ranking.items, key=lambda kv: (-kv[1], kv[0]))
+    assert pairs == sorted(pairs, key=lambda kv: (-kv[1], kv[0]))
 
 
 @given(raw_language("s"), raw_language("t"))
@@ -185,3 +214,31 @@ def test_compute_rankings_skips_like_the_oracle(src, tgt):
         for x, e in expected.items():
             if e is not None:
                 assert_matches_oracle(rankings[x], *e)
+
+
+@given(tied_language("s", 3), tied_language("t", 2 * RANKING_WIDTH))
+@settings(max_examples=100, deadline=None)
+def test_ties_and_bottom_scores_follow_a_brute_force_sort(src, tgt):
+    """Positions, pair counts and rankings.tsv lines of every method agree with
+    a plain sort of each ranking's (word, score) pairs by (-score, word)."""
+    tables = {"s": table("s", src), "t": table("t", tgt)}
+    targets = tables["t"].words
+    computed = compute_rankings(tables, "s", "t")
+    expected_lines = []
+    for method in sorted(computed):
+        for x in sorted(computed[method]):
+            ranking = computed[method][x]
+            assert_matches_oracle(ranking, *oracle_rank(method, src, tgt, x))
+            assert len(ranking.items) == len(targets)
+            score = {targets[k]: s for k, s in zip(ranking.order.tolist(),
+                                                   ranking.scores.tolist())}
+            assert sorted(score) == targets
+            expected = sorted(targets, key=lambda w: (-score[w], w))
+            assert [ranking.rank_of(w) for w in expected] == list(range(1, len(targets) + 1))
+            assert ranking.rank_of(x) is None
+            cells = ",".join(f"{w}:{score[w]:.6f}" for w in expected[:RANKING_WIDTH])
+            expected_lines.append(f"{x}\t{method}\t{cells}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rankings.tsv"
+        write_rankings(path, computed)
+        assert path.read_text(encoding="utf-8").splitlines() == expected_lines

@@ -38,6 +38,11 @@ def test_json_record(tmp_path):
     assert record["train"]["tokens_per_s"] == epoch_tokens * 2 / trained["timings"]["train"]
     assert record["extract"]["method"] == "probe"
     assert record["extract"]["occurrences"] > 0 and record["extract"]["occurrences_per_s"] > 0
+    # the pairs come from the induce manifest's counts, over its rank timing
+    induced = json.loads((tmp_path / "run" / "induction" / "manifest.json").read_text())
+    pairs = sum(c["pairs"] for c in induced["counts"].values())
+    assert pairs > 0 and record["induce"]["pairs"] == pairs
+    assert record["induce"]["pairs_per_s"] == pairs / induced["timings"]["rank"]
     assert record["peak_rss_mb"] > 0
     assert sorted(record["methods"]) == ["cnn_avgmax", "cnn_mean", "fused", "linguistic",
                                          "visual"]
