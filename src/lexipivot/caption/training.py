@@ -121,16 +121,11 @@ def train(model: MultiLingualModel, data: dict[str, tuple[list, list]], features
           config: TrainingConfig, seed: int) -> TrainingLog:
     """Optimize the model; retains the best-validation parameter snapshot.
 
-    `data` maps language -> (train examples, val examples). Batches stay
-    mono-lingual and are interleaved proportionally to corpus sizes.
+    `data` maps language -> (train examples, val examples), both non-empty
+    as `split_by_scene` builds them. Batches stay mono-lingual and are
+    interleaved proportionally to corpus sizes.
     Deterministic given (model init, data, config, seed).
     """
-    for lang, (train_ex, val_ex) in data.items():
-        if not train_ex:
-            raise ConfigError(f"language {lang!r} has an empty training split")
-        if not val_ex:
-            raise ConfigError(f"language {lang!r} has an empty validation split")
-
     adam = AdamState(learning_rate=config.learning_rate)
     result = TrainingLog()
     best_snapshot = model.params.state_arrays()

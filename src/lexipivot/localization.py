@@ -12,6 +12,16 @@ caption, one per region; attention: one row per caption over all K
 regions), and images are encoded `ROW_CAP` at a time. The cap bounds the
 per-step temporaries, so their memory is the same for any corpus size.
 
+The attention method steps `MultiLingualModel.step`. The probe method
+unrolls on plain arrays, forward only: a probe row attends over one
+region, whose weight is 1 and whose context is the region itself, so the
+attention scorer computes nothing and is skipped. Both halves of the LSTM
+input product are hoisted out of the recurrence (Appleyard, Kočiský and
+Blunsom 2016, as in `decoder_unroll`): the word half once per caption and
+step, the region half once per region. Each step is one product with the
+previous hidden state, the shared `cell_forward` kernel and the tied
+logits.
+
 Word-feature tables are `arrayfile` containers of magic "LXWF". The meta
 holds "language", "aggregated" and "counts", each word's occurrence count;
 each word, in sorted order, has a float64 array of rows of one width D:
@@ -27,9 +37,9 @@ from .caption.model import MultiLingualModel
 from .corpus.vocab import BOS, EOS, PAD, UNK
 from .errors import FormatError, InputError, NumericError
 from .numerics import Tensor, no_grad
+from .numerics.lstm import cell_forward
 
 TABLE_MAGIC = b"LXWF"
-_METHODS = ("probe", "attention")
 ROW_CAP = 128  # decode rows per batch, and images per encoder call
 
 
@@ -50,33 +60,55 @@ def localize_batch(model: MultiLingualModel, language: str, regions: np.ndarray,
     attention weights are the feature and weights.
     """
     tokens = np.asarray(tokens, dtype=np.intp)
-    b, k, d = regions.shape
     if method == "probe":
-        decoded = Tensor(regions.reshape(b * k, 1, d))  # B*K decodes x 1 region each
-        tokens_by_row = np.repeat(tokens, k, axis=0)
-    else:
-        decoded, tokens_by_row = Tensor(regions), tokens
+        return _probe_batch(model, language, regions, tokens)
+    b, k, d = regions.shape
     steps = tokens.shape[1] - 2
     feats = np.empty((b, steps, d), dtype=regions.dtype)
     weights = np.empty((b, steps, k), dtype=regions.dtype)
-    row_ids = np.arange(len(tokens_by_row))
+    decoded = Tensor(regions)
     with no_grad():
         region_part = model.attention_precompute(decoded)
-        state = model.initial_state(len(tokens_by_row))
+        state = model.initial_state(b)
         for t in range(1, steps + 1):
-            logits, state, alpha, context = model.step(
-                language, state, tokens_by_row[:, t - 1], decoded, region_part)
-            if method == "probe":
-                shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-                probs = np.exp(shifted)
-                p_t = probs[row_ids, tokens_by_row[:, t]] / probs.sum(axis=1)  # strictly positive
-                w = p_t.reshape(b, k)
-                w = w / w.sum(axis=1, keepdims=True)
-                weights[:, t - 1] = w
-                feats[:, t - 1] = np.matmul(w[:, None, :], regions)[:, 0]
-            else:
-                weights[:, t - 1] = alpha.data
-                feats[:, t - 1] = context.data
+            _, state, alpha, context = model.step(language, state, tokens[:, t - 1],
+                                                  decoded, region_part)
+            weights[:, t - 1] = alpha.data
+            feats[:, t - 1] = context.data
+    return feats, weights
+
+
+def _probe_batch(model: MultiLingualModel, language: str, regions: np.ndarray,
+                 tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The probe decodes of `localize_batch`: B*K rows, row b*K + j seeing
+    region j of caption b, whose LSTM input is [word | region]."""
+    b, k, d = regions.shape
+    steps = tokens.shape[1] - 2
+    embed = model.embedding(language).data  # [E,V], tied output projection
+    lstm = model.lstm_weights()
+    w_ih, w_hh = lstm.w_ih.data, lstm.w_hh.data
+    e, hs = embed.shape[0], lstm.hidden_size
+    word_part = embed.T[tokens[:, :steps].T] @ w_ih[:e]  # [steps,B,4H]
+    region_part = (regions.reshape(b * k, d) @ w_ih[e:] + lstm.bias.data).reshape(b, k, 4 * hs)
+    h = np.zeros((b * k, hs), dtype=regions.dtype)
+    c = np.zeros_like(h)
+    feats = np.empty((b, steps, d), dtype=regions.dtype)
+    weights = np.empty((b, steps, k), dtype=regions.dtype)
+    rows = np.arange(b * k)
+    for t in range(steps):
+        gates = (h @ w_hh).reshape(b, k, 4 * hs)
+        gates += region_part
+        gates += word_part[t, :, None]
+        _, c, _, h = cell_forward(gates.reshape(b * k, 4 * hs), c)
+        logits = h @ embed
+        logits -= logits.max(axis=1, keepdims=True)
+        probs = np.exp(logits)
+        gold = np.repeat(tokens[:, t + 1], k)
+        p_t = probs[rows, gold] / probs.sum(axis=1)  # strictly positive
+        w = p_t.reshape(b, k)
+        w = w / w.sum(axis=1, keepdims=True)
+        weights[:, t] = w
+        feats[:, t] = np.matmul(w[:, None, :], regions)[:, 0]
     return feats, weights
 
 
@@ -94,8 +126,6 @@ def collect_word_features(model: MultiLingualModel, examples, features_by_id,
     words kept, and the decode batches. A model that decodes non-finite
     features raises NumericError.
     """
-    if method not in _METHODS:
-        raise InputError(f"unknown localization method {method!r}")
     tokens = [np.asarray(ex.tokens, dtype=np.intp) for ex in examples]
     words = np.concatenate([caption[1:-1] for caption in tokens] or [np.zeros(0, np.intp)])
     # a diverged model fails once, here, instead of warning from every batch

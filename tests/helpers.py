@@ -1,5 +1,5 @@
-"""Shared test oracles: finite differences, the per-step decoder unroll and
-batch-of-one localization; hand-packed array containers; and rankings as
+"""Shared test oracles: finite differences, the per-step decoder unroll,
+the per-step probe decode and batch-of-one localization; hand-packed array containers; and rankings as
 (word, score) pairs."""
 
 import json
@@ -89,6 +89,36 @@ def localize_one(model, language, features, tokens, method="probe"):
         regions = model.encode(np.asarray(features)[None]).data
     feats, weights = localize_batch(model, language, regions, [tokens], method)
     return feats[0], weights[0]
+
+
+def probe_by_steps(model, language, regions, tokens):
+    """The probe decode as `model.step` on B*K single-region rows: the path
+    `localize_batch` replaced. Returns (features [B,L-2,D], weights
+    [B,L-2,K], each step's attention weights [L-2,B*K,1] and contexts
+    [L-2,B*K,D])."""
+    tokens = np.asarray(tokens, dtype=np.intp)
+    b, k, d = regions.shape
+    decoded = Tensor(regions.reshape(b * k, 1, d))  # B*K decodes x 1 region each
+    tokens_by_row = np.repeat(tokens, k, axis=0)
+    row_ids = np.arange(b * k)
+    feats, weights, alphas, contexts = [], [], [], []
+    with no_grad():
+        region_part = model.attention_precompute(decoded)
+        state = model.initial_state(b * k)
+        for t in range(1, tokens.shape[1] - 1):
+            logits, state, alpha, context = model.step(
+                language, state, tokens_by_row[:, t - 1], decoded, region_part)
+            shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+            probs = np.exp(shifted)
+            p_t = probs[row_ids, tokens_by_row[:, t]] / probs.sum(axis=1)
+            w = p_t.reshape(b, k)
+            w = w / w.sum(axis=1, keepdims=True)
+            weights.append(w)
+            feats.append(np.matmul(w[:, None, :], regions)[:, 0])
+            alphas.append(alpha.data)
+            contexts.append(context.data)
+    return (np.stack(feats, axis=1), np.stack(weights, axis=1), np.stack(alphas),
+            np.stack(contexts))
 
 
 def unroll_by_steps(embed, tokens, regions, region_part, lstm, attention):

@@ -472,14 +472,17 @@ class TestExtractMismatchedOrDivergedModel:
                               f"has {corpus_size}")
         assert not list(out.glob("*.lxwf"))
 
-    @pytest.mark.parametrize("edit,fragment", [
-        (scale_embeddings, "decoded non-finite features"),
-        (overflow_one_recurrent_weight, "attention scores contain NaN or Inf"),
-    ], ids=["embeddings scaled by 1e30", "one infinite recurrent weight"])
-    def test_diverged_model_exits_4(self, trained, tmp_path, capsys, edit, fragment):
+    @pytest.mark.parametrize("method,edit,fragment", [
+        ("probe", scale_embeddings, "decoded non-finite features"),
+        # probe decodes without the attention scorer; the finite-rows check catches it
+        ("probe", overflow_one_recurrent_weight, "decoded non-finite features"),
+        ("attention", overflow_one_recurrent_weight, "attention scores contain NaN or Inf"),
+    ], ids=["embeddings scaled by 1e30", "one infinite recurrent weight",
+            "one infinite recurrent weight, attention"])
+    def test_diverged_model_exits_4(self, trained, tmp_path, capsys, method, edit, fragment):
         _, corpus, checkpoint = trained
-        (tmp_path / "probe").mkdir()
-        cfg = write_config(tmp_path / "probe", extraction={"method": "probe"})
+        (tmp_path / method).mkdir()
+        cfg = write_config(tmp_path / method, extraction={"method": method})
         weights = checkpoint.with_suffix(".lxpv")
         params = ParamStore.load(weights)
         edit(params)
@@ -488,7 +491,7 @@ class TestExtractMismatchedOrDivergedModel:
         code = run(["extract", "--config", cfg, "--checkpoint", checkpoint,
                     "--corpus", corpus, "--out", out])
         assert code == 4
-        assert_one_error_line(capsys.readouterr().err, "la: probe localization", fragment)
+        assert_one_error_line(capsys.readouterr().err, f"la: {method} localization", fragment)
         assert not list(out.glob("*.lxwf"))
 
 

@@ -15,7 +15,7 @@ from lexipivot.localization import (
 from lexipivot.numerics import Tensor, grad_enabled, no_grad, tanh
 
 from conftest import build_corpus, build_model, indexed
-from helpers import edit_header, localize_one
+from helpers import edit_header, localize_one, probe_by_steps
 
 
 def params_digest(model):
@@ -132,11 +132,6 @@ class TestCollection:
         attn = collect_word_features(model, examples, bundle.features, lang, "attention")
         assert probe.keys() == attn.keys()
 
-    def test_unknown_method(self, setup):
-        bundle, model, lang = setup
-        with pytest.raises(InputError):
-            collect_word_features(model, [], bundle.features, lang, method="pixel")
-
 
 def mixed_length_examples(bundle, lang):
     """The corpus captions cut to 1-4 words, some words replaced by UNK."""
@@ -213,6 +208,64 @@ class TestBatchedEquivalence:
                                            ex.tokens, method)
             np.testing.assert_allclose(weights[i], weight, rtol=0, atol=1e-10)
             np.testing.assert_allclose(feats[i], feature, rtol=0, atol=1e-10)
+
+
+class TestProbeUnroll:
+    """The hoisted probe decode against the per-step oracle: `model.step` on
+    B*K single-region rows."""
+
+    @staticmethod
+    def length_groups(bundle, model, lang):
+        """(regions [B,K,D], tokens [B,L]) of each length group of the mixed
+        captions."""
+        examples = mixed_length_examples(bundle, lang)
+        for length in sorted({len(ex.tokens) for ex in examples}):
+            group = [ex for ex in examples if len(ex.tokens) == length]
+            with no_grad():
+                regions = model.encode(np.stack([bundle.features[ex.scene_id]
+                                                 for ex in group])).data
+            yield regions, np.array([ex.tokens for ex in group])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_per_step_oracle(self, tiny_bundle, dtype):
+        lang = tiny_bundle.config.languages[0]
+        model = build_model(tiny_bundle, embed_dim=16, attn_dim=8, dtype=dtype)
+        # the split input product rounds differently from [word | region] @ W_ih
+        atol = 1e-12 if dtype == np.float64 else 8 * np.finfo(np.float32).eps
+        for regions, tokens in self.length_groups(tiny_bundle, model, lang):
+            feats, weights = localize_batch(model, lang, regions, tokens, "probe")
+            want_feats, want_weights, _, _ = probe_by_steps(model, lang, regions, tokens)
+            assert feats.dtype == weights.dtype == dtype
+            np.testing.assert_allclose(weights, want_weights, rtol=0, atol=atol)
+            np.testing.assert_allclose(feats, want_feats, rtol=0, atol=atol)
+            k = regions.shape[1]
+            np.testing.assert_allclose(weights.sum(axis=2), 1.0, rtol=0,
+                                       atol=4 * k * np.finfo(dtype).eps)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_single_region_attention_is_the_region(self, tiny_bundle, dtype):
+        # the fact that lets the hoisted decode drop the scorer
+        lang = tiny_bundle.config.languages[0]
+        model = build_model(tiny_bundle, embed_dim=16, attn_dim=8, dtype=dtype)
+        for regions, tokens in self.length_groups(tiny_bundle, model, lang):
+            _, _, alphas, contexts = probe_by_steps(model, lang, regions, tokens)
+            assert np.all(alphas == 1.0)
+            rows = regions.reshape(-1, regions.shape[2])
+            assert np.array_equal(contexts, np.broadcast_to(rows, contexts.shape))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_reruns_write_identical_tables(self, tiny_bundle, tmp_path, dtype):
+        lang = tiny_bundle.config.languages[0]
+        model = build_model(tiny_bundle, dtype=dtype)
+        examples = mixed_length_examples(tiny_bundle, lang)
+        blobs = []
+        for run in range(2):
+            sets = collect_word_features(model, examples, tiny_bundle.features, lang, "probe")
+            path = tmp_path / f"{run}.lxwf"
+            write_word_features(path, lang, {str(w): (len(r), r) for w, r in sets.items()},
+                                aggregated=False)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
 
 
 class TestTableFile:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lexipivot.caption import TrainingConfig, interleave, split_by_scene, train, training
-from lexipivot.errors import ConfigError, NumericError
+from lexipivot.errors import NumericError
 
 from conftest import build_model, indexed
 
@@ -108,13 +108,6 @@ class TestTrain:
                     quick_config(max_epochs=50, patience=2, learning_rate=0.3),
                     seed=4)
         assert log.epochs_run < 50
-
-    def test_empty_split_rejected(self, tiny_bundle):
-        model = build_model(tiny_bundle)
-        lang = tiny_bundle.config.languages[0]
-        with pytest.raises(ConfigError):
-            train(model, {lang: ([], indexed(tiny_bundle)[lang])},
-                  tiny_bundle.features, quick_config(), seed=1)
 
     def test_non_finite_loss_raises_and_names_epoch(self, tiny_bundle):
         model = build_model(tiny_bundle)
