@@ -13,7 +13,6 @@ import dataclasses
 import hashlib
 import json
 import sys
-import types
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -91,8 +90,6 @@ def _fits(value, hint) -> bool:
     """Whether a JSON value can stand for a field annotated `hint`. Lists
     (or tuples) stand for tuples; their length is left to `validate`."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is types.UnionType:
-        return any(_fits(value, arg) for arg in args)
     if origin is tuple:
         return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
     if isinstance(value, bool):

@@ -28,10 +28,6 @@ class CaptionedExample:
     language_id: str
     tokens: tuple[int, ...]
 
-    def word_positions(self) -> range:
-        """Positions of the actual words (between the begin/end sentinels)."""
-        return range(1, len(self.tokens) - 1)
-
 
 @dataclass
 class Vocabulary:

@@ -24,10 +24,9 @@ import numpy as np
 
 from .caption.model import MultiLingualModel
 from .corpus.lexicon import GroundTruthLexicon
-from .corpus.vocab import RESERVED, Vocabulary
+from .corpus.vocab import Vocabulary
 from .errors import EmptyResultError, NumericError
-from .localization import ROW_CAP
-from .numerics import no_grad
+from .localization import word_occurrences
 from .seeding import substream
 
 ZERO_NORM = 1e-12
@@ -157,37 +156,26 @@ def build_table(language_id: str, linguistic: dict[str, np.ndarray],
     )
 
 
-def collect_global_feature_sets(model: MultiLingualModel, examples, features_by_id,
-                                vocab: Vocabulary, seed: int) -> dict[str, np.ndarray]:
-    """Baseline feature sets: one global (region-mean) vector per occurrence,
-    a seeded subsample of `BASELINE_SET_CAP` of them for a word with more.
+def collect_global_feature_sets(examples, images, vocab: Vocabulary,
+                                seed: int) -> dict[str, np.ndarray]:
+    """Baseline feature sets: the global (region-mean) vector of each
+    occurrence's image, a seeded subsample of `BASELINE_SET_CAP` of them
+    for a word with more. `images` are the examples' `encode_images`.
 
     Mirrors the retrieval-style baselines, where a word is represented by
     whole-image features of the images it occurs with.
     """
-    image_ids = sorted({ex.scene_id for ex in examples})
-    global_by_image: dict[int, np.ndarray] = {}
-    with no_grad():
-        for start in range(0, len(image_ids), ROW_CAP):
-            chunk = image_ids[start:start + ROW_CAP]
-            encoded = model.encode(np.stack([features_by_id[i] for i in chunk]))
-            global_by_image.update(zip(chunk, encoded.data.mean(axis=1)))
-    sets: dict[str, list[np.ndarray]] = {}
-    n_reserved = len(RESERVED)
-    for ex in examples:
-        for t in ex.word_positions():
-            index = ex.tokens[t]
-            if index < n_reserved:
-                continue
-            sets.setdefault(vocab.word(index), []).append(global_by_image[ex.scene_id])
+    regions, image_rows = images
+    captions, occurrences = word_occurrences(examples)
+    means = regions.mean(axis=1)  # [n,D] one global vector per image
     out = {}
-    for word in sorted(sets):
-        feats = sets[word]
-        if len(feats) > BASELINE_SET_CAP:
+    for word_index, positions in occurrences.items():
+        word = vocab.word(word_index)
+        if len(positions) > BASELINE_SET_CAP:
             rng = substream(seed, f"subsample-global:{vocab.language_id}:{word}")
-            keep = sorted(rng.choice(len(feats), size=BASELINE_SET_CAP, replace=False))
-            feats = [feats[i] for i in keep]
-        out[word] = np.asarray(feats, dtype=np.float64)
+            positions = positions[np.sort(rng.choice(len(positions), size=BASELINE_SET_CAP,
+                                                     replace=False))]
+        out[word] = means[image_rows[captions[positions]]].astype(np.float64)
     return out
 
 

@@ -6,11 +6,12 @@ gold word into weights over the original regions. The attention method
 reads the decoder's own attention weights at the step emitting each word.
 Both produce one localized feature per word occurrence.
 
-Both methods decode in batches: captions of one token length share a
-teacher-forced unroll of at most `ROW_CAP` decode rows (probe: K rows per
-caption, one per region; attention: one row per caption over all K
-regions), and images are encoded `ROW_CAP` at a time. The cap bounds the
-per-step temporaries, so their memory is the same for any corpus size.
+Each distinct image is encoded once (`encode_images`), `ROW_CAP` at a
+time. Both methods decode in batches: captions of one token length share
+a teacher-forced unroll of at most `ROW_CAP` decode rows (probe: K rows
+per caption, one per region; attention: one row per caption over all K
+regions). The cap bounds the per-step temporaries, so their memory is the
+same for any corpus size.
 
 The attention method steps `MultiLingualModel.step`. The probe method
 unrolls on plain arrays, forward only: a probe row attends over one
@@ -112,65 +113,80 @@ def _probe_batch(model: MultiLingualModel, language: str, regions: np.ndarray,
     return feats, weights
 
 
-def collect_word_features(model: MultiLingualModel, examples, features_by_id,
-                          language: str, method: str = "probe",
-                          counts: dict | None = None) -> dict[int, np.ndarray]:
-    """Localized feature rows [n, D] per word index over a corpus.
+def encode_images(model: MultiLingualModel, examples,
+                  features_by_id) -> tuple[np.ndarray, np.ndarray]:
+    """Encode each distinct image of `examples` once, `ROW_CAP` images per
+    encoder call in image-id order. Returns the regions [n,K,D] and each
+    example's image row in them."""
+    ids, rows = np.unique([ex.scene_id for ex in examples], return_inverse=True)
+    with no_grad():
+        chunks = [model.encode(np.stack([features_by_id[i] for i in ids[lo:lo + ROW_CAP]]))
+                  for lo in range(0, len(ids), ROW_CAP)]
+    return np.concatenate([chunk.data for chunk in chunks]), rows
 
-    Captions are grouped by token length; each group is encoded `ROW_CAP`
-    images at a time and decoded in batches of at most `ROW_CAP` decode
-    rows. Each caption wraps at least one word in sentinels, as
-    `index_captions` builds it; sentinel and unknown tokens are dropped. A
-    word's rows are in corpus order (caption order, then position).
-    `counts`, when given, receives the occurrences decoded and dropped, the
-    words kept, and the decode batches. A model that decodes non-finite
-    features raises NumericError.
+
+def word_occurrences(examples) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The caption of each word position, in corpus order (caption order,
+    then position), and each word index's positions in that order.
+    Sentinel and unknown tokens are dropped from the words."""
+    words = np.array([t for ex in examples for t in ex.tokens[1:-1]], dtype=np.intp)
+    captions = np.repeat(np.arange(len(examples)), [len(ex.tokens) - 2 for ex in examples])
+    kept = np.flatnonzero(np.isin(words, (PAD, BOS, EOS, UNK), invert=True))
+    by_word = kept[np.argsort(words[kept], kind="stable")]  # corpus order within a word
+    word_ids, starts = np.unique(words[by_word], return_index=True)
+    return captions, dict(zip(word_ids.tolist(), np.split(by_word, starts[1:])))
+
+
+def collect_word_features(model: MultiLingualModel, examples, images, language: str,
+                          method: str = "probe",
+                          counts: dict | None = None) -> dict[int, np.ndarray]:
+    """Localized feature rows [n, D] per word index over a corpus whose
+    images `encode_images` encoded, in the order of `word_occurrences`.
+
+    Captions are grouped by token length and decoded in batches of at most
+    `ROW_CAP` decode rows. Each caption wraps at least one word in
+    sentinels, as `index_captions` builds it. `counts`, when given,
+    receives the occurrences decoded and dropped, the words kept, and the
+    decode batches. A model that decodes non-finite features raises
+    NumericError.
     """
-    tokens = [np.asarray(ex.tokens, dtype=np.intp) for ex in examples]
-    words = np.concatenate([caption[1:-1] for caption in tokens] or [np.zeros(0, np.intp)])
+    captions, occurrences = word_occurrences(examples)
     # a diverged model fails once, here, instead of warning from every batch
     try:
         with np.errstate(all="ignore"):
-            rows, batches = _decode_rows(model, examples, features_by_id, tokens, language,
-                                         method)
+            rows, batches = _decode_rows(model, examples, images, language, method)
     except NumericError as exc:
         raise NumericError(f"{language}: {method} localization failed: {exc}") from exc
     if not np.isfinite(rows).all():
         raise NumericError(f"{language}: {method} localization decoded non-finite "
                            f"features; the model has diverged")
 
-    kept = np.flatnonzero(np.isin(words, (PAD, BOS, EOS, UNK), invert=True))
-    by_word = kept[np.argsort(words[kept], kind="stable")]  # corpus order within a word
-    word_ids, starts = np.unique(words[by_word], return_index=True)
-    sets = {word_index: rows[occurrences] for word_index, occurrences
-            in zip(word_ids.tolist(), np.split(by_word, starts[1:]))}
+    sets = {word_index: rows[positions] for word_index, positions in occurrences.items()}
     if counts is not None:
-        counts.update(occurrences=len(words), dropped_unk=len(words) - len(kept),
+        kept = sum(len(positions) for positions in occurrences.values())
+        counts.update(occurrences=len(captions), dropped_unk=len(captions) - kept,
                       words=len(sets), batches=batches)
     return sets
 
 
-def _decode_rows(model: MultiLingualModel, examples, features_by_id, tokens,
-                 language: str, method: str) -> tuple[np.ndarray, int]:
+def _decode_rows(model: MultiLingualModel, examples, images, language: str,
+                 method: str) -> tuple[np.ndarray, int]:
     """The localized feature of every word position, in corpus order, and the
     number of decode batches."""
-    lengths = np.array([len(caption) for caption in tokens], dtype=np.intp)
+    regions, image_rows = images
+    lengths = np.array([len(ex.tokens) for ex in examples], dtype=np.intp)
     first_row = np.concatenate(([0], np.cumsum(lengths - 2)))  # of each caption
     rows = np.empty((int(first_row[-1]), model.dims.embed_dim), dtype=model.dtype)
     per_batch = max(1, ROW_CAP // (model.dims.num_regions if method == "probe" else 1))
     batches = 0
     for length in np.unique(lengths):
         group = np.flatnonzero(lengths == length)
-        for chunk in np.split(group, range(ROW_CAP, len(group), ROW_CAP)):
-            with no_grad():
-                regions = model.encode(np.stack(
-                    [features_by_id[examples[i].scene_id] for i in chunk])).data
-            for lo in range(0, len(chunk), per_batch):
-                batch = chunk[lo:lo + per_batch]
-                feats, _ = localize_batch(model, language, regions[lo:lo + per_batch],
-                                          np.stack([tokens[i] for i in batch]), method)
-                rows[first_row[batch, None] + np.arange(length - 2)] = feats
-                batches += 1
+        for lo in range(0, len(group), per_batch):
+            batch = group[lo:lo + per_batch]
+            feats, _ = localize_batch(model, language, regions[image_rows[batch]],
+                                      np.array([examples[i].tokens for i in batch]), method)
+            rows[first_row[batch, None] + np.arange(length - 2)] = feats
+            batches += 1
     return rows, batches
 
 

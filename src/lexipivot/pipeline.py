@@ -53,6 +53,7 @@ from .induction import (
 )
 from .localization import (
     collect_word_features,
+    encode_images,
     read_word_features,
     write_word_features,
 )
@@ -247,11 +248,12 @@ def stage_extract(config: RunConfig, out_dir, checkpoint, corpus_dir) -> dict:
 
     method = config.extraction.method
     for lang in loaded.languages:
-        vocab = loaded.vocabs[lang]
+        vocab, examples = loaded.vocabs[lang], loaded.examples[lang]
         manifest.counts[lang] = {}
         with manifest.timed(f"localize:{lang}"):
-            sets = collect_word_features(model, loaded.examples[lang], loaded.features,
-                                         lang, method, counts=manifest.counts[lang])
+            images = encode_images(model, examples, loaded.features)
+            sets = collect_word_features(model, examples, images, lang, method,
+                                         counts=manifest.counts[lang])
         with manifest.timed(f"write:{lang}"):
             visual_entries = {}
             for index in sorted(sets):
@@ -267,8 +269,8 @@ def stage_extract(config: RunConfig, out_dir, checkpoint, corpus_dir) -> dict:
             ling_path = table_file(out_dir, lang, "linguistic")
             write_word_features(ling_path, lang, ling_entries, aggregated=True)
 
-            global_sets = collect_global_feature_sets(
-                model, loaded.examples[lang], loaded.features, vocab, config.seed)
+            global_sets = collect_global_feature_sets(examples, images, vocab, config.seed)
+            del images  # one language's encoded images at a time
             global_entries = {w: (len(rows), rows) for w, rows in global_sets.items()}
             global_path = table_file(out_dir, lang, "global")
             write_word_features(global_path, lang, global_entries, aggregated=False)

@@ -20,8 +20,10 @@ CONFIG = {
     "corpus": {"concepts": 20, "images_per_language": 400, "min_count": 3},
     "training": {"max_epochs": 30, "learning_rate": 0.01},
 }
-DETERMINISTIC = ("train/checkpoint.lxpv", "train/log.csv", "induction/rankings.tsv",
-                 "induction/report.csv")
+DETERMINISTIC = ("train/checkpoint.lxpv", "train/log.csv",
+                 *(f"features/{lang}.{kind}.lxwf" for lang in ("la", "lb")
+                   for kind in ("linguistic", "visual-probe", "global")),
+                 "induction/rankings.tsv", "induction/report.csv")
 
 
 @pytest.fixture(scope="module")

@@ -359,6 +359,28 @@ class TestExtract:
             _, _, table = read_word_features(out / f"{lang}.visual-probe.lxwf")
             assert len(table) == counts[lang]["words"]
 
+    def test_each_image_is_encoded_once(self, trained, tmp_path, monkeypatch):
+        from collections import Counter
+        from lexipivot.caption.model import MultiLingualModel
+        from lexipivot.corpus import read_captions
+        cfg, corpus, checkpoint = trained
+        encoded = Counter()
+        encode = MultiLingualModel.encode
+
+        def counting_encode(self, features):
+            encoded.update(row.tobytes() for row in np.asarray(features, dtype=np.float32))
+            return encode(self, features)
+
+        monkeypatch.setattr(MultiLingualModel, "encode", counting_encode)
+        assert run(["extract", "--config", cfg, "--checkpoint", checkpoint,
+                    "--corpus", corpus, "--out", tmp_path / "feats"]) == 0
+        images = Counter()
+        for lang in ("la", "lb"):
+            features = read_features(corpus / f"{lang}.features.lxpf")
+            ids = {cap.image_id for cap in read_captions(corpus / f"{lang}.captions.tsv", lang)}
+            images.update(features[i].tobytes() for i in ids)
+        assert encoded == images
+
     def test_re_extraction_byte_identical(self, trained, tmp_path):
         cfg, corpus, checkpoint = trained
         out1, out2 = tmp_path / "e1", tmp_path / "e2"

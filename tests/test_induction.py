@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexipivot import induction
+from lexipivot import induction, localization
 from lexipivot.corpus import GroundTruthLexicon
 from lexipivot.corpus.vocab import RESERVED
 from lexipivot.errors import EmptyResultError
@@ -27,6 +27,7 @@ from lexipivot.induction import (
     write_report_csv,
     write_report_json,
 )
+from lexipivot.localization import encode_images
 from lexipivot.numerics import no_grad
 from lexipivot.pipeline import compute_rankings
 from lexipivot.seeding import substream
@@ -295,16 +296,16 @@ class TestGlobalFeatureSets:
         lang = tiny_bundle.config.languages[0]
         model = build_model(tiny_bundle, dtype=np.float64)
         examples, vocab = indexed(tiny_bundle)[lang], tiny_bundle.vocabs[lang]
-        monkeypatch.setattr(induction, "ROW_CAP", 5)   # 24 images: chunks of 5, last of 4
+        monkeypatch.setattr(localization, "ROW_CAP", 5)   # 24 images: chunks of 5, last of 4
         if cap is not None:
             monkeypatch.setattr(induction, "BASELINE_SET_CAP", cap)
-        got = collect_global_feature_sets(model, examples, tiny_bundle.features, vocab,
-                                          seed=9)
+        got = collect_global_feature_sets(
+            examples, encode_images(model, examples, tiny_bundle.features), vocab, seed=9)
         want = {}
         with no_grad():
             for ex in examples:
                 image = model.encode(tiny_bundle.features[ex.scene_id][None]).data[0]
-                for t in ex.word_positions():
+                for t in range(1, len(ex.tokens) - 1):
                     if ex.tokens[t] >= len(RESERVED):
                         want.setdefault(vocab.word(ex.tokens[t]), []).append(image.mean(axis=0))
         limit = induction.BASELINE_SET_CAP

@@ -8,6 +8,7 @@ from lexipivot.corpus.vocab import BOS, EOS, UNK, CaptionedExample
 from lexipivot.errors import FormatError, InputError
 from lexipivot.localization import (
     collect_word_features,
+    encode_images,
     localize_batch,
     read_word_features,
     write_word_features,
@@ -79,8 +80,9 @@ class TestProbe:
         bundle, model, lang = setup
         before = params_digest(model)
         ex = indexed(bundle)[lang][0]
-        collect_word_features(model, [ex], bundle.features, lang, "probe")
-        collect_word_features(model, [ex], bundle.features, lang, "attention")
+        images = encode_images(model, [ex], bundle.features)
+        collect_word_features(model, [ex], images, lang, "probe")
+        collect_word_features(model, [ex], images, lang, "attention")
         assert params_digest(model) == before
 
     def test_unknown_language(self, setup):
@@ -103,7 +105,8 @@ class TestCollection:
     def test_occurrence_accounting(self, setup):
         bundle, model, lang = setup
         examples = indexed(bundle)[lang][:20]
-        sets = collect_word_features(model, examples, bundle.features, lang)
+        sets = collect_word_features(model, examples,
+                                     encode_images(model, examples, bundle.features), lang)
         total = sum(len(v) for v in sets.values())
         expected = sum(len(ex.tokens) - 2 for ex in examples)
         assert total == expected
@@ -111,7 +114,8 @@ class TestCollection:
     def test_word_occurrence_count_matches(self, setup):
         bundle, model, lang = setup
         examples = indexed(bundle)[lang][:20]
-        sets = collect_word_features(model, examples, bundle.features, lang)
+        sets = collect_word_features(model, examples,
+                                     encode_images(model, examples, bundle.features), lang)
         from collections import Counter
         counts = Counter(t for ex in examples for t in ex.tokens[1:-1])
         for word_index, feats in sets.items():
@@ -120,16 +124,18 @@ class TestCollection:
     @pytest.mark.parametrize("method", ["probe", "attention"])
     def test_collection_leaves_grad_mode_on(self, setup, method):
         bundle, model, lang = setup
-        collect_word_features(model, indexed(bundle)[lang][:3], bundle.features,
-                              lang, method)
+        examples = indexed(bundle)[lang][:3]
+        collect_word_features(model, examples,
+                              encode_images(model, examples, bundle.features), lang, method)
         assert grad_enabled()
         assert tanh(Tensor([1.0], requires_grad=True)).requires_grad
 
     def test_methods_share_inventory(self, setup):
         bundle, model, lang = setup
         examples = indexed(bundle)[lang][:10]
-        probe = collect_word_features(model, examples, bundle.features, lang, "probe")
-        attn = collect_word_features(model, examples, bundle.features, lang, "attention")
+        images = encode_images(model, examples, bundle.features)
+        probe = collect_word_features(model, examples, images, lang, "probe")
+        attn = collect_word_features(model, examples, images, lang, "attention")
         assert probe.keys() == attn.keys()
 
 
@@ -172,13 +178,14 @@ class TestBatchedEquivalence:
         bundle, model, lang, examples = mixed
         # K = 4 regions. The default cap holds each 12-caption length group
         # in one batch. A cap of 2 is below K: probe decodes one caption per
-        # batch. A cap of 9 nests probe batches of 2 captions inside encoder
-        # chunks of 9 images; both split each group.
+        # batch. A cap of 9 cuts each group into probe batches of 2 captions
+        # and attention batches of 9, and encodes the images 9 at a time.
         if row_cap is not None:
             monkeypatch.setattr(localization, "ROW_CAP", row_cap)
         counts = {}
-        got = collect_word_features(model, examples, bundle.features, lang, method,
-                                    counts=counts)
+        got = collect_word_features(model, examples,
+                                    encode_images(model, examples, bundle.features), lang,
+                                    method, counts=counts)
         want = reference_word_features(model, examples, bundle.features, lang, method)
         assert got.keys() == want.keys()
         for word_index, feats in got.items():
@@ -260,7 +267,9 @@ class TestProbeUnroll:
         examples = mixed_length_examples(tiny_bundle, lang)
         blobs = []
         for run in range(2):
-            sets = collect_word_features(model, examples, tiny_bundle.features, lang, "probe")
+            sets = collect_word_features(
+                model, examples, encode_images(model, examples, tiny_bundle.features), lang,
+                "probe")
             path = tmp_path / f"{run}.lxwf"
             write_word_features(path, lang, {str(w): (len(r), r) for w, r in sets.items()},
                                 aggregated=False)
