@@ -16,22 +16,21 @@ from pathlib import Path
 import numpy as np
 
 from ..corpus.vocab import PAD
-from ..errors import ConfigError, FormatError, InputError, ShapeError
+from ..errors import ConfigError, FormatError, ShapeError
 from ..numerics import (
     LstmWeights,
     ParamStore,
     Tensor,
     add,
     additive_attention,
+    caption_loss,
     concat_cols,
-    cross_entropy_rows,
-    decoder_unroll,
+    cross_entropy_rows,  # only perfbench looks it up here (ROADMAP item 7)
     gather_cols,
     lstm_step,
     matmul,
     reshape,
     row_slice,
-    scale,
     tanh,
 )
 from ..seeding import substream
@@ -83,14 +82,15 @@ class MultiLingualModel:
               dtype=np.float64) -> "MultiLingualModel":
         if not vocab_sizes:
             raise ConfigError("a caption model needs at least one language")
-        params = ParamStore()
+        arrays = {}
         for name, shape in param_shapes(dims, vocab_sizes).items():
             if len(shape) == 1:  # biases start at zero
                 data = np.zeros(shape)
             else:
                 s = 1.0 / np.sqrt(shape[0])
                 data = substream(seed, f"init:{name}").uniform(-s, s, size=shape)
-            params.add(name, Tensor(data.astype(dtype)))
+            arrays[name] = data.astype(dtype)
+        params = ParamStore(arrays)
         h = dims.embed_dim
         params["lstm.bias"].data[h:2 * h] = 1.0  # forget-gate bias
         return cls(dims, vocab_sizes, params, dtype=dtype, seed=seed)
@@ -107,14 +107,19 @@ class MultiLingualModel:
 
     # -- forward pieces -----------------------------------------------------
 
-    def encode(self, features) -> Tensor:
-        """Raw region features [B,K,D_in] -> regions [B,K,D]."""
+    def _features(self, features) -> np.ndarray:
+        """Raw region features [B,K,D_in] in the model's dtype."""
         arr = np.asarray(features, dtype=self.dtype)
         if arr.ndim != 3 or arr.shape[1] != self.dims.num_regions \
                 or arr.shape[2] != self.dims.feature_dim:
             raise ShapeError(
                 f"expected region features [B,{self.dims.num_regions},"
                 f"{self.dims.feature_dim}], got {arr.shape}")
+        return arr
+
+    def encode(self, features) -> Tensor:
+        """Raw region features [B,K,D_in] -> regions [B,K,D]."""
+        arr = self._features(features)
         b, k, d_in = arr.shape
         flat = Tensor(arr.reshape(b * k, d_in))
         out = tanh(add(matmul(flat, self.params["encoder.weight"]),
@@ -160,38 +165,20 @@ class MultiLingualModel:
 
     # -- losses -------------------------------------------------------------
 
-    def sequence_loss(self, examples, features_by_id) -> tuple[Tensor, int]:
-        """Teacher-forced NLL averaged over non-pad target tokens.
+    def sequence_loss(self, language: str, tokens, features) -> tuple[Tensor, int]:
+        """Teacher-forced NLL averaged over the non-pad target tokens of a
+        batch of one language, and their count.
 
-        The batch holds one language. It is unrolled by one
-        `decoder_unroll`, and its hidden states are projected onto the tied
-        embedding in one [T*B,V] product.
+        tokens [B,L] holds the sentinel-wrapped ids, PAD after each
+        caption's end, the widest caption filling its row; features [B,K,F]
+        each caption's raw region features. The whole loss is one
+        `caption_loss` node.
         """
-        if not examples:
-            raise InputError("sequence_loss needs a non-empty batch")
-        language = examples[0].language_id
-        for ex in examples:
-            if ex.language_id != language:
-                raise InputError(f"sequence_loss needs a batch of one language, got "
-                                 f"{language!r} and {ex.language_id!r}")
-            if len(ex.tokens) > self.dims.max_len:
-                raise InputError(
-                    f"example of {len(ex.tokens)} tokens exceeds the unroll cap "
-                    f"{self.dims.max_len}")
-        tokens = _pad_tokens(examples)
-        feats = np.stack([np.asarray(features_by_id[ex.scene_id]) for ex in examples])
-        embed = self.embedding(language)
-        regions = self.encode(feats)
-        # step-major: row t*B + b is caption b at step t; the widest caption
-        # ends in the last column, so no step is all padding
-        words = gather_cols(embed, tokens[:, :-1].T.reshape(-1))
-        hidden = decoder_unroll(words, regions, self.attention_precompute(regions),
-                                self.lstm_weights(), self.attention_weights())
-        targets = tokens[:, 1:].T.reshape(-1)
-        mask = (targets != PAD).astype(self.dtype)
-        ce = cross_entropy_rows(matmul(hidden, embed), targets, mask)
-        count = int(mask.sum())
-        return scale(reshape(ce, (1, 1)), 1.0 / count), count
+        p = self.params
+        return caption_loss(
+            self._features(features), tokens, PAD,
+            (p["encoder.weight"], p["encoder.bias"]), self.embedding(language),
+            self.lstm_weights(), (p["attn.w1"], p["attn.b1"], p["attn.w2"], p["attn.b2"]))
 
     # -- persistence --------------------------------------------------------
 
@@ -262,16 +249,16 @@ class MultiLingualModel:
                 f"{weights}: parameter {name!r} has shape {found.get(name, 'none')} in "
                 f"the weights but {expected.get(name, 'none')} in the manifest {path}")
         dtype = np.dtype(dtype).type
-        if dtype != np.float64:
-            for name, p in params.items():
-                try:
-                    with np.errstate(over="raise"):
-                        p.data = p.data.astype(dtype)
-                except FloatingPointError as exc:
-                    raise FormatError(
-                        f"{weights}: parameter {name!r} does not fit the dtype "
-                        f"{np.dtype(dtype).name} of the manifest {path} ({exc})") from exc
-        return cls(dims, languages, params, dtype=dtype, seed=seed), manifest
+        arrays = {}
+        for name in expected:  # laid out as `build` lays them out
+            try:
+                with np.errstate(over="raise"):
+                    arrays[name] = params[name].data.astype(dtype)
+            except FloatingPointError as exc:
+                raise FormatError(
+                    f"{weights}: parameter {name!r} does not fit the dtype "
+                    f"{np.dtype(dtype).name} of the manifest {path} ({exc})") from exc
+        return cls(dims, languages, ParamStore(arrays), dtype=dtype, seed=seed), manifest
 
 
 def _is_int(value) -> bool:
@@ -281,10 +268,3 @@ def _is_int(value) -> bool:
 def _is_count(value) -> bool:
     return _is_int(value) and value >= 1
 
-
-def _pad_tokens(examples) -> np.ndarray:
-    width = max(len(ex.tokens) for ex in examples)
-    out = np.full((len(examples), width), PAD, dtype=np.intp)
-    for i, ex in enumerate(examples):
-        out[i, : len(ex.tokens)] = ex.tokens
-    return out

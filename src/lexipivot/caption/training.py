@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, NumericError
+from ..corpus.vocab import PAD
+from ..errors import ConfigError, InputError, NumericError
+# perfbench wraps `adam_update` and `clip_global_norm` at these names (ROADMAP item 7)
 from ..numerics import AdamState, adam_update, clip_global_norm, no_grad
 from ..seeding import substream
 from .model import MultiLingualModel
@@ -100,32 +103,73 @@ def _batches(indices: np.ndarray, batch_size: int):
         yield indices[start:start + batch_size]
 
 
+@dataclass(frozen=True)
+class PaddedCaptions:
+    """One language's captions padded once into one token matrix, with the
+    region grids of their images; a batch is an index slice of both."""
+
+    language: str
+    tokens: np.ndarray      # [N,W] sentinel-wrapped ids, PAD after each caption's end
+    lengths: np.ndarray     # [N] tokens per caption
+    regions: np.ndarray     # [M,K,F] the language's region grids, as read
+    image_rows: np.ndarray  # [N] each caption's image row in `regions`
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def batch(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(tokens [B,L] cut to the batch's widest caption, region features
+        [B,K,F]) of the captions at `indices`."""
+        width = self.lengths[indices].max()
+        return self.tokens[indices, :width], self.regions[self.image_rows[indices]]
+
+
+def pad_captions(language: str, examples, images, max_len: int) -> PaddedCaptions:
+    """The examples of one language padded once. `images` is the language's
+    (image ids, region grids [M,K,F]), row i holding image ids[i]. A caption
+    longer than `max_len` tokens is an InputError."""
+    image_ids, regions = images
+    lengths = np.fromiter((len(ex.tokens) for ex in examples), np.intp, len(examples))
+    if lengths.max() > max_len:
+        raise InputError(f"a {language!r} caption of {lengths.max()} tokens exceeds the "
+                         f"unroll cap {max_len}")
+    tokens = np.full((len(examples), lengths.max()), PAD, dtype=np.intp)
+    tokens[np.arange(tokens.shape[1]) < lengths[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(ex.tokens for ex in examples), np.intp, lengths.sum())
+    row_of = {image_id: row for row, image_id in enumerate(image_ids)}
+    image_rows = np.fromiter((row_of[ex.scene_id] for ex in examples), np.intp, len(examples))
+    return PaddedCaptions(language, tokens, lengths, regions, image_rows)
+
+
 def _norm_stats(norms) -> tuple[float, float, float]:
     """(mean, max, clipped fraction) of pre-clip gradient norms."""
     norms = np.asarray(norms)
     return float(norms.mean()), float(norms.max()), float(np.mean(norms > CLIP_NORM))
 
 
-def _validation_loss(model: MultiLingualModel, examples, features, batch_size: int):
+def _validation_loss(model: MultiLingualModel, captions: PaddedCaptions, batch_size: int):
     total, count = 0.0, 0
     with no_grad():
-        for batch_idx in _batches(np.arange(len(examples)), batch_size):
-            batch = [examples[i] for i in batch_idx]
-            loss, n = model.sequence_loss(batch, features)
+        for batch_idx in _batches(np.arange(len(captions)), batch_size):
+            loss, n = model.sequence_loss(captions.language, *captions.batch(batch_idx))
             total += loss.item() * n
             count += n
     return total, count
 
 
-def train(model: MultiLingualModel, data: dict[str, tuple[list, list]], features,
+def train(model: MultiLingualModel, data: dict[str, tuple[list, list]], images,
           config: TrainingConfig, seed: int) -> TrainingLog:
     """Optimize the model; retains the best-validation parameter snapshot.
 
     `data` maps language -> (train examples, val examples), both non-empty
-    as `split_by_scene` builds them. Batches stay mono-lingual and are
-    interleaved proportionally to corpus sizes.
+    as `split_by_scene` builds them, and `images` maps language -> (image
+    ids, region grids [M,K,F]) of that language's images. Batches stay
+    mono-lingual and are interleaved proportionally to corpus sizes.
     Deterministic given (model init, data, config, seed).
     """
+    padded = {lang: tuple(pad_captions(lang, split, images[lang], model.dims.max_len)
+                          for split in data[lang])
+              for lang in data}
     adam = AdamState(learning_rate=config.learning_rate)
     result = TrainingLog()
     best_snapshot = model.params.state_arrays()
@@ -133,9 +177,9 @@ def train(model: MultiLingualModel, data: dict[str, tuple[list, list]], features
 
     for epoch in range(1, config.max_epochs + 1):
         queues = {}
-        for lang in sorted(data):
+        for lang in sorted(padded):
             order = substream(seed, f"shuffle:{epoch}:{lang}").permutation(
-                len(data[lang][0]))
+                len(padded[lang][0]))
             queues[lang] = list(_batches(order, config.batch_size))
         schedule = interleave({lang: len(q) for lang, q in queues.items()})
 
@@ -147,10 +191,9 @@ def train(model: MultiLingualModel, data: dict[str, tuple[list, list]], features
         for lang in schedule:
             batch_idx = queues[lang][cursor[lang]]
             cursor[lang] += 1
-            batch = [data[lang][0][i] for i in batch_idx]
             model.params.zero_grads()
             try:
-                loss, n = model.sequence_loss(batch, features)
+                loss, n = model.sequence_loss(lang, *padded[lang][0].batch(batch_idx))
             except NumericError as exc:
                 raise NumericError(f"numeric failure at epoch {epoch}: {exc}") from exc
             value = loss.item()
@@ -164,9 +207,9 @@ def train(model: MultiLingualModel, data: dict[str, tuple[list, list]], features
         train_s = time.perf_counter() - started
 
         val_ce, val_tokens = {}, {}
-        for lang in sorted(data):
+        for lang in sorted(padded):
             val_ce[lang], val_tokens[lang] = _validation_loss(
-                model, data[lang][1], features, config.batch_size)
+                model, padded[lang][1], config.batch_size)
         overall_val = sum(val_ce.values()) / sum(val_tokens.values())
         overall_train = sum(train_ce.values()) / sum(train_tokens.values())
         if not np.isfinite(overall_val):

@@ -29,16 +29,17 @@ def write_features(path, features: dict[int, np.ndarray]) -> None:
                  {"regions": np.stack([features[i] for i in ids], dtype=np.float32)})
 
 
-def read_features(path) -> dict[int, np.ndarray]:
+def read_features(path) -> tuple[list[int], np.ndarray]:
+    """The N distinct image ids of a features file and their region grids
+    [N, K, D], row i holding image ids[i]."""
     meta, arrays = read_arrays(path, FEATURES_MAGIC, "<f4")
     ids, regions = meta.get("image_ids"), arrays.get("regions")
     if not (list(arrays) == ["regions"] and regions.ndim == 3 and isinstance(ids, list)
             and len(ids) == len(regions) and all(type(i) is int for i in ids)):
         raise FormatError(f"{path}: expected N image ids and one N x K x D array \"regions\"")
-    features = dict(zip(ids, regions))
-    if len(features) != len(ids):
+    if len(set(ids)) != len(ids):
         raise FormatError(f"{path}: duplicate image id {Counter(ids).most_common(1)[0][0]}")
-    return features
+    return ids, regions
 
 
 def text_records(path):

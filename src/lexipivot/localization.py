@@ -18,7 +18,7 @@ unrolls on plain arrays, forward only: a probe row attends over one
 region, whose weight is 1 and whose context is the region itself, so the
 attention scorer computes nothing and is skipped. Both halves of the LSTM
 input product are hoisted out of the recurrence (Appleyard, Kočiský and
-Blunsom 2016, as in `decoder_unroll`): the word half once per caption and
+Blunsom 2016, as in `caption_loss`): the word half once per caption and
 step, the region half once per region. Each step is one product with the
 previous hidden state, the shared `cell_forward` kernel and the tied
 logits.
@@ -117,11 +117,18 @@ def encode_images(model: MultiLingualModel, examples,
                   features_by_id) -> tuple[np.ndarray, np.ndarray]:
     """Encode each distinct image of `examples` once, `ROW_CAP` images per
     encoder call in image-id order. Returns the regions [n,K,D] and each
-    example's image row in them."""
+    example's image row in them. An encoder product that overflows, which
+    `tanh` would hide as saturated regions, raises NumericError naming the
+    examples' language."""
     ids, rows = np.unique([ex.scene_id for ex in examples], return_inverse=True)
-    with no_grad():
-        chunks = [model.encode(np.stack([features_by_id[i] for i in ids[lo:lo + ROW_CAP]]))
-                  for lo in range(0, len(ids), ROW_CAP)]
+    try:
+        with no_grad(), np.errstate(over="raise", invalid="raise"):
+            chunks = [model.encode(np.stack([features_by_id[i]
+                                             for i in ids[lo:lo + ROW_CAP]]))
+                      for lo in range(0, len(ids), ROW_CAP)]
+    except FloatingPointError as exc:
+        raise NumericError(f"{examples[0].language_id}: region encoder is not finite "
+                           f"({exc}); the model has diverged") from exc
     return np.concatenate([chunk.data for chunk in chunks]), rows
 
 

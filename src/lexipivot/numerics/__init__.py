@@ -1,5 +1,5 @@
 from .attention import additive_attention
-from .decoder import decoder_unroll
+from .decoder import caption_loss
 from .lstm import LstmWeights, lstm_step
 from .optim import AdamState, adam_update, clip_global_norm
 from .params import ParamStore
@@ -29,11 +29,11 @@ __all__ = [
     "add",
     "additive_attention",
     "as_tensor",
+    "caption_loss",
     "clip_global_norm",
     "concat_cols",
     "concat_rows",
     "cross_entropy_rows",
-    "decoder_unroll",
     "gather_cols",
     "grad_enabled",
     "lstm_step",

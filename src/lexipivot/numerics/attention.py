@@ -1,7 +1,7 @@
 """Fused additive attention (Show, Attend and Tell): one tape node per step.
 
 The step arithmetic lives in plain NumPy kernels (`attention_forward`,
-`attention_backward`), shared by `additive_attention` and `decoder_unroll`.
+`attention_backward`), shared by `additive_attention` and `caption_loss`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ def attention_forward(h_part: np.ndarray, region_part: np.ndarray, regions: np.n
     raise NumericError."""
     u = np.tanh(region_part + h_part[:, None, :])
     scores = (u @ w2)[:, :, 0] + b2
-    if not np.all(np.isfinite(scores)):
+    if not np.isfinite(scores).all():
         raise NumericError("attention scores contain NaN or Inf")
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     alpha = e / e.sum(axis=1, keepdims=True)

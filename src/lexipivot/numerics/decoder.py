@@ -1,6 +1,10 @@
-"""Teacher-forced decoder unroll: one tape node for a whole language group.
+"""Teacher-forced caption loss: one tape node for a whole training batch.
 
-In the style of Appleyard, Kočiský and Blunsom 2016 ("Optimizing
+`caption_loss` runs a batch's region encoder, the region half of the
+attention scorer, the decoder unroll, the tied output projection and the
+masked mean cross-entropy, and backpropagates through all of them by hand.
+
+The unroll follows Appleyard, Kočiský and Blunsom 2016 ("Optimizing
 Performance of Recurrent Neural Networks on GPUs", arXiv:1604.01946): the
 product that does not depend on the recurrence (the word half of the input
 product) is hoisted out of the loop, each step makes one product with the
@@ -9,7 +13,7 @@ score gradients so that the weight gradients are single products over all
 T*B rows.
 
 The per-step arithmetic is the kernels of `lstm_step` and
-`additive_attention`, so the unroll and the two step ops compute the same
+`additive_attention`, so the loss and the two step ops compute the same
 cell and the same attention.
 """
 
@@ -17,65 +21,70 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import NumericError, ShapeError
+from ..errors import NumericError
 from .attention import attention_backward, attention_forward
 from .lstm import LstmWeights, cell_backward, cell_forward, dc_through_h
 from .tensor import Tensor, _make
 
 
-def decoder_unroll(words: Tensor, regions: Tensor, region_part: Tensor,
-                   lstm: LstmWeights, attention: tuple[Tensor, Tensor, Tensor]) -> Tensor:
-    """Hidden states [T*B,H] of a teacher-forced decode from the zero state.
+def caption_loss(features: np.ndarray, tokens: np.ndarray, pad: int,
+                 encoder: tuple[Tensor, Tensor], embed: Tensor, lstm: LstmWeights,
+                 attention: tuple[Tensor, Tensor, Tensor, Tensor]) -> tuple[Tensor, int]:
+    """Mean negative log-likelihood of a batch's non-pad targets, and their
+    count.
 
-    words [T*B,E] holds the embedding of each step's previous token,
-    step-major: row t*B + b is caption b at step t. regions [B,K,D]. The
-    LSTM input at each step is [word | context], so lstm.w_ih is [E+D,4H].
-    The context is `additive_attention` over the regions with the previous
-    hidden state; `attention` = (w1, w2, b2) are its weights and
-    region_part [B*K,A] is the region half of its scorer. The output rows
-    are step-major like `words`.
+    features [B,K,F] holds each caption's raw region features, in the dtype
+    of the weights. tokens [B,L] holds the sentinel-wrapped ids, `pad`
+    after each caption's end: token t of a caption is fed at step t and
+    predicted at step t-1, so the batch unrolls L-1 steps from the zero
+    state.
+      regions = tanh(features @ encoder weight + encoder bias)   [B,K,D]
+      context_t = additive attention over the regions with h_{t-1}
+      h_t = LSTM([embed[:, token_t] | context_t], state_{t-1})
+      logits_t = h_t @ embed (tied weights, so H equals E)
+    encoder = (weight [F,D], bias [D]); embed [E,V]; lstm.w_ih [E+D,4H];
+    attention = (w1 [H+D,A], b1 [A], w2 [A,1], b2 [1]), whose rows H: of
+    w1 and b1 form the region half of the scorer.
     """
-    xd, rd = words.data, regions.data
+    w_enc, b_enc = encoder
+    w1, b1, w2, b2 = attention
     w_ih, w_hh, bias = lstm.w_ih, lstm.w_hh, lstm.bias
-    w1, w2, b2 = attention
-    hs, a = lstm.hidden_size, w1.shape[1]
-    if xd.ndim != 2 or rd.ndim != 3:
-        raise ShapeError(f"decoder_unroll shape mismatch: words{xd.shape} "
-                         f"regions{rd.shape}")
-    b, k, d = rd.shape
-    e = xd.shape[1]
-    if k == 0:
-        raise ShapeError("cannot attend over zero regions")
-    if b == 0 or xd.shape[0] == 0 or xd.shape[0] % b or w_ih.shape != (e + d, 4 * hs) \
-            or w_hh.shape != (hs, 4 * hs) or bias.shape != (4 * hs,):
-        raise ShapeError(
-            f"decoder_unroll shape mismatch: words{xd.shape} regions{rd.shape} "
-            f"w_ih{w_ih.shape} w_hh{w_hh.shape} bias{bias.shape}")
-    if region_part.shape != (b * k, a) or w1.shape != (hs + d, a) \
-            or w2.shape != (a, 1) or b2.shape != (1,):
-        raise ShapeError(
-            f"decoder_unroll attention shape mismatch: regions{rd.shape} "
-            f"region_part{region_part.shape} w1{w1.shape} w2{w2.shape} b2{b2.shape}")
-    steps = xd.shape[0] // b
+    dtype = embed.dtype
+    b, k, f = features.shape
+    e, hs, a = embed.shape[0], lstm.hidden_size, w1.shape[1]
+    d = w_enc.shape[1]
+    steps = tokens.shape[1] - 1
+    rows = steps * b
+
+    # the encoder and the region half of the scorer, once per batch
+    flat_features = features.reshape(b * k, f)
+    flat_regions = np.tanh(flat_features @ w_enc.data + b_enc.data)
+    rd = flat_regions.reshape(b, k, d)
+    w1_region = w1.data[hs:]
+    rp = (flat_regions @ w1_region + b1.data).reshape(b, k, a)
+
+    # step-major: row t*B + b is caption b at step t; the widest caption
+    # ends in the last column, so no step is all padding
+    word_ids = tokens[:, :-1].T.reshape(-1)
+    xd = embed.data[:, word_ids].T
     w_word, w_ctx = w_ih.data[:e], w_ih.data[e:]
     # the input product of every step, hoisted: word half plus bias. A
     # diverged model overflows here first; the trap costs nothing otherwise.
     try:
         with np.errstate(over="raise", invalid="raise"):
-            x_part = (xd @ w_word + bias.data).reshape(steps, b, 4 * hs)
+            x_part = xd @ w_word
+            x_part += bias.data
     except FloatingPointError as exc:
         raise NumericError(f"decoder input product is not finite ({exc})") from exc
     # one product per step feeds both the gates and the scorer
     w_rec = np.concatenate([w_hh.data, w1.data[:hs]], axis=1)
-    rp = region_part.data.reshape(b, k, a)
-    scorer = np.empty((steps, b, k, a), dtype=xd.dtype)  # the scorer's tanh layer
-    alphas = np.empty((steps, b, k), dtype=xd.dtype)
-    contexts = np.empty((steps, b, d), dtype=xd.dtype)
-
-    hidden = np.zeros((steps + 1, b, hs), dtype=xd.dtype)  # hidden[t] enters step t
-    cells = np.zeros((steps + 1, b, hs), dtype=xd.dtype)
-    acts = np.empty((steps, b, 4 * hs), dtype=xd.dtype)
-    tanh_cells = np.empty((steps, b, hs), dtype=xd.dtype)
+    scorer = np.empty((steps, b, k, a), dtype=dtype)  # the scorer's tanh layer
+    alphas = np.empty((steps, b, k), dtype=dtype)
+    contexts = np.empty((steps, b, d), dtype=dtype)
+    hidden = np.zeros((steps + 1, b, hs), dtype=dtype)  # hidden[t] enters step t
+    cells = [hidden[0]]  # cells[t] enters step t
+    acts, tanh_cells = [], []  # of each step
+    x_part = x_part.reshape(steps, b, 4 * hs)
     for t in range(steps):
         rec = hidden[t] @ w_rec
         gates = x_part[t]
@@ -83,23 +92,44 @@ def decoder_unroll(words: Tensor, regions: Tensor, region_part: Tensor,
         scorer[t], alphas[t], contexts[t] = attention_forward(
             rec[:, 4 * hs:], rp, rd, w2.data, b2.data)
         gates += contexts[t] @ w_ctx
-        acts[t], cells[t + 1], tanh_cells[t], hidden[t + 1] = cell_forward(gates, cells[t])
+        act, cell, tanh_cell, hidden[t + 1] = cell_forward(gates, cells[t])
+        acts.append(act)
+        cells.append(cell)
+        tanh_cells.append(tanh_cell)
+
+    # tied logits and the masked cross-entropy, summed then averaged
+    flat_hidden = hidden[1:].reshape(rows, hs)
+    logits = flat_hidden @ embed.data
+    targets = tokens[:, 1:].T.reshape(-1)
+    mask = (targets != pad).astype(dtype)
+    count = int(mask.sum())
+    top = logits.max(axis=1, keepdims=True)
+    exps = np.exp(logits - top)
+    sums = exps.sum(axis=1)
+    nll = np.log(sums) + top[:, 0] - logits[np.arange(rows), targets]
+    mean = 1.0 / count
 
     def backward(g):
-        dh_out = g.reshape(steps, b, hs)
+        # dL/dlogits: softmax minus the one-hot target, on the counted rows
+        dlogits = exps / sums[:, None]
+        dlogits[np.arange(rows), targets] -= 1.0
+        dlogits *= (mask * float(g * mean))[:, None]
+        dembed = flat_hidden.T @ dlogits
+        dh_out = (dlogits @ embed.data.T).reshape(steps, b, hs)
+
         # each step's [dgates | dL/dh_part]: the gradient of `rec`
-        drec = np.empty((steps, b, 4 * hs + a), dtype=g.dtype)
+        drec = np.empty((steps, b, 4 * hs + a), dtype=dtype)
         dgates = drec[:, :, :4 * hs]
-        dscores = np.empty((steps, b, k), dtype=g.dtype)
-        dcontexts = np.empty((steps, b, d), dtype=g.dtype)
-        dregion_part = np.zeros((b, k, a), dtype=g.dtype)
-        dh_next = np.zeros((b, hs), dtype=g.dtype)
+        dscores = np.empty((steps, b, k), dtype=dtype)
+        dcontexts = np.empty((steps, b, d), dtype=dtype)
+        dregion_part = np.zeros((b, k, a), dtype=dtype)
+        dh_next = np.zeros((b, hs), dtype=dtype)
         dc_next = dh_next
         for t in reversed(range(steps)):
             dh = dh_out[t] + dh_next
             dc = dc_next + dc_through_h(dh, acts[t], tanh_cells[t])
             dgates[t] = cell_backward(dh, dc, acts[t], cells[t], tanh_cells[t])
-            dc_next = dc * acts[t, :, hs:2 * hs]
+            dc_next = dc * acts[t][:, hs:2 * hs]
             dcontexts[t] = dgates[t] @ w_ctx.T
             dscores[t], dpre = attention_backward(dcontexts[t], scorer[t], alphas[t],
                                                   rd, w2.data)
@@ -108,33 +138,35 @@ def decoder_unroll(words: Tensor, regions: Tensor, region_part: Tensor,
             if t:
                 dh_next = drec[t] @ w_rec.T
 
-        rows = steps * b
         flat_dgates = dgates.reshape(rows, 4 * hs)
-        if words.requires_grad:
-            words.accumulate_grad(flat_dgates @ w_word.T, fresh=True)
-        if regions.requires_grad:
-            # sum over steps of alpha_t (outer) dcontext_t, one product per caption
-            regions.accumulate_grad(
-                alphas.transpose(1, 2, 0) @ dcontexts.transpose(1, 0, 2), fresh=True)
-        if w_ih.requires_grad:
-            inputs = np.concatenate([xd, contexts.reshape(rows, d)], axis=1)
-            w_ih.accumulate_grad(inputs.T @ flat_dgates, fresh=True)
-        if bias.requires_grad:
-            bias.accumulate_grad(flat_dgates.sum(axis=0), fresh=True)
+        # the embedding gathered as each step's input: scatter-add as a
+        # product with the one-hot rows, so repeated words sum
+        onehot = np.zeros((rows, embed.shape[1]), dtype=dtype)
+        onehot[np.arange(rows), word_ids] = 1.0
+        dembed += (flat_dgates @ w_word.T).T @ onehot
+        inputs = np.concatenate([xd, contexts.reshape(rows, d)], axis=1)
         dw_rec = hidden[:-1].reshape(rows, hs).T @ drec.reshape(rows, 4 * hs + a)
-        if w_hh.requires_grad:
-            w_hh.accumulate_grad(np.ascontiguousarray(dw_rec[:, :4 * hs]), fresh=True)
-        if w1.requires_grad:
-            dw1 = np.zeros_like(w1.data)
-            dw1[:hs] = dw_rec[:, 4 * hs:]
-            w1.accumulate_grad(dw1, fresh=True)
-        if w2.requires_grad:
-            w2.accumulate_grad(scorer.reshape(rows * k, a).T @ dscores.reshape(rows * k, 1),
-                               fresh=True)
-        if b2.requires_grad:
-            b2.accumulate_grad(dscores.sum().reshape(1), fresh=True)
-        if region_part.requires_grad:
-            region_part.accumulate_grad(dregion_part.reshape(b * k, a), fresh=True)
+        flat_dregion_part = dregion_part.reshape(b * k, a)
+        dw1 = np.concatenate([dw_rec[:, 4 * hs:], flat_regions.T @ flat_dregion_part])
+        # the regions reach the loss through the contexts (the sum over steps
+        # of alpha_t outer dcontext_t, one product per caption) and the scorer
+        dregions = alphas.transpose(1, 2, 0) @ dcontexts.transpose(1, 0, 2)
+        dregions += (flat_dregion_part @ w1_region.T).reshape(b, k, d)
+        dpre_enc = dregions.reshape(b * k, d) * (1.0 - flat_regions * flat_regions)
 
-    parents = (words, regions, w_ih, w_hh, bias, region_part, *attention)
-    return _make(hidden[1:].reshape(steps * b, hs), parents, backward)
+        for p, grad in ((embed, dembed),
+                        (w_ih, inputs.T @ flat_dgates),
+                        (bias, flat_dgates.sum(axis=0)),
+                        (w_hh, dw_rec[:, :4 * hs]),
+                        (w1, dw1),
+                        (b1, flat_dregion_part.sum(axis=0)),
+                        (w2, scorer.reshape(rows * k, a).T @ dscores.reshape(rows * k, 1)),
+                        (b2, dscores.sum().reshape(1)),
+                        (w_enc, flat_features.T @ dpre_enc),
+                        (b_enc, dpre_enc.sum(axis=0))):
+            if p.requires_grad:
+                p.accumulate_grad(grad, fresh=True)
+
+    loss = np.array((nll * mask).sum() * mean, dtype=dtype)
+    parents = (embed, w_ih, w_hh, bias, *encoder, *attention)
+    return _make(loss, parents, backward), count

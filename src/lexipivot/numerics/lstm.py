@@ -2,7 +2,7 @@
 
 The cell arithmetic lives in plain NumPy kernels (`cell_forward`,
 `dc_through_h`, `cell_backward`), shared by `lstm_step` and
-`decoder_unroll`.
+`caption_loss`.
 """
 
 from __future__ import annotations

@@ -1,8 +1,16 @@
-"""Adam with bias correction, plus global-norm gradient clipping."""
+"""Adam with bias correction, plus global-norm gradient clipping, over the
+flat buffers of a `ParamStore`.
+
+Both work on the store's gradient runs: the places of the parameters that
+received a gradient, adjacent ones merged. A mono-lingual training batch
+gives two runs at most (the shared weights and one embedding), so each
+update is a few array operations whatever the number of tensors, and the
+other language's embedding and its moments are never touched.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,8 +24,9 @@ BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 class AdamState:
     learning_rate: float = 1e-4
     step: int = 0
-    first_moment: dict[str, np.ndarray] = field(default_factory=dict)
-    second_moment: dict[str, np.ndarray] = field(default_factory=dict)
+    # flat like ParamStore.data; zero until a parameter's first gradient
+    first_moment: np.ndarray | None = None
+    second_moment: np.ndarray | None = None
 
 
 def clip_global_norm(params: ParamStore, max_norm: float) -> float:
@@ -25,37 +34,37 @@ def clip_global_norm(params: ParamStore, max_norm: float) -> float:
 
     Returns the pre-clip norm. Parameters without a gradient are skipped
     (a mono-lingual batch never touches the other language's embedding).
+    The squares are summed per parameter in name order, in float64.
     """
+    runs = params.gradient_runs()
+    squares = np.empty(params.grad.shape, dtype=np.float64)
+    for run in runs:
+        np.square(params.grad[run], out=squares[run], dtype=np.float64)
     total = 0.0
-    for _, p in params.items():
+    for name, p in params.items():
         if p.grad is not None:
-            total += float((p.grad.astype(np.float64) ** 2).sum())
+            total += float(np.add.reduce(squares[params.span(name)]))
     norm = float(np.sqrt(total))
     if norm > max_norm:
         factor = max_norm / norm
-        for _, p in params.items():
-            if p.grad is not None:
-                p.grad *= factor
+        for run in runs:
+            params.grad[run] *= factor
     return norm
 
 
 def adam_update(params: ParamStore, state: AdamState) -> None:
     """One Adam step over every parameter with a gradient; gradients are
     cleared after. Parameters without one keep their values and moments."""
+    if state.first_moment is None:
+        state.first_moment = np.zeros_like(params.data)
+        state.second_moment = np.zeros_like(params.data)
     state.step += 1
     t = state.step
     # lr * m_hat / (sqrt(v_hat) + eps), with the bias corrections folded into scalars
     step_size = state.learning_rate / (1.0 - BETA1 ** t)
     v_scale = 1.0 / (1.0 - BETA2 ** t)
-    for name, p in params.items():
-        g = p.grad
-        if g is None:
-            continue
-        m = state.first_moment.get(name)
-        v = state.second_moment.get(name)
-        if m is None:
-            m = state.first_moment[name] = np.zeros_like(p.data)
-            v = state.second_moment[name] = np.zeros_like(p.data)
+    for run in params.gradient_runs():
+        g, m, v = params.grad[run], state.first_moment[run], state.second_moment[run]
         m *= BETA1
         m += (1.0 - BETA1) * g
         v *= BETA2
@@ -65,5 +74,5 @@ def adam_update(params: ParamStore, state: AdamState) -> None:
         denom += EPSILON
         update = step_size * m
         update /= denom
-        p.data -= update
-        p.grad = None
+        params.data[run] -= update
+    params.zero_grads()

@@ -107,7 +107,8 @@ def stage_gen_corpus(config: RunConfig, out_dir) -> dict:
 @dataclass
 class LoadedCorpus:
     languages: tuple[str, str]
-    features: dict[int, np.ndarray]
+    features: dict[int, np.ndarray]  # image id -> region grid, views of `images`
+    images: dict[str, tuple[list[int], np.ndarray]]  # language -> ids, grids [N,K,D]
     examples: dict[str, list]
     vocabs: dict
 
@@ -121,10 +122,11 @@ def load_corpus(config: RunConfig, corpus_dir, manifest: RunManifest | None = No
     corpus_dir = Path(corpus_dir)
     languages = tuple(config.corpus.languages)
     features: dict[int, np.ndarray] = {}
-    examples, vocabs = {}, {}
+    images, examples, vocabs = {}, {}, {}
     for lang in languages:
         features_path = corpus_file(corpus_dir, lang, "features")
-        lang_feats = read_features(features_path)
+        images[lang] = read_features(features_path)
+        lang_feats = dict(zip(*images[lang]))
         shared = min(features.keys() & lang_feats.keys(), default=None)
         if shared is not None:
             first_path = corpus_file(corpus_dir, languages[0], "features")
@@ -144,8 +146,8 @@ def load_corpus(config: RunConfig, corpus_dir, manifest: RunManifest | None = No
         if manifest is not None:
             for kind in ("features", "captions", "vocab"):
                 manifest.add_input(corpus_file(corpus_dir, lang, kind))
-    return LoadedCorpus(languages=languages, features=features, examples=examples,
-                        vocabs=vocabs)
+    return LoadedCorpus(languages=languages, features=features, images=images,
+                        examples=examples, vocabs=vocabs)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +196,7 @@ def stage_train(config: RunConfig, out_dir, corpus_dir) -> dict:
             # every non-PAD target of the split, the tokens of one epoch
             "train_targets": sum(len(ex.tokens) - 1 for ex in train_split)}
     with manifest.timed("train"):
-        result = train(model, data, loaded.features, config.training, config.seed)
+        result = train(model, data, loaded.images, config.training, config.seed)
 
     with manifest.timed("write"):
         prefix = out_dir / "checkpoint"

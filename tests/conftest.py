@@ -20,6 +20,16 @@ def indexed(bundle):
             for lang in bundle.config.languages}
 
 
+def images(bundle):
+    """Each language's (image ids, region grids [N,K,D]), as
+    `pipeline.load_corpus` reads them from the written corpus."""
+    out = {}
+    for lang in bundle.config.languages:
+        ids = sorted(scene.scene_id for scene in bundle.scenes[lang])
+        out[lang] = (ids, np.stack([bundle.features[i] for i in ids]))
+    return out
+
+
 def build_model(bundle, embed_dim=8, attn_dim=4, seed=5, dtype=np.float64):
     dims = ModelDims(
         feature_dim=bundle.config.feature_dim,

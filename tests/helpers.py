@@ -1,12 +1,14 @@
 """Shared test oracles: finite differences, the per-step decoder unroll,
-the per-step probe decode and batch-of-one localization; hand-packed array containers; and rankings as
-(word, score) pairs."""
+the per-tensor Adam step and gradient clip, the per-step probe decode and
+batch-of-one localization; padded batches; hand-packed array containers;
+and rankings as (word, score) pairs."""
 
 import json
 import struct
 
 import numpy as np
 
+from lexipivot.corpus.vocab import PAD
 from lexipivot.induction import TranslationRanking
 from lexipivot.localization import localize_batch
 from lexipivot.numerics import (
@@ -18,6 +20,7 @@ from lexipivot.numerics import (
     lstm_step,
     no_grad,
 )
+from lexipivot.numerics.optim import BETA1, BETA2, EPSILON
 
 # Each evaluation of f may be off by a few ulps of |f|; a central difference
 # divides that by eps, so this many ulps of |f| over eps are round-off, not
@@ -135,6 +138,55 @@ def unroll_by_steps(embed, tokens, regions, region_part, lstm, attention):
                           lstm)
         hidden.append(state[0])
     return concat_rows(hidden)
+
+
+def padded_batch(examples, features_by_id):
+    """A batch as `MultiLingualModel.sequence_loss` takes it: the tokens
+    [B,L] PAD-padded to the widest caption and the region features [B,K,F]
+    of each caption's image."""
+    width = max(len(ex.tokens) for ex in examples)
+    tokens = np.array([ex.tokens + (PAD,) * (width - len(ex.tokens)) for ex in examples])
+    return tokens, np.stack([features_by_id[ex.scene_id] for ex in examples])
+
+
+def clip_by_tensor(params, max_norm):
+    """`clip_global_norm` one tensor at a time, as it was before the flat
+    buffers: the squares summed per tensor in name order, in float64."""
+    total = 0.0
+    for _, p in params.items():
+        if p.grad is not None:
+            total += float((p.grad.astype(np.float64) ** 2).sum())
+    norm = float(np.sqrt(total))
+    if norm > max_norm:
+        for _, p in params.items():
+            if p.grad is not None:
+                p.grad *= max_norm / norm
+    return norm
+
+
+def adam_by_tensor(params, moments, step, learning_rate):
+    """`adam_update` one tensor at a time, as it was before the flat
+    buffers: step `step` (from 1) over every parameter with a gradient.
+    `moments` maps name -> (m, v) and gains an entry at a tensor's first
+    gradient; gradients are cleared after."""
+    step_size = learning_rate / (1.0 - BETA1 ** step)
+    v_scale = 1.0 / (1.0 - BETA2 ** step)
+    for name, p in params.items():
+        g = p.grad
+        if g is None:
+            continue
+        m, v = moments.setdefault(name, (np.zeros_like(p.data), np.zeros_like(p.data)))
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * np.square(g)
+        denom = v * v_scale
+        np.sqrt(denom, out=denom)
+        denom += EPSILON
+        update = step_size * m
+        update /= denom
+        p.data -= update
+        p.zero_grad()
 
 
 def pack_container(magic: bytes, header, payload: bytes = b"", version: int = 2) -> bytes:

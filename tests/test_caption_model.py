@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from lexipivot.caption import ModelDims, MultiLingualModel
+from lexipivot.caption.training import pad_captions
 from lexipivot.corpus.vocab import BOS, EOS, CaptionedExample
 from lexipivot.errors import InputError, ShapeError
 from lexipivot.numerics import AdamState, Tensor, add, adam_update, no_grad
 
 from conftest import build_corpus, build_model, indexed
-from helpers import assert_grads_close
+from helpers import assert_grads_close, padded_batch
 
 
 def small_dims(**kw):
@@ -140,7 +141,7 @@ class TestSequenceLoss:
         for name, p in model.params.items():
             p.data[...] = 0.0  # zero everything: h stays 0, logits stay 0
         ex = example("x", [BOS, 5, 6, EOS])
-        loss, count = model.sequence_loss([ex], {0: np.zeros((4, 6))})
+        loss, count = model.sequence_loss("x", *padded_batch([ex], {0: np.zeros((4, 6))}))
         assert count == 3
         assert abs(loss.item() - np.log(10.0)) < 1e-12
 
@@ -149,25 +150,16 @@ class TestSequenceLoss:
         model = build_model(bundle)
         lang = bundle.config.languages[0]
         batch = indexed(bundle)[lang][:4]
-        l1, _ = model.sequence_loss(batch, bundle.features)
-        l2, _ = model.sequence_loss(batch + batch, bundle.features)
+        l1, _ = model.sequence_loss(lang, *padded_batch(batch, bundle.features))
+        l2, _ = model.sequence_loss(lang, *padded_batch(batch + batch, bundle.features))
         assert abs(l1.item() - l2.item()) < 1e-12
 
-    def test_mixed_language_batch(self):
-        """Training and validation batches hold one language each."""
-        bundle = build_corpus()
-        model = build_model(bundle)
-        la, lb = bundle.config.languages
-        examples = indexed(bundle)
-        batch = examples[la][:2] + examples[lb][:2]
-        with pytest.raises(InputError, match="one language"):
-            model.sequence_loss(batch, bundle.features)
-
     def test_too_long_example_rejected(self):
+        """Training pads its captions once, against the model's unroll cap."""
         model = MultiLingualModel.build(small_dims(max_len=5), {"x": 10}, seed=8)
         ex = example("x", [BOS, 4, 5, 6, 7, EOS])
-        with pytest.raises(InputError):
-            model.sequence_loss([ex], {0: np.zeros((4, 6))})
+        with pytest.raises(InputError, match="exceeds the unroll cap 5"):
+            pad_captions("x", [ex], ([0], np.zeros((1, 4, 6))), model.dims.max_len)
 
     def test_fifty_adam_steps_halve_loss(self):
         bundle = build_corpus()
@@ -175,13 +167,14 @@ class TestSequenceLoss:
         lang = bundle.config.languages[0]
         batch = indexed(bundle)[lang][:6]
         adam = AdamState(learning_rate=0.02)
-        first = model.sequence_loss(batch, bundle.features)[0].item()
+        inputs = padded_batch(batch, bundle.features)
+        first = model.sequence_loss(lang, *inputs)[0].item()
         for _ in range(50):
             model.params.zero_grads()
-            loss, _ = model.sequence_loss(batch, bundle.features)
+            loss, _ = model.sequence_loss(lang, *inputs)
             loss.backward()
             adam_update(model.params, adam)
-        final = model.sequence_loss(batch, bundle.features)[0].item()
+        final = model.sequence_loss(lang, *inputs)[0].item()
         assert final <= 0.5 * first
 
 
@@ -197,7 +190,7 @@ class TestWeightSharing:
 
         batch = indexed(bundle)[la][:4]
         model.params.zero_grads()
-        loss, _ = model.sequence_loss(batch, bundle.features)
+        loss, _ = model.sequence_loss(la, *padded_batch(batch, bundle.features))
         loss.backward()
         adam_update(model.params, AdamState(learning_rate=0.1))
 
@@ -216,10 +209,11 @@ class TestGradients:
     def test_full_model_grad_check_small(self):
         bundle = build_corpus(images_per_language=4, captions_per_image=1)
         model = build_model(bundle, embed_dim=4, attn_dim=3)
-        batches = [indexed(bundle)[lang][:1] for lang in bundle.config.languages]
+        batches = {lang: padded_batch(indexed(bundle)[lang][:1], bundle.features)
+                   for lang in bundle.config.languages}
 
         def f():  # one batch per language, so every weight gets a gradient
-            la, lb = (model.sequence_loss(batch, bundle.features)[0] for batch in batches)
+            la, lb = (model.sequence_loss(lang, *batch)[0] for lang, batch in batches.items())
             return add(la, lb)
 
         params = [p for _, p in model.params.items()]

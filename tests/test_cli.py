@@ -259,8 +259,8 @@ class TestTrain:
     def test_image_id_in_both_languages_exits_3(self, corpus_dir, tmp_path, capsys):
         """lb renumbered onto la's image ids: la's captions must not load lb's grids."""
         cfg, corpus = corpus_dir
-        la_ids = sorted(read_features(corpus / "la.features.lxpf"))
-        lb_features = read_features(corpus / "lb.features.lxpf")
+        la_ids = sorted(dict(zip(*read_features(corpus / "la.features.lxpf"))))
+        lb_features = dict(zip(*read_features(corpus / "lb.features.lxpf")))
         renumber = dict(zip(sorted(lb_features), la_ids))
         write_features(corpus / "lb.features.lxpf",
                        {renumber[i]: grid for i, grid in lb_features.items()})
@@ -376,7 +376,7 @@ class TestExtract:
                     "--corpus", corpus, "--out", tmp_path / "feats"]) == 0
         images = Counter()
         for lang in ("la", "lb"):
-            features = read_features(corpus / f"{lang}.features.lxpf")
+            features = dict(zip(*read_features(corpus / f"{lang}.features.lxpf")))
             ids = {cap.image_id for cap in read_captions(corpus / f"{lang}.captions.tsv", lang)}
             images.update(features[i].tobytes() for i in ids)
         assert encoded == images
@@ -414,10 +414,8 @@ def mean_pool_checkpoint(checkpoint):
     mean: `"attention": false` in the sidecar and no `attn.*` weights."""
     edit_sidecar(lambda text: json.dumps({**json.loads(text), "attention": False}))(checkpoint)
     weights = checkpoint.with_suffix(".lxpv")
-    kept = ParamStore()
-    for name, p in ParamStore.load(weights).items():
-        if not name.startswith("attn."):
-            kept.add(name, p)
+    kept = ParamStore({name: p.data for name, p in ParamStore.load(weights).items()
+                       if not name.startswith("attn.")})
     kept.save(weights)
 
 
@@ -514,6 +512,23 @@ class TestExtractMismatchedOrDivergedModel:
                     "--corpus", corpus, "--out", out])
         assert code == 4
         assert_one_error_line(capsys.readouterr().err, f"la: {method} localization", fragment)
+        assert not list(out.glob("*.lxwf"))
+
+    def test_overflowing_encoder_exits_4(self, trained, tmp_path, capsys):
+        """Encoder weights inside the float32 range whose products are not:
+        the load's range check passes, and `tanh` would turn the infinite
+        products into saturated, finite regions."""
+        cfg, corpus, checkpoint = trained
+        weights = checkpoint.with_suffix(".lxpv")
+        params = ParamStore.load(weights)
+        params["encoder.weight"].data[...] = 3e38
+        params.save(weights)
+        out = tmp_path / "x"
+        code = run(["extract", "--config", cfg, "--checkpoint", checkpoint,
+                    "--corpus", corpus, "--out", out])
+        assert code == 4
+        assert_one_error_line(capsys.readouterr().err, "la: region encoder",
+                              "the model has diverged")
         assert not list(out.glob("*.lxwf"))
 
 
@@ -692,7 +707,7 @@ def pack_v1_weights(path):
 def pack_v1_features(path):
     """Rewrite region features in their version-1 layout: count, K and D,
     then per image its id and float32 grid."""
-    features = read_features(path)
+    features = dict(zip(*read_features(path)))
     k, d = next(iter(features.values())).shape
     parts = [b"LXPF", struct.pack("<IIII", 1, len(features), k, d)]
     for image_id in sorted(features):

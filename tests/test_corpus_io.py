@@ -38,11 +38,11 @@ class TestFeaturesFile:
         bundle = small_bundle()
         path = tmp_path / "f.lxpf"
         write_features(path, bundle.features)
-        loaded = read_features(path)
-        assert sorted(loaded) == sorted(bundle.features)
-        for sid, arr in bundle.features.items():
-            assert np.array_equal(arr, loaded[sid])
-            assert loaded[sid].dtype == np.float32
+        ids, regions = read_features(path)
+        assert ids == sorted(bundle.features)
+        assert regions.shape == (len(ids), 4, 8) and regions.dtype == np.float32
+        for sid, grid in zip(ids, regions):
+            assert np.array_equal(bundle.features[sid], grid)
 
     def test_header_fields(self, tmp_path):
         bundle = small_bundle()
@@ -142,7 +142,7 @@ class TestCaptionsFile:
             "11\ten\tthe dog sits very still\n"
             "12\ten\tblue cat\n",
             encoding="utf-8")
-        features, captions = read_features(fpath), read_captions(cpath, "en")
+        features, captions = dict(zip(*read_features(fpath))), read_captions(cpath, "en")
         assert [len(c.words) for c in captions] == [3, 5, 2]
         assert sorted(features) == [10, 11, 12]
 
@@ -162,7 +162,7 @@ class TestCaptionsFile:
         lang_feats = {s.scene_id: bundle.features[s.scene_id] for s in bundle.scenes[lang]}
         write_features(fpath, lang_feats)
         write_captions(cpath, bundle.captions[lang])
-        features, captions = read_features(fpath), read_captions(cpath, lang)
+        features, captions = dict(zip(*read_features(fpath))), read_captions(cpath, lang)
         assert captions == bundle.captions[lang]
         for sid in lang_feats:
             assert np.array_equal(features[sid], lang_feats[sid])

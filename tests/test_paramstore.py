@@ -6,18 +6,15 @@ import pytest
 
 from lexipivot.corpus import write_features
 from lexipivot.errors import FormatError
-from lexipivot.numerics import ParamStore, Tensor
+from lexipivot.numerics import ParamStore
 
 from helpers import edit_header
 
 
 def build_store():
     rng = np.random.default_rng(42)
-    store = ParamStore()
-    store.add("zeta", Tensor(rng.normal(size=(3, 2))))
-    store.add("alpha.weight", Tensor(rng.normal(size=5)))
-    store.add("mid", Tensor(np.array(3.14159)))
-    return store
+    return ParamStore({"zeta": rng.normal(size=(3, 2)), "alpha.weight": rng.normal(size=5),
+                       "mid": np.array(3.14159)})
 
 
 def test_names_are_unique(tmp_path):
@@ -66,8 +63,7 @@ def test_header_layout(tmp_path):
 
 
 def test_float32_weights_are_stored_as_float64(tmp_path):
-    store = ParamStore()
-    store.add("w", Tensor(np.array([0.1, -2.5], dtype=np.float32)))
+    store = ParamStore({"w": np.array([0.1, -2.5], dtype=np.float32)})
     path = tmp_path / "f.lxpv"
     store.save(path)
     loaded = ParamStore.load(path)["w"].data
@@ -116,3 +112,30 @@ def test_snapshot_restore_preserves_identity():
     store.load_state_arrays(snap)
     assert store["zeta"] is tensors["zeta"]
     assert np.array_equal(store["zeta"].data, snap["zeta"])
+
+
+def test_values_and_gradients_are_views_of_the_flat_buffers():
+    """Laid out in the order given; a gradient lands in the flat gradient
+    buffer, and parameters without one are left out of the gradient runs."""
+    store = build_store()
+    assert [store.span(n) for n in ("zeta", "alpha.weight", "mid")] == \
+        [slice(0, 6), slice(6, 11), slice(11, 12)]
+    assert np.array_equal(store.data[6:11], store["alpha.weight"].data)
+    store["alpha.weight"].data[0] = 7.0
+    assert store.data[6] == 7.0
+    assert store.gradient_runs() == []
+    store["zeta"].accumulate_grad(np.ones((3, 2)))
+    store["mid"].accumulate_grad(np.array(2.0))
+    store["mid"].accumulate_grad(np.array(0.5))
+    assert store.gradient_runs() == [slice(0, 6), slice(11, 12)]
+    assert np.array_equal(store.grad[[0, 5, 11]], [1.0, 1.0, 2.5])
+    store["alpha.weight"].accumulate_grad(np.zeros(5))
+    assert store.gradient_runs() == [slice(0, 12)]
+    store.zero_grads()
+    assert store.gradient_runs() == [] and store["zeta"].grad is None
+
+
+def test_layout_dtype_follows_the_arrays():
+    assert ParamStore({"w": np.zeros(2, dtype=np.float32)}).data.dtype == np.float32
+    assert ParamStore({"w": np.zeros(2, dtype=np.float32), "v": np.zeros(1)}).data.dtype \
+        == np.float64

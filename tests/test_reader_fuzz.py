@@ -23,7 +23,7 @@ from lexipivot.corpus import (
 from lexipivot.corpus.vocab import RESERVED
 from lexipivot.errors import FormatError
 from lexipivot.localization import read_word_features, write_word_features
-from lexipivot.numerics import ParamStore, Tensor
+from lexipivot.numerics import ParamStore
 
 from helpers import edit_header
 
@@ -53,10 +53,8 @@ def write_table_file(path, aggregated):
 
 
 def write_params_file(path):
-    store = ParamStore()
-    store.add("attn.b2", Tensor(np.array(0.5)))
-    store.add("embed.de", Tensor(np.arange(6.0).reshape(2, 3)))
-    store.add("embed.en", Tensor(np.array([1.0, -2.0, 0.25])))
+    store = ParamStore({"attn.b2": np.array(0.5), "embed.de": np.arange(6.0).reshape(2, 3),
+                        "embed.en": np.array([1.0, -2.0, 0.25])})
     store.save(path)
 
 
