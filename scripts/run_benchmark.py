@@ -5,7 +5,7 @@ compact stdout summary of every method's MRR / P@K row. With `--json PATH`
 it also writes the run's measurements (a BENCH file): wall time per stage,
 training s/epoch and tokens/s, extraction occurrences/s, induction
 (source, target) pairs scored per second, peak RSS, MRR and P@1 per method,
-and the numpy, CPU and BLAS thread setup they were taken on.
+and the numpy, CPU, BLAS library and BLAS thread setup they were taken on.
 
     OPENBLAS_NUM_THREADS=1 python scripts/run_benchmark.py --json BENCH_x.json
 """
@@ -30,6 +30,17 @@ from lexipivot.pipeline import run_pipeline  # noqa: E402
 
 def _manifest(out_dir) -> dict:
     return json.loads((Path(out_dir) / "manifest.json").read_text("utf-8"))
+
+
+def blas_library() -> str:
+    """The name and version of the BLAS library numpy was built with, read
+    as perfbench's `environment()` reads it; "unknown" where numpy cannot
+    say."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "unknown"
+    return f"{blas.get('name')} {blas.get('version')}"
 
 
 def measurements(config: RunConfig, result: dict, rows: list, elapsed: float) -> dict:
@@ -72,6 +83,7 @@ def measurements(config: RunConfig, result: dict, rows: list, elapsed: float) ->
             "numpy": np.__version__,
             "python": platform.python_version(),
             "cpu_count": os.cpu_count(),
+            "blas": blas_library(),
             # null: unset, so the BLAS library picks its own thread count
             "blas_threads": int(blas_threads) if blas_threads else None,
         },

@@ -67,7 +67,7 @@ def write_captions(path, captions: list[RawCaption]) -> None:
 
 def read_captions(path, language: str) -> list[RawCaption]:
     """Parse caption records, all of `language`; tokenization is whitespace
-    + lowercase."""
+    + lowercase. A file with no caption record is a FormatError."""
     rows: list[RawCaption] = []
     for lineno, line in text_records(path):
         parts = line.split("\t")
@@ -86,6 +86,8 @@ def read_captions(path, language: str) -> list[RawCaption]:
         if not words:
             raise FormatError(f"{path}:{lineno}: empty caption text")
         rows.append(RawCaption(image_id=image_id, language_id=lang, words=words))
+    if not rows:
+        raise FormatError(f"{path}: no caption records")
     return rows
 
 

@@ -107,7 +107,6 @@ def stage_gen_corpus(config: RunConfig, out_dir) -> dict:
 @dataclass
 class LoadedCorpus:
     languages: tuple[str, str]
-    features: dict[int, np.ndarray]  # image id -> region grid, views of `images`
     images: dict[str, tuple[list[int], np.ndarray]]  # language -> ids, grids [N,K,D]
     examples: dict[str, list]
     vocabs: dict
@@ -116,28 +115,28 @@ class LoadedCorpus:
 def load_corpus(config: RunConfig, corpus_dir, manifest: RunManifest | None = None
                 ) -> LoadedCorpus:
     """The corpus files of both languages (not the lexicon), each recorded
-    as an input of `manifest` when one is given. The two languages' region
-    grids share one dict by image id, so an id in both features files is a
-    FormatError."""
+    as an input of `manifest` when one is given. Each language keeps its
+    region block as `read_features` returns it. An image id in both
+    features files is a FormatError."""
     corpus_dir = Path(corpus_dir)
     languages = tuple(config.corpus.languages)
-    features: dict[int, np.ndarray] = {}
+    seen: set[int] = set()
     images, examples, vocabs = {}, {}, {}
     for lang in languages:
         features_path = corpus_file(corpus_dir, lang, "features")
         images[lang] = read_features(features_path)
-        lang_feats = dict(zip(*images[lang]))
-        shared = min(features.keys() & lang_feats.keys(), default=None)
+        lang_ids = set(images[lang][0])
+        shared = min(seen & lang_ids, default=None)
         if shared is not None:
             first_path = corpus_file(corpus_dir, languages[0], "features")
             raise FormatError(f"image id {shared} is in both {first_path} and "
                               f"{features_path}; the languages' image ids must differ")
-        features.update(lang_feats)
+        seen |= lang_ids
         vocab = read_vocabulary(corpus_file(corpus_dir, lang, "vocab"), lang)
         captions_path = corpus_file(corpus_dir, lang, "captions")
         captions = read_captions(captions_path, lang)
         for i, cap in enumerate(captions, start=1):
-            if cap.image_id not in lang_feats:
+            if cap.image_id not in lang_ids:
                 raise FormatError(
                     f"{captions_path}: caption record {i} references image id "
                     f"{cap.image_id}, which is not in {features_path}")
@@ -146,8 +145,8 @@ def load_corpus(config: RunConfig, corpus_dir, manifest: RunManifest | None = No
         if manifest is not None:
             for kind in ("features", "captions", "vocab"):
                 manifest.add_input(corpus_file(corpus_dir, lang, kind))
-    return LoadedCorpus(languages=languages, features=features, images=images,
-                        examples=examples, vocabs=vocabs)
+    return LoadedCorpus(languages=languages, images=images, examples=examples,
+                        vocabs=vocabs)
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +252,14 @@ def stage_extract(config: RunConfig, out_dir, checkpoint, corpus_dir) -> dict:
         vocab, examples = loaded.vocabs[lang], loaded.examples[lang]
         manifest.counts[lang] = {}
         with manifest.timed(f"localize:{lang}"):
-            images = encode_images(model, examples, loaded.features)
+            images = encode_images(model, examples, loaded.images[lang])
             sets = collect_word_features(model, examples, images, lang, method,
                                          counts=manifest.counts[lang])
         with manifest.timed(f"write:{lang}"):
             visual_entries = {}
             for index in sorted(sets):
-                feats = sets[index]
-                mean = np.mean(np.asarray(feats, dtype=np.float64), axis=0,
-                               keepdims=True)
-                visual_entries[vocab.word(index)] = (len(feats), mean)
+                feats = sets[index].astype(np.float64)
+                visual_entries[vocab.word(index)] = (len(feats), feats.mean(axis=0, keepdims=True))
             visual_path = table_file(out_dir, lang, f"visual-{method}")
             write_word_features(visual_path, lang, visual_entries, aggregated=True)
 

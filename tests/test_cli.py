@@ -275,6 +275,15 @@ class TestTrain:
                               "la.features.lxpf", "lb.features.lxpf")
         assert not (out / "checkpoint.lxpv").exists()
 
+    def test_empty_captions_file_exits_3(self, corpus_dir, tmp_path, capsys):
+        cfg, corpus = corpus_dir
+        (corpus / "la.captions.tsv").write_text("", encoding="utf-8")
+        out = tmp_path / "x"
+        code = run(["train", "--config", cfg, "--corpus", corpus, "--out", out])
+        assert code == 3
+        assert_one_error_line(capsys.readouterr().err, "la.captions.tsv", "no caption records")
+        assert not (out / "checkpoint.lxpv").exists()
+
     def test_manifest_counts(self, corpus_dir, tmp_path):
         """Per language: the captions of each split and the training targets
         of one epoch, as the corpus files split by image give them."""
@@ -380,6 +389,16 @@ class TestExtract:
             ids = {cap.image_id for cap in read_captions(corpus / f"{lang}.captions.tsv", lang)}
             images.update(features[i].tobytes() for i in ids)
         assert encoded == images
+
+    def test_empty_captions_file_exits_3(self, trained, tmp_path, capsys):
+        cfg, corpus, checkpoint = trained
+        (corpus / "la.captions.tsv").write_text("", encoding="utf-8")
+        out = tmp_path / "feats"
+        code = run(["extract", "--config", cfg, "--checkpoint", checkpoint,
+                    "--corpus", corpus, "--out", out])
+        assert code == 3
+        assert_one_error_line(capsys.readouterr().err, "la.captions.tsv", "no caption records")
+        assert not list(out.glob("*.lxwf"))
 
     def test_re_extraction_byte_identical(self, trained, tmp_path):
         cfg, corpus, checkpoint = trained

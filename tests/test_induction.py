@@ -32,7 +32,7 @@ from lexipivot.numerics import no_grad
 from lexipivot.pipeline import compute_rankings
 from lexipivot.seeding import substream
 
-from conftest import build_model, indexed
+from conftest import build_model, images, indexed
 from helpers import ranked_pairs, ranking_from_pairs
 
 RANKERS = {"linguistic": linguistic_rank, "visual": visual_rank, "fused": fused_rank,
@@ -300,7 +300,7 @@ class TestGlobalFeatureSets:
         if cap is not None:
             monkeypatch.setattr(induction, "BASELINE_SET_CAP", cap)
         got = collect_global_feature_sets(
-            examples, encode_images(model, examples, tiny_bundle.features), vocab, seed=9)
+            examples, encode_images(model, examples, images(tiny_bundle)[lang]), vocab, seed=9)
         want = {}
         with no_grad():
             for ex in examples:

@@ -15,7 +15,7 @@ from lexipivot.localization import (
 )
 from lexipivot.numerics import Tensor, grad_enabled, no_grad, tanh
 
-from conftest import build_corpus, build_model, indexed
+from conftest import build_corpus, build_model, images, indexed
 from helpers import edit_header, localize_one, probe_by_steps
 
 
@@ -80,9 +80,9 @@ class TestProbe:
         bundle, model, lang = setup
         before = params_digest(model)
         ex = indexed(bundle)[lang][0]
-        images = encode_images(model, [ex], bundle.features)
-        collect_word_features(model, [ex], images, lang, "probe")
-        collect_word_features(model, [ex], images, lang, "attention")
+        encoded = encode_images(model, [ex], images(bundle)[lang])
+        collect_word_features(model, [ex], encoded, lang, "probe")
+        collect_word_features(model, [ex], encoded, lang, "attention")
         assert params_digest(model) == before
 
     def test_unknown_language(self, setup):
@@ -106,7 +106,7 @@ class TestCollection:
         bundle, model, lang = setup
         examples = indexed(bundle)[lang][:20]
         sets = collect_word_features(model, examples,
-                                     encode_images(model, examples, bundle.features), lang)
+                                     encode_images(model, examples, images(bundle)[lang]), lang)
         total = sum(len(v) for v in sets.values())
         expected = sum(len(ex.tokens) - 2 for ex in examples)
         assert total == expected
@@ -115,7 +115,7 @@ class TestCollection:
         bundle, model, lang = setup
         examples = indexed(bundle)[lang][:20]
         sets = collect_word_features(model, examples,
-                                     encode_images(model, examples, bundle.features), lang)
+                                     encode_images(model, examples, images(bundle)[lang]), lang)
         from collections import Counter
         counts = Counter(t for ex in examples for t in ex.tokens[1:-1])
         for word_index, feats in sets.items():
@@ -126,17 +126,51 @@ class TestCollection:
         bundle, model, lang = setup
         examples = indexed(bundle)[lang][:3]
         collect_word_features(model, examples,
-                              encode_images(model, examples, bundle.features), lang, method)
+                              encode_images(model, examples, images(bundle)[lang]), lang, method)
         assert grad_enabled()
         assert tanh(Tensor([1.0], requires_grad=True)).requires_grad
 
     def test_methods_share_inventory(self, setup):
         bundle, model, lang = setup
         examples = indexed(bundle)[lang][:10]
-        images = encode_images(model, examples, bundle.features)
-        probe = collect_word_features(model, examples, images, lang, "probe")
-        attn = collect_word_features(model, examples, images, lang, "attention")
+        encoded = encode_images(model, examples, images(bundle)[lang])
+        probe = collect_word_features(model, examples, encoded, lang, "probe")
+        attn = collect_word_features(model, examples, encoded, lang, "attention")
         assert probe.keys() == attn.keys()
+
+
+class TestEncodeImages:
+    def test_encodes_the_used_images_of_an_unsorted_block_in_block_order(self, setup,
+                                                                          monkeypatch):
+        bundle, _, lang = setup
+        model = build_model(bundle)
+        examples = indexed(bundle)[lang][:12]
+        ids, grids = images(bundle)[lang]
+        order = np.arange(len(ids))[::-1]  # descending image ids
+        unused = max(ids) + 1
+        block_ids = [ids[i] for i in order] + [unused]
+        block = (block_ids, np.concatenate([grids[order], np.full_like(grids[:1], np.nan)]))
+        used = {ex.scene_id for ex in examples}
+        assert len(used) > 1 and unused not in used  # block order is not id order
+        monkeypatch.setattr(localization, "ROW_CAP", 3)
+        inputs = []
+        encode = model.encode
+        monkeypatch.setattr(model, "encode", lambda g: inputs.append(g) or encode(g))
+        regions, rows = encode_images(model, examples, block)
+        monkeypatch.undo()
+
+        assert len(regions) == len(used)
+        assert all(len(g) <= 3 for g in inputs)
+        assert not np.isnan(np.concatenate(inputs)).any()  # the unused image
+        in_block_order = [i for i in block_ids if i in used]
+        assert np.array_equal(np.concatenate(inputs),
+                              np.stack([bundle.features[i] for i in in_block_order]))
+        assert rows.shape == (len(examples),)
+        for ex, row in zip(examples, rows):
+            assert in_block_order[row] == ex.scene_id
+            with no_grad():
+                want = model.encode(bundle.features[ex.scene_id][None]).data[0]
+            np.testing.assert_allclose(regions[row], want, rtol=1e-6)
 
 
 def mixed_length_examples(bundle, lang):
@@ -184,7 +218,7 @@ class TestBatchedEquivalence:
             monkeypatch.setattr(localization, "ROW_CAP", row_cap)
         counts = {}
         got = collect_word_features(model, examples,
-                                    encode_images(model, examples, bundle.features), lang,
+                                    encode_images(model, examples, images(bundle)[lang]), lang,
                                     method, counts=counts)
         want = reference_word_features(model, examples, bundle.features, lang, method)
         assert got.keys() == want.keys()
@@ -268,7 +302,7 @@ class TestProbeUnroll:
         blobs = []
         for run in range(2):
             sets = collect_word_features(
-                model, examples, encode_images(model, examples, tiny_bundle.features), lang,
+                model, examples, encode_images(model, examples, images(tiny_bundle)[lang]), lang,
                 "probe")
             path = tmp_path / f"{run}.lxwf"
             write_word_features(path, lang, {str(w): (len(r), r) for w, r in sets.items()},

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_benchmark.py"
 CONFIG = {
     "seed": 11,
@@ -53,6 +55,13 @@ def test_json_record(tmp_path):
     env = record["environment"]
     assert env["numpy"] and env["cpu_count"] >= 1
     assert env["blas_threads"] is None or env["blas_threads"] >= 1
+    # the BLAS build, as perfbench records it, so two BENCH files can be matched
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        expected = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):
+        expected = "unknown"
+    assert env["blas"] == expected
 
 
 def test_removed_setting_exits_2(tmp_path):
