@@ -64,15 +64,15 @@ class TrainingLog:
 
 def split_by_scene(examples, val_fraction: float, seed: int, label: str = ""):
     """Train/val split keeping all captions of one image on the same side."""
-    scene_ids = sorted({ex.scene_id for ex in examples})
-    if len(scene_ids) < 2:
+    image_rows = sorted({ex.image_row for ex in examples})
+    if len(image_rows) < 2:
         raise ConfigError("need at least two images to build a validation split")
-    order = substream(seed, f"split:{label}").permutation(len(scene_ids))
-    n_val = max(1, int(round(val_fraction * len(scene_ids))))
-    n_val = min(n_val, len(scene_ids) - 1)
-    val_scenes = {scene_ids[i] for i in order[:n_val]}
-    train = [ex for ex in examples if ex.scene_id not in val_scenes]
-    val = [ex for ex in examples if ex.scene_id in val_scenes]
+    order = substream(seed, f"split:{label}").permutation(len(image_rows))
+    n_val = max(1, int(round(val_fraction * len(image_rows))))
+    n_val = min(n_val, len(image_rows) - 1)
+    val_images = {image_rows[i] for i in order[:n_val]}
+    train = [ex for ex in examples if ex.image_row not in val_images]
+    val = [ex for ex in examples if ex.image_row in val_images]
     return train, val
 
 
@@ -124,11 +124,9 @@ class PaddedCaptions:
         return self.tokens[indices, :width], self.regions[self.image_rows[indices]]
 
 
-def pad_captions(language: str, examples, images, max_len: int) -> PaddedCaptions:
-    """The examples of one language padded once. `images` is the language's
-    (image ids, region grids [M,K,F]), row i holding image ids[i]. A caption
-    longer than `max_len` tokens is an InputError."""
-    image_ids, regions = images
+def pad_captions(language: str, examples, regions, max_len: int) -> PaddedCaptions:
+    """The examples of one language padded once, over the language's region
+    grids [M,K,F]. A caption longer than `max_len` tokens is an InputError."""
     lengths = np.fromiter((len(ex.tokens) for ex in examples), np.intp, len(examples))
     if lengths.max() > max_len:
         raise InputError(f"a {language!r} caption of {lengths.max()} tokens exceeds the "
@@ -136,8 +134,7 @@ def pad_captions(language: str, examples, images, max_len: int) -> PaddedCaption
     tokens = np.full((len(examples), lengths.max()), PAD, dtype=np.intp)
     tokens[np.arange(tokens.shape[1]) < lengths[:, None]] = np.fromiter(
         itertools.chain.from_iterable(ex.tokens for ex in examples), np.intp, lengths.sum())
-    row_of = {image_id: row for row, image_id in enumerate(image_ids)}
-    image_rows = np.fromiter((row_of[ex.scene_id] for ex in examples), np.intp, len(examples))
+    image_rows = np.fromiter((ex.image_row for ex in examples), np.intp, len(examples))
     return PaddedCaptions(language, tokens, lengths, regions, image_rows)
 
 
@@ -157,17 +154,17 @@ def _validation_loss(model: MultiLingualModel, captions: PaddedCaptions, batch_s
     return total, count
 
 
-def train(model: MultiLingualModel, data: dict[str, tuple[list, list]], images,
+def train(model: MultiLingualModel, data: dict[str, tuple[list, list]], regions,
           config: TrainingConfig, seed: int) -> TrainingLog:
     """Optimize the model; retains the best-validation parameter snapshot.
 
     `data` maps language -> (train examples, val examples), both non-empty
-    as `split_by_scene` builds them, and `images` maps language -> (image
-    ids, region grids [M,K,F]) of that language's images. Batches stay
+    as `split_by_scene` builds them, and `regions` maps language -> the
+    region grids [M,K,F] that its examples' `image_row`s index. Batches stay
     mono-lingual and are interleaved proportionally to corpus sizes.
     Deterministic given (model init, data, config, seed).
     """
-    padded = {lang: tuple(pad_captions(lang, split, images[lang], model.dims.max_len)
+    padded = {lang: tuple(pad_captions(lang, split, regions[lang], model.dims.max_len)
                           for split in data[lang])
               for lang in data}
     adam = AdamState(learning_rate=config.learning_rate)

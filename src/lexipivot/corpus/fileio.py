@@ -1,7 +1,8 @@
 """On-disk corpus formats.
 
 Spatial features: an `arrayfile` container of magic "LXPF"; meta "image_ids"
-lists N image ids, and the float32 array "regions" [N, K, D] their grids.
+lists N image ids, and the float32 array "regions" [N, K, D] their grids:
+row i holds image_ids[i], in the order written.
 Captions (UTF-8 text): one record per line, image_id TAB language TAB caption.
 Vocabulary (UTF-8 text): index TAB word TAB count, reserved rows included.
 Text files that are not UTF-8 are FormatErrors, like any other bad layout.
@@ -20,13 +21,16 @@ from .vocab import RESERVED, RawCaption, Vocabulary
 FEATURES_MAGIC = b"LXPF"
 
 
-def write_features(path, features: dict[int, np.ndarray]) -> None:
-    shapes = {np.shape(grid) for grid in features.values()}
-    if len(shapes) != 1 or len(min(shapes)) != 2:
-        raise InputError(f"need one K x D region grid shape for all images, got {shapes}")
-    ids = sorted(features)
-    write_arrays(path, FEATURES_MAGIC, "<f4", {"image_ids": [int(i) for i in ids]},
-                 {"regions": np.stack([features[i] for i in ids], dtype=np.float32)})
+def write_features(path, image_ids, regions: np.ndarray) -> None:
+    """Write `image_ids` and their grids `regions` [N, K, D] in the order given.
+    A block not 3-D, a length mismatch or a duplicate id is an InputError."""
+    ids = [int(i) for i in image_ids]
+    if np.ndim(regions) != 3 or len(ids) != len(regions):
+        raise InputError(f"need one K x D region grid per image id, got {len(ids)} ids "
+                         f"and a block of shape {np.shape(regions)}")
+    if len(set(ids)) != len(ids):
+        raise InputError(f"duplicate image id {Counter(ids).most_common(1)[0][0]}")
+    write_arrays(path, FEATURES_MAGIC, "<f4", {"image_ids": ids}, {"regions": regions})
 
 
 def read_features(path) -> tuple[list[int], np.ndarray]:

@@ -178,7 +178,7 @@ class CorpusBundle:
     config: CorpusConfig
     seed: int
     scenes: dict[str, list[Scene]]
-    features: dict[int, np.ndarray]
+    regions: dict[str, np.ndarray]  # language -> grids [N,K,D], row j of scenes[lang][j]
     captions: dict[str, list[RawCaption]]
     vocabs: dict[str, Vocabulary]
     lexicon: GroundTruthLexicon
@@ -273,7 +273,7 @@ def build_lexicon(source: SyntheticLanguageSpec,
 
 
 def generate_corpus(config: CorpusConfig, seed: int) -> CorpusBundle:
-    """Build scenes, features, captions, vocabularies, and the lexicon.
+    """Build scenes, region grids, captions, vocabularies, and the lexicon.
 
     Pure function of (config, seed): every random choice comes from a
     named sub-stream of `seed`.
@@ -295,9 +295,8 @@ def generate_corpus(config: CorpusConfig, seed: int) -> CorpusBundle:
         groups = cooccurrence_groups(config, seed, lang)
         scenes[lang] = [_draw_scene(i * n + j, scene_rng, config, groups) for j in range(n)]
 
-    features = {scene.scene_id: render_spatial_features(scene, prototypes,
-                                                        config.noise_sigma, seed)
-                for lang in config.languages for scene in scenes[lang]}
+    regions = {lang: np.stack([render_spatial_features(s, prototypes, config.noise_sigma, seed)
+                               for s in scenes[lang]]) for lang in config.languages}
 
     captions: dict[str, list[RawCaption]] = {}
     for lang in config.languages:
@@ -320,7 +319,7 @@ def generate_corpus(config: CorpusConfig, seed: int) -> CorpusBundle:
         config=config,
         seed=seed,
         scenes=scenes,
-        features=features,
+        regions=regions,
         captions=captions,
         vocabs=vocabs,
         lexicon=lexicon,

@@ -22,9 +22,10 @@ class RawCaption:
 
 @dataclass(frozen=True)
 class CaptionedExample:
-    """Sentinel-wrapped token-id sequence for one (image, caption) pair."""
+    """Sentinel-wrapped token-id sequence for one (image, caption) pair;
+    `image_row` is the image's row in its language's region block."""
 
-    scene_id: int
+    image_row: int
     language_id: str
     tokens: tuple[int, ...]
 
@@ -72,17 +73,10 @@ def build_vocabulary(captions, min_count: int = 6) -> Vocabulary:
     return vocab
 
 
-def index_caption(caption: RawCaption, vocab: Vocabulary, max_len: int) -> CaptionedExample:
-    words = caption.words
-    if len(words) > max_len - 2:
-        words = words[: max_len - 2]
-    tokens = (BOS, *vocab.encode(words), EOS)
-    return CaptionedExample(
-        scene_id=caption.image_id,
-        language_id=caption.language_id,
-        tokens=tokens,
-    )
-
-
-def index_captions(captions, vocab: Vocabulary, max_len: int) -> list[CaptionedExample]:
-    return [index_caption(c, vocab, max_len) for c in captions]
+def index_captions(captions, image_rows, vocab: Vocabulary,
+                   max_len: int) -> list[CaptionedExample]:
+    """Each caption cut to `max_len` - 2 words, indexed and wrapped in
+    sentinels, with its image's row from `image_rows`."""
+    return [CaptionedExample(row, cap.language_id,
+                             (BOS, *vocab.encode(cap.words[:max_len - 2]), EOS))
+            for cap, row in zip(captions, image_rows)]

@@ -114,18 +114,16 @@ def _probe_batch(model: MultiLingualModel, language: str, regions: np.ndarray,
 
 
 def encode_images(model: MultiLingualModel, examples,
-                  images) -> tuple[np.ndarray, np.ndarray]:
+                  regions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Encode the images `examples` use once each, `ROW_CAP` grids per
-    encoder call in the order of `images`, the language's (image ids,
-    region grids [M,K,F]). Returns the regions [n,K,D] and each example's
-    row in them. An encoder product that overflows, which `tanh` would
-    hide as saturated regions, raises NumericError naming the language."""
-    image_ids, grids = images
-    row_of = {image_id: row for row, image_id in enumerate(image_ids)}
-    used, rows = np.unique([row_of[ex.scene_id] for ex in examples], return_inverse=True)
+    encoder call in the order of `regions`, the language's region grids
+    [M,K,F]. Returns the encoded regions [n,K,D] and each example's row in
+    them. An encoder product that overflows, which `tanh` would hide as
+    saturated regions, raises NumericError naming the language."""
+    used, rows = np.unique([ex.image_row for ex in examples], return_inverse=True)
     try:
         with no_grad(), np.errstate(over="raise", invalid="raise"):
-            chunks = [model.encode(grids[used[lo:lo + ROW_CAP]])
+            chunks = [model.encode(regions[used[lo:lo + ROW_CAP]])
                       for lo in range(0, len(used), ROW_CAP)]
     except FloatingPointError as exc:
         raise NumericError(f"{examples[0].language_id}: region encoder is not finite "

@@ -88,8 +88,8 @@ def stage_gen_corpus(config: RunConfig, out_dir) -> dict:
         bundle = generate_corpus(config.corpus, config.seed)
     with manifest.timed("write"):
         for lang in config.corpus.languages:
-            feats = {s.scene_id: bundle.features[s.scene_id] for s in bundle.scenes[lang]}
-            write_features(corpus_file(out_dir, lang, "features"), feats)
+            ids = [scene.scene_id for scene in bundle.scenes[lang]]
+            write_features(corpus_file(out_dir, lang, "features"), ids, bundle.regions[lang])
             write_captions(corpus_file(out_dir, lang, "captions"), bundle.captions[lang])
             write_vocabulary(corpus_file(out_dir, lang, "vocab"), bundle.vocabs[lang])
             for kind in ("features", "captions", "vocab"):
@@ -107,8 +107,8 @@ def stage_gen_corpus(config: RunConfig, out_dir) -> dict:
 @dataclass
 class LoadedCorpus:
     languages: tuple[str, str]
-    images: dict[str, tuple[list[int], np.ndarray]]  # language -> ids, grids [N,K,D]
-    examples: dict[str, list]
+    regions: dict[str, np.ndarray]  # language -> region grids [N,K,D], as read
+    examples: dict[str, list]       # each example's `image_row` indexes its regions
     vocabs: dict
 
 
@@ -116,36 +116,46 @@ def load_corpus(config: RunConfig, corpus_dir, manifest: RunManifest | None = No
                 ) -> LoadedCorpus:
     """The corpus files of both languages (not the lexicon), each recorded
     as an input of `manifest` when one is given. Each language keeps its
-    region block as `read_features` returns it. An image id in both
-    features files is a FormatError."""
+    region block as `read_features` returns it, each caption its image's row
+    in it. An image id in both features files is a FormatError; grids not
+    `corpus.grid_side`² x `corpus.feature_dim` are a ConfigError."""
     corpus_dir = Path(corpus_dir)
     languages = tuple(config.corpus.languages)
+    grid_side, feature_dim = config.corpus.grid_side, config.corpus.feature_dim
     seen: set[int] = set()
-    images, examples, vocabs = {}, {}, {}
+    regions, examples, vocabs = {}, {}, {}
     for lang in languages:
         features_path = corpus_file(corpus_dir, lang, "features")
-        images[lang] = read_features(features_path)
-        lang_ids = set(images[lang][0])
-        shared = min(seen & lang_ids, default=None)
+        image_ids, regions[lang] = read_features(features_path)
+        _, k, d = regions[lang].shape
+        if k != grid_side ** 2:
+            raise ConfigError(f"{features_path}: {k} regions per image, but corpus.grid_side "
+                              f"{grid_side} gives {grid_side ** 2}")
+        if d != feature_dim:
+            raise ConfigError(f"{features_path}: region features of width {d}, but "
+                              f"corpus.feature_dim is {feature_dim}")
+        row_of = {image_id: row for row, image_id in enumerate(image_ids)}
+        shared = min(seen & row_of.keys(), default=None)
         if shared is not None:
             first_path = corpus_file(corpus_dir, languages[0], "features")
             raise FormatError(f"image id {shared} is in both {first_path} and "
                               f"{features_path}; the languages' image ids must differ")
-        seen |= lang_ids
+        seen |= row_of.keys()
         vocab = read_vocabulary(corpus_file(corpus_dir, lang, "vocab"), lang)
         captions_path = corpus_file(corpus_dir, lang, "captions")
         captions = read_captions(captions_path, lang)
         for i, cap in enumerate(captions, start=1):
-            if cap.image_id not in lang_ids:
+            if cap.image_id not in row_of:
                 raise FormatError(
                     f"{captions_path}: caption record {i} references image id "
                     f"{cap.image_id}, which is not in {features_path}")
-        examples[lang] = index_captions(captions, vocab, config.corpus.max_caption_len)
+        examples[lang] = index_captions(captions, [row_of[cap.image_id] for cap in captions],
+                                        vocab, config.corpus.max_caption_len)
         vocabs[lang] = vocab
         if manifest is not None:
             for kind in ("features", "captions", "vocab"):
                 manifest.add_input(corpus_file(corpus_dir, lang, kind))
-    return LoadedCorpus(languages=languages, images=images, examples=examples,
+    return LoadedCorpus(languages=languages, regions=regions, examples=examples,
                         vocabs=vocabs)
 
 
@@ -195,7 +205,7 @@ def stage_train(config: RunConfig, out_dir, corpus_dir) -> dict:
             # every non-PAD target of the split, the tokens of one epoch
             "train_targets": sum(len(ex.tokens) - 1 for ex in train_split)}
     with manifest.timed("train"):
-        result = train(model, data, loaded.images, config.training, config.seed)
+        result = train(model, data, loaded.regions, config.training, config.seed)
 
     with manifest.timed("write"):
         prefix = out_dir / "checkpoint"
@@ -252,7 +262,7 @@ def stage_extract(config: RunConfig, out_dir, checkpoint, corpus_dir) -> dict:
         vocab, examples = loaded.vocabs[lang], loaded.examples[lang]
         manifest.counts[lang] = {}
         with manifest.timed(f"localize:{lang}"):
-            images = encode_images(model, examples, loaded.images[lang])
+            images = encode_images(model, examples, loaded.regions[lang])
             sets = collect_word_features(model, examples, images, lang, method,
                                          counts=manifest.counts[lang])
         with manifest.timed(f"write:{lang}"):

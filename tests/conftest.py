@@ -14,19 +14,14 @@ def build_corpus(**overrides):
 
 def indexed(bundle):
     """Each language's captions as training examples, indexed as
-    `pipeline.load_corpus` indexes the written corpus."""
-    return {lang: index_captions(bundle.captions[lang], bundle.vocabs[lang],
-                                 bundle.config.max_caption_len)
-            for lang in bundle.config.languages}
-
-
-def images(bundle):
-    """Each language's (image ids, region grids [N,K,D]), as
-    `pipeline.load_corpus` reads them from the written corpus."""
+    `pipeline.load_corpus` indexes the written corpus: each caption's
+    `image_row` is its scene's row in `bundle.regions[lang]`."""
     out = {}
     for lang in bundle.config.languages:
-        ids = sorted(scene.scene_id for scene in bundle.scenes[lang])
-        out[lang] = (ids, np.stack([bundle.features[i] for i in ids]))
+        row_of = {scene.scene_id: row for row, scene in enumerate(bundle.scenes[lang])}
+        captions = bundle.captions[lang]
+        out[lang] = index_captions(captions, [row_of[cap.image_id] for cap in captions],
+                                   bundle.vocabs[lang], bundle.config.max_caption_len)
     return out
 
 

@@ -140,13 +140,13 @@ def unroll_by_steps(embed, tokens, regions, region_part, lstm, attention):
     return concat_rows(hidden)
 
 
-def padded_batch(examples, features_by_id):
+def padded_batch(examples, regions):
     """A batch as `MultiLingualModel.sequence_loss` takes it: the tokens
     [B,L] PAD-padded to the widest caption and the region features [B,K,F]
-    of each caption's image."""
+    of each caption's image, row `image_row` of the language's `regions`."""
     width = max(len(ex.tokens) for ex in examples)
     tokens = np.array([ex.tokens + (PAD,) * (width - len(ex.tokens)) for ex in examples])
-    return tokens, np.stack([features_by_id[ex.scene_id] for ex in examples])
+    return tokens, np.stack([regions[ex.image_row] for ex in examples])
 
 
 def clip_by_tensor(params, max_norm):

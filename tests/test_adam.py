@@ -140,7 +140,7 @@ def test_batch_of_one_language_leaves_the_other_embedding_bitwise(tiny_bundle):
     def train_step(language):
         model.params.zero_grads()
         loss, _ = model.sequence_loss(language, *padded_batch(examples[language][:4],
-                                                              tiny_bundle.features))
+                                                              tiny_bundle.regions[language]))
         loss.backward()
         clip_global_norm(model.params, 5.0)
         adam_update(model.params, state)

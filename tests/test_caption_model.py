@@ -17,8 +17,8 @@ def small_dims(**kw):
     return ModelDims(**base)
 
 
-def example(lang, tokens, scene=0):
-    return CaptionedExample(scene_id=scene, language_id=lang, tokens=tuple(tokens))
+def example(lang, tokens, image_row=0):
+    return CaptionedExample(image_row=image_row, language_id=lang, tokens=tuple(tokens))
 
 
 def attend(model, h, regions):
@@ -141,7 +141,7 @@ class TestSequenceLoss:
         for name, p in model.params.items():
             p.data[...] = 0.0  # zero everything: h stays 0, logits stay 0
         ex = example("x", [BOS, 5, 6, EOS])
-        loss, count = model.sequence_loss("x", *padded_batch([ex], {0: np.zeros((4, 6))}))
+        loss, count = model.sequence_loss("x", *padded_batch([ex], np.zeros((1, 4, 6))))
         assert count == 3
         assert abs(loss.item() - np.log(10.0)) < 1e-12
 
@@ -150,8 +150,8 @@ class TestSequenceLoss:
         model = build_model(bundle)
         lang = bundle.config.languages[0]
         batch = indexed(bundle)[lang][:4]
-        l1, _ = model.sequence_loss(lang, *padded_batch(batch, bundle.features))
-        l2, _ = model.sequence_loss(lang, *padded_batch(batch + batch, bundle.features))
+        l1, _ = model.sequence_loss(lang, *padded_batch(batch, bundle.regions[lang]))
+        l2, _ = model.sequence_loss(lang, *padded_batch(batch + batch, bundle.regions[lang]))
         assert abs(l1.item() - l2.item()) < 1e-12
 
     def test_too_long_example_rejected(self):
@@ -159,7 +159,7 @@ class TestSequenceLoss:
         model = MultiLingualModel.build(small_dims(max_len=5), {"x": 10}, seed=8)
         ex = example("x", [BOS, 4, 5, 6, 7, EOS])
         with pytest.raises(InputError, match="exceeds the unroll cap 5"):
-            pad_captions("x", [ex], ([0], np.zeros((1, 4, 6))), model.dims.max_len)
+            pad_captions("x", [ex], np.zeros((1, 4, 6)), model.dims.max_len)
 
     def test_fifty_adam_steps_halve_loss(self):
         bundle = build_corpus()
@@ -167,7 +167,7 @@ class TestSequenceLoss:
         lang = bundle.config.languages[0]
         batch = indexed(bundle)[lang][:6]
         adam = AdamState(learning_rate=0.02)
-        inputs = padded_batch(batch, bundle.features)
+        inputs = padded_batch(batch, bundle.regions[lang])
         first = model.sequence_loss(lang, *inputs)[0].item()
         for _ in range(50):
             model.params.zero_grads()
@@ -183,14 +183,14 @@ class TestWeightSharing:
         bundle = build_corpus()
         model = build_model(bundle)
         la, lb = bundle.config.languages
-        feats = bundle.features[bundle.scenes[lb][0].scene_id][None]
+        feats = bundle.regions[lb][:1]
         regions = model.encode(feats)
         with no_grad():
             before, _, _, _ = step(model, lb, model.initial_state(1), np.array([BOS]), regions)
 
         batch = indexed(bundle)[la][:4]
         model.params.zero_grads()
-        loss, _ = model.sequence_loss(la, *padded_batch(batch, bundle.features))
+        loss, _ = model.sequence_loss(la, *padded_batch(batch, bundle.regions[la]))
         loss.backward()
         adam_update(model.params, AdamState(learning_rate=0.1))
 
@@ -209,7 +209,7 @@ class TestGradients:
     def test_full_model_grad_check_small(self):
         bundle = build_corpus(images_per_language=4, captions_per_image=1)
         model = build_model(bundle, embed_dim=4, attn_dim=3)
-        batches = {lang: padded_batch(indexed(bundle)[lang][:1], bundle.features)
+        batches = {lang: padded_batch(indexed(bundle)[lang][:1], bundle.regions[lang])
                    for lang in bundle.config.languages}
 
         def f():  # one batch per language, so every weight gets a gradient

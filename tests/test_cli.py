@@ -259,11 +259,10 @@ class TestTrain:
     def test_image_id_in_both_languages_exits_3(self, corpus_dir, tmp_path, capsys):
         """lb renumbered onto la's image ids: la's captions must not load lb's grids."""
         cfg, corpus = corpus_dir
-        la_ids = sorted(dict(zip(*read_features(corpus / "la.features.lxpf"))))
-        lb_features = dict(zip(*read_features(corpus / "lb.features.lxpf")))
-        renumber = dict(zip(sorted(lb_features), la_ids))
-        write_features(corpus / "lb.features.lxpf",
-                       {renumber[i]: grid for i, grid in lb_features.items()})
+        la_ids = sorted(read_features(corpus / "la.features.lxpf")[0])
+        lb_ids, lb_regions = read_features(corpus / "lb.features.lxpf")
+        renumber = dict(zip(sorted(lb_ids), la_ids))
+        write_features(corpus / "lb.features.lxpf", [renumber[i] for i in lb_ids], lb_regions)
         path = corpus / "lb.captions.tsv"
         lines = [line.split("\t", 1) for line in path.read_text(encoding="utf-8").splitlines()]
         path.write_text("".join(f"{renumber[int(i)]}\t{rest}\n" for i, rest in lines),
@@ -549,6 +548,28 @@ class TestExtractMismatchedOrDivergedModel:
         assert_one_error_line(capsys.readouterr().err, "la: region encoder",
                               "the model has diverged")
         assert not list(out.glob("*.lxwf"))
+
+
+class TestConfigAgainstFeaturesFile:
+    @pytest.mark.parametrize("command", ["train", "extract"])
+    @pytest.mark.parametrize("key,value,fragment", [
+        ("grid_side", 3, "4 regions per image, but corpus.grid_side 3 gives 9"),
+        ("feature_dim", 16, "region features of width 8, but corpus.feature_dim is 16"),
+    ])
+    def test_disagreeing_grid_exits_2_naming_file_and_key(self, trained, tmp_path, capsys,
+                                                          command, key, value, fragment):
+        """The corpus was written with grid_side 2 and feature_dim 8; extract
+        reads a checkpoint trained on it, so only the config disagrees."""
+        _, corpus, checkpoint = trained
+        (tmp_path / key).mkdir()
+        cfg = write_config(tmp_path / key, corpus={key: value})
+        out = tmp_path / "x"
+        extra = ["--checkpoint", checkpoint] if command == "extract" else []
+        code = run([command, "--config", cfg, "--corpus", corpus, "--out", out, *extra])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err,
+                              f"{corpus / 'la.features.lxpf'}: {fragment}")
+        assert not list(out.glob("*.lx*"))
 
 
 class TestInduceEval:

@@ -41,9 +41,9 @@ class TestGeneration:
         assert a.captions == b.captions
         assert indexed(a) == indexed(b)
         assert a.lexicon.entries == b.lexicon.entries
-        assert sorted(a.features) == sorted(b.features)
-        for sid in a.features:
-            assert a.features[sid].tobytes() == b.features[sid].tobytes()
+        assert sorted(a.regions) == sorted(b.regions)
+        for lang in a.regions:
+            assert a.regions[lang].tobytes() == b.regions[lang].tobytes()
 
     def test_different_seed_differs(self):
         a = generate_corpus(tiny_config(), seed=1)
@@ -124,8 +124,7 @@ class TestFeatures:
         bundle = generate_corpus(config, seed=13)
         lang = config.languages[0]
         by_concept = {}
-        for scene in bundle.scenes[lang]:
-            grid = bundle.features[scene.scene_id]
+        for scene, grid in zip(bundle.scenes[lang], bundle.regions[lang]):
             for region, concept, _ in scene.slots:
                 by_concept.setdefault(concept, []).append(grid[region])
         rng = np.random.default_rng(0)

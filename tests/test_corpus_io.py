@@ -17,6 +17,8 @@ from lexipivot.corpus import (
     write_lexicon,
     write_vocabulary,
 )
+from lexipivot.caption import split_by_scene
+from lexipivot.caption.training import pad_captions
 from lexipivot.config import RunConfig
 from lexipivot.errors import FormatError, InputError
 from lexipivot.pipeline import corpus_file, load_corpus, stage_gen_corpus
@@ -33,32 +35,48 @@ def small_bundle():
     return generate_corpus(small_config(), seed=21)
 
 
+def all_images(bundle):
+    """The image ids and region grids of both languages, in scene order."""
+    languages = bundle.config.languages
+    return ([s.scene_id for lang in languages for s in bundle.scenes[lang]],
+            np.concatenate([bundle.regions[lang] for lang in languages]))
+
+
 class TestFeaturesFile:
     def test_round_trip(self, tmp_path):
         bundle = small_bundle()
         path = tmp_path / "f.lxpf"
-        write_features(path, bundle.features)
+        image_ids, grids = all_images(bundle)
+        write_features(path, image_ids, grids)
         ids, regions = read_features(path)
-        assert ids == sorted(bundle.features)
+        assert ids == image_ids
         assert regions.shape == (len(ids), 4, 8) and regions.dtype == np.float32
-        for sid, grid in zip(ids, regions):
-            assert np.array_equal(bundle.features[sid], grid)
+        for want, grid in zip(grids, regions):
+            assert np.array_equal(want, grid)
 
     def test_header_fields(self, tmp_path):
         bundle = small_bundle()
         path = tmp_path / "f.lxpf"
-        write_features(path, bundle.features)
+        image_ids, grids = all_images(bundle)
+        write_features(path, image_ids, grids)
         blob = path.read_bytes()
         magic, version, length = struct.unpack_from("<4sII", blob)
         assert (magic, version) == (b"LXPF", 2)
         header = json.loads(blob[12:12 + length])
-        assert header == {"meta": {"image_ids": sorted(bundle.features)},
-                          "arrays": [["regions", "<f4", [len(bundle.features), 4, 8]]]}
+        assert header == {"meta": {"image_ids": image_ids},
+                          "arrays": [["regions", "<f4", [len(image_ids), 4, 8]]]}
 
-    def test_varying_region_count_rejected_at_write(self, tmp_path):
-        feats = {0: np.zeros((4, 8), dtype=np.float32), 1: np.zeros((2, 8), dtype=np.float32)}
-        with pytest.raises(InputError):
-            write_features(tmp_path / "bad.lxpf", feats)
+    @pytest.mark.parametrize("image_ids,regions,match", [
+        ([3, 17, 3], np.zeros((3, 4, 8)), "duplicate image id 3"),
+        ([3, 17], np.zeros((3, 4, 8)), "2 ids and a block of shape"),
+        ([3, 17], np.zeros((2, 8)), r"block of shape \(2, 8\)"),
+    ], ids=["duplicate id", "more grids than ids", "2-d block"])
+    def test_bad_block_rejected_before_the_file_is_opened(self, tmp_path, image_ids, regions,
+                                                           match):
+        path = tmp_path / "bad.lxpf"
+        with pytest.raises(InputError, match=match):
+            write_features(path, image_ids, regions)
+        assert not path.exists()
 
     def test_inconsistent_payload_size_rejected_at_read(self, tmp_path):
         # a 4-region header followed by a 2-region payload
@@ -78,7 +96,7 @@ class TestFeaturesFile:
     ], ids=["fewer ids than grids", "string id", "no ids", "2-d regions", "renamed array"])
     def test_header_that_does_not_describe_the_grids(self, tmp_path, edit):
         path = tmp_path / "f.lxpf"
-        write_features(path, {3: np.zeros((4, 8)), 17: np.ones((4, 8))})
+        write_features(path, [3, 17], np.stack([np.zeros((4, 8)), np.ones((4, 8))]))
         edit_header(path, edit)
         with pytest.raises(FormatError, match="image ids"):
             read_features(path)
@@ -133,9 +151,9 @@ class TestCaptionsFile:
 
     def test_known_token_counts_fixture(self, tmp_path):
         # three images, hand-written captions with 3, 5, and 2 tokens
-        feats = {i: np.full((2, 8), float(i), dtype=np.float32) for i in (10, 11, 12)}
+        feats = np.stack([np.full((2, 8), float(i), dtype=np.float32) for i in (10, 11, 12)])
         fpath = tmp_path / "f.lxpf"
-        write_features(fpath, feats)
+        write_features(fpath, [10, 11, 12], feats)
         cpath = tmp_path / "caps.tsv"
         cpath.write_text(
             "10\ten\ta red dog\n"
@@ -159,13 +177,66 @@ class TestCaptionsFile:
         bundle = small_bundle()
         lang = bundle.config.languages[0]
         fpath, cpath = tmp_path / "f.lxpf", tmp_path / "c.tsv"
-        lang_feats = {s.scene_id: bundle.features[s.scene_id] for s in bundle.scenes[lang]}
-        write_features(fpath, lang_feats)
+        lang_feats = {s.scene_id: grid for s, grid in zip(bundle.scenes[lang],
+                                                            bundle.regions[lang])}
+        write_features(fpath, [s.scene_id for s in bundle.scenes[lang]], bundle.regions[lang])
         write_captions(cpath, bundle.captions[lang])
         features, captions = dict(zip(*read_features(fpath))), read_captions(cpath, lang)
         assert captions == bundle.captions[lang]
         for sid in lang_feats:
             assert np.array_equal(features[sid], lang_feats[sid])
+
+
+class TestImageRows:
+    """Each caption finds its grid by row, in features files whose ids descend."""
+
+    @pytest.fixture()
+    def corpus(self, tmp_path):
+        """(config, corpus dir, {image id: grid}, the loaded corpus)."""
+        config = RunConfig(corpus=small_config())
+        stage_gen_corpus(config, tmp_path)
+        grids = {}
+        for lang in config.corpus.languages:
+            path = corpus_file(tmp_path, lang, "features")
+            ids, regions = read_features(path)
+            grids.update(zip(ids, regions))
+            write_features(path, ids[::-1], regions[::-1])
+        return config, tmp_path, grids, load_corpus(config, tmp_path)
+
+    @staticmethod
+    def written(corpus_dir, lang):
+        """The image ids of a language's features file and its captions."""
+        ids, _ = read_features(corpus_file(corpus_dir, lang, "features"))
+        return ids, read_captions(corpus_file(corpus_dir, lang, "captions"), lang)
+
+    def test_each_row_holds_its_caption_image(self, corpus):
+        _, corpus_dir, _, loaded = corpus
+        for lang in loaded.languages:
+            ids, captions = self.written(corpus_dir, lang)
+            assert ids == sorted(ids, reverse=True)
+            assert [ids[ex.image_row] for ex in loaded.examples[lang]] == \
+                [cap.image_id for cap in captions]
+
+    def test_padded_batch_gathers_each_caption_grid(self, corpus):
+        config, corpus_dir, grids, loaded = corpus
+        for lang in loaded.languages:
+            _, captions = self.written(corpus_dir, lang)
+            padded = pad_captions(lang, loaded.examples[lang], loaded.regions[lang],
+                                  config.corpus.max_caption_len)
+            picks = np.array([5, 0, 3, len(captions) - 1])
+            _, batch_grids = padded.batch(picks)
+            for grid, i in zip(batch_grids, picks):
+                assert np.array_equal(grid, grids[captions[i].image_id])
+
+    def test_split_keeps_the_captions_of_an_image_on_one_side(self, corpus):
+        _, corpus_dir, _, loaded = corpus
+        for lang in loaded.languages:
+            ids, _ = self.written(corpus_dir, lang)
+            train, val = split_by_scene(loaded.examples[lang], 0.25, 3, lang)
+            train_ids = {ids[ex.image_row] for ex in train}
+            val_ids = {ids[ex.image_row] for ex in val}
+            assert train_ids and val_ids and not train_ids & val_ids
+            assert len(train) + len(val) == len(loaded.examples[lang])
 
 
 class TestLexiconFile:

@@ -70,7 +70,8 @@ def assert_same_grads(got, expected):
 def test_matches_per_step_composition(tiny_bundle):
     model = build_model(tiny_bundle)
     language = tiny_bundle.config.languages[0]
-    tokens, features = padded_batch(ragged_group(tiny_bundle, language), tiny_bundle.features)
+    tokens, features = padded_batch(ragged_group(tiny_bundle, language),
+                                    tiny_bundle.regions[language])
     assert (tokens == PAD).any() and (tokens[:, -1] != PAD).any()
     loss, count = fused_loss(model, language, tokens, features)
     oracle = oracle_loss(model, language, tokens, features)
@@ -82,7 +83,8 @@ def test_matches_per_step_composition(tiny_bundle):
 def test_sequence_loss_is_the_unrolled_group_loss(tiny_bundle):
     model = build_model(tiny_bundle)
     for language, size in zip(tiny_bundle.config.languages, (6, 4)):
-        batch = padded_batch(ragged_group(tiny_bundle, language, size), tiny_bundle.features)
+        batch = padded_batch(ragged_group(tiny_bundle, language, size),
+                             tiny_bundle.regions[language])
         loss, count = model.sequence_loss(language, *batch)
         oracle = oracle_loss(model, language, *batch)
         assert count == int((batch[0][:, 1:] != PAD).sum())
@@ -96,7 +98,7 @@ def test_gradients_match_finite_differences(tiny_bundle):
     model = build_model(tiny_bundle, embed_dim=4, attn_dim=3)
     language = tiny_bundle.config.languages[1]
     tokens, features = padded_batch(ragged_group(tiny_bundle, language, 3),
-                                    tiny_bundle.features)
+                                    tiny_bundle.regions[language])
     touched = [p for name, p in model.params.items()
                if not name.startswith("embed.") or name == f"embed.{language}"]
 
@@ -109,7 +111,8 @@ def test_gradients_match_finite_differences(tiny_bundle):
 def test_one_tape_node(tiny_bundle):
     model = build_model(tiny_bundle)
     language = tiny_bundle.config.languages[0]
-    batch = padded_batch(ragged_group(tiny_bundle, language), tiny_bundle.features)
+    batch = padded_batch(ragged_group(tiny_bundle, language),
+                                    tiny_bundle.regions[language])
     loss, _ = model.sequence_loss(language, *batch)
     assert loss.shape == ()
     assert all(p._backward is None for p in loss._parents)
@@ -123,7 +126,7 @@ def test_non_finite_score_raises(tiny_bundle):
     model.params["attn.w2"].data[0, 0] = np.nan
     with pytest.raises(NumericError, match="attention scores contain NaN or Inf"):
         model.sequence_loss(language, *padded_batch(ragged_group(tiny_bundle, language),
-                                                    tiny_bundle.features))
+                                                    tiny_bundle.regions[language]))
 
 
 def test_overflowing_input_product_raises(tiny_bundle):
@@ -134,7 +137,7 @@ def test_overflowing_input_product_raises(tiny_bundle):
     before = np.geterr()
     with pytest.raises(NumericError, match="decoder input product is not finite"):
         model.sequence_loss(language, *padded_batch(ragged_group(tiny_bundle, language),
-                                                    tiny_bundle.features))
+                                                    tiny_bundle.regions[language]))
     assert np.geterr() == before
 
 
@@ -143,7 +146,8 @@ def test_shape_mismatch(tiny_bundle):
     loss runs."""
     model = build_model(tiny_bundle)
     language = tiny_bundle.config.languages[0]
-    tokens, features = padded_batch(ragged_group(tiny_bundle, language), tiny_bundle.features)
+    tokens, features = padded_batch(ragged_group(tiny_bundle, language),
+                                    tiny_bundle.regions[language])
     with pytest.raises(ShapeError, match="expected region features"):
         model.sequence_loss(language, tokens, features[:, :-1])
     with pytest.raises(ShapeError, match="expected region features"):
@@ -155,7 +159,7 @@ def test_float32_stays_float32():
     model = build_model(bundle, dtype=np.float32)
     language = bundle.config.languages[0]
     loss, _ = model.sequence_loss(language, *padded_batch(ragged_group(bundle, language, 4),
-                                                          bundle.features))
+                                                          bundle.regions[language]))
     assert loss.data.dtype == np.float32
     loss.backward()
     assert all(p.grad.dtype == np.float32 for _, p in model.params.items()

@@ -32,7 +32,7 @@ from lexipivot.numerics import no_grad
 from lexipivot.pipeline import compute_rankings
 from lexipivot.seeding import substream
 
-from conftest import build_model, images, indexed
+from conftest import build_model, indexed
 from helpers import ranked_pairs, ranking_from_pairs
 
 RANKERS = {"linguistic": linguistic_rank, "visual": visual_rank, "fused": fused_rank,
@@ -300,11 +300,11 @@ class TestGlobalFeatureSets:
         if cap is not None:
             monkeypatch.setattr(induction, "BASELINE_SET_CAP", cap)
         got = collect_global_feature_sets(
-            examples, encode_images(model, examples, images(tiny_bundle)[lang]), vocab, seed=9)
+            examples, encode_images(model, examples, tiny_bundle.regions[lang]), vocab, seed=9)
         want = {}
         with no_grad():
             for ex in examples:
-                image = model.encode(tiny_bundle.features[ex.scene_id][None]).data[0]
+                image = model.encode(tiny_bundle.regions[lang][ex.image_row][None]).data[0]
                 for t in range(1, len(ex.tokens) - 1):
                     if ex.tokens[t] >= len(RESERVED):
                         want.setdefault(vocab.word(ex.tokens[t]), []).append(image.mean(axis=0))

@@ -15,7 +15,7 @@ from lexipivot.localization import (
 )
 from lexipivot.numerics import Tensor, grad_enabled, no_grad, tanh
 
-from conftest import build_corpus, build_model, images, indexed
+from conftest import build_corpus, build_model, indexed
 from helpers import edit_header, localize_one, probe_by_steps
 
 
@@ -42,7 +42,7 @@ class TestProbe:
         model.params["encoder.weight"].data[...] = 0.0
         model.params["encoder.bias"].data[...] = 0.7  # regions all encode identically
         ex = indexed(bundle)[lang][0]
-        feats = bundle.features[ex.scene_id]
+        feats = bundle.regions[lang][ex.image_row]
         feature, weights = localize_one(model, lang, feats, ex.tokens)
         k = bundle.config.grid_side ** 2
         with no_grad():
@@ -57,16 +57,16 @@ class TestProbe:
         model = build_model(bundle)
         lang = bundle.config.languages[0]
         ex = indexed(bundle)[lang][0]
-        feature, weights = localize_one(model, lang, bundle.features[ex.scene_id], ex.tokens)
+        feature, weights = localize_one(model, lang, bundle.regions[lang][ex.image_row], ex.tokens)
         with no_grad():
-            a = model.encode(np.asarray(bundle.features[ex.scene_id])[None]).data[0]
+            a = model.encode(np.asarray(bundle.regions[lang][ex.image_row])[None]).data[0]
         np.testing.assert_allclose(weights, 1.0, atol=1e-15)
         np.testing.assert_allclose(feature, np.broadcast_to(a[0], feature.shape), atol=1e-15)
 
     def test_weights_positive_sum_to_one_and_recompose(self, setup):
         bundle, model, lang = setup
         for ex in indexed(bundle)[lang][:10]:
-            feats = bundle.features[ex.scene_id]
+            feats = bundle.regions[lang][ex.image_row]
             feature, weights = localize_one(model, lang, feats, ex.tokens)
             assert len(weights) == len(ex.tokens) - 2
             with no_grad():
@@ -80,7 +80,7 @@ class TestProbe:
         bundle, model, lang = setup
         before = params_digest(model)
         ex = indexed(bundle)[lang][0]
-        encoded = encode_images(model, [ex], images(bundle)[lang])
+        encoded = encode_images(model, [ex], bundle.regions[lang])
         collect_word_features(model, [ex], encoded, lang, "probe")
         collect_word_features(model, [ex], encoded, lang, "attention")
         assert params_digest(model) == before
@@ -89,14 +89,14 @@ class TestProbe:
         bundle, model, lang = setup
         ex = indexed(bundle)[lang][0]
         with pytest.raises(KeyError):
-            localize_one(model, "nope", bundle.features[ex.scene_id], ex.tokens)
+            localize_one(model, "nope", bundle.regions[lang][ex.image_row], ex.tokens)
 
 
 class TestAttentionLocalization:
     def test_weights_sum_to_one(self, setup):
         bundle, model, lang = setup
         ex = indexed(bundle)[lang][0]
-        _, weights = localize_one(model, lang, bundle.features[ex.scene_id], ex.tokens,
+        _, weights = localize_one(model, lang, bundle.regions[lang][ex.image_row], ex.tokens,
                                   "attention")
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
@@ -106,7 +106,7 @@ class TestCollection:
         bundle, model, lang = setup
         examples = indexed(bundle)[lang][:20]
         sets = collect_word_features(model, examples,
-                                     encode_images(model, examples, images(bundle)[lang]), lang)
+                                     encode_images(model, examples, bundle.regions[lang]), lang)
         total = sum(len(v) for v in sets.values())
         expected = sum(len(ex.tokens) - 2 for ex in examples)
         assert total == expected
@@ -115,7 +115,7 @@ class TestCollection:
         bundle, model, lang = setup
         examples = indexed(bundle)[lang][:20]
         sets = collect_word_features(model, examples,
-                                     encode_images(model, examples, images(bundle)[lang]), lang)
+                                     encode_images(model, examples, bundle.regions[lang]), lang)
         from collections import Counter
         counts = Counter(t for ex in examples for t in ex.tokens[1:-1])
         for word_index, feats in sets.items():
@@ -126,14 +126,14 @@ class TestCollection:
         bundle, model, lang = setup
         examples = indexed(bundle)[lang][:3]
         collect_word_features(model, examples,
-                              encode_images(model, examples, images(bundle)[lang]), lang, method)
+                              encode_images(model, examples, bundle.regions[lang]), lang, method)
         assert grad_enabled()
         assert tanh(Tensor([1.0], requires_grad=True)).requires_grad
 
     def test_methods_share_inventory(self, setup):
         bundle, model, lang = setup
         examples = indexed(bundle)[lang][:10]
-        encoded = encode_images(model, examples, images(bundle)[lang])
+        encoded = encode_images(model, examples, bundle.regions[lang])
         probe = collect_word_features(model, examples, encoded, lang, "probe")
         attn = collect_word_features(model, examples, encoded, lang, "attention")
         assert probe.keys() == attn.keys()
@@ -144,14 +144,14 @@ class TestEncodeImages:
                                                                           monkeypatch):
         bundle, _, lang = setup
         model = build_model(bundle)
-        examples = indexed(bundle)[lang][:12]
-        ids, grids = images(bundle)[lang]
-        order = np.arange(len(ids))[::-1]  # descending image ids
-        unused = max(ids) + 1
-        block_ids = [ids[i] for i in order] + [unused]
-        block = (block_ids, np.concatenate([grids[order], np.full_like(grids[:1], np.nan)]))
-        used = {ex.scene_id for ex in examples}
-        assert len(used) > 1 and unused not in used  # block order is not id order
+        grids = bundle.regions[lang]
+        unused = len(grids)
+        # the block's rows reversed, then an image no caption uses
+        block = np.concatenate([grids[::-1], np.full_like(grids[:1], np.nan)])
+        examples = [CaptionedExample(unused - 1 - ex.image_row, lang, ex.tokens)
+                    for ex in indexed(bundle)[lang][:12]]
+        used = sorted({ex.image_row for ex in examples})
+        assert len(used) > 1 and unused not in used  # block order is not scene order
         monkeypatch.setattr(localization, "ROW_CAP", 3)
         inputs = []
         encode = model.encode
@@ -162,14 +162,13 @@ class TestEncodeImages:
         assert len(regions) == len(used)
         assert all(len(g) <= 3 for g in inputs)
         assert not np.isnan(np.concatenate(inputs)).any()  # the unused image
-        in_block_order = [i for i in block_ids if i in used]
         assert np.array_equal(np.concatenate(inputs),
-                              np.stack([bundle.features[i] for i in in_block_order]))
+                              np.stack([grids[unused - 1 - row] for row in used]))
         assert rows.shape == (len(examples),)
         for ex, row in zip(examples, rows):
-            assert in_block_order[row] == ex.scene_id
+            assert used[row] == ex.image_row
             with no_grad():
-                want = model.encode(bundle.features[ex.scene_id][None]).data[0]
+                want = model.encode(block[ex.image_row][None]).data[0]
             np.testing.assert_allclose(regions[row], want, rtol=1e-6)
 
 
@@ -180,16 +179,16 @@ def mixed_length_examples(bundle, lang):
         words = list(ex.tokens[1:-1])[: 1 + i % 4]
         if i % 5 == 0:
             words[-1] = UNK
-        out.append(CaptionedExample(ex.scene_id, lang, (BOS, *words, EOS)))
+        out.append(CaptionedExample(ex.image_row, lang, (BOS, *words, EOS)))
     return out
 
 
-def reference_word_features(model, examples, features_by_id, lang, method):
+def reference_word_features(model, examples, regions, lang, method):
     """Per-caption decodes (batches of one), grouped as the collection
     documents: corpus order, UNK dropped."""
     sets = {}
     for ex in examples:
-        feature, _ = localize_one(model, lang, features_by_id[ex.scene_id], ex.tokens, method)
+        feature, _ = localize_one(model, lang, regions[ex.image_row], ex.tokens, method)
         for word_index, row in zip(ex.tokens[1:-1], feature):
             if word_index != UNK:
                 sets.setdefault(word_index, []).append(row)
@@ -218,9 +217,9 @@ class TestBatchedEquivalence:
             monkeypatch.setattr(localization, "ROW_CAP", row_cap)
         counts = {}
         got = collect_word_features(model, examples,
-                                    encode_images(model, examples, images(bundle)[lang]), lang,
+                                    encode_images(model, examples, bundle.regions[lang]), lang,
                                     method, counts=counts)
-        want = reference_word_features(model, examples, bundle.features, lang, method)
+        want = reference_word_features(model, examples, bundle.regions[lang], lang, method)
         assert got.keys() == want.keys()
         for word_index, feats in got.items():
             assert feats.shape == (len(want[word_index]), model.dims.embed_dim)
@@ -240,12 +239,12 @@ class TestBatchedEquivalence:
         bundle, model, lang, examples = mixed
         batch = [ex for ex in examples if len(ex.tokens) == 5][:6]
         with no_grad():
-            regions = model.encode(np.stack([bundle.features[ex.scene_id]
+            regions = model.encode(np.stack([bundle.regions[lang][ex.image_row]
                                              for ex in batch])).data
         feats, weights = localize_batch(model, lang, regions,
                                         [ex.tokens for ex in batch], method)
         for i, ex in enumerate(batch):
-            feature, weight = localize_one(model, lang, bundle.features[ex.scene_id],
+            feature, weight = localize_one(model, lang, bundle.regions[lang][ex.image_row],
                                            ex.tokens, method)
             np.testing.assert_allclose(weights[i], weight, rtol=0, atol=1e-10)
             np.testing.assert_allclose(feats[i], feature, rtol=0, atol=1e-10)
@@ -263,7 +262,7 @@ class TestProbeUnroll:
         for length in sorted({len(ex.tokens) for ex in examples}):
             group = [ex for ex in examples if len(ex.tokens) == length]
             with no_grad():
-                regions = model.encode(np.stack([bundle.features[ex.scene_id]
+                regions = model.encode(np.stack([bundle.regions[lang][ex.image_row]
                                                  for ex in group])).data
             yield regions, np.array([ex.tokens for ex in group])
 
@@ -302,7 +301,7 @@ class TestProbeUnroll:
         blobs = []
         for run in range(2):
             sets = collect_word_features(
-                model, examples, encode_images(model, examples, images(tiny_bundle)[lang]), lang,
+                model, examples, encode_images(model, examples, tiny_bundle.regions[lang]), lang,
                 "probe")
             path = tmp_path / f"{run}.lxwf"
             write_word_features(path, lang, {str(w): (len(r), r) for w, r in sets.items()},

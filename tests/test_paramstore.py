@@ -80,7 +80,7 @@ def test_bad_magic(tmp_path):
 
 def test_other_kind_of_container_is_a_bad_magic(tmp_path):
     path = tmp_path / "features.lxpf"
-    write_features(path, {3: np.zeros((2, 2))})
+    write_features(path, [3], np.zeros((1, 2, 2)))
     with pytest.raises(FormatError, match="bad magic b'LXPF', expected b'LXPV'"):
         ParamStore.load(path)
 

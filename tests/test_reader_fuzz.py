@@ -60,7 +60,7 @@ def write_params_file(path):
 
 def write_region_features_file(path):
     rng = np.random.default_rng(1)
-    write_features(path, {3: rng.normal(size=(2, 3)), 17: rng.normal(size=(2, 3))})
+    write_features(path, [3, 17], rng.normal(size=(2, 2, 3)))
 
 
 def write_container_file(path):
