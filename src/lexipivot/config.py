@@ -68,7 +68,10 @@ class RunConfig:
         return _as_jsonable(dataclasses.asdict(self))
 
     def config_hash(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """SHA-256 of the settings; `out_dir` says where a run writes, not
+        how it runs, so it is left out."""
+        settings = {k: v for k, v in self.to_dict().items() if k != "out_dir"}
+        canon = json.dumps(settings, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
     def echo(self, out_dir: Path) -> Path:

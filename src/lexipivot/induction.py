@@ -4,13 +4,16 @@ Linguistic vectors are the shared-decoder embedding columns; visual
 vectors aggregate a word's localized features (mean first, normalize
 second). Rankings fuse the two cosines; the CNN-mean and CNN-avgmax
 baselines score un-localized global image features instead. Rankings
-are evaluated with mean reciprocal rank and precision at K.
+are evaluated with mean reciprocal rank and precision at K, from each
+lexicon word's best gold rank.
 
-Each language's inputs are held as matrices (`WordFeatureTable`), so a
-ranker scores one source word against every target in one product.
-Identical candidates get bit-identical scores, and ranking is a stable
-sort on the score over targets in word order: `(-score, word)`. A ranking
-holds that order as an array of target rows beside their scores.
+Each language's inputs are held as matrices (`WordFeatureTable`). A
+method scores every source word against every target word as one
+source-by-target matrix (`<method>_scores`), and `<method>_rank` orders
+one source word's row of it. Identical candidates get bit-identical
+scores, and ranking is a stable sort on the score over targets in word
+order: `(-score, word)`. A ranking holds that order as an array of
+target rows beside their scores.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ BOTTOM_SCORE = -2.0  # below any cosine; ranks unscorable targets last
 KS = (1, 5, 10, 20)  # the report's precision cut-offs
 RANKING_WIDTH = 20  # candidates per source word in rankings.tsv
 BASELINE_SET_CAP = 100  # global image rows kept per word for the CNN baselines
+UNRANKED = "unranked"          # a lexicon source word without a ranking
+GOLD_OUTSIDE = "gold_outside"  # a ranked word with no gold target among the targets
+AVGMAX_CHUNK = 128  # source image rows per cnn_avgmax product
 
 
 def unit(vector: np.ndarray) -> np.ndarray | None:
@@ -180,7 +186,84 @@ def collect_global_feature_sets(examples, images, vocab: Vocabulary,
 
 
 # ---------------------------------------------------------------------------
-# rankers: one source word against every target
+# scorers: every source word against every target, one [S, T] matrix each
+# ---------------------------------------------------------------------------
+
+
+def _dots(source_rows: np.ndarray, target_rows: np.ndarray,
+          valid: np.ndarray | None = None) -> np.ndarray:
+    """[S, T] row products, BOTTOM_SCORE in the target columns where `valid`
+    is False.
+
+    einsum, not BLAS: a row's product must not depend on where the row
+    sits, or identical candidates could score apart.
+    """
+    if valid is not None and not valid.any():   # the target rows may be 0 wide
+        return np.full((len(source_rows), len(valid)), BOTTOM_SCORE)
+    scores = np.einsum("sd,td->st", source_rows, target_rows)
+    if valid is not None:
+        scores[:, ~valid] = BOTTOM_SCORE
+    return scores
+
+
+def linguistic_scores(source: WordFeatureTable, target: WordFeatureTable) -> np.ndarray:
+    return _dots(source.linguistic, target.linguistic)
+
+
+def visual_scores(source: WordFeatureTable, target: WordFeatureTable) -> np.ndarray:
+    """Cosine of the visual vectors; targets without one score BOTTOM_SCORE.
+    Rows of sources without one are meaningless."""
+    return _dots(source.visual, target.visual, target.has_visual)
+
+
+def fused_scores(source: WordFeatureTable, target: WordFeatureTable) -> np.ndarray:
+    """The unweighted sum s_l + s_v of the two cosines where both words have
+    a visual vector, the linguistic cosine alone elsewhere (nothing is
+    subtracted)."""
+    scores = linguistic_scores(source, target)
+    both = source.has_visual[:, None] & target.has_visual
+    if both.any():   # else either table's visual rows may be 0 wide
+        np.add(scores, np.einsum("sd,td->st", source.visual, target.visual), out=scores,
+               where=both)
+    return scores
+
+
+def cnn_mean_scores(source: WordFeatureTable, target: WordFeatureTable) -> np.ndarray:
+    """Cosine of the two set means over global image features; targets
+    without a usable mean score BOTTOM_SCORE."""
+    return _dots(source.global_mean, target.global_mean, target.global_mean_valid)
+
+
+def cnn_avgmax_scores(source: WordFeatureTable, target: WordFeatureTable) -> np.ndarray:
+    """Mean over the source word's images of the best cosine among the
+    target word's images; targets without an image set score BOTTOM_SCORE.
+
+    The best match of each target set for each distinct source image row is
+    one [targets with a set, u_s] matrix. It comes from the BLAS product
+    with the target's distinct image rows, `AVGMAX_CHUNK` source rows at a
+    time: every target set member gathers its row of the chunk, and
+    `maximum.reduceat` takes each set's best. A source word's scores are
+    the mean of its member columns, along the contiguous axis.
+    """
+    scores = np.full((len(source.words), len(target.words)), BOTTOM_SCORE)
+    filled = np.diff(target.global_offsets) > 0
+    if not filled.any():
+        return scores
+    starts = target.global_offsets[:-1][filled]
+    best = np.empty((len(starts), len(source.global_rows)))
+    for lo in range(0, len(source.global_rows), AVGMAX_CHUNK):
+        sims = target.global_rows @ source.global_rows[lo:lo + AVGMAX_CHUNK].T
+        best[:, lo:lo + sims.shape[1]] = np.maximum.reduceat(
+            sims[target.global_inverse], starts, axis=0)
+    offsets = source.global_offsets
+    for i in np.flatnonzero(np.diff(offsets)):
+        members = source.global_inverse[offsets[i]:offsets[i + 1]]
+        scores[i, filled] = best[:, members].mean(axis=1)
+    return scores
+
+
+# ---------------------------------------------------------------------------
+# rankers: one source word's row of a score matrix, ordered
 # ---------------------------------------------------------------------------
 
 
@@ -235,81 +318,41 @@ def _ranked(source_word: str, method: str, target: WordFeatureTable, scores: np.
                               target.rows, fallback_pairs)
 
 
-def _row_dots(rows: np.ndarray, vector: np.ndarray,
-              valid: np.ndarray | None = None) -> np.ndarray:
-    """`rows @ vector`, with BOTTOM_SCORE where `valid` is False.
-
-    Row-wise einsum, not BLAS gemv: a row's product must not depend on
-    where the row sits, or identical candidates could score apart.
-    """
-    if valid is None:
-        valid = np.ones(len(rows), dtype=bool)
-    if not valid.any():
-        return np.full(len(valid), BOTTOM_SCORE)
-    return np.where(valid, np.einsum("ij,j->i", rows, vector), BOTTOM_SCORE)
-
-
-def linguistic_rank(x: str, source: WordFeatureTable,
-                    target: WordFeatureTable) -> TranslationRanking:
-    scores = _row_dots(target.linguistic, source.linguistic[source.row(x)])
+def linguistic_rank(x: str, source: WordFeatureTable, target: WordFeatureTable,
+                    scores: np.ndarray) -> TranslationRanking:
+    """`x`'s row of `linguistic_scores`, ordered."""
     return _ranked(x, "linguistic", target, scores)
 
 
-def visual_rank(x: str, source: WordFeatureTable,
-                target: WordFeatureTable) -> TranslationRanking:
-    """Cosine of the visual vectors; targets without one rank last. `x`
-    must have one (`has_visual`)."""
-    i = source.row(x)
-    scores = _row_dots(target.visual, source.visual[i], target.has_visual)
-    return _ranked(x, "visual", target, scores,
-                   int(np.count_nonzero(~target.has_visual)))
+def visual_rank(x: str, source: WordFeatureTable, target: WordFeatureTable,
+                scores: np.ndarray) -> TranslationRanking:
+    """`x`'s row of `visual_scores`, ordered; targets without a visual
+    vector are its fallback pairs."""
+    return _ranked(x, "visual", target, scores, int(np.count_nonzero(~target.has_visual)))
 
 
-def fused_rank(x: str, source: WordFeatureTable,
-               target: WordFeatureTable) -> TranslationRanking:
-    """Rank by the unweighted sum s_l + s_v of the two cosines.
-
-    Pairs missing a visual side fall back to the linguistic term alone
-    (nothing is subtracted) and are counted in `fallback_pairs`.
-    """
-    i = source.row(x)
-    s_l = _row_dots(target.linguistic, source.linguistic[i])
-    both = target.has_visual & source.has_visual[i]
-    scores = np.where(both, s_l + _row_dots(target.visual, source.visual[i], both), s_l)
+def fused_rank(x: str, source: WordFeatureTable, target: WordFeatureTable,
+               scores: np.ndarray) -> TranslationRanking:
+    """`x`'s row of `fused_scores`, ordered; pairs missing a visual side
+    are its fallback pairs."""
+    both = target.has_visual & source.has_visual[source.row(x)]
     return _ranked(x, "fused", target, scores, int(np.count_nonzero(~both)))
 
 
-def cnn_mean_rank(x: str, source: WordFeatureTable,
-                  target: WordFeatureTable) -> TranslationRanking:
-    """Cosine of the two set means over global image features; targets
-    without one rank last. `x` must have one (`global_mean_valid`)."""
-    i = source.row(x)
-    valid = target.global_mean_valid
-    scores = _row_dots(target.global_mean, source.global_mean[i], valid)
+def cnn_mean_rank(x: str, source: WordFeatureTable, target: WordFeatureTable,
+                  scores: np.ndarray) -> TranslationRanking:
+    """`x`'s row of `cnn_mean_scores`, ordered; targets without a usable
+    set mean are its fallback pairs."""
     return _ranked(x, "cnn_mean", target, scores,
-                   int(np.count_nonzero(~valid)))
+                   int(np.count_nonzero(~target.global_mean_valid)))
 
 
-def cnn_avgmax_rank(x: str, source: WordFeatureTable,
-                    target: WordFeatureTable) -> TranslationRanking:
-    """Mean over source images of the best cosine among target images.
-
-    One product against the target's distinct image rows; every set
-    member gathers its row, `maximum.reduceat` takes each set's best per
-    source image, and the mean runs along the contiguous axis. Targets
-    without an image set rank last; `x` must have one.
-    """
-    i = source.row(x)
-    start, stop = source.global_offsets[i:i + 2]
-    src = source.global_rows[source.global_inverse[start:stop]]
-    filled = np.diff(target.global_offsets) > 0
-    scores = np.full(len(target.words), BOTTOM_SCORE)
-    if filled.any():
-        sims = (target.global_rows @ src.T)[target.global_inverse]  # [members, m]
-        best = np.maximum.reduceat(sims, target.global_offsets[:-1][filled], axis=0)
-        scores[filled] = best.mean(axis=1)
+def cnn_avgmax_rank(x: str, source: WordFeatureTable, target: WordFeatureTable,
+                    scores: np.ndarray) -> TranslationRanking:
+    """`x`'s row of `cnn_avgmax_scores`, ordered; targets without an image
+    set are its fallback pairs."""
     return _ranked(x, "cnn_avgmax", target, scores,
-                   int(np.count_nonzero(~filled)))
+                   int(np.count_nonzero(np.diff(target.global_offsets) == 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -329,35 +372,44 @@ class EvalReport:
     fallback_pairs: int = 0
 
 
-def evaluate(rankings: dict[str, TranslationRanking], lexicon: GroundTruthLexicon,
-             method: str, pos: str = "all", words=None) -> EvalReport:
-    """MRR/P@K over the lexicon's source words, or over `words` among them
-    (1-based ranks, best target).
-
-    Source words without a ranking, and those whose acceptable targets are
-    all missing from the candidate list, are skipped and counted apart.
-    """
-    total_rr = 0.0
-    hits = {k: 0 for k in KS}
-    n = unranked = outside = fallback = 0
-    pool = sorted(words) if words is not None else sorted(lexicon.entries)
-    for source_word in pool:
+def gold_ranks(rankings: dict[str, TranslationRanking], lexicon: GroundTruthLexicon,
+               words=None) -> dict[str, int | str]:
+    """Per lexicon source word (or per `words` among them), in word order:
+    the 1-based rank of its best gold target, or UNRANKED for a word without
+    a ranking, or GOLD_OUTSIDE for one whose gold targets are all missing
+    from the candidate list."""
+    ranks: dict[str, int | str] = {}
+    for source_word in sorted(words if words is not None else lexicon.entries):
         ranking = rankings.get(source_word)
         if ranking is None:
-            unranked += 1
+            ranks[source_word] = UNRANKED
             continue
-        ranks = [r for r in (ranking.rank_of(t) for t in lexicon.entries[source_word])
+        found = [r for r in (ranking.rank_of(t) for t in lexicon.entries[source_word])
                  if r is not None]
-        if not ranks:
-            outside += 1
+        ranks[source_word] = min(found) if found else GOLD_OUTSIDE
+    return ranks
+
+
+def evaluate(rankings: dict[str, TranslationRanking], lexicon: GroundTruthLexicon,
+             method: str, pos: str = "all", words=None) -> EvalReport:
+    """MRR/P@K over the lexicon's source words, or over `words` among them,
+    from their `gold_ranks`. The UNRANKED and GOLD_OUTSIDE words are skipped
+    and counted apart."""
+    total_rr = 0.0
+    hits = {k: 0 for k in KS}
+    n = fallback = 0
+    ranks = gold_ranks(rankings, lexicon, words)
+    for source_word, best in ranks.items():
+        if isinstance(best, str):
             continue
-        best = min(ranks)
         total_rr += 1.0 / best
         for k in KS:
             if best <= k:
                 hits[k] += 1
-        fallback += ranking.fallback_pairs
+        fallback += rankings[source_word].fallback_pairs
         n += 1
+    unranked = sum(r == UNRANKED for r in ranks.values())
+    outside = sum(r == GOLD_OUTSIDE for r in ranks.values())
     if n == 0:
         raise EmptyResultError(f"no evaluable source words (skipped {unranked + outside})")
     return EvalReport(method=method, pos=pos, n=n, mrr=total_rr / n,
@@ -395,6 +447,16 @@ def write_rankings(path, rankings_by_method: dict[str, dict[str, TranslationRank
                 top = rankings_by_method[method][source_word].top(RANKING_WIDTH)
                 cells = ",".join(f"{w}:{s:.6f}" for w, s in top)
                 fh.write(f"{source_word}\t{method}\t{cells}\n")
+
+
+def write_ranks(path, rankings_by_method: dict[str, dict[str, TranslationRanking]],
+                lexicon: GroundTruthLexicon) -> None:
+    """source TAB method TAB pos TAB rank, one line per method and lexicon
+    source word: its `gold_ranks` entry, which `evaluate` reads too."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for method in sorted(rankings_by_method):
+            for source_word, rank in gold_ranks(rankings_by_method[method], lexicon).items():
+                fh.write(f"{source_word}\t{method}\t{lexicon.pos_of(source_word)}\t{rank}\n")
 
 
 def report_rows(reports: list[EvalReport]) -> list[dict]:

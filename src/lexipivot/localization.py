@@ -217,7 +217,8 @@ def write_word_features(path, language: str,
 
 
 def read_word_features(path):
-    """Returns (language, aggregated flag, {word: (count, rows)})."""
+    """Returns (language, aggregated flag, {word: (count, rows)}). A NaN or
+    infinite feature value is a FormatError naming the word."""
     meta, arrays = read_arrays(path, TABLE_MAGIC, "<f8")
     language, aggregated, counts = (meta.get(k) for k in ("language", "aggregated", "counts"))
     if not (isinstance(language, str) and isinstance(aggregated, bool)
@@ -230,6 +231,8 @@ def read_word_features(path):
         if rows.ndim != 2 or len(rows) != (1 if aggregated else count):
             raise FormatError(f"{path}: word {word!r} with {count} occurrences has feature "
                               f"rows of shape {rows.shape}")
+        if not np.isfinite(rows).all():
+            raise FormatError(f"{path}: word {word!r} has a non-finite feature value")
     if len({rows.shape[1] for rows in arrays.values()}) > 1:
         raise FormatError(f"{path}: feature rows of more than one width")
     return language, aggregated, entries

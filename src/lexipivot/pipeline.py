@@ -39,15 +39,21 @@ from .errors import ConfigError, EmptyResultError, FormatError
 from .induction import (
     build_table,
     cnn_avgmax_rank,
+    cnn_avgmax_scores,
     cnn_mean_rank,
+    cnn_mean_scores,
     collect_global_feature_sets,
     evaluate,
     fused_rank,
+    fused_scores,
     linguistic_rank,
+    linguistic_scores,
     linguistic_vectors,
     pos_breakdown,
     visual_rank,
+    visual_scores,
     write_rankings,
+    write_ranks,
     write_report_csv,
     write_report_json,
 )
@@ -314,28 +320,35 @@ def _load_tables(features_dir, languages, method: str):
 
 
 def compute_rankings(tables, source: str, target: str) -> dict[str, dict]:
-    """{method: {source word: ranking}} for every method of `INDUCTION_METHODS`,
-    one `<method>_rank` call per source word.
+    """{method: {source word: ranking}} for every method of `INDUCTION_METHODS`.
 
-    Every method ranks the source words it can score against all target
-    words, and skips the rest: visual needs a visual vector, cnn_mean a
-    non-zero global set mean and cnn_avgmax a non-empty global set.
+    Each method scores every source word against every target word as one
+    [S, T] matrix, one method's matrix at a time, then makes one
+    `<method>_rank` call per source word it can score, which orders that
+    word's row. The rest are skipped: visual needs a visual vector,
+    cnn_mean a non-zero global set mean and cnn_avgmax a non-empty global
+    set.
     """
     src, tgt = tables[source], tables[target]
     every = np.ones(len(src.words), dtype=bool)
     # looked up at call time, so that wrappers set on this module apply
     rankers = {
-        "linguistic": (linguistic_rank, every),
-        "visual": (visual_rank, src.has_visual),
-        "fused": (fused_rank, every),
-        "cnn_mean": (cnn_mean_rank, src.global_mean_valid),
-        "cnn_avgmax": (cnn_avgmax_rank, np.diff(src.global_offsets) > 0),
+        "linguistic": (linguistic_scores, linguistic_rank, every),
+        "visual": (visual_scores, visual_rank, src.has_visual),
+        "fused": (fused_scores, fused_rank, every),
+        "cnn_mean": (cnn_mean_scores, cnn_mean_rank, src.global_mean_valid),
+        "cnn_avgmax": (cnn_avgmax_scores, cnn_avgmax_rank, np.diff(src.global_offsets) > 0),
     }
     methods = {}
     for method in INDUCTION_METHODS:
-        rank, scorable = rankers[method]
-        methods[method] = {word: rank(word, src, tgt)
-                           for word, ok in zip(src.words, scorable) if ok}
+        score, rank, scorable = rankers[method]
+        methods[method] = {}
+        if not scorable.any():   # the table's rows for this method may be 0 wide
+            continue
+        scores = score(src, tgt)
+        for i in np.flatnonzero(scorable):
+            methods[method][src.words[i]] = rank(src.words[i], src, tgt, scores[i])
+        del scores
     return methods
 
 
@@ -383,12 +396,13 @@ def stage_induce(config: RunConfig, out_dir, features_dir, lexicon_path) -> dict
             manifest.counts[r.method].update(unranked_lexicon_words=r.unranked_lexicon_words,
                                              gold_outside_targets=r.gold_outside_targets)
     with manifest.timed("write"):
-        rankings_path = out_dir / "rankings.tsv"
+        rankings_path, ranks_path = out_dir / "rankings.tsv", out_dir / "ranks.tsv"
         write_rankings(rankings_path, methods)
+        write_ranks(ranks_path, methods, lexicon)
         csv_path, json_path = out_dir / "report.csv", out_dir / "report.json"
         write_report_csv(csv_path, reports)
         write_report_json(json_path, reports)
-        for p in (rankings_path, csv_path, json_path):
+        for p in (rankings_path, ranks_path, csv_path, json_path):
             manifest.add_output(p)
     manifest.write(out_dir)
     return {"out_dir": out_dir, "methods": methods, "reports": reports}

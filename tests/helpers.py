@@ -1,7 +1,7 @@
 """Shared test oracles: finite differences, the per-step decoder unroll,
 the per-tensor Adam step and gradient clip, the per-step probe decode and
 batch-of-one localization; padded batches; hand-packed array containers;
-and rankings as (word, score) pairs."""
+rankings as (word, score) pairs; and one source word's ranking."""
 
 import json
 import struct
@@ -21,6 +21,7 @@ from lexipivot.numerics import (
     no_grad,
 )
 from lexipivot.numerics.optim import BETA1, BETA2, EPSILON
+from lexipivot.pipeline import compute_rankings
 
 # Each evaluation of f may be off by a few ulps of |f|; a central difference
 # divides that by eps, so this many ulps of |f| over eps are round-off, not
@@ -218,3 +219,9 @@ def ranking_from_pairs(source: str, method: str, pairs) -> TranslationRanking:
     order = np.array([rows[w] for w, _ in pairs], dtype=np.intp)
     return TranslationRanking(source, method, order, np.array([s for _, s in pairs]),
                               words, rows)
+
+
+def rank_word(method: str, x: str, source, target) -> TranslationRanking:
+    """`x`'s ranking under `method` against every target word, through
+    `compute_rankings`; a KeyError for a word the method does not rank."""
+    return compute_rankings({"source": source, "target": target}, "source", "target")[method][x]

@@ -1,3 +1,4 @@
+import csv
 import json
 import struct
 import subprocess
@@ -600,8 +601,43 @@ class TestInduceEval:
         for out in (out1, out2):
             assert run(["induce", "--config", cfg, "--tables", tables,
                         "--lexicon", corpus / "lexicon.tsv", "--out", out]) == 0
-        for name in ("report.csv", "report.json", "rankings.tsv"):
+        for name in ("report.csv", "report.json", "rankings.tsv", "ranks.tsv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_report_rows_recomputed_from_ranks(self, extracted, tmp_path):
+        """Every report.csv row's n, MRR, P@K and skipped count follow from
+        ranks.tsv, for every method and POS."""
+        cfg, corpus, tables = extracted
+        out = tmp_path / "induce"
+        assert run(["induce", "--config", cfg, "--tables", tables,
+                    "--lexicon", corpus / "lexicon.tsv", "--out", out]) == 0
+        lexicon = read_lexicon(corpus / "lexicon.tsv", "la", "lb")
+        groups = {}
+        lines = (out / "ranks.tsv").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == len(INDUCTION_METHODS) * len(lexicon.entries)
+        for line in lines:
+            source, method, pos, rank = line.split("\t")
+            assert pos == lexicon.pos_of(source)
+            assert rank in ("unranked", "gold_outside") or int(rank) >= 1
+            for group in ("all", pos):
+                groups.setdefault((method, group), []).append(rank)
+        expected = {}
+        for key, ranks in groups.items():
+            best = [int(r) for r in ranks if r not in ("unranked", "gold_outside")]
+            if best:
+                expected[key] = {"n": len(best), "mrr": sum(1.0 / b for b in best) / len(best),
+                                 "skipped": len(ranks) - len(best),
+                                 **{f"p{k}": 100.0 * sum(b <= k for b in best) / len(best)
+                                    for k in (1, 5, 10, 20)}}
+        with open(out / "report.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert sorted((r["method"], r["pos"]) for r in rows) == sorted(expected)
+        for row in rows:
+            want = expected[row["method"], row["pos"]]
+            assert (int(row["n"]), int(row["skipped"])) == (want["n"], want["skipped"]), row
+            assert abs(float(row["mrr"]) - want["mrr"]) <= 5e-7, row
+            for k in (1, 5, 10, 20):
+                assert abs(float(row[f"p{k}"]) - want[f"p{k}"]) <= 5e-5, row
 
     def test_manifest_counts(self, extracted, tmp_path):
         cfg, corpus, tables = extracted
@@ -679,6 +715,21 @@ class TestInduceEval:
                     "--lexicon", corpus / "lexicon.tsv", "--out", tmp_path / "induce"])
         assert code == 2
         assert_one_error_line(capsys.readouterr().err, "linguistic table for la")
+
+    def test_non_finite_table_row_exits_3(self, extracted, tmp_path, capsys):
+        cfg, corpus, tables = extracted
+        from lexipivot.localization import write_word_features
+        path = tables / "la.linguistic.lxwf"
+        entries = read_word_features(path)[2]
+        word = min(entries)
+        entries[word][1][0, 0] = np.nan
+        write_word_features(path, "la", entries, aggregated=True)
+        out = tmp_path / "induce"
+        code = run(["induce", "--config", cfg, "--tables", tables,
+                    "--lexicon", corpus / "lexicon.tsv", "--out", out])
+        assert code == 3
+        assert_one_error_line(capsys.readouterr().err, "la.linguistic.lxwf", repr(word))
+        assert not (out / "rankings.tsv").exists()
 
     def test_table_of_other_language_exits_3(self, extracted, tmp_path, capsys):
         cfg, corpus, tables = extracted

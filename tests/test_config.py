@@ -74,6 +74,10 @@ def test_config_hash_stable_and_sensitive():
     c = config_from_dict({"seed": 2})
     assert a.config_hash() == b.config_hash()
     assert a.config_hash() != c.config_hash()
+    # the same settings written to another directory
+    elsewhere = config_from_dict({"seed": 1, "out_dir": "runs/elsewhere"})
+    assert elsewhere.out_dir != a.out_dir
+    assert elsewhere.config_hash() == a.config_hash()
 
 
 def test_echo_round_trips(tmp_path):

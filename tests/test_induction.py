@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexipivot import induction, localization
+from lexipivot.config import INDUCTION_METHODS
 from lexipivot.corpus import GroundTruthLexicon
 from lexipivot.corpus.vocab import RESERVED
 from lexipivot.errors import EmptyResultError
@@ -13,16 +14,11 @@ from lexipivot.induction import (
     BOTTOM_SCORE,
     EvalReport,
     build_table,
-    cnn_avgmax_rank,
-    cnn_mean_rank,
     collect_global_feature_sets,
     evaluate,
-    fused_rank,
-    linguistic_rank,
     mean_unit,
     pos_breakdown,
     unit,
-    visual_rank,
     write_rankings,
     write_report_csv,
     write_report_json,
@@ -33,10 +29,7 @@ from lexipivot.pipeline import compute_rankings
 from lexipivot.seeding import substream
 
 from conftest import build_model, indexed
-from helpers import ranked_pairs, ranking_from_pairs
-
-RANKERS = {"linguistic": linguistic_rank, "visual": visual_rank, "fused": fused_rank,
-           "cnn_mean": cnn_mean_rank, "cnn_avgmax": cnn_avgmax_rank}
+from helpers import rank_word, ranked_pairs, ranking_from_pairs
 
 
 def table_from_raw(language, raw_linguistic, raw_visual_sets=None, global_sets=None):
@@ -52,8 +45,8 @@ def sets_table(language, global_sets):
                            for w, rows in global_sets.items()})
 
 
-def score(rank, x, source, target, y):
-    return dict(ranked_pairs(rank(x, source, target)))[y]
+def score(method, x, source, target, y):
+    return dict(ranked_pairs(rank_word(method, x, source, target)))[y]
 
 
 def brute_cosine(a, b):
@@ -65,12 +58,12 @@ class TestSimilarities:
     def test_identical_vectors(self):
         src = table_from_raw("s", {"x": [1.0, 2.0, 3.0]})
         tgt = table_from_raw("t", {"y": [1.0, 2.0, 3.0]})
-        assert abs(score(linguistic_rank, "x", src, tgt, "y") - 1.0) < 1e-12
+        assert abs(score("linguistic", "x", src, tgt, "y") - 1.0) < 1e-12
 
     def test_orthogonal_vectors(self):
         src = table_from_raw("s", {"x": [1.0, 0.0]})
         tgt = table_from_raw("t", {"y": [0.0, 1.0]})
-        assert abs(score(linguistic_rank, "x", src, tgt, "y")) < 1e-12
+        assert abs(score("linguistic", "x", src, tgt, "y")) < 1e-12
 
     def test_linguistic_matches_brute_force(self):
         rng = np.random.default_rng(0)
@@ -78,19 +71,21 @@ class TestSimilarities:
             a, b = rng.normal(size=6), rng.normal(size=6)
             src = table_from_raw("s", {"x": a})
             tgt = table_from_raw("t", {"y": b})
-            assert abs(score(linguistic_rank, "x", src, tgt, "y") - brute_cosine(a, b)) < 1e-9
+            assert abs(score("linguistic", "x", src, tgt, "y") - brute_cosine(a, b)) < 1e-9
 
     def test_missing_word(self):
         src = table_from_raw("s", {"x": [1.0, 0.0]})
-        for rank in RANKERS.values():
+        with pytest.raises(KeyError):
+            src.row("zz")
+        for method in INDUCTION_METHODS:
             with pytest.raises(KeyError):
-                rank("zz", src, src)
+                rank_word(method, "zz", src, src)
 
     def test_visual_singleton_identical(self):
         v = np.array([0.2, -0.4, 0.9])
         src = table_from_raw("s", {"x": [1, 0, 0]}, {"x": [v]})
         tgt = table_from_raw("t", {"y": [1, 0, 0]}, {"y": [v.copy()]})
-        assert abs(score(visual_rank, "x", src, tgt, "y") - 1.0) < 1e-12
+        assert abs(score("visual", "x", src, tgt, "y") - 1.0) < 1e-12
 
     def test_opposed_features_degenerate(self):
         v = np.array([0.5, 0.5])
@@ -99,7 +94,7 @@ class TestSimilarities:
         assert not src.has_visual[src.row("x")]
         assert "x" not in compute_rankings({"s": src, "t": tgt}, "s", "t")["visual"]
         # as a target the degenerate word ranks last and counts as a fallback
-        ranking = visual_rank("y", tgt, src)
+        ranking = rank_word("visual", "y", tgt, src)
         assert ranked_pairs(ranking) == [("x", BOTTOM_SCORE)] and ranking.fallback_pairs == 1
 
     def test_visual_matches_brute_force_mean_then_cosine(self):
@@ -110,7 +105,7 @@ class TestSimilarities:
             src = table_from_raw("s", {"x": [1, 0, 0, 0, 0]}, {"x": sa})
             tgt = table_from_raw("t", {"y": [1, 0, 0, 0, 0]}, {"y": sb})
             expected = brute_cosine(np.mean(sa, axis=0), np.mean(sb, axis=0))
-            assert abs(score(visual_rank, "x", src, tgt, "y") - expected) < 1e-9
+            assert abs(score("visual", "x", src, tgt, "y") - expected) < 1e-9
 
     def test_aggregate_empty_is_none(self):
         assert mean_unit(np.zeros((0, 3))) is None
@@ -133,7 +128,7 @@ class TestFusedRank:
 
     def test_vocab_of_one(self):
         src, tgt = self.two_tables(n=1)
-        ranking = fused_rank("s0", src, tgt)
+        ranking = rank_word("fused", "s0", src, tgt)
         assert [w for w, _ in ranked_pairs(ranking)] == ["t0"]
 
     def test_zero_visual_term_equals_linguistic_order(self):
@@ -146,14 +141,14 @@ class TestFusedRank:
         tgt = table_from_raw("t", tgt_ling,
                              {w: [np.eye(d)[i + 6]] for i, w in enumerate(tgt_ling)})
         for w in src_ling:
-            fused = fused_rank(w, src, tgt)
-            ling = linguistic_rank(w, src, tgt)
+            fused = rank_word("fused", w, src, tgt)
+            ling = rank_word("linguistic", w, src, tgt)
             assert [c for c, _ in ranked_pairs(fused)] == [c for c, _ in ranked_pairs(ling)]
 
     def test_fallback_uses_linguistic_alone(self):
         src, tgt = self.two_tables(with_visual=False)
-        ranking = fused_rank("s0", src, tgt)
-        ling = linguistic_rank("s0", src, tgt)
+        ranking = rank_word("fused", "s0", src, tgt)
+        ling = rank_word("linguistic", "s0", src, tgt)
         assert [c for c, _ in ranked_pairs(ranking)] == [c for c, _ in ranked_pairs(ling)]
         for (w1, sc1), (w2, sc2) in zip(ranked_pairs(ranking), ranked_pairs(ling)):
             assert abs(sc1 - sc2) < 1e-12  # nothing subtracted
@@ -161,7 +156,7 @@ class TestFusedRank:
 
     def test_scores_non_increasing_and_full_coverage(self):
         src, tgt = self.two_tables()
-        ranking = fused_rank("s1", src, tgt)
+        ranking = rank_word("fused", "s1", src, tgt)
         scores = [s for _, s in ranked_pairs(ranking)]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
         assert sorted(w for w, _ in ranked_pairs(ranking)) == tgt.words
@@ -169,7 +164,7 @@ class TestFusedRank:
     def test_tie_break_lexicographic(self):
         src = table_from_raw("s", {"x": [1.0, 0.0]})
         tgt = table_from_raw("t", {"zz": [1.0, 0.0], "aa": [1.0, 0.0]})
-        ranking = fused_rank("x", src, tgt)
+        ranking = rank_word("fused", "x", src, tgt)
         assert [w for w, _ in ranked_pairs(ranking)] == ["aa", "zz"]
 
     def test_scale_invariance_of_order(self):
@@ -184,8 +179,8 @@ class TestFusedRank:
         scaled_src = table_from_raw("s", {w: 7.3 * v for w, v in src_raw.items()},
                                     {w: [5.1 * f for f in fs] for w, fs in vis_src.items()})
         for w in src_raw:
-            a = fused_rank(w, plain_src, plain_tgt)
-            b = fused_rank(w, scaled_src, plain_tgt)
+            a = rank_word("fused", w, plain_src, plain_tgt)
+            b = rank_word("fused", w, scaled_src, plain_tgt)
             assert [c for c, _ in ranked_pairs(a)] == [c for c, _ in ranked_pairs(b)]
 
 
@@ -195,37 +190,38 @@ class TestBaselines:
         rng = np.random.default_rng(5)
         sa = [rng.normal(size=4) for _ in range(3)]
         sb = [rng.normal(size=4) for _ in range(2)]
-        ranking = cnn_mean_rank("x", sets_table("s", {"x": sa}), sets_table("t", {"y": sb}))
+        ranking = rank_word("cnn_mean", "x", sets_table("s", {"x": sa}),
+                            sets_table("t", {"y": sb}))
         src = table_from_raw("s", {"x": [1, 0, 0, 0]}, {"x": sa})
         tgt = table_from_raw("t", {"y": [1, 0, 0, 0]}, {"y": sb})
-        assert abs(ranked_pairs(ranking)[0][1] - score(visual_rank, "x", src, tgt, "y")) < 1e-12
+        assert abs(ranked_pairs(ranking)[0][1] - score("visual", "x", src, tgt, "y")) < 1e-12
 
     def test_cnn_mean_identical_sets(self):
         rng = np.random.default_rng(6)
         rows = rng.normal(size=(4, 5))
-        ranking = cnn_mean_rank("x", sets_table("s", {"x": rows}),
-                                sets_table("t", {"y": rows.copy()}))
+        ranking = rank_word("cnn_mean", "x", sets_table("s", {"x": rows}),
+                            sets_table("t", {"y": rows.copy()}))
         assert abs(ranked_pairs(ranking)[0][1] - 1.0) < 1e-12
 
     def test_avgmax_singletons_reduce_to_cosine(self):
         rng = np.random.default_rng(7)
         a, b = rng.normal(size=5), rng.normal(size=5)
-        ranking = cnn_avgmax_rank("x", sets_table("s", {"x": a[None]}),
-                                  sets_table("t", {"y": b[None]}))
+        ranking = rank_word("cnn_avgmax", "x", sets_table("s", {"x": a[None]}),
+                            sets_table("t", {"y": b[None]}))
         assert abs(ranked_pairs(ranking)[0][1] - brute_cosine(a, b)) < 1e-12
 
     def test_avgmax_subset_scores_one(self):
         rng = np.random.default_rng(8)
         tgt = rng.normal(size=(5, 4))
-        ranking = cnn_avgmax_rank("x", sets_table("s", {"x": tgt[:3].copy()}),
-                                  sets_table("t", {"y": tgt}))
+        ranking = rank_word("cnn_avgmax", "x", sets_table("s", {"x": tgt[:3].copy()}),
+                            sets_table("t", {"y": tgt}))
         assert abs(ranked_pairs(ranking)[0][1] - 1.0) < 1e-12
 
     def test_avgmax_matches_brute_force_double_loop(self):
         rng = np.random.default_rng(9)
         src = {"x": rng.normal(size=(3, 6))}
         tgt = {"y": rng.normal(size=(4, 6)), "z": rng.normal(size=(2, 6))}
-        ranking = cnn_avgmax_rank("x", sets_table("s", src), sets_table("t", tgt))
+        ranking = rank_word("cnn_avgmax", "x", sets_table("s", src), sets_table("t", tgt))
         for word, value in ranked_pairs(ranking):
             best = [max(brute_cosine(s, t) for t in tgt[word]) for s in src["x"]]
             assert abs(value - float(np.mean(best))) < 1e-9
@@ -237,12 +233,12 @@ class TestBaselines:
         src = sets_table("s", {"x": [v]})
         tgt = table_from_raw("t", {w: [1.0] for w in "abc"}, None,
                              {"a": [v], "c": [v, -v]})
-        mean = cnn_mean_rank("x", src, tgt)
+        mean = rank_word("cnn_mean", "x", src, tgt)
         assert [w for w, _ in ranked_pairs(mean)] == ["a", "b", "c"]
         assert abs(ranked_pairs(mean)[0][1] - 1.0) < 1e-12
         assert ranked_pairs(mean)[1][1] == ranked_pairs(mean)[2][1] == BOTTOM_SCORE
         assert mean.fallback_pairs == 2
-        avgmax = cnn_avgmax_rank("x", src, tgt)
+        avgmax = rank_word("cnn_avgmax", "x", src, tgt)
         assert [w for w, _ in ranked_pairs(avgmax)] == ["a", "c", "b"]
         assert ranked_pairs(avgmax)[0][1] == ranked_pairs(avgmax)[1][1]
         assert ranked_pairs(avgmax)[2][1] == BOTTOM_SCORE and avgmax.fallback_pairs == 1
@@ -285,7 +281,7 @@ def test_compute_rankings_memory_is_its_arrays():
     finally:
         tracemalloc.stop()
     pairs = sum(len(r.items) for rankings in methods.values() for r in rankings.values())
-    assert pairs == len(RANKERS) * 300 * 300
+    assert pairs == len(INDUCTION_METHODS) * 300 * 300
     array_bytes = pairs * (np.dtype(np.intp).itemsize + np.dtype(np.float64).itemsize)
     assert peak < 3 * array_bytes, (peak, array_bytes)
 
@@ -324,7 +320,7 @@ class TestTies:
     """Identical candidates score bit-identically and come out in word order,
     wherever their rows sit."""
 
-    @pytest.mark.parametrize("method", sorted(RANKERS))
+    @pytest.mark.parametrize("method", sorted(INDUCTION_METHODS))
     @pytest.mark.parametrize("positions", [(0, 1), (0, 29), (13, 40), (38, 41)])
     def test_duplicates_tie_in_word_order(self, method, positions):
         rng = np.random.default_rng(sum(positions))
@@ -343,7 +339,7 @@ class TestTies:
         tgt = table_from_raw("t", raw, vis, sets)
         src = table_from_raw("s", {"x": rng.normal(size=d)}, {"x": [rng.normal(size=d)]},
                              {"x": rng.normal(size=(5, d))})
-        items = ranked_pairs(RANKERS[method]("x", src, tgt))
+        items = ranked_pairs(rank_word(method, "x", src, tgt))
         scores = dict(items)
         assert scores[first] == scores[second]
         order = [w for w, _ in items]
@@ -361,7 +357,8 @@ class TestTies:
                 for k in range(98)}
         others = {f"{c}{k}": rng.normal(size=(k + 1, d)) for k in range(5) for c in "au"}
         src = sets_table("s", {"x": rng.normal(size=(40, d))})
-        items = ranked_pairs(cnn_avgmax_rank("x", src, sets_table("t", {**tied, **others})))
+        items = ranked_pairs(rank_word("cnn_avgmax", "x", src,
+                                       sets_table("t", {**tied, **others})))
         assert len({value for word, value in items if word in tied}) == 1
         order = [w for w, _ in items if w in tied]
         start = [w for w, _ in items].index(order[0])
@@ -371,7 +368,8 @@ class TestTies:
         rng = np.random.default_rng(13)
         values = rng.integers(0, 4, size=30).astype(float)
         tgt = table_from_raw("t", {f"t{i:02d}": [v, 1.0] for i, v in enumerate(values)})
-        items = ranked_pairs(linguistic_rank("x", table_from_raw("s", {"x": [1.0, 0.0]}), tgt))
+        src = table_from_raw("s", {"x": [1.0, 0.0]})
+        items = ranked_pairs(rank_word("linguistic", "x", src, tgt))
         assert items == sorted(items, key=lambda kv: (-kv[1], kv[0]))
 
 

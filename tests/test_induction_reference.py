@@ -1,4 +1,4 @@
-"""The matrix rankers against a brute-force per-pair oracle.
+"""The score matrices and rankers against a brute-force per-pair oracle.
 
 The oracle scores one (source, target) pair at a time with scalar Python
 arithmetic: cosines of the raw vectors, mean-then-unit for the visual
@@ -11,21 +11,18 @@ package's without rounding doubt.
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexipivot import induction, pipeline
 from lexipivot.induction import (
     BOTTOM_SCORE,
     RANKING_WIDTH,
     build_table,
-    cnn_avgmax_rank,
-    cnn_mean_rank,
-    fused_rank,
-    linguistic_rank,
     unit,
-    visual_rank,
     write_rankings,
 )
 from lexipivot.pipeline import compute_rankings
@@ -167,10 +164,6 @@ def table(language, raw):
                        {w: as_rows(rows) for w, rows in raw["glob"].items()})
 
 
-RANKERS = {"linguistic": linguistic_rank, "visual": visual_rank, "fused": fused_rank,
-           "cnn_mean": cnn_mean_rank, "cnn_avgmax": cnn_avgmax_rank}
-
-
 def assert_matches_oracle(ranking, scores, fallback):
     pairs = ranked_pairs(ranking)
     got = dict(pairs)
@@ -185,14 +178,60 @@ def assert_matches_oracle(ranking, scores, fallback):
 @given(raw_language("s"), raw_language("t"))
 @settings(max_examples=200, deadline=None)
 def test_rankers_match_per_pair_oracle(src, tgt):
+    """Each method's score matrix, one row per scorable source word ordered
+    by its `<method>_rank`."""
     src_table, tgt_table = table("s", src), table("t", tgt)
     for method in METHODS:
+        score, rank = (getattr(induction, f"{method}_{kind}") for kind in ("scores", "rank"))
+        matrix = None   # scored once a source word is scorable, as compute_rankings does
         for x in sorted(src["ling"]):
             try:
                 scores, fallback = oracle_rank(method, src, tgt, x)
             except Unscorable:  # compute_rankings never asks (the test below)
                 continue
-            assert_matches_oracle(RANKERS[method](x, src_table, tgt_table), scores, fallback)
+            if matrix is None:
+                matrix = score(src_table, tgt_table)
+            row = matrix[src_table.row(x)]
+            assert_matches_oracle(rank(x, src_table, tgt_table, row), scores, fallback)
+
+
+@given(raw_language("s"), raw_language("t"))
+@settings(max_examples=100, deadline=None)
+def test_avgmax_chunks_match_the_oracle(src, tgt):
+    """cnn_avgmax taken 3 distinct source image rows per product, so that
+    most tables need several chunks and a last, shorter one."""
+    tables = {"s": table("s", src), "t": table("t", tgt)}
+    with mock.patch.object(induction, "AVGMAX_CHUNK", 3):
+        computed = compute_rankings(tables, "s", "t")["cnn_avgmax"]
+    for x in sorted(src["ling"]):
+        if scorable("cnn_avgmax", src, x):
+            assert_matches_oracle(computed[x], *oracle_rank("cnn_avgmax", src, tgt, x))
+        else:
+            assert x not in computed
+
+
+@given(raw_language("s"), raw_language("t"))
+@settings(max_examples=50, deadline=None)
+def test_one_rank_call_per_scorable_source_word(src, tgt):
+    """`compute_rankings` calls each `pipeline.<method>_rank` once per source
+    word the method can score, and each ranking covers every target word."""
+    tables = {"s": table("s", src), "t": table("t", tgt)}
+    calls = {method: [] for method in METHODS}
+
+    def counting(method, rank):
+        def wrapper(*args):
+            result = rank(*args)
+            calls[method].append((args[0], len(result.items)))
+            return result
+        return wrapper
+
+    with mock.patch.multiple(pipeline, **{
+            f"{m}_rank": counting(m, getattr(pipeline, f"{m}_rank")) for m in METHODS}):
+        compute_rankings(tables, "s", "t")
+    for method in METHODS:
+        expected = [(x, len(tgt["ling"])) for x in sorted(src["ling"])
+                    if scorable(method, src, x)]
+        assert calls[method] == expected, method
 
 
 @given(raw_language("s"), raw_language("t"))
