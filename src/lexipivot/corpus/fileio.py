@@ -103,8 +103,9 @@ def write_vocabulary(path, vocab: Vocabulary) -> None:
 
 
 def read_vocabulary(path, language: str) -> Vocabulary:
-    """A vocabulary file. A word listed twice is a FormatError naming the
-    second line: its index would shadow the first one's."""
+    """A vocabulary file. An empty word, a negative count and a word listed
+    twice are FormatErrors naming their line; a repeated word's index would
+    shadow the first one's."""
     words: list[str] = []
     counts: dict[str, int] = {}
     for lineno, line in text_records(path):
@@ -115,6 +116,10 @@ def read_vocabulary(path, language: str) -> Vocabulary:
             index, count = int(parts[0]), int(parts[2])
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: non-integer index or count") from exc
+        if not parts[1]:
+            raise FormatError(f"{path}:{lineno}: empty word")
+        if count < 0:
+            raise FormatError(f"{path}:{lineno}: negative count {count}")
         if index != len(words):
             raise FormatError(f"{path}:{lineno}: index {index} out of order")
         if parts[1] in counts:

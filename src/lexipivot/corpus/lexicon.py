@@ -43,5 +43,8 @@ def read_lexicon(path, source_language: str = "", target_language: str = "") -> 
         if len(parts) not in (2, 3):
             raise FormatError(f"{path}:{lineno}: expected 2 or 3 tab-separated "
                               f"fields, got {len(parts)}")
+        if "" in parts:
+            field_name = ("source", "target", "POS")[parts.index("")]
+            raise FormatError(f"{path}:{lineno}: empty {field_name} field")
         lexicon.add(parts[0], parts[1], parts[2] if len(parts) == 3 else None)
     return lexicon

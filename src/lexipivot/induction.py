@@ -4,8 +4,9 @@ Linguistic vectors are the shared-decoder embedding columns; visual
 vectors aggregate a word's localized features (mean first, normalize
 second). Rankings fuse the two cosines; the CNN-mean and CNN-avgmax
 baselines score un-localized global image features instead. Rankings
-are evaluated with mean reciprocal rank and precision at K, from each
-lexicon word's best gold rank.
+are evaluated with mean reciprocal rank and precision at K, from one
+gold-rank table per method (`gold_ranks`): each lexicon word's best gold
+rank, which the report rows, `ranks.tsv` and the manifest counts read.
 
 Each language's inputs are held as matrices (`WordFeatureTable`). A
 method scores every source word against every target word as one
@@ -21,7 +22,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -274,7 +274,8 @@ class TranslationRanking:
 
     `order` holds target rows and `scores` their scores in that order;
     `words` and `rows` are the target table's word list and row map, shared
-    by every ranking over that table.
+    by every ranking over that table. A target's position is where its row
+    sits in `order`; `gold_ranks` reads the first gold one.
     """
 
     source_word: str
@@ -290,18 +291,6 @@ class TranslationRanking:
         """The ranked targets (the `order` rows), one per target word: its
         length is the ranking's pair count, which perfbench reads."""
         return self.order
-
-    @cached_property
-    def _positions(self) -> np.ndarray:
-        """1-based position of each target row: the inverse of `order`."""
-        positions = np.empty(len(self.order), dtype=np.intp)
-        positions[self.order] = np.arange(1, len(self.order) + 1)
-        return positions
-
-    def rank_of(self, word: str) -> int | None:
-        """1-based position of `word` among the targets, or None."""
-        row = self.rows.get(word)
-        return None if row is None else int(self._positions[row])
 
     def top(self, n: int) -> list[tuple[str, float]]:
         """The first `n` (word, score) pairs."""
@@ -372,62 +361,60 @@ class EvalReport:
     fallback_pairs: int = 0
 
 
-def gold_ranks(rankings: dict[str, TranslationRanking], lexicon: GroundTruthLexicon,
-               words=None) -> dict[str, int | str]:
-    """Per lexicon source word (or per `words` among them), in word order:
-    the 1-based rank of its best gold target, or UNRANKED for a word without
-    a ranking, or GOLD_OUTSIDE for one whose gold targets are all missing
-    from the candidate list."""
+def gold_ranks(rankings: dict[str, TranslationRanking],
+               lexicon: GroundTruthLexicon) -> dict[str, int | str]:
+    """The gold-rank table of one method: per lexicon source word, in word
+    order, the 1-based rank of its best gold target, which is the first
+    position in its ranking's `order` holding a gold row; UNRANKED for a word
+    without a ranking, GOLD_OUTSIDE for one whose gold targets are all
+    missing from the candidate list."""
     ranks: dict[str, int | str] = {}
-    for source_word in sorted(words if words is not None else lexicon.entries):
+    for source_word in sorted(lexicon.entries):
         ranking = rankings.get(source_word)
         if ranking is None:
             ranks[source_word] = UNRANKED
             continue
-        found = [r for r in (ranking.rank_of(t) for t in lexicon.entries[source_word])
-                 if r is not None]
-        ranks[source_word] = min(found) if found else GOLD_OUTSIDE
+        gold = [ranking.rows[t] for t in lexicon.entries[source_word] if t in ranking.rows]
+        if not gold:
+            ranks[source_word] = GOLD_OUTSIDE
+            continue
+        is_gold = np.zeros(len(ranking.order), dtype=bool)
+        is_gold[gold] = True
+        ranks[source_word] = int(np.argmax(is_gold[ranking.order])) + 1
     return ranks
 
 
-def evaluate(rankings: dict[str, TranslationRanking], lexicon: GroundTruthLexicon,
-             method: str, pos: str = "all", words=None) -> EvalReport:
-    """MRR/P@K over the lexicon's source words, or over `words` among them,
-    from their `gold_ranks`. The UNRANKED and GOLD_OUTSIDE words are skipped
-    and counted apart."""
-    total_rr = 0.0
-    hits = {k: 0 for k in KS}
-    n = fallback = 0
-    ranks = gold_ranks(rankings, lexicon, words)
-    for source_word, best in ranks.items():
-        if isinstance(best, str):
-            continue
-        total_rr += 1.0 / best
-        for k in KS:
-            if best <= k:
-                hits[k] += 1
-        fallback += rankings[source_word].fallback_pairs
-        n += 1
+def evaluate(ranks: dict[str, int | str], rankings: dict[str, TranslationRanking],
+             method: str, pos: str = "all") -> EvalReport:
+    """MRR/P@K over the words of a `gold_ranks` table, or of a part of one,
+    and the fallback pairs of their `rankings`. The UNRANKED and GOLD_OUTSIDE
+    words are skipped and counted apart."""
+    best = {w: r for w, r in ranks.items() if not isinstance(r, str)}
     unranked = sum(r == UNRANKED for r in ranks.values())
-    outside = sum(r == GOLD_OUTSIDE for r in ranks.values())
-    if n == 0:
+    outside = len(ranks) - len(best) - unranked
+    if not best:
         raise EmptyResultError(f"no evaluable source words (skipped {unranked + outside})")
+    n = len(best)
+    total_rr = 0.0
+    for r in best.values():   # in word order; sum() rounds otherwise from Python 3.12
+        total_rr += 1.0 / r
     return EvalReport(method=method, pos=pos, n=n, mrr=total_rr / n,
-                      p_at={k: hits[k] / n for k in KS}, unranked_lexicon_words=unranked,
-                      gold_outside_targets=outside, fallback_pairs=fallback)
+                      p_at={k: sum(r <= k for r in best.values()) / n for k in KS},
+                      unranked_lexicon_words=unranked, gold_outside_targets=outside,
+                      fallback_pairs=sum(rankings[w].fallback_pairs for w in best))
 
 
-def pos_breakdown(rankings: dict[str, TranslationRanking],
+def pos_breakdown(ranks: dict[str, int | str], rankings: dict[str, TranslationRanking],
                   lexicon: GroundTruthLexicon, method: str) -> list[EvalReport]:
-    """Per-POS rows; words without a tag fall in the "unk" group."""
-    groups: dict[str, list[str]] = {}
-    for word in lexicon.entries:
-        groups.setdefault(lexicon.pos_of(word), []).append(word)
+    """Per-POS rows of a `gold_ranks` table; words without a tag fall in the
+    "unk" group, and a group with no evaluable word has no row."""
+    groups: dict[str, dict[str, int | str]] = {}
+    for word, rank in ranks.items():
+        groups.setdefault(lexicon.pos_of(word), {})[word] = rank
     reports = []
     for tag in sorted(groups):
         try:
-            reports.append(evaluate(rankings, lexicon, method=method, pos=tag,
-                                    words=groups[tag]))
+            reports.append(evaluate(groups[tag], rankings, method=method, pos=tag))
         except EmptyResultError:
             continue
     return reports
@@ -449,13 +436,13 @@ def write_rankings(path, rankings_by_method: dict[str, dict[str, TranslationRank
                 fh.write(f"{source_word}\t{method}\t{cells}\n")
 
 
-def write_ranks(path, rankings_by_method: dict[str, dict[str, TranslationRanking]],
+def write_ranks(path, ranks_by_method: dict[str, dict[str, int | str]],
                 lexicon: GroundTruthLexicon) -> None:
     """source TAB method TAB pos TAB rank, one line per method and lexicon
-    source word: its `gold_ranks` entry, which `evaluate` reads too."""
+    source word: its entry of the method's `gold_ranks` table."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for method in sorted(rankings_by_method):
-            for source_word, rank in gold_ranks(rankings_by_method[method], lexicon).items():
+        for method in sorted(ranks_by_method):
+            for source_word, rank in ranks_by_method[method].items():
                 fh.write(f"{source_word}\t{method}\t{lexicon.pos_of(source_word)}\t{rank}\n")
 
 

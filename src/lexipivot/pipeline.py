@@ -37,6 +37,8 @@ from .corpus import (
 )
 from .errors import ConfigError, EmptyResultError, FormatError
 from .induction import (
+    GOLD_OUTSIDE,
+    UNRANKED,
     build_table,
     cnn_avgmax_rank,
     cnn_avgmax_scores,
@@ -46,6 +48,7 @@ from .induction import (
     evaluate,
     fused_rank,
     fused_scores,
+    gold_ranks,
     linguistic_rank,
     linguistic_scores,
     linguistic_vectors,
@@ -352,34 +355,36 @@ def compute_rankings(tables, source: str, target: str) -> dict[str, dict]:
     return methods
 
 
-def ranking_counts(methods: dict[str, dict], source_words: list[str]) -> dict[str, dict]:
+def ranking_counts(methods: dict[str, dict], source_words: list[str],
+                   ranks: dict[str, dict]) -> dict[str, dict]:
     """Per method: rankings produced, (source, target) pairs scored, source
-    words left unranked, fallback pairs."""
+    words left unranked, fallback pairs, and the two kinds of lexicon word
+    that `skipped` adds up, from the method's gold-rank table."""
     return {method: {"rankings": len(rankings),
                      "pairs": sum(len(r.order) for r in rankings.values()),
                      "skipped_sources": sum(w not in rankings for w in source_words),
-                     "fallback_pairs": sum(r.fallback_pairs for r in rankings.values())}
+                     "fallback_pairs": sum(r.fallback_pairs for r in rankings.values()),
+                     "unranked_lexicon_words": list(ranks[method].values()).count(UNRANKED),
+                     "gold_outside_targets": list(ranks[method].values()).count(GOLD_OUTSIDE)}
             for method, rankings in sorted(methods.items())}
 
 
-def reports_for(methods: dict[str, dict], lexicon) -> list:
+def reports_for(methods: dict[str, dict], ranks: dict[str, dict], lexicon) -> list:
     reports = []
     for method in sorted(methods):
-        rankings = methods[method]
-        if not rankings:
-            continue
         try:
-            reports.append(evaluate(rankings, lexicon, method=method))
+            reports.append(evaluate(ranks[method], methods[method], method=method))
         except EmptyResultError:
             continue
-        reports.extend(pos_breakdown(rankings, lexicon, method=method))
+        reports.extend(pos_breakdown(ranks[method], methods[method], lexicon, method=method))
     if not reports:
         raise EmptyResultError("no evaluable source words for any method")
     return reports
 
 
 def stage_induce(config: RunConfig, out_dir, features_dir, lexicon_path) -> dict:
-    """Rank the words of the first corpus language against the second's."""
+    """Rank the words of the first corpus language against the second's.
+    Every output after ranking reads one `gold_ranks` table per method."""
     out_dir, manifest = _prepare(config, out_dir, "induce")
     source, target = config.corpus.languages
     with manifest.timed("load"):
@@ -388,17 +393,14 @@ def stage_induce(config: RunConfig, out_dir, features_dir, lexicon_path) -> dict
         tables = _load_tables(features_dir, (source, target), config.extraction.method)
     with manifest.timed("rank"):
         methods = compute_rankings(tables, source, target)
-    manifest.counts = ranking_counts(methods, tables[source].words)
     with manifest.timed("evaluate"):
-        reports = reports_for(methods, lexicon)
-    for r in reports:
-        if r.pos == "all":   # the two kinds of lexicon word that `skipped` adds up
-            manifest.counts[r.method].update(unranked_lexicon_words=r.unranked_lexicon_words,
-                                             gold_outside_targets=r.gold_outside_targets)
+        ranks = {method: gold_ranks(rankings, lexicon) for method, rankings in methods.items()}
+        reports = reports_for(methods, ranks, lexicon)
+    manifest.counts = ranking_counts(methods, tables[source].words, ranks)
     with manifest.timed("write"):
         rankings_path, ranks_path = out_dir / "rankings.tsv", out_dir / "ranks.tsv"
         write_rankings(rankings_path, methods)
-        write_ranks(ranks_path, methods, lexicon)
+        write_ranks(ranks_path, ranks, lexicon)
         csv_path, json_path = out_dir / "report.csv", out_dir / "report.json"
         write_report_csv(csv_path, reports)
         write_report_json(json_path, reports)

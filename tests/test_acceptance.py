@@ -33,7 +33,8 @@ CONFIG = {
 DETERMINISTIC = ("train/checkpoint.lxpv", "train/log.csv",
                  *(f"features/{lang}.{kind}.lxwf" for lang in ("la", "lb")
                    for kind in ("linguistic", "visual-probe", "global")),
-                 "induction/rankings.tsv", "induction/report.csv")
+                 "induction/rankings.tsv", "induction/ranks.tsv", "induction/report.csv",
+                 "induction/report.json")
 
 
 @pytest.fixture(scope="module")

@@ -284,6 +284,17 @@ class TestTrain:
         assert_one_error_line(capsys.readouterr().err, "la.captions.tsv", "no caption records")
         assert not (out / "checkpoint.lxpv").exists()
 
+    def test_negative_vocabulary_count_exits_3(self, corpus_dir, tmp_path, capsys):
+        cfg, corpus = corpus_dir
+        path = corpus / "la.vocab.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        index, word, _ = lines[3].split("\t")
+        lines[3] = f"{index}\t{word}\t-7"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run(["train", "--config", cfg, "--corpus", corpus, "--out", tmp_path / "train"])
+        assert code == 3
+        assert_one_error_line(capsys.readouterr().err, f"{path}:4", "-7")
+
     def test_manifest_counts(self, corpus_dir, tmp_path):
         """Per language: the captions of each split and the training targets
         of one epoch, as the corpus files split by image give them."""
@@ -671,6 +682,22 @@ class TestInduceEval:
             assert counts[method] == {
                 "rankings": image_sets["la"], "skipped_sources": n - image_sets["la"],
                 "fallback_pairs": image_sets["la"] * (words["lb"] - image_sets["lb"])}
+
+    def test_gold_ranks_once_per_method(self, extracted, tmp_path, monkeypatch):
+        """One gold-rank table per method feeds every report row, ranks.tsv
+        and the manifest counts."""
+        from lexipivot import pipeline
+        cfg, corpus, tables = extracted
+        calls, gold_ranks = [], pipeline.gold_ranks
+
+        def counting_gold_ranks(rankings, lexicon):
+            calls.append(next(iter(rankings.values())).method)
+            return gold_ranks(rankings, lexicon)
+
+        monkeypatch.setattr(pipeline, "gold_ranks", counting_gold_ranks)
+        assert run(["induce", "--config", cfg, "--tables", tables,
+                    "--lexicon", corpus / "lexicon.tsv", "--out", tmp_path / "induce"]) == 0
+        assert sorted(calls) == sorted(INDUCTION_METHODS)
 
     def test_skipped_lexicon_words_are_counted_by_kind(self, extracted, tmp_path):
         """A lexicon of one word of each kind: evaluated, not ranked (not a

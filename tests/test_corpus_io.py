@@ -20,6 +20,7 @@ from lexipivot.corpus import (
 from lexipivot.caption import split_by_scene
 from lexipivot.caption.training import pad_captions
 from lexipivot.config import RunConfig
+from lexipivot.corpus.vocab import RESERVED
 from lexipivot.errors import FormatError, InputError
 from lexipivot.pipeline import corpus_file, load_corpus, stage_gen_corpus
 
@@ -257,6 +258,14 @@ class TestLexiconFile:
         with pytest.raises(FormatError, match=":1:"):
             read_lexicon(path)
 
+    @pytest.mark.parametrize("line, field", [("\thund\tnoun", "source"), ("a\t\tnoun", "target"),
+                                             ("a\thund\t", "POS"), ("a\t", "target")])
+    def test_empty_field_names_its_line(self, tmp_path, line, field):
+        path = tmp_path / "lex.tsv"
+        path.write_text(f"b\tkatze\n{line}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=rf"lex\.tsv:2: empty {field} field"):
+            read_lexicon(path)
+
 
 class TestVocabularyFile:
     def test_round_trip(self, tmp_path):
@@ -272,6 +281,15 @@ class TestVocabularyFile:
         path = tmp_path / "vocab.tsv"
         path.write_text("0\t<pad>\t0\n2\t<s>\t0\n", encoding="utf-8")
         with pytest.raises(FormatError, match="out of order"):
+            read_vocabulary(path, "xx")
+
+    @pytest.mark.parametrize("row, message", [("4\thund\t-7", "negative count -7"),
+                                              ("4\t\t3", "empty word")])
+    def test_bad_row_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "vocab.tsv"
+        reserved = "".join(f"{i}\t{w}\t0\n" for i, w in enumerate(RESERVED))
+        path.write_text(f"{reserved}{row}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=rf"vocab\.tsv:5: {message}"):
             read_vocabulary(path, "xx")
 
     def test_word_listed_twice_names_its_second_line(self, tmp_path):

@@ -12,10 +12,13 @@ from lexipivot.corpus.vocab import RESERVED
 from lexipivot.errors import EmptyResultError
 from lexipivot.induction import (
     BOTTOM_SCORE,
+    GOLD_OUTSIDE,
+    UNRANKED,
     EvalReport,
     build_table,
     collect_global_feature_sets,
     evaluate,
+    gold_ranks,
     mean_unit,
     pos_breakdown,
     unit,
@@ -402,12 +405,27 @@ def as_rankings(ordered_candidates, method="fused"):
     }
 
 
+def report_of(cands, lex):
+    """The "all" report of candidate lists, through their gold-rank table."""
+    rankings = as_rankings(cands)
+    return evaluate(gold_ranks(rankings, lex), rankings, "fused")
+
+
+def pos_reports_of(cands, lex):
+    rankings = as_rankings(cands)
+    return pos_breakdown(gold_ranks(rankings, lex), rankings, lex, "fused")
+
+
 class TestEvaluate:
-    def test_rank_of_first_position_or_none(self):
-        # a target appears once, so its first position is its only one
-        ranking = ranking_from_pairs("w", "fused", [("a", 0.9), ("b", 0.5), ("d", 0.1)])
-        lookups = ("a", "b", "c", "a", "c", "b", "d")
-        assert [ranking.rank_of(w) for w in lookups] == [1, 2, None, 1, None, 2, 3]
+    def test_gold_ranks_first_gold_position_outside_or_unranked(self):
+        lex = GroundTruthLexicon("s", "t")
+        for source, target in [("first", "d"), ("first", "b"), ("only", "a"),
+                               ("last", "d"), ("outside", "zzz"), ("unranked", "a")]:
+            lex.add(source, target)
+        cands = {w: ["a", "b", "c", "d"] for w in ("first", "only", "last", "outside")}
+        assert gold_ranks(as_rankings(cands), lex) == {
+            "first": 2, "last": 4, "only": 1, "outside": GOLD_OUTSIDE, "unranked": UNRANKED}
+        assert list(gold_ranks(as_rankings(cands), lex)) == sorted(lex.entries)
 
     def test_all_rank_one(self):
         lex = GroundTruthLexicon("s", "t")
@@ -415,7 +433,7 @@ class TestEvaluate:
         for i in range(5):
             lex.add(f"w{i}", f"t{i}")
             cands[f"w{i}"] = [f"t{i}"] + [f"t{j}" for j in range(5) if j != i]
-        report = evaluate(as_rankings(cands), lex, "fused")
+        report = report_of(cands, lex)
         assert report.mrr == 1.0
         assert all(v == 1.0 for v in report.p_at.values())
 
@@ -427,7 +445,7 @@ class TestEvaluate:
             "a": ["t0", "t1", "t2", "t3", "t4"],   # rank 1
             "b": ["t0", "t1", "t2", "t3", "t4"],   # rank 4
         }
-        report = evaluate(as_rankings(cands), lex, "fused")
+        report = report_of(cands, lex)
         assert abs(report.mrr - 0.625) < 1e-12
         assert report.p_at[1] == 0.5
         assert report.p_at[5] == 1.0
@@ -437,7 +455,7 @@ class TestEvaluate:
         lex.add("a", "t4")
         lex.add("a", "t1")
         cands = {"a": ["t0", "t1", "t2", "t3", "t4"]}
-        report = evaluate(as_rankings(cands), lex, "fused")
+        report = report_of(cands, lex)
         assert abs(report.mrr - 0.5) < 1e-12
 
     def test_skipped_words_counted(self):
@@ -446,7 +464,7 @@ class TestEvaluate:
         lex.add("missing_ranking", "t1")
         lex.add("oov_target", "zzz")
         cands = {"covered": ["t0", "t1"], "oov_target": ["t0", "t1"]}
-        report = evaluate(as_rankings(cands), lex, "fused")
+        report = report_of(cands, lex)
         assert report.n == 1
         assert (report.unranked_lexicon_words, report.gold_outside_targets) == (1, 1)
 
@@ -454,7 +472,7 @@ class TestEvaluate:
         lex = GroundTruthLexicon("s", "t")
         lex.add("w", "t")
         with pytest.raises(EmptyResultError):
-            evaluate({}, lex, "fused")
+            evaluate(gold_ranks({}, lex), {}, "fused")
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -471,7 +489,7 @@ class TestEvaluate:
             n_targets = int(rng.integers(1, min(4, len(vocab) + 1)))
             for t in rng.choice(vocab, size=n_targets, replace=False):
                 lex.add(word, str(t))
-        report = evaluate(as_rankings(cands), lex, "fused")
+        report = report_of(cands, lex)
         mrr, p_at, n = brute_force_eval(cands, lex.entries, (1, 5, 10, 20))
         assert report.n == n
         assert report.mrr == mrr
@@ -485,9 +503,9 @@ class TestEvaluate:
         for i in range(8):
             lex.add(f"w{i}", vocab[int(rng.integers(12))])
             cands[f"w{i}"] = list(rng.permutation(vocab))
-        a = evaluate(as_rankings(cands), lex, "fused")
+        a = report_of(cands, lex)
         shuffled = dict(reversed(list(cands.items())))
-        b = evaluate(as_rankings(shuffled), lex, "fused")
+        b = report_of(shuffled, lex)
         assert (a.mrr, a.p_at, a.n) == (b.mrr, b.p_at, b.n)
 
     @given(st.integers(0, 10_000))
@@ -500,7 +518,7 @@ class TestEvaluate:
         for i in range(10):
             lex.add(f"w{i}", vocab[int(rng.integers(30))])
             cands[f"w{i}"] = list(rng.permutation(vocab))
-        report = evaluate(as_rankings(cands), lex, "fused")
+        report = report_of(cands, lex)
         ks = sorted(report.p_at)
         assert all(report.p_at[a] <= report.p_at[b] for a, b in zip(ks, ks[1:]))
 
@@ -525,15 +543,15 @@ class TestPosBreakdown:
         for i in range(4):
             lex.add(f"w{i}", f"t{i}", "noun")
             cands[f"w{i}"] = [f"t{j}" for j in range(4)]
-        overall = evaluate(as_rankings(cands), lex, "fused")
-        (only,) = pos_breakdown(as_rankings(cands), lex, "fused")
+        overall = report_of(cands, lex)
+        (only,) = pos_reports_of(cands, lex)
         assert only.pos == "noun"
         assert (only.mrr, only.p_at, only.n) == (overall.mrr, overall.p_at, overall.n)
 
     def test_overall_is_weighted_mean_of_groups(self):
         lex, cands = self.build()
-        overall = evaluate(as_rankings(cands), lex, "fused")
-        groups = pos_breakdown(as_rankings(cands), lex, "fused")
+        overall = report_of(cands, lex)
+        groups = pos_reports_of(cands, lex)
         weighted = sum(g.mrr * g.n for g in groups) / sum(g.n for g in groups)
         assert abs(overall.mrr - weighted) < 1e-12
 
@@ -542,7 +560,7 @@ class TestPosBreakdown:
         lex.add("tagged", "t0", "noun")
         lex.add("plain", "t1")
         cands = {"tagged": ["t0", "t1"], "plain": ["t0", "t1"]}
-        tags = {r.pos for r in pos_breakdown(as_rankings(cands), lex, "fused")}
+        tags = {r.pos for r in pos_reports_of(cands, lex)}
         assert tags == {"noun", "unk"}
 
 

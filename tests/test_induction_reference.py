@@ -18,10 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexipivot import induction, pipeline
+from lexipivot.corpus import GroundTruthLexicon
 from lexipivot.induction import (
     BOTTOM_SCORE,
+    GOLD_OUTSIDE,
     RANKING_WIDTH,
     build_table,
+    gold_ranks,
     unit,
     write_rankings,
 )
@@ -258,8 +261,9 @@ def test_compute_rankings_skips_like_the_oracle(src, tgt):
 @given(tied_language("s", 3), tied_language("t", 2 * RANKING_WIDTH))
 @settings(max_examples=100, deadline=None)
 def test_ties_and_bottom_scores_follow_a_brute_force_sort(src, tgt):
-    """Positions, pair counts and rankings.tsv lines of every method agree with
-    a plain sort of each ranking's (word, score) pairs by (-score, word)."""
+    """Positions, gold ranks, pair counts and rankings.tsv lines of every
+    method agree with a plain sort of each ranking's (word, score) pairs by
+    (-score, word)."""
     tables = {"s": table("s", src), "t": table("t", tgt)}
     targets = tables["t"].words
     computed = compute_rankings(tables, "s", "t")
@@ -273,8 +277,12 @@ def test_ties_and_bottom_scores_follow_a_brute_force_sort(src, tgt):
                                                    ranking.scores.tolist())}
             assert sorted(score) == targets
             expected = sorted(targets, key=lambda w: (-score[w], w))
-            assert [ranking.rank_of(w) for w in expected] == list(range(1, len(targets) + 1))
-            assert ranking.rank_of(x) is None
+            assert [targets[k] for k in ranking.order.tolist()] == expected
+            for position in range(len(expected)):   # the first of the gold targets
+                lexicon = GroundTruthLexicon("s", "t", {x: set(expected[position:])})
+                assert gold_ranks({x: ranking}, lexicon) == {x: position + 1}
+            lexicon = GroundTruthLexicon("s", "t", {x: {x}})
+            assert gold_ranks({x: ranking}, lexicon) == {x: GOLD_OUTSIDE}
             cells = ",".join(f"{w}:{score[w]:.6f}" for w in expected[:RANKING_WIDTH])
             expected_lines.append(f"{x}\t{method}\t{cells}")
     with tempfile.TemporaryDirectory() as tmp:
