@@ -3,9 +3,10 @@
 Equivalent to `lexipivot pipeline` on the default configuration, plus a
 compact stdout summary of every method's MRR / P@K row. With `--json PATH`
 it also writes the run's measurements (a BENCH file): wall time per stage,
-training s/epoch and tokens/s, extraction occurrences/s, induction
-(source, target) pairs scored per second, peak RSS, MRR and P@1 per method,
-and the numpy, CPU, BLAS library and BLAS thread setup they were taken on.
+training s/epoch and tokens/s, extraction occurrences/s and the decode
+states behind them, induction (source, target) pairs scored per second,
+peak RSS, MRR and P@1 per method, and the numpy, CPU, BLAS library and
+BLAS thread setup they were taken on.
 
     OPENBLAS_NUM_THREADS=1 python scripts/run_benchmark.py --json BENCH_x.json
 """
@@ -52,6 +53,7 @@ def measurements(config: RunConfig, result: dict, rows: list, elapsed: float) ->
     epoch_tokens = sum(c["train_targets"] for c in trained["counts"].values())
     extracted = _manifest(result["extract"]["out_dir"])
     occurrences = sum(c["occurrences"] for c in extracted["counts"].values())
+    decoded = sum(c["decoded"] for c in extracted["counts"].values())
     localize_s = sum(v for k, v in extracted["timings"].items() if k.startswith("localize:"))
     induced = _manifest(result["induce"]["out_dir"])
     pairs = sum(c["pairs"] for c in induced["counts"].values())
@@ -70,6 +72,7 @@ def measurements(config: RunConfig, result: dict, rows: list, elapsed: float) ->
         "extract": {
             "method": result["extract"]["method"],
             "occurrences": occurrences,
+            "decoded": decoded,
             "occurrences_per_s": occurrences / localize_s,
         },
         "induce": {

@@ -7,21 +7,28 @@ reads the decoder's own attention weights at the step emitting each word.
 Both produce one localized feature per word occurrence.
 
 Each distinct image is encoded once (`encode_images`), `ROW_CAP` at a
-time. Both methods decode in batches: captions of one token length share
-a teacher-forced unroll of at most `ROW_CAP` decode rows (probe: K rows
-per caption, one per region; attention: one row per caption over all K
-regions). The cap bounds the per-step temporaries, so their memory is the
-same for any corpus size.
+time. A decode state depends only on the image and the tokens fed so far,
+so captions of one image share every state up to the first word where
+they differ. `localize` decodes each distinct (image, caption prefix)
+once. `prefix_trie` numbers these states depth by depth: a node at depth t
+is the key (parent node, token t), at depth 0 (image, BOS), so the nodes
+of each depth are in image order. The walk then decodes a chunk of whole
+images at a time, one depth after the other, each node stepping from its
+parent's state; every word occurrence reads the node whose step emits it.
+A chunk holds `ROW_CAP // K` images for probe (K decode rows per node) and
+`ROW_CAP` images for attention (one row per node), so the per-step
+temporaries are bounded by the chunk, not by the corpus.
 
 The attention method steps `MultiLingualModel.step`. The probe method
 unrolls on plain arrays, forward only: a probe row attends over one
 region, whose weight is 1 and whose context is the region itself, so the
 attention scorer computes nothing and is skipped. Both halves of the LSTM
 input product are hoisted out of the recurrence (Appleyard, Kočiský and
-Blunsom 2016, as in `caption_loss`): the word half once per caption and
-step, the region half once per region. Each step is one product with the
-previous hidden state, the shared `cell_forward` kernel and the tied
-logits.
+Blunsom 2016, as in `caption_loss`): the word half once per vocabulary
+word, the region half once per region. Each step is one product with the
+parent nodes' hidden states, the shared `cell_forward` kernel and the tied
+logits, whose softmax normalizer is computed once per node; each
+occurrence then gathers its gold word's K probabilities.
 
 Word-feature tables are `arrayfile` containers of magic "LXWF". The meta
 holds "language", "aggregated" and "counts", each word's occurrence count;
@@ -30,6 +37,10 @@ one row if the table is aggregated, else one per occurrence.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -41,76 +52,7 @@ from .numerics import Tensor, no_grad
 from .numerics.lstm import cell_forward
 
 TABLE_MAGIC = b"LXWF"
-ROW_CAP = 128  # decode rows per batch, and images per encoder call
-
-
-def localize_batch(model: MultiLingualModel, language: str, regions: np.ndarray,
-                   tokens, method: str) -> tuple[np.ndarray, np.ndarray]:
-    """Teacher-forced decode of B captions of one length on their images.
-
-    `regions` holds the encoded regions [B,K,D] of each caption's image
-    (`model.encode(...).data`), `tokens` the sentinel-wrapped ids [B,L].
-    Returns the localized feature [B,L-2,D] and region weights [B,L-2,K]
-    of each word position, in the dtype of `regions`.
-
-    Probe: each caption is decoded K times, each decode conditioned on one
-    region throughout, so the probability of the gold word at step t
-    reflects how well that region alone explains the word given the same
-    textual prefix; the K probabilities are normalized into the weights.
-    Attention: one decode over all K regions; its context vector and
-    attention weights are the feature and weights.
-    """
-    tokens = np.asarray(tokens, dtype=np.intp)
-    if method == "probe":
-        return _probe_batch(model, language, regions, tokens)
-    b, k, d = regions.shape
-    steps = tokens.shape[1] - 2
-    feats = np.empty((b, steps, d), dtype=regions.dtype)
-    weights = np.empty((b, steps, k), dtype=regions.dtype)
-    decoded = Tensor(regions)
-    with no_grad():
-        region_part = model.attention_precompute(decoded)
-        state = model.initial_state(b)
-        for t in range(1, steps + 1):
-            _, state, alpha, context = model.step(language, state, tokens[:, t - 1],
-                                                  decoded, region_part)
-            weights[:, t - 1] = alpha.data
-            feats[:, t - 1] = context.data
-    return feats, weights
-
-
-def _probe_batch(model: MultiLingualModel, language: str, regions: np.ndarray,
-                 tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The probe decodes of `localize_batch`: B*K rows, row b*K + j seeing
-    region j of caption b, whose LSTM input is [word | region]."""
-    b, k, d = regions.shape
-    steps = tokens.shape[1] - 2
-    embed = model.embedding(language).data  # [E,V], tied output projection
-    lstm = model.lstm_weights()
-    w_ih, w_hh = lstm.w_ih.data, lstm.w_hh.data
-    e, hs = embed.shape[0], lstm.hidden_size
-    word_part = embed.T[tokens[:, :steps].T] @ w_ih[:e]  # [steps,B,4H]
-    region_part = (regions.reshape(b * k, d) @ w_ih[e:] + lstm.bias.data).reshape(b, k, 4 * hs)
-    h = np.zeros((b * k, hs), dtype=regions.dtype)
-    c = np.zeros_like(h)
-    feats = np.empty((b, steps, d), dtype=regions.dtype)
-    weights = np.empty((b, steps, k), dtype=regions.dtype)
-    rows = np.arange(b * k)
-    for t in range(steps):
-        gates = (h @ w_hh).reshape(b, k, 4 * hs)
-        gates += region_part
-        gates += word_part[t, :, None]
-        _, c, _, h = cell_forward(gates.reshape(b * k, 4 * hs), c)
-        logits = h @ embed
-        logits -= logits.max(axis=1, keepdims=True)
-        probs = np.exp(logits)
-        gold = np.repeat(tokens[:, t + 1], k)
-        p_t = probs[rows, gold] / probs.sum(axis=1)  # strictly positive
-        w = p_t.reshape(b, k)
-        w = w / w.sum(axis=1, keepdims=True)
-        weights[:, t] = w
-        feats[:, t] = np.matmul(w[:, None, :], regions)[:, 0]
-    return feats, weights
+ROW_CAP = 128  # depth-0 decode rows per chunk, and images per encoder call
 
 
 def encode_images(model: MultiLingualModel, examples,
@@ -135,8 +77,10 @@ def word_occurrences(examples) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """The caption of each word position, in corpus order (caption order,
     then position), and each word index's positions in that order.
     Sentinel and unknown tokens are dropped from the words."""
-    words = np.array([t for ex in examples for t in ex.tokens[1:-1]], dtype=np.intp)
-    captions = np.repeat(np.arange(len(examples)), [len(ex.tokens) - 2 for ex in examples])
+    lengths = np.fromiter((len(ex.tokens) - 2 for ex in examples), np.intp, len(examples))
+    words = np.fromiter(chain.from_iterable(ex.tokens[1:-1] for ex in examples), np.intp,
+                        lengths.sum())
+    captions = np.repeat(np.arange(len(examples)), lengths)
     kept = np.flatnonzero(np.isin(words, (PAD, BOS, EOS, UNK), invert=True))
     by_word = kept[np.argsort(words[kept], kind="stable")]  # corpus order within a word
     word_ids, starts = np.unique(words[by_word], return_index=True)
@@ -149,18 +93,17 @@ def collect_word_features(model: MultiLingualModel, examples, images, language: 
     """Localized feature rows [n, D] per word index over a corpus whose
     images `encode_images` encoded, in the order of `word_occurrences`.
 
-    Captions are grouped by token length and decoded in batches of at most
-    `ROW_CAP` decode rows. Each caption wraps at least one word in
+    The rows come from `localize`. Each caption wraps at least one word in
     sentinels, as `index_captions` builds it. `counts`, when given,
-    receives the occurrences decoded and dropped, the words kept, and the
-    decode batches. A model that decodes non-finite features raises
-    NumericError.
+    receives the occurrences and the decode states behind them, the
+    occurrences dropped, the words kept, and the image chunks decoded. A
+    model that decodes non-finite features raises NumericError.
     """
     captions, occurrences = word_occurrences(examples)
-    # a diverged model fails once, here, instead of warning from every batch
+    # a diverged model fails once, here, instead of warning from every step
     try:
         with np.errstate(all="ignore"):
-            rows, batches = _decode_rows(model, examples, images, language, method)
+            rows, _, decoded, chunks = localize(model, language, examples, images, method)
     except NumericError as exc:
         raise NumericError(f"{language}: {method} localization failed: {exc}") from exc
     if not np.isfinite(rows).all():
@@ -170,30 +113,158 @@ def collect_word_features(model: MultiLingualModel, examples, images, language: 
     sets = {word_index: rows[positions] for word_index, positions in occurrences.items()}
     if counts is not None:
         kept = sum(len(positions) for positions in occurrences.values())
-        counts.update(occurrences=len(captions), dropped_unk=len(captions) - kept,
-                      words=len(sets), batches=batches)
+        counts.update(occurrences=len(captions), decoded=decoded,
+                      dropped_unk=len(captions) - kept, words=len(sets), batches=chunks)
     return sets
 
 
-def _decode_rows(model: MultiLingualModel, examples, images, language: str,
-                 method: str) -> tuple[np.ndarray, int]:
-    """The localized feature of every word position, in corpus order, and the
-    number of decode batches."""
+@dataclass(frozen=True)
+class TrieDepth:
+    """The decode nodes of one depth t in image order, and the word
+    occurrences at caption position t, each reading one node."""
+
+    image: np.ndarray   # [nodes] each node's image (row of the encoded regions)
+    parent: np.ndarray  # [nodes] its node at depth t - 1; at depth 0 its image
+    token: np.ndarray   # [nodes] token t, the input of its step
+    node: np.ndarray    # [occurrences] the node each occurrence reads, ascending image
+    gold: np.ndarray    # [occurrences] the word it emits, token t + 1
+    row: np.ndarray     # [occurrences] its row in corpus order
+
+
+def prefix_trie(examples, image_rows: np.ndarray) -> list[TrieDepth]:
+    """The distinct (image, tokens[:t+1]) of the captions, as one
+    `TrieDepth` per word position t. `image_rows` holds each caption's
+    image. One `np.unique` per depth numbers the keys (parent, token t)."""
+    lengths = np.fromiter((len(ex.tokens) for ex in examples), np.intp, len(examples))
+    tokens = np.zeros((len(examples), lengths.max()), dtype=np.intp)
+    tokens[np.arange(tokens.shape[1]) < lengths[:, None]] = np.fromiter(
+        chain.from_iterable(ex.tokens for ex in examples), np.intp, lengths.sum())
+    order = np.argsort(image_rows, kind="stable")  # captions by image
+    tokens, words = tokens[order], lengths[order] - 2
+    first_row = (np.cumsum(lengths - 2) - (lengths - 2))[order]
+    width = int(tokens.max()) + 1
+    parent_of = np.asarray(image_rows, dtype=np.intp)[order]  # each caption's, at depth 0
+    trie = []
+    for t in range(tokens.shape[1] - 2):
+        live = np.flatnonzero(words > t)
+        keys, node = np.unique(parent_of[live] * width + tokens[live, t], return_inverse=True)
+        parent = keys // width
+        image = parent if t == 0 else trie[-1].image[parent]
+        trie.append(TrieDepth(image, parent, keys % width, node, tokens[live, t + 1],
+                              first_row[live] + t))
+        parent_of[live] = node
+    return trie
+
+
+def localize(model: MultiLingualModel, language: str, examples, images,
+             method: str) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Teacher-forced decode of every caption on its image, each distinct
+    (image, caption prefix) once.
+
+    `images` is what `encode_images` returned for `examples`. Returns the
+    localized feature [n,D] and region weights [n,K] of every word position
+    in corpus order (caption order, then position), in the dtype of the
+    encoded regions, with the number of decode nodes and of image chunks.
+
+    Probe: each node is decoded K times, each decode conditioned on one
+    region throughout, so the probability of the gold word at step t
+    reflects how well that region alone explains the word given the same
+    textual prefix; the K probabilities are normalized into the weights.
+    Attention: one decode over all K regions; its context vector and
+    attention weights are the feature and weights.
+    """
     regions, image_rows = images
-    lengths = np.array([len(ex.tokens) for ex in examples], dtype=np.intp)
-    first_row = np.concatenate(([0], np.cumsum(lengths - 2)))  # of each caption
-    rows = np.empty((int(first_row[-1]), model.dims.embed_dim), dtype=model.dtype)
-    per_batch = max(1, ROW_CAP // (model.dims.num_regions if method == "probe" else 1))
-    batches = 0
-    for length in np.unique(lengths):
-        group = np.flatnonzero(lengths == length)
-        for lo in range(0, len(group), per_batch):
-            batch = group[lo:lo + per_batch]
-            feats, _ = localize_batch(model, language, regions[image_rows[batch]],
-                                      np.array([examples[i].tokens for i in batch]), method)
-            rows[first_row[batch, None] + np.arange(length - 2)] = feats
-            batches += 1
-    return rows, batches
+    trie = prefix_trie(examples, image_rows)
+    n, k, d = regions.shape
+    size = sum(len(depth.row) for depth in trie)
+    feats = np.empty((size, d), dtype=regions.dtype)
+    weights = np.empty((size, k), dtype=regions.dtype)
+    if method == "probe":
+        embed = model.embedding(language).data  # [E,V], tied output projection
+        lstm = model.lstm_weights()
+        e = embed.shape[0]
+        decode = partial(_probe_chunk, embed, embed.T @ lstm.w_ih.data[:e],
+                         lstm.w_ih.data[e:], lstm.w_hh.data, lstm.bias.data)
+        per_chunk = max(1, ROW_CAP // k)
+    else:
+        decode, per_chunk = partial(_attention_chunk, model, language), ROW_CAP
+    chunks = -(-n // per_chunk)
+    for c, path in enumerate(_chunk_paths(trie, per_chunk, chunks)):
+        decode(regions[c * per_chunk:(c + 1) * per_chunk], path, feats, weights)
+    return feats, weights, sum(len(depth.token) for depth in trie), chunks
+
+
+def _chunk_paths(trie: list[TrieDepth], per_chunk: int, chunks: int):
+    """The path through the trie of each chunk of `per_chunk` images: per
+    depth, (parent, token, image, node, gold, row) of the chunk's nodes and
+    occurrences, with parent, image and node indices local to the chunk.
+    The indices are made local once per depth, so a chunk only slices."""
+    depths, first = [], None  # at depth 0 the parents are images
+    for depth in trie:
+        chunk = depth.image // per_chunk  # of each node
+        at = np.searchsorted(chunk, np.arange(chunks + 1))
+        image = depth.image - chunk * per_chunk
+        parent = image if first is None else depth.parent - first[chunk]
+        node_chunk = chunk[depth.node]
+        depths.append((at, np.searchsorted(node_chunk, np.arange(chunks + 1)),
+                       parent, depth.token, image, depth.node - at[node_chunk],
+                       depth.gold, depth.row))
+        first = at
+    for c in range(chunks):
+        path = []
+        for at, occurrences_at, parent, token, image, node, gold, row in depths:
+            nodes = slice(at[c], at[c + 1])
+            if nodes.start == nodes.stop:  # no node here, so none deeper
+                break
+            span = slice(occurrences_at[c], occurrences_at[c + 1])
+            path.append((parent[nodes], token[nodes], image[nodes], node[span], gold[span],
+                         row[span]))
+        yield path
+
+
+def _probe_chunk(embed, word_half, w_region, w_hh, bias, regions: np.ndarray, path,
+                 feats: np.ndarray, weights: np.ndarray) -> None:
+    """The probe decodes of one image chunk: K rows per node, row j seeing
+    region j alone, whose LSTM input is [word | region]. `word_half` is
+    the word half of that input product for every vocabulary word."""
+    n, k, d = regions.shape
+    hs = w_hh.shape[0]
+    region_half = (regions.reshape(n * k, d) @ w_region + bias).reshape(n, k, 4 * hs)
+    h = c = np.zeros((n, k, hs), dtype=regions.dtype)  # each image's empty prefix
+    for parent, token, image, node, gold, row in path:
+        m = len(token)
+        gates = (h[parent].reshape(m * k, hs) @ w_hh).reshape(m, k, 4 * hs)
+        gates += region_half[image]
+        gates += word_half[token][:, None]
+        _, c, _, h = cell_forward(gates.reshape(m * k, 4 * hs), c[parent].reshape(m * k, hs))
+        logits = h @ embed
+        logits -= logits.max(axis=1, keepdims=True)
+        probs = np.exp(logits, out=logits).reshape(m, k, -1)
+        norm = probs.sum(axis=2)  # once per node
+        p = probs[node[:, None], np.arange(k), gold[:, None]] / norm[node]  # strictly positive
+        w = p / p.sum(axis=1, keepdims=True)
+        weights[row] = w
+        feats[row] = np.matmul(w[:, None, :], regions[image[node]])[:, 0]
+        h, c = h.reshape(m, k, hs), c.reshape(m, k, hs)
+
+
+def _attention_chunk(model: MultiLingualModel, language: str, regions: np.ndarray, path,
+                     feats: np.ndarray, weights: np.ndarray) -> None:
+    """The attention decodes of one image chunk: one `MultiLingualModel.step`
+    row per node, over its image's K regions."""
+    n, k, _ = regions.shape
+    with no_grad():
+        region_part = model.attention_precompute(Tensor(regions)).data.reshape(n, k, -1)
+        state, images = model.initial_state(n), None  # each image's empty prefix
+        for parent, token, image, node, _, row in path:
+            state = tuple(Tensor(s.data[parent]) for s in state)
+            if images is None or not np.array_equal(image, images):  # else reuse the gather
+                images = image
+                nodes = (Tensor(regions[image]),
+                         Tensor(region_part[image].reshape(len(image) * k, -1)))
+            _, state, alpha, context = model.step(language, state, token, *nodes)
+            weights[row] = alpha.data[node]
+            feats[row] = context.data[node]
 
 
 def write_word_features(path, language: str,
@@ -208,9 +279,9 @@ def write_word_features(path, language: str,
     for word in words:
         count = entries[word][0]
         expected = (1 if aggregated else count, d)
-        if count < 0 or rows[word].shape != expected:
-            raise InputError(f"word {word!r}: expected {expected} feature rows and a "
-                             f"non-negative count, got {rows[word].shape} and {count}")
+        if rows[word].shape != expected:
+            raise InputError(f"word {word!r} with {count} occurrences: expected feature "
+                             f"rows of shape {expected}, got {rows[word].shape}")
     meta = {"language": language, "aggregated": bool(aggregated),
             "counts": [int(entries[w][0]) for w in words]}
     write_arrays(path, TABLE_MAGIC, "<f8", meta, rows)

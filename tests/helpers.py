@@ -1,7 +1,8 @@
 """Shared test oracles: finite differences, the per-step decoder unroll,
-the per-tensor Adam step and gradient clip, the per-step probe decode and
-batch-of-one localization; padded batches; hand-packed array containers;
-rankings as (word, score) pairs; and one source word's ranking."""
+the per-tensor Adam step and gradient clip, the per-step probe and
+attention decodes and one-caption localization built on them; padded
+batches; hand-packed array containers; rankings as (word, score) pairs;
+and one source word's ranking."""
 
 import json
 import struct
@@ -10,7 +11,6 @@ import numpy as np
 
 from lexipivot.corpus.vocab import PAD
 from lexipivot.induction import TranslationRanking
-from lexipivot.localization import localize_batch
 from lexipivot.numerics import (
     Tensor,
     additive_attention,
@@ -87,17 +87,20 @@ def assert_grads_close(f, tensors, tol=1e-6, eps=1e-6):
 
 
 def localize_one(model, language, features, tokens, method="probe"):
-    """One caption decoded as a batch of one on its raw region features:
-    (feature [L-2,D], region weights [L-2,K]) of each word position."""
+    """One caption decoded on its raw region features by the per-step
+    oracles: (feature [L-2,D], region weights [L-2,K]) of each word
+    position."""
     with no_grad():
         regions = model.encode(np.asarray(features)[None]).data
-    feats, weights = localize_batch(model, language, regions, [tokens], method)
+    by_steps = probe_by_steps if method == "probe" else attention_by_steps
+    feats, weights = by_steps(model, language, regions, [tokens])[:2]
     return feats[0], weights[0]
 
 
 def probe_by_steps(model, language, regions, tokens):
-    """The probe decode as `model.step` on B*K single-region rows: the path
-    `localize_batch` replaced. Returns (features [B,L-2,D], weights
+    """The probe decode as `model.step` on B*K single-region rows, one
+    caption of tokens [B,L] per image of regions [B,K,D]: the path the
+    hoisted probe decode replaced. Returns (features [B,L-2,D], weights
     [B,L-2,K], each step's attention weights [L-2,B*K,1] and contexts
     [L-2,B*K,D])."""
     tokens = np.asarray(tokens, dtype=np.intp)
@@ -123,6 +126,24 @@ def probe_by_steps(model, language, regions, tokens):
             contexts.append(context.data)
     return (np.stack(feats, axis=1), np.stack(weights, axis=1), np.stack(alphas),
             np.stack(contexts))
+
+
+def attention_by_steps(model, language, regions, tokens):
+    """The attention decode as `model.step` on one row per caption of tokens
+    [B,L] over its image's regions [B,K,D]. Returns (features [B,L-2,D],
+    weights [B,L-2,K]): each step's context vector and attention weights."""
+    tokens = np.asarray(tokens, dtype=np.intp)
+    feats, weights = [], []
+    with no_grad():
+        decoded = Tensor(regions)
+        region_part = model.attention_precompute(decoded)
+        state = model.initial_state(len(tokens))
+        for t in range(1, tokens.shape[1] - 1):
+            _, state, alpha, context = model.step(language, state, tokens[:, t - 1], decoded,
+                                                  region_part)
+            weights.append(alpha.data)
+            feats.append(context.data)
+    return np.stack(feats, axis=1), np.stack(weights, axis=1)
 
 
 def unroll_by_steps(embed, tokens, regions, region_part, lstm, attention):

@@ -368,14 +368,19 @@ class TestExtract:
             captions = read_captions(corpus / f"{lang}.captions.tsv", lang)
             words = Counter(w for cap in captions for w in cap.words)
             known = {w: n for w, n in words.items() if w in vocab.word_to_index}
-            per_batch = localization.ROW_CAP // 4        # probe: 4 decode rows per caption
-            lengths = Counter(len(cap.words) for cap in captions)
+            per_chunk = localization.ROW_CAP // 4        # probe: 4 decode rows per image
+            images = {cap.image_id for cap in captions}
+            # one decode state per distinct (image, word prefix), unknown words as UNK
+            states = {(cap.image_id, tuple(vocab.encode(cap.words[:t])))
+                      for cap in captions for t in range(len(cap.words))}
             assert counts[lang] == {
                 "occurrences": sum(words.values()),
+                "decoded": len(states),
                 "dropped_unk": sum(words.values()) - sum(known.values()),
                 "words": len(known),
-                "batches": sum(-(-n // per_batch) for n in lengths.values()),
+                "batches": -(-len(images) // per_chunk),
             }
+            assert counts[lang]["decoded"] < counts[lang]["occurrences"]
             _, _, table = read_word_features(out / f"{lang}.visual-probe.lxwf")
             assert len(table) == counts[lang]["words"]
 

@@ -9,7 +9,7 @@ from lexipivot.errors import FormatError, InputError
 from lexipivot.localization import (
     collect_word_features,
     encode_images,
-    localize_batch,
+    localize,
     read_word_features,
     write_word_features,
 )
@@ -25,6 +25,21 @@ def params_digest(model):
         h.update(name.encode())
         h.update(p.data.tobytes())
     return h.hexdigest()
+
+
+def walk_one(model, lang, features, tokens, method="probe"):
+    """One caption through `localize` on its raw region features:
+    (feature [L-2,D], region weights [L-2,K]) of each word position."""
+    ex = CaptionedExample(0, lang, tuple(tokens))
+    images = encode_images(model, [ex], np.asarray(features)[None])
+    feats, weights, _, _ = localize(model, lang, [ex], images, method)
+    return feats, weights
+
+
+def caption_rows(examples):
+    """The rows of each caption's word positions in corpus order."""
+    first = np.cumsum([0] + [len(ex.tokens) - 2 for ex in examples])
+    return [np.arange(lo, hi) for lo, hi in zip(first[:-1], first[1:])]
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +58,7 @@ class TestProbe:
         model.params["encoder.bias"].data[...] = 0.7  # regions all encode identically
         ex = indexed(bundle)[lang][0]
         feats = bundle.regions[lang][ex.image_row]
-        feature, weights = localize_one(model, lang, feats, ex.tokens)
+        feature, weights = walk_one(model, lang, feats, ex.tokens)
         k = bundle.config.grid_side ** 2
         with no_grad():
             a = model.encode(np.asarray(feats)[None]).data[0]
@@ -57,7 +72,7 @@ class TestProbe:
         model = build_model(bundle)
         lang = bundle.config.languages[0]
         ex = indexed(bundle)[lang][0]
-        feature, weights = localize_one(model, lang, bundle.regions[lang][ex.image_row], ex.tokens)
+        feature, weights = walk_one(model, lang, bundle.regions[lang][ex.image_row], ex.tokens)
         with no_grad():
             a = model.encode(np.asarray(bundle.regions[lang][ex.image_row])[None]).data[0]
         np.testing.assert_allclose(weights, 1.0, atol=1e-15)
@@ -67,7 +82,7 @@ class TestProbe:
         bundle, model, lang = setup
         for ex in indexed(bundle)[lang][:10]:
             feats = bundle.regions[lang][ex.image_row]
-            feature, weights = localize_one(model, lang, feats, ex.tokens)
+            feature, weights = walk_one(model, lang, feats, ex.tokens)
             assert len(weights) == len(ex.tokens) - 2
             with no_grad():
                 a = model.encode(np.asarray(feats)[None]).data[0]
@@ -88,16 +103,18 @@ class TestProbe:
     def test_unknown_language(self, setup):
         bundle, model, lang = setup
         ex = indexed(bundle)[lang][0]
-        with pytest.raises(KeyError):
-            localize_one(model, "nope", bundle.regions[lang][ex.image_row], ex.tokens)
+        encoded = encode_images(model, [ex], bundle.regions[lang])
+        for method in ("probe", "attention"):
+            with pytest.raises(KeyError):
+                collect_word_features(model, [ex], encoded, "nope", method)
 
 
 class TestAttentionLocalization:
     def test_weights_sum_to_one(self, setup):
         bundle, model, lang = setup
         ex = indexed(bundle)[lang][0]
-        _, weights = localize_one(model, lang, bundle.regions[lang][ex.image_row], ex.tokens,
-                                  "attention")
+        _, weights = walk_one(model, lang, bundle.regions[lang][ex.image_row], ex.tokens,
+                              "attention")
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
 
@@ -172,6 +189,11 @@ class TestEncodeImages:
             np.testing.assert_allclose(regions[row], want, rtol=1e-6)
 
 
+# images per decode chunk at K = 4 regions, by ROW_CAP (None: the default 128)
+IMAGES_PER_CHUNK = {None: {"probe": 32, "attention": 128}, 2: {"probe": 1, "attention": 2},
+                    9: {"probe": 2, "attention": 9}}
+
+
 def mixed_length_examples(bundle, lang):
     """The corpus captions cut to 1-4 words, some words replaced by UNK."""
     out = []
@@ -196,7 +218,7 @@ def reference_word_features(model, examples, regions, lang, method):
 
 
 class TestBatchedEquivalence:
-    """Batched collection against per-caption decodes, in float64."""
+    """The prefix-shared walk against per-caption decodes, in float64."""
 
     @pytest.fixture(scope="class")
     def mixed(self, tiny_bundle):
@@ -209,10 +231,10 @@ class TestBatchedEquivalence:
     def test_collection_matches_per_caption_decodes(self, mixed, monkeypatch, method,
                                                     row_cap):
         bundle, model, lang, examples = mixed
-        # K = 4 regions. The default cap holds each 12-caption length group
-        # in one batch. A cap of 2 is below K: probe decodes one caption per
-        # batch. A cap of 9 cuts each group into probe batches of 2 captions
-        # and attention batches of 9, and encodes the images 9 at a time.
+        # K = 4 regions, 24 images. The default cap decodes all of them in
+        # one chunk. A cap of 2 is below K: probe decodes one image per
+        # chunk. A cap of 9 cuts them into probe chunks of 2 images and
+        # attention chunks of 9, and encodes the images 9 at a time.
         if row_cap is not None:
             monkeypatch.setattr(localization, "ROW_CAP", row_cap)
         counts = {}
@@ -224,30 +246,81 @@ class TestBatchedEquivalence:
         for word_index, feats in got.items():
             assert feats.shape == (len(want[word_index]), model.dims.embed_dim)
             np.testing.assert_allclose(feats, np.array(want[word_index]), rtol=0, atol=1e-10)
-        groups = {len(ex.tokens) for ex in examples}
-        if row_cap is None:
-            assert counts["batches"] == len(groups)
-        else:
-            assert counts["batches"] > len(groups)
+        images = len({ex.image_row for ex in examples})
+        assert counts["batches"] == -(-images // IMAGES_PER_CHUNK[row_cap][method])
+        assert counts["decoded"] == len({(ex.image_row, ex.tokens[:t + 1]) for ex in examples
+                                         for t in range(len(ex.tokens) - 2)})
         assert counts["occurrences"] == sum(len(ex.tokens) - 2 for ex in examples)
+        assert 0 < counts["decoded"] < counts["occurrences"]  # the captions share prefixes
         assert counts["dropped_unk"] == sum(t == UNK for ex in examples for t in ex.tokens)
         assert counts["words"] == len(got)
-        assert sorted(counts) == ["batches", "dropped_unk", "occurrences", "words"]
+        assert sorted(counts) == ["batches", "decoded", "dropped_unk", "occurrences", "words"]
 
     @pytest.mark.parametrize("method", ["probe", "attention"])
     def test_batch_weights_match_batches_of_one(self, mixed, method):
         bundle, model, lang, examples = mixed
-        batch = [ex for ex in examples if len(ex.tokens) == 5][:6]
-        with no_grad():
-            regions = model.encode(np.stack([bundle.regions[lang][ex.image_row]
-                                             for ex in batch])).data
-        feats, weights = localize_batch(model, lang, regions,
-                                        [ex.tokens for ex in batch], method)
-        for i, ex in enumerate(batch):
+        feats, weights, _, _ = localize(model, lang, examples,
+                                        encode_images(model, examples, bundle.regions[lang]),
+                                        method)
+        for ex, rows in zip(examples, caption_rows(examples)):
             feature, weight = localize_one(model, lang, bundle.regions[lang][ex.image_row],
                                            ex.tokens, method)
-            np.testing.assert_allclose(weights[i], weight, rtol=0, atol=1e-10)
-            np.testing.assert_allclose(feats[i], feature, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(weights[rows], weight, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(feats[rows], feature, rtol=0, atol=1e-10)
+
+
+class TestPrefixSharing:
+    """Hand-built captions whose decode states are shared or must not be."""
+
+    @staticmethod
+    def captions(lang):
+        a, b, c, d, e = range(UNK + 1, UNK + 6)
+        texts = [
+            (7, (a, b, c)), (2, (UNK, UNK, a)), (7, (a, b, c)),  # two identical captions
+            (7, (a, b)),                                 # a strict prefix of them
+            (7, (a, b, c, d)), (7, (a, b, c, e)),        # diverge at word 4
+            (7, (a, b, d)), (7, (a, c)), (7, (b, a)),    # diverge at words 3, 2 and 1
+            (0, (a, b, c)),                              # the same text on another image
+            (0, (a, UNK, c)), (0, (a, UNK, d)),          # UNK inside a shared prefix
+            (2, (UNK, UNK, b)), (0, (e,)),
+        ]
+        return [CaptionedExample(row, lang, (BOS, *words, EOS)) for row, words in texts]
+
+    @pytest.mark.parametrize("row_cap", [None, 2, 9])
+    @pytest.mark.parametrize("method", ["probe", "attention"])
+    def test_shared_prefixes_decode_once(self, tiny_bundle, monkeypatch, method, row_cap):
+        lang = tiny_bundle.config.languages[0]
+        model = build_model(tiny_bundle, dtype=np.float64)
+        examples = self.captions(lang)
+        if row_cap is not None:
+            monkeypatch.setattr(localization, "ROW_CAP", row_cap)
+        regions = tiny_bundle.regions[lang]
+        feats, weights, decoded, chunks = localize(model, lang, examples,
+                                                   encode_images(model, examples, regions),
+                                                   method)
+        for ex, rows in zip(examples, caption_rows(examples)):
+            feature, weight = localize_one(model, lang, regions[ex.image_row], ex.tokens,
+                                           method)
+            np.testing.assert_allclose(weights[rows], weight, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(feats[rows], feature, rtol=0, atol=1e-10)
+        states = {(ex.image_row, ex.tokens[:t + 1]) for ex in examples
+                  for t in range(len(ex.tokens) - 2)}
+        # image 7: BOS, a, a b, a b c, b; image 2: BOS, UNK, UNK UNK; image 0:
+        # BOS, a, a b, a UNK
+        assert decoded == len(states) == 12
+        assert len(feats) == sum(len(ex.tokens) - 2 for ex in examples) == 39
+        assert chunks == -(-3 // IMAGES_PER_CHUNK[row_cap][method])
+
+    def test_same_text_on_two_images_differs(self, tiny_bundle):
+        lang = tiny_bundle.config.languages[0]
+        model = build_model(tiny_bundle, dtype=np.float64)
+        examples = self.captions(lang)
+        images = encode_images(model, examples, tiny_bundle.regions[lang])
+        rows = caption_rows(examples)
+        for method in ("probe", "attention"):
+            feats, _, _, _ = localize(model, lang, examples, images, method)
+            assert np.array_equal(feats[rows[0]], feats[rows[2]])
+            assert not np.allclose(feats[rows[0]], feats[rows[9]])
 
 
 class TestProbeUnroll:
@@ -256,15 +329,15 @@ class TestProbeUnroll:
 
     @staticmethod
     def length_groups(bundle, model, lang):
-        """(regions [B,K,D], tokens [B,L]) of each length group of the mixed
-        captions."""
+        """(examples, regions [B,K,D], tokens [B,L]) of each length group of
+        the mixed captions."""
         examples = mixed_length_examples(bundle, lang)
         for length in sorted({len(ex.tokens) for ex in examples}):
             group = [ex for ex in examples if len(ex.tokens) == length]
             with no_grad():
                 regions = model.encode(np.stack([bundle.regions[lang][ex.image_row]
                                                  for ex in group])).data
-            yield regions, np.array([ex.tokens for ex in group])
+            yield group, regions, np.array([ex.tokens for ex in group])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_matches_per_step_oracle(self, tiny_bundle, dtype):
@@ -272,8 +345,12 @@ class TestProbeUnroll:
         model = build_model(tiny_bundle, embed_dim=16, attn_dim=8, dtype=dtype)
         # the split input product rounds differently from [word | region] @ W_ih
         atol = 1e-12 if dtype == np.float64 else 8 * np.finfo(np.float32).eps
-        for regions, tokens in self.length_groups(tiny_bundle, model, lang):
-            feats, weights = localize_batch(model, lang, regions, tokens, "probe")
+        for group, regions, tokens in self.length_groups(tiny_bundle, model, lang):
+            feats, weights, _, _ = localize(
+                model, lang, group, encode_images(model, group, tiny_bundle.regions[lang]),
+                "probe")
+            b, steps = tokens.shape[0], tokens.shape[1] - 2
+            feats, weights = feats.reshape(b, steps, -1), weights.reshape(b, steps, -1)
             want_feats, want_weights, _, _ = probe_by_steps(model, lang, regions, tokens)
             assert feats.dtype == weights.dtype == dtype
             np.testing.assert_allclose(weights, want_weights, rtol=0, atol=atol)
@@ -287,7 +364,7 @@ class TestProbeUnroll:
         # the fact that lets the hoisted decode drop the scorer
         lang = tiny_bundle.config.languages[0]
         model = build_model(tiny_bundle, embed_dim=16, attn_dim=8, dtype=dtype)
-        for regions, tokens in self.length_groups(tiny_bundle, model, lang):
+        for _, regions, tokens in self.length_groups(tiny_bundle, model, lang):
             _, _, alphas, contexts = probe_by_steps(model, lang, regions, tokens)
             assert np.all(alphas == 1.0)
             rows = regions.reshape(-1, regions.shape[2])

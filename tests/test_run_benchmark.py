@@ -40,6 +40,8 @@ def test_json_record(tmp_path):
     assert record["train"]["tokens_per_s"] == epoch_tokens * 2 / trained["timings"]["train"]
     assert record["extract"]["method"] == "probe"
     assert record["extract"]["occurrences"] > 0 and record["extract"]["occurrences_per_s"] > 0
+    # captions of one image share decode states
+    assert 0 < record["extract"]["decoded"] <= record["extract"]["occurrences"]
     # the pairs come from the induce manifest's counts, over its rank timing
     induced = json.loads((tmp_path / "run" / "induction" / "manifest.json").read_text())
     pairs = sum(c["pairs"] for c in induced["counts"].values())
