@@ -4,9 +4,10 @@ Equivalent to `lexipivot pipeline` on the default configuration, plus a
 compact stdout summary of every method's MRR / P@K row. With `--json PATH`
 it also writes the run's measurements (a BENCH file): wall time per stage,
 training s/epoch and tokens/s, extraction occurrences/s and the decode
-states behind them, induction (source, target) pairs scored per second,
-peak RSS, MRR and P@1 per method, and the numpy, CPU, BLAS library and
-BLAS thread setup they were taken on.
+states behind them, induction (source, target) pairs scored per second
+and the induce stage's phase times (load, rank, evaluate, write), peak
+RSS, MRR and P@1 per method, and the numpy, CPU, BLAS library and BLAS
+thread setup they were taken on.
 
     OPENBLAS_NUM_THREADS=1 python scripts/run_benchmark.py --json BENCH_x.json
 """
@@ -78,6 +79,8 @@ def measurements(config: RunConfig, result: dict, rows: list, elapsed: float) ->
         "induce": {
             "pairs": pairs,
             "pairs_per_s": pairs / induced["timings"]["rank"],
+            # the phases, so that work moved between them shows
+            "timings": induced["timings"],
         },
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,

@@ -10,11 +10,15 @@ rank, which the report rows, `ranks.tsv` and the manifest counts read.
 
 Each language's inputs are held as matrices (`WordFeatureTable`). A
 method scores every source word against every target word as one
-source-by-target matrix (`<method>_scores`), and `<method>_rank` orders
-one source word's row of it. Identical candidates get bit-identical
-scores, and ranking is a stable sort on the score over targets in word
-order: `(-score, word)`. A ranking holds that order as an array of
-target rows beside their scores.
+source-by-target matrix (`<method>_scores`); fused sums the linguistic
+and visual matrices. Identical candidates get bit-identical scores, and a
+ranking orders the targets as a stable sort on the score over targets in
+word order would: `(-score, word)`. No row is sorted. One selection per
+matrix (`ranking_heads`) finds every row's first RANKING_WIDTH places,
+ties at the boundary included, and `<method>_rank` pairs one source
+word's row with its head. A gold target's rank is counted from the row:
+one plus the targets scored above it and the tied ones before it in word
+order.
 """
 
 from __future__ import annotations
@@ -216,15 +220,25 @@ def visual_scores(source: WordFeatureTable, target: WordFeatureTable) -> np.ndar
     return _dots(source.visual, target.visual, target.has_visual)
 
 
-def fused_scores(source: WordFeatureTable, target: WordFeatureTable) -> np.ndarray:
+def fused_scores(source: WordFeatureTable, target: WordFeatureTable,
+                 linguistic: np.ndarray | None = None,
+                 visual: np.ndarray | None = None) -> np.ndarray:
     """The unweighted sum s_l + s_v of the two cosines where both words have
     a visual vector, the linguistic cosine alone elsewhere (nothing is
-    subtracted)."""
-    scores = linguistic_scores(source, target)
+    subtracted).
+
+    `linguistic` and `visual` are the `linguistic_scores` and
+    `visual_scores` matrices of the same tables, where the caller holds
+    them: the sum reads them instead of taking the two products again, and
+    its values keep their bits, as the products are the same einsums of the
+    same rows.
+    """
+    scores = linguistic_scores(source, target) if linguistic is None else linguistic.copy()
     both = source.has_visual[:, None] & target.has_visual
     if both.any():   # else either table's visual rows may be 0 wide
-        np.add(scores, np.einsum("sd,td->st", source.visual, target.visual), out=scores,
-               where=both)
+        if visual is None:
+            visual = np.einsum("sd,td->st", source.visual, target.visual)
+        np.add(scores, visual, out=scores, where=both)
     return scores
 
 
@@ -263,8 +277,51 @@ def cnn_avgmax_scores(source: WordFeatureTable, target: WordFeatureTable) -> np.
 
 
 # ---------------------------------------------------------------------------
-# rankers: one source word's row of a score matrix, ordered
+# rankers: one source word's row of a score matrix and its head
 # ---------------------------------------------------------------------------
+
+
+def ranking_heads(scores: np.ndarray) -> np.ndarray:
+    """[S, n] the target columns of each row's first n = min(RANKING_WIDTH,
+    T) places, best first: the first n of `np.argsort(-row, kind="stable")`,
+    ties included, found without sorting the rows.
+
+    One partition gives each row's n-th best score. Every entry at or above
+    it is a candidate, so every tie at the boundary is one. Each row's
+    candidates, in column order, fill a row of one block, padded at the end,
+    and one stable argsort of the block by -score puts each row's head
+    first in (-score, column) order.
+    """
+    n_rows, n_targets = scores.shape
+    n = min(RANKING_WIDTH, n_targets)
+    kth = np.partition(scores, n_targets - n, axis=1)[:, n_targets - n, None]
+    rows, cols = np.divmod(np.flatnonzero(scores >= kth), n_targets)
+    counts = np.bincount(rows, minlength=n_rows)   # at least n each
+    place = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+    negated = np.full((n_rows, counts.max()), np.inf)   # the padding sorts last
+    negated[rows, place] = -scores[rows, cols]
+    columns = np.empty(negated.shape, dtype=np.intp)
+    columns[rows, place] = cols
+    order = np.argsort(negated, axis=1, kind="stable")[:, :n]
+    return np.take_along_axis(columns, order, axis=1)
+
+
+def fallback_counts(method: str, source: WordFeatureTable,
+                    target: WordFeatureTable) -> np.ndarray:
+    """[S] each source word's fallback pairs under `method`: its targets
+    that score BOTTOM_SCORE for want of a visual vector (visual), a usable
+    set mean (cnn_mean) or an image set (cnn_avgmax); under fused, its pairs
+    missing a visual side, which is every pair of a source without one; none
+    under linguistic."""
+    missing = {"linguistic": np.zeros(len(target.words), dtype=bool),
+               "visual": ~target.has_visual,
+               "fused": ~target.has_visual,
+               "cnn_mean": ~target.global_mean_valid,
+               "cnn_avgmax": np.diff(target.global_offsets) == 0}[method]
+    counts = np.full(len(source.words), np.count_nonzero(missing))
+    if method == "fused":
+        counts[~source.has_visual] = len(target.words)
+    return counts
 
 
 @dataclass(eq=False)
@@ -272,76 +329,73 @@ class TranslationRanking:
     """One source word's targets, best first: descending score, ties in
     word order.
 
-    `order` holds target rows and `scores` their scores in that order;
-    `words` and `rows` are the target table's word list and row map, shared
-    by every ranking over that table. A target's position is where its row
-    sits in `order`; `gold_ranks` reads the first gold one.
+    `row` holds the word's score for every target in target word order, a
+    view of its method's score matrix, and `head` the target rows of the
+    first min(RANKING_WIDTH, targets) places. `words` and `rows` are the
+    target table's word list and row map, shared by every ranking over that
+    table. No full order is kept: `gold_ranks` counts a target's position
+    from `row`.
     """
 
     source_word: str
     method: str
-    order: np.ndarray   # [n] target rows, best first
-    scores: np.ndarray  # [n] float64, non-increasing
+    row: np.ndarray    # [T] float64, target word order
+    head: np.ndarray   # [n] target rows of the first n places
     words: list[str] = field(repr=False)
     rows: dict[str, int] = field(repr=False)
     fallback_pairs: int = 0
 
     @property
     def items(self) -> np.ndarray:
-        """The ranked targets (the `order` rows), one per target word: its
-        length is the ranking's pair count, which perfbench reads."""
-        return self.order
+        """The scored targets (`row`), one per target word: its length is
+        the ranking's pair count, which perfbench and the manifest counts
+        read."""
+        return self.row
 
     def top(self, n: int) -> list[tuple[str, float]]:
-        """The first `n` (word, score) pairs."""
-        return [(self.words[k], s)
-                for k, s in zip(self.order[:n].tolist(), self.scores[:n].tolist())]
+        """The first min(n, len(head)) (word, score) pairs."""
+        head = self.head[:n]
+        return [(self.words[k], s) for k, s in zip(head.tolist(), self.row[head].tolist())]
 
 
-def _ranked(source_word: str, method: str, target: WordFeatureTable, scores: np.ndarray,
-            fallback_pairs: int = 0) -> TranslationRanking:
-    """Order the target rows (sorted words) by descending score; the stable
-    sort keeps tied words in word order."""
-    order = np.argsort(-scores, kind="stable")
-    return TranslationRanking(source_word, method, order, scores[order], target.words,
-                              target.rows, fallback_pairs)
+def linguistic_rank(x: str, target: WordFeatureTable, row: np.ndarray, head: np.ndarray,
+                    fallback_pairs: int) -> TranslationRanking:
+    """`x`'s row of `linguistic_scores`, its `ranking_heads` row and
+    its `fallback_counts` entry."""
+    return TranslationRanking(x, "linguistic", row, head, target.words, target.rows,
+                              fallback_pairs)
 
 
-def linguistic_rank(x: str, source: WordFeatureTable, target: WordFeatureTable,
-                    scores: np.ndarray) -> TranslationRanking:
-    """`x`'s row of `linguistic_scores`, ordered."""
-    return _ranked(x, "linguistic", target, scores)
+def visual_rank(x: str, target: WordFeatureTable, row: np.ndarray, head: np.ndarray,
+                fallback_pairs: int) -> TranslationRanking:
+    """`x`'s row of `visual_scores`, its `ranking_heads` row and
+    its `fallback_counts` entry."""
+    return TranslationRanking(x, "visual", row, head, target.words, target.rows,
+                              fallback_pairs)
 
 
-def visual_rank(x: str, source: WordFeatureTable, target: WordFeatureTable,
-                scores: np.ndarray) -> TranslationRanking:
-    """`x`'s row of `visual_scores`, ordered; targets without a visual
-    vector are its fallback pairs."""
-    return _ranked(x, "visual", target, scores, int(np.count_nonzero(~target.has_visual)))
+def fused_rank(x: str, target: WordFeatureTable, row: np.ndarray, head: np.ndarray,
+               fallback_pairs: int) -> TranslationRanking:
+    """`x`'s row of `fused_scores`, its `ranking_heads` row and
+    its `fallback_counts` entry."""
+    return TranslationRanking(x, "fused", row, head, target.words, target.rows,
+                              fallback_pairs)
 
 
-def fused_rank(x: str, source: WordFeatureTable, target: WordFeatureTable,
-               scores: np.ndarray) -> TranslationRanking:
-    """`x`'s row of `fused_scores`, ordered; pairs missing a visual side
-    are its fallback pairs."""
-    both = target.has_visual & source.has_visual[source.row(x)]
-    return _ranked(x, "fused", target, scores, int(np.count_nonzero(~both)))
+def cnn_mean_rank(x: str, target: WordFeatureTable, row: np.ndarray, head: np.ndarray,
+                  fallback_pairs: int) -> TranslationRanking:
+    """`x`'s row of `cnn_mean_scores`, its `ranking_heads` row and
+    its `fallback_counts` entry."""
+    return TranslationRanking(x, "cnn_mean", row, head, target.words, target.rows,
+                              fallback_pairs)
 
 
-def cnn_mean_rank(x: str, source: WordFeatureTable, target: WordFeatureTable,
-                  scores: np.ndarray) -> TranslationRanking:
-    """`x`'s row of `cnn_mean_scores`, ordered; targets without a usable
-    set mean are its fallback pairs."""
-    return _ranked(x, "cnn_mean", target, scores,
-                   int(np.count_nonzero(~target.global_mean_valid)))
-
-
-def cnn_avgmax_rank(x: str, source: WordFeatureTable, target: WordFeatureTable,
-                    scores: np.ndarray) -> TranslationRanking:
-    """`x`'s row of `cnn_avgmax_scores`, ordered; targets without an image
-    set are its fallback pairs."""
-    return _ranked(x, "cnn_avgmax", target, scores,
-                   int(np.count_nonzero(np.diff(target.global_offsets) == 0)))
+def cnn_avgmax_rank(x: str, target: WordFeatureTable, row: np.ndarray, head: np.ndarray,
+                    fallback_pairs: int) -> TranslationRanking:
+    """`x`'s row of `cnn_avgmax_scores`, its `ranking_heads` row and
+    its `fallback_counts` entry."""
+    return TranslationRanking(x, "cnn_avgmax", row, head, target.words, target.rows,
+                              fallback_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +418,13 @@ class EvalReport:
 def gold_ranks(rankings: dict[str, TranslationRanking],
                lexicon: GroundTruthLexicon) -> dict[str, int | str]:
     """The gold-rank table of one method: per lexicon source word, in word
-    order, the 1-based rank of its best gold target, which is the first
-    position in its ranking's `order` holding a gold row; UNRANKED for a word
+    order, the 1-based rank of its best gold target; UNRANKED for a word
     without a ranking, GOLD_OUTSIDE for one whose gold targets are all
-    missing from the candidate list."""
+    missing from the candidate list.
+
+    Target g's rank is counted from the ranking's `row`: one plus the
+    targets that score above it and the tied ones before it in word order.
+    """
     ranks: dict[str, int | str] = {}
     for source_word in sorted(lexicon.entries):
         ranking = rankings.get(source_word)
@@ -378,9 +435,10 @@ def gold_ranks(rankings: dict[str, TranslationRanking],
         if not gold:
             ranks[source_word] = GOLD_OUTSIDE
             continue
-        is_gold = np.zeros(len(ranking.order), dtype=bool)
-        is_gold[gold] = True
-        ranks[source_word] = int(np.argmax(is_gold[ranking.order])) + 1
+        row = ranking.row
+        ranks[source_word] = 1 + min(
+            int(np.count_nonzero(row > row[g]) + np.count_nonzero(row[:g] == row[g]))
+            for g in gold)
     return ranks
 
 

@@ -46,6 +46,7 @@ from .induction import (
     cnn_mean_scores,
     collect_global_feature_sets,
     evaluate,
+    fallback_counts,
     fused_rank,
     fused_scores,
     gold_ranks,
@@ -53,6 +54,7 @@ from .induction import (
     linguistic_scores,
     linguistic_vectors,
     pos_breakdown,
+    ranking_heads,
     visual_rank,
     visual_scores,
     write_rankings,
@@ -326,9 +328,11 @@ def compute_rankings(tables, source: str, target: str) -> dict[str, dict]:
     """{method: {source word: ranking}} for every method of `INDUCTION_METHODS`.
 
     Each method scores every source word against every target word as one
-    [S, T] matrix, one method's matrix at a time, then makes one
-    `<method>_rank` call per source word it can score, which orders that
-    word's row. The rest are skipped: visual needs a visual vector,
+    [S, T] matrix, and fused sums the linguistic and visual matrices already
+    held. One `ranking_heads` pass per matrix selects every row's first
+    places, and one `fallback_counts` pass counts its fallback pairs. Then one
+    `<method>_rank` call per source word the method can score pairs its row
+    with its head. The rest are skipped: visual needs a visual vector,
     cnn_mean a non-zero global set mean and cnn_avgmax a non-empty global
     set.
     """
@@ -342,16 +346,21 @@ def compute_rankings(tables, source: str, target: str) -> dict[str, dict]:
         "cnn_mean": (cnn_mean_scores, cnn_mean_rank, src.global_mean_valid),
         "cnn_avgmax": (cnn_avgmax_scores, cnn_avgmax_rank, np.diff(src.global_offsets) > 0),
     }
-    methods = {}
+    matrices, methods = {}, {}
     for method in INDUCTION_METHODS:
         score, rank, scorable = rankers[method]
         methods[method] = {}
         if not scorable.any():   # the table's rows for this method may be 0 wide
             continue
-        scores = score(src, tgt)
-        for i in np.flatnonzero(scorable):
-            methods[method][src.words[i]] = rank(src.words[i], src, tgt, scores[i])
-        del scores
+        if method == "fused":
+            scores = score(src, tgt, matrices.get("linguistic"), matrices.get("visual"))
+        else:
+            scores = matrices[method] = score(src, tgt)
+        heads = ranking_heads(scores)
+        fallbacks = fallback_counts(method, src, tgt).tolist()
+        for i in np.flatnonzero(scorable).tolist():
+            methods[method][src.words[i]] = rank(src.words[i], tgt, scores[i], heads[i],
+                                                 fallbacks[i])
     return methods
 
 
@@ -361,7 +370,7 @@ def ranking_counts(methods: dict[str, dict], source_words: list[str],
     words left unranked, fallback pairs, and the two kinds of lexicon word
     that `skipped` adds up, from the method's gold-rank table."""
     return {method: {"rankings": len(rankings),
-                     "pairs": sum(len(r.order) for r in rankings.values()),
+                     "pairs": sum(len(r.items) for r in rankings.values()),
                      "skipped_sources": sum(w not in rankings for w in source_words),
                      "fallback_pairs": sum(r.fallback_pairs for r in rankings.values()),
                      "unranked_lexicon_words": list(ranks[method].values()).count(UNRANKED),

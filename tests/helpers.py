@@ -1,8 +1,8 @@
 """Shared test oracles: finite differences, the per-step decoder unroll,
 the per-tensor Adam step and gradient clip, the per-step probe and
 attention decodes and one-caption localization built on them; padded
-batches; hand-packed array containers; rankings as (word, score) pairs;
-and one source word's ranking."""
+batches; hand-packed array containers; rankings as (word, score) pairs,
+sorted in Python; and one source word's ranking."""
 
 import json
 import struct
@@ -10,7 +10,7 @@ import struct
 import numpy as np
 
 from lexipivot.corpus.vocab import PAD
-from lexipivot.induction import TranslationRanking
+from lexipivot.induction import RANKING_WIDTH, TranslationRanking
 from lexipivot.numerics import (
     Tensor,
     additive_attention,
@@ -228,18 +228,26 @@ def edit_header(path, edit) -> None:
 
 
 def ranked_pairs(ranking: TranslationRanking) -> list[tuple[str, float]]:
-    """Every (word, score) pair of a ranking, best first."""
-    return ranking.top(len(ranking.items))
+    """Every (word, score) pair of a ranking, best first: a Python sort of
+    its row by (-score, word). The ranking's head must hold the sort's first
+    min(RANKING_WIDTH, targets) places."""
+    pairs = sorted(zip(ranking.words, ranking.row.tolist()), key=lambda kv: (-kv[1], kv[0]))
+    assert len(ranking.head) == min(RANKING_WIDTH, len(pairs))
+    assert ranking.top(RANKING_WIDTH) == pairs[:RANKING_WIDTH]
+    return pairs
 
 
 def ranking_from_pairs(source: str, method: str, pairs) -> TranslationRanking:
-    """A ranking whose targets are the pairs' (distinct) words, in the pairs'
-    order with their scores."""
+    """A ranking whose targets are the pairs' (distinct) words with their
+    scores. The pairs come best first, by (-score, word), as a ranking
+    orders them."""
+    assert list(pairs) == sorted(pairs, key=lambda kv: (-kv[1], kv[0]))
     words = sorted(w for w, _ in pairs)
     rows = {w: i for i, w in enumerate(words)}
-    order = np.array([rows[w] for w, _ in pairs], dtype=np.intp)
-    return TranslationRanking(source, method, order, np.array([s for _, s in pairs]),
-                              words, rows)
+    row = np.empty(len(words))
+    row[[rows[w] for w, _ in pairs]] = [s for _, s in pairs]
+    head = np.array([rows[w] for w, _ in pairs[:RANKING_WIDTH]], dtype=np.intp)
+    return TranslationRanking(source, method, row, head, words, rows)
 
 
 def rank_word(method: str, x: str, source, target) -> TranslationRanking:

@@ -264,10 +264,12 @@ class TestBaselines:
 
 
 def test_compute_rankings_memory_is_its_arrays():
-    """A ranking holds its target rows and scores as two arrays, one entry of
-    each per scored pair, and nothing per pair besides: the peak traced
-    allocation of ranking 300 words against 300 stays under 3x those arrays'
-    bytes (a (word, score) tuple per pair takes about 5x them)."""
+    """A ranking holds its scores as a view of its method's score matrix,
+    one float per scored pair, beside the target rows of its first
+    RANKING_WIDTH places, and nothing per pair besides: the peak traced
+    allocation of ranking 300 words against 300 stays under 3x the score
+    matrices' bytes (a row order and its sorted scores per ranking, as kept
+    before, took 2x them on their own)."""
     rng = np.random.default_rng(14)
 
     def language(prefix):
@@ -285,7 +287,7 @@ def test_compute_rankings_memory_is_its_arrays():
         tracemalloc.stop()
     pairs = sum(len(r.items) for rankings in methods.values() for r in rankings.values())
     assert pairs == len(INDUCTION_METHODS) * 300 * 300
-    array_bytes = pairs * (np.dtype(np.intp).itemsize + np.dtype(np.float64).itemsize)
+    array_bytes = pairs * np.dtype(np.float64).itemsize
     assert peak < 3 * array_bytes, (peak, array_bytes)
 
 class TestGlobalFeatureSets:
@@ -368,12 +370,18 @@ class TestTies:
         assert order == sorted(tied) == [w for w, _ in items][start:start + len(tied)]
 
     def test_order_is_stable_sort_on_score(self):
+        """The head and every target's gold rank follow a stable sort on the
+        score, over 30 targets in 4 tied groups."""
         rng = np.random.default_rng(13)
         values = rng.integers(0, 4, size=30).astype(float)
         tgt = table_from_raw("t", {f"t{i:02d}": [v, 1.0] for i, v in enumerate(values)})
         src = table_from_raw("s", {"x": [1.0, 0.0]})
-        items = ranked_pairs(rank_word("linguistic", "x", src, tgt))
+        ranking = rank_word("linguistic", "x", src, tgt)
+        items = ranked_pairs(ranking)   # checks the head against the sort
         assert items == sorted(items, key=lambda kv: (-kv[1], kv[0]))
+        for position, (word, _) in enumerate(items):
+            lexicon = GroundTruthLexicon("s", "t", {"x": {word}})
+            assert gold_ranks({"x": ranking}, lexicon) == {"x": position + 1}
 
 
 def brute_force_eval(ordered_candidates, lexicon_entries, ks):

@@ -14,7 +14,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexipivot import induction, pipeline
@@ -181,8 +181,8 @@ def assert_matches_oracle(ranking, scores, fallback):
 @given(raw_language("s"), raw_language("t"))
 @settings(max_examples=200, deadline=None)
 def test_rankers_match_per_pair_oracle(src, tgt):
-    """Each method's score matrix, one row per scorable source word ordered
-    by its `<method>_rank`."""
+    """Each method's score matrix, its heads and fallback counts, one row
+    per scorable source word paired with its head by its `<method>_rank`."""
     src_table, tgt_table = table("s", src), table("t", tgt)
     for method in METHODS:
         score, rank = (getattr(induction, f"{method}_{kind}") for kind in ("scores", "rank"))
@@ -194,8 +194,11 @@ def test_rankers_match_per_pair_oracle(src, tgt):
                 continue
             if matrix is None:
                 matrix = score(src_table, tgt_table)
-            row = matrix[src_table.row(x)]
-            assert_matches_oracle(rank(x, src_table, tgt_table, row), scores, fallback)
+                heads = induction.ranking_heads(matrix)
+                fallbacks = induction.fallback_counts(method, src_table, tgt_table)
+            i = src_table.row(x)
+            ranking = rank(x, tgt_table, matrix[i], heads[i], int(fallbacks[i]))
+            assert_matches_oracle(ranking, scores, fallback)
 
 
 @given(raw_language("s"), raw_language("t"))
@@ -261,9 +264,9 @@ def test_compute_rankings_skips_like_the_oracle(src, tgt):
 @given(tied_language("s", 3), tied_language("t", 2 * RANKING_WIDTH))
 @settings(max_examples=100, deadline=None)
 def test_ties_and_bottom_scores_follow_a_brute_force_sort(src, tgt):
-    """Positions, gold ranks, pair counts and rankings.tsv lines of every
-    method agree with a plain sort of each ranking's (word, score) pairs by
-    (-score, word)."""
+    """Heads, gold ranks at every position, pair counts and rankings.tsv
+    lines of every method agree with a plain sort of each ranking's (word,
+    score) pairs by (-score, word)."""
     tables = {"s": table("s", src), "t": table("t", tgt)}
     targets = tables["t"].words
     computed = compute_rankings(tables, "s", "t")
@@ -273,11 +276,9 @@ def test_ties_and_bottom_scores_follow_a_brute_force_sort(src, tgt):
             ranking = computed[method][x]
             assert_matches_oracle(ranking, *oracle_rank(method, src, tgt, x))
             assert len(ranking.items) == len(targets)
-            score = {targets[k]: s for k, s in zip(ranking.order.tolist(),
-                                                   ranking.scores.tolist())}
-            assert sorted(score) == targets
+            score = dict(zip(targets, ranking.row.tolist()))
             expected = sorted(targets, key=lambda w: (-score[w], w))
-            assert [targets[k] for k in ranking.order.tolist()] == expected
+            assert [targets[k] for k in ranking.head.tolist()] == expected[:RANKING_WIDTH]
             for position in range(len(expected)):   # the first of the gold targets
                 lexicon = GroundTruthLexicon("s", "t", {x: set(expected[position:])})
                 assert gold_ranks({x: ranking}, lexicon) == {x: position + 1}
@@ -289,3 +290,72 @@ def test_ties_and_bottom_scores_follow_a_brute_force_sort(src, tgt):
         path = Path(tmp) / "rankings.tsv"
         write_rankings(path, computed)
         assert path.read_text(encoding="utf-8").splitlines() == expected_lines
+
+
+def profiles(words, ling, vis=None, glob=None):
+    """A raw language whose `words` all share one linguistic vector and, when
+    given, one visual and one global set."""
+    raw = {"ling": {w: ling for w in words}, "vis": {}, "glob": {}}
+    for kind, rows in (("vis", vis), ("glob", glob)):
+        if rows is not None:
+            raw[kind] = {w: rows for w in words}
+    return raw
+
+
+def merged(*raws):
+    return {kind: {w: v for raw in raws for w, v in raw[kind].items()}
+            for kind in ("ling", "vis", "glob")}
+
+
+ONE, OTHER = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+SOURCE = profiles(["s0"], ONE, [ONE], [ONE])
+
+
+@given(tied_language("s", 3), tied_language("t", 3 * RANKING_WIDTH))
+@example(SOURCE, profiles([f"t{i:02d}" for i in range(45)], ONE, [ONE], [ONE]))  # all tied
+@example(SOURCE, profiles(["t0"], OTHER, [OTHER], [OTHER]))                       # T = 1
+@example(SOURCE, merged(profiles([f"t{i}" for i in range(0, 7, 2)], ONE, [ONE]),  # T < 20
+                        profiles([f"t{i}" for i in range(1, 7, 2)], OTHER)))
+@example(SOURCE, merged(                        # 15 ahead, then 25 tied across place 20
+    profiles([f"t{i:02d}" for i in range(0, 30, 2)], ONE, [ONE], [ONE]),
+    profiles([f"t{i:02d}" for i in range(1, 30, 2)] + [f"t{i}" for i in range(30, 40)],
+             OTHER, [OTHER], [OTHER])))
+@example(profiles(["s0", "s1"], ONE),           # no source has a visual or global set
+         profiles([f"t{i:02d}" for i in range(25)], ONE, [ONE], [ONE]))
+@settings(max_examples=100, deadline=None)
+def test_selection_matches_a_python_sort_at_the_boundary(src, tgt):
+    """Every method's head is the first RANKING_WIDTH places of a Python
+    sort of its row by (-score, word), and `gold_ranks` gives that sort's
+    first gold position wherever the gold targets start, with ties across
+    the last place of the head, every target tied, fewer targets than
+    RANKING_WIDTH, one target, and methods that no source word can use."""
+    tables = {"s": table("s", src), "t": table("t", tgt)}
+    computed = compute_rankings(tables, "s", "t")
+    for method in METHODS:
+        assert sorted(computed[method]) == [x for x in sorted(src["ling"])
+                                            if scorable(method, src, x)]
+        for x, ranking in computed[method].items():
+            pairs = sorted(zip(tables["t"].words, ranking.row.tolist()),
+                           key=lambda kv: (-kv[1], kv[0]))
+            assert ranking.top(RANKING_WIDTH) == pairs[:RANKING_WIDTH], method
+            assert_matches_oracle(ranking, *oracle_rank(method, src, tgt, x))
+            expected = [w for w, _ in pairs]
+            for position, word in enumerate(expected):
+                for gold in ({word}, set(expected[position:]), {word, *expected[position::3]}):
+                    lexicon = GroundTruthLexicon("s", "t", {x: gold})
+                    assert gold_ranks({x: ranking}, lexicon) == {x: position + 1}
+
+
+@given(raw_language("s"), raw_language("t"))
+@example(profiles(["s0"], ONE), profiles(["t0", "t1"], OTHER, [ONE]))   # source rows 0 wide
+@example(profiles(["s0"], ONE, [ONE]), profiles(["t0"], OTHER))         # target rows 0 wide
+@example(profiles(["s0"], ONE), profiles(["t0"], OTHER))                # both 0 wide
+@settings(max_examples=100, deadline=None)
+def test_fused_from_the_held_matrices_equals_standalone_fused_scores(src, tgt):
+    """The fused rows `compute_rankings` sums from its linguistic and visual
+    matrices are bit for bit those of `fused_scores` taking both products
+    itself, for sources and targets with and without a visual vector."""
+    tables = {"s": table("s", src), "t": table("t", tgt)}
+    rankings = compute_rankings(tables, "s", "t")["fused"]
+    held = np.array([rankings[x].row for x in tables["s"].words])
+    assert np.array_equal(held, induction.fused_scores(tables["s"], tables["t"]))

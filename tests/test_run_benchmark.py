@@ -47,6 +47,9 @@ def test_json_record(tmp_path):
     pairs = sum(c["pairs"] for c in induced["counts"].values())
     assert pairs > 0 and record["induce"]["pairs"] == pairs
     assert record["induce"]["pairs_per_s"] == pairs / induced["timings"]["rank"]
+    # and the induce stage's phase times, as its manifest holds them
+    assert sorted(record["induce"]["timings"]) == ["evaluate", "load", "rank", "write"]
+    assert record["induce"]["timings"] == induced["timings"]
     assert record["peak_rss_mb"] > 0
     assert sorted(record["methods"]) == ["cnn_avgmax", "cnn_mean", "fused", "linguistic",
                                          "visual"]
