@@ -8,17 +8,24 @@ are evaluated with mean reciprocal rank and precision at K, from one
 gold-rank table per method (`gold_ranks`): each lexicon word's best gold
 rank, which the report rows, `ranks.tsv` and the manifest counts read.
 
-Each language's inputs are held as matrices (`WordFeatureTable`). A
-method scores every source word against every target word as one
-source-by-target matrix (`<method>_scores`); fused sums the linguistic
-and visual matrices. Identical candidates get bit-identical scores, and a
-ranking orders the targets as a stable sort on the score over targets in
-word order would: `(-score, word)`. No row is sorted. One selection per
-matrix (`ranking_heads`) finds every row's first RANKING_WIDTH places,
-ties at the boundary included, and `<method>_rank` pairs one source
-word's row with its head. A gold target's rank is counted from the row:
-one plus the targets scored above it and the tied ones before it in word
-order.
+Each language's inputs are held as matrices (`WordFeatureTable`).
+`build_table` does no per-word arithmetic: set means are taken per set
+size and normalized by batched dots, so that every row keeps the bits of
+the per-word `unit(np.mean(set, axis=0))`, and the distinct global image
+rows come from one dict over the unit rows' bytes, normalized in runs of
+words (`value_runs`). A method scores
+every source word against every target word as one source-by-target matrix
+(`<method>_scores`, held with its heads as `MethodScores`); fused sums the
+linguistic and visual matrices. Identical candidates get bit-identical
+scores, and a ranking orders the targets as a stable sort on the score
+over targets in word order would: `(-score, word)`. No row is sorted. One
+selection per matrix (`ranking_heads`) finds every row's first
+RANKING_WIDTH places, ties at the boundary included, and `<method>_rank`
+pairs one source word's row with its head. A gold target's rank is
+counted from the row: one plus the targets scored above it and the tied
+ones before it in word order, for every gold pair of the lexicon
+(`GoldIndex`) at once. `write_rankings` formats each line of a method with
+one format string over its stacked heads and their scores.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .caption.model import MultiLingualModel
 from .corpus.lexicon import GroundTruthLexicon
 from .corpus.vocab import Vocabulary
 from .errors import EmptyResultError, NumericError
-from .localization import word_occurrences
+from .localization import value_runs, word_occurrences
 from .seeding import substream
 
 ZERO_NORM = 1e-12
@@ -53,39 +60,55 @@ def unit(vector: np.ndarray) -> np.ndarray | None:
     return vector / norm
 
 
-def mean_unit(rows: np.ndarray) -> np.ndarray | None:
-    """Mean of a set of rows, then one normalization; None when the set is
-    empty or its mean is (near) zero."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if not len(rows):
-        return None
-    return unit(np.mean(rows, axis=0))
-
-
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    """Row-wise normalization; (near) zero rows stay zero."""
-    rows = np.asarray(rows, dtype=np.float64)
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    """Row-wise normalization; (near) zero rows stay zero. The norms are
+    those of `np.linalg.norm(rows, axis=1)`; the quotients overwrite the
+    squares the norms were summed from, so the rows are copied once."""
+    squares = rows * rows
+    norms = np.sqrt(np.add.reduce(squares, axis=1, keepdims=True))
     norms[norms < ZERO_NORM] = 1.0
-    return rows / norms
+    return np.divide(rows, norms, out=squares)
 
 
-def _distinct_rows(sets: list[np.ndarray], dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct unit rows of all sets, compared by their bytes, and each
-    set member's index into them, members of the sets in order."""
-    index: dict[bytes, int] = {}
-    inverse = [index.setdefault(row.tobytes(), len(index))
-               for rows in sets for row in _unit_rows(rows)]
-    distinct = np.frombuffer(b"".join(index), dtype=np.float64).reshape(len(index), dim)
-    return distinct, np.array(inverse, dtype=np.intp)
+def _row_bytes(rows: np.ndarray) -> list[bytes]:
+    """Each row's bytes, read as one void item per row."""
+    if not rows.shape[1]:
+        return [b""] * len(rows)
+    return rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel().tolist()
 
 
-def _stacked(vectors: list, dim: int) -> np.ndarray:
-    return np.asarray(vectors, dtype=np.float64).reshape(len(vectors), dim)
+def _word_sets(words: list[str], sets: dict[str, np.ndarray]) -> tuple[list, np.ndarray]:
+    """Each word's set as a float64 array, an empty one for a word without a
+    set, and the set sizes. The width is that of the first set, 0 when
+    there is none."""
+    width = next((np.shape(sets[w])[-1] for w in words if w in sets), 0)
+    empty = np.zeros((0, width))
+    held = [np.asarray(sets[w], dtype=np.float64) if w in sets else empty for w in words]
+    return held, np.array([len(rows) for rows in held], dtype=np.intp).reshape(len(words))
 
 
-def _first_dim(sets) -> int:
-    return next((np.shape(v)[-1] for v in sets), 0)
+def _unit_means(sets: list, lengths: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each set's mean, then one normalization, rounded as `unit(np.mean(
+    set, axis=0))` rounds it, and a flag that the set is non-empty with a
+    mean of norm at least ZERO_NORM; other rows are zero.
+
+    The sets of one size are stacked and averaged together along their
+    member axis, which sums each set's members in the order that `np.mean`
+    of the set alone does (`np.add.reduceat` sums each column pairwise
+    instead, and rounds otherwise). Each norm is the batched product of the
+    mean with itself, the BLAS dot that `np.linalg.norm` of one vector takes.
+    """
+    means = np.zeros((len(sets), width))
+    # the sizes of the non-empty sets; np.unique would import numpy.ma on its
+    # first call, 19 ms, more than a default table takes to build
+    for size in np.flatnonzero(np.bincount(lengths[lengths > 0])).tolist():
+        group = np.flatnonzero(lengths == size)
+        means[group] = np.stack([sets[i] for i in group.tolist()]).mean(axis=1)
+    norms = np.sqrt(np.matmul(means[:, None, :], means[:, :, None])[:, 0, 0])
+    valid = norms >= ZERO_NORM
+    means[valid] /= norms[valid, None]
+    means[~valid] = 0.0
+    return means, valid
 
 
 @dataclass
@@ -143,26 +166,31 @@ def build_table(language_id: str, linguistic: dict[str, np.ndarray],
     and names the table's words; a word's visual vector is the unit mean
     of its `visual_sets` rows. `global_sets` holds each word's global image
     rows for the baselines. Sets of words outside `linguistic` are dropped.
+    The visual rows are 0 wide when no word has a visual vector.
     """
     words = sorted(linguistic)
-    visual = [mean_unit(visual_sets[w]) if w in visual_sets else None for w in words]
-    d_v = _first_dim(v for v in visual if v is not None)
-    d_g = _first_dim(global_sets[w] for w in words if w in global_sets)
-    sets = [np.asarray(global_sets.get(w, np.zeros((0, d_g))), dtype=np.float64)
-            for w in words]
-    means = [mean_unit(s) for s in sets]
-    distinct, inverse = _distinct_rows(sets, d_g)
+    ling = np.asarray([linguistic[w] for w in words], dtype=np.float64)
+    sets, lengths = _word_sets(words, visual_sets)
+    visual, has_visual = _unit_means(sets, lengths, sets[0].shape[1] if words else 0)
+    sets, lengths = _word_sets(words, global_sets)
+    width = sets[0].shape[1] if words else 0
+    global_mean, global_mean_valid = _unit_means(sets, lengths, width)
+    index: dict[bytes, int] = {}   # the distinct unit rows, by their bytes
+    inverse: list[int] = []
+    for lo, hi in value_runs([rows.size for rows in sets]):
+        rows = np.concatenate([np.zeros((0, width)), *sets[lo:hi]])
+        inverse += [index.setdefault(key, len(index)) for key in _row_bytes(_unit_rows(rows))]
     return WordFeatureTable(
         language_id=language_id,
         words=words,
-        linguistic=_stacked([linguistic[w] for w in words], _first_dim(linguistic.values())),
-        visual=_stacked([np.zeros(d_v) if v is None else v for v in visual], d_v),
-        has_visual=np.array([v is not None for v in visual], dtype=bool),
-        global_mean=_stacked([np.zeros(d_g) if m is None else m for m in means], d_g),
-        global_mean_valid=np.array([m is not None for m in means], dtype=bool),
-        global_rows=distinct,
-        global_inverse=inverse,
-        global_offsets=np.cumsum([0] + [len(s) for s in sets]),
+        linguistic=ling.reshape(len(words), ling.shape[-1] if words else 0),
+        visual=visual if has_visual.any() else np.zeros((len(words), 0)),
+        has_visual=has_visual,
+        global_mean=global_mean,
+        global_mean_valid=global_mean_valid,
+        global_rows=np.frombuffer(b"".join(index), dtype=np.float64).reshape(len(index), width),
+        global_inverse=np.array(inverse, dtype=np.intp),
+        global_offsets=np.concatenate([[0], np.cumsum(lengths)]),
     )
 
 
@@ -325,6 +353,23 @@ def fallback_counts(method: str, source: WordFeatureTable,
 
 
 @dataclass(eq=False)
+class MethodScores:
+    """One method's scoring of every source word against every target word.
+
+    `scorable` flags the source rows the method can score, and `fallbacks`
+    holds each row's `fallback_counts` entry. `scores` is the [S, T] matrix
+    and `heads` its `ranking_heads`; both are None when no source row is
+    scorable. Rows of unscorable sources are meaningless.
+    """
+
+    method: str
+    scorable: np.ndarray              # [S] bool
+    fallbacks: np.ndarray             # [S] fallback pairs
+    scores: np.ndarray | None = None  # [S, T] float64
+    heads: np.ndarray | None = None   # [S, min(RANKING_WIDTH, T)] target rows
+
+
+@dataclass(eq=False)
 class TranslationRanking:
     """One source word's targets, best first: descending score, ties in
     word order.
@@ -334,7 +379,7 @@ class TranslationRanking:
     first min(RANKING_WIDTH, targets) places. `words` and `rows` are the
     target table's word list and row map, shared by every ranking over that
     table. No full order is kept: `gold_ranks` counts a target's position
-    from `row`.
+    from the row of the score matrix.
     """
 
     source_word: str
@@ -415,31 +460,55 @@ class EvalReport:
     fallback_pairs: int = 0
 
 
-def gold_ranks(rankings: dict[str, TranslationRanking],
-               lexicon: GroundTruthLexicon) -> dict[str, int | str]:
+@dataclass(eq=False)
+class GoldIndex:
+    """A lexicon against one source and one target table: its source words
+    in word order, each one's source row (-1 for a word the source table
+    lacks), and one (word, target row) pair per gold target the target
+    table holds."""
+
+    words: list[str]
+    source_rows: np.ndarray   # [W] intp
+    pair_words: np.ndarray    # [P] index into `words`
+    pair_targets: np.ndarray  # [P] target row
+
+
+def gold_index(lexicon: GroundTruthLexicon, source_rows: dict[str, int],
+               target_rows: dict[str, int]) -> GoldIndex:
+    """Index `lexicon` against the word -> row maps of the two tables."""
+    words = sorted(lexicon.entries)
+    pairs = [(i, target_rows[t]) for i, w in enumerate(words)
+             for t in lexicon.entries[w] if t in target_rows]
+    pair_words, pair_targets = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return GoldIndex(words, np.array([source_rows.get(w, -1) for w in words], dtype=np.intp),
+                     pair_words, pair_targets)
+
+
+def gold_ranks(scored: MethodScores, gold: GoldIndex) -> dict[str, int | str]:
     """The gold-rank table of one method: per lexicon source word, in word
     order, the 1-based rank of its best gold target; UNRANKED for a word
-    without a ranking, GOLD_OUTSIDE for one whose gold targets are all
-    missing from the candidate list.
+    the method does not rank, GOLD_OUTSIDE for one whose gold targets are
+    all missing from the candidate list.
 
-    Target g's rank is counted from the ranking's `row`: one plus the
-    targets that score above it and the tied ones before it in word order.
+    Target g's rank is counted from the source word's row of the score
+    matrix: one plus the targets that score above it and the tied ones
+    before it in word order. Every gold pair is counted at once, and a
+    word takes its least count.
     """
-    ranks: dict[str, int | str] = {}
-    for source_word in sorted(lexicon.entries):
-        ranking = rankings.get(source_word)
-        if ranking is None:
-            ranks[source_word] = UNRANKED
-            continue
-        gold = [ranking.rows[t] for t in lexicon.entries[source_word] if t in ranking.rows]
-        if not gold:
-            ranks[source_word] = GOLD_OUTSIDE
-            continue
-        row = ranking.row
-        ranks[source_word] = 1 + min(
-            int(np.count_nonzero(row > row[g]) + np.count_nonzero(row[:g] == row[g]))
-            for g in gold)
-    return ranks
+    ranked = gold.source_rows >= 0
+    ranked[ranked] = scored.scorable[gold.source_rows[ranked]]
+    outside = np.iinfo(np.intp).max
+    best = np.full(len(gold.words), outside)
+    counted = ranked[gold.pair_words]
+    if counted.any():
+        word, g = gold.pair_words[counted], gold.pair_targets[counted]
+        rows = scored.scores[gold.source_rows[word]]
+        at = rows[np.arange(len(g)), g, None]
+        before = np.arange(rows.shape[1]) < g[:, None]
+        np.minimum.at(best, word, 1 + np.count_nonzero(rows > at, axis=1)
+                      + np.count_nonzero((rows == at) & before, axis=1))
+    return {w: (b if b != outside else GOLD_OUTSIDE) if r else UNRANKED
+            for w, r, b in zip(gold.words, ranked.tolist(), best.tolist())}
 
 
 def evaluate(ranks: dict[str, int | str], rankings: dict[str, TranslationRanking],
@@ -483,15 +552,30 @@ def pos_breakdown(ranks: dict[str, int | str], rankings: dict[str, TranslationRa
 # ---------------------------------------------------------------------------
 
 
-def write_rankings(path, rankings_by_method: dict[str, dict[str, TranslationRanking]]) -> None:
+def write_rankings(path, scored: dict[str, MethodScores], source_words: list[str],
+                   target_words: list[str]) -> None:
     """source TAB method TAB comma-joined target:score (6 decimals), the top
-    RANKING_WIDTH candidates per source word."""
+    RANKING_WIDTH candidates of each source word a method scores, methods
+    and source words in order.
+
+    A method's lines are one `%` format each, over its stacked heads, their
+    target words and their scores, and are written at once.
+    """
+    sources = np.array(source_words, dtype=object)
+    targets = np.array(target_words, dtype=object)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for method in sorted(rankings_by_method):
-            for source_word in sorted(rankings_by_method[method]):
-                top = rankings_by_method[method][source_word].top(RANKING_WIDTH)
-                cells = ",".join(f"{w}:{s:.6f}" for w, s in top)
-                fh.write(f"{source_word}\t{method}\t{cells}\n")
+        for method in sorted(scored):
+            s = scored[method]
+            rows = np.flatnonzero(s.scorable)
+            if not len(rows):
+                continue
+            heads = s.heads[rows]
+            fields = np.empty((len(rows), 2 + 2 * heads.shape[1]), dtype=object)
+            fields[:, 0], fields[:, 1] = sources[rows], method
+            fields[:, 2::2] = targets[heads]
+            fields[:, 3::2] = np.take_along_axis(s.scores[rows], heads, axis=1).tolist()
+            line = "%s\t%s\t" + ",".join(["%s:%.6f"] * heads.shape[1]) + "\n"
+            fh.write("".join([line % tuple(f) for f in fields.tolist()]))
 
 
 def write_ranks(path, ranks_by_method: dict[str, dict[str, int | str]],

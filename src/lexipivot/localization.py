@@ -53,6 +53,9 @@ from .numerics.lstm import cell_forward
 
 TABLE_MAGIC = b"LXWF"
 ROW_CAP = 128  # depth-0 decode rows per chunk, and images per encoder call
+# feature values per stacked run of a table's word arrays: a larger
+# temporary costs more in fresh pages than its fewer numpy calls save
+RUN_VALUES = 1 << 14
 
 
 def encode_images(model: MultiLingualModel, examples,
@@ -287,9 +290,21 @@ def write_word_features(path, language: str,
     write_arrays(path, TABLE_MAGIC, "<f8", meta, rows)
 
 
+def value_runs(sizes: list[int]) -> list[tuple[int, int]]:
+    """Consecutive [lo, hi) ranges over items of `sizes` values each, of
+    about RUN_VALUES values: a range ends before the item at which the
+    values before it pass a multiple of RUN_VALUES. The ranges cover every
+    item, in order."""
+    starts = np.cumsum([0, *sizes])[:-1]
+    cuts = (np.flatnonzero(np.diff(starts // RUN_VALUES)) + 1).tolist()
+    return list(zip([0, *cuts], [*cuts, len(sizes)]))
+
+
 def read_word_features(path):
     """Returns (language, aggregated flag, {word: (count, rows)}). A NaN or
-    infinite feature value is a FormatError naming the word."""
+    infinite feature value is a FormatError naming the first such word in
+    file order; the words' values are checked together, a `value_runs` run
+    at a time."""
     meta, arrays = read_arrays(path, TABLE_MAGIC, "<f8")
     language, aggregated, counts = (meta.get(k) for k in ("language", "aggregated", "counts"))
     if not (isinstance(language, str) and isinstance(aggregated, bool)
@@ -302,7 +317,13 @@ def read_word_features(path):
         if rows.ndim != 2 or len(rows) != (1 if aggregated else count):
             raise FormatError(f"{path}: word {word!r} with {count} occurrences has feature "
                               f"rows of shape {rows.shape}")
-        if not np.isfinite(rows).all():
+    values = list(arrays.values())
+    sizes = [rows.size for rows in values]
+    for lo, hi in value_runs(sizes):
+        finite = np.isfinite(np.concatenate([np.zeros(0), *values[lo:hi]], axis=None))
+        if not finite.all():   # name the first word, in file order, with a bad value
+            at = np.searchsorted(np.cumsum(sizes[lo:hi]), np.argmin(finite), side="right")
+            word = list(arrays)[lo + int(at)]
             raise FormatError(f"{path}: word {word!r} has a non-finite feature value")
     if len({rows.shape[1] for rows in arrays.values()}) > 1:
         raise FormatError(f"{path}: feature rows of more than one width")

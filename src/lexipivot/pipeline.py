@@ -39,6 +39,7 @@ from .errors import ConfigError, EmptyResultError, FormatError
 from .induction import (
     GOLD_OUTSIDE,
     UNRANKED,
+    MethodScores,
     build_table,
     cnn_avgmax_rank,
     cnn_avgmax_scores,
@@ -49,6 +50,7 @@ from .induction import (
     fallback_counts,
     fused_rank,
     fused_scores,
+    gold_index,
     gold_ranks,
     linguistic_rank,
     linguistic_scores,
@@ -306,7 +308,10 @@ def stage_extract(config: RunConfig, out_dir, checkpoint, corpus_dir) -> dict:
 
 
 def _load_tables(features_dir, languages, method: str):
-    tables = {}
+    """Each language's `build_table` from its three tables. Both languages'
+    tables of one kind must hold rows of one width, unless one holds no
+    rows at all."""
+    tables, widths = {}, {}
     for lang in languages:
         rows = {}
         for kind in ("linguistic", f"visual-{method}", "global"):
@@ -318,64 +323,93 @@ def _load_tables(features_dir, languages, method: str):
             if kind != "global" and not aggregated:
                 raise ConfigError(f"{kind} table for {lang} is not aggregated")
             rows[kind] = {w: word_rows for w, (_, word_rows) in entries.items()}
+            width = next((r.shape[1] for r in rows[kind].values() if len(r)), 0)
+            if width:   # a table without rows fits any width
+                first_path, first_width = widths.setdefault(kind, (path, width))
+                if width != first_width:
+                    raise FormatError(f"{path} holds rows {width} wide, but {first_path} "
+                                      f"holds rows {first_width} wide; both languages' "
+                                      f"{kind} tables must have one width")
         tables[lang] = build_table(
             lang, {w: word_rows[0] for w, word_rows in rows["linguistic"].items()},
             rows[f"visual-{method}"], rows["global"])
     return tables
 
 
-def compute_rankings(tables, source: str, target: str) -> dict[str, dict]:
+def score_methods(source, target) -> dict[str, MethodScores]:
+    """Every method of `INDUCTION_METHODS`, each source word of table
+    `source` scored against every target word of table `target` as one
+    [S, T] matrix.
+
+    Fused sums the linguistic and visual matrices already held. One
+    `ranking_heads` pass per matrix selects every row's first places, and
+    one `fallback_counts` pass counts its fallback pairs. A method scores
+    only some source words: visual needs a visual vector, cnn_mean a
+    non-zero global set mean and cnn_avgmax a non-empty global set. A method
+    that can score none is left without a matrix.
+    """
+    every = np.ones(len(source.words), dtype=bool)
+    scorers = {
+        "linguistic": (linguistic_scores, every),
+        "visual": (visual_scores, source.has_visual),
+        "fused": (fused_scores, every),
+        "cnn_mean": (cnn_mean_scores, source.global_mean_valid),
+        "cnn_avgmax": (cnn_avgmax_scores, np.diff(source.global_offsets) > 0),
+    }
+    scored = {}
+    for method in INDUCTION_METHODS:
+        score, scorable = scorers[method]
+        scores = heads = None
+        if scorable.any():   # else the table's rows for this method may be 0 wide
+            if method == "fused":
+                scores = score(source, target, scored["linguistic"].scores,
+                               scored["visual"].scores)
+            else:
+                scores = score(source, target)
+            heads = ranking_heads(scores)
+        scored[method] = MethodScores(method, scorable, fallback_counts(method, source, target),
+                                      scores, heads)
+    return scored
+
+
+def compute_rankings(tables, source: str, target: str,
+                     scored: dict[str, MethodScores] | None = None) -> dict[str, dict]:
     """{method: {source word: ranking}} for every method of `INDUCTION_METHODS`.
 
-    Each method scores every source word against every target word as one
-    [S, T] matrix, and fused sums the linguistic and visual matrices already
-    held. One `ranking_heads` pass per matrix selects every row's first
-    places, and one `fallback_counts` pass counts its fallback pairs. Then one
-    `<method>_rank` call per source word the method can score pairs its row
-    with its head. The rest are skipped: visual needs a visual vector,
-    cnn_mean a non-zero global set mean and cnn_avgmax a non-empty global
-    set.
+    `scored` is the tables' `score_methods`, taken here when not given. One
+    `<method>_rank` call per source word a method can score pairs its row
+    with its head and its fallback count; the rest are skipped.
     """
     src, tgt = tables[source], tables[target]
-    every = np.ones(len(src.words), dtype=bool)
+    if scored is None:
+        scored = score_methods(src, tgt)
     # looked up at call time, so that wrappers set on this module apply
-    rankers = {
-        "linguistic": (linguistic_scores, linguistic_rank, every),
-        "visual": (visual_scores, visual_rank, src.has_visual),
-        "fused": (fused_scores, fused_rank, every),
-        "cnn_mean": (cnn_mean_scores, cnn_mean_rank, src.global_mean_valid),
-        "cnn_avgmax": (cnn_avgmax_scores, cnn_avgmax_rank, np.diff(src.global_offsets) > 0),
-    }
-    matrices, methods = {}, {}
-    for method in INDUCTION_METHODS:
-        score, rank, scorable = rankers[method]
-        methods[method] = {}
-        if not scorable.any():   # the table's rows for this method may be 0 wide
-            continue
-        if method == "fused":
-            scores = score(src, tgt, matrices.get("linguistic"), matrices.get("visual"))
-        else:
-            scores = matrices[method] = score(src, tgt)
-        heads = ranking_heads(scores)
-        fallbacks = fallback_counts(method, src, tgt).tolist()
-        for i in np.flatnonzero(scorable).tolist():
-            methods[method][src.words[i]] = rank(src.words[i], tgt, scores[i], heads[i],
-                                                 fallbacks[i])
+    rankers = {"linguistic": linguistic_rank, "visual": visual_rank, "fused": fused_rank,
+               "cnn_mean": cnn_mean_rank, "cnn_avgmax": cnn_avgmax_rank}
+    methods = {}
+    for method, s in scored.items():
+        rank, fallbacks = rankers[method], s.fallbacks.tolist()
+        methods[method] = {src.words[i]: rank(src.words[i], tgt, s.scores[i], s.heads[i],
+                                              fallbacks[i])
+                           for i in np.flatnonzero(s.scorable).tolist()}
     return methods
 
 
-def ranking_counts(methods: dict[str, dict], source_words: list[str],
+def ranking_counts(scored: dict[str, MethodScores], n_targets: int,
                    ranks: dict[str, dict]) -> dict[str, dict]:
     """Per method: rankings produced, (source, target) pairs scored, source
     words left unranked, fallback pairs, and the two kinds of lexicon word
     that `skipped` adds up, from the method's gold-rank table."""
-    return {method: {"rankings": len(rankings),
-                     "pairs": sum(len(r.items) for r in rankings.values()),
-                     "skipped_sources": sum(w not in rankings for w in source_words),
-                     "fallback_pairs": sum(r.fallback_pairs for r in rankings.values()),
-                     "unranked_lexicon_words": list(ranks[method].values()).count(UNRANKED),
-                     "gold_outside_targets": list(ranks[method].values()).count(GOLD_OUTSIDE)}
-            for method, rankings in sorted(methods.items())}
+    counts = {}
+    for method, s in sorted(scored.items()):
+        rankings = int(np.count_nonzero(s.scorable))
+        counts[method] = {
+            "rankings": rankings, "pairs": rankings * n_targets,
+            "skipped_sources": len(s.scorable) - rankings,
+            "fallback_pairs": int(s.fallbacks[s.scorable].sum()),
+            "unranked_lexicon_words": list(ranks[method].values()).count(UNRANKED),
+            "gold_outside_targets": list(ranks[method].values()).count(GOLD_OUTSIDE)}
+    return counts
 
 
 def reports_for(methods: dict[str, dict], ranks: dict[str, dict], lexicon) -> list:
@@ -393,22 +427,26 @@ def reports_for(methods: dict[str, dict], ranks: dict[str, dict], lexicon) -> li
 
 def stage_induce(config: RunConfig, out_dir, features_dir, lexicon_path) -> dict:
     """Rank the words of the first corpus language against the second's.
-    Every output after ranking reads one `gold_ranks` table per method."""
+    Every output after ranking reads one `gold_ranks` table per method,
+    counted over its score matrix against one index of the lexicon."""
     out_dir, manifest = _prepare(config, out_dir, "induce")
     source, target = config.corpus.languages
     with manifest.timed("load"):
         lexicon = read_lexicon(lexicon_path, source, target)
         manifest.add_input(lexicon_path)
         tables = _load_tables(features_dir, (source, target), config.extraction.method)
+    src, tgt = tables[source], tables[target]
     with manifest.timed("rank"):
-        methods = compute_rankings(tables, source, target)
+        scored = score_methods(src, tgt)
+        methods = compute_rankings(tables, source, target, scored)
     with manifest.timed("evaluate"):
-        ranks = {method: gold_ranks(rankings, lexicon) for method, rankings in methods.items()}
+        gold = gold_index(lexicon, src.rows, tgt.rows)
+        ranks = {method: gold_ranks(s, gold) for method, s in scored.items()}
         reports = reports_for(methods, ranks, lexicon)
-    manifest.counts = ranking_counts(methods, tables[source].words, ranks)
+    manifest.counts = ranking_counts(scored, len(tgt.words), ranks)
     with manifest.timed("write"):
         rankings_path, ranks_path = out_dir / "rankings.tsv", out_dir / "ranks.tsv"
-        write_rankings(rankings_path, methods)
+        write_rankings(rankings_path, scored, src.words, tgt.words)
         write_ranks(ranks_path, ranks, lexicon)
         csv_path, json_path = out_dir / "report.csv", out_dir / "report.json"
         write_report_csv(csv_path, reports)

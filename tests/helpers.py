@@ -2,7 +2,9 @@
 the per-tensor Adam step and gradient clip, the per-step probe and
 attention decodes and one-caption localization built on them; padded
 batches; hand-packed array containers; rankings as (word, score) pairs,
-sorted in Python; and one source word's ranking."""
+sorted in Python; one source word's ranking; and the per-word table
+build, gold-rank loop and per-cell rankings writer that the induce stage's
+array code replaced."""
 
 import json
 import struct
@@ -10,7 +12,19 @@ import struct
 import numpy as np
 
 from lexipivot.corpus.vocab import PAD
-from lexipivot.induction import RANKING_WIDTH, TranslationRanking
+from lexipivot.induction import (
+    GOLD_OUTSIDE,
+    RANKING_WIDTH,
+    UNRANKED,
+    ZERO_NORM,
+    MethodScores,
+    TranslationRanking,
+    WordFeatureTable,
+    gold_index,
+    gold_ranks,
+    unit,
+    write_rankings,
+)
 from lexipivot.numerics import (
     Tensor,
     additive_attention,
@@ -254,3 +268,128 @@ def rank_word(method: str, x: str, source, target) -> TranslationRanking:
     """`x`'s ranking under `method` against every target word, through
     `compute_rankings`; a KeyError for a word the method does not rank."""
     return compute_rankings({"source": source, "target": target}, "source", "target")[method][x]
+
+
+# ---------------------------------------------------------------------------
+# the per-word induce code that the array code replaced, as oracles
+# ---------------------------------------------------------------------------
+
+
+def mean_unit(rows):
+    """Mean of a set of rows, then one normalization; None when the set is
+    empty or its mean is (near) zero."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if not len(rows):
+        return None
+    return unit(np.mean(rows, axis=0))
+
+
+def unit_rows(rows):
+    """Row-wise normalization; (near) zero rows stay zero."""
+    rows = np.asarray(rows, dtype=np.float64)
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    norms[norms < ZERO_NORM] = 1.0
+    return rows / norms
+
+
+def distinct_rows(sets, dim):
+    """The distinct unit rows of all sets, compared by their bytes, and each
+    set member's index into them, members of the sets in order."""
+    index = {}
+    inverse = [index.setdefault(row.tobytes(), len(index))
+               for rows in sets for row in unit_rows(rows)]
+    distinct = np.frombuffer(b"".join(index), dtype=np.float64).reshape(len(index), dim)
+    return distinct, np.array(inverse, dtype=np.intp)
+
+
+def _stacked(vectors, dim):
+    return np.asarray(vectors, dtype=np.float64).reshape(len(vectors), dim)
+
+
+def _first_dim(sets):
+    return next((np.shape(v)[-1] for v in sets), 0)
+
+
+def table_by_word(language_id, linguistic, visual_sets, global_sets):
+    """`build_table` one word at a time: a `mean_unit` per visual and global
+    set and a `unit_rows` per global set."""
+    words = sorted(linguistic)
+    visual = [mean_unit(visual_sets[w]) if w in visual_sets else None for w in words]
+    d_v = _first_dim(v for v in visual if v is not None)
+    d_g = _first_dim(global_sets[w] for w in words if w in global_sets)
+    sets = [np.asarray(global_sets.get(w, np.zeros((0, d_g))), dtype=np.float64)
+            for w in words]
+    means = [mean_unit(s) for s in sets]
+    distinct, inverse = distinct_rows(sets, d_g)
+    return WordFeatureTable(
+        language_id=language_id,
+        words=words,
+        linguistic=_stacked([linguistic[w] for w in words], _first_dim(linguistic.values())),
+        visual=_stacked([np.zeros(d_v) if v is None else v for v in visual], d_v),
+        has_visual=np.array([v is not None for v in visual], dtype=bool),
+        global_mean=_stacked([np.zeros(d_g) if m is None else m for m in means], d_g),
+        global_mean_valid=np.array([m is not None for m in means], dtype=bool),
+        global_rows=distinct,
+        global_inverse=inverse,
+        global_offsets=np.cumsum([0] + [len(s) for s in sets]),
+    )
+
+
+def gold_ranks_by_word(rankings, lexicon):
+    """`gold_ranks` one lexicon word and one gold target at a time, from
+    each word's ranking."""
+    ranks = {}
+    for source_word in sorted(lexicon.entries):
+        ranking = rankings.get(source_word)
+        if ranking is None:
+            ranks[source_word] = UNRANKED
+            continue
+        gold = [ranking.rows[t] for t in lexicon.entries[source_word] if t in ranking.rows]
+        if not gold:
+            ranks[source_word] = GOLD_OUTSIDE
+            continue
+        row = ranking.row
+        ranks[source_word] = 1 + min(
+            int(np.count_nonzero(row > row[g]) + np.count_nonzero(row[:g] == row[g]))
+            for g in gold)
+    return ranks
+
+
+def write_rankings_by_cell(path, rankings_by_method):
+    """`write_rankings` one `word:score` cell at a time, from the rankings."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for method in sorted(rankings_by_method):
+            for source_word in sorted(rankings_by_method[method]):
+                top = rankings_by_method[method][source_word].top(RANKING_WIDTH)
+                cells = ",".join(f"{w}:{s:.6f}" for w, s in top)
+                fh.write(f"{source_word}\t{method}\t{cells}\n")
+
+
+def scored_of(rankings, method="fused"):
+    """Hand-built rankings of one method, over one target list, as the
+    `MethodScores` of their source words in word order, every one scorable:
+    their rows and heads stacked. Returns it with the source and target
+    word lists."""
+    sources = sorted(rankings)
+    targets = rankings[sources[0]].words if sources else []
+    assert all(rankings[x].words == targets for x in sources)
+    n = min(RANKING_WIDTH, len(targets))
+    scored = MethodScores(
+        method, np.ones(len(sources), dtype=bool),
+        np.array([rankings[x].fallback_pairs for x in sources], dtype=np.intp),
+        np.array([rankings[x].row for x in sources]).reshape(len(sources), len(targets)),
+        np.array([rankings[x].head for x in sources], dtype=np.intp).reshape(len(sources), n))
+    return scored, sources, targets
+
+
+def gold_ranks_of(rankings, lexicon):
+    """`gold_ranks` of one method's hand-built rankings (`scored_of`)."""
+    scored, sources, targets = scored_of(rankings)
+    return gold_ranks(scored, gold_index(lexicon, {x: i for i, x in enumerate(sources)},
+                                         {t: i for i, t in enumerate(targets)}))
+
+
+def write_rankings_of(path, rankings):
+    """`write_rankings` of one method's hand-built rankings (`scored_of`)."""
+    scored, sources, targets = scored_of(rankings)
+    write_rankings(path, {scored.method: scored}, sources, targets)

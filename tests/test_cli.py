@@ -695,9 +695,9 @@ class TestInduceEval:
         cfg, corpus, tables = extracted
         calls, gold_ranks = [], pipeline.gold_ranks
 
-        def counting_gold_ranks(rankings, lexicon):
-            calls.append(next(iter(rankings.values())).method)
-            return gold_ranks(rankings, lexicon)
+        def counting_gold_ranks(scored, gold):
+            calls.append(scored.method)
+            return gold_ranks(scored, gold)
 
         monkeypatch.setattr(pipeline, "gold_ranks", counting_gold_ranks)
         assert run(["induce", "--config", cfg, "--tables", tables,
@@ -772,6 +772,38 @@ class TestInduceEval:
         assert code == 3
         assert_one_error_line(capsys.readouterr().err, "la.global.lxwf", "'lb'", "'la'")
         assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["linguistic", "visual-probe", "global"])
+    def test_tables_of_two_widths_exit_3(self, extracted, tmp_path, capsys, kind):
+        cfg, corpus, tables = extracted
+        from lexipivot.localization import write_word_features
+        path = tables / f"lb.{kind}.lxwf"
+        _, aggregated, entries = read_word_features(path)
+        width = next(rows.shape[1] for _, rows in entries.values() if len(rows))
+        write_word_features(path, "lb", {w: (count, rows[:, :width // 2])
+                                         for w, (count, rows) in entries.items()}, aggregated)
+        out = tmp_path / "induce"
+        code = run(["induce", "--config", cfg, "--tables", tables,
+                    "--lexicon", corpus / "lexicon.tsv", "--out", out])
+        assert code == 3
+        assert_one_error_line(capsys.readouterr().err, f"la.{kind}.lxwf", f"lb.{kind}.lxwf",
+                              f"rows {width} wide", f"rows {width // 2} wide")
+        assert not (out / "rankings.tsv").exists()
+
+    def test_table_without_rows_fits_any_width(self, extracted, tmp_path):
+        """A language whose global sets are all empty ranks no source word by
+        the CNN baselines, whatever the other language's width."""
+        cfg, corpus, tables = extracted
+        from lexipivot.localization import write_word_features
+        path = tables / "la.global.lxwf"
+        entries = read_word_features(path)[2]
+        write_word_features(path, "la", {w: (0, np.zeros((0, 0))) for w in entries},
+                            aggregated=False)
+        out = tmp_path / "induce"
+        assert run(["induce", "--config", cfg, "--tables", tables,
+                    "--lexicon", corpus / "lexicon.tsv", "--out", out]) == 0
+        counts = json.loads((out / "manifest.json").read_text())["counts"]
+        assert counts["cnn_mean"]["rankings"] == counts["cnn_avgmax"]["rankings"] == 0
 
     def test_degenerate_global_set_skips_the_word_for_cnn_mean_alone(self, extracted,
                                                                        tmp_path):

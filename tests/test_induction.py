@@ -18,11 +18,8 @@ from lexipivot.induction import (
     build_table,
     collect_global_feature_sets,
     evaluate,
-    gold_ranks,
-    mean_unit,
     pos_breakdown,
     unit,
-    write_rankings,
     write_report_csv,
     write_report_json,
 )
@@ -32,7 +29,14 @@ from lexipivot.pipeline import compute_rankings
 from lexipivot.seeding import substream
 
 from conftest import build_model, indexed
-from helpers import rank_word, ranked_pairs, ranking_from_pairs
+from helpers import (
+    gold_ranks_of,
+    mean_unit,
+    rank_word,
+    ranked_pairs,
+    ranking_from_pairs,
+    write_rankings_of,
+)
 
 
 def table_from_raw(language, raw_linguistic, raw_visual_sets=None, global_sets=None):
@@ -381,7 +385,7 @@ class TestTies:
         assert items == sorted(items, key=lambda kv: (-kv[1], kv[0]))
         for position, (word, _) in enumerate(items):
             lexicon = GroundTruthLexicon("s", "t", {"x": {word}})
-            assert gold_ranks({"x": ranking}, lexicon) == {"x": position + 1}
+            assert gold_ranks_of({"x": ranking}, lexicon) == {"x": position + 1}
 
 
 def brute_force_eval(ordered_candidates, lexicon_entries, ks):
@@ -416,12 +420,12 @@ def as_rankings(ordered_candidates, method="fused"):
 def report_of(cands, lex):
     """The "all" report of candidate lists, through their gold-rank table."""
     rankings = as_rankings(cands)
-    return evaluate(gold_ranks(rankings, lex), rankings, "fused")
+    return evaluate(gold_ranks_of(rankings, lex), rankings, "fused")
 
 
 def pos_reports_of(cands, lex):
     rankings = as_rankings(cands)
-    return pos_breakdown(gold_ranks(rankings, lex), rankings, lex, "fused")
+    return pos_breakdown(gold_ranks_of(rankings, lex), rankings, lex, "fused")
 
 
 class TestEvaluate:
@@ -431,9 +435,9 @@ class TestEvaluate:
                                ("last", "d"), ("outside", "zzz"), ("unranked", "a")]:
             lex.add(source, target)
         cands = {w: ["a", "b", "c", "d"] for w in ("first", "only", "last", "outside")}
-        assert gold_ranks(as_rankings(cands), lex) == {
+        assert gold_ranks_of(as_rankings(cands), lex) == {
             "first": 2, "last": 4, "only": 1, "outside": GOLD_OUTSIDE, "unranked": UNRANKED}
-        assert list(gold_ranks(as_rankings(cands), lex)) == sorted(lex.entries)
+        assert list(gold_ranks_of(as_rankings(cands), lex)) == sorted(lex.entries)
 
     def test_all_rank_one(self):
         lex = GroundTruthLexicon("s", "t")
@@ -480,7 +484,7 @@ class TestEvaluate:
         lex = GroundTruthLexicon("s", "t")
         lex.add("w", "t")
         with pytest.raises(EmptyResultError):
-            evaluate(gold_ranks({}, lex), {}, "fused")
+            evaluate(gold_ranks_of({}, lex), {}, "fused")
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -581,7 +585,7 @@ class TestFiles:
                            key=lambda kv: (-kv[1], kv[0]))
             rankings[w] = ranking_from_pairs(w, "fused", items)
         path = tmp_path / "rankings.tsv"
-        write_rankings(path, {"fused": rankings})
+        write_rankings_of(path, rankings)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert [line.split("\t")[:2] for line in lines] == [["alpha", "fused"],
                                                             ["beta", "fused"]]
@@ -597,7 +601,7 @@ class TestFiles:
         items = [(f"t{i:02d}", 1.0 - i * 0.01) for i in range(30)]
         rankings = {"w": ranking_from_pairs("w", "fused", items)}
         path = tmp_path / "rankings.tsv"
-        write_rankings(path, {"fused": rankings})
+        write_rankings_of(path, rankings)
         cells = path.read_text(encoding="utf-8").rstrip("\n").split("\t")[2].split(",")
         assert [cell.rpartition(":")[0] for cell in cells] == [w for w, _ in items[:20]]
 

@@ -24,13 +24,12 @@ from lexipivot.induction import (
     GOLD_OUTSIDE,
     RANKING_WIDTH,
     build_table,
-    gold_ranks,
     unit,
     write_rankings,
 )
 from lexipivot.pipeline import compute_rankings
 
-from helpers import ranked_pairs
+from helpers import gold_ranks_of, ranked_pairs
 
 METHODS = ("linguistic", "visual", "fused", "cnn_mean", "cnn_avgmax")
 DIM = 3
@@ -281,14 +280,15 @@ def test_ties_and_bottom_scores_follow_a_brute_force_sort(src, tgt):
             assert [targets[k] for k in ranking.head.tolist()] == expected[:RANKING_WIDTH]
             for position in range(len(expected)):   # the first of the gold targets
                 lexicon = GroundTruthLexicon("s", "t", {x: set(expected[position:])})
-                assert gold_ranks({x: ranking}, lexicon) == {x: position + 1}
+                assert gold_ranks_of({x: ranking}, lexicon) == {x: position + 1}
             lexicon = GroundTruthLexicon("s", "t", {x: {x}})
-            assert gold_ranks({x: ranking}, lexicon) == {x: GOLD_OUTSIDE}
+            assert gold_ranks_of({x: ranking}, lexicon) == {x: GOLD_OUTSIDE}
             cells = ",".join(f"{w}:{score[w]:.6f}" for w in expected[:RANKING_WIDTH])
             expected_lines.append(f"{x}\t{method}\t{cells}")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rankings.tsv"
-        write_rankings(path, computed)
+        write_rankings(path, pipeline.score_methods(tables["s"], tables["t"]),
+                       tables["s"].words, targets)
         assert path.read_text(encoding="utf-8").splitlines() == expected_lines
 
 
@@ -343,7 +343,7 @@ def test_selection_matches_a_python_sort_at_the_boundary(src, tgt):
             for position, word in enumerate(expected):
                 for gold in ({word}, set(expected[position:]), {word, *expected[position::3]}):
                     lexicon = GroundTruthLexicon("s", "t", {x: gold})
-                    assert gold_ranks({x: ranking}, lexicon) == {x: position + 1}
+                    assert gold_ranks_of({x: ranking}, lexicon) == {x: position + 1}
 
 
 @given(raw_language("s"), raw_language("t"))

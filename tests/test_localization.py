@@ -455,6 +455,31 @@ class TestTableFile:
         with pytest.raises(FormatError, match=fragment):
             read_word_features(path)
 
+    @pytest.mark.parametrize("run", [1, 4, 7, localization.RUN_VALUES])
+    @pytest.mark.parametrize("bad", [[], ["a"], ["c", "a"], ["c", "e"], ["e"]])
+    def test_non_finite_value_names_the_first_bad_word_in_file_order(self, tmp_path,
+                                                                     monkeypatch, bad, run):
+        """The words around the bad ones hold one row, none or several, and
+        the values are checked in runs that end inside words or not."""
+        monkeypatch.setattr(localization, "RUN_VALUES", run)
+        entries = {"a": (1, np.ones((1, 3))), "b": (0, np.zeros((0, 3))),
+                   "c": (3, np.ones((3, 3))), "d": (0, np.zeros((0, 3))),
+                   "e": (2, np.ones((2, 3)))}
+        for value, word in zip((np.nan, np.inf), bad):
+            entries[word][1][-1, -1] = value
+        path = tmp_path / "raw.lxwf"
+        write_word_features(path, "de", entries, aggregated=False)
+        if not bad:
+            assert read_word_features(path)[2].keys() == entries.keys()
+            return
+        with pytest.raises(FormatError, match=f"word '{min(bad)}' has a non-finite"):
+            read_word_features(path)
+
+    def test_table_without_words(self, tmp_path):
+        path = tmp_path / "empty.lxwf"
+        write_word_features(path, "de", {}, aggregated=True)
+        assert read_word_features(path) == ("de", True, {})
+
     def test_deterministic_bytes(self, tmp_path):
         rng = np.random.default_rng(1)
         entries = {"b": (2, rng.normal(size=(2, 3))), "a": (1, rng.normal(size=(1, 3)))}
