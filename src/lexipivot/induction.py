@@ -3,29 +3,34 @@
 Linguistic vectors are the shared-decoder embedding columns; visual
 vectors aggregate a word's localized features (mean first, normalize
 second). Rankings fuse the two cosines; the CNN-mean and CNN-avgmax
-baselines score un-localized global image features instead. Rankings
-are evaluated with mean reciprocal rank and precision at K, from one
-gold-rank table per method (`gold_ranks`): each lexicon word's best gold
-rank, which the report rows, `ranks.tsv` and the manifest counts read.
+baselines score un-localized global image features instead.
 
 Each language's inputs are held as matrices (`WordFeatureTable`).
 `build_table` does no per-word arithmetic: set means are taken per set
 size and normalized by batched dots, so that every row keeps the bits of
 the per-word `unit(np.mean(set, axis=0))`, and the distinct global image
 rows come from one dict over the unit rows' bytes, normalized in runs of
-words (`value_runs`). A method scores
-every source word against every target word as one source-by-target matrix
+words (`value_runs`).
+
+`METHODS` defines each method once: its scorer, the source rows it can
+score and the target rows it scores BOTTOM_SCORE. A method scores every
+source word against every target word as one source-by-target matrix
 (`<method>_scores`, held with its heads as `MethodScores`); fused sums the
 linguistic and visual matrices. Identical candidates get bit-identical
 scores, and a ranking orders the targets as a stable sort on the score
-over targets in word order would: `(-score, word)`. No row is sorted. One
+over targets in word order would: `(-score, word)`. No row is sorted: one
 selection per matrix (`ranking_heads`) finds every row's first
-RANKING_WIDTH places, ties at the boundary included, and `<method>_rank`
-pairs one source word's row with its head. A gold target's rank is
-counted from the row: one plus the targets scored above it and the tied
-ones before it in word order, for every gold pair of the lexicon
-(`GoldIndex`) at once. `write_rankings` formats each line of a method with
-one format string over its stacked heads and their scores.
+RANKING_WIDTH places, ties at the boundary included, and `rank` pairs one
+source word's row with its head. `write_rankings` formats each line of a
+method with one format string over its heads and their scores.
+
+Rankings are evaluated with mean reciprocal rank and precision at K. A
+gold target's rank is counted from the row: one plus the targets scored
+above it and the tied ones before it in word order, for every gold pair
+of the lexicon (`GoldIndex`) at once. Each method's `gold_ranks` array
+holds every lexicon word's best gold rank, or UNRANKED or GOLD_OUTSIDE;
+the report rows, `ranks.tsv` and the manifest counts read only these
+arrays and the `MethodScores`.
 """
 
 from __future__ import annotations
@@ -48,8 +53,8 @@ BOTTOM_SCORE = -2.0  # below any cosine; ranks unscorable targets last
 KS = (1, 5, 10, 20)  # the report's precision cut-offs
 RANKING_WIDTH = 20  # candidates per source word in rankings.tsv
 BASELINE_SET_CAP = 100  # global image rows kept per word for the CNN baselines
-UNRANKED = "unranked"          # a lexicon source word without a ranking
-GOLD_OUTSIDE = "gold_outside"  # a ranked word with no gold target among the targets
+UNRANKED = -1      # the gold rank of a lexicon source word without a ranking
+GOLD_OUTSIDE = -2  # that of a ranked word with no gold target among the targets
 AVGMAX_CHUNK = 128  # source image rows per cnn_avgmax product
 
 
@@ -138,11 +143,6 @@ class WordFeatureTable:
     def __post_init__(self):
         self.rows = {w: i for i, w in enumerate(self.words)}
 
-    def row(self, word: str) -> int:
-        if word not in self.rows:
-            raise KeyError(f"{self.language_id}: no features for word {word!r}")
-        return self.rows[word]
-
 
 def linguistic_vectors(model: MultiLingualModel, language: str,
                        vocab: Vocabulary) -> dict[str, np.ndarray]:
@@ -222,6 +222,15 @@ def collect_global_feature_sets(examples, images, vocab: Vocabulary,
 # ---------------------------------------------------------------------------
 
 
+def _every(table: WordFeatureTable) -> np.ndarray:
+    return np.ones(len(table.words), dtype=bool)
+
+
+def _with_set(table: WordFeatureTable) -> np.ndarray:
+    """The rows of words with a non-empty global image set."""
+    return np.diff(table.global_offsets) > 0
+
+
 def _dots(source_rows: np.ndarray, target_rows: np.ndarray,
           valid: np.ndarray | None = None) -> np.ndarray:
     """[S, T] row products, BOTTOM_SCORE in the target columns where `valid`
@@ -288,7 +297,7 @@ def cnn_avgmax_scores(source: WordFeatureTable, target: WordFeatureTable) -> np.
     the mean of its member columns, along the contiguous axis.
     """
     scores = np.full((len(source.words), len(target.words)), BOTTOM_SCORE)
-    filled = np.diff(target.global_offsets) > 0
+    filled = _with_set(target)
     if not filled.any():
         return scores
     starts = target.global_offsets[:-1][filled]
@@ -302,6 +311,19 @@ def cnn_avgmax_scores(source: WordFeatureTable, target: WordFeatureTable) -> np.
         members = source.global_inverse[offsets[i]:offsets[i + 1]]
         scores[i, filled] = best[:, members].mean(axis=1)
     return scores
+
+
+# Each method: its scorer, the source rows it can score and the target rows
+# it scores BOTTOM_SCORE, each a fallback pair of every source. Fused also
+# falls back on every target of a source without a visual vector.
+METHODS = {
+    "linguistic": (linguistic_scores, _every, lambda t: ~_every(t)),
+    "visual": (visual_scores, lambda t: t.has_visual, lambda t: ~t.has_visual),
+    "fused": (fused_scores, _every, lambda t: ~t.has_visual),
+    "cnn_mean": (cnn_mean_scores, lambda t: t.global_mean_valid,
+                 lambda t: ~t.global_mean_valid),
+    "cnn_avgmax": (cnn_avgmax_scores, _with_set, lambda t: ~_with_set(t)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -334,30 +356,13 @@ def ranking_heads(scores: np.ndarray) -> np.ndarray:
     return np.take_along_axis(columns, order, axis=1)
 
 
-def fallback_counts(method: str, source: WordFeatureTable,
-                    target: WordFeatureTable) -> np.ndarray:
-    """[S] each source word's fallback pairs under `method`: its targets
-    that score BOTTOM_SCORE for want of a visual vector (visual), a usable
-    set mean (cnn_mean) or an image set (cnn_avgmax); under fused, its pairs
-    missing a visual side, which is every pair of a source without one; none
-    under linguistic."""
-    missing = {"linguistic": np.zeros(len(target.words), dtype=bool),
-               "visual": ~target.has_visual,
-               "fused": ~target.has_visual,
-               "cnn_mean": ~target.global_mean_valid,
-               "cnn_avgmax": np.diff(target.global_offsets) == 0}[method]
-    counts = np.full(len(source.words), np.count_nonzero(missing))
-    if method == "fused":
-        counts[~source.has_visual] = len(target.words)
-    return counts
-
-
 @dataclass(eq=False)
 class MethodScores:
     """One method's scoring of every source word against every target word.
 
     `scorable` flags the source rows the method can score, and `fallbacks`
-    holds each row's `fallback_counts` entry. `scores` is the [S, T] matrix
+    holds each row's fallback pairs, its targets scored BOTTOM_SCORE for
+    want of what the method reads (`METHODS`). `scores` is the [S, T] matrix
     and `heads` its `ranking_heads`; both are None when no source row is
     scorable. Rows of unscorable sources are meaningless.
     """
@@ -403,44 +408,11 @@ class TranslationRanking:
         return [(self.words[k], s) for k, s in zip(head.tolist(), self.row[head].tolist())]
 
 
-def linguistic_rank(x: str, target: WordFeatureTable, row: np.ndarray, head: np.ndarray,
-                    fallback_pairs: int) -> TranslationRanking:
-    """`x`'s row of `linguistic_scores`, its `ranking_heads` row and
-    its `fallback_counts` entry."""
-    return TranslationRanking(x, "linguistic", row, head, target.words, target.rows,
-                              fallback_pairs)
-
-
-def visual_rank(x: str, target: WordFeatureTable, row: np.ndarray, head: np.ndarray,
-                fallback_pairs: int) -> TranslationRanking:
-    """`x`'s row of `visual_scores`, its `ranking_heads` row and
-    its `fallback_counts` entry."""
-    return TranslationRanking(x, "visual", row, head, target.words, target.rows,
-                              fallback_pairs)
-
-
-def fused_rank(x: str, target: WordFeatureTable, row: np.ndarray, head: np.ndarray,
-               fallback_pairs: int) -> TranslationRanking:
-    """`x`'s row of `fused_scores`, its `ranking_heads` row and
-    its `fallback_counts` entry."""
-    return TranslationRanking(x, "fused", row, head, target.words, target.rows,
-                              fallback_pairs)
-
-
-def cnn_mean_rank(x: str, target: WordFeatureTable, row: np.ndarray, head: np.ndarray,
-                  fallback_pairs: int) -> TranslationRanking:
-    """`x`'s row of `cnn_mean_scores`, its `ranking_heads` row and
-    its `fallback_counts` entry."""
-    return TranslationRanking(x, "cnn_mean", row, head, target.words, target.rows,
-                              fallback_pairs)
-
-
-def cnn_avgmax_rank(x: str, target: WordFeatureTable, row: np.ndarray, head: np.ndarray,
-                    fallback_pairs: int) -> TranslationRanking:
-    """`x`'s row of `cnn_avgmax_scores`, its `ranking_heads` row and
-    its `fallback_counts` entry."""
-    return TranslationRanking(x, "cnn_avgmax", row, head, target.words, target.rows,
-                              fallback_pairs)
+def rank(method: str, x: str, target: WordFeatureTable, row: np.ndarray, head: np.ndarray,
+         fallback_pairs: int) -> TranslationRanking:
+    """`x`'s ranking under `method`: its row of the method's score matrix,
+    its `ranking_heads` row and its fallback count."""
+    return TranslationRanking(x, method, row, head, target.words, target.rows, fallback_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +435,12 @@ class EvalReport:
 @dataclass(eq=False)
 class GoldIndex:
     """A lexicon against one source and one target table: its source words
-    in word order, each one's source row (-1 for a word the source table
-    lacks), and one (word, target row) pair per gold target the target
-    table holds."""
+    in word order, each one's POS ("unk" for a word without a tag) and
+    source row (-1 for a word the source table lacks), and one (word, target
+    row) pair per gold target the target table holds."""
 
     words: list[str]
+    pos: np.ndarray           # [W] str
     source_rows: np.ndarray   # [W] intp
     pair_words: np.ndarray    # [P] index into `words`
     pair_targets: np.ndarray  # [P] target row
@@ -480,12 +453,13 @@ def gold_index(lexicon: GroundTruthLexicon, source_rows: dict[str, int],
     pairs = [(i, target_rows[t]) for i, w in enumerate(words)
              for t in lexicon.entries[w] if t in target_rows]
     pair_words, pair_targets = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    return GoldIndex(words, np.array([source_rows.get(w, -1) for w in words], dtype=np.intp),
+    return GoldIndex(words, np.array([lexicon.pos_of(w) for w in words], dtype=str),
+                     np.array([source_rows.get(w, -1) for w in words], dtype=np.intp),
                      pair_words, pair_targets)
 
 
-def gold_ranks(scored: MethodScores, gold: GoldIndex) -> dict[str, int | str]:
-    """The gold-rank table of one method: per lexicon source word, in word
+def gold_ranks(scored: MethodScores, gold: GoldIndex) -> np.ndarray:
+    """[W] the gold ranks of one method: per lexicon source word, in word
     order, the 1-based rank of its best gold target; UNRANKED for a word
     the method does not rank, GOLD_OUTSIDE for one whose gold targets are
     all missing from the candidate list.
@@ -507,41 +481,41 @@ def gold_ranks(scored: MethodScores, gold: GoldIndex) -> dict[str, int | str]:
         before = np.arange(rows.shape[1]) < g[:, None]
         np.minimum.at(best, word, 1 + np.count_nonzero(rows > at, axis=1)
                       + np.count_nonzero((rows == at) & before, axis=1))
-    return {w: (b if b != outside else GOLD_OUTSIDE) if r else UNRANKED
-            for w, r, b in zip(gold.words, ranked.tolist(), best.tolist())}
+    best[best == outside] = GOLD_OUTSIDE
+    best[~ranked] = UNRANKED
+    return best
 
 
-def evaluate(ranks: dict[str, int | str], rankings: dict[str, TranslationRanking],
-             method: str, pos: str = "all") -> EvalReport:
-    """MRR/P@K over the words of a `gold_ranks` table, or of a part of one,
-    and the fallback pairs of their `rankings`. The UNRANKED and GOLD_OUTSIDE
-    words are skipped and counted apart."""
-    best = {w: r for w, r in ranks.items() if not isinstance(r, str)}
-    unranked = sum(r == UNRANKED for r in ranks.values())
-    outside = len(ranks) - len(best) - unranked
-    if not best:
-        raise EmptyResultError(f"no evaluable source words (skipped {unranked + outside})")
+def evaluate(ranks: np.ndarray, fallbacks: np.ndarray, method: str,
+             pos: str = "all") -> EvalReport:
+    """MRR/P@K over the words of a `gold_ranks` array, or of a part of one,
+    and the sum of their `fallbacks` (pairs per word). The UNRANKED and
+    GOLD_OUTSIDE words are skipped and counted apart."""
+    evaluable = ranks > 0
+    best = ranks[evaluable]
     n = len(best)
-    total_rr = 0.0
-    for r in best.values():   # in word order; sum() rounds otherwise from Python 3.12
-        total_rr += 1.0 / r
+    unranked = int(np.count_nonzero(ranks == UNRANKED))
+    outside = len(ranks) - n - unranked
+    if not n:
+        raise EmptyResultError(f"no evaluable source words (skipped {unranked + outside})")
+    # cumsum adds in word order, one term at a time, as a Python loop does;
+    # np.sum adds pairwise and rounds otherwise
+    total_rr = float(np.cumsum(1.0 / best)[-1])
     return EvalReport(method=method, pos=pos, n=n, mrr=total_rr / n,
-                      p_at={k: sum(r <= k for r in best.values()) / n for k in KS},
+                      p_at={k: int(np.count_nonzero(best <= k)) / n for k in KS},
                       unranked_lexicon_words=unranked, gold_outside_targets=outside,
-                      fallback_pairs=sum(rankings[w].fallback_pairs for w in best))
+                      fallback_pairs=int(fallbacks[evaluable].sum()))
 
 
-def pos_breakdown(ranks: dict[str, int | str], rankings: dict[str, TranslationRanking],
-                  lexicon: GroundTruthLexicon, method: str) -> list[EvalReport]:
-    """Per-POS rows of a `gold_ranks` table; words without a tag fall in the
-    "unk" group, and a group with no evaluable word has no row."""
-    groups: dict[str, dict[str, int | str]] = {}
-    for word, rank in ranks.items():
-        groups.setdefault(lexicon.pos_of(word), {})[word] = rank
+def pos_breakdown(ranks: np.ndarray, fallbacks: np.ndarray, gold: GoldIndex,
+                  method: str) -> list[EvalReport]:
+    """Per-POS rows (`gold.pos`) of a `gold_ranks` array and its
+    `fallbacks`; a group with no evaluable word has no row."""
     reports = []
-    for tag in sorted(groups):
+    for tag in sorted(set(gold.pos.tolist())):
+        group = gold.pos == tag
         try:
-            reports.append(evaluate(groups[tag], rankings, method=method, pos=tag))
+            reports.append(evaluate(ranks[group], fallbacks[group], method=method, pos=tag))
         except EmptyResultError:
             continue
     return reports
@@ -578,14 +552,15 @@ def write_rankings(path, scored: dict[str, MethodScores], source_words: list[str
             fh.write("".join([line % tuple(f) for f in fields.tolist()]))
 
 
-def write_ranks(path, ranks_by_method: dict[str, dict[str, int | str]],
-                lexicon: GroundTruthLexicon) -> None:
+def write_ranks(path, ranks: dict[str, np.ndarray], gold: GoldIndex) -> None:
     """source TAB method TAB pos TAB rank, one line per method and lexicon
-    source word: its entry of the method's `gold_ranks` table."""
+    source word: its entry of the method's `gold_ranks` array, the reserved
+    ones written "unranked" and "gold_outside"."""
+    labels = {UNRANKED: "unranked", GOLD_OUTSIDE: "gold_outside"}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for method in sorted(ranks_by_method):
-            for source_word, rank in ranks_by_method[method].items():
-                fh.write(f"{source_word}\t{method}\t{lexicon.pos_of(source_word)}\t{rank}\n")
+        for method in sorted(ranks):
+            fh.write("".join([f"{w}\t{method}\t{p}\t{labels.get(r, r)}\n" for w, p, r
+                              in zip(gold.words, gold.pos.tolist(), ranks[method].tolist())]))
 
 
 def report_rows(reports: list[EvalReport]) -> list[dict]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,27 +39,18 @@ from .corpus import (
 from .errors import ConfigError, EmptyResultError, FormatError
 from .induction import (
     GOLD_OUTSIDE,
+    METHODS,
     UNRANKED,
     MethodScores,
     build_table,
-    cnn_avgmax_rank,
-    cnn_avgmax_scores,
-    cnn_mean_rank,
-    cnn_mean_scores,
     collect_global_feature_sets,
     evaluate,
-    fallback_counts,
-    fused_rank,
-    fused_scores,
     gold_index,
     gold_ranks,
-    linguistic_rank,
-    linguistic_scores,
     linguistic_vectors,
     pos_breakdown,
+    rank,
     ranking_heads,
-    visual_rank,
-    visual_scores,
     write_rankings,
     write_ranks,
     write_report_csv,
@@ -339,67 +331,61 @@ def _load_tables(features_dir, languages, method: str):
 def score_methods(source, target) -> dict[str, MethodScores]:
     """Every method of `INDUCTION_METHODS`, each source word of table
     `source` scored against every target word of table `target` as one
-    [S, T] matrix.
+    [S, T] matrix, by the method's entry of `METHODS`.
 
     Fused sums the linguistic and visual matrices already held. One
-    `ranking_heads` pass per matrix selects every row's first places, and
-    one `fallback_counts` pass counts its fallback pairs. A method scores
-    only some source words: visual needs a visual vector, cnn_mean a
-    non-zero global set mean and cnn_avgmax a non-empty global set. A method
-    that can score none is left without a matrix.
+    `ranking_heads` pass per matrix selects every row's first places. A
+    method that can score no source word is left without a matrix.
     """
-    every = np.ones(len(source.words), dtype=bool)
-    scorers = {
-        "linguistic": (linguistic_scores, every),
-        "visual": (visual_scores, source.has_visual),
-        "fused": (fused_scores, every),
-        "cnn_mean": (cnn_mean_scores, source.global_mean_valid),
-        "cnn_avgmax": (cnn_avgmax_scores, np.diff(source.global_offsets) > 0),
-    }
     scored = {}
     for method in INDUCTION_METHODS:
-        score, scorable = scorers[method]
+        score, scorable_rows, bottom_rows = METHODS[method]
+        scorable = scorable_rows(source)
+        fallbacks = np.full(len(source.words), np.count_nonzero(bottom_rows(target)))
+        held = ()
+        if method == "fused":
+            fallbacks[~source.has_visual] = len(target.words)
+            held = scored["linguistic"].scores, scored["visual"].scores
         scores = heads = None
         if scorable.any():   # else the table's rows for this method may be 0 wide
-            if method == "fused":
-                scores = score(source, target, scored["linguistic"].scores,
-                               scored["visual"].scores)
-            else:
-                scores = score(source, target)
+            scores = score(source, target, *held)
             heads = ranking_heads(scores)
-        scored[method] = MethodScores(method, scorable, fallback_counts(method, source, target),
-                                      scores, heads)
+        scored[method] = MethodScores(method, scorable, fallbacks, scores, heads)
     return scored
 
 
-def compute_rankings(tables, source: str, target: str,
-                     scored: dict[str, MethodScores] | None = None) -> dict[str, dict]:
-    """{method: {source word: ranking}} for every method of `INDUCTION_METHODS`.
+# the one ranker at the names that perfbench wraps, one per method
+linguistic_rank = partial(rank, "linguistic")
+visual_rank = partial(rank, "visual")
+fused_rank = partial(rank, "fused")
+cnn_mean_rank = partial(rank, "cnn_mean")
+cnn_avgmax_rank = partial(rank, "cnn_avgmax")
 
-    `scored` is the tables' `score_methods`, taken here when not given. One
-    `<method>_rank` call per source word a method can score pairs its row
-    with its head and its fallback count; the rest are skipped.
+
+def compute_rankings(tables, source: str, target: str,
+                     scored: dict[str, MethodScores]) -> dict[str, dict]:
+    """{method: {source word: ranking}} for every method of `scored`, the
+    tables' `score_methods`.
+
+    One `<method>_rank` call per source word a method can score pairs its
+    row with its head and its fallback count; the rest are skipped.
     """
     src, tgt = tables[source], tables[target]
-    if scored is None:
-        scored = score_methods(src, tgt)
-    # looked up at call time, so that wrappers set on this module apply
-    rankers = {"linguistic": linguistic_rank, "visual": visual_rank, "fused": fused_rank,
-               "cnn_mean": cnn_mean_rank, "cnn_avgmax": cnn_avgmax_rank}
     methods = {}
     for method, s in scored.items():
-        rank, fallbacks = rankers[method], s.fallbacks.tolist()
-        methods[method] = {src.words[i]: rank(src.words[i], tgt, s.scores[i], s.heads[i],
-                                              fallbacks[i])
+        # looked up at call time, so that wrappers set on this module apply
+        ranker, fallbacks = globals()[f"{method}_rank"], s.fallbacks.tolist()
+        methods[method] = {src.words[i]: ranker(src.words[i], tgt, s.scores[i], s.heads[i],
+                                                fallbacks[i])
                            for i in np.flatnonzero(s.scorable).tolist()}
     return methods
 
 
 def ranking_counts(scored: dict[str, MethodScores], n_targets: int,
-                   ranks: dict[str, dict]) -> dict[str, dict]:
+                   ranks: dict[str, np.ndarray]) -> dict[str, dict]:
     """Per method: rankings produced, (source, target) pairs scored, source
     words left unranked, fallback pairs, and the two kinds of lexicon word
-    that `skipped` adds up, from the method's gold-rank table."""
+    that `skipped` adds up, from the method's gold-rank array."""
     counts = {}
     for method, s in sorted(scored.items()):
         rankings = int(np.count_nonzero(s.scorable))
@@ -407,19 +393,24 @@ def ranking_counts(scored: dict[str, MethodScores], n_targets: int,
             "rankings": rankings, "pairs": rankings * n_targets,
             "skipped_sources": len(s.scorable) - rankings,
             "fallback_pairs": int(s.fallbacks[s.scorable].sum()),
-            "unranked_lexicon_words": list(ranks[method].values()).count(UNRANKED),
-            "gold_outside_targets": list(ranks[method].values()).count(GOLD_OUTSIDE)}
+            "unranked_lexicon_words": int(np.count_nonzero(ranks[method] == UNRANKED)),
+            "gold_outside_targets": int(np.count_nonzero(ranks[method] == GOLD_OUTSIDE))}
     return counts
 
 
-def reports_for(methods: dict[str, dict], ranks: dict[str, dict], lexicon) -> list:
+def reports_for(scored: dict[str, MethodScores], ranks: dict[str, np.ndarray],
+                gold) -> list:
+    """The "all" and per-POS report rows of every method with an evaluable
+    word, from its gold-rank array and the fallbacks of its source rows."""
     reports = []
-    for method in sorted(methods):
+    for method in sorted(scored):
+        # a word the source table lacks (row -1) reads the appended 0
+        fallbacks = np.append(scored[method].fallbacks, 0)[gold.source_rows]
         try:
-            reports.append(evaluate(ranks[method], methods[method], method=method))
+            reports.append(evaluate(ranks[method], fallbacks, method=method))
         except EmptyResultError:
             continue
-        reports.extend(pos_breakdown(ranks[method], methods[method], lexicon, method=method))
+        reports.extend(pos_breakdown(ranks[method], fallbacks, gold, method=method))
     if not reports:
         raise EmptyResultError("no evaluable source words for any method")
     return reports
@@ -427,8 +418,9 @@ def reports_for(methods: dict[str, dict], ranks: dict[str, dict], lexicon) -> li
 
 def stage_induce(config: RunConfig, out_dir, features_dir, lexicon_path) -> dict:
     """Rank the words of the first corpus language against the second's.
-    Every output after ranking reads one `gold_ranks` table per method,
-    counted over its score matrix against one index of the lexicon."""
+    Every output after ranking reads only the `MethodScores` and one
+    `gold_ranks` array per method, counted over its score matrix against
+    one index of the lexicon."""
     out_dir, manifest = _prepare(config, out_dir, "induce")
     source, target = config.corpus.languages
     with manifest.timed("load"):
@@ -442,12 +434,12 @@ def stage_induce(config: RunConfig, out_dir, features_dir, lexicon_path) -> dict
     with manifest.timed("evaluate"):
         gold = gold_index(lexicon, src.rows, tgt.rows)
         ranks = {method: gold_ranks(s, gold) for method, s in scored.items()}
-        reports = reports_for(methods, ranks, lexicon)
+        reports = reports_for(scored, ranks, gold)
     manifest.counts = ranking_counts(scored, len(tgt.words), ranks)
     with manifest.timed("write"):
         rankings_path, ranks_path = out_dir / "rankings.tsv", out_dir / "ranks.tsv"
         write_rankings(rankings_path, scored, src.words, tgt.words)
-        write_ranks(ranks_path, ranks, lexicon)
+        write_ranks(ranks_path, ranks, gold)
         csv_path, json_path = out_dir / "report.csv", out_dir / "report.json"
         write_report_csv(csv_path, reports)
         write_report_json(json_path, reports)

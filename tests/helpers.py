@@ -3,8 +3,8 @@ the per-tensor Adam step and gradient clip, the per-step probe and
 attention decodes and one-caption localization built on them; padded
 batches; hand-packed array containers; rankings as (word, score) pairs,
 sorted in Python; one source word's ranking; and the per-word table
-build, gold-rank loop and per-cell rankings writer that the induce stage's
-array code replaced."""
+build, gold-rank loop, evaluation, report rows and per-cell rankings and
+ranks writers that the induce stage's array code replaced."""
 
 import json
 import struct
@@ -12,11 +12,14 @@ import struct
 import numpy as np
 
 from lexipivot.corpus.vocab import PAD
+from lexipivot.errors import EmptyResultError
 from lexipivot.induction import (
     GOLD_OUTSIDE,
+    KS,
     RANKING_WIDTH,
     UNRANKED,
     ZERO_NORM,
+    EvalReport,
     MethodScores,
     TranslationRanking,
     WordFeatureTable,
@@ -35,7 +38,7 @@ from lexipivot.numerics import (
     no_grad,
 )
 from lexipivot.numerics.optim import BETA1, BETA2, EPSILON
-from lexipivot.pipeline import compute_rankings
+from lexipivot.pipeline import compute_rankings, reports_for, score_methods
 
 # Each evaluation of f may be off by a few ulps of |f|; a central difference
 # divides that by eps, so this many ulps of |f| over eps are round-off, not
@@ -264,10 +267,16 @@ def ranking_from_pairs(source: str, method: str, pairs) -> TranslationRanking:
     return TranslationRanking(source, method, row, head, words, rows)
 
 
+def rankings_of(tables, source: str, target: str) -> dict[str, dict]:
+    """`compute_rankings` of the tables' `score_methods`."""
+    return compute_rankings(tables, source, target,
+                            score_methods(tables[source], tables[target]))
+
+
 def rank_word(method: str, x: str, source, target) -> TranslationRanking:
     """`x`'s ranking under `method` against every target word, through
     `compute_rankings`; a KeyError for a word the method does not rank."""
-    return compute_rankings({"source": source, "target": target}, "source", "target")[method][x]
+    return rankings_of({"source": source, "target": target}, "source", "target")[method][x]
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +364,80 @@ def gold_ranks_by_word(rankings, lexicon):
     return ranks
 
 
+def evaluate_by_word(ranks, rankings, method, pos="all"):
+    """`evaluate` of a {word: gold rank} dict one word at a time, the
+    fallback pairs read from each word's ranking."""
+    best = {w: r for w, r in ranks.items() if r not in (UNRANKED, GOLD_OUTSIDE)}
+    unranked = sum(r == UNRANKED for r in ranks.values())
+    outside = len(ranks) - len(best) - unranked
+    if not best:
+        raise EmptyResultError(f"no evaluable source words (skipped {unranked + outside})")
+    n = len(best)
+    total_rr = 0.0
+    for r in best.values():   # in word order; sum() rounds otherwise from Python 3.12
+        total_rr += 1.0 / r
+    return EvalReport(method=method, pos=pos, n=n, mrr=total_rr / n,
+                      p_at={k: sum(r <= k for r in best.values()) / n for k in KS},
+                      unranked_lexicon_words=unranked, gold_outside_targets=outside,
+                      fallback_pairs=sum(rankings[w].fallback_pairs for w in best))
+
+
+def pos_breakdown_by_word(ranks, rankings, lexicon, method):
+    """`pos_breakdown` of a {word: gold rank} dict, grouped by
+    `lexicon.pos_of` one word at a time."""
+    groups = {}
+    for word, rank in ranks.items():
+        groups.setdefault(lexicon.pos_of(word), {})[word] = rank
+    reports = []
+    for tag in sorted(groups):
+        try:
+            reports.append(evaluate_by_word(groups[tag], rankings, method=method, pos=tag))
+        except EmptyResultError:
+            continue
+    return reports
+
+
+def reports_by_word(methods, ranks_by_method, lexicon):
+    """`reports_for` from each method's rankings and {word: gold rank} dict."""
+    reports = []
+    for method in sorted(methods):
+        try:
+            reports.append(evaluate_by_word(ranks_by_method[method], methods[method], method))
+        except EmptyResultError:
+            continue
+        reports.extend(pos_breakdown_by_word(ranks_by_method[method], methods[method],
+                                             lexicon, method))
+    if not reports:
+        raise EmptyResultError("no evaluable source words for any method")
+    return reports
+
+
+def ranking_counts_by_word(methods, n_sources, n_targets, ranks_by_method):
+    """`ranking_counts` from each method's rankings and {word: gold rank}
+    dict."""
+    counts = {}
+    for method in sorted(methods):
+        rankings = methods[method].values()
+        ranks = list(ranks_by_method[method].values())
+        counts[method] = {
+            "rankings": len(rankings), "pairs": sum(len(r.items) for r in rankings),
+            "skipped_sources": n_sources - len(rankings),
+            "fallback_pairs": sum(r.fallback_pairs for r in rankings),
+            "unranked_lexicon_words": ranks.count(UNRANKED),
+            "gold_outside_targets": ranks.count(GOLD_OUTSIDE)}
+    return counts
+
+
+def write_ranks_by_line(path, ranks_by_method, lexicon):
+    """`write_ranks` one line at a time, from {word: gold rank} dicts."""
+    labels = {UNRANKED: "unranked", GOLD_OUTSIDE: "gold_outside"}
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for method in sorted(ranks_by_method):
+            for source_word, rank in ranks_by_method[method].items():
+                fh.write(f"{source_word}\t{method}\t{lexicon.pos_of(source_word)}\t"
+                         f"{labels.get(rank, rank)}\n")
+
+
 def write_rankings_by_cell(path, rankings_by_method):
     """`write_rankings` one `word:score` cell at a time, from the rankings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -382,11 +465,26 @@ def scored_of(rankings, method="fused"):
     return scored, sources, targets
 
 
-def gold_ranks_of(rankings, lexicon):
-    """`gold_ranks` of one method's hand-built rankings (`scored_of`)."""
+def gold_of(rankings, lexicon):
+    """One method's hand-built rankings as their `MethodScores` (`scored_of`)
+    and the `GoldIndex` of `lexicon` against their words."""
     scored, sources, targets = scored_of(rankings)
-    return gold_ranks(scored, gold_index(lexicon, {x: i for i, x in enumerate(sources)},
-                                         {t: i for i, t in enumerate(targets)}))
+    return scored, gold_index(lexicon, {x: i for i, x in enumerate(sources)},
+                              {t: i for i, t in enumerate(targets)})
+
+
+def gold_ranks_of(rankings, lexicon):
+    """`gold_ranks` of one method's hand-built rankings, as a {lexicon
+    source word: gold rank} dict in word order."""
+    scored, gold = gold_of(rankings, lexicon)
+    return dict(zip(gold.words, gold_ranks(scored, gold).tolist()))
+
+
+def reports_of(rankings, lexicon):
+    """`reports_for` of one method's hand-built rankings: its "all" row,
+    then its per-POS rows."""
+    scored, gold = gold_of(rankings, lexicon)
+    return reports_for({scored.method: scored}, {scored.method: gold_ranks(scored, gold)}, gold)
 
 
 def write_rankings_of(path, rankings):

@@ -18,14 +18,13 @@ from lexipivot.induction import (
     build_table,
     collect_global_feature_sets,
     evaluate,
-    pos_breakdown,
     unit,
     write_report_csv,
     write_report_json,
 )
 from lexipivot.localization import encode_images
 from lexipivot.numerics import no_grad
-from lexipivot.pipeline import compute_rankings
+from lexipivot.pipeline import compute_rankings, score_methods
 from lexipivot.seeding import substream
 
 from conftest import build_model, indexed
@@ -35,6 +34,8 @@ from helpers import (
     rank_word,
     ranked_pairs,
     ranking_from_pairs,
+    rankings_of,
+    reports_of,
     write_rankings_of,
 )
 
@@ -82,8 +83,6 @@ class TestSimilarities:
 
     def test_missing_word(self):
         src = table_from_raw("s", {"x": [1.0, 0.0]})
-        with pytest.raises(KeyError):
-            src.row("zz")
         for method in INDUCTION_METHODS:
             with pytest.raises(KeyError):
                 rank_word(method, "zz", src, src)
@@ -98,8 +97,8 @@ class TestSimilarities:
         v = np.array([0.5, 0.5])
         src = table_from_raw("s", {"x": [1, 0]}, {"x": [v, -v]})
         tgt = table_from_raw("t", {"y": [1, 0]}, {"y": [v]})
-        assert not src.has_visual[src.row("x")]
-        assert "x" not in compute_rankings({"s": src, "t": tgt}, "s", "t")["visual"]
+        assert not src.has_visual[src.rows["x"]]
+        assert "x" not in rankings_of({"s": src, "t": tgt}, "s", "t")["visual"]
         # as a target the degenerate word ranks last and counts as a fallback
         ranking = rank_word("visual", "y", tgt, src)
         assert ranked_pairs(ranking) == [("x", BOTTOM_SCORE)] and ranking.fallback_pairs == 1
@@ -263,7 +262,7 @@ class TestBaselines:
         src = sets_table("s", {"x": np.zeros((0, 4))})
         tgt = sets_table("t", {"y": np.ones((1, 4))})
         assert not src.global_mean_valid[0] and src.global_offsets.tolist() == [0, 0]
-        rankings = compute_rankings({"s": src, "t": tgt}, "s", "t")
+        rankings = rankings_of({"s": src, "t": tgt}, "s", "t")
         assert "x" not in rankings["cnn_mean"] and "x" not in rankings["cnn_avgmax"]
 
 
@@ -285,7 +284,7 @@ def test_compute_rankings_memory_is_its_arrays():
     tables = {"s": language("s"), "t": language("t")}
     tracemalloc.start()
     try:
-        methods = compute_rankings(tables, "s", "t")
+        methods = compute_rankings(tables, "s", "t", score_methods(tables["s"], tables["t"]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -418,14 +417,12 @@ def as_rankings(ordered_candidates, method="fused"):
 
 
 def report_of(cands, lex):
-    """The "all" report of candidate lists, through their gold-rank table."""
-    rankings = as_rankings(cands)
-    return evaluate(gold_ranks_of(rankings, lex), rankings, "fused")
+    """The "all" report of candidate lists, through their gold-rank array."""
+    return reports_of(as_rankings(cands), lex)[0]
 
 
 def pos_reports_of(cands, lex):
-    rankings = as_rankings(cands)
-    return pos_breakdown(gold_ranks_of(rankings, lex), rankings, lex, "fused")
+    return reports_of(as_rankings(cands), lex)[1:]
 
 
 class TestEvaluate:
@@ -483,8 +480,9 @@ class TestEvaluate:
     def test_empty_evaluable_raises(self):
         lex = GroundTruthLexicon("s", "t")
         lex.add("w", "t")
+        ranks = np.array(list(gold_ranks_of({}, lex).values()))
         with pytest.raises(EmptyResultError):
-            evaluate(gold_ranks_of({}, lex), {}, "fused")
+            evaluate(ranks, np.zeros_like(ranks), "fused")
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)

@@ -1,27 +1,34 @@
 """The induce stage's array code against the per-word code it replaced.
 
-`build_table`, the gold-rank count and the rankings writer must give the
-bytes that a `mean_unit` and a `unit_rows` per set, a gold-rank loop per
-lexicon word and a rankings writer per cell gave (`helpers`). The tables
+`build_table`, the gold-rank count, the reports, the manifest counts and
+the rankings and ranks writers must give the bytes that a `mean_unit` and
+a `unit_rows` per set, a gold-rank loop and an evaluation per lexicon
+word, and writers per cell and per line gave (`helpers`). The tables
 are drawn to hold what rounds or compares differently in bulk: rows whose
 norm is under ZERO_NORM, +0.0 and -0.0 rows, words with no visual or
 global set, empty sets, sets whose mean is zero, one image row in the sets
 of many words, sets of 1, 8 or more, and 100 rows, rows of width 0, of
 width 1 (whose means numpy sums pairwise) and wider, and targets tied
-across the last place of the rankings.
+across the last place of the rankings. The lexicons hold words missing
+from the source table, words whose gold targets are all missing from the
+target table, untagged words and a POS group with no evaluable word; a
+method scores no source when no source word has its vectors.
 """
 
 import dataclasses
+import json
 import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexipivot import localization, pipeline
 from lexipivot.corpus import GroundTruthLexicon
+from lexipivot.errors import EmptyResultError
 from lexipivot.induction import (
     ZERO_NORM,
     WordFeatureTable,
@@ -30,9 +37,19 @@ from lexipivot.induction import (
     gold_ranks,
     unit,
     write_rankings,
+    write_ranks,
+    write_report_csv,
+    write_report_json,
 )
 
-from helpers import gold_ranks_by_word, table_by_word, write_rankings_by_cell
+from helpers import (
+    gold_ranks_by_word,
+    ranking_counts_by_word,
+    reports_by_word,
+    table_by_word,
+    write_rankings_by_cell,
+    write_ranks_by_line,
+)
 
 SET_SIZES = (0, 1, 1, 2, 3, 8, 9, 17, 100)
 
@@ -74,7 +91,9 @@ def draw_sets(rng, words, pool, share, sizes):
 @st.composite
 def language_pair(draw):
     """Two languages' (linguistic, visual sets, global sets) of shared
-    widths, and a lexicon between them."""
+    widths, and a lexicon between them: each source word tagged "noun",
+    "verb" or not at all, about one in five with "not-a-target" as its only
+    target, and a word the source table lacks tagged "orphan"."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     widths = {kind: draw(st.sampled_from((1, 2, 3, 8) if kind == "ling" else (0, 1, 2, 3, 8)))
               for kind in ("ling", "vis", "glob")}
@@ -90,10 +109,14 @@ def language_pair(draw):
         raws.append((ling, vis, glob))
     targets = sorted(raws[1][0]) + ["not-a-target"]
     lexicon = GroundTruthLexicon("s", "t")
-    for word in sorted(raws[0][0]) + ["not-a-source"]:
-        for target in rng.choice(targets, size=min(len(targets), int(rng.integers(1, 4))),
-                                 replace=False):
-            lexicon.add(word, str(target))
+    for word in sorted(raws[0][0]):
+        tag = (None, "noun", "verb")[int(rng.integers(3))]
+        picks = (["not-a-target"] if rng.random() < 0.2 else
+                 rng.choice(targets, size=min(len(targets), int(rng.integers(1, 4))),
+                            replace=False))
+        for target in picks:
+            lexicon.add(word, str(target), tag)
+    lexicon.add("not-a-source", targets[0], "orphan")
     return raws, lexicon
 
 
@@ -110,8 +133,8 @@ def assert_same_table(got: WordFeatureTable, want: WordFeatureTable):
 @settings(max_examples=150, deadline=None)
 def test_array_code_gives_the_bytes_of_the_per_word_code(pair, run):
     """Every `WordFeatureTable` array, with the global rows keyed in runs of
-    about `run` values, every method's gold-rank table and the rankings.tsv
-    text."""
+    about `run` values, every method's gold-rank array, the manifest counts
+    and the rankings.tsv, ranks.tsv, report.csv and report.json text."""
     raws, lexicon = pair
     tables = {}
     with mock.patch.object(localization, "RUN_VALUES", run):
@@ -122,11 +145,35 @@ def test_array_code_gives_the_bytes_of_the_per_word_code(pair, run):
     scored = pipeline.score_methods(source, target)
     methods = pipeline.compute_rankings(tables, "s", "t", scored)
     gold = gold_index(lexicon, source.rows, target.rows)
-    for method, rankings in methods.items():
-        assert (list(gold_ranks(scored[method], gold).items())
-                == list(gold_ranks_by_word(rankings, lexicon).items())), method
+    ranks = {method: gold_ranks(s, gold) for method, s in scored.items()}
+    by_word = {method: gold_ranks_by_word(rankings, lexicon)
+               for method, rankings in methods.items()}
+    for method in methods:
+        assert (list(zip(gold.words, ranks[method].tolist()))
+                == list(by_word[method].items())), method
+    # the manifest holds them as JSON, so the types must match too
+    assert (json.dumps(pipeline.ranking_counts(scored, len(target.words), ranks))
+            == json.dumps(ranking_counts_by_word(methods, len(source.words),
+                                                 len(target.words), by_word)))
+    try:
+        reports = pipeline.reports_for(scored, ranks, gold)
+    except EmptyResultError:
+        reports = None
+        with pytest.raises(EmptyResultError):
+            reports_by_word(methods, by_word, lexicon)
     with tempfile.TemporaryDirectory() as tmp:
-        got, want = Path(tmp) / "got.tsv", Path(tmp) / "want.tsv"
-        write_rankings(got, scored, source.words, target.words)
-        write_rankings_by_cell(want, methods)
-        assert got.read_bytes() == want.read_bytes()
+        got, want = Path(tmp) / "got", Path(tmp) / "want"
+        got.mkdir()
+        want.mkdir()
+        write_rankings(got / "rankings.tsv", scored, source.words, target.words)
+        write_rankings_by_cell(want / "rankings.tsv", methods)
+        write_ranks(got / "ranks.tsv", ranks, gold)
+        write_ranks_by_line(want / "ranks.tsv", by_word, lexicon)
+        if reports is not None:
+            want_reports = reports_by_word(methods, by_word, lexicon)
+            assert reports == want_reports   # to the last bit, not only as written
+            for directory, rows in ((got, reports), (want, want_reports)):
+                write_report_csv(directory / "report.csv", rows)
+                write_report_json(directory / "report.json", rows)
+        for path in sorted(want.iterdir()):
+            assert (got / path.name).read_bytes() == path.read_bytes(), path.name

@@ -27,9 +27,8 @@ from lexipivot.induction import (
     unit,
     write_rankings,
 )
-from lexipivot.pipeline import compute_rankings
 
-from helpers import gold_ranks_of, ranked_pairs
+from helpers import gold_ranks_of, ranked_pairs, rankings_of
 
 METHODS = ("linguistic", "visual", "fused", "cnn_mean", "cnn_avgmax")
 DIM = 3
@@ -183,8 +182,9 @@ def test_rankers_match_per_pair_oracle(src, tgt):
     """Each method's score matrix, its heads and fallback counts, one row
     per scorable source word paired with its head by its `<method>_rank`."""
     src_table, tgt_table = table("s", src), table("t", tgt)
+    scored = pipeline.score_methods(src_table, tgt_table)
     for method in METHODS:
-        score, rank = (getattr(induction, f"{method}_{kind}") for kind in ("scores", "rank"))
+        score, rank = getattr(induction, f"{method}_scores"), getattr(pipeline, f"{method}_rank")
         matrix = None   # scored once a source word is scorable, as compute_rankings does
         for x in sorted(src["ling"]):
             try:
@@ -194,8 +194,8 @@ def test_rankers_match_per_pair_oracle(src, tgt):
             if matrix is None:
                 matrix = score(src_table, tgt_table)
                 heads = induction.ranking_heads(matrix)
-                fallbacks = induction.fallback_counts(method, src_table, tgt_table)
-            i = src_table.row(x)
+                fallbacks = scored[method].fallbacks
+            i = src_table.rows[x]
             ranking = rank(x, tgt_table, matrix[i], heads[i], int(fallbacks[i]))
             assert_matches_oracle(ranking, scores, fallback)
 
@@ -207,7 +207,7 @@ def test_avgmax_chunks_match_the_oracle(src, tgt):
     most tables need several chunks and a last, shorter one."""
     tables = {"s": table("s", src), "t": table("t", tgt)}
     with mock.patch.object(induction, "AVGMAX_CHUNK", 3):
-        computed = compute_rankings(tables, "s", "t")["cnn_avgmax"]
+        computed = rankings_of(tables, "s", "t")["cnn_avgmax"]
     for x in sorted(src["ling"]):
         if scorable("cnn_avgmax", src, x):
             assert_matches_oracle(computed[x], *oracle_rank("cnn_avgmax", src, tgt, x))
@@ -232,7 +232,7 @@ def test_one_rank_call_per_scorable_source_word(src, tgt):
 
     with mock.patch.multiple(pipeline, **{
             f"{m}_rank": counting(m, getattr(pipeline, f"{m}_rank")) for m in METHODS}):
-        compute_rankings(tables, "s", "t")
+        rankings_of(tables, "s", "t")
     for method in METHODS:
         expected = [(x, len(tgt["ling"])) for x in sorted(src["ling"])
                     if scorable(method, src, x)]
@@ -243,7 +243,7 @@ def test_one_rank_call_per_scorable_source_word(src, tgt):
 @settings(max_examples=100, deadline=None)
 def test_compute_rankings_skips_like_the_oracle(src, tgt):
     tables = {"s": table("s", src), "t": table("t", tgt)}
-    computed = compute_rankings(tables, "s", "t")
+    computed = rankings_of(tables, "s", "t")
     assert sorted(computed) == sorted(METHODS)
     for method in METHODS:
         expected = {}
@@ -268,7 +268,7 @@ def test_ties_and_bottom_scores_follow_a_brute_force_sort(src, tgt):
     score) pairs by (-score, word)."""
     tables = {"s": table("s", src), "t": table("t", tgt)}
     targets = tables["t"].words
-    computed = compute_rankings(tables, "s", "t")
+    computed = rankings_of(tables, "s", "t")
     expected_lines = []
     for method in sorted(computed):
         for x in sorted(computed[method]):
@@ -330,7 +330,7 @@ def test_selection_matches_a_python_sort_at_the_boundary(src, tgt):
     the last place of the head, every target tied, fewer targets than
     RANKING_WIDTH, one target, and methods that no source word can use."""
     tables = {"s": table("s", src), "t": table("t", tgt)}
-    computed = compute_rankings(tables, "s", "t")
+    computed = rankings_of(tables, "s", "t")
     for method in METHODS:
         assert sorted(computed[method]) == [x for x in sorted(src["ling"])
                                             if scorable(method, src, x)]
@@ -356,6 +356,6 @@ def test_fused_from_the_held_matrices_equals_standalone_fused_scores(src, tgt):
     matrices are bit for bit those of `fused_scores` taking both products
     itself, for sources and targets with and without a visual vector."""
     tables = {"s": table("s", src), "t": table("t", tgt)}
-    rankings = compute_rankings(tables, "s", "t")["fused"]
+    rankings = rankings_of(tables, "s", "t")["fused"]
     held = np.array([rankings[x].row for x in tables["s"].words])
     assert np.array_equal(held, induction.fused_scores(tables["s"], tables["t"]))
