@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,7 @@ import numpy as np
 from .caption.model import MultiLingualModel
 from .corpus.lexicon import GroundTruthLexicon
 from .corpus.vocab import Vocabulary
-from .errors import EmptyResultError, NumericError
+from .errors import EmptyResultError, FormatError, NumericError
 from .localization import value_runs, word_occurrences
 from .seeding import substream
 
@@ -92,6 +93,15 @@ def _word_sets(words: list[str], sets: dict[str, np.ndarray]) -> tuple[list, np.
     return held, np.array([len(rows) for rows in held], dtype=np.intp).reshape(len(words))
 
 
+def _size_groups(lengths: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Each non-zero size of `lengths`, smallest first, with the positions
+    that hold it."""
+    # np.unique would import numpy.ma on its first call, 19 ms, more than a
+    # default table takes to build
+    return [(size, np.flatnonzero(lengths == size))
+            for size in np.flatnonzero(np.bincount(lengths[lengths > 0])).tolist()]
+
+
 def _unit_means(sets: list, lengths: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Each set's mean, then one normalization, rounded as `unit(np.mean(
     set, axis=0))` rounds it, and a flag that the set is non-empty with a
@@ -104,10 +114,7 @@ def _unit_means(sets: list, lengths: np.ndarray, width: int) -> tuple[np.ndarray
     mean with itself, the BLAS dot that `np.linalg.norm` of one vector takes.
     """
     means = np.zeros((len(sets), width))
-    # the sizes of the non-empty sets; np.unique would import numpy.ma on its
-    # first call, 19 ms, more than a default table takes to build
-    for size in np.flatnonzero(np.bincount(lengths[lengths > 0])).tolist():
-        group = np.flatnonzero(lengths == size)
+    for _, group in _size_groups(lengths):
         means[group] = np.stack([sets[i] for i in group.tolist()]).mean(axis=1)
     norms = np.sqrt(np.matmul(means[:, None, :], means[:, :, None])[:, 0, 0])
     valid = norms >= ZERO_NORM
@@ -157,6 +164,20 @@ def linguistic_vectors(model: MultiLingualModel, language: str,
     return out
 
 
+@contextmanager
+def _bounded_norms(language_id: str, kind: str):
+    """Raise FormatError naming the language's `kind` table where a norm
+    overflows: a row or set mean with a value of about 1e154 or more would
+    otherwise become a zero vector, although its cosines do not depend on
+    its scale."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise FormatError(f"the {kind} table of {language_id!r:.40}: a feature value is too "
+                          f"large to normalize its row ({exc})") from exc
+
+
 def build_table(language_id: str, linguistic: dict[str, np.ndarray],
                 visual_sets: dict[str, np.ndarray],
                 global_sets: dict[str, np.ndarray]) -> WordFeatureTable:
@@ -166,20 +187,24 @@ def build_table(language_id: str, linguistic: dict[str, np.ndarray],
     and names the table's words; a word's visual vector is the unit mean
     of its `visual_sets` rows. `global_sets` holds each word's global image
     rows for the baselines. Sets of words outside `linguistic` are dropped.
-    The visual rows are 0 wide when no word has a visual vector.
+    The visual rows are 0 wide when no word has a visual vector. A visual
+    or global value too large to normalize is a FormatError.
     """
     words = sorted(linguistic)
     ling = np.asarray([linguistic[w] for w in words], dtype=np.float64)
     sets, lengths = _word_sets(words, visual_sets)
-    visual, has_visual = _unit_means(sets, lengths, sets[0].shape[1] if words else 0)
+    with _bounded_norms(language_id, "visual"):
+        visual, has_visual = _unit_means(sets, lengths, sets[0].shape[1] if words else 0)
     sets, lengths = _word_sets(words, global_sets)
     width = sets[0].shape[1] if words else 0
-    global_mean, global_mean_valid = _unit_means(sets, lengths, width)
     index: dict[bytes, int] = {}   # the distinct unit rows, by their bytes
     inverse: list[int] = []
-    for lo, hi in value_runs([rows.size for rows in sets]):
-        rows = np.concatenate([np.zeros((0, width)), *sets[lo:hi]])
-        inverse += [index.setdefault(key, len(index)) for key in _row_bytes(_unit_rows(rows))]
+    with _bounded_norms(language_id, "global"):
+        global_mean, global_mean_valid = _unit_means(sets, lengths, width)
+        for lo, hi in value_runs([rows.size for rows in sets]):
+            rows = np.concatenate([np.zeros((0, width)), *sets[lo:hi]])
+            inverse += [index.setdefault(key, len(index))
+                        for key in _row_bytes(_unit_rows(rows))]
     return WordFeatureTable(
         language_id=language_id,
         words=words,
@@ -285,31 +310,50 @@ def cnn_mean_scores(source: WordFeatureTable, target: WordFeatureTable) -> np.nd
     return _dots(source.global_mean, target.global_mean, target.global_mean_valid)
 
 
+def _member_blocks(offsets: np.ndarray, inverse: np.ndarray,
+                   width: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The non-empty sets of an offsets array, those of one size together in
+    `value_runs` runs at `width` values per member: each run's set positions
+    and their members [sets, size] as entries of `inverse`."""
+    blocks = []
+    for size, group in _size_groups(np.diff(offsets)):
+        for lo, hi in value_runs([size * width] * len(group)):
+            sets = group[lo:hi]
+            blocks.append((sets, inverse[offsets[sets, None] + np.arange(size)]))
+    return blocks
+
+
 def cnn_avgmax_scores(source: WordFeatureTable, target: WordFeatureTable) -> np.ndarray:
     """Mean over the source word's images of the best cosine among the
     target word's images; targets without an image set score BOTTOM_SCORE.
 
     The best match of each target set for each distinct source image row is
-    one [targets with a set, u_s] matrix. It comes from the BLAS product
-    with the target's distinct image rows, `AVGMAX_CHUNK` source rows at a
-    time: every target set member gathers its row of the chunk, and
-    `maximum.reduceat` takes each set's best. A source word's scores are
-    the mean of its member columns, along the contiguous axis.
+    one [targets, u_s] matrix. It comes from the BLAS product with the
+    target's distinct image rows, `AVGMAX_CHUNK` source rows at a time. The
+    target sets of one size, a block of about RUN_VALUES values at a time
+    (`_member_blocks`), gather their members' rows of the product as [sets,
+    size, chunk] and take `max(axis=1)`: `np.maximum` one member at a time
+    in set order, so the signed zeros come out as a per-set reduction gives
+    them. The source sets of one size, cut the same way, take `best[:,
+    members]` as [targets, sets, size] and average along the contiguous
+    last axis, which sums each set as the `mean(axis=1)` of its columns
+    alone does. A target without a set has BOTTOM_SCORE in every column,
+    so its means are BOTTOM_SCORE exactly.
     """
     scores = np.full((len(source.words), len(target.words)), BOTTOM_SCORE)
-    filled = _with_set(target)
-    if not filled.any():
+    if not _with_set(target).any():   # the target rows may be 0 wide
         return scores
-    starts = target.global_offsets[:-1][filled]
-    best = np.empty((len(starts), len(source.global_rows)))
-    for lo in range(0, len(source.global_rows), AVGMAX_CHUNK):
+    n_rows = len(source.global_rows)
+    best = np.full((len(target.words), n_rows), BOTTOM_SCORE)
+    blocks = _member_blocks(target.global_offsets, target.global_inverse,
+                            min(AVGMAX_CHUNK, n_rows))
+    for lo in range(0, n_rows, AVGMAX_CHUNK):
         sims = target.global_rows @ source.global_rows[lo:lo + AVGMAX_CHUNK].T
-        best[:, lo:lo + sims.shape[1]] = np.maximum.reduceat(
-            sims[target.global_inverse], starts, axis=0)
-    offsets = source.global_offsets
-    for i in np.flatnonzero(np.diff(offsets)):
-        members = source.global_inverse[offsets[i]:offsets[i + 1]]
-        scores[i, filled] = best[:, members].mean(axis=1)
+        for sets, members in blocks:
+            best[sets, lo:lo + sims.shape[1]] = sims[members].max(axis=1)
+    for rows, members in _member_blocks(source.global_offsets, source.global_inverse,
+                                        len(target.words)):
+        scores[rows] = best[:, members].mean(axis=2).T
     return scores
 
 
@@ -466,21 +510,23 @@ def gold_ranks(scored: MethodScores, gold: GoldIndex) -> np.ndarray:
 
     Target g's rank is counted from the source word's row of the score
     matrix: one plus the targets that score above it and the tied ones
-    before it in word order. Every gold pair is counted at once, and a
-    word takes its least count.
+    before it in word order. The gold pairs are counted in `value_runs`
+    runs of about RUN_VALUES row entries, and a word takes its least count.
     """
     ranked = gold.source_rows >= 0
     ranked[ranked] = scored.scorable[gold.source_rows[ranked]]
     outside = np.iinfo(np.intp).max
     best = np.full(len(gold.words), outside)
-    counted = ranked[gold.pair_words]
-    if counted.any():
-        word, g = gold.pair_words[counted], gold.pair_targets[counted]
-        rows = scored.scores[gold.source_rows[word]]
-        at = rows[np.arange(len(g)), g, None]
-        before = np.arange(rows.shape[1]) < g[:, None]
-        np.minimum.at(best, word, 1 + np.count_nonzero(rows > at, axis=1)
-                      + np.count_nonzero((rows == at) & before, axis=1))
+    counted = np.flatnonzero(ranked[gold.pair_words])
+    if len(counted):
+        n_targets = scored.scores.shape[1]
+        for lo, hi in value_runs([n_targets] * len(counted)):
+            word, g = gold.pair_words[counted[lo:hi]], gold.pair_targets[counted[lo:hi]]
+            rows = scored.scores[gold.source_rows[word]]
+            at = rows[np.arange(len(g)), g, None]
+            before = np.arange(n_targets) < g[:, None]
+            np.minimum.at(best, word, 1 + np.count_nonzero(rows > at, axis=1)
+                          + np.count_nonzero((rows == at) & before, axis=1))
     best[best == outside] = GOLD_OUTSIDE
     best[~ranked] = UNRANKED
     return best
@@ -533,23 +579,27 @@ def write_rankings(path, scored: dict[str, MethodScores], source_words: list[str
     and source words in order.
 
     A method's lines are one `%` format each, over its stacked heads, their
-    target words and their scores, and are written at once.
+    target words and their scores, and are written in `value_runs` runs of
+    about RUN_VALUES fields.
     """
     sources = np.array(source_words, dtype=object)
     targets = np.array(target_words, dtype=object)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for method in sorted(scored):
             s = scored[method]
-            rows = np.flatnonzero(s.scorable)
-            if not len(rows):
+            scorable = np.flatnonzero(s.scorable)
+            if not len(scorable):
                 continue
-            heads = s.heads[rows]
-            fields = np.empty((len(rows), 2 + 2 * heads.shape[1]), dtype=object)
-            fields[:, 0], fields[:, 1] = sources[rows], method
-            fields[:, 2::2] = targets[heads]
-            fields[:, 3::2] = np.take_along_axis(s.scores[rows], heads, axis=1).tolist()
-            line = "%s\t%s\t" + ",".join(["%s:%.6f"] * heads.shape[1]) + "\n"
-            fh.write("".join([line % tuple(f) for f in fields.tolist()]))
+            width = 2 + 2 * s.heads.shape[1]
+            line = "%s\t%s\t" + ",".join(["%s:%.6f"] * s.heads.shape[1]) + "\n"
+            for lo, hi in value_runs([width] * len(scorable)):
+                rows = scorable[lo:hi]
+                heads = s.heads[rows]
+                fields = np.empty((len(rows), width), dtype=object)
+                fields[:, 0], fields[:, 1] = sources[rows], method
+                fields[:, 2::2] = targets[heads]
+                fields[:, 3::2] = s.scores[rows[:, None], heads].tolist()
+                fh.write("".join([line % tuple(f) for f in fields.tolist()]))
 
 
 def write_ranks(path, ranks: dict[str, np.ndarray], gold: GoldIndex) -> None:

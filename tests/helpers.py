@@ -3,17 +3,20 @@ the per-tensor Adam step and gradient clip, the per-step probe and
 attention decodes and one-caption localization built on them; padded
 batches; hand-packed array containers; rankings as (word, score) pairs,
 sorted in Python; one source word's ranking; and the per-word table
-build, gold-rank loop, evaluation, report rows and per-cell rankings and
-ranks writers that the induce stage's array code replaced."""
+build, cnn_avgmax scorer, gold-rank loop, evaluation, report rows and
+per-cell rankings and ranks writers that the induce stage's array code
+replaced."""
 
 import json
 import struct
 
 import numpy as np
 
+from lexipivot import induction
 from lexipivot.corpus.vocab import PAD
 from lexipivot.errors import EmptyResultError
 from lexipivot.induction import (
+    BOTTOM_SCORE,
     GOLD_OUTSIDE,
     KS,
     RANKING_WIDTH,
@@ -342,6 +345,28 @@ def table_by_word(language_id, linguistic, visual_sets, global_sets):
         global_inverse=inverse,
         global_offsets=np.cumsum([0] + [len(s) for s in sets]),
     )
+
+
+def cnn_avgmax_by_word(source, target):
+    """`cnn_avgmax_scores` with one `maximum.reduceat` over every target set
+    member per product of `induction.AVGMAX_CHUNK` source rows, and one
+    `mean(axis=1)` of its member columns per source word."""
+    scores = np.full((len(source.words), len(target.words)), BOTTOM_SCORE)
+    filled = np.diff(target.global_offsets) > 0
+    if not filled.any():
+        return scores
+    starts = target.global_offsets[:-1][filled]
+    best = np.empty((len(starts), len(source.global_rows)))
+    chunk = induction.AVGMAX_CHUNK
+    for lo in range(0, len(source.global_rows), chunk):
+        sims = target.global_rows @ source.global_rows[lo:lo + chunk].T
+        best[:, lo:lo + sims.shape[1]] = np.maximum.reduceat(
+            sims[target.global_inverse], starts, axis=0)
+    offsets = source.global_offsets
+    for i in np.flatnonzero(np.diff(offsets)):
+        members = source.global_inverse[offsets[i]:offsets[i + 1]]
+        scores[i, filled] = best[:, members].mean(axis=1)
+    return scores
 
 
 def gold_ranks_by_word(rankings, lexicon):

@@ -3,6 +3,7 @@ import json
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -761,6 +762,26 @@ class TestInduceEval:
                     "--lexicon", corpus / "lexicon.tsv", "--out", out])
         assert code == 3
         assert_one_error_line(capsys.readouterr().err, "la.linguistic.lxwf", repr(word))
+        assert not (out / "rankings.tsv").exists()
+
+    @pytest.mark.parametrize("kind", ["visual-probe", "global"])
+    def test_table_too_large_to_normalize_exits_3(self, extracted, tmp_path, capsys, kind):
+        """Values of 1e154 and more overflow a row's norm, which would make the
+        row a zero vector; the table is refused instead, without warnings."""
+        cfg, corpus, tables = extracted
+        from lexipivot.localization import write_word_features
+        path = tables / f"la.{kind}.lxwf"
+        _, aggregated, entries = read_word_features(path)
+        write_word_features(path, "la", {w: (count, rows * 1e200)
+                                         for w, (count, rows) in entries.items()}, aggregated)
+        out = tmp_path / "induce"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["induce", "--config", cfg, "--tables", tables,
+                        "--lexicon", corpus / "lexicon.tsv", "--out", out])
+        assert code == 3 and not caught
+        assert_one_error_line(capsys.readouterr().err, f"{kind.split('-')[0]} table of 'la'",
+                              "too large")
         assert not (out / "rankings.tsv").exists()
 
     def test_table_of_other_language_exits_3(self, extracted, tmp_path, capsys):
