@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import itertools
 import logging
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..corpus.vocab import PAD
+from ..corpus.vocab import pad_tokens
 from ..errors import ConfigError, InputError, NumericError
 # perfbench wraps `adam_update` and `clip_global_norm` at these names (ROADMAP item 7)
 from ..numerics import AdamState, adam_update, clip_global_norm, no_grad
@@ -127,13 +126,10 @@ class PaddedCaptions:
 def pad_captions(language: str, examples, regions, max_len: int) -> PaddedCaptions:
     """The examples of one language padded once, over the language's region
     grids [M,K,F]. A caption longer than `max_len` tokens is an InputError."""
-    lengths = np.fromiter((len(ex.tokens) for ex in examples), np.intp, len(examples))
+    tokens, lengths = pad_tokens(examples)
     if lengths.max() > max_len:
         raise InputError(f"a {language!r} caption of {lengths.max()} tokens exceeds the "
                          f"unroll cap {max_len}")
-    tokens = np.full((len(examples), lengths.max()), PAD, dtype=np.intp)
-    tokens[np.arange(tokens.shape[1]) < lengths[:, None]] = np.fromiter(
-        itertools.chain.from_iterable(ex.tokens for ex in examples), np.intp, lengths.sum())
     image_rows = np.fromiter((ex.image_row for ex in examples), np.intp, len(examples))
     return PaddedCaptions(language, tokens, lengths, regions, image_rows)
 

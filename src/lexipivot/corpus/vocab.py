@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 RESERVED = ("<pad>", "<s>", "</s>", "<unk>")
@@ -80,3 +83,13 @@ def index_captions(captions, image_rows, vocab: Vocabulary,
     return [CaptionedExample(row, cap.language_id,
                              (BOS, *vocab.encode(cap.words[:max_len - 2]), EOS))
             for cap, row in zip(captions, image_rows)]
+
+
+def pad_tokens(examples) -> tuple[np.ndarray, np.ndarray]:
+    """Every example's tokens as one [N, longest] matrix, PAD after each
+    caption's end, and the caption lengths [N]."""
+    lengths = np.fromiter((len(ex.tokens) for ex in examples), np.intp, len(examples))
+    tokens = np.full((len(examples), lengths.max()), PAD, dtype=np.intp)
+    tokens[np.arange(tokens.shape[1]) < lengths[:, None]] = np.fromiter(
+        chain.from_iterable(ex.tokens for ex in examples), np.intp, lengths.sum())
+    return tokens, lengths

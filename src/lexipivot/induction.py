@@ -8,9 +8,12 @@ baselines score un-localized global image features instead.
 Each language's inputs are held as matrices (`WordFeatureTable`).
 `build_table` does no per-word arithmetic: set means are taken per set
 size and normalized by batched dots, so that every row keeps the bits of
-the per-word `unit(np.mean(set, axis=0))`, and the distinct global image
-rows come from one dict over the unit rows' bytes, normalized in runs of
-words (`value_runs`).
+the per-word mean divided by its `np.linalg.norm`, and the distinct
+global image rows come from one dict over the unit rows' bytes,
+normalized in runs of words (`value_runs`). The tables hold the rows as
+`extract` computed them, so the linguistic rows (the embedding columns,
+each a set of one) are normalized here as the visual ones are, and no
+scale of a table moves a cosine.
 
 `METHODS` defines each method once: its scorer, the source rows it can
 score and the target rows it scores BOTTOM_SCORE. A method scores every
@@ -45,8 +48,8 @@ import numpy as np
 from .caption.model import MultiLingualModel
 from .corpus.lexicon import GroundTruthLexicon
 from .corpus.vocab import Vocabulary
-from .errors import EmptyResultError, FormatError, NumericError
-from .localization import value_runs, word_occurrences
+from .errors import EmptyResultError, FormatError
+from .localization import word_occurrences
 from .seeding import substream
 
 ZERO_NORM = 1e-12
@@ -57,13 +60,19 @@ BASELINE_SET_CAP = 100  # global image rows kept per word for the CNN baselines
 UNRANKED = -1      # the gold rank of a lexicon source word without a ranking
 GOLD_OUTSIDE = -2  # that of a ranked word with no gold target among the targets
 AVGMAX_CHUNK = 128  # source image rows per cnn_avgmax product
+# values per run of a long array pass: a larger temporary costs more in
+# fresh pages than its fewer numpy calls save
+RUN_VALUES = 1 << 14
 
 
-def unit(vector: np.ndarray) -> np.ndarray | None:
-    norm = float(np.linalg.norm(vector))
-    if norm < ZERO_NORM:
-        return None
-    return vector / norm
+def value_runs(sizes: list[int]) -> list[tuple[int, int]]:
+    """Consecutive [lo, hi) ranges over items of `sizes` values each, of
+    about RUN_VALUES values: a range ends before the item at which the
+    values before it pass a multiple of RUN_VALUES. The ranges cover every
+    item, in order."""
+    starts = np.cumsum([0, *sizes])[:-1]
+    cuts = (np.flatnonzero(np.diff(starts // RUN_VALUES)) + 1).tolist()
+    return list(zip([0, *cuts], [*cuts, len(sizes)]))
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
@@ -83,14 +92,14 @@ def _row_bytes(rows: np.ndarray) -> list[bytes]:
     return rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel().tolist()
 
 
-def _word_sets(words: list[str], sets: dict[str, np.ndarray]) -> tuple[list, np.ndarray]:
+def _word_sets(words: list[str], sets: dict[str, np.ndarray]) -> tuple[list, np.ndarray, int]:
     """Each word's set as a float64 array, an empty one for a word without a
-    set, and the set sizes. The width is that of the first set, 0 when
-    there is none."""
+    set, the set sizes and the width: that of the first set, 0 when there
+    is none."""
     width = next((np.shape(sets[w])[-1] for w in words if w in sets), 0)
     empty = np.zeros((0, width))
     held = [np.asarray(sets[w], dtype=np.float64) if w in sets else empty for w in words]
-    return held, np.array([len(rows) for rows in held], dtype=np.intp).reshape(len(words))
+    return held, np.array([len(rows) for rows in held], dtype=np.intp).reshape(len(words)), width
 
 
 def _size_groups(lengths: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -103,9 +112,10 @@ def _size_groups(lengths: np.ndarray) -> list[tuple[int, np.ndarray]]:
 
 
 def _unit_means(sets: list, lengths: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each set's mean, then one normalization, rounded as `unit(np.mean(
-    set, axis=0))` rounds it, and a flag that the set is non-empty with a
-    mean of norm at least ZERO_NORM; other rows are zero.
+    """Each set's mean, then one normalization, rounded as `np.mean(set,
+    axis=0)` divided by its `np.linalg.norm` rounds it, and a flag that the
+    set is non-empty with a mean of norm at least ZERO_NORM; other rows are
+    zero.
 
     The sets of one size are stacked and averaged together along their
     member axis, which sums each set's members in the order that `np.mean`
@@ -137,7 +147,7 @@ class WordFeatureTable:
 
     language_id: str
     words: list[str]
-    linguistic: np.ndarray         # [n, d] unit rows
+    linguistic: np.ndarray         # [n, d] unit embedding rows
     visual: np.ndarray             # [n, d_v] unit rows
     has_visual: np.ndarray         # [n] bool
     global_mean: np.ndarray        # [n, d_g] unit set means
@@ -153,15 +163,11 @@ class WordFeatureTable:
 
 def linguistic_vectors(model: MultiLingualModel, language: str,
                        vocab: Vocabulary) -> dict[str, np.ndarray]:
-    """Unit-normalized embedding column per content word."""
+    """Each content word's embedding column as one float64 row [1, E], as
+    the model holds it; `build_table` normalizes it."""
     embed = model.embedding(language).data
-    out = {}
-    for word in vocab.content_words():
-        vec = unit(embed[:, vocab.word_to_index[word]].astype(np.float64))
-        if vec is None:
-            raise NumericError(f"embedding for {word!r} is a zero vector")
-        out[word] = vec
-    return out
+    return {word: embed[:, vocab.word_to_index[word]].astype(np.float64)[None]
+            for word in vocab.content_words()}
 
 
 @contextmanager
@@ -183,20 +189,27 @@ def build_table(language_id: str, linguistic: dict[str, np.ndarray],
                 global_sets: dict[str, np.ndarray]) -> WordFeatureTable:
     """Stack one language's features into matrices.
 
-    `linguistic` holds unit vectors (as `linguistic_vectors` makes them)
-    and names the table's words; a word's visual vector is the unit mean
-    of its `visual_sets` rows. `global_sets` holds each word's global image
-    rows for the baselines. Sets of words outside `linguistic` are dropped.
-    The visual rows are 0 wide when no word has a visual vector. A visual
-    or global value too large to normalize is a FormatError.
+    `linguistic` holds each word's embedding row [1, d] (as
+    `linguistic_vectors` makes it) and names the table's words. A word's
+    linguistic and visual vectors are the unit means of its `linguistic`
+    row and of its `visual_sets` rows, normalized alike. `global_sets`
+    holds each word's global image rows for the baselines. Sets of words
+    outside `linguistic` are dropped. The visual rows are 0 wide when no
+    word has a visual vector. A value too large to normalize, or a
+    linguistic row of norm below ZERO_NORM, is a FormatError.
     """
     words = sorted(linguistic)
-    ling = np.asarray([linguistic[w] for w in words], dtype=np.float64)
-    sets, lengths = _word_sets(words, visual_sets)
+    sets, lengths, width = _word_sets(words, linguistic)
+    with _bounded_norms(language_id, "linguistic"):
+        ling, has_linguistic = _unit_means(sets, lengths, width)
+    if not has_linguistic.all():
+        raise FormatError(f"the linguistic table of {language_id!r:.40}: the row of "
+                          f"{words[np.argmin(has_linguistic)]!r:.40} has a norm below "
+                          f"{ZERO_NORM:g}, too small to normalize")
+    sets, lengths, width = _word_sets(words, visual_sets)
     with _bounded_norms(language_id, "visual"):
-        visual, has_visual = _unit_means(sets, lengths, sets[0].shape[1] if words else 0)
-    sets, lengths = _word_sets(words, global_sets)
-    width = sets[0].shape[1] if words else 0
+        visual, has_visual = _unit_means(sets, lengths, width)
+    sets, lengths, width = _word_sets(words, global_sets)
     index: dict[bytes, int] = {}   # the distinct unit rows, by their bytes
     inverse: list[int] = []
     with _bounded_norms(language_id, "global"):
@@ -208,7 +221,7 @@ def build_table(language_id: str, linguistic: dict[str, np.ndarray],
     return WordFeatureTable(
         language_id=language_id,
         words=words,
-        linguistic=ling.reshape(len(words), ling.shape[-1] if words else 0),
+        linguistic=ling,
         visual=visual if has_visual.any() else np.zeros((len(words), 0)),
         has_visual=has_visual,
         global_mean=global_mean,
@@ -283,23 +296,15 @@ def visual_scores(source: WordFeatureTable, target: WordFeatureTable) -> np.ndar
 
 
 def fused_scores(source: WordFeatureTable, target: WordFeatureTable,
-                 linguistic: np.ndarray | None = None,
-                 visual: np.ndarray | None = None) -> np.ndarray:
+                 linguistic: np.ndarray, visual: np.ndarray | None) -> np.ndarray:
     """The unweighted sum s_l + s_v of the two cosines where both words have
     a visual vector, the linguistic cosine alone elsewhere (nothing is
-    subtracted).
-
-    `linguistic` and `visual` are the `linguistic_scores` and
-    `visual_scores` matrices of the same tables, where the caller holds
-    them: the sum reads them instead of taking the two products again, and
-    its values keep their bits, as the products are the same einsums of the
-    same rows.
-    """
-    scores = linguistic_scores(source, target) if linguistic is None else linguistic.copy()
+    subtracted). `linguistic` and `visual` are the `linguistic_scores` and
+    `visual_scores` matrices of the same tables; `visual` is None when no
+    source word has a visual vector."""
+    scores = linguistic.copy()
     both = source.has_visual[:, None] & target.has_visual
-    if both.any():   # else either table's visual rows may be 0 wide
-        if visual is None:
-            visual = np.einsum("sd,td->st", source.visual, target.visual)
+    if both.any():
         np.add(scores, visual, out=scores, where=both)
     return scores
 

@@ -30,32 +30,30 @@ parent nodes' hidden states, the shared `cell_forward` kernel and the tied
 logits, whose softmax normalizer is computed once per node; each
 occurrence then gathers its gold word's K probabilities.
 
-Word-feature tables are `arrayfile` containers of magic "LXWF". The meta
-holds "language", "aggregated" and "counts", each word's occurrence count;
-each word, in sorted order, has a float64 array of rows of one width D:
-one row if the table is aggregated, else one per occurrence.
+Word-feature tables are `arrayfile` containers of magic "LXWF" holding
+one float64 block "rows" [rows, D]. The meta holds "language",
+"aggregated", "words" (sorted) and "counts", each word's occurrence
+count. The words' rows follow each other in the block in word order: one
+per word if the table is aggregated, else one per occurrence. The rows
+are stored as computed; `induction.build_table` normalizes them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 
 import numpy as np
 
 from .arrayfile import read_arrays, write_arrays
 from .caption.model import MultiLingualModel
-from .corpus.vocab import BOS, EOS, PAD, UNK
-from .errors import FormatError, InputError, NumericError
+from .corpus.vocab import BOS, EOS, PAD, UNK, pad_tokens
+from .errors import FormatError, NumericError
 from .numerics import Tensor, no_grad
 from .numerics.lstm import cell_forward
 
 TABLE_MAGIC = b"LXWF"
 ROW_CAP = 128  # depth-0 decode rows per chunk, and images per encoder call
-# feature values per stacked run of a table's word arrays: a larger
-# temporary costs more in fresh pages than its fewer numpy calls save
-RUN_VALUES = 1 << 14
 
 
 def encode_images(model: MultiLingualModel, examples,
@@ -80,10 +78,9 @@ def word_occurrences(examples) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """The caption of each word position, in corpus order (caption order,
     then position), and each word index's positions in that order.
     Sentinel and unknown tokens are dropped from the words."""
-    lengths = np.fromiter((len(ex.tokens) - 2 for ex in examples), np.intp, len(examples))
-    words = np.fromiter(chain.from_iterable(ex.tokens[1:-1] for ex in examples), np.intp,
-                        lengths.sum())
-    captions = np.repeat(np.arange(len(examples)), lengths)
+    tokens, lengths = pad_tokens(examples)
+    words = tokens[:, 1:][np.arange(tokens.shape[1] - 1) < lengths[:, None] - 2]
+    captions = np.repeat(np.arange(len(examples)), lengths - 2)
     kept = np.flatnonzero(np.isin(words, (PAD, BOS, EOS, UNK), invert=True))
     by_word = kept[np.argsort(words[kept], kind="stable")]  # corpus order within a word
     word_ids, starts = np.unique(words[by_word], return_index=True)
@@ -138,10 +135,7 @@ def prefix_trie(examples, image_rows: np.ndarray) -> list[TrieDepth]:
     """The distinct (image, tokens[:t+1]) of the captions, as one
     `TrieDepth` per word position t. `image_rows` holds each caption's
     image. One `np.unique` per depth numbers the keys (parent, token t)."""
-    lengths = np.fromiter((len(ex.tokens) for ex in examples), np.intp, len(examples))
-    tokens = np.zeros((len(examples), lengths.max()), dtype=np.intp)
-    tokens[np.arange(tokens.shape[1]) < lengths[:, None]] = np.fromiter(
-        chain.from_iterable(ex.tokens for ex in examples), np.intp, lengths.sum())
+    tokens, lengths = pad_tokens(examples)
     order = np.argsort(image_rows, kind="stable")  # captions by image
     tokens, words = tokens[order], lengths[order] - 2
     first_row = (np.cumsum(lengths - 2) - (lengths - 2))[order]
@@ -274,57 +268,45 @@ def write_word_features(path, language: str,
                         entries: dict[str, tuple[int, np.ndarray]],
                         aggregated: bool) -> None:
     """Write per-word features. `entries` maps word -> (occurrence count,
-    matrix of rows); aggregated tables hold exactly one row per word."""
+    rows [n, D]): one row if the table is aggregated, else one per
+    occurrence. The rows are stacked once, in sorted word order."""
     words = sorted(entries)
-    rows = {w: np.atleast_2d(np.asarray(entries[w][1], dtype=np.float64)) for w in words}
-    # the width of the first word with rows; a word with none fits any width
-    d = next((r.shape[-1] for r in rows.values() if r.size), 0)
-    for word in words:
-        count = entries[word][0]
-        expected = (1 if aggregated else count, d)
-        if rows[word].shape != expected:
-            raise InputError(f"word {word!r} with {count} occurrences: expected feature "
-                             f"rows of shape {expected}, got {rows[word].shape}")
-    meta = {"language": language, "aggregated": bool(aggregated),
+    rows = np.concatenate([entries[w][1] for w in words]) if words else np.zeros((0, 0))
+    meta = {"language": language, "aggregated": bool(aggregated), "words": words,
             "counts": [int(entries[w][0]) for w in words]}
-    write_arrays(path, TABLE_MAGIC, "<f8", meta, rows)
-
-
-def value_runs(sizes: list[int]) -> list[tuple[int, int]]:
-    """Consecutive [lo, hi) ranges over items of `sizes` values each, of
-    about RUN_VALUES values: a range ends before the item at which the
-    values before it pass a multiple of RUN_VALUES. The ranges cover every
-    item, in order."""
-    starts = np.cumsum([0, *sizes])[:-1]
-    cuts = (np.flatnonzero(np.diff(starts // RUN_VALUES)) + 1).tolist()
-    return list(zip([0, *cuts], [*cuts, len(sizes)]))
+    write_arrays(path, TABLE_MAGIC, "<f8", meta, {"rows": rows})
 
 
 def read_word_features(path):
-    """Returns (language, aggregated flag, {word: (count, rows)}). A NaN or
-    infinite feature value is a FormatError naming the first such word in
-    file order; the words' values are checked together, a `value_runs` run
-    at a time."""
+    """Returns (language, aggregated flag, {word: (count, rows)}), each
+    word's rows a view of the table's block. A NaN or infinite feature
+    value is a FormatError naming the first such word in file order."""
     meta, arrays = read_arrays(path, TABLE_MAGIC, "<f8")
-    language, aggregated, counts = (meta.get(k) for k in ("language", "aggregated", "counts"))
+    if list(arrays) != ["rows"]:
+        raise FormatError(f"{path}: holds the arrays {list(arrays)!r:.60} instead of one "
+                          f"block 'rows'; regenerate a table of the per-word layout with "
+                          f"`lexipivot extract`")
+    rows = arrays["rows"]
+    if rows.ndim != 2:
+        raise FormatError(f"{path}: the row block has shape {rows.shape}, not [rows, D]")
+    language, aggregated, words, counts = (
+        meta.get(k) for k in ("language", "aggregated", "words", "counts"))
     if not (isinstance(language, str) and isinstance(aggregated, bool)
-            and isinstance(counts, list) and len(counts) == len(arrays)
+            and isinstance(words, list) and all(isinstance(w, str) for w in words)
+            and words == sorted(set(words))
+            and isinstance(counts, list) and len(counts) == len(words)
             and all(type(c) is int and c >= 0 for c in counts)):
-        raise FormatError(f"{path}: meta does not give the language, the aggregated "
-                          f"flag and one occurrence count per word")
-    entries = dict(zip(arrays, zip(counts, arrays.values())))
-    for word, (count, rows) in entries.items():
-        if rows.ndim != 2 or len(rows) != (1 if aggregated else count):
-            raise FormatError(f"{path}: word {word!r} with {count} occurrences has feature "
-                              f"rows of shape {rows.shape}")
-    values = list(arrays.values())
-    sizes = [rows.size for rows in values]
-    for lo, hi in value_runs(sizes):
-        finite = np.isfinite(np.concatenate([np.zeros(0), *values[lo:hi]], axis=None))
-        if not finite.all():   # name the first word, in file order, with a bad value
-            at = np.searchsorted(np.cumsum(sizes[lo:hi]), np.argmin(finite), side="right")
-            word = list(arrays)[lo + int(at)]
-            raise FormatError(f"{path}: word {word!r} has a non-finite feature value")
-    if len({rows.shape[1] for rows in arrays.values()}) > 1:
-        raise FormatError(f"{path}: feature rows of more than one width")
-    return language, aggregated, entries
+        raise FormatError(f"{path}: meta does not give the language, the aggregated flag, "
+                          f"the words sorted and distinct and one occurrence count per word")
+    sizes = [1] * len(words) if aggregated else counts
+    if sum(sizes) != len(rows):
+        raise FormatError(f"{path}: {len(words)} words with {sum(sizes)} rows among them, "
+                          f"but the block holds {len(rows)} rows")
+    ends = np.cumsum(sizes, dtype=np.intp)
+    if not np.isfinite(rows).all():   # name the first word, in file order, with a bad value
+        bad = np.argmin(np.isfinite(rows).all(axis=1))
+        word = words[int(np.searchsorted(ends, bad, side="right"))]
+        raise FormatError(f"{path}: word {word!r} has a non-finite feature value")
+    starts = [0, *ends.tolist()]
+    return language, aggregated, {w: (c, rows[lo:hi]) for w, c, lo, hi
+                                  in zip(words, counts, starts, starts[1:])}

@@ -279,7 +279,7 @@ def stage_extract(config: RunConfig, out_dir, checkpoint, corpus_dir) -> dict:
             write_word_features(visual_path, lang, visual_entries, aggregated=True)
 
             ling = linguistic_vectors(model, lang, vocab)
-            ling_entries = {w: (vocab.counts.get(w, 0), v[None]) for w, v in ling.items()}
+            ling_entries = {w: (vocab.counts.get(w, 0), row) for w, row in ling.items()}
             ling_path = table_file(out_dir, lang, "linguistic")
             write_word_features(ling_path, lang, ling_entries, aggregated=True)
 
@@ -322,9 +322,8 @@ def _load_tables(features_dir, languages, method: str):
                     raise FormatError(f"{path} holds rows {width} wide, but {first_path} "
                                       f"holds rows {first_width} wide; both languages' "
                                       f"{kind} tables must have one width")
-        tables[lang] = build_table(
-            lang, {w: word_rows[0] for w, word_rows in rows["linguistic"].items()},
-            rows[f"visual-{method}"], rows["global"])
+        tables[lang] = build_table(lang, rows["linguistic"], rows[f"visual-{method}"],
+                                   rows["global"])
     return tables
 
 

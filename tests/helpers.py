@@ -28,7 +28,6 @@ from lexipivot.induction import (
     WordFeatureTable,
     gold_index,
     gold_ranks,
-    unit,
     write_rankings,
 )
 from lexipivot.numerics import (
@@ -288,12 +287,14 @@ def rank_word(method: str, x: str, source, target) -> TranslationRanking:
 
 
 def mean_unit(rows):
-    """Mean of a set of rows, then one normalization; None when the set is
-    empty or its mean is (near) zero."""
+    """Mean of a set of rows divided by its `np.linalg.norm`; None when the
+    set is empty or the norm is below ZERO_NORM."""
     rows = np.asarray(rows, dtype=np.float64)
     if not len(rows):
         return None
-    return unit(np.mean(rows, axis=0))
+    mean = np.mean(rows, axis=0)
+    norm = float(np.linalg.norm(mean))
+    return None if norm < ZERO_NORM else mean / norm
 
 
 def unit_rows(rows):
@@ -323,8 +324,8 @@ def _first_dim(sets):
 
 
 def table_by_word(language_id, linguistic, visual_sets, global_sets):
-    """`build_table` one word at a time: a `mean_unit` per visual and global
-    set and a `unit_rows` per global set."""
+    """`build_table` one word at a time: a `mean_unit` per linguistic row,
+    visual set and global set, and a `unit_rows` per global set."""
     words = sorted(linguistic)
     visual = [mean_unit(visual_sets[w]) if w in visual_sets else None for w in words]
     d_v = _first_dim(v for v in visual if v is not None)
@@ -336,7 +337,8 @@ def table_by_word(language_id, linguistic, visual_sets, global_sets):
     return WordFeatureTable(
         language_id=language_id,
         words=words,
-        linguistic=_stacked([linguistic[w] for w in words], _first_dim(linguistic.values())),
+        linguistic=_stacked([mean_unit(linguistic[w]) for w in words],
+                            _first_dim(linguistic.values())),
         visual=_stacked([np.zeros(d_v) if v is None else v for v in visual], d_v),
         has_visual=np.array([v is not None for v in visual], dtype=bool),
         global_mean=_stacked([np.zeros(d_g) if m is None else m for m in means], d_g),

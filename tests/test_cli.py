@@ -741,7 +741,7 @@ class TestInduceEval:
         from lexipivot.localization import read_word_features, write_word_features
         path = tables / "la.linguistic.lxwf"
         entries = {w: (1, rows) for w, (_, rows) in read_word_features(path)[2].items()}
-        last = max(entries)    # the writer takes the row width from the first word
+        last = max(entries)
         entries[last] = (0, entries[last][1][:0])
         write_word_features(path, "la", entries, aggregated=False)
         code = run(["induce", "--config", cfg, "--tables", tables,
@@ -764,7 +764,7 @@ class TestInduceEval:
         assert_one_error_line(capsys.readouterr().err, "la.linguistic.lxwf", repr(word))
         assert not (out / "rankings.tsv").exists()
 
-    @pytest.mark.parametrize("kind", ["visual-probe", "global"])
+    @pytest.mark.parametrize("kind", ["linguistic", "visual-probe", "global"])
     def test_table_too_large_to_normalize_exits_3(self, extracted, tmp_path, capsys, kind):
         """Values of 1e154 and more overflow a row's norm, which would make the
         row a zero vector; the table is refused instead, without warnings."""
@@ -782,6 +782,42 @@ class TestInduceEval:
         assert code == 3 and not caught
         assert_one_error_line(capsys.readouterr().err, f"{kind.split('-')[0]} table of 'la'",
                               "too large")
+        assert not (out / "rankings.tsv").exists()
+
+    @pytest.mark.parametrize("kind", ["linguistic", "visual-probe", "global"])
+    def test_table_scaled_by_two_ranks_the_same(self, extracted, tmp_path, kind):
+        """A cosine does not depend on scale, and doubling a row changes no
+        bit of its normalized form: every table kind is normalized at
+        `induce`, so the outputs keep their bytes."""
+        cfg, corpus, tables = extracted
+        from lexipivot.localization import write_word_features
+        before, after = tmp_path / "before", tmp_path / "after"
+        assert run(["induce", "--config", cfg, "--tables", tables,
+                    "--lexicon", corpus / "lexicon.tsv", "--out", before]) == 0
+        path = tables / f"la.{kind}.lxwf"
+        _, aggregated, entries = read_word_features(path)
+        write_word_features(path, "la", {w: (count, rows * 2.0)
+                                         for w, (count, rows) in entries.items()}, aggregated)
+        assert run(["induce", "--config", cfg, "--tables", tables,
+                    "--lexicon", corpus / "lexicon.tsv", "--out", after]) == 0
+        for name in ("rankings.tsv", "report.csv"):
+            assert (after / name).read_bytes() == (before / name).read_bytes(), name
+
+    def test_zero_linguistic_row_exits_3(self, extracted, tmp_path, capsys):
+        """An embedding column of zeros has no direction to rank by."""
+        cfg, corpus, tables = extracted
+        from lexipivot.localization import write_word_features
+        path = tables / "la.linguistic.lxwf"
+        entries = read_word_features(path)[2]
+        word = max(entries)
+        entries[word][1][...] = 0.0
+        write_word_features(path, "la", entries, aggregated=True)
+        out = tmp_path / "induce"
+        code = run(["induce", "--config", cfg, "--tables", tables,
+                    "--lexicon", corpus / "lexicon.tsv", "--out", out])
+        assert code == 3
+        assert_one_error_line(capsys.readouterr().err, "linguistic table of 'la'", repr(word),
+                              "too small to normalize")
         assert not (out / "rankings.tsv").exists()
 
     def test_table_of_other_language_exits_3(self, extracted, tmp_path, capsys):

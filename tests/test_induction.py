@@ -18,7 +18,6 @@ from lexipivot.induction import (
     build_table,
     collect_global_feature_sets,
     evaluate,
-    unit,
     write_report_csv,
     write_report_json,
 )
@@ -41,7 +40,7 @@ from helpers import (
 
 
 def table_from_raw(language, raw_linguistic, raw_visual_sets=None, global_sets=None):
-    ling = {w: unit(np.asarray(v, dtype=np.float64)) for w, v in raw_linguistic.items()}
+    ling = {w: np.asarray(v, dtype=np.float64)[None] for w, v in raw_linguistic.items()}
     return build_table(language, ling, raw_visual_sets or {}, global_sets or {})
 
 

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexipivot import induction, localization, pipeline
+from lexipivot import induction, pipeline
 from lexipivot.corpus import GroundTruthLexicon
 from lexipivot.errors import EmptyResultError
 from lexipivot.induction import (
@@ -40,7 +40,6 @@ from lexipivot.induction import (
     cnn_avgmax_scores,
     gold_index,
     gold_ranks,
-    unit,
     write_rankings,
     write_ranks,
     write_report_csv,
@@ -111,8 +110,9 @@ def language_pair(draw):
     raws = []
     for prefix, most in (("s", 12), ("t", 45)):
         words = [f"{prefix}{i:02d}" for i in range(draw(st.integers(1, most)))]
-        # few linguistic profiles, so that many targets tie
-        profiles = [unit(v) for v in rng.normal(size=(int(rng.integers(1, 5)), widths["ling"]))]
+        # few linguistic profiles, so that many targets tie, at scales apart
+        profiles = rng.normal(size=(int(rng.integers(1, 5)), 1, widths["ling"]))
+        profiles *= 10.0 ** rng.integers(-3, 4, size=(len(profiles), 1, 1))
         ling = {w: profiles[int(rng.integers(len(profiles)))] for w in words}
         vis = draw_sets(rng, words, row_pool(rng, widths["vis"]), shares["vis"], (0, 1, 1, 2, 8))
         glob = draw_sets(rng, words, row_pool(rng, widths["glob"]), shares["glob"], SET_SIZES)
@@ -139,7 +139,7 @@ def assert_same_table(got: WordFeatureTable, want: WordFeatureTable):
             assert a.tobytes() == b.tobytes(), field.name
 
 
-@given(language_pair(), st.sampled_from((1, 7, 64, localization.RUN_VALUES)))
+@given(language_pair(), st.sampled_from((1, 7, 64, induction.RUN_VALUES)))
 @settings(max_examples=150, deadline=None)
 def test_array_code_gives_the_bytes_of_the_per_word_code(pair, run):
     """Every `WordFeatureTable` array, every method's gold-rank array, the
@@ -147,7 +147,7 @@ def test_array_code_gives_the_bytes_of_the_per_word_code(pair, run):
     report.json text, with the global rows keyed, the gold ranks counted
     and the rankings written in runs of about `run` values."""
     raws, lexicon = pair
-    with mock.patch.object(localization, "RUN_VALUES", run):
+    with mock.patch.object(induction, "RUN_VALUES", run):
         tables = {}
         for language, raw in zip(("s", "t"), raws):
             tables[language] = build_table(language, *raw)
@@ -208,7 +208,7 @@ def avgmax_pair(draw):
         rng.shuffle(sizes)
         words = [f"{language}{i:02d}" for i in range(len(sizes) + 1)]
         glob = {w: draw_set(rng, pool, size) for w, size in zip(words, sizes)}
-        tables.append(build_table(language, {w: np.ones(1) for w in words}, {}, glob))
+        tables.append(build_table(language, {w: np.ones((1, 1)) for w in words}, {}, glob))
     return tables
 
 
@@ -219,7 +219,7 @@ def test_cnn_avgmax_gives_the_bytes_of_the_per_word_code(tables, chunk, run):
     per product, with its set-size blocks cut at about `run` values, so
     that the sets of one size split across blocks."""
     with (mock.patch.object(induction, "AVGMAX_CHUNK", chunk),
-          mock.patch.object(localization, "RUN_VALUES", run)):
+          mock.patch.object(induction, "RUN_VALUES", run)):
         for source, target in (tables, tables[::-1]):
             got = cnn_avgmax_scores(source, target)
             assert got.tobytes() == cnn_avgmax_by_word(source, target).tobytes()

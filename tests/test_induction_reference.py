@@ -24,7 +24,6 @@ from lexipivot.induction import (
     GOLD_OUTSIDE,
     RANKING_WIDTH,
     build_table,
-    unit,
     write_rankings,
 )
 
@@ -160,7 +159,7 @@ def as_rows(rows):
 
 def table(language, raw):
     return build_table(language,
-                       {w: unit(np.asarray(v)) for w, v in raw["ling"].items()},
+                       {w: as_rows([v]) for w, v in raw["ling"].items()},
                        {w: as_rows(rows) for w, rows in raw["vis"].items()},
                        {w: as_rows(rows) for w, rows in raw["glob"].items()})
 
@@ -184,19 +183,14 @@ def test_rankers_match_per_pair_oracle(src, tgt):
     src_table, tgt_table = table("s", src), table("t", tgt)
     scored = pipeline.score_methods(src_table, tgt_table)
     for method in METHODS:
-        score, rank = getattr(induction, f"{method}_scores"), getattr(pipeline, f"{method}_rank")
-        matrix = None   # scored once a source word is scorable, as compute_rankings does
+        s, rank = scored[method], getattr(pipeline, f"{method}_rank")
         for x in sorted(src["ling"]):
             try:
                 scores, fallback = oracle_rank(method, src, tgt, x)
             except Unscorable:  # compute_rankings never asks (the test below)
                 continue
-            if matrix is None:
-                matrix = score(src_table, tgt_table)
-                heads = induction.ranking_heads(matrix)
-                fallbacks = scored[method].fallbacks
             i = src_table.rows[x]
-            ranking = rank(x, tgt_table, matrix[i], heads[i], int(fallbacks[i]))
+            ranking = rank(x, tgt_table, s.scores[i], s.heads[i], int(s.fallbacks[i]))
             assert_matches_oracle(ranking, scores, fallback)
 
 
@@ -353,9 +347,15 @@ def test_selection_matches_a_python_sort_at_the_boundary(src, tgt):
 @settings(max_examples=100, deadline=None)
 def test_fused_from_the_held_matrices_equals_standalone_fused_scores(src, tgt):
     """The fused rows `compute_rankings` sums from its linguistic and visual
-    matrices are bit for bit those of `fused_scores` taking both products
-    itself, for sources and targets with and without a visual vector."""
-    tables = {"s": table("s", src), "t": table("t", tgt)}
-    rankings = rankings_of(tables, "s", "t")["fused"]
-    held = np.array([rankings[x].row for x in tables["s"].words])
-    assert np.array_equal(held, induction.fused_scores(tables["s"], tables["t"]))
+    matrices are bit for bit the `linguistic_scores` matrix plus the
+    `visual_scores` one where both words have a visual vector, each scorer
+    called here on its own, for sources and targets with and without a
+    visual vector."""
+    source, target = tables = table("s", src), table("t", tgt)
+    rankings = rankings_of({"s": source, "t": target}, "s", "t")["fused"]
+    held = np.array([rankings[x].row for x in source.words])
+    want = induction.linguistic_scores(*tables)
+    both = source.has_visual[:, None] & target.has_visual
+    if both.any():   # else either table's visual rows may be 0 wide
+        want[both] += induction.visual_scores(*tables)[both]
+    assert np.array_equal(held, want)

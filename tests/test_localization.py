@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from lexipivot import localization
+from lexipivot.arrayfile import read_arrays, write_arrays
 from lexipivot.corpus.vocab import BOS, EOS, UNK, CaptionedExample
-from lexipivot.errors import FormatError, InputError
+from lexipivot.errors import FormatError
 from lexipivot.localization import (
     collect_word_features,
     encode_images,
@@ -405,6 +406,22 @@ class TestTableFile:
         assert aggregated and entries["hund"][0] == 3
         assert entries["hund"][1].shape == (1, 5)
 
+    def test_one_block_of_rows_in_word_order(self, tmp_path):
+        """The file holds one [rows, D] array; every word's rows are a view of
+        the block as read."""
+        entries = {"b": (2, np.full((2, 3), 2.0)), "a": (1, np.ones((1, 3))),
+                   "c": (0, np.zeros((0, 3)))}
+        path = tmp_path / "raw.lxwf"
+        write_word_features(path, "de", entries, aggregated=False)
+        meta, arrays = read_arrays(path, localization.TABLE_MAGIC, "<f8")
+        assert meta == {"language": "de", "aggregated": False, "words": ["a", "b", "c"],
+                        "counts": [1, 2, 0]}
+        assert list(arrays) == ["rows"]
+        assert np.array_equal(arrays["rows"], [[1.0] * 3, [2.0] * 3, [2.0] * 3])
+        back = read_word_features(path)[2]
+        block = back["a"][1].base
+        assert block is not None and all(rows.base is block for _, rows in back.values())
+
     def test_round_trip_first_word_without_rows(self, tmp_path):
         entries = {"a": (0, np.zeros((0, 3))), "b": (1, np.ones((1, 3)))}
         path = tmp_path / "raw.lxwf"
@@ -415,14 +432,6 @@ class TestTableFile:
             assert back[word][0] == count
             assert back[word][1].shape == rows.shape
             assert np.array_equal(back[word][1], rows)
-        with pytest.raises(InputError):
-            write_word_features(path, "de", {**entries, "c": (1, np.ones((1, 4)))},
-                                aggregated=False)
-
-    def test_write_shape_mismatch(self, tmp_path):
-        with pytest.raises(InputError):
-            write_word_features(tmp_path / "x.lxwf", "de",
-                                {"w": (3, np.zeros((2, 4)))}, aggregated=False)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.lxwf"
@@ -435,18 +444,25 @@ class TestTableFile:
         (lambda h: h["meta"].update(counts=[2, -1]), "one occurrence count per word"),
         (lambda h: h["meta"].update(aggregated=1), "aggregated flag"),
         (lambda h: h["meta"].pop("language"), "language"),
+        (lambda h: h["meta"].update(words=["hund", 3]), "words sorted and distinct"),
+        (lambda h: h["meta"].update(words=["hund", "hund"]), "words sorted and distinct"),
+        (lambda h: h["meta"].update(words=["katze", "hund"]), "words sorted and distinct"),
+        (lambda h: h["meta"].pop("words"), "words sorted and distinct"),
         (lambda h: h["meta"].update(counts=[1, 1]),
-         "'hund' with 1 occurrences has feature rows of shape \\(2, 3\\)"),
+         "2 words with 2 rows among them, but the block holds 3 rows"),
+        (lambda h: h["meta"].update(counts=[3, 1]),
+         "2 words with 4 rows among them, but the block holds 3 rows"),
         (lambda h: h["meta"].update(aggregated=True),
-         "'hund' with 2 occurrences has feature rows of shape \\(2, 3\\)"),
-        (lambda h: h["arrays"][1].__setitem__(2, [1, 1, 3]),
-         "'katze' with 1 occurrences has feature rows of shape \\(1, 1, 3\\)"),
-        (lambda h: (h["arrays"][0].__setitem__(2, [2, 2]),
-                    h["arrays"][1].__setitem__(2, [1, 5])), "more than one width"),
-        (lambda h: h["arrays"][1].__setitem__(0, "hund"), "'hund' appears twice"),
+         "2 words with 2 rows among them, but the block holds 3 rows"),
+        (lambda h: h["arrays"][0].__setitem__(2, [9]), "shape \\(9,\\), not \\[rows, D\\]"),
+        (lambda h: h["arrays"][0].__setitem__(2, [3, 1, 3]), "shape \\(3, 1, 3\\)"),
+        (lambda h: h["arrays"].append(["extra", "<f8", [0, 3]]),
+         "\\['rows', 'extra'\\] instead of one block"),
+        (lambda h: h["arrays"][0].__setitem__(0, "hund"), "\\['hund'\\] instead of one block"),
     ], ids=["fewer counts", "negative count", "integer flag", "no language",
-            "count below rows", "aggregated raw rows", "3-d rows", "two widths",
-            "duplicate word"])
+            "non-string word", "duplicate word", "unsorted words", "no words",
+            "counts below rows", "counts above rows", "aggregated raw rows", "1-d block",
+            "3-d block", "extra array", "renamed block"])
     def test_header_that_does_not_describe_the_rows(self, tmp_path, edit, fragment):
         path = tmp_path / "raw.lxwf"
         write_word_features(path, "de", {"hund": (2, np.ones((2, 3))),
@@ -455,20 +471,29 @@ class TestTableFile:
         with pytest.raises(FormatError, match=fragment):
             read_word_features(path)
 
-    @pytest.mark.parametrize("run", [1, 4, 7, localization.RUN_VALUES])
+    def test_per_word_layout_says_to_regenerate(self, tmp_path):
+        """A table of the earlier layout, one array per word, does not read."""
+        path = tmp_path / "old.lxwf"
+        write_arrays(path, localization.TABLE_MAGIC, "<f8",
+                     {"language": "de", "aggregated": True, "counts": [2, 1]},
+                     {"hund": np.ones((1, 3)), "katze": np.zeros((1, 3))})
+        with pytest.raises(FormatError, match="per-word layout with `lexipivot extract`"):
+            read_word_features(path)
+
+    @pytest.mark.parametrize("aggregated", [False, True])
     @pytest.mark.parametrize("bad", [[], ["a"], ["c", "a"], ["c", "e"], ["e"]])
     def test_non_finite_value_names_the_first_bad_word_in_file_order(self, tmp_path,
-                                                                     monkeypatch, bad, run):
-        """The words around the bad ones hold one row, none or several, and
-        the values are checked in runs that end inside words or not."""
-        monkeypatch.setattr(localization, "RUN_VALUES", run)
+                                                                     bad, aggregated):
+        """The words around the bad ones hold one row, none or several."""
         entries = {"a": (1, np.ones((1, 3))), "b": (0, np.zeros((0, 3))),
                    "c": (3, np.ones((3, 3))), "d": (0, np.zeros((0, 3))),
                    "e": (2, np.ones((2, 3)))}
+        if aggregated:
+            entries = {w: (count, np.ones((1, 3))) for w, (count, _) in entries.items()}
         for value, word in zip((np.nan, np.inf), bad):
             entries[word][1][-1, -1] = value
         path = tmp_path / "raw.lxwf"
-        write_word_features(path, "de", entries, aggregated=False)
+        write_word_features(path, "de", entries, aggregated=aggregated)
         if not bad:
             assert read_word_features(path)[2].keys() == entries.keys()
             return

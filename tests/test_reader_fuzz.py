@@ -22,7 +22,7 @@ from lexipivot.corpus import (
 )
 from lexipivot.corpus.vocab import RESERVED
 from lexipivot.errors import FormatError
-from lexipivot.localization import read_word_features, write_word_features
+from lexipivot.localization import TABLE_MAGIC, read_word_features, write_word_features
 from lexipivot.numerics import ParamStore
 
 from helpers import edit_header
@@ -137,8 +137,46 @@ def test_table_row_count_past_the_end_is_a_format_error(tmp_path):
         header["meta"]["counts"][0] = 0xFFFFFFFF
         header["arrays"][0][2] = [0xFFFFFFFF, 0xFFFFFFFF]
     edit_header(path, claim_huge_rows)
-    with pytest.raises(FormatError, match="'hund' claims shape .*past the end"):
+    with pytest.raises(FormatError, match="'rows' claims shape .*past the end"):
         read_word_features(path)
+
+
+TABLE_META = st.fixed_dictionaries({
+    "language": st.just("de"),
+    "aggregated": st.one_of(st.booleans(), st.integers(0, 1)),
+    "words": st.one_of(st.none(), st.lists(st.one_of(st.sampled_from("abc"), st.integers(0, 2)),
+                                           max_size=4)),
+    "counts": st.one_of(st.none(), st.lists(st.integers(-1, 3), max_size=4))})
+
+
+@given(meta=TABLE_META, shape=st.lists(st.integers(0, 4), max_size=3))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_table_reads_exactly_when_its_meta_describes_its_block(meta, shape, tmp_path):
+    """Any words, counts, flag and block shape: the table reads when the
+    words are distinct strings in sorted order, with one count each, and
+    the block is 2-D with the rows the counts give (one per word if the
+    table is aggregated); each word's rows are then its part of the block
+    in word order. Any other table is a FormatError."""
+    words, counts, aggregated = meta["words"], meta["counts"], meta["aggregated"]
+    block = np.arange(float(np.prod(shape))).reshape(shape)
+    path = tmp_path / "table.lxwf"
+    write_arrays(path, TABLE_MAGIC, "<f8", meta, {"rows": block})
+    valid = (isinstance(words, list) and all(isinstance(w, str) for w in words)
+             and words == sorted(set(words)) and isinstance(counts, list)
+             and len(counts) == len(words) and all(c >= 0 for c in counts)
+             and isinstance(aggregated, bool) and block.ndim == 2
+             and len(block) == (len(words) if aggregated else sum(counts)))
+    try:
+        _, _, entries = read_word_features(path)
+    except FormatError:
+        assert not valid
+        return
+    assert valid
+    assert list(entries) == words and [c for c, _ in entries.values()] == counts
+    parts = [rows for _, rows in entries.values()]
+    assert [len(rows) for rows in parts] == ([1] * len(words) if aggregated else counts)
+    assert np.array_equal(np.concatenate([block[:0], *parts]), block)
 
 
 def test_repeated_parameter_name_is_a_format_error(tmp_path):
