@@ -23,9 +23,9 @@ linguistic and visual matrices. Identical candidates get bit-identical
 scores, and a ranking orders the targets as a stable sort on the score
 over targets in word order would: `(-score, word)`. No row is sorted: one
 selection per matrix (`ranking_heads`) finds every row's first
-RANKING_WIDTH places, ties at the boundary included, and `rank` pairs one
-source word's row with its head. `write_rankings` formats each line of a
-method with one format string over its heads and their scores.
+RANKING_WIDTH places, ties at the boundary included. `write_rankings`
+formats each line of a method with one format string over its heads and
+their scores.
 
 Rankings are evaluated with mean reciprocal rank and precision at K. A
 gold target's rank is counted from the row: one plus the targets scored
@@ -376,7 +376,7 @@ METHODS = {
 
 
 # ---------------------------------------------------------------------------
-# rankers: one source word's row of a score matrix and its head
+# rankings: each row's first places, without sorting the rows
 # ---------------------------------------------------------------------------
 
 
@@ -407,7 +407,8 @@ def ranking_heads(scores: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class MethodScores:
-    """One method's scoring of every source word against every target word.
+    """One method's scoring of every source word against every target word:
+    its rankings, one row of `scores` and of `heads` per source word.
 
     `scorable` flags the source rows the method can score, and `fallbacks`
     holds each row's fallback pairs, its targets scored BOTTOM_SCORE for
@@ -416,7 +417,6 @@ class MethodScores:
     scorable. Rows of unscorable sources are meaningless.
     """
 
-    method: str
     scorable: np.ndarray              # [S] bool
     fallbacks: np.ndarray             # [S] fallback pairs
     scores: np.ndarray | None = None  # [S, T] float64
@@ -425,43 +425,13 @@ class MethodScores:
 
 @dataclass(eq=False)
 class TranslationRanking:
-    """One source word's targets, best first: descending score, ties in
-    word order.
+    """One scorable source word's row of a `MethodScores`: `items`, a view
+    of its scores for every target, whose length is the ranking's pair
+    count, and its fallback pairs. Only the benchmark's pair count reads
+    it; every output reads the `MethodScores`."""
 
-    `row` holds the word's score for every target in target word order, a
-    view of its method's score matrix, and `head` the target rows of the
-    first min(RANKING_WIDTH, targets) places. `words` and `rows` are the
-    target table's word list and row map, shared by every ranking over that
-    table. No full order is kept: `gold_ranks` counts a target's position
-    from the row of the score matrix.
-    """
-
-    source_word: str
-    method: str
-    row: np.ndarray    # [T] float64, target word order
-    head: np.ndarray   # [n] target rows of the first n places
-    words: list[str] = field(repr=False)
-    rows: dict[str, int] = field(repr=False)
+    items: np.ndarray   # [T] float64, target word order
     fallback_pairs: int = 0
-
-    @property
-    def items(self) -> np.ndarray:
-        """The scored targets (`row`), one per target word: its length is
-        the ranking's pair count, which perfbench and the manifest counts
-        read."""
-        return self.row
-
-    def top(self, n: int) -> list[tuple[str, float]]:
-        """The first min(n, len(head)) (word, score) pairs."""
-        head = self.head[:n]
-        return [(self.words[k], s) for k, s in zip(head.tolist(), self.row[head].tolist())]
-
-
-def rank(method: str, x: str, target: WordFeatureTable, row: np.ndarray, head: np.ndarray,
-         fallback_pairs: int) -> TranslationRanking:
-    """`x`'s ranking under `method`: its row of the method's score matrix,
-    its `ranking_heads` row and its fallback count."""
-    return TranslationRanking(x, method, row, head, target.words, target.rows, fallback_pairs)
 
 
 # ---------------------------------------------------------------------------

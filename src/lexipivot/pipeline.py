@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +41,7 @@ from .induction import (
     METHODS,
     UNRANKED,
     MethodScores,
+    TranslationRanking,
     build_table,
     collect_global_feature_sets,
     evaluate,
@@ -49,7 +49,6 @@ from .induction import (
     gold_ranks,
     linguistic_vectors,
     pos_breakdown,
-    rank,
     ranking_heads,
     write_rankings,
     write_ranks,
@@ -334,8 +333,12 @@ def score_methods(source, target) -> dict[str, MethodScores]:
 
     Fused sums the linguistic and visual matrices already held. One
     `ranking_heads` pass per matrix selects every row's first places. A
-    method that can score no source word is left without a matrix.
+    method that can score no source word is left without a matrix. A
+    target table without words is an EmptyResultError.
     """
+    if not target.words:
+        raise EmptyResultError(f"the tables of {target.language_id!r:.40} hold no words to "
+                               f"rank the words of {source.language_id!r:.40} against")
     scored = {}
     for method in INDUCTION_METHODS:
         score, scorable_rows, bottom_rows = METHODS[method]
@@ -349,33 +352,24 @@ def score_methods(source, target) -> dict[str, MethodScores]:
         if scorable.any():   # else the table's rows for this method may be 0 wide
             scores = score(source, target, *held)
             heads = ranking_heads(scores)
-        scored[method] = MethodScores(method, scorable, fallbacks, scores, heads)
+        scored[method] = MethodScores(scorable, fallbacks, scores, heads)
     return scored
 
 
-# the one ranker at the names that perfbench wraps, one per method
-linguistic_rank = partial(rank, "linguistic")
-visual_rank = partial(rank, "visual")
-fused_rank = partial(rank, "fused")
-cnn_mean_rank = partial(rank, "cnn_mean")
-cnn_avgmax_rank = partial(rank, "cnn_avgmax")
+# the names that perfbench wraps, one per method, each bound to the record
+linguistic_rank = visual_rank = fused_rank = cnn_mean_rank = cnn_avgmax_rank = TranslationRanking
 
 
-def compute_rankings(tables, source: str, target: str,
+def compute_rankings(source_words: list[str],
                      scored: dict[str, MethodScores]) -> dict[str, dict]:
-    """{method: {source word: ranking}} for every method of `scored`, the
-    tables' `score_methods`.
-
-    One `<method>_rank` call per source word a method can score pairs its
-    row with its head and its fallback count; the rest are skipped.
-    """
-    src, tgt = tables[source], tables[target]
+    """{method: {source word: ranking}} for every method of `scored`: one
+    `<method>_rank` call per source word the method can score, with its
+    row and fallback count; the rest are skipped."""
     methods = {}
     for method, s in scored.items():
         # looked up at call time, so that wrappers set on this module apply
         ranker, fallbacks = globals()[f"{method}_rank"], s.fallbacks.tolist()
-        methods[method] = {src.words[i]: ranker(src.words[i], tgt, s.scores[i], s.heads[i],
-                                                fallbacks[i])
+        methods[method] = {source_words[i]: ranker(s.scores[i], fallbacks[i])
                            for i in np.flatnonzero(s.scorable).tolist()}
     return methods
 
@@ -429,7 +423,7 @@ def stage_induce(config: RunConfig, out_dir, features_dir, lexicon_path) -> dict
     src, tgt = tables[source], tables[target]
     with manifest.timed("rank"):
         scored = score_methods(src, tgt)
-        methods = compute_rankings(tables, source, target, scored)
+        methods = compute_rankings(src.words, scored)
     with manifest.timed("evaluate"):
         gold = gold_index(lexicon, src.rows, tgt.rows)
         ranks = {method: gold_ranks(s, gold) for method, s in scored.items()}

@@ -1,11 +1,11 @@
 """Shared test oracles: finite differences, the per-step decoder unroll,
 the per-tensor Adam step and gradient clip, the per-step probe and
 attention decodes and one-caption localization built on them; padded
-batches; hand-packed array containers; rankings as (word, score) pairs,
-sorted in Python; one source word's ranking; and the per-word table
+batches; hand-packed array containers; a score row's (word, score) pairs,
+sorted in Python; hand-built `MethodScores`; and the per-word table
 build, cnn_avgmax scorer, gold-rank loop, evaluation, report rows and
 per-cell rankings and ranks writers that the induce stage's array code
-replaced."""
+replaced, each reading one source word's row of a `MethodScores`."""
 
 import json
 import struct
@@ -24,7 +24,6 @@ from lexipivot.induction import (
     ZERO_NORM,
     EvalReport,
     MethodScores,
-    TranslationRanking,
     WordFeatureTable,
     gold_index,
     gold_ranks,
@@ -40,7 +39,7 @@ from lexipivot.numerics import (
     no_grad,
 )
 from lexipivot.numerics.optim import BETA1, BETA2, EPSILON
-from lexipivot.pipeline import compute_rankings, reports_for, score_methods
+from lexipivot.pipeline import reports_for, score_methods
 
 # Each evaluation of f may be off by a few ulps of |f|; a central difference
 # divides that by eps, so this many ulps of |f| over eps are round-off, not
@@ -246,39 +245,54 @@ def edit_header(path, edit) -> None:
     path.write_bytes(pack_container(magic, header, blob[12 + length:], version))
 
 
-def ranked_pairs(ranking: TranslationRanking) -> list[tuple[str, float]]:
-    """Every (word, score) pair of a ranking, best first: a Python sort of
-    its row by (-score, word). The ranking's head must hold the sort's first
-    min(RANKING_WIDTH, targets) places."""
-    pairs = sorted(zip(ranking.words, ranking.row.tolist()), key=lambda kv: (-kv[1], kv[0]))
-    assert len(ranking.head) == min(RANKING_WIDTH, len(pairs))
-    assert ranking.top(RANKING_WIDTH) == pairs[:RANKING_WIDTH]
+def ranked_pairs(scored: MethodScores, i: int, targets: list[str]) -> list[tuple[str, float]]:
+    """Every (word, score) pair of row i of `scored` over the target words
+    `targets`, best first: a Python sort of the row by (-score, word). The
+    row's head must hold the sort's first min(RANKING_WIDTH, targets)
+    places."""
+    row, head = scored.scores[i].tolist(), scored.heads[i].tolist()
+    pairs = sorted(zip(targets, row), key=lambda kv: (-kv[1], kv[0]))
+    assert len(head) == min(RANKING_WIDTH, len(pairs))
+    assert [(targets[k], row[k]) for k in head] == pairs[:RANKING_WIDTH]
     return pairs
 
 
-def ranking_from_pairs(source: str, method: str, pairs) -> TranslationRanking:
-    """A ranking whose targets are the pairs' (distinct) words with their
-    scores. The pairs come best first, by (-score, word), as a ranking
-    orders them."""
-    assert list(pairs) == sorted(pairs, key=lambda kv: (-kv[1], kv[0]))
-    words = sorted(w for w, _ in pairs)
-    rows = {w: i for i, w in enumerate(words)}
-    row = np.empty(len(words))
-    row[[rows[w] for w, _ in pairs]] = [s for _, s in pairs]
-    head = np.array([rows[w] for w, _ in pairs[:RANKING_WIDTH]], dtype=np.intp)
-    return TranslationRanking(source, method, row, head, words, rows)
+def ranking_from_pairs(pairs_by_source: dict) -> tuple[MethodScores, list[str], list[str]]:
+    """The `MethodScores` of hand-built rankings, every source scorable and
+    without fallback pairs, with its source and target word lists, both
+    sorted. Each source's pairs hold every target word once with its score,
+    best first by (-score, word), as a ranking orders them."""
+    sources = sorted(pairs_by_source)
+    targets = sorted(w for w, _ in pairs_by_source[sources[0]]) if sources else []
+    columns = {w: k for k, w in enumerate(targets)}
+    n = min(RANKING_WIDTH, len(targets))
+    scores = np.empty((len(sources), len(targets)))
+    heads = np.empty((len(sources), n), dtype=np.intp)
+    for i, x in enumerate(sources):
+        pairs = list(pairs_by_source[x])
+        assert pairs == sorted(pairs, key=lambda kv: (-kv[1], kv[0]))
+        assert sorted(w for w, _ in pairs) == targets
+        scores[i, [columns[w] for w, _ in pairs]] = [v for _, v in pairs]
+        heads[i] = [columns[w] for w, _ in pairs[:n]]
+    scored = MethodScores(np.ones(len(sources), dtype=bool),
+                          np.zeros(len(sources), dtype=np.intp), scores, heads)
+    return scored, sources, targets
 
 
-def rankings_of(tables, source: str, target: str) -> dict[str, dict]:
-    """`compute_rankings` of the tables' `score_methods`."""
-    return compute_rankings(tables, source, target,
-                            score_methods(tables[source], tables[target]))
+def scored_row(method: str, x: str, source, target) -> tuple[MethodScores, int]:
+    """`method`'s `MethodScores` of the two tables and the row of source word
+    `x` in it; a KeyError for a word the method does not rank."""
+    scored, i = score_methods(source, target)[method], source.rows[x]
+    if not scored.scorable[i]:
+        raise KeyError(x)
+    return scored, i
 
 
-def rank_word(method: str, x: str, source, target) -> TranslationRanking:
-    """`x`'s ranking under `method` against every target word, through
-    `compute_rankings`; a KeyError for a word the method does not rank."""
-    return rankings_of({"source": source, "target": target}, "source", "target")[method][x]
+def word_pairs(method: str, x: str, source, target) -> list[tuple[str, float]]:
+    """`ranked_pairs` of `x`'s row under `method` against every target word
+    (`scored_row`)."""
+    scored, i = scored_row(method, x, source, target)
+    return ranked_pairs(scored, i, target.words)
 
 
 # ---------------------------------------------------------------------------
@@ -371,29 +385,31 @@ def cnn_avgmax_by_word(source, target):
     return scores
 
 
-def gold_ranks_by_word(rankings, lexicon):
+def gold_ranks_by_word(scored, source_words, target_words, lexicon):
     """`gold_ranks` one lexicon word and one gold target at a time, from
-    each word's ranking."""
+    each word's row of `scored`."""
+    source_rows = {w: i for i, w in enumerate(source_words)}
+    target_rows = {w: k for k, w in enumerate(target_words)}
     ranks = {}
     for source_word in sorted(lexicon.entries):
-        ranking = rankings.get(source_word)
-        if ranking is None:
+        i = source_rows.get(source_word)
+        if i is None or not scored.scorable[i]:
             ranks[source_word] = UNRANKED
             continue
-        gold = [ranking.rows[t] for t in lexicon.entries[source_word] if t in ranking.rows]
+        gold = [target_rows[t] for t in lexicon.entries[source_word] if t in target_rows]
         if not gold:
             ranks[source_word] = GOLD_OUTSIDE
             continue
-        row = ranking.row
+        row = scored.scores[i]
         ranks[source_word] = 1 + min(
             int(np.count_nonzero(row > row[g]) + np.count_nonzero(row[:g] == row[g]))
             for g in gold)
     return ranks
 
 
-def evaluate_by_word(ranks, rankings, method, pos="all"):
-    """`evaluate` of a {word: gold rank} dict one word at a time, the
-    fallback pairs read from each word's ranking."""
+def evaluate_by_word(ranks, fallback_pairs, method, pos="all"):
+    """`evaluate` of a {word: gold rank} dict one word at a time, each
+    word's fallback pairs read from the {word: fallback pairs} dict."""
     best = {w: r for w, r in ranks.items() if r not in (UNRANKED, GOLD_OUTSIDE)}
     unranked = sum(r == UNRANKED for r in ranks.values())
     outside = len(ranks) - len(best) - unranked
@@ -406,10 +422,10 @@ def evaluate_by_word(ranks, rankings, method, pos="all"):
     return EvalReport(method=method, pos=pos, n=n, mrr=total_rr / n,
                       p_at={k: sum(r <= k for r in best.values()) / n for k in KS},
                       unranked_lexicon_words=unranked, gold_outside_targets=outside,
-                      fallback_pairs=sum(rankings[w].fallback_pairs for w in best))
+                      fallback_pairs=sum(fallback_pairs[w] for w in best))
 
 
-def pos_breakdown_by_word(ranks, rankings, lexicon, method):
+def pos_breakdown_by_word(ranks, fallback_pairs, lexicon, method):
     """`pos_breakdown` of a {word: gold rank} dict, grouped by
     `lexicon.pos_of` one word at a time."""
     groups = {}
@@ -418,38 +434,43 @@ def pos_breakdown_by_word(ranks, rankings, lexicon, method):
     reports = []
     for tag in sorted(groups):
         try:
-            reports.append(evaluate_by_word(groups[tag], rankings, method=method, pos=tag))
+            reports.append(evaluate_by_word(groups[tag], fallback_pairs, method=method, pos=tag))
         except EmptyResultError:
             continue
     return reports
 
 
-def reports_by_word(methods, ranks_by_method, lexicon):
-    """`reports_for` from each method's rankings and {word: gold rank} dict."""
+def reports_by_word(scored, source_words, ranks_by_method, lexicon):
+    """`reports_for` from each method's {word: gold rank} dict, the fallback
+    pairs read from each scorable source word's row of `scored`."""
     reports = []
-    for method in sorted(methods):
+    for method in sorted(scored):
+        s = scored[method]
+        fallback_pairs = {w: int(s.fallbacks[i]) for i, w in enumerate(source_words)
+                          if s.scorable[i]}
         try:
-            reports.append(evaluate_by_word(ranks_by_method[method], methods[method], method))
+            reports.append(evaluate_by_word(ranks_by_method[method], fallback_pairs, method))
         except EmptyResultError:
             continue
-        reports.extend(pos_breakdown_by_word(ranks_by_method[method], methods[method],
+        reports.extend(pos_breakdown_by_word(ranks_by_method[method], fallback_pairs,
                                              lexicon, method))
     if not reports:
         raise EmptyResultError("no evaluable source words for any method")
     return reports
 
 
-def ranking_counts_by_word(methods, n_sources, n_targets, ranks_by_method):
-    """`ranking_counts` from each method's rankings and {word: gold rank}
-    dict."""
+def ranking_counts_by_word(scored, n_sources, ranks_by_method):
+    """`ranking_counts` one scorable source row at a time, from each
+    method's `MethodScores` and {word: gold rank} dict."""
     counts = {}
-    for method in sorted(methods):
-        rankings = methods[method].values()
+    for method in sorted(scored):
+        s = scored[method]
+        rows = [i for i in range(n_sources) if s.scorable[i]]
         ranks = list(ranks_by_method[method].values())
         counts[method] = {
-            "rankings": len(rankings), "pairs": sum(len(r.items) for r in rankings),
-            "skipped_sources": n_sources - len(rankings),
-            "fallback_pairs": sum(r.fallback_pairs for r in rankings),
+            "rankings": len(rows), "pairs": sum(len(s.scores[i]) for i in rows),
+            "skipped_sources": n_sources - len(rows),
+            "fallback_pairs": sum(int(s.fallbacks[i]) for i in rows),
             "unranked_lexicon_words": ranks.count(UNRANKED),
             "gold_outside_targets": ranks.count(GOLD_OUTSIDE)}
     return counts
@@ -465,56 +486,43 @@ def write_ranks_by_line(path, ranks_by_method, lexicon):
                          f"{labels.get(rank, rank)}\n")
 
 
-def write_rankings_by_cell(path, rankings_by_method):
-    """`write_rankings` one `word:score` cell at a time, from the rankings."""
+def write_rankings_by_cell(path, scored, source_words, target_words):
+    """`write_rankings` one `word:score` cell at a time, from the head of
+    each scorable source word's row."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for method in sorted(rankings_by_method):
-            for source_word in sorted(rankings_by_method[method]):
-                top = rankings_by_method[method][source_word].top(RANKING_WIDTH)
-                cells = ",".join(f"{w}:{s:.6f}" for w, s in top)
-                fh.write(f"{source_word}\t{method}\t{cells}\n")
+        for method in sorted(scored):
+            s = scored[method]
+            for i, source_word in enumerate(source_words):
+                if s.scorable[i]:
+                    cells = ",".join(f"{target_words[k]}:{s.scores[i, k]:.6f}"
+                                     for k in s.heads[i].tolist())
+                    fh.write(f"{source_word}\t{method}\t{cells}\n")
 
 
-def scored_of(rankings, method="fused"):
-    """Hand-built rankings of one method, over one target list, as the
-    `MethodScores` of their source words in word order, every one scorable:
-    their rows and heads stacked. Returns it with the source and target
-    word lists."""
-    sources = sorted(rankings)
-    targets = rankings[sources[0]].words if sources else []
-    assert all(rankings[x].words == targets for x in sources)
-    n = min(RANKING_WIDTH, len(targets))
-    scored = MethodScores(
-        method, np.ones(len(sources), dtype=bool),
-        np.array([rankings[x].fallback_pairs for x in sources], dtype=np.intp),
-        np.array([rankings[x].row for x in sources]).reshape(len(sources), len(targets)),
-        np.array([rankings[x].head for x in sources], dtype=np.intp).reshape(len(sources), n))
-    return scored, sources, targets
+def gold_of(hand, lexicon):
+    """The `GoldIndex` of `lexicon` against the source and target words of
+    `hand`, a (`MethodScores`, source words, target words) triple."""
+    _, sources, targets = hand
+    return gold_index(lexicon, {x: i for i, x in enumerate(sources)},
+                      {t: i for i, t in enumerate(targets)})
 
 
-def gold_of(rankings, lexicon):
-    """One method's hand-built rankings as their `MethodScores` (`scored_of`)
-    and the `GoldIndex` of `lexicon` against their words."""
-    scored, sources, targets = scored_of(rankings)
-    return scored, gold_index(lexicon, {x: i for i, x in enumerate(sources)},
-                              {t: i for i, t in enumerate(targets)})
+def gold_ranks_of(hand, lexicon):
+    """`gold_ranks` of the `MethodScores` of `hand` (`gold_of`), as a
+    {lexicon source word: gold rank} dict in word order."""
+    gold = gold_of(hand, lexicon)
+    return dict(zip(gold.words, gold_ranks(hand[0], gold).tolist()))
 
 
-def gold_ranks_of(rankings, lexicon):
-    """`gold_ranks` of one method's hand-built rankings, as a {lexicon
-    source word: gold rank} dict in word order."""
-    scored, gold = gold_of(rankings, lexicon)
-    return dict(zip(gold.words, gold_ranks(scored, gold).tolist()))
+def reports_of(hand, lexicon):
+    """`reports_for` of the `MethodScores` of `hand` (`gold_of`) as the
+    fused method's: its "all" row, then its per-POS rows."""
+    gold = gold_of(hand, lexicon)
+    return reports_for({"fused": hand[0]}, {"fused": gold_ranks(hand[0], gold)}, gold)
 
 
-def reports_of(rankings, lexicon):
-    """`reports_for` of one method's hand-built rankings: its "all" row,
-    then its per-POS rows."""
-    scored, gold = gold_of(rankings, lexicon)
-    return reports_for({scored.method: scored}, {scored.method: gold_ranks(scored, gold)}, gold)
-
-
-def write_rankings_of(path, rankings):
-    """`write_rankings` of one method's hand-built rankings (`scored_of`)."""
-    scored, sources, targets = scored_of(rankings)
-    write_rankings(path, {scored.method: scored}, sources, targets)
+def write_rankings_of(path, hand):
+    """`write_rankings` of the `MethodScores` of `hand` as the fused
+    method's."""
+    scored, sources, targets = hand
+    write_rankings(path, {"fused": scored}, sources, targets)

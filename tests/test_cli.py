@@ -694,16 +694,23 @@ class TestInduceEval:
         and the manifest counts."""
         from lexipivot import pipeline
         cfg, corpus, tables = extracted
-        calls, gold_ranks = [], pipeline.gold_ranks
+        calls, held = [], {}
+        gold_ranks, score_methods = pipeline.gold_ranks, pipeline.score_methods
 
         def counting_gold_ranks(scored, gold):
-            calls.append(scored.method)
+            calls.append(scored)
             return gold_ranks(scored, gold)
 
+        def holding_score_methods(source, target):
+            held.update(score_methods(source, target))
+            return held
+
         monkeypatch.setattr(pipeline, "gold_ranks", counting_gold_ranks)
+        monkeypatch.setattr(pipeline, "score_methods", holding_score_methods)
         assert run(["induce", "--config", cfg, "--tables", tables,
                     "--lexicon", corpus / "lexicon.tsv", "--out", tmp_path / "induce"]) == 0
-        assert sorted(calls) == sorted(INDUCTION_METHODS)
+        assert sorted(held) == sorted(INDUCTION_METHODS)
+        assert sorted(map(id, calls)) == sorted(map(id, held.values()))
 
     def test_skipped_lexicon_words_are_counted_by_kind(self, extracted, tmp_path):
         """A lexicon of one word of each kind: evaluated, not ranked (not a
@@ -845,6 +852,30 @@ class TestInduceEval:
         assert code == 3
         assert_one_error_line(capsys.readouterr().err, f"la.{kind}.lxwf", f"lb.{kind}.lxwf",
                               f"rows {width} wide", f"rows {width // 2} wide")
+        assert not (out / "rankings.tsv").exists()
+
+    @pytest.mark.parametrize("empty, fragments", [
+        ("la", ("no evaluable source words for any method",)),
+        ("lb", ("tables of 'lb' hold no words", "'la'"))])
+    def test_language_without_words_exits_4(self, extracted, tmp_path, capsys, empty,
+                                            fragments):
+        """Every table of one language holds no word, and the other's hold
+        two words: no source word leaves nothing to evaluate, and no target
+        word nothing to rank against."""
+        cfg, corpus, tables = extracted
+        from lexipivot.localization import write_word_features
+        for path in sorted(tables.glob("*.lxwf")):
+            lang = path.name.split(".")[0]
+            kept = [] if lang == empty else sorted(
+                read_word_features(tables / f"{lang}.linguistic.lxwf")[2])[:2]
+            _, aggregated, entries = read_word_features(path)
+            write_word_features(path, lang, {w: entries[w] for w in kept if w in entries},
+                                aggregated)
+        out = tmp_path / "induce"
+        code = run(["induce", "--config", cfg, "--tables", tables,
+                    "--lexicon", corpus / "lexicon.tsv", "--out", out])
+        assert code == 4
+        assert_one_error_line(capsys.readouterr().err, *fragments)
         assert not (out / "rankings.tsv").exists()
 
     def test_table_without_rows_fits_any_width(self, extracted, tmp_path):

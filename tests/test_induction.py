@@ -30,11 +30,11 @@ from conftest import build_model, indexed
 from helpers import (
     gold_ranks_of,
     mean_unit,
-    rank_word,
     ranked_pairs,
     ranking_from_pairs,
-    rankings_of,
     reports_of,
+    scored_row,
+    word_pairs,
     write_rankings_of,
 )
 
@@ -53,7 +53,7 @@ def sets_table(language, global_sets):
 
 
 def score(method, x, source, target, y):
-    return dict(ranked_pairs(rank_word(method, x, source, target)))[y]
+    return dict(word_pairs(method, x, source, target))[y]
 
 
 def brute_cosine(a, b):
@@ -84,7 +84,7 @@ class TestSimilarities:
         src = table_from_raw("s", {"x": [1.0, 0.0]})
         for method in INDUCTION_METHODS:
             with pytest.raises(KeyError):
-                rank_word(method, "zz", src, src)
+                scored_row(method, "zz", src, src)
 
     def test_visual_singleton_identical(self):
         v = np.array([0.2, -0.4, 0.9])
@@ -97,10 +97,11 @@ class TestSimilarities:
         src = table_from_raw("s", {"x": [1, 0]}, {"x": [v, -v]})
         tgt = table_from_raw("t", {"y": [1, 0]}, {"y": [v]})
         assert not src.has_visual[src.rows["x"]]
-        assert "x" not in rankings_of({"s": src, "t": tgt}, "s", "t")["visual"]
+        assert not score_methods(src, tgt)["visual"].scorable[src.rows["x"]]
         # as a target the degenerate word ranks last and counts as a fallback
-        ranking = rank_word("visual", "y", tgt, src)
-        assert ranked_pairs(ranking) == [("x", BOTTOM_SCORE)] and ranking.fallback_pairs == 1
+        scored, i = scored_row("visual", "y", tgt, src)
+        assert ranked_pairs(scored, i, src.words) == [("x", BOTTOM_SCORE)]
+        assert scored.fallbacks[i] == 1
 
     def test_visual_matches_brute_force_mean_then_cosine(self):
         rng = np.random.default_rng(1)
@@ -133,8 +134,7 @@ class TestFusedRank:
 
     def test_vocab_of_one(self):
         src, tgt = self.two_tables(n=1)
-        ranking = rank_word("fused", "s0", src, tgt)
-        assert [w for w, _ in ranked_pairs(ranking)] == ["t0"]
+        assert [w for w, _ in word_pairs("fused", "s0", src, tgt)] == ["t0"]
 
     def test_zero_visual_term_equals_linguistic_order(self):
         # orthogonal visual vectors make every s_i exactly zero
@@ -146,31 +146,31 @@ class TestFusedRank:
         tgt = table_from_raw("t", tgt_ling,
                              {w: [np.eye(d)[i + 6]] for i, w in enumerate(tgt_ling)})
         for w in src_ling:
-            fused = rank_word("fused", w, src, tgt)
-            ling = rank_word("linguistic", w, src, tgt)
-            assert [c for c, _ in ranked_pairs(fused)] == [c for c, _ in ranked_pairs(ling)]
+            fused = word_pairs("fused", w, src, tgt)
+            ling = word_pairs("linguistic", w, src, tgt)
+            assert [c for c, _ in fused] == [c for c, _ in ling]
 
     def test_fallback_uses_linguistic_alone(self):
         src, tgt = self.two_tables(with_visual=False)
-        ranking = rank_word("fused", "s0", src, tgt)
-        ling = rank_word("linguistic", "s0", src, tgt)
-        assert [c for c, _ in ranked_pairs(ranking)] == [c for c, _ in ranked_pairs(ling)]
-        for (w1, sc1), (w2, sc2) in zip(ranked_pairs(ranking), ranked_pairs(ling)):
+        scored, i = scored_row("fused", "s0", src, tgt)
+        fused = ranked_pairs(scored, i, tgt.words)
+        ling = word_pairs("linguistic", "s0", src, tgt)
+        assert [c for c, _ in fused] == [c for c, _ in ling]
+        for (w1, sc1), (w2, sc2) in zip(fused, ling):
             assert abs(sc1 - sc2) < 1e-12  # nothing subtracted
-        assert ranking.fallback_pairs == len(tgt.words)
+        assert scored.fallbacks[i] == len(tgt.words)
 
     def test_scores_non_increasing_and_full_coverage(self):
         src, tgt = self.two_tables()
-        ranking = rank_word("fused", "s1", src, tgt)
-        scores = [s for _, s in ranked_pairs(ranking)]
+        pairs = word_pairs("fused", "s1", src, tgt)
+        scores = [s for _, s in pairs]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
-        assert sorted(w for w, _ in ranked_pairs(ranking)) == tgt.words
+        assert sorted(w for w, _ in pairs) == tgt.words
 
     def test_tie_break_lexicographic(self):
         src = table_from_raw("s", {"x": [1.0, 0.0]})
         tgt = table_from_raw("t", {"zz": [1.0, 0.0], "aa": [1.0, 0.0]})
-        ranking = rank_word("fused", "x", src, tgt)
-        assert [w for w, _ in ranked_pairs(ranking)] == ["aa", "zz"]
+        assert [w for w, _ in word_pairs("fused", "x", src, tgt)] == ["aa", "zz"]
 
     def test_scale_invariance_of_order(self):
         rng = np.random.default_rng(4)
@@ -184,9 +184,9 @@ class TestFusedRank:
         scaled_src = table_from_raw("s", {w: 7.3 * v for w, v in src_raw.items()},
                                     {w: [5.1 * f for f in fs] for w, fs in vis_src.items()})
         for w in src_raw:
-            a = rank_word("fused", w, plain_src, plain_tgt)
-            b = rank_word("fused", w, scaled_src, plain_tgt)
-            assert [c for c, _ in ranked_pairs(a)] == [c for c, _ in ranked_pairs(b)]
+            a = word_pairs("fused", w, plain_src, plain_tgt)
+            b = word_pairs("fused", w, scaled_src, plain_tgt)
+            assert [c for c, _ in a] == [c for c, _ in b]
 
 
 class TestBaselines:
@@ -195,39 +195,39 @@ class TestBaselines:
         rng = np.random.default_rng(5)
         sa = [rng.normal(size=4) for _ in range(3)]
         sb = [rng.normal(size=4) for _ in range(2)]
-        ranking = rank_word("cnn_mean", "x", sets_table("s", {"x": sa}),
-                            sets_table("t", {"y": sb}))
+        pairs = word_pairs("cnn_mean", "x", sets_table("s", {"x": sa}),
+                           sets_table("t", {"y": sb}))
         src = table_from_raw("s", {"x": [1, 0, 0, 0]}, {"x": sa})
         tgt = table_from_raw("t", {"y": [1, 0, 0, 0]}, {"y": sb})
-        assert abs(ranked_pairs(ranking)[0][1] - score("visual", "x", src, tgt, "y")) < 1e-12
+        assert abs(pairs[0][1] - score("visual", "x", src, tgt, "y")) < 1e-12
 
     def test_cnn_mean_identical_sets(self):
         rng = np.random.default_rng(6)
         rows = rng.normal(size=(4, 5))
-        ranking = rank_word("cnn_mean", "x", sets_table("s", {"x": rows}),
-                            sets_table("t", {"y": rows.copy()}))
-        assert abs(ranked_pairs(ranking)[0][1] - 1.0) < 1e-12
+        pairs = word_pairs("cnn_mean", "x", sets_table("s", {"x": rows}),
+                           sets_table("t", {"y": rows.copy()}))
+        assert abs(pairs[0][1] - 1.0) < 1e-12
 
     def test_avgmax_singletons_reduce_to_cosine(self):
         rng = np.random.default_rng(7)
         a, b = rng.normal(size=5), rng.normal(size=5)
-        ranking = rank_word("cnn_avgmax", "x", sets_table("s", {"x": a[None]}),
-                            sets_table("t", {"y": b[None]}))
-        assert abs(ranked_pairs(ranking)[0][1] - brute_cosine(a, b)) < 1e-12
+        pairs = word_pairs("cnn_avgmax", "x", sets_table("s", {"x": a[None]}),
+                           sets_table("t", {"y": b[None]}))
+        assert abs(pairs[0][1] - brute_cosine(a, b)) < 1e-12
 
     def test_avgmax_subset_scores_one(self):
         rng = np.random.default_rng(8)
         tgt = rng.normal(size=(5, 4))
-        ranking = rank_word("cnn_avgmax", "x", sets_table("s", {"x": tgt[:3].copy()}),
-                            sets_table("t", {"y": tgt}))
-        assert abs(ranked_pairs(ranking)[0][1] - 1.0) < 1e-12
+        pairs = word_pairs("cnn_avgmax", "x", sets_table("s", {"x": tgt[:3].copy()}),
+                           sets_table("t", {"y": tgt}))
+        assert abs(pairs[0][1] - 1.0) < 1e-12
 
     def test_avgmax_matches_brute_force_double_loop(self):
         rng = np.random.default_rng(9)
         src = {"x": rng.normal(size=(3, 6))}
         tgt = {"y": rng.normal(size=(4, 6)), "z": rng.normal(size=(2, 6))}
-        ranking = rank_word("cnn_avgmax", "x", sets_table("s", src), sets_table("t", tgt))
-        for word, value in ranked_pairs(ranking):
+        for word, value in word_pairs("cnn_avgmax", "x", sets_table("s", src),
+                                      sets_table("t", tgt)):
             best = [max(brute_cosine(s, t) for t in tgt[word]) for s in src["x"]]
             assert abs(value - float(np.mean(best))) < 1e-9
 
@@ -238,15 +238,17 @@ class TestBaselines:
         src = sets_table("s", {"x": [v]})
         tgt = table_from_raw("t", {w: [1.0] for w in "abc"}, None,
                              {"a": [v], "c": [v, -v]})
-        mean = rank_word("cnn_mean", "x", src, tgt)
-        assert [w for w, _ in ranked_pairs(mean)] == ["a", "b", "c"]
-        assert abs(ranked_pairs(mean)[0][1] - 1.0) < 1e-12
-        assert ranked_pairs(mean)[1][1] == ranked_pairs(mean)[2][1] == BOTTOM_SCORE
-        assert mean.fallback_pairs == 2
-        avgmax = rank_word("cnn_avgmax", "x", src, tgt)
-        assert [w for w, _ in ranked_pairs(avgmax)] == ["a", "c", "b"]
-        assert ranked_pairs(avgmax)[0][1] == ranked_pairs(avgmax)[1][1]
-        assert ranked_pairs(avgmax)[2][1] == BOTTOM_SCORE and avgmax.fallback_pairs == 1
+        scored, i = scored_row("cnn_mean", "x", src, tgt)
+        mean = ranked_pairs(scored, i, tgt.words)
+        assert [w for w, _ in mean] == ["a", "b", "c"]
+        assert abs(mean[0][1] - 1.0) < 1e-12
+        assert mean[1][1] == mean[2][1] == BOTTOM_SCORE
+        assert scored.fallbacks[i] == 2
+        scored, i = scored_row("cnn_avgmax", "x", src, tgt)
+        avgmax = ranked_pairs(scored, i, tgt.words)
+        assert [w for w, _ in avgmax] == ["a", "c", "b"]
+        assert avgmax[0][1] == avgmax[1][1]
+        assert avgmax[2][1] == BOTTOM_SCORE and scored.fallbacks[i] == 1
 
     def test_sets_of_words_outside_the_table_are_dropped(self):
         rng = np.random.default_rng(12)
@@ -261,14 +263,13 @@ class TestBaselines:
         src = sets_table("s", {"x": np.zeros((0, 4))})
         tgt = sets_table("t", {"y": np.ones((1, 4))})
         assert not src.global_mean_valid[0] and src.global_offsets.tolist() == [0, 0]
-        rankings = rankings_of({"s": src, "t": tgt}, "s", "t")
-        assert "x" not in rankings["cnn_mean"] and "x" not in rankings["cnn_avgmax"]
+        scored = score_methods(src, tgt)
+        assert not scored["cnn_mean"].scorable[0] and not scored["cnn_avgmax"].scorable[0]
 
 
 def test_compute_rankings_memory_is_its_arrays():
     """A ranking holds its scores as a view of its method's score matrix,
-    one float per scored pair, beside the target rows of its first
-    RANKING_WIDTH places, and nothing per pair besides: the peak traced
+    one float per scored pair, and nothing per pair besides: the peak traced
     allocation of ranking 300 words against 300 stays under 3x the score
     matrices' bytes (a row order and its sorted scores per ranking, as kept
     before, took 2x them on their own)."""
@@ -283,7 +284,8 @@ def test_compute_rankings_memory_is_its_arrays():
     tables = {"s": language("s"), "t": language("t")}
     tracemalloc.start()
     try:
-        methods = compute_rankings(tables, "s", "t", score_methods(tables["s"], tables["t"]))
+        methods = compute_rankings(tables["s"].words,
+                                   score_methods(tables["s"], tables["t"]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -346,7 +348,7 @@ class TestTies:
         tgt = table_from_raw("t", raw, vis, sets)
         src = table_from_raw("s", {"x": rng.normal(size=d)}, {"x": [rng.normal(size=d)]},
                              {"x": rng.normal(size=(5, d))})
-        items = ranked_pairs(rank_word(method, "x", src, tgt))
+        items = word_pairs(method, "x", src, tgt)
         scores = dict(items)
         assert scores[first] == scores[second]
         order = [w for w, _ in items]
@@ -364,8 +366,7 @@ class TestTies:
                 for k in range(98)}
         others = {f"{c}{k}": rng.normal(size=(k + 1, d)) for k in range(5) for c in "au"}
         src = sets_table("s", {"x": rng.normal(size=(40, d))})
-        items = ranked_pairs(rank_word("cnn_avgmax", "x", src,
-                                       sets_table("t", {**tied, **others})))
+        items = word_pairs("cnn_avgmax", "x", src, sets_table("t", {**tied, **others}))
         assert len({value for word, value in items if word in tied}) == 1
         order = [w for w, _ in items if w in tied]
         start = [w for w, _ in items].index(order[0])
@@ -378,12 +379,12 @@ class TestTies:
         values = rng.integers(0, 4, size=30).astype(float)
         tgt = table_from_raw("t", {f"t{i:02d}": [v, 1.0] for i, v in enumerate(values)})
         src = table_from_raw("s", {"x": [1.0, 0.0]})
-        ranking = rank_word("linguistic", "x", src, tgt)
-        items = ranked_pairs(ranking)   # checks the head against the sort
+        scored, i = scored_row("linguistic", "x", src, tgt)
+        items = ranked_pairs(scored, i, tgt.words)   # checks the head against the sort
         assert items == sorted(items, key=lambda kv: (-kv[1], kv[0]))
         for position, (word, _) in enumerate(items):
             lexicon = GroundTruthLexicon("s", "t", {"x": {word}})
-            assert gold_ranks_of({"x": ranking}, lexicon) == {"x": position + 1}
+            assert gold_ranks_of((scored, src.words, tgt.words), lexicon) == {"x": position + 1}
 
 
 def brute_force_eval(ordered_candidates, lexicon_entries, ks):
@@ -408,11 +409,11 @@ def brute_force_eval(ordered_candidates, lexicon_entries, ks):
     return (sum(rrs) / n, {k: hits[k] / n for k in ks}, n)
 
 
-def as_rankings(ordered_candidates, method="fused"):
-    return {
-        w: ranking_from_pairs(w, method, [(c, -float(i)) for i, c in enumerate(cands)])
-        for w, cands in ordered_candidates.items()
-    }
+def as_rankings(ordered_candidates):
+    """The hand-built `MethodScores` (`ranking_from_pairs`) of candidate
+    lists, best first, each scored minus its position."""
+    return ranking_from_pairs({w: [(c, -float(i)) for i, c in enumerate(cands)]
+                               for w, cands in ordered_candidates.items()})
 
 
 def report_of(cands, lex):
@@ -479,7 +480,7 @@ class TestEvaluate:
     def test_empty_evaluable_raises(self):
         lex = GroundTruthLexicon("s", "t")
         lex.add("w", "t")
-        ranks = np.array(list(gold_ranks_of({}, lex).values()))
+        ranks = np.array(list(gold_ranks_of(as_rankings({}), lex).values()))
         with pytest.raises(EmptyResultError):
             evaluate(ranks, np.zeros_like(ranks), "fused")
 
@@ -576,29 +577,29 @@ class TestPosBreakdown:
 class TestFiles:
     def test_rankings_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
-        rankings = {}
+        pairs = {}
         for w in ("beta", "alpha"):
-            items = sorted(((f"t{i}", float(rng.normal())) for i in range(5)),
-                           key=lambda kv: (-kv[1], kv[0]))
-            rankings[w] = ranking_from_pairs(w, "fused", items)
+            pairs[w] = sorted(((f"t{i}", float(rng.normal())) for i in range(5)),
+                              key=lambda kv: (-kv[1], kv[0]))
+        scored, sources, targets = hand = ranking_from_pairs(pairs)
         path = tmp_path / "rankings.tsv"
-        write_rankings_of(path, rankings)
+        write_rankings_of(path, hand)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert [line.split("\t")[:2] for line in lines] == [["alpha", "fused"],
                                                             ["beta", "fused"]]
         for line in lines:
             source, _, cells = line.split("\t")
             got = [cell.rpartition(":") for cell in cells.split(",")]
-            assert [c for c, _, _ in got] == [c for c, _ in ranked_pairs(rankings[source])]
-            for (_, _, text), (_, value) in zip(got, ranked_pairs(rankings[source])):
+            want = ranked_pairs(scored, sources.index(source), targets)
+            assert [c for c, _, _ in got] == [c for c, _ in want]
+            for (_, _, text), (_, value) in zip(got, want):
                 assert len(text.partition(".")[2]) == 6
                 assert abs(float(text) - value) <= 5e-7
 
     def test_rankings_truncation(self, tmp_path):
         items = [(f"t{i:02d}", 1.0 - i * 0.01) for i in range(30)]
-        rankings = {"w": ranking_from_pairs("w", "fused", items)}
         path = tmp_path / "rankings.tsv"
-        write_rankings_of(path, rankings)
+        write_rankings_of(path, ranking_from_pairs({"w": items}))
         cells = path.read_text(encoding="utf-8").rstrip("\n").split("\t")[2].split(",")
         assert [cell.rpartition(":")[0] for cell in cells] == [w for w, _ in items[:20]]
 

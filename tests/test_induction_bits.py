@@ -154,34 +154,32 @@ def test_array_code_gives_the_bytes_of_the_per_word_code(pair, run):
             assert_same_table(tables[language], table_by_word(language, *raw))
         source, target = tables["s"], tables["t"]
         scored = pipeline.score_methods(source, target)
-        methods = pipeline.compute_rankings(tables, "s", "t", scored)
         gold = gold_index(lexicon, source.rows, target.rows)
         ranks = {method: gold_ranks(s, gold) for method, s in scored.items()}
-        by_word = {method: gold_ranks_by_word(rankings, lexicon)
-                   for method, rankings in methods.items()}
-        for method in methods:
+        by_word = {method: gold_ranks_by_word(s, source.words, target.words, lexicon)
+                   for method, s in scored.items()}
+        for method in scored:
             assert (list(zip(gold.words, ranks[method].tolist()))
                     == list(by_word[method].items())), method
         # the manifest holds them as JSON, so the types must match too
         assert (json.dumps(pipeline.ranking_counts(scored, len(target.words), ranks))
-                == json.dumps(ranking_counts_by_word(methods, len(source.words),
-                                                     len(target.words), by_word)))
+                == json.dumps(ranking_counts_by_word(scored, len(source.words), by_word)))
         try:
             reports = pipeline.reports_for(scored, ranks, gold)
         except EmptyResultError:
             reports = None
             with pytest.raises(EmptyResultError):
-                reports_by_word(methods, by_word, lexicon)
+                reports_by_word(scored, source.words, by_word, lexicon)
         with tempfile.TemporaryDirectory() as tmp:
             got, want = Path(tmp) / "got", Path(tmp) / "want"
             got.mkdir()
             want.mkdir()
             write_rankings(got / "rankings.tsv", scored, source.words, target.words)
-            write_rankings_by_cell(want / "rankings.tsv", methods)
+            write_rankings_by_cell(want / "rankings.tsv", scored, source.words, target.words)
             write_ranks(got / "ranks.tsv", ranks, gold)
             write_ranks_by_line(want / "ranks.tsv", by_word, lexicon)
             if reports is not None:
-                want_reports = reports_by_word(methods, by_word, lexicon)
+                want_reports = reports_by_word(scored, source.words, by_word, lexicon)
                 assert reports == want_reports   # to the last bit, not only as written
                 for directory, rows in ((got, reports), (want, want_reports)):
                     write_report_csv(directory / "report.csv", rows)

@@ -1,4 +1,4 @@
-"""The score matrices and rankers against a brute-force per-pair oracle.
+"""The score matrices and their heads against a brute-force per-pair oracle.
 
 The oracle scores one (source, target) pair at a time with scalar Python
 arithmetic: cosines of the raw vectors, mean-then-unit for the visual
@@ -27,7 +27,7 @@ from lexipivot.induction import (
     write_rankings,
 )
 
-from helpers import gold_ranks_of, ranked_pairs, rankings_of
+from helpers import gold_ranks_of, ranked_pairs
 
 METHODS = ("linguistic", "visual", "fused", "cnn_mean", "cnn_avgmax")
 DIM = 3
@@ -164,34 +164,36 @@ def table(language, raw):
                        {w: as_rows(rows) for w, rows in raw["glob"].items()})
 
 
-def assert_matches_oracle(ranking, scores, fallback):
-    pairs = ranked_pairs(ranking)
+def scorable_rows(method, src, source):
+    """The rows of table `source` that the oracle can score under `method`,
+    with their words."""
+    return [(i, x) for i, x in enumerate(source.words) if scorable(method, src, x)]
+
+
+def assert_matches_oracle(scored, i, targets, scores, fallback):
+    """Row i of `scored` over the target words `targets`, its head and its
+    fallback pairs against the oracle's."""
+    pairs = ranked_pairs(scored, i, targets)
     got = dict(pairs)
     assert len(got) == len(pairs) and sorted(got) == sorted(scores)
     for word, value in scores.items():
-        assert abs(got[word] - value) <= 1e-12, (ranking.method, word, got[word], value)
-    assert ranking.fallback_pairs == fallback
+        assert abs(got[word] - value) <= 1e-12, (i, word, got[word], value)
+    assert scored.fallbacks[i] == fallback
     # the documented order: descending score, ties in word order
     assert pairs == sorted(pairs, key=lambda kv: (-kv[1], kv[0]))
 
 
 @given(raw_language("s"), raw_language("t"))
 @settings(max_examples=200, deadline=None)
-def test_rankers_match_per_pair_oracle(src, tgt):
+def test_score_rows_match_per_pair_oracle(src, tgt):
     """Each method's score matrix, its heads and fallback counts, one row
-    per scorable source word paired with its head by its `<method>_rank`."""
+    per scorable source word."""
     src_table, tgt_table = table("s", src), table("t", tgt)
     scored = pipeline.score_methods(src_table, tgt_table)
     for method in METHODS:
-        s, rank = scored[method], getattr(pipeline, f"{method}_rank")
-        for x in sorted(src["ling"]):
-            try:
-                scores, fallback = oracle_rank(method, src, tgt, x)
-            except Unscorable:  # compute_rankings never asks (the test below)
-                continue
-            i = src_table.rows[x]
-            ranking = rank(x, tgt_table, s.scores[i], s.heads[i], int(s.fallbacks[i]))
-            assert_matches_oracle(ranking, scores, fallback)
+        for i, x in scorable_rows(method, src, src_table):
+            assert_matches_oracle(scored[method], i, tgt_table.words,
+                                  *oracle_rank(method, src, tgt, x))
 
 
 @given(raw_language("s"), raw_language("t"))
@@ -199,45 +201,49 @@ def test_rankers_match_per_pair_oracle(src, tgt):
 def test_avgmax_chunks_match_the_oracle(src, tgt):
     """cnn_avgmax taken 3 distinct source image rows per product, so that
     most tables need several chunks and a last, shorter one."""
-    tables = {"s": table("s", src), "t": table("t", tgt)}
+    source, target = table("s", src), table("t", tgt)
     with mock.patch.object(induction, "AVGMAX_CHUNK", 3):
-        computed = rankings_of(tables, "s", "t")["cnn_avgmax"]
-    for x in sorted(src["ling"]):
+        computed = pipeline.score_methods(source, target)["cnn_avgmax"]
+    for i, x in enumerate(source.words):
         if scorable("cnn_avgmax", src, x):
-            assert_matches_oracle(computed[x], *oracle_rank("cnn_avgmax", src, tgt, x))
+            assert_matches_oracle(computed, i, target.words,
+                                  *oracle_rank("cnn_avgmax", src, tgt, x))
         else:
-            assert x not in computed
+            assert not computed.scorable[i]
 
 
 @given(raw_language("s"), raw_language("t"))
 @settings(max_examples=50, deadline=None)
 def test_one_rank_call_per_scorable_source_word(src, tgt):
     """`compute_rankings` calls each `pipeline.<method>_rank` once per source
-    word the method can score, and each ranking covers every target word."""
-    tables = {"s": table("s", src), "t": table("t", tgt)}
+    word the method can score, in word order, and each ranking covers every
+    target word with the word's fallback pairs: what the benchmark counts."""
+    source, target = table("s", src), table("t", tgt)
     calls = {method: [] for method in METHODS}
 
     def counting(method, rank):
         def wrapper(*args):
             result = rank(*args)
-            calls[method].append((args[0], len(result.items)))
+            calls[method].append((len(result.items), result.fallback_pairs))
             return result
         return wrapper
 
     with mock.patch.multiple(pipeline, **{
             f"{m}_rank": counting(m, getattr(pipeline, f"{m}_rank")) for m in METHODS}):
-        rankings_of(tables, "s", "t")
+        rankings = pipeline.compute_rankings(source.words,
+                                             pipeline.score_methods(source, target))
     for method in METHODS:
-        expected = [(x, len(tgt["ling"])) for x in sorted(src["ling"])
-                    if scorable(method, src, x)]
-        assert calls[method] == expected, method
+        expected = [(x, len(tgt["ling"]), oracle_rank(method, src, tgt, x)[1])
+                    for _, x in scorable_rows(method, src, source)]
+        assert list(rankings[method]) == [x for x, _, _ in expected], method
+        assert calls[method] == [(n, fallback) for _, n, fallback in expected], method
 
 
 @given(raw_language("s"), raw_language("t"))
 @settings(max_examples=100, deadline=None)
-def test_compute_rankings_skips_like_the_oracle(src, tgt):
-    tables = {"s": table("s", src), "t": table("t", tgt)}
-    computed = rankings_of(tables, "s", "t")
+def test_score_methods_skips_like_the_oracle(src, tgt):
+    source, target = table("s", src), table("t", tgt)
+    computed = pipeline.score_methods(source, target)
     assert sorted(computed) == sorted(METHODS)
     for method in METHODS:
         expected = {}
@@ -247,42 +253,42 @@ def test_compute_rankings_skips_like_the_oracle(src, tgt):
             except Unscorable:
                 expected[x] = None
         # every method skips exactly the sources the oracle cannot score
-        rankings = computed[method]
-        assert sorted(rankings) == sorted(x for x, e in expected.items() if e is not None)
+        s = computed[method]
+        assert [x for x, ok in zip(source.words, s.scorable.tolist()) if ok] == sorted(
+            x for x, e in expected.items() if e is not None)
         for x, e in expected.items():
             if e is not None:
-                assert_matches_oracle(rankings[x], *e)
+                assert_matches_oracle(s, source.rows[x], target.words, *e)
 
 
 @given(tied_language("s", 3), tied_language("t", 2 * RANKING_WIDTH))
 @settings(max_examples=100, deadline=None)
 def test_ties_and_bottom_scores_follow_a_brute_force_sort(src, tgt):
     """Heads, gold ranks at every position, pair counts and rankings.tsv
-    lines of every method agree with a plain sort of each ranking's (word,
+    lines of every method agree with a plain sort of each score row's (word,
     score) pairs by (-score, word)."""
-    tables = {"s": table("s", src), "t": table("t", tgt)}
-    targets = tables["t"].words
-    computed = rankings_of(tables, "s", "t")
+    source, target = table("s", src), table("t", tgt)
+    targets = target.words
+    computed = pipeline.score_methods(source, target)
     expected_lines = []
     for method in sorted(computed):
-        for x in sorted(computed[method]):
-            ranking = computed[method][x]
-            assert_matches_oracle(ranking, *oracle_rank(method, src, tgt, x))
-            assert len(ranking.items) == len(targets)
-            score = dict(zip(targets, ranking.row.tolist()))
+        s = computed[method]
+        for i, x in scorable_rows(method, src, source):
+            assert_matches_oracle(s, i, targets, *oracle_rank(method, src, tgt, x))
+            assert len(s.scores[i]) == len(targets)
+            score = dict(zip(targets, s.scores[i].tolist()))
             expected = sorted(targets, key=lambda w: (-score[w], w))
-            assert [targets[k] for k in ranking.head.tolist()] == expected[:RANKING_WIDTH]
+            assert [targets[k] for k in s.heads[i].tolist()] == expected[:RANKING_WIDTH]
             for position in range(len(expected)):   # the first of the gold targets
                 lexicon = GroundTruthLexicon("s", "t", {x: set(expected[position:])})
-                assert gold_ranks_of({x: ranking}, lexicon) == {x: position + 1}
+                assert gold_ranks_of((s, source.words, targets), lexicon) == {x: position + 1}
             lexicon = GroundTruthLexicon("s", "t", {x: {x}})
-            assert gold_ranks_of({x: ranking}, lexicon) == {x: GOLD_OUTSIDE}
+            assert gold_ranks_of((s, source.words, targets), lexicon) == {x: GOLD_OUTSIDE}
             cells = ",".join(f"{w}:{score[w]:.6f}" for w in expected[:RANKING_WIDTH])
             expected_lines.append(f"{x}\t{method}\t{cells}")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rankings.tsv"
-        write_rankings(path, pipeline.score_methods(tables["s"], tables["t"]),
-                       tables["s"].words, targets)
+        write_rankings(path, computed, source.words, targets)
         assert path.read_text(encoding="utf-8").splitlines() == expected_lines
 
 
@@ -323,21 +329,24 @@ def test_selection_matches_a_python_sort_at_the_boundary(src, tgt):
     first gold position wherever the gold targets start, with ties across
     the last place of the head, every target tied, fewer targets than
     RANKING_WIDTH, one target, and methods that no source word can use."""
-    tables = {"s": table("s", src), "t": table("t", tgt)}
-    computed = rankings_of(tables, "s", "t")
+    source, target = table("s", src), table("t", tgt)
+    computed = pipeline.score_methods(source, target)
     for method in METHODS:
-        assert sorted(computed[method]) == [x for x in sorted(src["ling"])
-                                            if scorable(method, src, x)]
-        for x, ranking in computed[method].items():
-            pairs = sorted(zip(tables["t"].words, ranking.row.tolist()),
-                           key=lambda kv: (-kv[1], kv[0]))
-            assert ranking.top(RANKING_WIDTH) == pairs[:RANKING_WIDTH], method
-            assert_matches_oracle(ranking, *oracle_rank(method, src, tgt, x))
+        s = computed[method]
+        assert [x for x, ok in zip(source.words, s.scorable.tolist()) if ok] == [
+            x for x in sorted(src["ling"]) if scorable(method, src, x)]
+        for i, x in scorable_rows(method, src, source):
+            row = s.scores[i].tolist()
+            pairs = sorted(zip(target.words, row), key=lambda kv: (-kv[1], kv[0]))
+            assert [(target.words[k], row[k]) for k in s.heads[i].tolist()] \
+                == pairs[:RANKING_WIDTH], method
+            assert_matches_oracle(s, i, target.words, *oracle_rank(method, src, tgt, x))
             expected = [w for w, _ in pairs]
             for position, word in enumerate(expected):
                 for gold in ({word}, set(expected[position:]), {word, *expected[position::3]}):
                     lexicon = GroundTruthLexicon("s", "t", {x: gold})
-                    assert gold_ranks_of({x: ranking}, lexicon) == {x: position + 1}
+                    assert gold_ranks_of((s, source.words, target.words), lexicon) \
+                        == {x: position + 1}
 
 
 @given(raw_language("s"), raw_language("t"))
@@ -346,14 +355,13 @@ def test_selection_matches_a_python_sort_at_the_boundary(src, tgt):
 @example(profiles(["s0"], ONE), profiles(["t0"], OTHER))                # both 0 wide
 @settings(max_examples=100, deadline=None)
 def test_fused_from_the_held_matrices_equals_standalone_fused_scores(src, tgt):
-    """The fused rows `compute_rankings` sums from its linguistic and visual
-    matrices are bit for bit the `linguistic_scores` matrix plus the
+    """The fused matrix `score_methods` sums from its linguistic and visual
+    matrices is bit for bit the `linguistic_scores` matrix plus the
     `visual_scores` one where both words have a visual vector, each scorer
     called here on its own, for sources and targets with and without a
     visual vector."""
     source, target = tables = table("s", src), table("t", tgt)
-    rankings = rankings_of({"s": source, "t": target}, "s", "t")["fused"]
-    held = np.array([rankings[x].row for x in source.words])
+    held = pipeline.score_methods(source, target)["fused"].scores
     want = induction.linguistic_scores(*tables)
     both = source.has_visual[:, None] & target.has_visual
     if both.any():   # else either table's visual rows may be 0 wide

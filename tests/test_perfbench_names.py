@@ -1,26 +1,40 @@
-"""The names the benchmark's tracer wraps exist, and are restored on exit.
+"""The names the benchmark's tracer wraps exist, and are restored on exit,
+and what the benchmark reads from an induce run equals the induce
+manifest's counts.
 
 `perfbench/spans.py` wraps layer functions by the name their callers look
 them up by. A renamed or re-bound name would otherwise fail only the
-benchmark's own self-test, which runs every workload. This installs and
-removes the wrappers without running one.
+benchmark's own self-test, which runs every workload. These tests install
+and remove the wrappers, and run one induce stage on hand-built tables,
+without running a workload.
 """
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import numpy as np
+
+from lexipivot import pipeline
+from lexipivot.config import config_from_dict
+from lexipivot.corpus import GroundTruthLexicon, write_lexicon
+from lexipivot.localization import write_word_features
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
+def load_perfbench(name):
+    """A perfbench module, registered (dataclasses look their module up)
+    under a name of its own."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_wrapped_name_is_restored():
-    tracer = load_spans().Tracer()
+    tracer = load_perfbench("spans").Tracer()
     with tracer.installed():
         wrapped = list(tracer._undo)   # (owner, attribute, original), in wrap order
         assert wrapped
@@ -30,3 +44,47 @@ def test_every_wrapped_name_is_restored():
     for owner, attr, original in wrapped:
         assert getattr(owner, attr) is original, attr
 
+
+
+def write_tables(tables_dir, rng):
+    """Three tables per language: "la" with four words, of which two have a
+    visual vector and three a global image set, and "lb" with five words,
+    of which three have each, so that all but the linguistic method fall
+    back on some pairs."""
+    for lang, n, visual, image_sets in (("la", 4, 2, 3), ("lb", 5, 3, 3)):
+        words = [f"{lang}{i}" for i in range(n)]
+        write_word_features(tables_dir / f"{lang}.linguistic.lxwf", lang,
+                            {w: (1, rng.normal(size=(1, 6))) for w in words}, aggregated=True)
+        write_word_features(tables_dir / f"{lang}.visual-probe.lxwf", lang,
+                            {w: (2, rng.normal(size=(1, 4))) for w in words[:visual]},
+                            aggregated=True)
+        write_word_features(tables_dir / f"{lang}.global.lxwf", lang,
+                            {w: (i + 1, rng.normal(size=(i + 1, 4)))
+                             for i, w in enumerate(words[-image_sets:])}, aggregated=False)
+
+
+def test_traced_induce_counts_the_pairs_of_the_manifest(tmp_path):
+    """The pair and fallback counts that the traced run takes from each
+    `<method>_rank` record, and the pair count that the induce workload
+    takes from `result["methods"]`, equal the sums of the induce manifest's
+    `pairs` and `fallback_pairs`."""
+    tables_dir = tmp_path / "tables"
+    tables_dir.mkdir()
+    write_tables(tables_dir, np.random.default_rng(3))
+    lexicon_path = tmp_path / "lexicon.tsv"
+    write_lexicon(lexicon_path, GroundTruthLexicon(
+        "la", "lb", {f"la{i}": {f"lb{i}"} for i in range(4)}))
+    out = tmp_path / "induce"
+    tracer = load_perfbench("spans").Tracer()
+    with tracer.installed():
+        result = pipeline.stage_induce(config_from_dict({}), out, tables_dir, lexicon_path)
+    counts = json.loads((out / "manifest.json").read_text("utf-8"))["counts"]
+    pairs = sum(c["pairs"] for c in counts.values())
+    fallback_pairs = sum(c["fallback_pairs"] for c in counts.values())
+    assert pairs and fallback_pairs and all(c["pairs"] for c in counts.values())
+    (traced,) = tracer.counts.values()   # the stage is the one root span
+    assert (traced["induction.pairs"], traced["induction.fallback_pairs"]) \
+        == (pairs, fallback_pairs)
+    workloads = load_perfbench("workloads")
+    workload = workloads.InduceWorkload.__new__(workloads.InduceWorkload)
+    assert workload.inspect(out, result).items == pairs
