@@ -10,14 +10,16 @@ Each distinct image is encoded once (`encode_images`), `ROW_CAP` at a
 time. A decode state depends only on the image and the tokens fed so far,
 so captions of one image share every state up to the first word where
 they differ. `localize` decodes each distinct (image, caption prefix)
-once. `prefix_trie` numbers these states depth by depth: a node at depth t
-is the key (parent node, token t), at depth 0 (image, BOS), so the nodes
-of each depth are in image order. The walk then decodes a chunk of whole
-images at a time, one depth after the other, each node stepping from its
-parent's state; every word occurrence reads the node whose step emits it.
-A chunk holds `ROW_CAP // K` images for probe (K decode rows per node) and
-`ROW_CAP` images for attention (one row per node), so the per-step
-temporaries are bounded by the chunk, not by the corpus.
+once. `prefix_trie` numbers these states in one pass over the depths: a
+node at depth t is the key (parent node, token t), at depth 0 (image,
+BOS), so the nodes of each depth are in image order, and each chunk of
+whole images owns one range of them, which the same pass rebases to the
+chunk. The walk then decodes the chunks' paths one at a time, one depth
+after the other, each node stepping from its parent's state; every word
+occurrence reads the node whose step emits it. A chunk holds
+`ROW_CAP // K` images for probe (K decode rows per node) and `ROW_CAP`
+images for attention (one row per node), so the per-step temporaries are
+bounded by the chunk, not by the corpus.
 
 The attention method steps `MultiLingualModel.step`. The probe method
 unrolls on plain arrays, forward only: a probe row attends over one
@@ -40,7 +42,6 @@ are stored as computed; `induction.build_table` normalizes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -118,39 +119,41 @@ def collect_word_features(model: MultiLingualModel, examples, images, language: 
     return sets
 
 
-@dataclass(frozen=True)
-class TrieDepth:
-    """The decode nodes of one depth t in image order, and the word
-    occurrences at caption position t, each reading one node."""
-
-    image: np.ndarray   # [nodes] each node's image (row of the encoded regions)
-    parent: np.ndarray  # [nodes] its node at depth t - 1; at depth 0 its image
-    token: np.ndarray   # [nodes] token t, the input of its step
-    node: np.ndarray    # [occurrences] the node each occurrence reads, ascending image
-    gold: np.ndarray    # [occurrences] the word it emits, token t + 1
-    row: np.ndarray     # [occurrences] its row in corpus order
-
-
-def prefix_trie(examples, image_rows: np.ndarray) -> list[TrieDepth]:
-    """The distinct (image, tokens[:t+1]) of the captions, as one
-    `TrieDepth` per word position t. `image_rows` holds each caption's
-    image. One `np.unique` per depth numbers the keys (parent, token t)."""
-    tokens, lengths = pad_tokens(examples)
+def prefix_trie(tokens: np.ndarray, lengths: np.ndarray, image_rows: np.ndarray,
+                per_chunk: int, chunks: int):
+    """Each chunk's path through the prefix trie of the captions whose
+    tokens and lengths `pad_tokens` gave and whose images `image_rows`
+    holds. A chunk is `per_chunk` consecutive images; its path holds, per
+    word position t, (parent, token, image, node, gold, row) of its nodes
+    and of the occurrences reading them, with parent, image and node local
+    to the chunk. One pass over the depths numbers the keys (parent, token
+    t) with one `np.unique` over all captions and cuts them into chunks."""
     order = np.argsort(image_rows, kind="stable")  # captions by image
     tokens, words = tokens[order], lengths[order] - 2
     first_row = (np.cumsum(lengths - 2) - (lengths - 2))[order]
     width = int(tokens.max()) + 1
     parent_of = np.asarray(image_rows, dtype=np.intp)[order]  # each caption's, at depth 0
-    trie = []
+    paths, bounds = [[] for _ in range(chunks)], np.arange(chunks + 1)
     for t in range(tokens.shape[1] - 2):
         live = np.flatnonzero(words > t)
         keys, node = np.unique(parent_of[live] * width + tokens[live, t], return_inverse=True)
-        parent = keys // width
-        image = parent if t == 0 else trie[-1].image[parent]
-        trie.append(TrieDepth(image, parent, keys % width, node, tokens[live, t + 1],
-                              first_row[live] + t))
         parent_of[live] = node
-    return trie
+        parent, token = keys // width, keys % width
+        image = parent if t == 0 else image[parent]  # of each node, in image order
+        chunk = image // per_chunk
+        local = image - chunk * per_chunk
+        # at depth 0 the parents are the images, deeper the nodes of depth t - 1
+        parent = local if t == 0 else parent - starts[chunk]
+        starts = np.searchsorted(chunk, bounds)  # each chunk's first node
+        node_chunk = chunk[node]
+        node -= starts[node_chunk]
+        gold, row = tokens[live, t + 1], first_row[live] + t
+        nodes, spans = starts.tolist(), np.searchsorted(node_chunk, bounds).tolist()
+        for c, path in enumerate(paths):
+            n, o = slice(nodes[c], nodes[c + 1]), slice(spans[c], spans[c + 1])
+            if n.start < n.stop:  # a chunk without a node has none deeper
+                path.append((parent[n], token[n], local[n], node[o], gold[o], row[o]))
+    yield from paths
 
 
 def localize(model: MultiLingualModel, language: str, examples, images,
@@ -171,9 +174,9 @@ def localize(model: MultiLingualModel, language: str, examples, images,
     attention weights are the feature and weights.
     """
     regions, image_rows = images
-    trie = prefix_trie(examples, image_rows)
+    tokens, lengths = pad_tokens(examples)
     n, k, d = regions.shape
-    size = sum(len(depth.row) for depth in trie)
+    size = int(np.sum(lengths - 2))
     feats = np.empty((size, d), dtype=regions.dtype)
     weights = np.empty((size, k), dtype=regions.dtype)
     if method == "probe":
@@ -185,38 +188,11 @@ def localize(model: MultiLingualModel, language: str, examples, images,
         per_chunk = max(1, ROW_CAP // k)
     else:
         decode, per_chunk = partial(_attention_chunk, model, language), ROW_CAP
-    chunks = -(-n // per_chunk)
-    for c, path in enumerate(_chunk_paths(trie, per_chunk, chunks)):
+    chunks, decoded = -(-n // per_chunk), 0
+    for c, path in enumerate(prefix_trie(tokens, lengths, image_rows, per_chunk, chunks)):
         decode(regions[c * per_chunk:(c + 1) * per_chunk], path, feats, weights)
-    return feats, weights, sum(len(depth.token) for depth in trie), chunks
-
-
-def _chunk_paths(trie: list[TrieDepth], per_chunk: int, chunks: int):
-    """The path through the trie of each chunk of `per_chunk` images: per
-    depth, (parent, token, image, node, gold, row) of the chunk's nodes and
-    occurrences, with parent, image and node indices local to the chunk.
-    The indices are made local once per depth, so a chunk only slices."""
-    depths, first = [], None  # at depth 0 the parents are images
-    for depth in trie:
-        chunk = depth.image // per_chunk  # of each node
-        at = np.searchsorted(chunk, np.arange(chunks + 1))
-        image = depth.image - chunk * per_chunk
-        parent = image if first is None else depth.parent - first[chunk]
-        node_chunk = chunk[depth.node]
-        depths.append((at, np.searchsorted(node_chunk, np.arange(chunks + 1)),
-                       parent, depth.token, image, depth.node - at[node_chunk],
-                       depth.gold, depth.row))
-        first = at
-    for c in range(chunks):
-        path = []
-        for at, occurrences_at, parent, token, image, node, gold, row in depths:
-            nodes = slice(at[c], at[c + 1])
-            if nodes.start == nodes.stop:  # no node here, so none deeper
-                break
-            span = slice(occurrences_at[c], occurrences_at[c + 1])
-            path.append((parent[nodes], token[nodes], image[nodes], node[span], gold[span],
-                         row[span]))
-        yield path
+        decoded += sum(len(token) for _, token, *_ in path)
+    return feats, weights, decoded, chunks
 
 
 def _probe_chunk(embed, word_half, w_region, w_hh, bias, regions: np.ndarray, path,

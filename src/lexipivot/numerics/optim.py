@@ -36,18 +36,15 @@ def clip_global_norm(params: ParamStore, max_norm: float) -> float:
     (a mono-lingual batch never touches the other language's embedding).
     The squares are summed per parameter in name order, in float64.
     """
-    runs = params.gradient_runs()
-    squares = np.empty(params.grad.shape, dtype=np.float64)
-    for run in runs:
-        np.square(params.grad[run], out=squares[run], dtype=np.float64)
     total = 0.0
     for name, p in params.items():
         if p.grad is not None:
-            total += float(np.add.reduce(squares[params.span(name)]))
+            total += float(np.add.reduce(np.square(params.grad[params.span(name)],
+                                                   dtype=np.float64)))
     norm = float(np.sqrt(total))
     if norm > max_norm:
         factor = max_norm / norm
-        for run in runs:
+        for run in params.gradient_runs():
             params.grad[run] *= factor
     return norm
 

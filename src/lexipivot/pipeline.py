@@ -334,11 +334,13 @@ def score_methods(source, target) -> dict[str, MethodScores]:
     Fused sums the linguistic and visual matrices already held. One
     `ranking_heads` pass per matrix selects every row's first places. A
     method that can score no source word is left without a matrix. A
-    target table without words is an EmptyResultError.
+    source or target table without words is an EmptyResultError.
     """
-    if not target.words:
-        raise EmptyResultError(f"the tables of {target.language_id!r:.40} hold no words to "
-                               f"rank the words of {source.language_id!r:.40} against")
+    for table in (source, target):
+        if not table.words:
+            raise EmptyResultError(
+                f"the tables of {table.language_id!r:.40} hold no words, so no word of "
+                f"{source.language_id!r:.40} can be ranked against {target.language_id!r:.40}")
     scored = {}
     for method in INDUCTION_METHODS:
         score, scorable_rows, bottom_rows = METHODS[method]

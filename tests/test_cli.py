@@ -855,13 +855,13 @@ class TestInduceEval:
         assert not (out / "rankings.tsv").exists()
 
     @pytest.mark.parametrize("empty, fragments", [
-        ("la", ("no evaluable source words for any method",)),
+        ("la", ("tables of 'la' hold no words", "'lb'")),
         ("lb", ("tables of 'lb' hold no words", "'la'"))])
     def test_language_without_words_exits_4(self, extracted, tmp_path, capsys, empty,
                                             fragments):
         """Every table of one language holds no word, and the other's hold
-        two words: no source word leaves nothing to evaluate, and no target
-        word nothing to rank against."""
+        two words: either side's error names the empty language and the
+        other."""
         cfg, corpus, tables = extracted
         from lexipivot.localization import write_word_features
         for path in sorted(tables.glob("*.lxwf")):

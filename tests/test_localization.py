@@ -1,7 +1,10 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexipivot import localization
 from lexipivot.arrayfile import read_arrays, write_arrays
@@ -322,6 +325,62 @@ class TestPrefixSharing:
             feats, _, _, _ = localize(model, lang, examples, images, method)
             assert np.array_equal(feats[rows[0]], feats[rows[2]])
             assert not np.allclose(feats[rows[0]], feats[rows[9]])
+
+
+@st.composite
+def caption_sets(draw, images_in_block):
+    """(image row, words) of 1-3 captions on each of 1-6 distinct rows of a
+    region block, in shuffled order. The words come from a four-token
+    alphabet with UNK, and a caption may copy or cut an earlier one, so
+    captions repeat, end inside each other and share text across images."""
+    rows = draw(st.lists(st.integers(0, images_in_block - 1), min_size=1, max_size=6,
+                         unique=True))
+    word = st.sampled_from((UNK, UNK + 1, UNK + 2, UNK + 3))
+    texts = []
+    for row in rows:
+        for _ in range(draw(st.integers(1, 3))):
+            if texts and draw(st.booleans()):  # the same text, or a strict prefix of it
+                earlier = draw(st.sampled_from(texts))[1]
+                words = earlier[:draw(st.integers(1, len(earlier)))]
+            else:
+                words = tuple(draw(st.lists(word, min_size=1, max_size=4)))
+            texts.append((row, words))
+    return draw(st.permutations(texts))
+
+
+class TestWalkProperty:
+    """The prefix-shared walk on drawn caption sets, under every chunking."""
+
+    @pytest.fixture(scope="class")
+    def tiny(self, tiny_bundle):
+        lang = tiny_bundle.config.languages[0]
+        return tiny_bundle, build_model(tiny_bundle, dtype=np.float64), lang
+
+    @given(texts=caption_sets(24))
+    @settings(max_examples=100, deadline=None)
+    def test_walk_matches_per_caption_decodes(self, tiny, texts):
+        bundle, model, lang = tiny
+        assert len(bundle.regions[lang]) == 24
+        examples = [CaptionedExample(row, lang, (BOS, *words, EOS)) for row, words in texts]
+        images = len({row for row, _ in texts})
+        k = bundle.config.grid_side ** 2
+        states = len({(ex.image_row, ex.tokens[:t + 1]) for ex in examples
+                      for t in range(len(ex.tokens) - 2)})
+        for method in ("probe", "attention"):
+            want = reference_word_features(model, examples, bundle.regions[lang], lang, method)
+            for row_cap in (1, 2, 3, 5, 128):
+                counts = {}
+                with mock.patch.object(localization, "ROW_CAP", row_cap):
+                    got = collect_word_features(
+                        model, examples, encode_images(model, examples, bundle.regions[lang]),
+                        lang, method, counts=counts)
+                assert got.keys() == want.keys()
+                for word_index, feats in got.items():
+                    np.testing.assert_allclose(feats, np.array(want[word_index]), rtol=0,
+                                               atol=1e-10)
+                per_chunk = max(1, row_cap // k) if method == "probe" else row_cap
+                assert counts["decoded"] == states
+                assert counts["batches"] == -(-images // per_chunk)
 
 
 class TestProbeUnroll:
