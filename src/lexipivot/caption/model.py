@@ -5,6 +5,11 @@ registered language; each language owns only its embedding matrix, which
 is also the output projection (tied weights), so the hidden size equals
 the embedding size. The context vector of each decode step is additive
 attention over the encoded regions (Show, Attend and Tell).
+
+Training runs a batch through one `caption_loss` tape node
+(`sequence_loss`). The forward pieces that extraction decodes with
+(`encode`, `attention_precompute`, `attend`, `step`) take and return
+plain arrays.
 """
 
 from __future__ import annotations
@@ -21,18 +26,11 @@ from ..numerics import (
     LstmWeights,
     ParamStore,
     Tensor,
-    add,
-    additive_attention,
     caption_loss,
-    concat_cols,
     cross_entropy_rows,  # only perfbench looks it up here (ROADMAP item 7)
-    gather_cols,
     lstm_step,
-    matmul,
-    reshape,
-    row_slice,
-    tanh,
 )
+from ..numerics.attention import attention_forward
 from ..seeding import substream
 
 CHECKPOINT_VERSION = 1
@@ -117,51 +115,46 @@ class MultiLingualModel:
                 f"{self.dims.feature_dim}], got {arr.shape}")
         return arr
 
-    def encode(self, features) -> Tensor:
+    def encode(self, features) -> np.ndarray:
         """Raw region features [B,K,D_in] -> regions [B,K,D]."""
         arr = self._features(features)
         b, k, d_in = arr.shape
-        flat = Tensor(arr.reshape(b * k, d_in))
-        out = tanh(add(matmul(flat, self.params["encoder.weight"]),
-                       self.params["encoder.bias"]))
-        return reshape(out, (b, k, self.dims.embed_dim))
+        p = self.params
+        out = np.tanh(arr.reshape(b * k, d_in) @ p["encoder.weight"].data
+                      + p["encoder.bias"].data)
+        return out.reshape(b, k, self.dims.embed_dim)
 
-    def attention_precompute(self, regions: Tensor) -> Tensor:
-        """Region half of the attention scores, shared across decode steps."""
+    def attention_precompute(self, regions: np.ndarray) -> np.ndarray:
+        """Region half of the attention scores [B,K,A], shared across decode
+        steps."""
         b, k, d = regions.shape
-        flat = reshape(regions, (b * k, d))
-        w1_region = row_slice(self.params["attn.w1"], self.dims.embed_dim,
-                              self.dims.embed_dim + d)
-        return add(matmul(flat, w1_region), self.params["attn.b1"])
+        w1_region = self.params["attn.w1"].data[self.dims.embed_dim:]
+        part = regions.reshape(b * k, d) @ w1_region + self.params["attn.b1"].data
+        return part.reshape(b, k, -1)
 
-    def attention_weights(self) -> tuple[Tensor, Tensor, Tensor]:
-        """(w1, w2, b2) of the attention scorer."""
-        return self.params["attn.w1"], self.params["attn.w2"], self.params["attn.b2"]
-
-    def attend(self, h_prev: Tensor, regions: Tensor,
-               region_part: Tensor) -> tuple[Tensor, Tensor]:
+    def attend(self, h_prev: np.ndarray, regions: np.ndarray,
+               region_part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Context vector and weights for one step: ([B,D], [B,K]), given the
-        `attention_precompute` of the regions.
+        `attention_precompute` of the regions."""
+        p = self.params
+        h_part = h_prev @ p["attn.w1"].data[:self.dims.embed_dim]
+        _, alpha, context = attention_forward(h_part, region_part, regions,
+                                              p["attn.w2"].data, p["attn.b2"].data)
+        return context, alpha
 
-        Gradients flow through the context vector; the weights are data.
-        """
-        return additive_attention(h_prev, regions, region_part, *self.attention_weights())
+    def initial_state(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
+        h = np.zeros((batch, self.dims.embed_dim), dtype=self.dtype)
+        return h, np.zeros_like(h)
 
-    def initial_state(self, batch: int) -> tuple[Tensor, Tensor]:
-        h = Tensor(np.zeros((batch, self.dims.embed_dim), dtype=self.dtype))
-        return h, Tensor(h.data.copy())
-
-    def step(self, language: str, state: tuple[Tensor, Tensor], prev_tokens,
-             regions: Tensor, region_part: Tensor):
-        """One teacher-forced step for a batch, as extraction decodes.
-
-        Returns (logits [B,N], new (h, c), alpha [B,K], context [B,D]).
-        """
-        embed = self.embedding(language)
-        w_prev = gather_cols(embed, np.asarray(prev_tokens, dtype=np.intp))
+    def step(self, language: str, state: tuple[np.ndarray, np.ndarray], prev_tokens,
+             regions: np.ndarray, region_part: np.ndarray):
+        """One teacher-forced step for a batch, as extraction decodes, forward
+        only. Returns (new (h, c), alpha [B,K], context [B,D])."""
+        embed = self.embedding(language).data
         context, alpha = self.attend(state[0], regions, region_part)
-        state = lstm_step(concat_cols([w_prev, context]), state, self.lstm_weights())
-        return matmul(state[0], embed), state, alpha, context
+        x = np.concatenate([embed[:, np.asarray(prev_tokens, dtype=np.intp)].T, context],
+                           axis=1)
+        return lstm_step(x, state, self.lstm_weights()), alpha, context
 
     # -- losses -------------------------------------------------------------
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from .caption.model import MultiLingualModel
 from .corpus.lexicon import GroundTruthLexicon
-from .corpus.vocab import Vocabulary
+from .corpus.vocab import Vocabulary, pad_tokens
 from .errors import EmptyResultError, FormatError
 from .localization import word_occurrences
 from .seeding import substream
@@ -242,7 +242,7 @@ def collect_global_feature_sets(examples, images, vocab: Vocabulary,
     whole-image features of the images it occurs with.
     """
     regions, image_rows = images
-    captions, occurrences = word_occurrences(examples)
+    captions, occurrences = word_occurrences(*pad_tokens(examples))
     means = regions.mean(axis=1)  # [n,D] one global vector per image
     out = {}
     for word_index, positions in occurrences.items():

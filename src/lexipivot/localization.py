@@ -21,14 +21,15 @@ occurrence reads the node whose step emits it. A chunk holds
 images for attention (one row per node), so the per-step temporaries are
 bounded by the chunk, not by the corpus.
 
-The attention method steps `MultiLingualModel.step`. The probe method
-unrolls on plain arrays, forward only: a probe row attends over one
-region, whose weight is 1 and whose context is the region itself, so the
-attention scorer computes nothing and is skipped. Both halves of the LSTM
-input product are hoisted out of the recurrence (Appleyard, Kočiský and
-Blunsom 2016, as in `caption_loss`): the word half once per vocabulary
-word, the region half once per region. Each step is one product with the
-parent nodes' hidden states, the shared `cell_forward` kernel and the tied
+Both methods decode on plain arrays, forward only. The attention method
+steps `MultiLingualModel.step`, one row per node. The probe method
+unrolls its own loop: a probe row attends over one region, whose weight
+is 1 and whose context is the region itself, so the attention scorer
+computes nothing and is skipped. Both halves of the LSTM input product
+are hoisted out of the recurrence (Appleyard, Kočiský and Blunsom 2016,
+as in `caption_loss`): the word half once per vocabulary word, the
+region half once per region. Each step is one product with the parent
+nodes' hidden states, the shared `cell_forward` kernel and the tied
 logits, whose softmax normalizer is computed once per node; each
 occurrence then gathers its gold word's K probabilities.
 
@@ -50,7 +51,6 @@ from .arrayfile import read_arrays, write_arrays
 from .caption.model import MultiLingualModel
 from .corpus.vocab import BOS, EOS, PAD, UNK, pad_tokens
 from .errors import FormatError, NumericError
-from .numerics import Tensor, no_grad
 from .numerics.lstm import cell_forward
 
 TABLE_MAGIC = b"LXWF"
@@ -66,22 +66,23 @@ def encode_images(model: MultiLingualModel, examples,
     saturated regions, raises NumericError naming the language."""
     used, rows = np.unique([ex.image_row for ex in examples], return_inverse=True)
     try:
-        with no_grad(), np.errstate(over="raise", invalid="raise"):
+        with np.errstate(over="raise", invalid="raise"):
             chunks = [model.encode(regions[used[lo:lo + ROW_CAP]])
                       for lo in range(0, len(used), ROW_CAP)]
     except FloatingPointError as exc:
         raise NumericError(f"{examples[0].language_id}: region encoder is not finite "
                            f"({exc}); the model has diverged") from exc
-    return np.concatenate([chunk.data for chunk in chunks]), rows
+    return np.concatenate(chunks), rows
 
 
-def word_occurrences(examples) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """The caption of each word position, in corpus order (caption order,
-    then position), and each word index's positions in that order.
-    Sentinel and unknown tokens are dropped from the words."""
-    tokens, lengths = pad_tokens(examples)
+def word_occurrences(tokens: np.ndarray,
+                     lengths: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The caption of each word position of the captions whose tokens and
+    lengths `pad_tokens` gave, in corpus order (caption order, then
+    position), and each word index's positions in that order. Sentinel and
+    unknown tokens are dropped from the words."""
     words = tokens[:, 1:][np.arange(tokens.shape[1] - 1) < lengths[:, None] - 2]
-    captions = np.repeat(np.arange(len(examples)), lengths - 2)
+    captions = np.repeat(np.arange(len(lengths)), lengths - 2)
     kept = np.flatnonzero(np.isin(words, (PAD, BOS, EOS, UNK), invert=True))
     by_word = kept[np.argsort(words[kept], kind="stable")]  # corpus order within a word
     word_ids, starts = np.unique(words[by_word], return_index=True)
@@ -100,11 +101,12 @@ def collect_word_features(model: MultiLingualModel, examples, images, language: 
     occurrences dropped, the words kept, and the image chunks decoded. A
     model that decodes non-finite features raises NumericError.
     """
-    captions, occurrences = word_occurrences(examples)
+    padded = pad_tokens(examples)
+    captions, occurrences = word_occurrences(*padded)
     # a diverged model fails once, here, instead of warning from every step
     try:
         with np.errstate(all="ignore"):
-            rows, _, decoded, chunks = localize(model, language, examples, images, method)
+            rows, _, decoded, chunks = localize(model, language, padded, images, method)
     except NumericError as exc:
         raise NumericError(f"{language}: {method} localization failed: {exc}") from exc
     if not np.isfinite(rows).all():
@@ -156,13 +158,14 @@ def prefix_trie(tokens: np.ndarray, lengths: np.ndarray, image_rows: np.ndarray,
     yield from paths
 
 
-def localize(model: MultiLingualModel, language: str, examples, images,
+def localize(model: MultiLingualModel, language: str, captions, images,
              method: str) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Teacher-forced decode of every caption on its image, each distinct
     (image, caption prefix) once.
 
-    `images` is what `encode_images` returned for `examples`. Returns the
-    localized feature [n,D] and region weights [n,K] of every word position
+    `captions` is the (tokens, lengths) that `pad_tokens` gave for some
+    examples, and `images` what `encode_images` returned for them. Returns
+    the localized feature [n,D] and region weights [n,K] of every word position
     in corpus order (caption order, then position), in the dtype of the
     encoded regions, with the number of decode nodes and of image chunks.
 
@@ -174,7 +177,7 @@ def localize(model: MultiLingualModel, language: str, examples, images,
     attention weights are the feature and weights.
     """
     regions, image_rows = images
-    tokens, lengths = pad_tokens(examples)
+    tokens, lengths = captions
     n, k, d = regions.shape
     size = int(np.sum(lengths - 2))
     feats = np.empty((size, d), dtype=regions.dtype)
@@ -225,19 +228,16 @@ def _attention_chunk(model: MultiLingualModel, language: str, regions: np.ndarra
                      feats: np.ndarray, weights: np.ndarray) -> None:
     """The attention decodes of one image chunk: one `MultiLingualModel.step`
     row per node, over its image's K regions."""
-    n, k, _ = regions.shape
-    with no_grad():
-        region_part = model.attention_precompute(Tensor(regions)).data.reshape(n, k, -1)
-        state, images = model.initial_state(n), None  # each image's empty prefix
-        for parent, token, image, node, _, row in path:
-            state = tuple(Tensor(s.data[parent]) for s in state)
-            if images is None or not np.array_equal(image, images):  # else reuse the gather
-                images = image
-                nodes = (Tensor(regions[image]),
-                         Tensor(region_part[image].reshape(len(image) * k, -1)))
-            _, state, alpha, context = model.step(language, state, token, *nodes)
-            weights[row] = alpha.data[node]
-            feats[row] = context.data[node]
+    region_part = model.attention_precompute(regions)
+    state, images = model.initial_state(len(regions)), None  # each image's empty prefix
+    for parent, token, image, node, _, row in path:
+        state = tuple(s[parent] for s in state)
+        if images is None or not np.array_equal(image, images):  # else reuse the gather
+            images = image
+            nodes = regions[image], region_part[image]
+        state, alpha, context = model.step(language, state, token, *nodes)
+        weights[row] = alpha[node]
+        feats[row] = context[node]
 
 
 def write_word_features(path, language: str,

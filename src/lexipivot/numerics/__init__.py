@@ -1,24 +1,8 @@
-from .attention import additive_attention
 from .decoder import caption_loss
 from .lstm import LstmWeights, lstm_step
 from .optim import AdamState, adam_update, clip_global_norm
 from .params import ParamStore
-from .tensor import (
-    Tensor,
-    add,
-    as_tensor,
-    concat_cols,
-    concat_rows,
-    cross_entropy_rows,
-    gather_cols,
-    grad_enabled,
-    matmul,
-    no_grad,
-    reshape,
-    row_slice,
-    scale,
-    tanh,
-)
+from .tensor import Tensor, as_tensor, cross_entropy_rows, grad_enabled, no_grad
 
 __all__ = [
     "AdamState",
@@ -26,21 +10,11 @@ __all__ = [
     "ParamStore",
     "Tensor",
     "adam_update",
-    "add",
-    "additive_attention",
     "as_tensor",
     "caption_loss",
     "clip_global_norm",
-    "concat_cols",
-    "concat_rows",
     "cross_entropy_rows",
-    "gather_cols",
     "grad_enabled",
     "lstm_step",
-    "matmul",
     "no_grad",
-    "reshape",
-    "row_slice",
-    "scale",
-    "tanh",
 ]

@@ -12,9 +12,11 @@ previous hidden state, and the backward loop keeps every step's gate and
 score gradients so that the weight gradients are single products over all
 T*B rows.
 
-The per-step arithmetic is the kernels of `lstm_step` and
-`additive_attention`, so the loss and the two step ops compute the same
-cell and the same attention.
+The per-step arithmetic is the kernels `cell_forward` and
+`attention_forward`, which the forward-only decode of extraction
+(`MultiLingualModel.step`) also runs, so training and extraction compute
+the same cell and the same attention. The loss is the only tape node a
+stage builds.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
-"""Fused LSTM cell: one gate matmul and a hand-written backward.
+"""LSTM cell kernels on plain arrays.
 
-The cell arithmetic lives in plain NumPy kernels (`cell_forward`,
-`dc_through_h`, `cell_backward`), shared by `lstm_step` and
-`caption_loss`.
+`cell_forward` is the cell arithmetic on the gate pre-activations;
+`dc_through_h` and `cell_backward` are its hand-written backward, which
+only `caption_loss` runs. `lstm_step` is one forward step for decoding,
+built on `cell_forward`.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ShapeError
-from .tensor import Tensor, _make
+from .tensor import Tensor
 
 
 @dataclass
@@ -61,47 +61,11 @@ def cell_backward(dh: np.ndarray | None, dc: np.ndarray, act: np.ndarray,
     return dgates
 
 
-def lstm_step(x: Tensor, state: tuple[Tensor, Tensor], weights: LstmWeights):
-    """One LSTM step. x [B,d_in], state (h,c) [B,H] -> (h', c').
-
-    The tape holds two nodes: c' owns the backward of all four gates, and
-    h' is a child of c' that hands its o-gate gradient to c' and adds its
-    share of dL/dc' before c' runs (reverse topological order).
-    """
+def lstm_step(x: np.ndarray, state: tuple[np.ndarray, np.ndarray],
+              weights: LstmWeights) -> tuple[np.ndarray, np.ndarray]:
+    """One forward LSTM step on arrays: x [B,d_in], state (h, c) [B,H] ->
+    (h', c')."""
     h, c = state
-    xd, hd, cd = x.data, h.data, c.data
-    hs = weights.hidden_size
-    w_ih, w_hh, bias = weights.w_ih, weights.w_hh, weights.bias
-    if xd.ndim != 2 or hd.ndim != 2 or cd.ndim != 2 \
-            or xd.shape[1] != w_ih.shape[0] or hd.shape[1] != hs or cd.shape[1] != hs \
-            or w_ih.shape[1] != 4 * hs or bias.shape != (4 * hs,):
-        raise ShapeError(
-            f"lstm_step shape mismatch: x{xd.shape} h{hd.shape} c{cd.shape} "
-            f"w_ih{w_ih.shape} w_hh{w_hh.shape} bias{bias.shape}")
-
-    gates = xd @ w_ih.data + hd @ w_hh.data + bias.data
-    act, c_data, tanh_c, h_data = cell_forward(gates, cd)
-    grad_h = []                          # dL/dh', filled by h' before c' runs
-
-    def backward_c(dc):
-        dgates = cell_backward(grad_h.pop() if grad_h else None, dc, act, cd, tanh_c)
-        if x.requires_grad:
-            x.accumulate_grad(dgates @ w_ih.data.T, fresh=True)
-        if h.requires_grad:
-            h.accumulate_grad(dgates @ w_hh.data.T, fresh=True)
-        if c.requires_grad:
-            c.accumulate_grad(dc * act[:, hs:2 * hs], fresh=True)
-        if w_ih.requires_grad:
-            w_ih.accumulate_grad(xd.T @ dgates, fresh=True)
-        if w_hh.requires_grad:
-            w_hh.accumulate_grad(hd.T @ dgates, fresh=True)
-        if bias.requires_grad:
-            bias.accumulate_grad(dgates.sum(axis=0), fresh=True)
-
-    def backward_h(dh):
-        grad_h.append(dh)
-        c_new.accumulate_grad(dc_through_h(dh, act, tanh_c), fresh=True)
-
-    c_new = _make(c_data, (x, h, c, w_ih, w_hh, bias), backward_c)
-    h_new = _make(h_data, (c_new,), backward_h)
+    gates = x @ weights.w_ih.data + h @ weights.w_hh.data + weights.bias.data
+    _, c_new, _, h_new = cell_forward(gates, c)
     return h_new, c_new

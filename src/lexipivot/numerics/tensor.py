@@ -1,15 +1,17 @@
-"""Dense tensors with reverse-mode gradients.
+"""Dense tensors with reverse-mode gradients: the tape of the training loss.
 
 A Tensor wraps a numpy array plus an optional gradient buffer and a
-backward closure. Operations record their parents so `backward()` can
-replay the tape in reverse topological order. Only the layers the
-caption model needs are provided; there is no general graph compiler.
+backward closure. A node (`_make`) records its parents so `backward()`
+can replay the tape in reverse topological order. The only node a stage
+builds is a training batch's `caption_loss`, whose parents are the
+parameters; every forward-only computation runs on plain arrays.
+`cross_entropy_rows` is a standalone loss node over [B,V] logits.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -121,144 +123,6 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
         out._parents = tuple(parents)
         out._backward = backward
     return out
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum `g` down to `shape` (inverse of numpy broadcasting)."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
-# ---------------------------------------------------------------------------
-# elementwise and linear ops
-# ---------------------------------------------------------------------------
-
-
-def add(a: Tensor, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.shape))
-
-    return _make(data, (a, b), backward)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * c, fresh=True)
-
-    return _make(a.data * c, (a,), backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of a [m,k] and b [k,n]."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g @ b.data.T, fresh=True)
-        if b.requires_grad:
-            b.accumulate_grad(a.data.T @ g, fresh=True)
-
-    return _make(data, (a, b), backward)
-
-
-def tanh(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    out_data = np.tanh(x.data)
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * (1.0 - out_data * out_data), fresh=True)
-
-    return _make(out_data, (x,), backward)
-
-
-# ---------------------------------------------------------------------------
-# shape plumbing
-# ---------------------------------------------------------------------------
-
-
-def reshape(x: Tensor, shape: tuple) -> Tensor:
-    x = as_tensor(x)
-    data = x.data.reshape(shape)
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g.reshape(x.shape))
-
-    return _make(data, (x,), backward)
-
-
-def _concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in ts], axis=axis)
-
-    def backward(g):
-        start = 0
-        for t in ts:
-            stop = start + t.shape[axis]
-            if t.requires_grad:
-                t.accumulate_grad(g[start:stop] if axis == 0 else g[:, start:stop])
-            start = stop
-
-    return _make(data, tuple(ts), backward)
-
-
-def concat_cols(tensors: Iterable[Tensor]) -> Tensor:
-    """Concatenate 2-D tensors along the last axis."""
-    return _concat(tensors, 1)
-
-
-def concat_rows(tensors: Iterable[Tensor]) -> Tensor:
-    """Concatenate 2-D tensors along the first axis."""
-    return _concat(tensors, 0)
-
-
-def row_slice(x: Tensor, start: int, stop: int) -> Tensor:
-    x = as_tensor(x)
-    data = x.data[start:stop]
-
-    def backward(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[start:stop] = g
-            x.accumulate_grad(gx, fresh=True)
-
-    return _make(data, (x,), backward)
-
-
-def gather_cols(w: Tensor, indices: np.ndarray) -> Tensor:
-    """Select columns of w [D,N] by index -> [len(indices),D] (embedding lookup)."""
-    w = as_tensor(w)
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= w.shape[1]):
-        raise IndexError(f"column index out of range for shape {w.shape}")
-    data = w.data[:, idx].T
-
-    def backward(g):
-        if w.requires_grad:
-            # scatter-add as a product with the one-hot rows: repeated
-            # indices sum, and one BLAS call beats np.add.at
-            onehot = np.zeros((idx.size, w.shape[1]), dtype=g.dtype)
-            onehot[np.arange(idx.size), idx] = 1.0
-            w.accumulate_grad(g.T @ onehot, fresh=True)
-
-    return _make(data, (w,), backward)
 
 
 # ---------------------------------------------------------------------------

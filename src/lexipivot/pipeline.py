@@ -248,10 +248,12 @@ def stage_extract(config: RunConfig, out_dir, checkpoint, corpus_dir) -> dict:
         # the sidecar sets the dtype and dims the weights are decoded with
         for suffix in (".lxpv", ".json"):
             manifest.add_input(Path(checkpoint).with_suffix(suffix))
-    if model.dims.feature_dim != config.corpus.feature_dim:
+    grid_side, feature_dim = config.corpus.grid_side, config.corpus.feature_dim
+    if (model.dims.num_regions, model.dims.feature_dim) != (grid_side ** 2, feature_dim):
         raise ConfigError(
-            f"checkpoint feature dim {model.dims.feature_dim} does not match "
-            f"corpus feature dim {config.corpus.feature_dim}")
+            f"checkpoint {checkpoint} takes {model.dims.num_regions} regions per image of "
+            f"feature dim {model.dims.feature_dim}, but corpus.grid_side {grid_side} gives "
+            f"{grid_side ** 2} regions of corpus.feature_dim {feature_dim}")
 
     for lang in loaded.languages:
         if lang not in model.vocab_sizes:

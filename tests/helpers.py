@@ -1,6 +1,7 @@
-"""Shared test oracles: finite differences, the per-step decoder unroll,
-the per-tensor Adam step and gradient clip, the per-step probe and
-attention decodes and one-caption localization built on them; padded
+"""Shared test oracles: finite differences of tape nodes and of NumPy
+kernels, a hand-made sum node, the `model.step` decoder unroll, the
+per-tensor Adam step and gradient clip, the per-step probe and attention
+decodes and one-caption localization built on `model.step`; padded
 batches; hand-packed array containers; a score row's (word, score) pairs,
 sorted in Python; hand-built `MethodScores`; and the per-word table
 build, cnn_avgmax scorer, gold-rank loop, evaluation, report rows and
@@ -29,16 +30,8 @@ from lexipivot.induction import (
     gold_ranks,
     write_rankings,
 )
-from lexipivot.numerics import (
-    Tensor,
-    additive_attention,
-    concat_cols,
-    concat_rows,
-    gather_cols,
-    lstm_step,
-    no_grad,
-)
 from lexipivot.numerics.optim import BETA1, BETA2, EPSILON
+from lexipivot.numerics.tensor import _make
 from lexipivot.pipeline import reports_for, score_methods
 
 # Each evaluation of f may be off by a few ulps of |f|; a central difference
@@ -47,12 +40,13 @@ from lexipivot.pipeline import reports_for, score_methods
 ROUNDOFF_ULPS = 4
 
 
-def numeric_gradient(f, tensor, eps=1e-6):
-    """Central-difference gradient of scalar f() w.r.t. tensor.data.
+def numeric_gradient(f, values, eps=1e-6):
+    """Central-difference gradient of scalar f() w.r.t. the array `values`.
 
-    f must rebuild its computation from the live tensor on every call.
+    f must rebuild its computation from the live array on every call, and
+    return a value with `.item()` (a tape node or a NumPy scalar).
     """
-    flat = tensor.data.reshape(-1)
+    flat = values.reshape(-1)
     grad = np.zeros_like(flat)
     for i in range(flat.size):
         orig = flat[i]
@@ -62,7 +56,7 @@ def numeric_gradient(f, tensor, eps=1e-6):
         f_minus = float(f().item())
         flat[i] = orig
         grad[i] = (f_plus - f_minus) / (2.0 * eps)
-    return grad.reshape(tensor.data.shape)
+    return grad.reshape(values.shape)
 
 
 def roundoff_atol(value, eps, dtype=np.float64):
@@ -95,21 +89,38 @@ def assert_grads_close(f, tensors, tol=1e-6, eps=1e-6):
     loss.backward()
     value, again = float(loss.item()), float(f().item())
     assert value == again, f"closure is not deterministic: {value!r} != {again!r}"
-    atol = roundoff_atol(value, eps, loss.data.dtype)
+    grads = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in tensors]
     for t in tensors:
-        analytic = np.zeros_like(t.data) if t.grad is None else t.grad.copy()
         t.zero_grad()
-        numeric = numeric_gradient(f, t, eps=eps)
-        err = max_rel_err(analytic, numeric, atol)
+    assert_array_grads_close(f, [t.data for t in tensors], grads, tol, eps)
+
+
+def assert_array_grads_close(f, arrays, grads, tol=1e-6, eps=1e-6):
+    """Hand-written gradients `grads` of scalar f() w.r.t. each of `arrays`,
+    which f reads in place, against central differences: the check of a
+    NumPy kernel's backward, and of a tape node's."""
+    value = float(f().item())
+    atol = roundoff_atol(value, eps, np.result_type(*arrays))
+    for values, analytic in zip(arrays, grads, strict=True):
+        err = max_rel_err(analytic, numeric_gradient(f, values, eps=eps), atol)
         assert err < tol, f"gradient mismatch (rel err {err:.3e} >= tol {tol:.1e})"
+
+
+def node_sum(*terms):
+    """The sum of tape nodes of one shape as one hand-made node."""
+    def backward(g):
+        for t in terms:
+            if t.requires_grad:
+                t.accumulate_grad(g)
+
+    return _make(sum(t.data for t in terms), terms, backward)
 
 
 def localize_one(model, language, features, tokens, method="probe"):
     """One caption decoded on its raw region features by the per-step
     oracles: (feature [L-2,D], region weights [L-2,K]) of each word
     position."""
-    with no_grad():
-        regions = model.encode(np.asarray(features)[None]).data
+    regions = model.encode(np.asarray(features)[None])
     by_steps = probe_by_steps if method == "probe" else attention_by_steps
     feats, weights = by_steps(model, language, regions, [tokens])[:2]
     return feats[0], weights[0]
@@ -117,31 +128,31 @@ def localize_one(model, language, features, tokens, method="probe"):
 
 def probe_by_steps(model, language, regions, tokens):
     """The probe decode as `model.step` on B*K single-region rows, one
-    caption of tokens [B,L] per image of regions [B,K,D]: the path the
-    hoisted probe decode replaced. Returns (features [B,L-2,D], weights
-    [B,L-2,K], each step's attention weights [L-2,B*K,1] and contexts
-    [L-2,B*K,D])."""
+    caption of tokens [B,L] per image of regions [B,K,D], with the tied
+    logits h @ embed of each step: the path the hoisted probe decode
+    replaced. Returns (features [B,L-2,D], weights [B,L-2,K], each step's
+    attention weights [L-2,B*K,1] and contexts [L-2,B*K,D])."""
     tokens = np.asarray(tokens, dtype=np.intp)
     b, k, d = regions.shape
-    decoded = Tensor(regions.reshape(b * k, 1, d))  # B*K decodes x 1 region each
+    embed = model.embedding(language).data
+    decoded = regions.reshape(b * k, 1, d)  # B*K decodes x 1 region each
     tokens_by_row = np.repeat(tokens, k, axis=0)
     row_ids = np.arange(b * k)
     feats, weights, alphas, contexts = [], [], [], []
-    with no_grad():
-        region_part = model.attention_precompute(decoded)
-        state = model.initial_state(b * k)
-        for t in range(1, tokens.shape[1] - 1):
-            logits, state, alpha, context = model.step(
-                language, state, tokens_by_row[:, t - 1], decoded, region_part)
-            shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-            probs = np.exp(shifted)
-            p_t = probs[row_ids, tokens_by_row[:, t]] / probs.sum(axis=1)
-            w = p_t.reshape(b, k)
-            w = w / w.sum(axis=1, keepdims=True)
-            weights.append(w)
-            feats.append(np.matmul(w[:, None, :], regions)[:, 0])
-            alphas.append(alpha.data)
-            contexts.append(context.data)
+    region_part = model.attention_precompute(decoded)
+    state = model.initial_state(b * k)
+    for t in range(1, tokens.shape[1] - 1):
+        state, alpha, context = model.step(language, state, tokens_by_row[:, t - 1], decoded,
+                                           region_part)
+        logits = state[0] @ embed
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p_t = probs[row_ids, tokens_by_row[:, t]] / probs.sum(axis=1)
+        w = p_t.reshape(b, k)
+        w = w / w.sum(axis=1, keepdims=True)
+        weights.append(w)
+        feats.append(np.matmul(w[:, None, :], regions)[:, 0])
+        alphas.append(alpha)
+        contexts.append(context)
     return (np.stack(feats, axis=1), np.stack(weights, axis=1), np.stack(alphas),
             np.stack(contexts))
 
@@ -152,32 +163,29 @@ def attention_by_steps(model, language, regions, tokens):
     weights [B,L-2,K]): each step's context vector and attention weights."""
     tokens = np.asarray(tokens, dtype=np.intp)
     feats, weights = [], []
-    with no_grad():
-        decoded = Tensor(regions)
-        region_part = model.attention_precompute(decoded)
-        state = model.initial_state(len(tokens))
-        for t in range(1, tokens.shape[1] - 1):
-            _, state, alpha, context = model.step(language, state, tokens[:, t - 1], decoded,
-                                                  region_part)
-            weights.append(alpha.data)
-            feats.append(context.data)
+    region_part = model.attention_precompute(regions)
+    state = model.initial_state(len(tokens))
+    for t in range(1, tokens.shape[1] - 1):
+        state, alpha, context = model.step(language, state, tokens[:, t - 1], regions,
+                                           region_part)
+        weights.append(alpha)
+        feats.append(context)
     return np.stack(feats, axis=1), np.stack(weights, axis=1)
 
 
-def unroll_by_steps(embed, tokens, regions, region_part, lstm, attention):
-    """The teacher-forced unroll as one tape op per piece and step: the
-    composition `decoder_unroll` replaced. Caption b's token t feeds step t;
-    returns the step-major hidden states [T*B,H], T = tokens.shape[1] - 1."""
+def unroll_by_steps(model, language, tokens, features):
+    """The teacher-forced unroll as a `model.step` loop from the zero state:
+    caption b's token t feeds step t of its raw region features [B,K,F].
+    Returns the step-major hidden states [T*B,H], T = tokens.shape[1] - 1."""
     tokens = np.asarray(tokens, dtype=np.intp)
-    zeros = np.zeros((regions.shape[0], lstm.hidden_size), dtype=regions.dtype)
-    state = Tensor(zeros), Tensor(zeros.copy())
+    regions = model.encode(features)
+    region_part = model.attention_precompute(regions)
+    state = model.initial_state(len(tokens))
     hidden = []
     for t in range(tokens.shape[1] - 1):
-        context, _ = additive_attention(state[0], regions, region_part, *attention)
-        state = lstm_step(concat_cols([gather_cols(embed, tokens[:, t]), context]), state,
-                          lstm)
+        state, _, _ = model.step(language, state, tokens[:, t], regions, region_part)
         hidden.append(state[0])
-    return concat_rows(hidden)
+    return np.concatenate(hidden)
 
 
 def padded_batch(examples, regions):

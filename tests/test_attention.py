@@ -1,24 +1,36 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexipivot.caption import ModelDims, MultiLingualModel
-from lexipivot.errors import NumericError, ShapeError
-from lexipivot.numerics import Tensor, additive_attention, matmul, reshape
+from lexipivot.errors import NumericError
+from lexipivot.numerics.attention import attention_backward, attention_forward
 
-from helpers import assert_grads_close
+from helpers import assert_array_grads_close
 
 
 def make_inputs(rng, b=3, k=4, h=5, d=6, a=3):
     def leaf(*shape):
-        return Tensor(rng.normal(scale=0.7, size=shape), requires_grad=True)
+        return rng.normal(scale=0.7, size=shape)
 
     return {"h_prev": leaf(b, h), "regions": leaf(b, k, d), "region_part": leaf(b * k, a),
             "w1": leaf(h + d, a), "w2": leaf(a, 1), "b2": leaf(1)}
 
 
+def attend(h_prev, regions, region_part, w1, w2, b2):
+    """`attention_forward` as the model calls it: (context [B,D], alpha [B,K])."""
+    b, k, _ = regions.shape
+    h_part = h_prev @ w1[:h_prev.shape[1]]
+    _, alpha, context = attention_forward(h_part, region_part.reshape(b, k, -1), regions,
+                                          w2, b2)
+    return context, alpha
+
+
 def reference(h_prev, regions, region_part, w1, w2, b2):
-    """The composite formulas the fused op replaced: row_slice, repeat_rows,
-    tanh, matmul, softmax and the region-weighted sum, in plain NumPy."""
+    """The composite formulas the fused kernel replaced: row_slice,
+    repeat_rows, tanh, matmul, softmax and the region-weighted sum, in plain
+    NumPy."""
     b, k, _ = regions.shape
     hs = h_prev.shape[1]
     h_part = np.repeat(h_prev @ w1[:hs], k, axis=0)
@@ -29,47 +41,35 @@ def reference(h_prev, regions, region_part, w1, w2, b2):
     return np.einsum("bk,bkd->bd", alpha, regions), alpha
 
 
-def weighted(context, w):
-    flat = reshape(context, (1, context.data.size))
-    return matmul(flat, Tensor(w.reshape(-1, 1)))
-
-
 def test_matches_composite_reference():
     rng = np.random.default_rng(0)
     for b, k in ((1, 1), (3, 4), (5, 9)):
         inputs = make_inputs(rng, b=b, k=k)
-        context, alpha = additive_attention(**inputs)
-        ref_context, ref_alpha = reference(**{n: t.data for n, t in inputs.items()})
-        np.testing.assert_allclose(context.data, ref_context, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(alpha.data, ref_alpha, rtol=0, atol=1e-12)
+        context, alpha = attend(**inputs)
+        ref_context, ref_alpha = reference(**inputs)
+        np.testing.assert_allclose(context, ref_context, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(alpha, ref_alpha, rtol=0, atol=1e-12)
 
 
 def test_gradients_match_finite_differences():
+    """`attention_backward`'s score and pre-activation gradients, turned into
+    the input gradients as `caption_loss` turns them, against central
+    differences of `attention_forward`."""
     rng = np.random.default_rng(1)
-    inputs = make_inputs(rng)
-    w = rng.normal(size=(3, 6))
+    b, k, a, d = 3, 4, 3, 6
+    h_part, region_part = rng.normal(size=(b, a)), rng.normal(size=(b, k, a))
+    regions, w2, b2 = rng.normal(size=(b, k, d)), rng.normal(size=(a, 1)), rng.normal(size=1)
+    w = rng.normal(size=(b, d))
 
     def f():
-        return weighted(additive_attention(**inputs)[0], w)
+        return (w * attention_forward(h_part, region_part, regions, w2, b2)[2]).sum()
 
-    names = ("h_prev", "regions", "region_part", "w1", "w2", "b2")
-    assert_grads_close(f, [inputs[n] for n in names], tol=1e-6)
-
-
-def test_only_hidden_rows_of_w1_get_gradient():
-    inputs = make_inputs(np.random.default_rng(2))
-    weighted(additive_attention(**inputs)[0], np.ones(18)).backward()
-    hs = inputs["h_prev"].shape[1]
-    assert np.any(inputs["w1"].grad[:hs] != 0.0)
-    assert np.all(inputs["w1"].grad[hs:] == 0.0)
-
-
-def test_one_tape_node_and_plain_weights():
-    inputs = make_inputs(np.random.default_rng(3))
-    context, alpha = additive_attention(**inputs)
-    assert len(context._parents) == 6
-    assert all(p.requires_grad and p._backward is None for p in context._parents)
-    assert not alpha.requires_grad
+    u, alpha, _ = attention_forward(h_part, region_part, regions, w2, b2)
+    dscores, dpre = attention_backward(w, u, alpha, regions, w2)
+    assert_array_grads_close(
+        f, [h_part, region_part, regions, w2, b2],
+        [dpre.sum(axis=1), dpre, alpha[:, :, None] * w[:, None, :],
+         u.reshape(b * k, a).T @ dscores.reshape(b * k, 1), dscores.sum().reshape(1)])
 
 
 @pytest.mark.parametrize("name,bad", [("region_part", np.nan), ("h_prev", np.nan),
@@ -77,17 +77,9 @@ def test_one_tape_node_and_plain_weights():
                                       ("b2", -np.inf)])
 def test_non_finite_score_raises(name, bad):
     inputs = make_inputs(np.random.default_rng(4))
-    inputs[name].data.reshape(-1)[0] = bad
+    inputs[name].reshape(-1)[0] = bad
     with pytest.raises(NumericError, match="attention scores"):
-        additive_attention(**inputs)
-
-
-def test_shape_mismatch():
-    rng = np.random.default_rng(5)
-    inputs = make_inputs(rng)
-    inputs["region_part"] = Tensor(rng.normal(size=(5, 3)))
-    with pytest.raises(ShapeError):
-        additive_attention(**inputs)
+        attend(**inputs)
 
 
 def test_model_attend_matches_reference():
@@ -95,12 +87,71 @@ def test_model_attend_matches_reference():
     model = MultiLingualModel.build(dims, {"x": 8}, seed=3)
     rng = np.random.default_rng(6)
     regions = model.encode(rng.normal(size=(2, 4, 6)))
-    h, _ = model.initial_state(2)
-    h.data[...] = rng.normal(size=h.data.shape)
+    h = rng.normal(size=(2, 5))
     context, alpha = model.attend(h, regions, model.attention_precompute(regions))
     p = {n: model.params[n].data for n in ("attn.w1", "attn.b1", "attn.w2", "attn.b2")}
-    region_part = regions.data.reshape(8, 5) @ p["attn.w1"][5:] + p["attn.b1"]
-    ref_context, ref_alpha = reference(h.data, regions.data, region_part,
+    region_part = regions.reshape(8, 5) @ p["attn.w1"][5:] + p["attn.b1"]
+    ref_context, ref_alpha = reference(h, regions, region_part,
                                        p["attn.w1"], p["attn.w2"], p["attn.b2"])
-    np.testing.assert_allclose(context.data, ref_context, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(alpha.data, ref_alpha, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(context, ref_context, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(alpha, ref_alpha, rtol=0, atol=1e-12)
+
+
+def _score_attention(region_part, b2, regions, s):
+    """`attention_forward` whose scores are s * tanh(region_part) + b2 (a
+    one-unit scorer with a zero hidden part): (u, alpha, context)."""
+    b, k, _ = regions.shape
+    return attention_forward(np.zeros((b, 1)), region_part.reshape(b, k, 1), regions,
+                             np.array([[s]]), b2)
+
+
+def softmax(scores, shift=0.0):
+    """Attention weights for scores [B,K] (or [K]) plus `shift`: region_part =
+    artanh(scores / s) reproduces the scores to a few ulps of s."""
+    x = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    b, k = x.shape
+    s = 2.0 * np.max(np.abs(x), initial=0.0) + 1.0
+    return _score_attention(np.arctanh(x / s), np.array([float(shift)]),
+                            np.zeros((b, k, 1)), s)[1]
+
+
+class TestSoftmax:
+    """The softmax inside the attention kernel."""
+
+    def test_uniform(self):
+        np.testing.assert_allclose(softmax([7.3, 7.3, 7.3, 7.3]), [[0.25] * 4], atol=1e-12)
+
+    def test_analytic(self):
+        np.testing.assert_allclose(softmax(np.log([1.0, 3.0])), [[0.25, 0.75]], atol=1e-12)
+
+    def test_shift_invariance(self):
+        x = np.array([0.3, -1.2, 5.0, 2.2])
+        np.testing.assert_allclose(softmax(x), softmax(x, shift=100.0), atol=1e-9)
+
+    def test_rejects_nan(self):
+        with pytest.raises(NumericError):
+            softmax([1.0, float("nan")])
+
+    @given(st.lists(st.floats(-50, 50), min_size=1, max_size=512))
+    @settings(max_examples=80, deadline=None)
+    def test_sums_to_one_and_shift_invariant(self, values):
+        x = np.array(values)
+        out = softmax(x)
+        assert abs(out.sum() - 1.0) < 1e-9
+        shifted = softmax(x, shift=100.0)
+        assert np.max(np.abs(out - shifted)) < 1e-9
+
+    def test_backward_matches_finite_differences(self):
+        rng = np.random.default_rng(1)
+        region_part = rng.normal(size=(2, 5, 1))
+        b2 = np.array([0.3])
+        regions = rng.normal(size=(2, 5, 3))
+        w = rng.normal(size=(2, 3))
+
+        def f():
+            return (w * _score_attention(region_part, b2, regions, 3.0)[2]).sum()
+
+        u, alpha, _ = _score_attention(region_part, b2, regions, 3.0)
+        dscores, dpre = attention_backward(w, u, alpha, regions, np.array([[3.0]]))
+        assert abs(dscores.sum()) < 1e-12   # a shift shared by every score is invisible
+        assert_array_grads_close(f, [region_part, b2], [dpre, dscores.sum().reshape(1)])

@@ -5,10 +5,10 @@ from lexipivot.caption import ModelDims, MultiLingualModel
 from lexipivot.caption.training import pad_captions
 from lexipivot.corpus.vocab import BOS, EOS, CaptionedExample
 from lexipivot.errors import InputError, ShapeError
-from lexipivot.numerics import AdamState, Tensor, add, adam_update, no_grad
+from lexipivot.numerics import AdamState, adam_update
 
 from conftest import build_corpus, build_model, indexed
-from helpers import assert_grads_close, padded_batch
+from helpers import assert_grads_close, node_sum, padded_batch
 
 
 def small_dims(**kw):
@@ -38,14 +38,14 @@ class TestEncode:
         model.params["encoder.bias"].data[...] = 0.0
         feats = np.random.default_rng(0).normal(size=(1, 4, 5))
         out = model.encode(feats)
-        np.testing.assert_allclose(out.data, np.tanh(feats), atol=1e-12)
+        np.testing.assert_allclose(out, np.tanh(feats), atol=1e-12)
 
     def test_encoder_shared_across_languages(self):
         model = MultiLingualModel.build(small_dims(), {"x": 8, "y": 11}, seed=1)
         feats = np.random.default_rng(1).normal(size=(1, 4, 6))
         a = model.encode(feats)
         b = model.encode(feats)  # language plays no role in encoding
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
     def test_shape_check(self):
         model = MultiLingualModel.build(small_dims(), {"x": 8}, seed=1)
@@ -63,35 +63,26 @@ class TestAttend:
         for name in ("attn.w1", "attn.b1", "attn.w2", "attn.b2"):
             model.params[name].data[...] = 0.0
         regions = model.encode(np.random.default_rng(2).normal(size=(1, 4, 6)))
-        h, _ = model.initial_state(1)
-        h.data[...] = np.random.default_rng(3).normal(size=h.data.shape)
+        h = np.random.default_rng(3).normal(size=(1, 5))
         context, alpha = attend(model, h, regions)
-        np.testing.assert_allclose(alpha.data, 0.25, atol=1e-12)
-        np.testing.assert_allclose(context.data[0], regions.data[0].mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(alpha, 0.25, atol=1e-12)
+        np.testing.assert_allclose(context[0], regions[0].mean(axis=0), atol=1e-12)
 
     def test_single_region(self):
         model = MultiLingualModel.build(small_dims(), {"x": 8}, seed=2)
         regions = model.encode(np.random.default_rng(4).normal(size=(1, 4, 6)))
-        single = Tensor(regions.data[:, 1:2, :])
         h, _ = model.initial_state(1)
-        context, alpha = attend(model, h, single)
-        np.testing.assert_allclose(alpha.data, [[1.0]], atol=1e-15)
-        np.testing.assert_allclose(context.data[0], regions.data[0, 1], atol=1e-15)
+        context, alpha = attend(model, h, regions[:, 1:2, :])
+        np.testing.assert_allclose(alpha, [[1.0]], atol=1e-15)
+        np.testing.assert_allclose(context[0], regions[0, 1], atol=1e-15)
 
     def test_weights_sum_to_one(self):
         model = MultiLingualModel.build(small_dims(), {"x": 8}, seed=5)
         rng = np.random.default_rng(6)
         for _ in range(25):
             regions = model.encode(rng.normal(size=(2, 4, 6)))
-            h, _ = model.initial_state(2)
-            h.data[...] = rng.normal(size=h.data.shape)
-            _, alpha = attend(model, h, regions)
-            np.testing.assert_allclose(alpha.data.sum(axis=1), 1.0, atol=1e-9)
-
-    def test_zero_regions_rejected(self):
-        model = MultiLingualModel.build(small_dims(), {"x": 8}, seed=5)
-        with pytest.raises(ShapeError):
-            attend(model, model.initial_state(1)[0], Tensor(np.zeros((1, 0, 5))))
+            _, alpha = attend(model, rng.normal(size=(2, 5)), regions)
+            np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestDecodeStep:
@@ -100,22 +91,27 @@ class TestDecodeStep:
         feats = np.random.default_rng(7).normal(size=(1, 4, 6))
         regions = model.encode(feats)
 
-        def first_logits():
-            logits, _, _, _ = step(model, "x", model.initial_state(1), np.array([BOS]),
-                                   regions)
-            return logits.data.copy()
+        def first_step():
+            (h, c), alpha, context = step(model, "x", model.initial_state(1), np.array([BOS]),
+                                          regions)
+            return h, c, alpha, context
 
-        assert np.array_equal(first_logits(), first_logits())
+        for a, b in zip(first_step(), first_step(), strict=True):
+            assert np.array_equal(a, b)
 
-    def test_logit_width_is_language_vocab(self):
+    def test_language_selects_the_input_embedding(self):
+        """The same token of two languages feeds each language's own
+        embedding column; the attention before it does not see the
+        language."""
         model = MultiLingualModel.build(small_dims(), {"x": 9, "y": 13}, seed=7)
         feats = np.random.default_rng(8).normal(size=(1, 4, 6))
         regions = model.encode(feats)
         state = model.initial_state(1)
-        lx, _, _, _ = step(model, "x", state, np.array([BOS]), regions)
-        ly, _, _, _ = step(model, "y", state, np.array([BOS]), regions)
-        assert lx.data.shape == (1, 9)
-        assert ly.data.shape == (1, 13)
+        (hx, cx), alpha_x, context_x = step(model, "x", state, np.array([BOS]), regions)
+        (hy, cy), alpha_y, context_y = step(model, "y", state, np.array([BOS]), regions)
+        assert hx.shape == hy.shape == cx.shape == (1, 5)
+        assert np.array_equal(alpha_x, alpha_y) and np.array_equal(context_x, context_y)
+        assert not np.allclose(hx, hy) and not np.allclose(cx, cy)
 
     def test_unregistered_language(self):
         model = MultiLingualModel.build(small_dims(), {"x": 9}, seed=7)
@@ -123,15 +119,15 @@ class TestDecodeStep:
         with pytest.raises(KeyError, match="zz"):
             step(model, "zz", model.initial_state(1), np.array([0]), model.encode(feats))
 
-    def test_tied_projection_same_storage(self):
+    def test_step_reads_the_live_embedding(self):
         model = MultiLingualModel.build(small_dims(), {"x": 9}, seed=7)
         embed = model.embedding("x")
         feats = np.random.default_rng(9).normal(size=(1, 4, 6))
         regions = model.encode(feats)
-        logits1, _, _, _ = step(model, "x", model.initial_state(1), np.array([BOS]), regions)
-        embed.data[...] *= 2.0  # scaling the embedding must scale the logits path too
-        logits2, _, _, _ = step(model, "x", model.initial_state(1), np.array([BOS]), regions)
-        assert not np.allclose(logits1.data, logits2.data)
+        (h1, _), _, _ = step(model, "x", model.initial_state(1), np.array([BOS]), regions)
+        embed.data[...] *= 2.0  # scaling the embedding must change the step's input
+        (h2, _), _, _ = step(model, "x", model.initial_state(1), np.array([BOS]), regions)
+        assert not np.allclose(h1, h2)
         assert model.embedding("x") is embed
 
 
@@ -184,9 +180,8 @@ class TestWeightSharing:
         model = build_model(bundle)
         la, lb = bundle.config.languages
         feats = bundle.regions[lb][:1]
-        regions = model.encode(feats)
-        with no_grad():
-            before, _, _, _ = step(model, lb, model.initial_state(1), np.array([BOS]), regions)
+        (before, _), _, _ = step(model, lb, model.initial_state(1), np.array([BOS]),
+                                 model.encode(feats))
 
         batch = indexed(bundle)[la][:4]
         model.params.zero_grads()
@@ -194,10 +189,9 @@ class TestWeightSharing:
         loss.backward()
         adam_update(model.params, AdamState(learning_rate=0.1))
 
-        with no_grad():
-            regions2 = model.encode(feats)
-            after, _, _, _ = step(model, lb, model.initial_state(1), np.array([BOS]), regions2)
-        assert not np.allclose(before.data, after.data)
+        (after, _), _, _ = step(model, lb, model.initial_state(1), np.array([BOS]),
+                                model.encode(feats))
+        assert not np.allclose(before, after)
 
     def test_embeddings_are_per_language(self):
         model = MultiLingualModel.build(small_dims(), {"x": 9, "y": 9}, seed=3)
@@ -213,8 +207,8 @@ class TestGradients:
                    for lang in bundle.config.languages}
 
         def f():  # one batch per language, so every weight gets a gradient
-            la, lb = (model.sequence_loss(lang, *batch)[0] for lang, batch in batches.items())
-            return add(la, lb)
+            return node_sum(*(model.sequence_loss(lang, *batch)[0]
+                              for lang, batch in batches.items()))
 
         params = [p for _, p in model.params.items()]
         assert_grads_close(f, params, tol=1e-4, eps=1e-5)

@@ -528,6 +528,21 @@ class TestExtractMismatchedOrDivergedModel:
                               f"has {corpus_size}")
         assert not list(out.glob("*.lxwf"))
 
+    def test_grid_size_mismatch_exits_2(self, trained, tmp_path, capsys):
+        """A corpus of another grid side, at the checkpoint's feature dim."""
+        _, _, checkpoint = trained
+        (tmp_path / "grid3").mkdir()
+        cfg = write_config(tmp_path / "grid3", corpus={"grid_side": 3})
+        corpus = tmp_path / "corpus3"
+        assert run(["gen-corpus", "--config", cfg, "--out", corpus]) == 0
+        out = tmp_path / "x"
+        code = run(["extract", "--config", cfg, "--checkpoint", checkpoint,
+                    "--corpus", corpus, "--out", out])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err, f"checkpoint {checkpoint}",
+                              "4 regions per image", "corpus.grid_side 3 gives 9 regions")
+        assert not list(out.glob("*.lxwf"))
+
     @pytest.mark.parametrize("method,edit,fragment", [
         ("probe", scale_embeddings, "decoded non-finite features"),
         # probe decodes without the attention scorer; the finite-rows check catches it

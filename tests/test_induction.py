@@ -22,7 +22,6 @@ from lexipivot.induction import (
     write_report_json,
 )
 from lexipivot.localization import encode_images
-from lexipivot.numerics import no_grad
 from lexipivot.pipeline import compute_rankings, score_methods
 from lexipivot.seeding import substream
 
@@ -307,12 +306,11 @@ class TestGlobalFeatureSets:
         got = collect_global_feature_sets(
             examples, encode_images(model, examples, tiny_bundle.regions[lang]), vocab, seed=9)
         want = {}
-        with no_grad():
-            for ex in examples:
-                image = model.encode(tiny_bundle.regions[lang][ex.image_row][None]).data[0]
-                for t in range(1, len(ex.tokens) - 1):
-                    if ex.tokens[t] >= len(RESERVED):
-                        want.setdefault(vocab.word(ex.tokens[t]), []).append(image.mean(axis=0))
+        for ex in examples:
+            image = model.encode(tiny_bundle.regions[lang][ex.image_row][None])[0]
+            for t in range(1, len(ex.tokens) - 1):
+                if ex.tokens[t] >= len(RESERVED):
+                    want.setdefault(vocab.word(ex.tokens[t]), []).append(image.mean(axis=0))
         limit = induction.BASELINE_SET_CAP
         assert any(len(rows) > limit for rows in want.values()) == (cap is not None)
         for word, rows in want.items():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lexipivot import localization
 from lexipivot.arrayfile import read_arrays, write_arrays
-from lexipivot.corpus.vocab import BOS, EOS, UNK, CaptionedExample
+from lexipivot.corpus.vocab import BOS, EOS, UNK, CaptionedExample, pad_tokens
 from lexipivot.errors import FormatError
 from lexipivot.localization import (
     collect_word_features,
@@ -17,7 +17,7 @@ from lexipivot.localization import (
     read_word_features,
     write_word_features,
 )
-from lexipivot.numerics import Tensor, grad_enabled, no_grad, tanh
+from lexipivot.numerics import Tensor, grad_enabled
 
 from conftest import build_corpus, build_model, indexed
 from helpers import edit_header, localize_one, probe_by_steps
@@ -36,7 +36,7 @@ def walk_one(model, lang, features, tokens, method="probe"):
     (feature [L-2,D], region weights [L-2,K]) of each word position."""
     ex = CaptionedExample(0, lang, tuple(tokens))
     images = encode_images(model, [ex], np.asarray(features)[None])
-    feats, weights, _, _ = localize(model, lang, [ex], images, method)
+    feats, weights, _, _ = localize(model, lang, pad_tokens([ex]), images, method)
     return feats, weights
 
 
@@ -64,8 +64,7 @@ class TestProbe:
         feats = bundle.regions[lang][ex.image_row]
         feature, weights = walk_one(model, lang, feats, ex.tokens)
         k = bundle.config.grid_side ** 2
-        with no_grad():
-            a = model.encode(np.asarray(feats)[None]).data[0]
+        a = model.encode(np.asarray(feats)[None])[0]
         np.testing.assert_allclose(weights, 1.0 / k, atol=1e-12)
         np.testing.assert_allclose(feature, np.broadcast_to(a.mean(axis=0), feature.shape),
                                    atol=1e-12)
@@ -77,8 +76,7 @@ class TestProbe:
         lang = bundle.config.languages[0]
         ex = indexed(bundle)[lang][0]
         feature, weights = walk_one(model, lang, bundle.regions[lang][ex.image_row], ex.tokens)
-        with no_grad():
-            a = model.encode(np.asarray(bundle.regions[lang][ex.image_row])[None]).data[0]
+        a = model.encode(np.asarray(bundle.regions[lang][ex.image_row])[None])[0]
         np.testing.assert_allclose(weights, 1.0, atol=1e-15)
         np.testing.assert_allclose(feature, np.broadcast_to(a[0], feature.shape), atol=1e-15)
 
@@ -88,8 +86,7 @@ class TestProbe:
             feats = bundle.regions[lang][ex.image_row]
             feature, weights = walk_one(model, lang, feats, ex.tokens)
             assert len(weights) == len(ex.tokens) - 2
-            with no_grad():
-                a = model.encode(np.asarray(feats)[None]).data[0]
+            a = model.encode(np.asarray(feats)[None])[0]
             for f, w in zip(feature, weights):
                 assert abs(w.sum() - 1.0) < 1e-9
                 assert np.all(w > 0)
@@ -149,7 +146,25 @@ class TestCollection:
         collect_word_features(model, examples,
                               encode_images(model, examples, bundle.regions[lang]), lang, method)
         assert grad_enabled()
-        assert tanh(Tensor([1.0], requires_grad=True)).requires_grad
+
+    def test_extraction_builds_no_tensor(self, setup, monkeypatch):
+        """Encoding and both methods' decodes run on plain arrays."""
+        bundle, model, lang = setup
+        examples = indexed(bundle)[lang][:6]
+        built = []
+        init = Tensor.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counted_init)
+        encoded = encode_images(model, examples, bundle.regions[lang])
+        for method in ("probe", "attention"):
+            collect_word_features(model, examples, encoded, lang, method)
+        extraction = len(built)
+        Tensor([1.0])  # the count sees a construction
+        assert (extraction, len(built)) == (0, 1)
 
     def test_methods_share_inventory(self, setup):
         bundle, model, lang = setup
@@ -188,8 +203,7 @@ class TestEncodeImages:
         assert rows.shape == (len(examples),)
         for ex, row in zip(examples, rows):
             assert used[row] == ex.image_row
-            with no_grad():
-                want = model.encode(block[ex.image_row][None]).data[0]
+            want = model.encode(block[ex.image_row][None])[0]
             np.testing.assert_allclose(regions[row], want, rtol=1e-6)
 
 
@@ -263,7 +277,7 @@ class TestBatchedEquivalence:
     @pytest.mark.parametrize("method", ["probe", "attention"])
     def test_batch_weights_match_batches_of_one(self, mixed, method):
         bundle, model, lang, examples = mixed
-        feats, weights, _, _ = localize(model, lang, examples,
+        feats, weights, _, _ = localize(model, lang, pad_tokens(examples),
                                         encode_images(model, examples, bundle.regions[lang]),
                                         method)
         for ex, rows in zip(examples, caption_rows(examples)):
@@ -299,7 +313,7 @@ class TestPrefixSharing:
         if row_cap is not None:
             monkeypatch.setattr(localization, "ROW_CAP", row_cap)
         regions = tiny_bundle.regions[lang]
-        feats, weights, decoded, chunks = localize(model, lang, examples,
+        feats, weights, decoded, chunks = localize(model, lang, pad_tokens(examples),
                                                    encode_images(model, examples, regions),
                                                    method)
         for ex, rows in zip(examples, caption_rows(examples)):
@@ -322,7 +336,7 @@ class TestPrefixSharing:
         images = encode_images(model, examples, tiny_bundle.regions[lang])
         rows = caption_rows(examples)
         for method in ("probe", "attention"):
-            feats, _, _, _ = localize(model, lang, examples, images, method)
+            feats, _, _, _ = localize(model, lang, pad_tokens(examples), images, method)
             assert np.array_equal(feats[rows[0]], feats[rows[2]])
             assert not np.allclose(feats[rows[0]], feats[rows[9]])
 
@@ -394,9 +408,8 @@ class TestProbeUnroll:
         examples = mixed_length_examples(bundle, lang)
         for length in sorted({len(ex.tokens) for ex in examples}):
             group = [ex for ex in examples if len(ex.tokens) == length]
-            with no_grad():
-                regions = model.encode(np.stack([bundle.regions[lang][ex.image_row]
-                                                 for ex in group])).data
+            regions = model.encode(np.stack([bundle.regions[lang][ex.image_row]
+                                             for ex in group]))
             yield group, regions, np.array([ex.tokens for ex in group])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -407,8 +420,8 @@ class TestProbeUnroll:
         atol = 1e-12 if dtype == np.float64 else 8 * np.finfo(np.float32).eps
         for group, regions, tokens in self.length_groups(tiny_bundle, model, lang):
             feats, weights, _, _ = localize(
-                model, lang, group, encode_images(model, group, tiny_bundle.regions[lang]),
-                "probe")
+                model, lang, pad_tokens(group),
+                encode_images(model, group, tiny_bundle.regions[lang]), "probe")
             b, steps = tokens.shape[0], tokens.shape[1] - 2
             feats, weights = feats.reshape(b, steps, -1), weights.reshape(b, steps, -1)
             want_feats, want_weights, _, _ = probe_by_steps(model, lang, regions, tokens)

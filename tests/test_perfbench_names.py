@@ -1,12 +1,13 @@
 """The names the benchmark's tracer wraps exist, and are restored on exit,
-and what the benchmark reads from an induce run equals the induce
-manifest's counts.
+a traced attention extract records its LSTM steps, and what the benchmark
+reads from an induce run equals the induce manifest's counts.
 
 `perfbench/spans.py` wraps layer functions by the name their callers look
 them up by. A renamed or re-bound name would otherwise fail only the
 benchmark's own self-test, which runs every workload. These tests install
 and remove the wrappers, and run one induce stage on hand-built tables,
-without running a workload.
+and run one extract and one induce stage at a tiny scale, without running
+a workload.
 """
 
 import importlib.util
@@ -44,6 +45,26 @@ def test_every_wrapped_name_is_restored():
     for owner, attr, original in wrapped:
         assert getattr(owner, attr) is original, attr
 
+
+def test_traced_attention_extract_records_lstm_steps(tmp_path):
+    """The benchmark's self-test asserts `numerics.lstm_step` calls on a
+    traced extract; attention extraction is what makes them."""
+    config = config_from_dict({
+        "corpus": {"concepts": 3, "attributes": 1, "images_per_language": 6,
+                   "feature_dim": 8, "min_count": 1},
+        "model": {"embed_dim": 4, "attn_dim": 2},
+        "extraction": {"method": "attention"}})
+    corpus = tmp_path / "corpus"
+    pipeline.stage_gen_corpus(config, corpus)
+    vocabs = pipeline.load_corpus(config, corpus).vocabs
+    pipeline.build_model_from_config(config, {lang: v.size for lang, v in vocabs.items()}) \
+        .save_checkpoint(tmp_path / "checkpoint")
+    tracer = load_perfbench("spans").Tracer()
+    with tracer.installed():
+        pipeline.stage_extract(config, tmp_path / "extract", tmp_path / "checkpoint", corpus)
+    names = [name for name, *_ in tracer.spans]
+    assert names.count("pipeline.stage.extract") == 1
+    assert "numerics.lstm_step" in names
 
 
 def write_tables(tables_dir, rng):
