@@ -97,6 +97,61 @@ def test_model_attend_matches_reference():
     np.testing.assert_allclose(alpha, ref_alpha, rtol=0, atol=1e-12)
 
 
+def test_batched_matches_single():
+    """Each caption's weights and context depend on its own rows only."""
+    inputs = make_inputs(np.random.default_rng(7), b=4, k=3)
+    context, alpha = attend(**inputs)
+    region_part = inputs["region_part"].reshape(4, 3, -1)
+    for i in range(4):
+        one = {**inputs, "h_prev": inputs["h_prev"][i:i + 1],
+               "regions": inputs["regions"][i:i + 1], "region_part": region_part[i]}
+        c_i, a_i = attend(**one)
+        np.testing.assert_allclose(context[i:i + 1], c_i, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(alpha[i:i + 1], a_i, rtol=0, atol=1e-12)
+
+
+def test_forward_leaves_its_inputs_unchanged():
+    """Every decode step reuses the regions and their precomputed half of the
+    scorer, so the kernel must not write into them."""
+    rng = np.random.default_rng(8)
+    h_part, region_part = rng.normal(size=(2, 3)), rng.normal(size=(2, 4, 3))
+    regions, w2, b2 = rng.normal(size=(2, 4, 5)), rng.normal(size=(3, 1)), rng.normal(size=1)
+    inputs = (h_part, region_part, regions, w2, b2)
+    copies = [x.copy() for x in inputs]
+    first = attention_forward(*inputs)
+    second = attention_forward(*inputs)
+    for x, copy in zip(inputs, copies, strict=True):
+        assert np.array_equal(x, copy)
+    for a, b in zip(first, second, strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_model_attend_reads_only_hidden_rows_of_w1():
+    """`attend` takes the region half of the scorer from
+    `attention_precompute`; the region rows of w1 do not reach it again."""
+    dims = ModelDims(feature_dim=6, embed_dim=5, attn_dim=3, num_regions=4, max_len=12)
+    model = MultiLingualModel.build(dims, {"x": 8}, seed=3)
+    rng = np.random.default_rng(9)
+    regions = model.encode(rng.normal(size=(2, 4, 6)))
+    region_part = model.attention_precompute(regions)
+    h = rng.normal(size=(2, 5))
+    before = model.attend(h, regions, region_part)
+    model.params["attn.w1"].data[5:] += 1.0
+    after = model.attend(h, regions, region_part)
+    for a, b in zip(before, after, strict=True):
+        assert np.array_equal(a, b)
+    model.params["attn.w1"].data[:5] += 1.0
+    assert not np.allclose(model.attend(h, regions, region_part)[1], before[1])
+
+
+def test_float32_stays_float32():
+    inputs = {name: x.astype(np.float32)
+              for name, x in make_inputs(np.random.default_rng(10)).items()}
+    context, alpha = attend(**inputs)
+    assert context.dtype == np.float32 and alpha.dtype == np.float32
+    np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-6)
+
+
 def _score_attention(region_part, b2, regions, s):
     """`attention_forward` whose scores are s * tanh(region_part) + b2 (a
     one-unit scorer with a zero hidden part): (u, alpha, context)."""

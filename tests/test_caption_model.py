@@ -131,6 +131,51 @@ class TestDecodeStep:
         assert model.embedding("x") is embed
 
 
+def _forward_pieces(model):
+    """Each forward piece run once on a two-image batch, by name."""
+    feats = np.random.default_rng(10).normal(size=(2, 4, 6))
+    regions = model.encode(feats)
+    region_part = model.attention_precompute(regions)
+    state = model.initial_state(2)
+    (h, c), alpha, context = model.step("x", state, np.array([BOS, 3]), regions,
+                                        region_part)
+    return {"encode": (regions,), "attention_precompute": (region_part,),
+            "attend": model.attend(state[0], regions, region_part),
+            "initial_state": state, "step": (h, c, alpha, context)}
+
+
+class TestForwardPieces:
+    """What extraction decodes with runs on plain arrays, in the model's
+    dtype, and builds nothing on the tape."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("piece", ["encode", "attention_precompute", "attend",
+                                       "initial_state", "step"])
+    def test_returns_arrays_of_the_model_dtype(self, piece, dtype):
+        model = MultiLingualModel.build(small_dims(), {"x": 9}, seed=11, dtype=dtype)
+        for out in _forward_pieces(model)[piece]:
+            assert type(out) is np.ndarray
+            assert out.dtype == dtype
+        assert all(p.grad is None for _, p in model.params.items())
+
+    def test_step_leaves_its_inputs_unchanged(self):
+        """A decode reuses a parent's state for each of its children, and the
+        regions for every step, so the step must not write into them."""
+        model = MultiLingualModel.build(small_dims(), {"x": 9}, seed=12)
+        rng = np.random.default_rng(12)
+        regions = model.encode(rng.normal(size=(2, 4, 6)))
+        region_part = model.attention_precompute(regions)
+        state = rng.normal(size=(2, 5)), rng.normal(size=(2, 5))
+        inputs = (*state, regions, region_part)
+        copies = [x.copy() for x in inputs]
+        first = model.step("x", state, np.array([BOS, 4]), regions, region_part)
+        for x, copy in zip(inputs, copies, strict=True):
+            assert np.array_equal(x, copy)
+        second = model.step("x", state, np.array([BOS, 4]), regions, region_part)
+        assert np.array_equal(first[0][0], second[0][0])
+        assert np.array_equal(first[0][1], second[0][1])
+
+
 class TestSequenceLoss:
     def test_uniform_model_gives_log_vocab(self):
         model = MultiLingualModel.build(small_dims(), {"x": 10}, seed=8)

@@ -115,3 +115,27 @@ def test_float32_stays_float32():
     state = np.zeros((2, 4), np.float32), np.zeros((2, 4), np.float32)
     h1, c1 = lstm_step(x, state, weights)
     assert h1.dtype == np.float32 and c1.dtype == np.float32
+
+
+def test_hand_computed_one_unit_step():
+    """A one-unit cell with unit input weights and zero recurrence, by hand:
+    every gate sees x, so c' = sigmoid(x) * c + sigmoid(x) * tanh(x) and
+    h' = sigmoid(x) * tanh(c')."""
+    weights = LstmWeights(w_ih=Tensor(np.ones((1, 4))), w_hh=Tensor(np.zeros((1, 4))),
+                          bias=Tensor(np.zeros(4)))
+    x, c0 = 0.5, -0.25
+    sig = 1.0 / (1.0 + np.exp(-x))
+    c1 = sig * c0 + sig * np.tanh(x)
+    h, c = lstm_step(np.array([[x]]), (np.zeros((1, 1)), np.array([[c0]])), weights)
+    np.testing.assert_allclose(c, [[c1]], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(h, [[sig * np.tanh(c1)]], rtol=0, atol=1e-15)
+
+
+def test_returns_plain_arrays():
+    """The step runs forward only: trainable weights give arrays, not tape
+    nodes."""
+    rng = np.random.default_rng(14)
+    weights = make_weights(3, 4, rng)
+    h1, c1 = lstm_step(rng.normal(size=(2, 3)), (np.zeros((2, 4)), np.zeros((2, 4))), weights)
+    assert type(h1) is np.ndarray and type(c1) is np.ndarray
+    assert all(getattr(weights, n).grad is None for n in ("w_ih", "w_hh", "bias"))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lexipivot.errors import ShapeError
-from lexipivot.numerics import Tensor, cross_entropy_rows, grad_enabled, no_grad
+from lexipivot.numerics import Tensor, as_tensor, cross_entropy_rows, grad_enabled, no_grad
 from lexipivot.numerics.tensor import _make
 
 from helpers import assert_grads_close, node_sum
@@ -37,6 +37,14 @@ class TestCrossEntropy:
     def test_target_out_of_range(self):
         with pytest.raises(IndexError):
             cross_entropy_rows(Tensor([[0.0, 1.0]]), np.array([2]))
+
+    def test_rejects_logits_that_are_not_rows(self):
+        with pytest.raises(ShapeError, match=r"\[B,V\] logits"):
+            cross_entropy_rows(Tensor([0.0, 1.0]), np.array([1]))
+
+    def test_rejects_one_target_per_other_batch(self):
+        with pytest.raises(ShapeError, match="does not match batch 2"):
+            cross_entropy_rows(Tensor(np.zeros((2, 3))), np.array([0, 1, 2]))
 
     def test_gradient_is_probs_minus_onehot(self):
         rng = np.random.default_rng(2)
@@ -128,3 +136,25 @@ class TestTapeMechanics:
         with pytest.raises(ShapeError):
             Tensor([1.0, 2.0], requires_grad=True).backward()
 
+
+    def test_node_of_constants_is_not_recorded(self):
+        y = tanh_node(Tensor([1.0, 2.0]))
+        assert not y.requires_grad and y._parents == () and y._backward is None
+
+    def test_deep_chain_backward_is_iterative(self):
+        """A chain far deeper than Python's recursion limit replays in full."""
+        x = Tensor([[0.1]], requires_grad=True)
+        y, depth, expected = x, 5000, 1.0
+        for _ in range(depth):
+            expected *= 1.0 - np.tanh(y.data[0, 0]) ** 2
+            y = tanh_node(y)
+        weighted_sum(y, np.ones((1, 1))).backward()
+        np.testing.assert_allclose(x.grad, [[expected]], rtol=1e-12)
+
+    def test_as_tensor_wraps_arrays_and_passes_tensors_through(self):
+        t = Tensor([1.0], requires_grad=True)
+        assert as_tensor(t) is t
+        ints = as_tensor(np.arange(3))
+        assert isinstance(ints, Tensor) and ints.dtype == np.float64
+        assert as_tensor(np.ones(2, np.float32)).dtype == np.float32
+        assert not ints.requires_grad
