@@ -251,6 +251,8 @@ class MultiLingualModel:
                 raise FormatError(
                     f"{weights}: parameter {name!r} does not fit the dtype "
                     f"{np.dtype(dtype).name} of the manifest {path} ({exc})") from exc
+            if not np.isfinite(arrays[name]).all():
+                raise FormatError(f"{weights}: parameter {name!r} holds a non-finite value")
         return cls(dims, languages, ParamStore(arrays), dtype=dtype, seed=seed), manifest
 
 

@@ -35,7 +35,8 @@ def write_features(path, image_ids, regions: np.ndarray) -> None:
 
 def read_features(path) -> tuple[list[int], np.ndarray]:
     """The N distinct image ids of a features file and their region grids
-    [N, K, D], row i holding image ids[i]."""
+    [N, K, D], row i holding image ids[i]. A NaN or infinite value is a
+    FormatError."""
     meta, arrays = read_arrays(path, FEATURES_MAGIC, "<f4")
     ids, regions = meta.get("image_ids"), arrays.get("regions")
     if not (list(arrays) == ["regions"] and regions.ndim == 3 and isinstance(ids, list)
@@ -43,6 +44,10 @@ def read_features(path) -> tuple[list[int], np.ndarray]:
         raise FormatError(f"{path}: expected N image ids and one N x K x D array \"regions\"")
     if len(set(ids)) != len(ids):
         raise FormatError(f"{path}: duplicate image id {Counter(ids).most_common(1)[0][0]}")
+    finite = np.isfinite(regions).all(axis=(1, 2))
+    if not finite.all():   # name the first image, in file order, with a bad value
+        bad = ids[np.argmin(finite)]
+        raise FormatError(f"{path}: image id {bad} has a non-finite feature value")
     return ids, regions
 
 

@@ -295,8 +295,14 @@ def generate_corpus(config: CorpusConfig, seed: int) -> CorpusBundle:
         groups = cooccurrence_groups(config, seed, lang)
         scenes[lang] = [_draw_scene(i * n + j, scene_rng, config, groups) for j in range(n)]
 
-    regions = {lang: np.stack([render_spatial_features(s, prototypes, config.noise_sigma, seed)
-                               for s in scenes[lang]]) for lang in config.languages}
+    try:   # a float32 grid that overflows would be written as infinities
+        with np.errstate(over="raise"):
+            regions = {lang: np.stack([render_spatial_features(s, prototypes,
+                                                               config.noise_sigma, seed)
+                                       for s in scenes[lang]]) for lang in config.languages}
+    except FloatingPointError as exc:
+        raise ConfigError(f"corpus.noise_sigma {config.noise_sigma!r} overflows the float32 "
+                          f"feature grids ({exc})") from exc
 
     captions: dict[str, list[RawCaption]] = {}
     for lang in config.languages:

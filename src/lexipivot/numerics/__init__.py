@@ -2,7 +2,7 @@ from .decoder import caption_loss
 from .lstm import LstmWeights, lstm_step
 from .optim import AdamState, adam_update, clip_global_norm
 from .params import ParamStore
-from .tensor import Tensor, as_tensor, cross_entropy_rows, grad_enabled, no_grad
+from .tensor import Tensor, cross_entropy_rows, grad_enabled, no_grad
 
 __all__ = [
     "AdamState",
@@ -10,7 +10,6 @@ __all__ = [
     "ParamStore",
     "Tensor",
     "adam_update",
-    "as_tensor",
     "caption_loss",
     "clip_global_norm",
     "cross_entropy_rows",

@@ -166,8 +166,7 @@ def caption_loss(features: np.ndarray, tokens: np.ndarray, pad: int,
                         (b2, dscores.sum().reshape(1)),
                         (w_enc, flat_features.T @ dpre_enc),
                         (b_enc, dpre_enc.sum(axis=0))):
-            if p.requires_grad:
-                p.accumulate_grad(grad, fresh=True)
+            p.accumulate_grad(grad)
 
     loss = np.array((nll * mask).sum() * mean, dtype=dtype)
     parents = (embed, w_ih, w_hh, bias, *encoder, *attention)

@@ -46,17 +46,15 @@ def dc_through_h(dh: np.ndarray, act: np.ndarray, tanh_c: np.ndarray) -> np.ndar
     return dh * act[:, 3 * hs:] * (1.0 - tanh_c * tanh_c)
 
 
-def cell_backward(dh: np.ndarray | None, dc: np.ndarray, act: np.ndarray,
+def cell_backward(dh: np.ndarray, dc: np.ndarray, act: np.ndarray,
                   c_prev: np.ndarray, tanh_c: np.ndarray) -> np.ndarray:
-    """Gate gradients dL/dgates [B,4H] of one cell from dL/dh' (None: zero)
-    and the whole of dL/dc', the `dc_through_h` share included. dL/dc_prev
-    is dc * f."""
+    """Gate gradients dL/dgates [B,4H] of one cell from dL/dh' and the whole
+    of dL/dc', the `dc_through_h` share included. dL/dc_prev is dc * f."""
     hs = c_prev.shape[1]
     i, g = act[:, :hs], act[:, 2 * hs:3 * hs]
-    do = dh * tanh_c if dh is not None else np.zeros_like(dc)
     deriv = act * (1.0 - act)               # sigmoid' on i|f|o
     deriv[:, 2 * hs:3 * hs] = 1.0 - g * g   # tanh' on g
-    dgates = np.concatenate([dc * g, dc * c_prev, dc * i, do], axis=1)
+    dgates = np.concatenate([dc * g, dc * c_prev, dc * i, dh * tanh_c], axis=1)
     dgates *= deriv
     return dgates
 

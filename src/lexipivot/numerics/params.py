@@ -26,7 +26,7 @@ class _Param(Tensor):
 
     __slots__ = ("_grad_view",)
 
-    def accumulate_grad(self, g: np.ndarray, fresh: bool = False) -> None:
+    def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
             self._grad_view[...] = g
             self.grad = self._grad_view

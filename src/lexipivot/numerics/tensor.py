@@ -1,9 +1,11 @@
-"""Dense tensors with reverse-mode gradients: the tape of the training loss.
+"""Dense tensors and the one-node reverse-mode tape of the training loss.
 
 A Tensor wraps a numpy array plus an optional gradient buffer and a
-backward closure. A node (`_make`) records its parents so `backward()`
-can replay the tape in reverse topological order. The only node a stage
-builds is a training batch's `caption_loss`, whose parents are the
+backward closure. The tape is one node: `_make` records a closure that
+writes the gradients of its leaf parents, and `backward()` seeds the
+node's gradient and runs that closure. A node built on another recorded
+node is an InputError, so no gradient is silently lost. The only node a
+stage builds is a training batch's `caption_loss`, whose parents are the
 parameters; every forward-only computation runs on plain arrays.
 `cross_entropy_rows` is a standalone loss node over [B,V] logits.
 """
@@ -15,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import InputError, ShapeError
 
 _GRAD_ENABLED = True
 
@@ -39,16 +41,12 @@ def grad_enabled() -> bool:
 class Tensor:
     """Dense array plus gradient slot. Data is row-major float32/float64."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
-        self.data = arr
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple = ()
         self._backward: Callable[[np.ndarray], None] | None = None
 
     @property
@@ -62,16 +60,11 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def accumulate_grad(self, g: np.ndarray, fresh: bool = False) -> None:
-        """Add `g` [same shape as data] into the gradient slot.
-
-        The first gradient is stored, not added to zeros: as a copy, or as
-        `g` itself when the caller passes `fresh=True` to say that nothing
-        else holds a reference to `g` (the slot is later updated in place).
-        """
+    def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add `g` [same shape as data] into the gradient slot; the first
+        gradient is stored as a copy."""
         if self.grad is None:
-            self.grad = g if fresh and g.dtype == self.data.dtype \
-                else g.astype(self.data.dtype)
+            self.grad = g.astype(self.data.dtype)
         else:
             self.grad += g
 
@@ -79,55 +72,24 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def backward(self) -> None:
-        """Backpropagate from this (scalar) tensor through the tape."""
+        """Seed this scalar's gradient with 1 and run its node's closure."""
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar, got shape {self.shape}")
-        order = _topo_order(self)
         self.grad = np.ones_like(self.data)
-        for node in order:
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-
-
-def _topo_order(root: Tensor) -> list[Tensor]:
-    """Reverse topological order over the tape's op nodes, iteratively (deep
-    unrolls). Leaves have nothing to run and are left out."""
-    order: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if parent._backward is not None and id(parent) not in visited:
-                stack.append((parent, False))
-    order.reverse()
-    return order
-
-
-def as_tensor(x, dtype=None) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
+        if self._backward is not None:
+            self._backward(self.grad)
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
-    """Tape node: requires_grad iff recording and any parent does."""
+    """Tape node: requires_grad iff recording and any parent does. Its
+    parents must be leaves: `backward` runs only the node's own closure."""
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        if any(p._backward is not None for p in parents):
+            raise InputError("a tape node's parents must be leaves, not recorded nodes")
         out.requires_grad = True
-        out._parents = tuple(parents)
         out._backward = backward
     return out
-
-
-# ---------------------------------------------------------------------------
-# losses
-# ---------------------------------------------------------------------------
 
 
 def cross_entropy_rows(logits: Tensor, targets: np.ndarray,
@@ -137,7 +99,6 @@ def cross_entropy_rows(logits: Tensor, targets: np.ndarray,
     `targets` holds one class index per row; rows where `mask` is 0
     contribute nothing to the value or the gradient.
     """
-    logits = as_tensor(logits)
     if logits.data.ndim != 2:
         raise ShapeError(f"cross entropy expects [B,V] logits, got {logits.shape}")
     b, v = logits.shape
@@ -154,10 +115,9 @@ def cross_entropy_rows(logits: Tensor, targets: np.ndarray,
     data = np.array((nll * m).sum(), dtype=logits.dtype)
 
     def backward(g):
-        if logits.requires_grad:
-            e = np.exp(shifted)
-            probs = e / e.sum(axis=1, keepdims=True)
-            probs[np.arange(b), t] -= 1.0
-            logits.accumulate_grad(probs * (m * float(g))[:, None], fresh=True)
+        e = np.exp(shifted)
+        probs = e / e.sum(axis=1, keepdims=True)
+        probs[np.arange(b), t] -= 1.0
+        logits.accumulate_grad(probs * (m * float(g))[:, None])
 
     return _make(data, (logits,), backward)

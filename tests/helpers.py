@@ -1,7 +1,7 @@
 """Shared test oracles: finite differences of tape nodes and of NumPy
-kernels, a hand-made sum node, the `model.step` decoder unroll, the
-per-tensor Adam step and gradient clip, the per-step probe and attention
-decodes and one-caption localization built on `model.step`; padded
+kernels, the `model.step` decoder unroll, the per-tensor Adam step and
+gradient clip, the per-step probe and attention decodes and one-caption
+localization built on `model.step`; padded
 batches; hand-packed array containers; a score row's (word, score) pairs,
 sorted in Python; hand-built `MethodScores`; and the per-word table
 build, cnn_avgmax scorer, gold-rank loop, evaluation, report rows and
@@ -31,7 +31,6 @@ from lexipivot.induction import (
     write_rankings,
 )
 from lexipivot.numerics.optim import BETA1, BETA2, EPSILON
-from lexipivot.numerics.tensor import _make
 from lexipivot.pipeline import reports_for, score_methods
 
 # Each evaluation of f may be off by a few ulps of |f|; a central difference
@@ -104,16 +103,6 @@ def assert_array_grads_close(f, arrays, grads, tol=1e-6, eps=1e-6):
     for values, analytic in zip(arrays, grads, strict=True):
         err = max_rel_err(analytic, numeric_gradient(f, values, eps=eps), atol)
         assert err < tol, f"gradient mismatch (rel err {err:.3e} >= tol {tol:.1e})"
-
-
-def node_sum(*terms):
-    """The sum of tape nodes of one shape as one hand-made node."""
-    def backward(g):
-        for t in terms:
-            if t.requires_grad:
-                t.accumulate_grad(g)
-
-    return _make(sum(t.data for t in terms), terms, backward)
 
 
 def localize_one(model, language, features, tokens, method="probe"):

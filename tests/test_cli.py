@@ -176,6 +176,13 @@ class TestGenCorpus:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_grid_overflowing_float32_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, corpus={"noise_sigma": 1e300})
+        out = tmp_path / "corpus"
+        assert run(["gen-corpus", "--config", cfg, "--out", out]) == 2
+        assert_one_error_line(capsys.readouterr().err, "corpus.noise_sigma 1e+300")
+        assert not (out / "la.features.lxpf").exists()
+
     def test_io_failure_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         blocker = tmp_path / "blocked"
@@ -274,6 +281,20 @@ class TestTrain:
         assert code == 3
         assert_one_error_line(capsys.readouterr().err, f"image id {la_ids[0]} ",
                               "la.features.lxpf", "lb.features.lxpf")
+        assert not (out / "checkpoint.lxpv").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_grid_value_exits_3(self, corpus_dir, tmp_path, capsys, value):
+        cfg, corpus = corpus_dir
+        path = corpus / "lb.features.lxpf"
+        ids, regions = read_features(path)
+        regions[3, 1, 5] = value
+        write_features(path, ids, regions)
+        out = tmp_path / "x"
+        code = run(["train", "--config", cfg, "--corpus", corpus, "--out", out])
+        assert code == 3
+        assert_one_error_line(capsys.readouterr().err, "lb.features.lxpf",
+                              f"image id {ids[3]} has a non-finite")
         assert not (out / "checkpoint.lxpv").exists()
 
     def test_empty_captions_file_exits_3(self, corpus_dir, tmp_path, capsys):
@@ -459,6 +480,10 @@ def one_weight_beyond_float32(params):
     params["lstm.w_hh"].data[0, 0] = 1e300  # float64 on disk, float32 in the sidecar
 
 
+def one_nan_weight(params):
+    params["attn.w1"].data[1, 2] = np.nan
+
+
 def add_removed_keys(text):
     """The sidecar as the caption model with attention and encoder settings wrote it."""
     return json.dumps({**json.loads(text), "attention": True, "freeze_encoder": False})
@@ -484,6 +509,15 @@ class TestExtractBadCheckpoint:
         assert code == 3
         assert_one_error_line(capsys.readouterr().err, "checkpoint.json", fragment)
 
+    def test_non_finite_weight_exits_3(self, trained, tmp_path, capsys):
+        cfg, corpus, checkpoint = trained
+        edit_weights(one_nan_weight)(checkpoint)
+        code = run(["extract", "--config", cfg, "--checkpoint", checkpoint,
+                    "--corpus", corpus, "--out", tmp_path / "x"])
+        assert code == 3
+        assert_one_error_line(capsys.readouterr().err, "checkpoint.lxpv",
+                              "parameter 'attn.w1' holds a non-finite value")
+
     def test_sidecar_with_removed_model_keys_extracts_identically(self, trained, tmp_path):
         cfg, corpus, checkpoint = trained
         before, after = tmp_path / "as written", tmp_path / "with removed keys"
@@ -505,8 +539,20 @@ def scale_embeddings(params):
         params[f"embed.{lang}"].data *= 1e30  # the gold word's probability underflows
 
 
-def overflow_one_recurrent_weight(params):
-    params["lstm.w_hh"].data[0, 0] = np.inf  # 0 * inf from the zero start state
+def overflow_finite_weights(params):
+    """Weights inside the float32 range whose products are not. Every region
+    encodes to tanh(30) = 1 and every embedding entry is 1, so the word and
+    the region half of the LSTM input product of unit 0 are +inf and -inf,
+    and their sum is NaN; every attention score is 6 * 3e38 = +inf."""
+    for lang in ("la", "lb"):
+        params[f"embed.{lang}"].data[...] = 1.0
+    params["encoder.weight"].data[...] = 0.0
+    params["encoder.bias"].data[...] = 30.0
+    e = params["embed.la"].data.shape[0]
+    params["lstm.w_ih"].data[:e, 0] = 3e38
+    params["lstm.w_ih"].data[e:, 0] = -3e38
+    params["attn.b1"].data[...] = 3e38
+    params["attn.w2"].data[...] = 3e38
 
 
 class TestExtractMismatchedOrDivergedModel:
@@ -546,10 +592,10 @@ class TestExtractMismatchedOrDivergedModel:
     @pytest.mark.parametrize("method,edit,fragment", [
         ("probe", scale_embeddings, "decoded non-finite features"),
         # probe decodes without the attention scorer; the finite-rows check catches it
-        ("probe", overflow_one_recurrent_weight, "decoded non-finite features"),
-        ("attention", overflow_one_recurrent_weight, "attention scores contain NaN or Inf"),
-    ], ids=["embeddings scaled by 1e30", "one infinite recurrent weight",
-            "one infinite recurrent weight, attention"])
+        ("probe", overflow_finite_weights, "decoded non-finite features"),
+        ("attention", overflow_finite_weights, "attention scores contain NaN or Inf"),
+    ], ids=["embeddings scaled by 1e30", "overflowing finite weights",
+            "overflowing finite weights, attention"])
     def test_diverged_model_exits_4(self, trained, tmp_path, capsys, method, edit, fragment):
         _, corpus, checkpoint = trained
         (tmp_path / method).mkdir()

@@ -89,7 +89,7 @@ def test_cell_backward_matches_finite_differences(output):
     """`cell_backward`, with `dc_through_h` and dL/dc_prev = dc * f as
     `caption_loss` chains them, against central differences of
     `cell_forward` in the gate pre-activations and the previous cell. With
-    the loss on c' alone, dL/dh' is None."""
+    the loss on c' alone, dL/dh' is zero."""
     rng = np.random.default_rng(15)
     gates, c_prev = rng.normal(size=(2, 16)), rng.normal(size=(2, 4))
     w_h = rng.normal(size=(2, 4)) if output != "c" else np.zeros((2, 4))
@@ -101,7 +101,7 @@ def test_cell_backward_matches_finite_differences(output):
 
     act, _, tanh_c, _ = cell_forward(gates, c_prev)
     dc = w_c + dc_through_h(w_h, act, tanh_c)
-    dgates = cell_backward(None if output == "c" else w_h, dc, act, c_prev, tanh_c)
+    dgates = cell_backward(w_h, dc, act, c_prev, tanh_c)
     assert_array_grads_close(f, [gates, c_prev], [dgates, dc * act[:, 4:8]], tol=1e-6)
 
 

@@ -1,13 +1,14 @@
 """The names the benchmark's tracer wraps exist, and are restored on exit,
-a traced attention extract records its LSTM steps, and what the benchmark
-reads from an induce run equals the induce manifest's counts.
+a traced attention extract records its LSTM steps, a traced training
+epoch records one backward per batch, and what the benchmark reads from a
+train or an induce run equals the stage manifest's counts.
 
 `perfbench/spans.py` wraps layer functions by the name their callers look
 them up by. A renamed or re-bound name would otherwise fail only the
 benchmark's own self-test, which runs every workload. These tests install
 and remove the wrappers, and run one induce stage on hand-built tables,
-and run one extract and one induce stage at a tiny scale, without running
-a workload.
+and one train and one extract stage at a tiny scale, without running a
+workload.
 """
 
 import importlib.util
@@ -65,6 +66,31 @@ def test_traced_attention_extract_records_lstm_steps(tmp_path):
     names = [name for name, *_ in tracer.spans]
     assert names.count("pipeline.stage.extract") == 1
     assert "numerics.lstm_step" in names
+
+
+def test_traced_training_epoch_records_one_backward_per_batch(tmp_path):
+    """The benchmark's train workload reads `numerics.backward` spans, one
+    per training batch, and the `caption.train_tokens` count, which must
+    equal the epoch's targets in the train manifest."""
+    config = config_from_dict({
+        "corpus": {"concepts": 3, "attributes": 1, "images_per_language": 6,
+                   "feature_dim": 8, "min_count": 1},
+        "model": {"embed_dim": 4, "attn_dim": 2},
+        "training": {"max_epochs": 1, "batch_size": 3}})
+    corpus = tmp_path / "corpus"
+    pipeline.stage_gen_corpus(config, corpus)
+    tracer = load_perfbench("spans").Tracer()
+    with tracer.installed():
+        pipeline.stage_train(config, tmp_path / "train", corpus)
+    counts = json.loads((tmp_path / "train" / "manifest.json").read_text("utf-8"))["counts"]
+    splits = [counts[lang] for lang in config.corpus.languages]
+    batches = sum(-(-split["train_captions"] // config.training.batch_size)
+                  for split in splits)
+    names = [name for name, *_ in tracer.spans]
+    assert batches > len(splits)
+    assert names.count("numerics.backward") == batches
+    (traced,) = tracer.counts.values()   # the stage is the one root span
+    assert traced["caption.train_tokens"] == sum(split["train_targets"] for split in splits)
 
 
 def write_tables(tables_dir, rng):

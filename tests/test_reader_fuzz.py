@@ -179,6 +179,27 @@ def test_table_reads_exactly_when_its_meta_describes_its_block(meta, shape, tmp_
     assert np.array_equal(np.concatenate([block[:0], *parts]), block)
 
 
+@given(ids=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=4, unique=True),
+       grid=st.tuples(st.integers(1, 3), st.integers(1, 3)), data=st.data())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_non_finite_grid_value_is_a_format_error_naming_its_image(ids, grid, data, tmp_path):
+    """Any NaN or infinity anywhere in the region grids: the first image, in
+    file order, that holds one is named."""
+    regions = np.zeros((len(ids), *grid), dtype=np.float32)
+    flat = regions.reshape(-1)
+    bad = data.draw(st.lists(st.tuples(st.integers(0, flat.size - 1),
+                                       st.sampled_from([np.nan, np.inf, -np.inf])),
+                             min_size=1))
+    for i, value in bad:
+        flat[i] = value
+    path = tmp_path / "features.lxpf"
+    write_features(path, ids, regions)
+    first = ids[min(i for i, _ in bad) // (grid[0] * grid[1])]
+    with pytest.raises(FormatError, match=f"image id {first} has a non-finite"):
+        read_features(path)
+
+
 def test_repeated_parameter_name_is_a_format_error(tmp_path):
     path = tmp_path / "params.lxpv"
     write_params_file(path)
