@@ -33,7 +33,7 @@ from ..numerics import (
 from ..numerics.attention import attention_forward
 from ..seeding import substream
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,6 @@ class ModelDims:
     embed_dim: int = 64     # D = H: embedding, context, and hidden size
     attn_dim: int = 32      # hidden layer of the attention scorer
     num_regions: int = 9    # K
-    max_len: int = 16       # caption length cap including sentinels
 
 
 def param_shapes(dims: ModelDims, vocab_sizes: dict[str, int]) -> dict[str, tuple[int, ...]]:
@@ -188,7 +187,6 @@ class MultiLingualModel:
                 "embed_dim": self.dims.embed_dim,
                 "attn_dim": self.dims.attn_dim,
                 "num_regions": self.dims.num_regions,
-                "max_len": self.dims.max_len,
             },
             "languages": {lang: n for lang, n in sorted(self.vocab_sizes.items())},
             "dtype": np.dtype(self.dtype).name,

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..corpus.vocab import pad_tokens
-from ..errors import ConfigError, InputError, NumericError
+from ..errors import ConfigError, NumericError
 # perfbench wraps `adam_update` and `clip_global_norm` at these names (ROADMAP item 7)
 from ..numerics import AdamState, adam_update, clip_global_norm, no_grad
 from ..seeding import substream
@@ -123,13 +123,10 @@ class PaddedCaptions:
         return self.tokens[indices, :width], self.regions[self.image_rows[indices]]
 
 
-def pad_captions(language: str, examples, regions, max_len: int) -> PaddedCaptions:
+def pad_captions(language: str, examples, regions) -> PaddedCaptions:
     """The examples of one language padded once, over the language's region
-    grids [M,K,F]. A caption longer than `max_len` tokens is an InputError."""
+    grids [M,K,F]."""
     tokens, lengths = pad_tokens(examples)
-    if lengths.max() > max_len:
-        raise InputError(f"a {language!r} caption of {lengths.max()} tokens exceeds the "
-                         f"unroll cap {max_len}")
     image_rows = np.fromiter((ex.image_row for ex in examples), np.intp, len(examples))
     return PaddedCaptions(language, tokens, lengths, regions, image_rows)
 
@@ -160,8 +157,7 @@ def train(model: MultiLingualModel, data: dict[str, tuple[list, list]], regions,
     mono-lingual and are interleaved proportionally to corpus sizes.
     Deterministic given (model init, data, config, seed).
     """
-    padded = {lang: tuple(pad_captions(lang, split, regions[lang], model.dims.max_len)
-                          for split in data[lang])
+    padded = {lang: tuple(pad_captions(lang, split, regions[lang]) for split in data[lang])
               for lang in data}
     adam = AdamState(learning_rate=config.learning_rate)
     result = TrainingLog()

@@ -3,9 +3,10 @@
     lexipivot <gen-corpus|train|extract|induce|pipeline>
               --config FILE [--seed N] [--out DIR] ...
 
-Exit codes: 0 success, 2 config or usage error, 3 IO/format error, 4
-numeric or empty-result error. Errors print one line to stderr prefixed
-with "lexipivot-error:". LEXIPIVOT_LOG=error|warn|info|debug sets verbosity.
+Exit codes: 0 success, 2 config or usage error or too little memory for
+the run's sizes, 3 IO/format error, 4 numeric or empty-result error.
+Errors print one line to stderr prefixed with "lexipivot-error:".
+LEXIPIVOT_LOG=error|warn|info|debug sets verbosity.
 """
 
 from __future__ import annotations
@@ -90,12 +91,16 @@ def resolve_config(args) -> RunConfig:
 
 
 # the failures that end a command with one error line and an exit code
-HANDLED_ERRORS = (LexipivotError, OSError)
+HANDLED_ERRORS = (LexipivotError, OSError, MemoryError)
 
 
 def report_error(exc: Exception) -> int:
     """Print the one error line of a `HANDLED_ERRORS` failure and return its
-    exit code: the error's own, or 3 for an OSError."""
+    exit code: the error's own, or 3 for an OSError. A MemoryError is the
+    ConfigError of sizes too large for the memory at hand."""
+    if isinstance(exc, MemoryError):
+        exc = ConfigError("the run's sizes need more memory than is available"
+                          + (f" ({exc})" if str(exc) else ""))
     print(f"lexipivot-error: {exc}", file=sys.stderr)
     return exc.exit_code if isinstance(exc, LexipivotError) else 3
 

@@ -37,6 +37,8 @@ def write_lexicon(path, lexicon: GroundTruthLexicon) -> None:
 
 
 def read_lexicon(path, source_language: str = "", target_language: str = "") -> GroundTruthLexicon:
+    """The lexicon of a file of `source<TAB>target[<TAB>POS]` lines. A source
+    word takes one POS tag; lines without a tag fit any."""
     lexicon = GroundTruthLexicon(source_language, target_language)
     for lineno, line in text_records(path):
         parts = line.split("\t")
@@ -46,5 +48,10 @@ def read_lexicon(path, source_language: str = "", target_language: str = "") -> 
         if "" in parts:
             field_name = ("source", "target", "POS")[parts.index("")]
             raise FormatError(f"{path}:{lineno}: empty {field_name} field")
-        lexicon.add(parts[0], parts[1], parts[2] if len(parts) == 3 else None)
+        pos = parts[2] if len(parts) == 3 else None
+        known = lexicon.pos.get(parts[0])
+        if None not in (pos, known) and pos != known:
+            raise FormatError(f"{path}:{lineno}: source word {parts[0]!r:.40} is tagged "
+                              f"{pos!r:.40}, but an earlier line tags it {known!r:.40}")
+        lexicon.add(parts[0], parts[1], pos)
     return lexicon

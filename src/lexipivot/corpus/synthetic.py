@@ -89,7 +89,6 @@ class CorpusConfig:
     feature_dim: int = 32
     noise_sigma: float = 0.1
     min_count: int = 6
-    max_caption_len: int = 16
     min_concepts_per_scene: int = 2
     max_concepts_per_scene: int = 4
     languages: tuple[str, str] = ("la", "lb")
@@ -121,10 +120,6 @@ class CorpusConfig:
         if self.min_concepts_per_scene < 1 \
                 or self.min_concepts_per_scene > self.max_concepts_per_scene:
             raise ConfigError("need 1 <= min_concepts_per_scene <= max_concepts_per_scene")
-        # a caption is det + attribute + noun + filler plus sentinels
-        if self.max_caption_len < 6:
-            raise ConfigError(
-                f"max_caption_len must be at least 6, got {self.max_caption_len}")
 
     @property
     def max_slots(self) -> int:

@@ -76,12 +76,10 @@ def build_vocabulary(captions, min_count: int = 6) -> Vocabulary:
     return vocab
 
 
-def index_captions(captions, image_rows, vocab: Vocabulary,
-                   max_len: int) -> list[CaptionedExample]:
-    """Each caption cut to `max_len` - 2 words, indexed and wrapped in
-    sentinels, with its image's row from `image_rows`."""
-    return [CaptionedExample(row, cap.language_id,
-                             (BOS, *vocab.encode(cap.words[:max_len - 2]), EOS))
+def index_captions(captions, image_rows, vocab: Vocabulary) -> list[CaptionedExample]:
+    """Each caption indexed whole and wrapped in sentinels, with its image's
+    row from `image_rows`."""
+    return [CaptionedExample(row, cap.language_id, (BOS, *vocab.encode(cap.words), EOS))
             for cap, row in zip(captions, image_rows)]
 
 

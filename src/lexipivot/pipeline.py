@@ -1,8 +1,8 @@
 """Stage orchestration shared by the CLI subcommands.
 
-Every stage writes into its own directory: the produced artifacts, the
-fully resolved config echo, and a manifest with input digests, wall-clock
-timings, and the output file list. Reports, rankings, and checkpoints are
+Every stage writes into its own directory: the produced artifacts, then
+the resolved config echo and a manifest with input digests, timings and
+the output file list. Reports, rankings, and checkpoints are
 byte-deterministic given (config, seed); manifests carry timings and are
 not part of that guarantee.
 """
@@ -70,9 +70,14 @@ log = logging.getLogger("lexipivot")
 def _prepare(config: RunConfig, out_dir, command: str):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config.echo(out_dir)
     return out_dir, RunManifest(command=command, config_hash=config.config_hash(),
                                 seed=config.seed)
+
+
+def _finish(config: RunConfig, manifest: RunManifest, out_dir: Path) -> None:
+    """The config echo and the manifest, once the stage's outputs exist."""
+    config.echo(out_dir)
+    manifest.write(out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +106,7 @@ def stage_gen_corpus(config: RunConfig, out_dir) -> dict:
         lexicon_path = out_dir / "lexicon.tsv"
         write_lexicon(lexicon_path, bundle.lexicon)
         manifest.add_output(lexicon_path)
-    manifest.write(out_dir)
+    _finish(config, manifest, out_dir)
     log.info("corpus written to %s (%d + %d captions)", out_dir,
              len(bundle.captions[config.corpus.languages[0]]),
              len(bundle.captions[config.corpus.languages[1]]))
@@ -114,6 +119,7 @@ class LoadedCorpus:
     regions: dict[str, np.ndarray]  # language -> region grids [N,K,D], as read
     examples: dict[str, list]       # each example's `image_row` indexes its regions
     vocabs: dict
+    grid: tuple[int, int]           # (K regions, D features) of both languages' grids
 
 
 def load_corpus(config: RunConfig, corpus_dir, manifest: RunManifest | None = None
@@ -121,27 +127,24 @@ def load_corpus(config: RunConfig, corpus_dir, manifest: RunManifest | None = No
     """The corpus files of both languages (not the lexicon), each recorded
     as an input of `manifest` when one is given. Each language keeps its
     region block as `read_features` returns it, each caption its image's row
-    in it. An image id in both features files is a FormatError; grids not
-    `corpus.grid_side`² x `corpus.feature_dim` are a ConfigError."""
+    in it. An image id in both features files, or grids of two shapes
+    (K regions x D features), are a FormatError."""
     corpus_dir = Path(corpus_dir)
     languages = tuple(config.corpus.languages)
-    grid_side, feature_dim = config.corpus.grid_side, config.corpus.feature_dim
+    first_path = corpus_file(corpus_dir, languages[0], "features")
     seen: set[int] = set()
     regions, examples, vocabs = {}, {}, {}
     for lang in languages:
         features_path = corpus_file(corpus_dir, lang, "features")
         image_ids, regions[lang] = read_features(features_path)
-        _, k, d = regions[lang].shape
-        if k != grid_side ** 2:
-            raise ConfigError(f"{features_path}: {k} regions per image, but corpus.grid_side "
-                              f"{grid_side} gives {grid_side ** 2}")
-        if d != feature_dim:
-            raise ConfigError(f"{features_path}: region features of width {d}, but "
-                              f"corpus.feature_dim is {feature_dim}")
+        (k0, d0), (k, d) = regions[languages[0]].shape[1:], regions[lang].shape[1:]
+        if (k, d) != (k0, d0):
+            raise FormatError(f"{first_path} holds grids of {k0} regions x {d0} features, "
+                              f"but {features_path} holds {k} x {d}; both languages' "
+                              f"grids must have one shape")
         row_of = {image_id: row for row, image_id in enumerate(image_ids)}
         shared = min(seen & row_of.keys(), default=None)
         if shared is not None:
-            first_path = corpus_file(corpus_dir, languages[0], "features")
             raise FormatError(f"image id {shared} is in both {first_path} and "
                               f"{features_path}; the languages' image ids must differ")
         seen |= row_of.keys()
@@ -154,13 +157,13 @@ def load_corpus(config: RunConfig, corpus_dir, manifest: RunManifest | None = No
                     f"{captions_path}: caption record {i} references image id "
                     f"{cap.image_id}, which is not in {features_path}")
         examples[lang] = index_captions(captions, [row_of[cap.image_id] for cap in captions],
-                                        vocab, config.corpus.max_caption_len)
+                                        vocab)
         vocabs[lang] = vocab
         if manifest is not None:
             for kind in ("features", "captions", "vocab"):
                 manifest.add_input(corpus_file(corpus_dir, lang, kind))
     return LoadedCorpus(languages=languages, regions=regions, examples=examples,
-                        vocabs=vocabs)
+                        vocabs=vocabs, grid=regions[languages[0]].shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +171,13 @@ def load_corpus(config: RunConfig, corpus_dir, manifest: RunManifest | None = No
 # ---------------------------------------------------------------------------
 
 
-def build_model_from_config(config: RunConfig, vocab_sizes: dict[str, int]) -> MultiLingualModel:
-    dims = ModelDims(
-        feature_dim=config.corpus.feature_dim,
-        embed_dim=config.model.embed_dim,
-        attn_dim=config.model.attn_dim,
-        num_regions=config.corpus.grid_side ** 2,
-        max_len=config.corpus.max_caption_len,
-    )
+def build_model_from_config(config: RunConfig, loaded: LoadedCorpus) -> MultiLingualModel:
+    """A fresh model of the config's sizes for the grids and vocabularies of
+    `loaded`."""
+    num_regions, feature_dim = loaded.grid
+    dims = ModelDims(feature_dim=feature_dim, embed_dim=config.model.embed_dim,
+                     attn_dim=config.model.attn_dim, num_regions=num_regions)
+    vocab_sizes = {lang: loaded.vocabs[lang].size for lang in loaded.languages}
     return MultiLingualModel.build(dims, vocab_sizes, seed=derive_seed(config.seed, "init"),
                                    dtype=np.float32)
 
@@ -196,8 +198,7 @@ def stage_train(config: RunConfig, out_dir, corpus_dir) -> dict:
     with manifest.timed("load"):
         loaded = load_corpus(config, corpus_dir, manifest)
 
-    model = build_model_from_config(
-        config, {lang: loaded.vocabs[lang].size for lang in loaded.languages})
+    model = build_model_from_config(config, loaded)
     data = {
         lang: split_by_scene(loaded.examples[lang], config.training.val_fraction,
                              derive_seed(config.seed, "split"), lang)
@@ -213,10 +214,7 @@ def stage_train(config: RunConfig, out_dir, corpus_dir) -> dict:
 
     with manifest.timed("write"):
         prefix = out_dir / "checkpoint"
-        vocab_paths = {lang: str(corpus_file(corpus_dir, lang, "vocab"))
-                       for lang in loaded.languages}
         model.save_checkpoint(prefix, extra={
-            "vocab_paths": vocab_paths,
             "best_epoch": result.best_epoch,
             "best_val_loss": result.best_val_loss,
         })
@@ -224,7 +222,7 @@ def stage_train(config: RunConfig, out_dir, corpus_dir) -> dict:
         write_training_log(log_path, result.rows)
         for p in (prefix.with_suffix(".lxpv"), prefix.with_suffix(".json"), log_path):
             manifest.add_output(p)
-    manifest.write(out_dir)
+    _finish(config, manifest, out_dir)
     log.info("training done: best val %.4f at epoch %d (%d epochs run)",
              result.best_val_loss, result.best_epoch, result.epochs_run)
     return {"out_dir": out_dir, "model": model, "log": result,
@@ -248,12 +246,13 @@ def stage_extract(config: RunConfig, out_dir, checkpoint, corpus_dir) -> dict:
         # the sidecar sets the dtype and dims the weights are decoded with
         for suffix in (".lxpv", ".json"):
             manifest.add_input(Path(checkpoint).with_suffix(suffix))
-    grid_side, feature_dim = config.corpus.grid_side, config.corpus.feature_dim
-    if (model.dims.num_regions, model.dims.feature_dim) != (grid_side ** 2, feature_dim):
+    if (model.dims.num_regions, model.dims.feature_dim) != loaded.grid:
+        num_regions, feature_dim = loaded.grid
         raise ConfigError(
             f"checkpoint {checkpoint} takes {model.dims.num_regions} regions per image of "
-            f"feature dim {model.dims.feature_dim}, but corpus.grid_side {grid_side} gives "
-            f"{grid_side ** 2} regions of corpus.feature_dim {feature_dim}")
+            f"feature dim {model.dims.feature_dim}, but "
+            f"{corpus_file(corpus_dir, loaded.languages[0], 'features')} holds "
+            f"{num_regions} regions of feature dim {feature_dim}")
 
     for lang in loaded.languages:
         if lang not in model.vocab_sizes:
@@ -291,7 +290,7 @@ def stage_extract(config: RunConfig, out_dir, checkpoint, corpus_dir) -> dict:
             write_word_features(global_path, lang, global_entries, aggregated=False)
             for p in (visual_path, ling_path, global_path):
                 manifest.add_output(p)
-    manifest.write(out_dir)
+    _finish(config, manifest, out_dir)
     return {"out_dir": out_dir, "method": method}
 
 
@@ -442,7 +441,7 @@ def stage_induce(config: RunConfig, out_dir, features_dir, lexicon_path) -> dict
         write_report_json(json_path, reports)
         for p in (rankings_path, ranks_path, csv_path, json_path):
             manifest.add_output(p)
-    manifest.write(out_dir)
+    _finish(config, manifest, out_dir)
     return {"out_dir": out_dir, "methods": methods, "reports": reports}
 
 
@@ -466,7 +465,7 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
     with manifest.timed("induce"):
         induced = stage_induce(config, out_dir / "induction", extracted["out_dir"],
                                corpus_dir / "lexicon.tsv")
-    manifest.write(out_dir)
+    _finish(config, manifest, out_dir)
     return {
         "out_dir": out_dir,
         "corpus": gen,

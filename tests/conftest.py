@@ -21,7 +21,7 @@ def indexed(bundle):
         row_of = {scene.scene_id: row for row, scene in enumerate(bundle.scenes[lang])}
         captions = bundle.captions[lang]
         out[lang] = index_captions(captions, [row_of[cap.image_id] for cap in captions],
-                                   bundle.vocabs[lang], bundle.config.max_caption_len)
+                                   bundle.vocabs[lang])
     return out
 
 
@@ -31,7 +31,6 @@ def build_model(bundle, embed_dim=8, attn_dim=4, seed=5, dtype=np.float64):
         embed_dim=embed_dim,
         attn_dim=attn_dim,
         num_regions=bundle.config.grid_side ** 2,
-        max_len=bundle.config.max_caption_len,
     )
     vocab_sizes = {lang: v.size for lang, v in bundle.vocabs.items()}
     return MultiLingualModel.build(dims, vocab_sizes, seed=seed, dtype=dtype)

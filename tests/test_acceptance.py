@@ -30,7 +30,10 @@ CONFIG = {
     "corpus": {"concepts": 20, "images_per_language": 400, "min_count": 3},
     "training": {"max_epochs": 30, "learning_rate": 0.01},
 }
-DETERMINISTIC = ("train/checkpoint.lxpv", "train/log.csv",
+DETERMINISTIC = (*(f"corpus/{lang}.{suffix}" for lang in ("la", "lb")
+                   for suffix in ("features.lxpf", "captions.tsv", "vocab.tsv")),
+                 "corpus/lexicon.tsv",
+                 "train/checkpoint.lxpv", "train/checkpoint.json", "train/log.csv",
                  *(f"features/{lang}.{kind}.lxwf" for lang in ("la", "lb")
                    for kind in ("linguistic", "visual-probe", "global")),
                  "induction/rankings.tsv", "induction/ranks.tsv", "induction/report.csv",

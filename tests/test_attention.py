@@ -83,7 +83,7 @@ def test_non_finite_score_raises(name, bad):
 
 
 def test_model_attend_matches_reference():
-    dims = ModelDims(feature_dim=6, embed_dim=5, attn_dim=3, num_regions=4, max_len=12)
+    dims = ModelDims(feature_dim=6, embed_dim=5, attn_dim=3, num_regions=4)
     model = MultiLingualModel.build(dims, {"x": 8}, seed=3)
     rng = np.random.default_rng(6)
     regions = model.encode(rng.normal(size=(2, 4, 6)))
@@ -129,7 +129,7 @@ def test_forward_leaves_its_inputs_unchanged():
 def test_model_attend_reads_only_hidden_rows_of_w1():
     """`attend` takes the region half of the scorer from
     `attention_precompute`; the region rows of w1 do not reach it again."""
-    dims = ModelDims(feature_dim=6, embed_dim=5, attn_dim=3, num_regions=4, max_len=12)
+    dims = ModelDims(feature_dim=6, embed_dim=5, attn_dim=3, num_regions=4)
     model = MultiLingualModel.build(dims, {"x": 8}, seed=3)
     rng = np.random.default_rng(9)
     regions = model.encode(rng.normal(size=(2, 4, 6)))

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from lexipivot.caption import ModelDims, MultiLingualModel
-from lexipivot.caption.training import pad_captions
 from lexipivot.corpus.vocab import BOS, EOS, CaptionedExample
-from lexipivot.errors import InputError, ShapeError
+from lexipivot.errors import ShapeError
 from lexipivot.numerics import AdamState, adam_update
 
 from conftest import build_corpus, build_model, indexed
@@ -12,7 +11,7 @@ from helpers import assert_grads_close, padded_batch
 
 
 def small_dims(**kw):
-    base = dict(feature_dim=6, embed_dim=5, attn_dim=3, num_regions=4, max_len=12)
+    base = dict(feature_dim=6, embed_dim=5, attn_dim=3, num_regions=4)
     base.update(kw)
     return ModelDims(**base)
 
@@ -195,13 +194,6 @@ class TestSequenceLoss:
         l2, _ = model.sequence_loss(lang, *padded_batch(batch + batch, bundle.regions[lang]))
         assert abs(l1.item() - l2.item()) < 1e-12
 
-    def test_too_long_example_rejected(self):
-        """Training pads its captions once, against the model's unroll cap."""
-        model = MultiLingualModel.build(small_dims(max_len=5), {"x": 10}, seed=8)
-        ex = example("x", [BOS, 4, 5, 6, 7, EOS])
-        with pytest.raises(InputError, match="exceeds the unroll cap 5"):
-            pad_captions("x", [ex], np.zeros((1, 4, 6)), model.dims.max_len)
-
     def test_fifty_adam_steps_halve_loss(self):
         bundle = build_corpus()
         model = build_model(bundle)
@@ -263,11 +255,11 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         model = MultiLingualModel.build(small_dims(), {"x": 9, "y": 12}, seed=6)
         prefix = tmp_path / "ckpt"
-        model.save_checkpoint(prefix, extra={"vocab_paths": {"x": "x.tsv", "y": "y.tsv"}})
+        model.save_checkpoint(prefix, extra={"best_epoch": 3})
         loaded, manifest = MultiLingualModel.load_checkpoint(prefix)
         assert loaded.vocab_sizes == model.vocab_sizes
         assert loaded.dims == model.dims
-        assert manifest["vocab_paths"] == {"x": "x.tsv", "y": "y.tsv"}
+        assert manifest["best_epoch"] == 3
         assert manifest["seed"] == loaded.seed == 6
         for (n1, p1), (n2, p2) in zip(model.params.items(), loaded.params.items()):
             assert n1 == n2

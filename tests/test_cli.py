@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lexipivot import pipeline
 from lexipivot.caption import split_by_scene
 from lexipivot.cli import main
 from lexipivot.config import INDUCTION_METHODS, load_config
@@ -108,6 +109,7 @@ class TestGenCorpus:
         ("training", "clip_norm", 5.0, "unknown config key: training.clip_norm"),
         ("model", "dtype", "float32", "unknown config key: model.dtype"),
         ("extraction", "cap", 3, "unknown config key: extraction.cap"),
+        ("corpus", "max_caption_len", 16, "unknown config key: corpus.max_caption_len"),
         # the induction section is gone, so its keys fail on the section's name
         ("induction", "methods", ["fused"], "unknown config key: induction"),
         ("induction", "fusion_lambda", 0.5, "unknown config key: induction"),
@@ -120,9 +122,10 @@ class TestGenCorpus:
     ], ids=["mean-pool decoder", "frozen encoder", "shared image pool",
             "per-language image counts", "attribute offset", "co-occurrence group size",
             "attribute-first probabilities", "adam beta1", "adam beta2", "adam epsilon",
-            "clip norm", "model dtype", "extraction cap", "induction methods",
-            "fusion lambda", "full rankings", "ranking width", "baseline set cap",
-            "source language", "target language", "precision cut-offs"])
+            "clip norm", "model dtype", "extraction cap", "caption length cap",
+            "induction methods", "fusion lambda", "full rankings", "ranking width",
+            "baseline set cap", "source language", "target language",
+            "precision cut-offs"])
     def test_removed_setting_exits_2(self, tmp_path, capsys, section, key, value, message):
         path = tmp_path / "old.json"
         path.write_text(json.dumps({section: {key: value}}))
@@ -182,6 +185,9 @@ class TestGenCorpus:
         assert run(["gen-corpus", "--config", cfg, "--out", out]) == 2
         assert_one_error_line(capsys.readouterr().err, "corpus.noise_sigma 1e+300")
         assert not (out / "la.features.lxpf").exists()
+        # the config echo and the manifest are written with the outputs
+        assert not (out / "resolved_config.json").exists()
+        assert not (out / "manifest.json").exists()
 
     def test_io_failure_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -190,6 +196,22 @@ class TestGenCorpus:
         code = run(["gen-corpus", "--config", cfg, "--out", blocker / "sub"])
         assert code == 3
         assert capsys.readouterr().err.startswith("lexipivot-error:")
+
+    @pytest.mark.parametrize("error,detail", [
+        (MemoryError("Unable to allocate 2.98 TiB"), " (Unable to allocate 2.98 TiB)"),
+        (MemoryError(), ""),
+    ], ids=["numpy allocation", "bare"])
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch, error, detail):
+        """Sizes too large for the memory at hand (as `grid_side` 20000 asks
+        for) end with one error line, and leave no config echo."""
+        def out_of_memory(*args):
+            raise error
+        monkeypatch.setattr(pipeline, "generate_corpus", out_of_memory)
+        out = tmp_path / "corpus"
+        assert run(["gen-corpus", "--config", write_config(tmp_path), "--out", out]) == 2
+        assert capsys.readouterr().err == ("lexipivot-error: the run's sizes need more memory "
+                                           f"than is available{detail}\n")
+        assert not (out / "resolved_config.json").exists()
 
 
 class TestTrain:
@@ -295,6 +317,25 @@ class TestTrain:
         assert code == 3
         assert_one_error_line(capsys.readouterr().err, "lb.features.lxpf",
                               f"image id {ids[3]} has a non-finite")
+        for name in ("checkpoint.lxpv", "resolved_config.json", "manifest.json"):
+            assert not (out / name).exists(), name
+
+    @pytest.mark.parametrize("cut,shape", [
+        ((slice(None), slice(0, 3)), "3 x 8"),
+        ((slice(None), slice(None), slice(0, 7)), "4 x 7"),
+    ], ids=["regions", "features"])
+    def test_grids_of_two_shapes_exit_3_naming_both_files(self, corpus_dir, tmp_path, capsys,
+                                                          cut, shape):
+        cfg, corpus = corpus_dir
+        path = corpus / "lb.features.lxpf"
+        ids, regions = read_features(path)
+        write_features(path, ids, np.ascontiguousarray(regions[cut]))
+        out = tmp_path / "x"
+        code = run(["train", "--config", cfg, "--corpus", corpus, "--out", out])
+        assert code == 3
+        assert_one_error_line(capsys.readouterr().err,
+                              f"{corpus / 'la.features.lxpf'} holds grids of 4 regions x 8 "
+                              f"features, but {path} holds {shape}")
         assert not (out / "checkpoint.lxpv").exists()
 
     def test_empty_captions_file_exits_3(self, corpus_dir, tmp_path, capsys):
@@ -494,8 +535,8 @@ class TestExtractBadCheckpoint:
         (edit_sidecar(lambda text: "{bad"), "not a JSON"),
         (edit_sidecar(lambda text: json.dumps({k: v for k, v in json.loads(text).items()
                                                if k != "dims"})), "'dims'"),
-        (edit_sidecar(lambda text: json.dumps({**json.loads(text), "checkpoint_version": 2})),
-         "checkpoint_version 2"),
+        (edit_sidecar(lambda text: json.dumps({**json.loads(text), "checkpoint_version": 1})),
+         "checkpoint_version 1 is not supported (expected 2)"),
         (mean_pool_checkpoint, "'attn.b1'"),
         (edit_sidecar(lambda text: json.dumps({**json.loads(text), "dtype": "int8"})), "int8"),
         (edit_weights(one_weight_beyond_float32), "'lstm.w_hh'"),
@@ -585,8 +626,10 @@ class TestExtractMismatchedOrDivergedModel:
         code = run(["extract", "--config", cfg, "--checkpoint", checkpoint,
                     "--corpus", corpus, "--out", out])
         assert code == 2
-        assert_one_error_line(capsys.readouterr().err, f"checkpoint {checkpoint}",
-                              "4 regions per image", "corpus.grid_side 3 gives 9 regions")
+        assert_one_error_line(capsys.readouterr().err,
+                              f"checkpoint {checkpoint} takes 4 regions per image of feature "
+                              f"dim 8, but {corpus / 'la.features.lxpf'} holds 9 regions of "
+                              f"feature dim 8")
         assert not list(out.glob("*.lxwf"))
 
     @pytest.mark.parametrize("method,edit,fragment", [
@@ -627,28 +670,6 @@ class TestExtractMismatchedOrDivergedModel:
         assert_one_error_line(capsys.readouterr().err, "la: region encoder",
                               "the model has diverged")
         assert not list(out.glob("*.lxwf"))
-
-
-class TestConfigAgainstFeaturesFile:
-    @pytest.mark.parametrize("command", ["train", "extract"])
-    @pytest.mark.parametrize("key,value,fragment", [
-        ("grid_side", 3, "4 regions per image, but corpus.grid_side 3 gives 9"),
-        ("feature_dim", 16, "region features of width 8, but corpus.feature_dim is 16"),
-    ])
-    def test_disagreeing_grid_exits_2_naming_file_and_key(self, trained, tmp_path, capsys,
-                                                          command, key, value, fragment):
-        """The corpus was written with grid_side 2 and feature_dim 8; extract
-        reads a checkpoint trained on it, so only the config disagrees."""
-        _, corpus, checkpoint = trained
-        (tmp_path / key).mkdir()
-        cfg = write_config(tmp_path / key, corpus={key: value})
-        out = tmp_path / "x"
-        extra = ["--checkpoint", checkpoint] if command == "extract" else []
-        code = run([command, "--config", cfg, "--corpus", corpus, "--out", out, *extra])
-        assert code == 2
-        assert_one_error_line(capsys.readouterr().err,
-                              f"{corpus / 'la.features.lxpf'}: {fragment}")
-        assert not list(out.glob("*.lx*"))
 
 
 class TestInduceEval:
@@ -1101,15 +1122,9 @@ class TestPipeline:
         tables = [f"features/{lang}.{kind}.lxwf" for lang in ("la", "lb")
                   for kind in ("visual-probe", "linguistic", "global")]
         for name in [*corpus_files, "corpus/lexicon.tsv", "train/checkpoint.lxpv",
-                     "train/log.csv", *tables, "induction/rankings.tsv",
-                     "induction/report.csv", "induction/report.json"]:
+                     "train/checkpoint.json", "train/log.csv", *tables,
+                     "induction/rankings.tsv", "induction/report.csv", "induction/report.json"]:
             assert (pipe / name).read_bytes() == (stages / name).read_bytes(), name
-        # the checkpoint sidecars differ only in the corpus paths they name
-        sidecars = [json.loads((out / "train" / "checkpoint.json").read_text())
-                    for out in (pipe, stages)]
-        for sidecar in sidecars:
-            sidecar.pop("vocab_paths")
-        assert sidecars[0] == sidecars[1]
 
         from lexipivot.manifest import file_digest
         inputs = json.loads((pipe / "features" / "manifest.json").read_text())["inputs"]
@@ -1118,6 +1133,33 @@ class TestPipeline:
         assert inputs == {str(path): file_digest(path) for path in expected}
         train_inputs = json.loads((pipe / "train" / "manifest.json").read_text())["inputs"]
         assert train_inputs == {str(pipe / f): file_digest(pipe / f) for f in corpus_files}
+
+    def test_later_stages_read_the_grid_from_the_corpus_files(self, corpus_dir, tmp_path):
+        """The corpus was written with grid_side 2 and feature_dim 8. A config
+        that omits both keys (defaults 3 and 32) trains, extracts and induces
+        on it, and writes the bytes that the matching config writes."""
+        cfg, corpus = corpus_dir
+        settings = json.loads(cfg.read_text())
+        del settings["corpus"]["grid_side"], settings["corpus"]["feature_dim"]
+        omitted = tmp_path / "omitted.json"
+        omitted.write_text(json.dumps(settings))
+        runs = []
+        for config in (cfg, omitted):
+            out = tmp_path / f"run-{config.stem}"
+            assert run(["train", "--config", config, "--corpus", corpus,
+                        "--out", out / "train"]) == 0
+            assert run(["extract", "--config", config, "--corpus", corpus,
+                        "--checkpoint", out / "train" / "checkpoint",
+                        "--out", out / "features"]) == 0
+            assert run(["induce", "--config", config, "--tables", out / "features",
+                        "--lexicon", corpus / "lexicon.tsv", "--out", out / "induction"]) == 0
+            runs.append(out)
+        # the config echoes and manifests name the config and its hash
+        names = sorted(path.relative_to(runs[0]) for path in runs[0].rglob("*.*")
+                       if path.name not in ("resolved_config.json", "manifest.json"))
+        assert len(names) == 3 + 6 + 4   # train, features, induction
+        for name in names:
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
     @pytest.mark.parametrize("command,args", [
         ("extract", ["--checkpoint", "k", "--corpus", "c", "--method", "probe"]),

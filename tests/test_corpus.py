@@ -77,8 +77,6 @@ class TestGeneration:
             generate_corpus(tiny_config(images_per_language=0), seed=0)
         with pytest.raises(ConfigError):
             generate_corpus(tiny_config(feature_dim=4), seed=0)
-        with pytest.raises(ConfigError):
-            generate_corpus(tiny_config(max_caption_len=5), seed=0)
 
     def test_default_scale_retains_every_content_word(self):
         config = CorpusConfig()
@@ -95,11 +93,19 @@ class TestGeneration:
         for ex in indexed(bundle)[la][:500]:
             assert UNK not in ex.tokens
 
-    def test_caption_length_within_cap(self):
-        bundle = generate_corpus(CorpusConfig(images_per_language=50), seed=17)
+    @pytest.mark.parametrize("overrides", [
+        {}, {"attributes": 20}, {"concepts": 150},
+        {"min_concepts_per_scene": 1, "max_concepts_per_scene": 1},
+        {"min_concepts_per_scene": 5, "max_concepts_per_scene": 5},
+    ], ids=["default", "20 attributes", "150 concepts", "1 concept per scene",
+            "5 concepts per scene"])
+    def test_every_caption_is_six_tokens(self, overrides):
+        """det + attribute + noun + filler between the two sentinels, so
+        training unrolls no caption past six tokens."""
+        config = CorpusConfig(images_per_language=50, **overrides)
+        bundle = generate_corpus(config, seed=17)
         for examples in indexed(bundle).values():
-            for ex in examples:
-                assert 1 <= len(ex.tokens) <= bundle.config.max_caption_len
+            assert {len(ex.tokens) for ex in examples} == {6}
 
 
 class TestFeatures:

@@ -20,7 +20,7 @@ from lexipivot.corpus import (
 from lexipivot.caption import split_by_scene
 from lexipivot.caption.training import pad_captions
 from lexipivot.config import RunConfig
-from lexipivot.corpus.vocab import RESERVED
+from lexipivot.corpus.vocab import BOS, EOS, RESERVED
 from lexipivot.errors import FormatError, InputError
 from lexipivot.pipeline import corpus_file, load_corpus, stage_gen_corpus
 
@@ -174,6 +174,21 @@ class TestCaptionsFile:
         with pytest.raises(FormatError, match=r"la\.captions\.tsv.*999999"):
             load_corpus(config, tmp_path)
 
+    def test_long_caption_is_indexed_whole(self, tmp_path):
+        """A hand-written caption of 20 words keeps every word: a batch is as
+        wide as its widest caption, and no cap cuts it."""
+        config = RunConfig(corpus=small_config())
+        stage_gen_corpus(config, tmp_path)
+        cpath = corpus_file(tmp_path, "la", "captions")
+        first = read_captions(cpath, "la")[0]
+        words = (first.words * 5)[:20]
+        with open(cpath, "a", encoding="utf-8") as fh:
+            fh.write(f"{first.image_id}\tla\t{' '.join(words)}\n")
+        loaded = load_corpus(config, tmp_path)
+        tokens = loaded.examples["la"][-1].tokens
+        assert len(tokens) == 22
+        assert tokens == (BOS, *loaded.vocabs["la"].encode(words), EOS)
+
     def test_generated_corpus_full_round_trip(self, tmp_path):
         bundle = small_bundle()
         lang = bundle.config.languages[0]
@@ -219,11 +234,10 @@ class TestImageRows:
                 [cap.image_id for cap in captions]
 
     def test_padded_batch_gathers_each_caption_grid(self, corpus):
-        config, corpus_dir, grids, loaded = corpus
+        _, corpus_dir, grids, loaded = corpus
         for lang in loaded.languages:
             _, captions = self.written(corpus_dir, lang)
-            padded = pad_captions(lang, loaded.examples[lang], loaded.regions[lang],
-                                  config.corpus.max_caption_len)
+            padded = pad_captions(lang, loaded.examples[lang], loaded.regions[lang])
             picks = np.array([5, 0, 3, len(captions) - 1])
             _, batch_grids = padded.batch(picks)
             for grid, i in zip(batch_grids, picks):
@@ -265,6 +279,20 @@ class TestLexiconFile:
         path.write_text(f"b\tkatze\n{line}\n", encoding="utf-8")
         with pytest.raises(FormatError, match=rf"lex\.tsv:2: empty {field} field"):
             read_lexicon(path)
+
+    def test_word_with_two_tags_names_its_line_and_both_tags(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("a\tb\tnoun\na\tc\tadj\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"lex\.tsv:2: source word 'a' is tagged 'adj', "
+                                              r"but an earlier line tags it 'noun'"):
+            read_lexicon(path)
+
+    @pytest.mark.parametrize("text", ["a\tb\tnoun\na\tc\n", "a\tc\na\tb\tnoun\n"])
+    def test_untagged_line_fits_a_tagged_one(self, tmp_path, text):
+        path = tmp_path / "lex.tsv"
+        path.write_text(text, encoding="utf-8")
+        loaded = read_lexicon(path)
+        assert loaded.entries == {"a": {"b", "c"}} and loaded.pos == {"a": "noun"}
 
 
 class TestVocabularyFile:

@@ -57,8 +57,7 @@ def test_traced_attention_extract_records_lstm_steps(tmp_path):
         "extraction": {"method": "attention"}})
     corpus = tmp_path / "corpus"
     pipeline.stage_gen_corpus(config, corpus)
-    vocabs = pipeline.load_corpus(config, corpus).vocabs
-    pipeline.build_model_from_config(config, {lang: v.size for lang, v in vocabs.items()}) \
+    pipeline.build_model_from_config(config, pipeline.load_corpus(config, corpus)) \
         .save_checkpoint(tmp_path / "checkpoint")
     tracer = load_perfbench("spans").Tracer()
     with tracer.installed():

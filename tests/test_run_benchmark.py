@@ -1,5 +1,6 @@
 """scripts/run_benchmark.py --json on a tiny config: the BENCH record."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -106,3 +107,20 @@ def test_unwritable_bench_path_exits_3(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("lexipivot-error:"), proc.stderr
     assert str(blocker) in lines[0]
+
+
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    """The script shares the CLI's handled errors, a MemoryError among them."""
+    spec = importlib.util.spec_from_file_location("run_benchmark", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def out_of_memory(config, out_dir):
+        raise MemoryError("Unable to allocate 1.00 TiB")
+    monkeypatch.setattr(script, "run_pipeline", out_of_memory)
+    monkeypatch.setattr(sys, "argv", ["run_benchmark.py", "--out", str(tmp_path / "run")])
+    assert script.main() == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("lexipivot-error: the run's sizes need more memory than is "
+                            "available (Unable to allocate 1.00 TiB)\n")
+    assert captured.out == ""

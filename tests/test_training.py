@@ -57,7 +57,7 @@ class TestPadCaptions:
         lang = tiny_bundle.config.languages[0]
         examples = indexed(tiny_bundle)[lang]
         regions = tiny_bundle.regions[lang]
-        captions = training.pad_captions(lang, examples, regions, 16)
+        captions = training.pad_captions(lang, examples, regions)
         picks = np.array([5, 0, 3])
         tokens, features = captions.batch(picks)
         width = max(len(examples[i].tokens) for i in picks)
@@ -114,8 +114,7 @@ class TestTrain:
         # model must be at its best-validation parameters
         total, count = 0.0, 0
         for lang in sorted(data):
-            captions = training.pad_captions(lang, data[lang][1], tiny_bundle.regions[lang],
-                                             model.dims.max_len)
+            captions = training.pad_captions(lang, data[lang][1], tiny_bundle.regions[lang])
             ce, n = training._validation_loss(model, captions, 8)
             total += ce
             count += n
