@@ -33,7 +33,7 @@ from ..numerics import (
 from ..numerics.attention import attention_forward
 from ..seeding import substream
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,6 @@ def param_shapes(dims: ModelDims, vocab_sizes: dict[str, int]) -> dict[str, tupl
         "attn.w1": (2 * d, a),
         "attn.b1": (a,),
         "attn.w2": (a, 1),
-        "attn.b2": (1,),
     }
     for lang, n in sorted(vocab_sizes.items()):
         shapes[f"embed.{lang}"] = (d, n)
@@ -137,8 +136,7 @@ class MultiLingualModel:
         `attention_precompute` of the regions."""
         p = self.params
         h_part = h_prev @ p["attn.w1"].data[:self.dims.embed_dim]
-        _, alpha, context = attention_forward(h_part, region_part, regions,
-                                              p["attn.w2"].data, p["attn.b2"].data)
+        _, alpha, context = attention_forward(h_part, region_part, regions, p["attn.w2"].data)
         return context, alpha
 
     def initial_state(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
@@ -170,7 +168,7 @@ class MultiLingualModel:
         return caption_loss(
             self._features(features), tokens, PAD,
             (p["encoder.weight"], p["encoder.bias"]), self.embedding(language),
-            self.lstm_weights(), (p["attn.w1"], p["attn.b1"], p["attn.w2"], p["attn.b2"]))
+            self.lstm_weights(), (p["attn.w1"], p["attn.b1"], p["attn.w2"]))
 
     # -- persistence --------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Additive attention (Show, Attend and Tell) kernels on plain arrays.
 
 One step over K regions, with H the hidden width:
-  scores[b,k] = tanh(region_part[b,k] + h_prev[b] @ w1[:H]) @ w2 + b2
+  scores[b,k] = tanh(region_part[b,k] + h_prev[b] @ w1[:H]) @ w2
   alpha = softmax over k of scores,  context[b] = sum_k alpha[b,k] regions[b,k]
 region_part is the region half of the scorer, the regions times w1[H:]
 plus b1, shared by every step. `attention_forward` is the step, which
@@ -17,13 +17,13 @@ from ..errors import NumericError
 
 
 def attention_forward(h_part: np.ndarray, region_part: np.ndarray, regions: np.ndarray,
-                      w2: np.ndarray, b2: np.ndarray):
+                      w2: np.ndarray):
     """One attention step on arrays: h_part [B,A] = h_prev @ w1[:H],
     region_part [B,K,A], regions [B,K,D] -> (u [B,K,A], alpha [B,K],
     context [B,D]), u being the scorer's hidden layer. Non-finite scores
     raise NumericError."""
     u = np.tanh(region_part + h_part[:, None, :])
-    scores = (u @ w2)[:, :, 0] + b2
+    scores = (u @ w2)[:, :, 0]
     if not np.isfinite(scores).all():
         raise NumericError("attention scores contain NaN or Inf")
     e = np.exp(scores - scores.max(axis=1, keepdims=True))

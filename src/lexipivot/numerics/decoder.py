@@ -31,7 +31,7 @@ from .tensor import Tensor, _make
 
 def caption_loss(features: np.ndarray, tokens: np.ndarray, pad: int,
                  encoder: tuple[Tensor, Tensor], embed: Tensor, lstm: LstmWeights,
-                 attention: tuple[Tensor, Tensor, Tensor, Tensor]) -> tuple[Tensor, int]:
+                 attention: tuple[Tensor, Tensor, Tensor]) -> tuple[Tensor, int]:
     """Mean negative log-likelihood of a batch's non-pad targets, and their
     count.
 
@@ -45,11 +45,11 @@ def caption_loss(features: np.ndarray, tokens: np.ndarray, pad: int,
       h_t = LSTM([embed[:, token_t] | context_t], state_{t-1})
       logits_t = h_t @ embed (tied weights, so H equals E)
     encoder = (weight [F,D], bias [D]); embed [E,V]; lstm.w_ih [E+D,4H];
-    attention = (w1 [H+D,A], b1 [A], w2 [A,1], b2 [1]), whose rows H: of
-    w1 and b1 form the region half of the scorer.
+    attention = (w1 [H+D,A], b1 [A], w2 [A,1]), whose rows H: of w1 and
+    b1 form the region half of the scorer.
     """
     w_enc, b_enc = encoder
-    w1, b1, w2, b2 = attention
+    w1, b1, w2 = attention
     w_ih, w_hh, bias = lstm.w_ih, lstm.w_hh, lstm.bias
     dtype = embed.dtype
     b, k, f = features.shape
@@ -91,8 +91,7 @@ def caption_loss(features: np.ndarray, tokens: np.ndarray, pad: int,
         rec = hidden[t] @ w_rec
         gates = x_part[t]
         gates += rec[:, :4 * hs]
-        scorer[t], alphas[t], contexts[t] = attention_forward(
-            rec[:, 4 * hs:], rp, rd, w2.data, b2.data)
+        scorer[t], alphas[t], contexts[t] = attention_forward(rec[:, 4 * hs:], rp, rd, w2.data)
         gates += contexts[t] @ w_ctx
         act, cell, tanh_cell, hidden[t + 1] = cell_forward(gates, cells[t])
         acts.append(act)
@@ -163,7 +162,6 @@ def caption_loss(features: np.ndarray, tokens: np.ndarray, pad: int,
                         (w1, dw1),
                         (b1, flat_dregion_part.sum(axis=0)),
                         (w2, scorer.reshape(rows * k, a).T @ dscores.reshape(rows * k, 1)),
-                        (b2, dscores.sum().reshape(1)),
                         (w_enc, flat_features.T @ dpre_enc),
                         (b_enc, dpre_enc.sum(axis=0))):
             p.accumulate_grad(grad)

@@ -2,9 +2,10 @@
 
 Every stage writes into its own directory: the produced artifacts, then
 the resolved config echo and a manifest with input digests, timings and
-the output file list. Reports, rankings, and checkpoints are
-byte-deterministic given (config, seed); manifests carry timings and are
-not part of that guarantee.
+the output file list. A stage creates the directory when it first writes
+to it, so a stage that fails before then leaves nothing behind. Reports,
+rankings, and checkpoints are byte-deterministic given (config, seed);
+manifests carry timings and are not part of that guarantee.
 """
 
 from __future__ import annotations
@@ -68,10 +69,8 @@ log = logging.getLogger("lexipivot")
 
 
 def _prepare(config: RunConfig, out_dir, command: str):
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir, RunManifest(command=command, config_hash=config.config_hash(),
-                                seed=config.seed)
+    return Path(out_dir), RunManifest(command=command, config_hash=config.config_hash(),
+                                      seed=config.seed)
 
 
 def _finish(config: RunConfig, manifest: RunManifest, out_dir: Path) -> None:
@@ -96,6 +95,7 @@ def stage_gen_corpus(config: RunConfig, out_dir) -> dict:
     with manifest.timed("generate"):
         bundle = generate_corpus(config.corpus, config.seed)
     with manifest.timed("write"):
+        out_dir.mkdir(parents=True, exist_ok=True)
         for lang in config.corpus.languages:
             ids = [scene.scene_id for scene in bundle.scenes[lang]]
             write_features(corpus_file(out_dir, lang, "features"), ids, bundle.regions[lang])
@@ -213,6 +213,7 @@ def stage_train(config: RunConfig, out_dir, corpus_dir) -> dict:
         result = train(model, data, loaded.regions, config.training, config.seed)
 
     with manifest.timed("write"):
+        out_dir.mkdir(parents=True, exist_ok=True)
         prefix = out_dir / "checkpoint"
         model.save_checkpoint(prefix, extra={
             "best_epoch": result.best_epoch,
@@ -271,6 +272,7 @@ def stage_extract(config: RunConfig, out_dir, checkpoint, corpus_dir) -> dict:
             sets = collect_word_features(model, examples, images, lang, method,
                                          counts=manifest.counts[lang])
         with manifest.timed(f"write:{lang}"):
+            out_dir.mkdir(parents=True, exist_ok=True)
             visual_entries = {}
             for index in sorted(sets):
                 feats = sets[index].astype(np.float64)
@@ -433,6 +435,7 @@ def stage_induce(config: RunConfig, out_dir, features_dir, lexicon_path) -> dict
         reports = reports_for(scored, ranks, gold)
     manifest.counts = ranking_counts(scored, len(tgt.words), ranks)
     with manifest.timed("write"):
+        out_dir.mkdir(parents=True, exist_ok=True)
         rankings_path, ranks_path = out_dir / "rankings.tsv", out_dir / "ranks.tsv"
         write_rankings(rankings_path, scored, src.words, tgt.words)
         write_ranks(ranks_path, ranks, gold)

@@ -94,7 +94,7 @@ def model_like_store(seed):
     """Shared weights first, then two embeddings, as `MultiLingualModel.build`
     lays them out; float32 like the pipeline's model."""
     rng = np.random.default_rng(seed)
-    shapes = {"attn.w1": (6, 3), "attn.b2": (1,), "encoder.weight": (4, 3),
+    shapes = {"attn.w1": (6, 3), "attn.w2": (3, 1), "encoder.weight": (4, 3),
               "lstm.bias": (12,), "embed.la": (3, 7), "embed.lb": (3, 5)}
     return ParamStore({name: rng.normal(size=shape).astype(np.float32)
                        for name, shape in shapes.items()})

@@ -15,26 +15,25 @@ def make_inputs(rng, b=3, k=4, h=5, d=6, a=3):
         return rng.normal(scale=0.7, size=shape)
 
     return {"h_prev": leaf(b, h), "regions": leaf(b, k, d), "region_part": leaf(b * k, a),
-            "w1": leaf(h + d, a), "w2": leaf(a, 1), "b2": leaf(1)}
+            "w1": leaf(h + d, a), "w2": leaf(a, 1)}
 
 
-def attend(h_prev, regions, region_part, w1, w2, b2):
+def attend(h_prev, regions, region_part, w1, w2):
     """`attention_forward` as the model calls it: (context [B,D], alpha [B,K])."""
     b, k, _ = regions.shape
     h_part = h_prev @ w1[:h_prev.shape[1]]
-    _, alpha, context = attention_forward(h_part, region_part.reshape(b, k, -1), regions,
-                                          w2, b2)
+    _, alpha, context = attention_forward(h_part, region_part.reshape(b, k, -1), regions, w2)
     return context, alpha
 
 
-def reference(h_prev, regions, region_part, w1, w2, b2):
+def reference(h_prev, regions, region_part, w1, w2):
     """The composite formulas the fused kernel replaced: row_slice,
     repeat_rows, tanh, matmul, softmax and the region-weighted sum, in plain
     NumPy."""
     b, k, _ = regions.shape
     hs = h_prev.shape[1]
     h_part = np.repeat(h_prev @ w1[:hs], k, axis=0)
-    scores = (np.tanh(region_part + h_part) @ w2 + b2).reshape(b, k)
+    scores = (np.tanh(region_part + h_part) @ w2).reshape(b, k)
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     alpha = e / e.sum(axis=-1, keepdims=True)
@@ -58,23 +57,22 @@ def test_gradients_match_finite_differences():
     rng = np.random.default_rng(1)
     b, k, a, d = 3, 4, 3, 6
     h_part, region_part = rng.normal(size=(b, a)), rng.normal(size=(b, k, a))
-    regions, w2, b2 = rng.normal(size=(b, k, d)), rng.normal(size=(a, 1)), rng.normal(size=1)
+    regions, w2 = rng.normal(size=(b, k, d)), rng.normal(size=(a, 1))
     w = rng.normal(size=(b, d))
 
     def f():
-        return (w * attention_forward(h_part, region_part, regions, w2, b2)[2]).sum()
+        return (w * attention_forward(h_part, region_part, regions, w2)[2]).sum()
 
-    u, alpha, _ = attention_forward(h_part, region_part, regions, w2, b2)
+    u, alpha, _ = attention_forward(h_part, region_part, regions, w2)
     dscores, dpre = attention_backward(w, u, alpha, regions, w2)
     assert_array_grads_close(
-        f, [h_part, region_part, regions, w2, b2],
+        f, [h_part, region_part, regions, w2],
         [dpre.sum(axis=1), dpre, alpha[:, :, None] * w[:, None, :],
-         u.reshape(b * k, a).T @ dscores.reshape(b * k, 1), dscores.sum().reshape(1)])
+         u.reshape(b * k, a).T @ dscores.reshape(b * k, 1)])
 
 
 @pytest.mark.parametrize("name,bad", [("region_part", np.nan), ("h_prev", np.nan),
-                                      ("w2", np.nan), ("w2", np.inf), ("b2", np.nan),
-                                      ("b2", -np.inf)])
+                                      ("w2", np.nan), ("w2", np.inf)])
 def test_non_finite_score_raises(name, bad):
     inputs = make_inputs(np.random.default_rng(4))
     inputs[name].reshape(-1)[0] = bad
@@ -89,10 +87,9 @@ def test_model_attend_matches_reference():
     regions = model.encode(rng.normal(size=(2, 4, 6)))
     h = rng.normal(size=(2, 5))
     context, alpha = model.attend(h, regions, model.attention_precompute(regions))
-    p = {n: model.params[n].data for n in ("attn.w1", "attn.b1", "attn.w2", "attn.b2")}
+    p = {n: model.params[n].data for n in ("attn.w1", "attn.b1", "attn.w2")}
     region_part = regions.reshape(8, 5) @ p["attn.w1"][5:] + p["attn.b1"]
-    ref_context, ref_alpha = reference(h, regions, region_part,
-                                       p["attn.w1"], p["attn.w2"], p["attn.b2"])
+    ref_context, ref_alpha = reference(h, regions, region_part, p["attn.w1"], p["attn.w2"])
     np.testing.assert_allclose(context, ref_context, rtol=0, atol=1e-12)
     np.testing.assert_allclose(alpha, ref_alpha, rtol=0, atol=1e-12)
 
@@ -115,8 +112,8 @@ def test_forward_leaves_its_inputs_unchanged():
     scorer, so the kernel must not write into them."""
     rng = np.random.default_rng(8)
     h_part, region_part = rng.normal(size=(2, 3)), rng.normal(size=(2, 4, 3))
-    regions, w2, b2 = rng.normal(size=(2, 4, 5)), rng.normal(size=(3, 1)), rng.normal(size=1)
-    inputs = (h_part, region_part, regions, w2, b2)
+    regions, w2 = rng.normal(size=(2, 4, 5)), rng.normal(size=(3, 1))
+    inputs = (h_part, region_part, regions, w2)
     copies = [x.copy() for x in inputs]
     first = attention_forward(*inputs)
     second = attention_forward(*inputs)
@@ -152,22 +149,21 @@ def test_float32_stays_float32():
     np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-6)
 
 
-def _score_attention(region_part, b2, regions, s):
-    """`attention_forward` whose scores are s * tanh(region_part) + b2 (a
+def _score_attention(region_part, regions, s):
+    """`attention_forward` whose scores are s * tanh(region_part) (a
     one-unit scorer with a zero hidden part): (u, alpha, context)."""
     b, k, _ = regions.shape
     return attention_forward(np.zeros((b, 1)), region_part.reshape(b, k, 1), regions,
-                             np.array([[s]]), b2)
+                             np.array([[s]]))
 
 
 def softmax(scores, shift=0.0):
     """Attention weights for scores [B,K] (or [K]) plus `shift`: region_part =
-    artanh(scores / s) reproduces the scores to a few ulps of s."""
-    x = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    artanh(scores / s) reproduces the shifted scores to a few ulps of s."""
+    x = np.atleast_2d(np.asarray(scores, dtype=np.float64)) + float(shift)
     b, k = x.shape
     s = 2.0 * np.max(np.abs(x), initial=0.0) + 1.0
-    return _score_attention(np.arctanh(x / s), np.array([float(shift)]),
-                            np.zeros((b, k, 1)), s)[1]
+    return _score_attention(np.arctanh(x / s), np.zeros((b, k, 1)), s)[1]
 
 
 class TestSoftmax:
@@ -199,14 +195,16 @@ class TestSoftmax:
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         region_part = rng.normal(size=(2, 5, 1))
-        b2 = np.array([0.3])
         regions = rng.normal(size=(2, 5, 3))
         w = rng.normal(size=(2, 3))
 
         def f():
-            return (w * _score_attention(region_part, b2, regions, 3.0)[2]).sum()
+            return (w * _score_attention(region_part, regions, 3.0)[2]).sum()
 
-        u, alpha, _ = _score_attention(region_part, b2, regions, 3.0)
+        u, alpha, _ = _score_attention(region_part, regions, 3.0)
         dscores, dpre = attention_backward(w, u, alpha, regions, np.array([[3.0]]))
-        assert abs(dscores.sum()) < 1e-12   # a shift shared by every score is invisible
-        assert_array_grads_close(f, [region_part, b2], [dpre, dscores.sum().reshape(1)])
+        # the gradient of a shift shared by every score is this sum, and it
+        # is zero: the softmax cannot see such a shift, so a bias added to
+        # the scores would be a parameter the loss never moves
+        assert abs(dscores.sum()) < 1e-12
+        assert_array_grads_close(f, [region_part], [dpre])

@@ -59,7 +59,7 @@ class TestEncode:
 class TestAttend:
     def test_zero_scorer_is_uniform_mean(self):
         model = MultiLingualModel.build(small_dims(), {"x": 8}, seed=2)
-        for name in ("attn.w1", "attn.b1", "attn.w2", "attn.b2"):
+        for name in ("attn.w1", "attn.b1", "attn.w2"):
             model.params[name].data[...] = 0.0
         regions = model.encode(np.random.default_rng(2).normal(size=(1, 4, 6)))
         h = np.random.default_rng(3).normal(size=(1, 5))

@@ -189,6 +189,22 @@ class TestGenCorpus:
         assert not (out / "resolved_config.json").exists()
         assert not (out / "manifest.json").exists()
 
+    def test_failed_stage_creates_no_directory(self, tmp_path, capsys):
+        """A stage creates its directory when it first writes to it, so one
+        that fails before then leaves no directory, and a directory that
+        already exists as it found it."""
+        cfg = write_config(tmp_path, corpus={"noise_sigma": 1e300})
+        out = tmp_path / "out"
+        assert run(["gen-corpus", "--config", cfg, "--out", out / "corpus"]) == 2
+        assert_one_error_line(capsys.readouterr().err, "corpus.noise_sigma 1e+300")
+        assert not out.exists()
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        assert run(["gen-corpus", "--config", cfg, "--out", out]) == 2
+        assert_one_error_line(capsys.readouterr().err, "corpus.noise_sigma 1e+300")
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "kept"
+
     def test_io_failure_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         blocker = tmp_path / "blocked"
@@ -317,8 +333,7 @@ class TestTrain:
         assert code == 3
         assert_one_error_line(capsys.readouterr().err, "lb.features.lxpf",
                               f"image id {ids[3]} has a non-finite")
-        for name in ("checkpoint.lxpv", "resolved_config.json", "manifest.json"):
-            assert not (out / name).exists(), name
+        assert not out.exists()
 
     @pytest.mark.parametrize("cut,shape", [
         ((slice(None), slice(0, 3)), "3 x 8"),
@@ -517,6 +532,16 @@ def mean_pool_checkpoint(checkpoint):
     kept.save(weights)
 
 
+def version_2_checkpoint(checkpoint):
+    """The checkpoint as version 2 wrote it: its scorer also had the score
+    bias `attn.b2`, which the softmax over regions cannot see."""
+    edit_sidecar(lambda text: json.dumps({**json.loads(text), "checkpoint_version": 2}))(
+        checkpoint)
+    weights = checkpoint.with_suffix(".lxpv")
+    arrays = {name: p.data for name, p in ParamStore.load(weights).items()}
+    ParamStore({**arrays, "attn.b2": np.zeros(1)}).save(weights)
+
+
 def one_weight_beyond_float32(params):
     params["lstm.w_hh"].data[0, 0] = 1e300  # float64 on disk, float32 in the sidecar
 
@@ -535,8 +560,7 @@ class TestExtractBadCheckpoint:
         (edit_sidecar(lambda text: "{bad"), "not a JSON"),
         (edit_sidecar(lambda text: json.dumps({k: v for k, v in json.loads(text).items()
                                                if k != "dims"})), "'dims'"),
-        (edit_sidecar(lambda text: json.dumps({**json.loads(text), "checkpoint_version": 1})),
-         "checkpoint_version 1 is not supported (expected 2)"),
+        (version_2_checkpoint, "checkpoint_version 2 is not supported (expected 3)"),
         (mean_pool_checkpoint, "'attn.b1'"),
         (edit_sidecar(lambda text: json.dumps({**json.loads(text), "dtype": "int8"})), "int8"),
         (edit_weights(one_weight_beyond_float32), "'lstm.w_hh'"),

@@ -19,8 +19,7 @@ def fused_loss(model, language, tokens, features):
     p = model.params
     return caption_loss(np.asarray(features, dtype=model.dtype), tokens, PAD,
                         (p["encoder.weight"], p["encoder.bias"]), model.embedding(language),
-                        model.lstm_weights(),
-                        (p["attn.w1"], p["attn.b1"], p["attn.w2"], p["attn.b2"]))
+                        model.lstm_weights(), (p["attn.w1"], p["attn.b1"], p["attn.w2"]))
 
 
 def oracle_loss(model, language, tokens, features):
@@ -78,6 +77,34 @@ def test_gradients_match_finite_differences(tiny_bundle):
         return fused_loss(model, language, tokens, features)[0]
 
     assert_grads_close(f, touched, tol=1e-4, eps=1e-5)
+
+
+def test_every_parameter_moves_the_loss(tiny_bundle):
+    """A random perturbation of each parameter the batch uses changes its
+    float64 loss by more than rounding. A parameter the loss cannot see,
+    such as a bias shared by every attention score before the softmax, has
+    an exact gradient of zero, so a gradient check passes for it (both of
+    its sides are about 0); this test fails for it. At initialisation the
+    scorer's tanh is nearly linear, so the smallest live change (attn.b1's)
+    is about 1e-8 on a loss of about 2.5: the bound is rounding, not a
+    typical change."""
+    model = build_model(tiny_bundle)
+    language = tiny_bundle.config.languages[0]
+    batch = padded_batch(ragged_group(tiny_bundle, language), tiny_bundle.regions[language])
+    rng = np.random.default_rng(13)
+    used = [(name, p) for name, p in model.params.items()
+            if not name.startswith("embed.") or name == f"embed.{language}"]
+    unmoved = []
+    with no_grad():
+        loss = model.sequence_loss(language, *batch)[0].item()
+        for name, p in used:
+            saved = p.data.copy()
+            p.data += rng.normal(scale=1e-3, size=p.data.shape)
+            moved = abs(model.sequence_loss(language, *batch)[0].item() - loss)
+            p.data[...] = saved
+            if moved <= 1e-12 * abs(loss):
+                unmoved.append((name, moved))
+    assert not unmoved
 
 
 def test_one_tape_node(tiny_bundle):

@@ -53,7 +53,7 @@ def write_table_file(path, aggregated):
 
 
 def write_params_file(path):
-    store = ParamStore({"attn.b2": np.array(0.5), "embed.de": np.arange(6.0).reshape(2, 3),
+    store = ParamStore({"attn.b1": np.array(0.5), "embed.de": np.arange(6.0).reshape(2, 3),
                         "embed.en": np.array([1.0, -2.0, 0.25])})
     store.save(path)
 
