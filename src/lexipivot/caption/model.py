@@ -15,7 +15,7 @@ plain arrays.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,10 +38,10 @@ CHECKPOINT_VERSION = 3
 
 @dataclass(frozen=True)
 class ModelDims:
-    feature_dim: int = 32   # raw region feature size fed to the encoder
-    embed_dim: int = 64     # D = H: embedding, context, and hidden size
-    attn_dim: int = 32      # hidden layer of the attention scorer
-    num_regions: int = 9    # K
+    feature_dim: int    # raw region feature size fed to the encoder
+    embed_dim: int      # D = H: embedding, context, and hidden size
+    attn_dim: int       # hidden layer of the attention scorer
+    num_regions: int    # K
 
 
 def param_shapes(dims: ModelDims, vocab_sizes: dict[str, int]) -> dict[str, tuple[int, ...]]:
@@ -64,7 +64,7 @@ def param_shapes(dims: ModelDims, vocab_sizes: dict[str, int]) -> dict[str, tupl
 
 class MultiLingualModel:
     def __init__(self, dims: ModelDims, vocab_sizes: dict[str, int], params: ParamStore,
-                 dtype=np.float64, seed: int = 0):
+                 dtype, seed: int):
         self.dims = dims
         self.vocab_sizes = dict(vocab_sizes)
         self.params = params
@@ -180,12 +180,7 @@ class MultiLingualModel:
         self.params.save(weights_path)
         manifest = {
             "checkpoint_version": CHECKPOINT_VERSION,
-            "dims": {
-                "feature_dim": self.dims.feature_dim,
-                "embed_dim": self.dims.embed_dim,
-                "attn_dim": self.dims.attn_dim,
-                "num_regions": self.dims.num_regions,
-            },
+            "dims": asdict(self.dims),
             "languages": {lang: n for lang, n in sorted(self.vocab_sizes.items())},
             "dtype": np.dtype(self.dtype).name,
             "seed": self.seed,
@@ -197,9 +192,10 @@ class MultiLingualModel:
 
     @classmethod
     def load_checkpoint(cls, prefix) -> tuple["MultiLingualModel", dict]:
-        """Model and sidecar manifest of a checkpoint. A sidecar of the wrong
-        types, or one that does not describe every weight's name and shape
-        as `build` would create them, is a FormatError."""
+        """Model and sidecar manifest of a checkpoint. A sidecar that lacks a
+        key or holds one of the wrong type, or one that does not describe
+        every weight's name and shape as `build` would create them, is a
+        FormatError."""
         prefix = Path(prefix)
         path = prefix.with_suffix(".json")
         try:
@@ -211,8 +207,12 @@ class MultiLingualModel:
             raise FormatError(f"{path}: checkpoint_version {version!r} is not supported "
                               f"(expected {CHECKPOINT_VERSION})")
         try:
-            dims = ModelDims(**manifest["dims"])
+            dims = manifest["dims"]
             seed, languages, dtype = manifest["seed"], manifest["languages"], manifest["dtype"]
+            absent = [f"dims.{f.name}" for f in fields(ModelDims) if f.name not in dims]
+            if absent:
+                raise KeyError(absent[0])
+            dims = ModelDims(**dims)
         except KeyError as exc:
             raise FormatError(f"{path}: checkpoint manifest has no key {exc}") from exc
         except TypeError as exc:

@@ -161,7 +161,7 @@ def train(model: MultiLingualModel, data: dict[str, tuple[list, list]], regions,
               for lang in data}
     adam = AdamState(learning_rate=config.learning_rate)
     result = TrainingLog()
-    best_snapshot = model.params.state_arrays()
+    best = model.params.data.copy()
     since_best = 0
 
     for epoch in range(1, config.max_epochs + 1):
@@ -218,12 +218,12 @@ def train(model: MultiLingualModel, data: dict[str, tuple[list, list]], regions,
         if overall_val < result.best_val_loss:
             result.best_val_loss = overall_val
             result.best_epoch = epoch
-            best_snapshot = model.params.state_arrays()
+            best = model.params.data.copy()
             since_best = 0
         else:
             since_best += 1
             if since_best >= config.patience:
                 break
 
-    model.params.load_state_arrays(best_snapshot)
+    model.params.data[...] = best
     return result

@@ -65,7 +65,7 @@ class RunConfig:
         self.extraction.validate()
 
     def to_dict(self) -> dict:
-        return _as_jsonable(dataclasses.asdict(self))
+        return dataclasses.asdict(self)
 
     def config_hash(self) -> str:
         """SHA-256 of the settings; `out_dir` says where a run writes, not
@@ -79,14 +79,6 @@ class RunConfig:
         path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
                         encoding="utf-8")
         return path
-
-
-def _as_jsonable(value):
-    if isinstance(value, dict):
-        return {k: _as_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_as_jsonable(v) for v in value]
-    return value
 
 
 def _fits(value, hint) -> bool:

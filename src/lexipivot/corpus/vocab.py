@@ -59,10 +59,10 @@ class Vocabulary:
         return [self.index(w) for w in words]
 
 
-def build_vocabulary(captions, min_count: int = 6) -> Vocabulary:
-    """Index words occurring at least `min_count` times (strict 'more than
-    five' at the default); ties in count are broken lexicographically. The
-    captions are one language's, and there is at least one."""
+def build_vocabulary(captions, min_count: int) -> Vocabulary:
+    """Index words occurring at least `min_count` times; ties in count are
+    broken lexicographically. The captions are one language's, and there
+    is at least one."""
     counts = Counter()
     for cap in captions:
         counts.update(cap.words)

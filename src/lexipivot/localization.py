@@ -90,8 +90,7 @@ def word_occurrences(tokens: np.ndarray,
 
 
 def collect_word_features(model: MultiLingualModel, examples, images, language: str,
-                          method: str = "probe",
-                          counts: dict | None = None) -> dict[int, np.ndarray]:
+                          method: str, counts: dict | None = None) -> dict[int, np.ndarray]:
     """Localized feature rows [n, D] per word index over a corpus whose
     images `encode_images` encoded, in the order of `word_occurrences`.
 

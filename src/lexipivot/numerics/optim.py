@@ -22,7 +22,7 @@ BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    learning_rate: float = 1e-4
+    learning_rate: float
     step: int = 0
     # flat like ParamStore.data; zero until a parameter's first gradient
     first_moment: np.ndarray | None = None

@@ -88,15 +88,6 @@ class ParamStore:
         for p in self._params.values():
             p.zero_grad()
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Copies of all parameter values (for snapshots)."""
-        return {name: p.data.copy() for name, p in self.items()}
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Restore values in place, preserving tensor identity and dtype."""
-        for name, p in self.items():
-            p.data[...] = arrays[name].astype(p.data.dtype, copy=False)
-
     def save(self, path) -> None:
         write_arrays(path, MAGIC, "<f8", {}, {name: p.data for name, p in self.items()})
 

@@ -302,9 +302,10 @@ def stage_extract(config: RunConfig, out_dir, checkpoint, corpus_dir) -> dict:
 
 
 def _load_tables(features_dir, languages, method: str):
-    """Each language's `build_table` from its three tables. Both languages'
-    tables of one kind must hold rows of one width, unless one holds no
-    rows at all."""
+    """Each language's `build_table` from its three tables. Linguistic and
+    visual tables must be aggregated and global ones must not. Both
+    languages' tables of one kind must hold rows of one width, unless one
+    holds no rows at all."""
     tables, widths = {}, {}
     for lang in languages:
         rows = {}
@@ -314,8 +315,9 @@ def _load_tables(features_dir, languages, method: str):
             if language != lang:
                 raise FormatError(f"{path}: the table's language {language!r:.40} "
                                   f"differs from {lang!r} of its file name")
-            if kind != "global" and not aggregated:
-                raise ConfigError(f"{kind} table for {lang} is not aggregated")
+            if aggregated != (kind != "global"):
+                raise FormatError(f"{path}: the table's aggregated flag is {aggregated}, "
+                                  f"but a {kind} table's must be {not aggregated}")
             rows[kind] = {w: word_rows for w, (_, word_rows) in entries.items()}
             width = next((r.shape[1] for r in rows[kind].values() if len(r)), 0)
             if width:   # a table without rows fits any width

@@ -542,6 +542,15 @@ def version_2_checkpoint(checkpoint):
     ParamStore({**arrays, "attn.b2": np.zeros(1)}).save(weights)
 
 
+def drop_dims_key(name):
+    """A checkpoint edit that deletes `dims.<name>` from the sidecar."""
+    def edit(text):
+        manifest = json.loads(text)
+        del manifest["dims"][name]
+        return json.dumps(manifest)
+    return edit_sidecar(edit)
+
+
 def one_weight_beyond_float32(params):
     params["lstm.w_hh"].data[0, 0] = 1e300  # float64 on disk, float32 in the sidecar
 
@@ -564,8 +573,11 @@ class TestExtractBadCheckpoint:
         (mean_pool_checkpoint, "'attn.b1'"),
         (edit_sidecar(lambda text: json.dumps({**json.loads(text), "dtype": "int8"})), "int8"),
         (edit_weights(one_weight_beyond_float32), "'lstm.w_hh'"),
+        *((drop_dims_key(name), f"has no key 'dims.{name}'")
+          for name in ("feature_dim", "embed_dim", "attn_dim", "num_regions")),
     ], ids=["undecodable", "missing key", "version", "attention off", "int8",
-            "weight beyond float32"])
+            "weight beyond float32", "no feature_dim", "no embed_dim", "no attn_dim",
+            "no num_regions"])
     def test_exits_3(self, trained, tmp_path, capsys, edit, fragment):
         cfg, corpus, checkpoint = trained
         edit(checkpoint)
@@ -849,7 +861,7 @@ class TestInduceEval:
                     counts[method]["gold_outside_targets"]) == (1, 1), method
             assert (row["n"], row["skipped"]) == ("1", "2"), method
 
-    def test_raw_linguistic_table_exits_2(self, extracted, tmp_path, capsys):
+    def test_raw_linguistic_table_exits_3(self, extracted, tmp_path, capsys):
         cfg, corpus, tables = extracted
         from lexipivot.localization import read_word_features, write_word_features
         path = tables / "la.linguistic.lxwf"
@@ -859,8 +871,26 @@ class TestInduceEval:
         write_word_features(path, "la", entries, aggregated=False)
         code = run(["induce", "--config", cfg, "--tables", tables,
                     "--lexicon", corpus / "lexicon.tsv", "--out", tmp_path / "induce"])
-        assert code == 2
-        assert_one_error_line(capsys.readouterr().err, "linguistic table for la")
+        assert code == 3
+        assert_one_error_line(capsys.readouterr().err, "la.linguistic.lxwf",
+                              "aggregated flag is False", "linguistic table's must be True")
+
+    def test_aggregated_global_table_exits_3(self, extracted, tmp_path, capsys):
+        """A global table holds one row per occurrence; one flagged
+        aggregated is refused, not ranked as if it were raw."""
+        cfg, corpus, tables = extracted
+        from lexipivot.localization import read_word_features, write_word_features
+        path = tables / "lb.global.lxwf"
+        _, _, entries = read_word_features(path)
+        write_word_features(path, "lb", {w: (1, rows[:1]) for w, (_, rows) in entries.items()
+                                         if len(rows)}, aggregated=True)
+        out = tmp_path / "induce"
+        code = run(["induce", "--config", cfg, "--tables", tables,
+                    "--lexicon", corpus / "lexicon.tsv", "--out", out])
+        assert code == 3
+        assert_one_error_line(capsys.readouterr().err, "lb.global.lxwf",
+                              "aggregated flag is True", "global table's must be False")
+        assert not (out / "rankings.tsv").exists()
 
     def test_non_finite_table_row_exits_3(self, extracted, tmp_path, capsys):
         cfg, corpus, tables = extracted

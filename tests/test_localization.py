@@ -124,7 +124,8 @@ class TestCollection:
         bundle, model, lang = setup
         examples = indexed(bundle)[lang][:20]
         sets = collect_word_features(model, examples,
-                                     encode_images(model, examples, bundle.regions[lang]), lang)
+                                     encode_images(model, examples, bundle.regions[lang]), lang,
+                                     "probe")
         total = sum(len(v) for v in sets.values())
         expected = sum(len(ex.tokens) - 2 for ex in examples)
         assert total == expected
@@ -133,7 +134,8 @@ class TestCollection:
         bundle, model, lang = setup
         examples = indexed(bundle)[lang][:20]
         sets = collect_word_features(model, examples,
-                                     encode_images(model, examples, bundle.regions[lang]), lang)
+                                     encode_images(model, examples, bundle.regions[lang]), lang,
+                                     "probe")
         from collections import Counter
         counts = Counter(t for ex in examples for t in ex.tokens[1:-1])
         for word_index, feats in sets.items():

@@ -108,9 +108,15 @@ class TestTrain:
 
     def test_best_snapshot_restored(self, tiny_bundle):
         model = build_model(tiny_bundle)
+        tensors = dict(model.params.items())
         data = split_bundle(tiny_bundle)
         log = train(model, data, tiny_bundle.regions,
                     quick_config(max_epochs=6), seed=4)
+        # restored in place: every parameter is the tensor it was, still a
+        # view of the store's flat buffer
+        for name, p in model.params.items():
+            assert p is tensors[name], name
+            assert np.shares_memory(p.data, model.params.data), name
         # model must be at its best-validation parameters
         total, count = 0.0, 0
         for lang in sorted(data):
