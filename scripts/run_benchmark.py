@@ -128,7 +128,7 @@ def main() -> int:
     try:  # the config, exit codes and error line of `lexipivot pipeline`
         config = resolve_config(args)
         start = time.time()
-        result = run_pipeline(config, config.out_dir)
+        result = run_pipeline(config, args.out)
         summarize(config, result, time.time() - start, args.json)
     except HANDLED_ERRORS as exc:
         return report_error(exc)

@@ -15,7 +15,7 @@ plain arrays.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from ..numerics import (
 from ..numerics.attention import attention_forward
 from ..seeding import substream
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -63,13 +63,11 @@ def param_shapes(dims: ModelDims, vocab_sizes: dict[str, int]) -> dict[str, tupl
 
 
 class MultiLingualModel:
-    def __init__(self, dims: ModelDims, vocab_sizes: dict[str, int], params: ParamStore,
-                 dtype, seed: int):
+    def __init__(self, dims: ModelDims, vocab_sizes: dict[str, int], params: ParamStore):
         self.dims = dims
         self.vocab_sizes = dict(vocab_sizes)
         self.params = params
-        self.dtype = np.dtype(dtype).type
-        self.seed = seed  # of the initial weights; the checkpoint sidecar records it
+        self.dtype = params.data.dtype.type
 
     # -- construction -------------------------------------------------------
 
@@ -89,7 +87,7 @@ class MultiLingualModel:
         params = ParamStore(arrays)
         h = dims.embed_dim
         params["lstm.bias"].data[h:2 * h] = 1.0  # forget-gate bias
-        return cls(dims, vocab_sizes, params, dtype=dtype, seed=seed)
+        return cls(dims, vocab_sizes, params)
 
     def embedding(self, language: str) -> Tensor:
         name = f"embed.{language}"
@@ -178,23 +176,19 @@ class MultiLingualModel:
         weights_path = prefix.with_suffix(".lxpv")
         manifest_path = prefix.with_suffix(".json")
         self.params.save(weights_path)
-        manifest = {
-            "checkpoint_version": CHECKPOINT_VERSION,
-            "dims": asdict(self.dims),
-            "languages": {lang: n for lang, n in sorted(self.vocab_sizes.items())},
-            "dtype": np.dtype(self.dtype).name,
-            "seed": self.seed,
-        }
-        manifest.update(extra or {})
+        # K is the one size no weight's shape holds
+        manifest = {"checkpoint_version": CHECKPOINT_VERSION,
+                    "num_regions": self.dims.num_regions, **(extra or {})}
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                                  encoding="utf-8")
         return weights_path, manifest_path
 
     @classmethod
     def load_checkpoint(cls, prefix) -> tuple["MultiLingualModel", dict]:
-        """Model and sidecar manifest of a checkpoint. A sidecar that lacks a
-        key or holds one of the wrong type, or one that does not describe
-        every weight's name and shape as `build` would create them, is a
+        """Model and sidecar manifest of a checkpoint. The weights give every
+        size but K, which the sidecar's `num_regions` holds. A sidecar of
+        another version or without a positive `num_regions`, or weights that
+        are not the parameters `build` creates for their own sizes, are a
         FormatError."""
         prefix = Path(prefix)
         path = prefix.with_suffix(".json")
@@ -206,56 +200,35 @@ class MultiLingualModel:
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"{path}: checkpoint_version {version!r} is not supported "
                               f"(expected {CHECKPOINT_VERSION})")
-        try:
-            dims = manifest["dims"]
-            seed, languages, dtype = manifest["seed"], manifest["languages"], manifest["dtype"]
-            absent = [f"dims.{f.name}" for f in fields(ModelDims) if f.name not in dims]
-            if absent:
-                raise KeyError(absent[0])
-            dims = ModelDims(**dims)
-        except KeyError as exc:
-            raise FormatError(f"{path}: checkpoint manifest has no key {exc}") from exc
-        except TypeError as exc:
-            raise FormatError(f"{path}: malformed checkpoint manifest ({exc})") from exc
-        problems = [f"dims.{name} {value!r:.60} is not a positive integer"
-                    for name, value in vars(dims).items() if not _is_count(value)]
-        if not (isinstance(languages, dict) and languages
-                and all(_is_count(n) for n in languages.values())):
-            problems.append(f"languages {languages!r:.60} is not a map of vocabulary sizes")
-        if not _is_int(seed):
-            problems.append(f"seed {seed!r:.60} is not an integer")
-        if dtype not in ("float32", "float64"):
-            problems.append(f"dtype {dtype!r:.60} is not float32 or float64")
-        if problems:
-            raise FormatError(f"{path}: {'; '.join(problems)}")
+        num_regions = manifest.get("num_regions")
+        if type(num_regions) is not int or num_regions < 1:
+            raise FormatError(f"{path}: checkpoint manifest has no positive integer "
+                              f"num_regions (found {num_regions!r:.60})")
         weights = prefix.with_suffix(".lxpv")
         params = ParamStore.load(weights)
-        expected = param_shapes(dims, languages)
         found = {name: p.data.shape for name, p in params.items()}
+
+        def matrix(name: str) -> tuple[int, int]:
+            shape = found.get(name, ())
+            if len(shape) != 2 or 0 in shape:
+                raise FormatError(f"{weights}: parameter {name!r} has shape "
+                                  f"{found.get(name, 'none')}, not that of a non-empty matrix")
+            return shape
+
+        feature_dim, embed_dim = matrix("encoder.weight")
+        dims = ModelDims(feature_dim=feature_dim, embed_dim=embed_dim,
+                         attn_dim=matrix("attn.w1")[1], num_regions=num_regions)
+        vocab_sizes = {name.removeprefix("embed."): matrix(name)[1]
+                       for name in found if name.startswith("embed.")}
+        if not vocab_sizes:
+            raise FormatError(f"{weights}: no embed.<language> parameter")
+        expected = param_shapes(dims, vocab_sizes)
         if found != expected:
             name = min(set(found.items()) ^ set(expected.items()))[0]
             raise FormatError(
-                f"{weights}: parameter {name!r} has shape {found.get(name, 'none')} in "
-                f"the weights but {expected.get(name, 'none')} in the manifest {path}")
-        dtype = np.dtype(dtype).type
-        arrays = {}
-        for name in expected:  # laid out as `build` lays them out
-            try:
-                with np.errstate(over="raise"):
-                    arrays[name] = params[name].data.astype(dtype)
-            except FloatingPointError as exc:
-                raise FormatError(
-                    f"{weights}: parameter {name!r} does not fit the dtype "
-                    f"{np.dtype(dtype).name} of the manifest {path} ({exc})") from exc
-            if not np.isfinite(arrays[name]).all():
+                f"{weights}: parameter {name!r} has shape {found.get(name, 'none')}, but "
+                f"the other weights need {expected.get(name, 'none')}")
+        for name, p in params.items():
+            if not np.isfinite(p.data).all():
                 raise FormatError(f"{weights}: parameter {name!r} holds a non-finite value")
-        return cls(dims, languages, ParamStore(arrays), dtype=dtype, seed=seed), manifest
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_count(value) -> bool:
-    return _is_int(value) and value >= 1
-
+        return cls(dims, vocab_sizes, params), manifest

@@ -44,7 +44,7 @@ def _common_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=Path, default=None,
                      help="JSON config file (defaults apply when omitted)")
     sub.add_argument("--seed", type=int, default=None, help="override config seed")
-    sub.add_argument("--out", type=Path, default=None, help="override output directory")
+    sub.add_argument("--out", type=Path, default=Path("runs/out"), help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,15 +78,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args) -> RunConfig:
-    """The config of `--config` (defaults when omitted), with `--seed` and
-    `--out` applied."""
+    """The config of `--config` (defaults when omitted), with `--seed`
+    applied."""
     config = load_config(args.config) if args.config else RunConfig()
     if args.config is None:
         config.validate()
     if args.seed is not None:
         config.seed = args.seed
-    if args.out is not None:
-        config.out_dir = str(args.out)
     return config
 
 
@@ -110,17 +108,16 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = resolve_config(args)
-        out = Path(config.out_dir)
         if args.command == "gen-corpus":
-            pipeline.stage_gen_corpus(config, out)
+            pipeline.stage_gen_corpus(config, args.out)
         elif args.command == "train":
-            pipeline.stage_train(config, out, args.corpus)
+            pipeline.stage_train(config, args.out, args.corpus)
         elif args.command == "extract":
-            pipeline.stage_extract(config, out, args.checkpoint, args.corpus)
+            pipeline.stage_extract(config, args.out, args.checkpoint, args.corpus)
         elif args.command == "induce":
-            pipeline.stage_induce(config, out, args.tables, args.lexicon)
+            pipeline.stage_induce(config, args.out, args.tables, args.lexicon)
         elif args.command == "pipeline":
-            pipeline.run_pipeline(config, out)
+            pipeline.run_pipeline(config, args.out)
         return 0
     except HANDLED_ERRORS as exc:
         return report_error(exc)

@@ -48,8 +48,8 @@ class ExtractionSection:
 @dataclass
 class RunConfig:
     seed: int = 17
-    out_dir: str = "runs/out"
-    # accepted and validated for existing config files; no stage reads it
+    # no stage reads it; kept only because the perfbench harness writes it
+    # into its configs (ROADMAP item 7)
     threads: int = 1
     corpus: CorpusConfig = field(default_factory=CorpusConfig)
     model: ModelSection = field(default_factory=ModelSection)
@@ -68,10 +68,8 @@ class RunConfig:
         return dataclasses.asdict(self)
 
     def config_hash(self) -> str:
-        """SHA-256 of the settings; `out_dir` says where a run writes, not
-        how it runs, so it is left out."""
-        settings = {k: v for k, v in self.to_dict().items() if k != "out_dir"}
-        canon = json.dumps(settings, sort_keys=True, separators=(",", ":"))
+        """SHA-256 of the settings."""
+        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
     def echo(self, out_dir: Path) -> Path:

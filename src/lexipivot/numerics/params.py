@@ -1,5 +1,5 @@
 """Named parameter store over flat buffers, with a bit-exact binary
-serialization: an `arrayfile` container of magic "LXPV" with one float64
+serialization: an `arrayfile` container of magic "LXPV" with one float32
 array per parameter.
 
 The values of all parameters are views of one flat array (`data`), and
@@ -15,6 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from ..arrayfile import read_arrays, write_arrays
+from ..errors import InputError
 from .tensor import Tensor
 
 MAGIC = b"LXPV"
@@ -89,9 +90,14 @@ class ParamStore:
             p.zero_grad()
 
     def save(self, path) -> None:
-        write_arrays(path, MAGIC, "<f8", {}, {name: p.data for name, p in self.items()})
+        """Write the parameters in name order. Only a float32 store can be
+        saved: the file holds float32, and a wider store would be rounded."""
+        if self.data.dtype != np.float32:
+            raise InputError(f"{path}: a weights file holds float32 parameters, "
+                             f"not {self.data.dtype}")
+        write_arrays(path, MAGIC, "<f4", {}, {name: p.data for name, p in self.items()})
 
     @classmethod
     def load(cls, path) -> "ParamStore":
-        """The float64 parameters of a weights file, laid out in file order."""
-        return cls(read_arrays(path, MAGIC, "<f8")[1])
+        """The float32 parameters of a weights file, laid out in file order."""
+        return cls(read_arrays(path, MAGIC, "<f4")[1])

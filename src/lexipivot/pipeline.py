@@ -244,7 +244,7 @@ def stage_extract(config: RunConfig, out_dir, checkpoint, corpus_dir) -> dict:
     with manifest.timed("load"):
         loaded = load_corpus(config, corpus_dir, manifest)
         model, _ = MultiLingualModel.load_checkpoint(checkpoint)
-        # the sidecar sets the dtype and dims the weights are decoded with
+        # the weights give the model's sizes, the sidecar its regions per image
         for suffix in (".lxpv", ".json"):
             manifest.add_input(Path(checkpoint).with_suffix(suffix))
     if (model.dims.num_regions, model.dims.feature_dim) != loaded.grid:

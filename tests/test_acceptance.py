@@ -37,7 +37,10 @@ DETERMINISTIC = (*(f"corpus/{lang}.{suffix}" for lang in ("la", "lb")
                  *(f"features/{lang}.{kind}.lxwf" for lang in ("la", "lb")
                    for kind in ("linguistic", "visual-probe", "global")),
                  "induction/rankings.tsv", "induction/ranks.tsv", "induction/report.csv",
-                 "induction/report.json")
+                 "induction/report.json",
+                 # the config echoes hold no path, so runs into two directories match
+                 *(f"{stage}resolved_config.json"
+                   for stage in ("", "corpus/", "train/", "features/", "induction/")))
 
 
 @pytest.fixture(scope="module")

@@ -4,12 +4,14 @@ import struct
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from lexipivot import pipeline
-from lexipivot.caption import split_by_scene
+from lexipivot.arrayfile import write_arrays
+from lexipivot.caption import MultiLingualModel, split_by_scene
 from lexipivot.cli import main
 from lexipivot.config import INDUCTION_METHODS, load_config
 from lexipivot.corpus import read_features, read_lexicon, write_features
@@ -532,59 +534,86 @@ def mean_pool_checkpoint(checkpoint):
     kept.save(weights)
 
 
+def float64_weights(checkpoint, extra=None):
+    """Rewrite the weights in float64, as checkpoint versions 2 and 3 wrote
+    them, with the parameters `extra` added."""
+    weights = checkpoint.with_suffix(".lxpv")
+    arrays = {name: p.data for name, p in ParamStore.load(weights).items()}
+    write_arrays(weights, b"LXPV", "<f8", {}, {**arrays, **(extra or {})})
+
+
 def version_2_checkpoint(checkpoint):
     """The checkpoint as version 2 wrote it: its scorer also had the score
     bias `attn.b2`, which the softmax over regions cannot see."""
+    add_removed_keys(checkpoint)
     edit_sidecar(lambda text: json.dumps({**json.loads(text), "checkpoint_version": 2}))(
         checkpoint)
+    float64_weights(checkpoint, {"attn.b2": np.zeros(1)})
+
+
+def version_3_checkpoint(checkpoint):
+    """The checkpoint as version 3 wrote it: float64 weights, and a sidecar
+    that restated their sizes."""
+    add_removed_keys(checkpoint)
+    edit_sidecar(lambda text: json.dumps({**json.loads(text), "checkpoint_version": 3}))(
+        checkpoint)
+    float64_weights(checkpoint)
+
+
+def widen_lstm_w_hh(checkpoint):
+    """Weights whose recurrent matrix has one column more than the other
+    weights' sizes give it."""
     weights = checkpoint.with_suffix(".lxpv")
     arrays = {name: p.data for name, p in ParamStore.load(weights).items()}
-    ParamStore({**arrays, "attn.b2": np.zeros(1)}).save(weights)
+    arrays["lstm.w_hh"] = np.pad(arrays["lstm.w_hh"], ((0, 0), (0, 1)))
+    ParamStore(arrays).save(weights)
 
 
-def drop_dims_key(name):
-    """A checkpoint edit that deletes `dims.<name>` from the sidecar."""
-    def edit(text):
-        manifest = json.loads(text)
-        del manifest["dims"][name]
-        return json.dumps(manifest)
-    return edit_sidecar(edit)
-
-
-def one_weight_beyond_float32(params):
-    params["lstm.w_hh"].data[0, 0] = 1e300  # float64 on disk, float32 in the sidecar
+def drop_embeddings(checkpoint):
+    """Weights without an `embed.<lang>` parameter, so of no language."""
+    weights = checkpoint.with_suffix(".lxpv")
+    ParamStore({name: p.data for name, p in ParamStore.load(weights).items()
+                if not name.startswith("embed.")}).save(weights)
 
 
 def one_nan_weight(params):
     params["attn.w1"].data[1, 2] = np.nan
 
 
-def add_removed_keys(text):
-    """The sidecar as the caption model with attention and encoder settings wrote it."""
-    return json.dumps({**json.loads(text), "attention": True, "freeze_encoder": False})
+def add_removed_keys(checkpoint):
+    """Add to the sidecar what earlier versions wrote there: the caption
+    model's attention and encoder settings, the sizes and dtype the weights
+    now give, and the init seed, which nothing read."""
+    model, manifest = MultiLingualModel.load_checkpoint(checkpoint)
+    removed = {"attention": True, "freeze_encoder": False, "dims": asdict(model.dims),
+               "languages": model.vocab_sizes, "dtype": "float32", "seed": 11}
+    checkpoint.with_suffix(".json").write_text(json.dumps({**manifest, **removed}))
 
 
 class TestExtractBadCheckpoint:
-    @pytest.mark.parametrize("edit,fragment", [
-        (edit_sidecar(lambda text: "{bad"), "not a JSON"),
+    @pytest.mark.parametrize("edit,file,fragment", [
+        (edit_sidecar(lambda text: "{bad"), "checkpoint.json", "not a JSON"),
         (edit_sidecar(lambda text: json.dumps({k: v for k, v in json.loads(text).items()
-                                               if k != "dims"})), "'dims'"),
-        (version_2_checkpoint, "checkpoint_version 2 is not supported (expected 3)"),
-        (mean_pool_checkpoint, "'attn.b1'"),
-        (edit_sidecar(lambda text: json.dumps({**json.loads(text), "dtype": "int8"})), "int8"),
-        (edit_weights(one_weight_beyond_float32), "'lstm.w_hh'"),
-        *((drop_dims_key(name), f"has no key 'dims.{name}'")
-          for name in ("feature_dim", "embed_dim", "attn_dim", "num_regions")),
-    ], ids=["undecodable", "missing key", "version", "attention off", "int8",
-            "weight beyond float32", "no feature_dim", "no embed_dim", "no attn_dim",
-            "no num_regions"])
-    def test_exits_3(self, trained, tmp_path, capsys, edit, fragment):
+                                               if k != "num_regions"})),
+         "checkpoint.json", "has no positive integer num_regions (found None)"),
+        (version_2_checkpoint, "checkpoint.json",
+         "checkpoint_version 2 is not supported (expected 4)"),
+        (version_3_checkpoint, "checkpoint.json",
+         "checkpoint_version 3 is not supported (expected 4)"),
+        (float64_weights, "checkpoint.lxpv", "has dtype '<f8', expected '<f4'"),
+        (mean_pool_checkpoint, "checkpoint.lxpv", "parameter 'attn.w1' has shape none"),
+        (widen_lstm_w_hh, "checkpoint.lxpv", "parameter 'lstm.w_hh' has shape (12, 49), "
+                                             "but the other weights need (12, 48)"),
+        (drop_embeddings, "checkpoint.lxpv", "no embed.<language> parameter"),
+    ], ids=["undecodable", "no num_regions", "version", "version 3", "float64 weights",
+            "attention off", "lstm.w_hh of another width", "no language"])
+    def test_exits_3(self, trained, tmp_path, capsys, edit, file, fragment):
         cfg, corpus, checkpoint = trained
         edit(checkpoint)
         code = run(["extract", "--config", cfg, "--checkpoint", checkpoint,
                     "--corpus", corpus, "--out", tmp_path / "x"])
         assert code == 3
-        assert_one_error_line(capsys.readouterr().err, "checkpoint.json", fragment)
+        assert_one_error_line(capsys.readouterr().err, file, fragment)
 
     def test_non_finite_weight_exits_3(self, trained, tmp_path, capsys):
         cfg, corpus, checkpoint = trained
@@ -600,7 +629,7 @@ class TestExtractBadCheckpoint:
         before, after = tmp_path / "as written", tmp_path / "with removed keys"
         assert run(["extract", "--config", cfg, "--checkpoint", checkpoint,
                     "--corpus", corpus, "--out", before]) == 0
-        edit_sidecar(add_removed_keys)(checkpoint)
+        add_removed_keys(checkpoint)
         assert run(["extract", "--config", cfg, "--checkpoint", checkpoint,
                     "--corpus", corpus, "--out", after]) == 0
         names = sorted(path.name for path in before.glob("*.lxwf"))
@@ -640,7 +669,7 @@ class TestExtractMismatchedOrDivergedModel:
         corpus = tmp_path / "corpus7"
         assert run(["gen-corpus", "--config", cfg, "--out", corpus]) == 0
         from lexipivot.corpus import read_vocabulary
-        trained_size = json.loads(checkpoint.with_suffix(".json").read_text())["languages"]["la"]
+        trained_size = ParamStore.load(checkpoint.with_suffix(".lxpv"))["embed.la"].data.shape[1]
         corpus_size = read_vocabulary(corpus / "la.vocab.tsv", "la").size
         assert trained_size != corpus_size
         out = tmp_path / "x"

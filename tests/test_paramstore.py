@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lexipivot.corpus import write_features
-from lexipivot.errors import FormatError
+from lexipivot.errors import FormatError, InputError
 from lexipivot.numerics import ParamStore
 
 from helpers import edit_header
@@ -13,8 +13,9 @@ from helpers import edit_header
 
 def build_store():
     rng = np.random.default_rng(42)
-    return ParamStore({"zeta": rng.normal(size=(3, 2)), "alpha.weight": rng.normal(size=5),
-                       "mid": np.array(3.14159)})
+    arrays = {"zeta": rng.normal(size=(3, 2)), "alpha.weight": rng.normal(size=5),
+              "mid": np.array(3.14159)}
+    return ParamStore({name: arr.astype(np.float32) for name, arr in arrays.items()})
 
 
 def test_names_are_unique(tmp_path):
@@ -56,19 +57,26 @@ def test_header_layout(tmp_path):
     magic, version, header_len = struct.unpack_from("<4sII", blob)
     assert (magic, version) == (b"LXPV", 2)
     header = json.loads(blob[12:12 + header_len].decode("utf-8"))
-    assert header == {"meta": {}, "arrays": [["alpha.weight", "<f8", [5]], ["mid", "<f8", []],
-                                             ["zeta", "<f8", [3, 2]]]}
-    data = np.frombuffer(blob, dtype="<f8", offset=12 + header_len)
+    assert header == {"meta": {}, "arrays": [["alpha.weight", "<f4", [5]], ["mid", "<f4", []],
+                                             ["zeta", "<f4", [3, 2]]]}
+    data = np.frombuffer(blob, dtype="<f4", offset=12 + header_len)
     assert np.array_equal(data, np.concatenate([t.data.ravel() for _, t in store.items()]))
 
 
-def test_float32_weights_are_stored_as_float64(tmp_path):
-    store = ParamStore({"w": np.array([0.1, -2.5], dtype=np.float32)})
+def test_weights_are_stored_as_float32(tmp_path):
+    store = build_store()
     path = tmp_path / "f.lxpv"
     store.save(path)
-    loaded = ParamStore.load(path)["w"].data
-    assert loaded.dtype == np.float64
-    assert np.array_equal(loaded, store["w"].data.astype(np.float64))
+    assert ParamStore.load(path).data.dtype == np.float32
+
+
+def test_saving_a_float64_store_is_an_input_error(tmp_path):
+    """A weights file holds float32, and rounding a wider store on the way
+    would lose its values silently."""
+    path = tmp_path / "wide.lxpv"
+    with pytest.raises(InputError, match="float32 parameters, not float64"):
+        ParamStore({"w": np.array([0.1, -2.5])}).save(path)
+    assert not path.exists()
 
 
 def test_bad_magic(tmp_path):
