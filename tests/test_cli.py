@@ -576,6 +576,22 @@ def drop_embeddings(checkpoint):
                 if not name.startswith("embed.")}).save(weights)
 
 
+def add_weight(checkpoint):
+    """Weights with a parameter the model does not have: version 2's score
+    bias `attn.b2`, in float32 behind a version-4 sidecar."""
+    weights = checkpoint.with_suffix(".lxpv")
+    arrays = {name: p.data for name, p in ParamStore.load(weights).items()}
+    ParamStore({**arrays, "attn.b2": np.zeros(1, dtype=np.float32)}).save(weights)
+
+
+def empty_attn_w1(checkpoint):
+    """Weights whose attention projection has no column, so attention size 0."""
+    weights = checkpoint.with_suffix(".lxpv")
+    arrays = {name: p.data for name, p in ParamStore.load(weights).items()}
+    arrays["attn.w1"] = arrays["attn.w1"][:, :0]
+    ParamStore(arrays).save(weights)
+
+
 def one_nan_weight(params):
     params["attn.w1"].data[1, 2] = np.nan
 
@@ -605,8 +621,13 @@ class TestExtractBadCheckpoint:
         (widen_lstm_w_hh, "checkpoint.lxpv", "parameter 'lstm.w_hh' has shape (12, 49), "
                                              "but the other weights need (12, 48)"),
         (drop_embeddings, "checkpoint.lxpv", "no embed.<language> parameter"),
+        (add_weight, "checkpoint.lxpv", "parameter 'attn.b2' has shape (1,), "
+                                        "but the other weights need none"),
+        (empty_attn_w1, "checkpoint.lxpv", "parameter 'attn.w1' has shape (24, 0), "
+                                           "not that of a non-empty matrix"),
     ], ids=["undecodable", "no num_regions", "version", "version 3", "float64 weights",
-            "attention off", "lstm.w_hh of another width", "no language"])
+            "attention off", "lstm.w_hh of another width", "no language", "extra parameter",
+            "attention size 0"])
     def test_exits_3(self, trained, tmp_path, capsys, edit, file, fragment):
         cfg, corpus, checkpoint = trained
         edit(checkpoint)
